@@ -41,6 +41,7 @@ from .errors import (
 )
 from .groups import GroupDescriptor, inverse_set, power_set, product_set
 from .koopman import (
+    DiscrepancyResult,
     KoopmanAveragingOperator,
     VerifyReport,
     character_line_scan,

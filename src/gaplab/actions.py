@@ -79,6 +79,26 @@ class ActionSpace:
         """Index array P with (pi(g) phi)[i] = phi[P[i]], i.e. P[i] = idx(g^{-1} cell_i)."""
         return self.act_indices(self.group.inverse(g), np.arange(self.n_cells))
 
+    def cycle_lengths(self) -> dict[int, int]:
+        """Cycle type of the generator sigma: {cycle length L: number of cycles}.
+
+        The generic rule walks the cycles of sigma = the action of the
+        element with coordinate 1 once, in time linear in the cell count.
+        """
+        sigma = self.act_indices((1,), np.arange(self.n_cells)).tolist()
+        seen = [False] * self.n_cells
+        counts: dict[int, int] = {}
+        for start in range(self.n_cells):
+            if seen[start]:
+                continue
+            length, i = 0, start
+            while not seen[i]:
+                seen[i] = True
+                i = sigma[i]
+                length += 1
+            counts[length] = counts.get(length, 0) + 1
+        return counts
+
     def is_identity_action(self, g: Element) -> bool:
         idx = np.arange(self.n_cells)
         return bool((self.act_indices(g, idx) == idx).all())
@@ -149,6 +169,10 @@ class CircleRotationSpace(ActionSpace):
     def has_fixed_cell(self, g):
         return self.shift_of(g) == 0
 
+    def cycle_lengths(self):
+        cycles = math.gcd(self.n, self.cells_per_step)
+        return {self.n // cycles: cycles}
+
     def cell_ball(self, center, radius):
         if radius < 0:
             raise PreconditionError("radius must be >= 0")
@@ -210,6 +234,10 @@ class TorusTranslationSpace(ActionSpace):
 
     def has_fixed_cell(self, g):
         return self.vector_of(g) == (0, 0)
+
+    def cycle_lengths(self):
+        length = self.n // math.gcd(self.n, *self.step)
+        return {length: self.n_cells // length}
 
     def cell_ball(self, center, radius):
         if radius < 0:
@@ -284,6 +312,19 @@ class BernoulliWindowSpace(ActionSpace):
         digits = self._digits[:, idx]
         rotated = np.roll(digits, -r, axis=0)
         return self._powers @ rotated
+
+    def cycle_lengths(self):
+        """sigma^window is the identity, so a cell's cycle length is the
+        least r <= window with sigma^r(i) = i: one gather per r."""
+        idx = np.arange(self.n_cells)
+        sigma = self.act_indices((1,), idx)
+        period = np.zeros(self.n_cells, dtype=np.int64)
+        image = idx
+        for r in range(1, self.window + 1):
+            image = sigma[image]
+            period[(period == 0) & (image == idx)] = r
+        lengths, cells = np.unique(period, return_counts=True)
+        return {int(n): int(c) // int(n) for n, c in zip(lengths, cells)}
 
     def word_of(self, index: int) -> tuple[int, ...]:
         return tuple(int(d) for d in self._digits[:, index])

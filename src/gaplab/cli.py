@@ -24,6 +24,7 @@ from .certificates import run_certificate
 from .errors import GaplabError
 from .groups import GroupDescriptor, power_set
 from .koopman import (
+    DiscrepancyResult,
     character_line_scan,
     character_norm,
     discrepancy,
@@ -231,6 +232,15 @@ def run_regular_norm(cfg: dict) -> RunResult:
     return res
 
 
+def _put_spectrum(res: RunResult, disc: DiscrepancyResult) -> str:
+    """Record the cycle structure behind a discrepancy; returns the witness."""
+    witness = "none" if disc.witness is None else "({};{})".format(*disc.witness)
+    res.put("n_cycles", disc.n_cycles)
+    res.put("invariant_dim", disc.invariant_dim)
+    res.put("witness", witness)
+    return witness
+
+
 def run_koopman_norm(cfg: dict) -> RunResult:
     res = RunResult("koopman-norm")
     group = build_group(_require(cfg, "group", "<root>"))
@@ -238,13 +248,13 @@ def run_koopman_norm(cfg: dict) -> RunResult:
     space = build_space(group, _require(cfg, "action", "<root>"))
     p = _params(cfg)
     tol = float(p.get("tol", 1e-8))
-    seed = int(p.get("seed", 7))
-    disc = discrepancy(space, mu, tol=tol, seed=seed,
-                       max_iter=int(p.get("max_iter", 200_000)))
+    disc = discrepancy(space, mu)
     res.put("discrepancy", disc.value)
-    res.put("residual", disc.residual)
-    res.put("iterations", disc.iterations)
-    res.note(f"discrepancy = {_fmt(disc.value)} (residual {_fmt(disc.residual)})")
+    witness = _put_spectrum(res, disc)
+    res.note(f"discrepancy = {_fmt(disc.value)} (cycle spectrum: "
+             f"n_cycles {disc.n_cycles}, witness {witness})")
+    if disc.trivial_note:
+        res.note(disc.trivial_note)
     res.check("discrepancy <= total mass + tol",
               disc.value <= mu.total_mass + tol)
     if space.is_translation:
@@ -254,8 +264,8 @@ def run_koopman_norm(cfg: dict) -> RunResult:
         res.put("freq_cutoff", cutoff)
         res.note(f"character oracle = {_fmt(char)} at cutoff {cutoff}")
         if cutoff >= max(space.grid_shape) // 2:
-            res.check("power iteration agrees with the character oracle (1e-6)",
-                      abs(disc.value - char) <= max(1e-6, 2 * tol))
+            res.check("cycle spectrum agrees with the character oracle",
+                      abs(disc.value - char) <= 1e-9)
     slope = getattr(space, "slope_target", None)
     if slope is not None:
         line_cutoff = int(p.get("line_freq_cutoff", 10_000))
@@ -277,11 +287,10 @@ def run_verify_bound(cfg: dict) -> RunResult:
         space, mu,
         regular_norm_method=p.get("regular_norm_method", "auto"),
         tol=float(p.get("tol", 1e-3)),
-        seed=int(p.get("seed", 7)),
         n_max=int(p.get("n_max", 50)),
-        max_iter=int(p.get("max_iter", 200_000)),
     )
     res.put("delta", report.delta)
+    _put_spectrum(res, report.spectrum)
     res.put("regular_norm", report.regular_norm)
     res.put("regular_method", report.regular_method)
     res.put("tol", report.tol)
@@ -336,8 +345,7 @@ def run_certificate_experiment(cfg: dict) -> RunResult:
     res.check("chain inequality on every asserted row",
               all(r.rayleigh >= r.chain_bound - 1e-10 for r in chain_rows))
     if bool(p.get("cross_check_discrepancy", True)):
-        disc = discrepancy(space, mu, tol=tol, seed=int(p.get("seed", 7)),
-                           max_iter=int(p.get("max_iter", 200_000)))
+        disc = discrepancy(space, mu)
         res.put("discrepancy", disc.value)
         res.check("certificate bound <= discrepancy + 2 tol",
                   report.norm_lower_bound <= disc.value + 2 * tol)
@@ -402,12 +410,10 @@ def run_margulis_demo(cfg: dict) -> RunResult:
     mu = GroupMeasure.uniform_interval(group, 0.0, 1.0, closed=False)
     space = build_action("circle-rotation", group=group, N=n, cells_per_step=1)
     char = character_norm(space, mu, n // 2)
-    disc = discrepancy(space, mu, tol=float(p.get("tol", 1e-9)),
-                       seed=int(p.get("seed", 7)))
+    disc = discrepancy(space, mu)
     lam = amenable_norm(mu)
     report = verify_lower_bound(space, mu, regular_norm_method="amenable",
-                                tol=float(p.get("tol", 1e-3)),
-                                seed=int(p.get("seed", 7)))
+                                tol=float(p.get("tol", 1e-3)))
     res.put("N", n)
     res.put("max_nonzero_character", char)
     res.put("discrepancy", disc.value)

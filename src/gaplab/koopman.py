@@ -2,10 +2,14 @@
 
 The discrepancy of a measure mu under a measure-preserving action is the
 operator norm of the averaging operator on zero-mean square-summable
-functions.  For pure translation actions the operator diagonalizes in the
-discrete Fourier basis, which gives both a fast apply (FFT multiplier)
-and an exact character oracle; the generic path applies the measure atom
-by atom through cell permutations.
+functions.  Every action here is c -> sigma^c for one cell permutation
+sigma, and the cell weights are constant on the cycles of sigma, so the
+averaging operator is a direct sum of circulants, one per cycle, and the
+discrepancy is read off their eigenvalues exactly (circulant
+diagonalization; P. J. Davis, *Circulant Matrices*, 1979).  For
+translation actions the character oracle diagonalizes the whole cell
+grid instead and serves as an independent check; the atom-by-atom gather
+apply is the building block of the dense test oracles.
 """
 
 from __future__ import annotations
@@ -18,26 +22,15 @@ import numpy as np
 from .actions import ActionSpace
 from .errors import DescriptorMismatchError, PreconditionError, UnsupportedKindError
 from .measures import GroupMeasure
-from .operators import (
-    LinearOperatorHandle,
-    NormResult,
-    operator_norm_self_adjoint,
-)
 from .regular_norm import NormEstimate, amenable_norm, berg_christensen_estimate
 
 
-def _axes(shape) -> tuple[int, ...]:
-    return tuple(range(len(shape)))
-
-
 class KoopmanAveragingOperator:
-    """The operator phi -> integral of phi(g^{-1} x) d mu(g), compressed to
-    the cell space, with an optional projection onto zero-mean functions.
+    """The operator phi -> integral of phi(g^{-1} x) d mu(g) on the cell
+    space, applied atom by atom through cell permutations.
 
-    ``apply_l2`` is the raw averaging in the natural cell coordinates.
-    ``handle``/``adjoint_handle`` expose the zero-mean block in the flat
-    coordinates u = sqrt(weights) * phi, in which the L2(nu) norm is the
-    Euclidean norm, as required by the spectral routines.
+    ``apply_l2`` is the raw averaging in the natural cell coordinates,
+    without the projection onto zero-mean functions.
     """
 
     def __init__(self, space: ActionSpace, measure: GroupMeasure):
@@ -47,31 +40,13 @@ class KoopmanAveragingOperator:
             )
         self.space = space
         self.measure = measure
-        self._sqrtw = np.sqrt(space.weights)
-        self._atoms = list(measure.items())
-        self._perms = None
-        self._multiplier_raw = None
-        self._multiplier = None
-        if space.is_translation:
-            self._multiplier_raw = self._build_multiplier()
-            self._multiplier = self._multiplier_raw.copy()
-            # zero-mean projection = kill the DC eigenvalue
-            self._multiplier.flat[0] = 0.0
-        else:
-            self._perms = [
-                (space.koopman_permutation(g), w) for g, w in self._atoms
-            ]
-
-    # -- raw averaging ------------------------------------------------------
+        self._perms = [
+            (space.koopman_permutation(g), w) for g, w in measure.items()
+        ]
 
     def apply_l2(self, phi: np.ndarray) -> np.ndarray:
         """Averaging without the zero-mean projection (natural coordinates)."""
         phi = np.asarray(phi, dtype=float)
-        if self._multiplier_raw is not None:
-            shape = self.space.grid_shape
-            spec = np.fft.rfftn(phi.reshape(shape))
-            out = np.fft.irfftn(spec * self._multiplier_raw, s=shape, axes=_axes(shape))
-            return out.reshape(phi.shape)
         out = np.zeros_like(phi)
         for perm, w in self._perms:
             out += w * phi[perm]
@@ -80,121 +55,63 @@ class KoopmanAveragingOperator:
     def mean_of(self, phi: np.ndarray) -> float:
         return float(np.dot(self.space.weights, phi))
 
-    # -- zero-mean handles ----------------------------------------------------
 
-    def _build_multiplier(self) -> np.ndarray:
-        """rfft-layout eigenvalue grid of the raw translation operator.
+@dataclass(frozen=True)
+class DiscrepancyResult:
+    """The exact discrepancy and the cycle structure it was read from.
 
-        pi(g) phi = phi(g^{-1} .) shifts a grid function by +v(g), whose
-        rfft symbol at frequency m is exp(-2 pi i <m, v(g)> / N).
-        """
-        shape = self.space.grid_shape
-        freq_axes = [np.fft.fftfreq(n, d=1.0 / n).astype(np.int64) for n in shape]
-        freq_axes[-1] = np.fft.rfftfreq(shape[-1], d=1.0 / shape[-1]).astype(np.int64)
-        mult = np.zeros(tuple(len(ax) for ax in freq_axes), dtype=complex)
-        grids = np.meshgrid(*freq_axes, indexing="ij")
-        n = shape[0]
-        for g, w in self._atoms:
-            vec = self.space.translation_vector(g)
-            phase = sum(m * v for m, v in zip(grids, vec))
-            mult += w * np.exp(-2j * np.pi * phase / n)
-        return mult
-
-    def _flat_apply(self, adjoint: bool):
-        space = self.space
-        sqrtw = self._sqrtw
-        if self._multiplier is not None:
-            mult = np.conj(self._multiplier) if adjoint else self._multiplier
-            shape = space.grid_shape
-
-            def apply(u: np.ndarray) -> np.ndarray:
-                spec = np.fft.rfftn(u.reshape(shape))
-                return np.fft.irfftn(spec * mult, s=shape, axes=_axes(shape)).reshape(u.shape)
-
-            return apply
-
-        perms = [
-            (space.koopman_permutation(space.group.inverse(g)), w)
-            for g, w in self._atoms
-        ] if adjoint else self._perms
-
-        def apply(u: np.ndarray) -> np.ndarray:
-            phi = u / sqrtw
-            out = np.zeros_like(phi)
-            for perm, w in perms:
-                out += w * phi[perm]
-            out = sqrtw * out
-            return out - np.dot(sqrtw, out) * sqrtw
-
-        return apply
-
-    def handle(self) -> LinearOperatorHandle:
-        return LinearOperatorHandle(
-            dimension=self.space.n_cells,
-            apply=self._flat_apply(adjoint=False),
-            self_adjoint=self.measure.is_symmetric(),
-            nonnegative=False,
-        )
-
-    def adjoint_handle(self) -> LinearOperatorHandle:
-        return LinearOperatorHandle(
-            dimension=self.space.n_cells,
-            apply=self._flat_apply(adjoint=True),
-            self_adjoint=self.measure.is_symmetric(),
-            nonnegative=False,
-        )
-
-    def symmetrized_handle(self) -> LinearOperatorHandle:
-        """T T* in one pass; on multiplier spaces the symbols fuse to |m|^2."""
-        if self._multiplier is not None:
-            mult = np.abs(self._multiplier) ** 2
-            shape = self.space.grid_shape
-
-            def apply(u: np.ndarray) -> np.ndarray:
-                spec = np.fft.rfftn(u.reshape(shape))
-                return np.fft.irfftn(spec * mult, s=shape, axes=_axes(shape)).reshape(u.shape)
-
-            return LinearOperatorHandle(
-                dimension=self.space.n_cells, apply=apply,
-                self_adjoint=True, nonnegative=True,
-            )
-        fwd = self._flat_apply(adjoint=False)
-        adj = self._flat_apply(adjoint=True)
-        return LinearOperatorHandle(
-            dimension=self.space.n_cells,
-            apply=lambda u: fwd(adj(u)),
-            self_adjoint=True,
-            nonnegative=True,
-        )
-
-    def rayleigh(self, phi: np.ndarray) -> float:
-        """<pi(mu) phi, phi> in L2(nu) for a zero-mean phi."""
-        out = self.apply_l2(phi)
-        return float(np.dot(self.space.weights, out * phi))
-
-
-def discrepancy(
-    space: ActionSpace,
-    mu: GroupMeasure,
-    tol: float = 1e-8,
-    max_iter: int = 200_000,
-    seed: int = 7,
-) -> NormResult:
-    """Norm of the averaging operator on zero-mean functions.
-
-    Always computed through the symmetrization route: the norm is the
-    square root of the top eigenvalue of T T*, obtained by seeded power
-    iteration, so the result is deterministic given the seed.
+    ``witness`` is (L, k): an eigenvalue of largest modulus sits at
+    frequency k on a cycle of length L.  It is None on a one-cell space,
+    which has no nonzero zero-mean function.
     """
-    op = KoopmanAveragingOperator(space, mu)
-    res = operator_norm_self_adjoint(
-        op.symmetrized_handle(), tol=tol, max_iter=max_iter, seed=seed
-    )
-    return NormResult(
-        value=float(math.sqrt(max(res.value, 0.0))),
-        residual=res.residual,
-        iterations=res.iterations,
-    )
+
+    value: float
+    n_cycles: int
+    witness: tuple[int, int] | None
+
+    @property
+    def invariant_dim(self) -> int:
+        """Dimension of the invariant zero-mean functions (constant on cycles)."""
+        return self.n_cycles - 1
+
+    @property
+    def trivial_note(self) -> str | None:
+        """Why delta >= lambda holds without evidence, when it does."""
+        if self.invariant_dim == 0:
+            return None
+        return ("delta = total mass, so delta >= lambda holds trivially "
+                f"(non-ergodic discretization: {self.invariant_dim} invariant "
+                "zero-mean functions)")
+
+
+def discrepancy(space: ActionSpace, mu: GroupMeasure) -> DiscrepancyResult:
+    """Norm of the averaging operator on zero-mean functions, exactly.
+
+    On a cycle of length L, sigma acts as the cyclic shift, so pi(mu)
+    has the eigenvalues sum_c w_c exp(-2 pi i c k / L), k = 0..L-1: one
+    length-L FFT of the weights folded to c mod L.  Restricting to
+    zero-mean functions removes one k = 0 eigenvalue, the one of the
+    constants.  With two or more cycles another k = 0 eigenvalue, the
+    total mass, survives, and no eigenvalue of a positive measure exceeds
+    it, so the value is exactly ``mu.total_mass``.
+    """
+    if mu.group != space.group:
+        raise DescriptorMismatchError(
+            "measure and action space live on different groups"
+        )
+    cycles = space.cycle_lengths()
+    n_cycles = sum(cycles.values())
+    if n_cycles >= 2:
+        return DiscrepancyResult(mu.total_mass, n_cycles, (min(cycles), 0))
+    (length,) = cycles
+    steps = np.array([space.steps_of(g) for g in mu.atoms], dtype=np.int64)
+    weights = np.array(list(mu.atoms.values()), dtype=float)
+    folded = np.bincount(steps % length, weights=weights, minlength=length)
+    mags = np.abs(np.fft.fft(folded))[1:]
+    if not mags.size:
+        return DiscrepancyResult(0.0, 1, None)
+    k = int(np.argmax(mags))
+    return DiscrepancyResult(float(mags[k]), 1, (length, k + 1))
 
 
 def character_norm(space: ActionSpace, mu: GroupMeasure, freq_cutoff: int) -> float:
@@ -276,15 +193,18 @@ def character_line_scan(
 class VerifyReport:
     """Outcome of one lower-bound verification run."""
 
-    delta: float
+    spectrum: DiscrepancyResult
     regular_norm: float
     regular_method: str
     tol: float
     hypothesis_ok: bool
     violations: tuple[str, ...]
     passed: bool | None  # None when the hypotheses fail: nothing is asserted
-    delta_residual: float
     notes: tuple[str, ...] = field(default_factory=tuple)
+
+    @property
+    def delta(self) -> float:
+        return self.spectrum.value
 
     @property
     def asserted(self) -> bool:
@@ -338,14 +258,13 @@ def verify_lower_bound(
     mu: GroupMeasure,
     regular_norm_method: str = "auto",
     tol: float = 1e-3,
-    seed: int = 7,
     n_max: int = 50,
-    max_iter: int = 200_000,
 ) -> VerifyReport:
     """Compute both sides of the universal bound and compare them.
 
-    The report carries the discrepancy estimate, the chosen
-    regular-representation estimate, and the boolean delta >= lambda - tol.
+    The report carries the exact discrepancy with its cycle structure, the
+    chosen regular-representation estimate, and the boolean
+    delta >= lambda - tol.
     When the hypothesis surrogates fail the inequality is NOT asserted
     (it can genuinely fail, e.g. for orbit-covering measures) and
     ``passed`` is None.
@@ -353,9 +272,9 @@ def verify_lower_bound(
     if mu.total_mass <= 0:
         raise PreconditionError("measure must be positive")
     violations = check_hypotheses(space, mu)
-    disc = discrepancy(space, mu, tol=tol, max_iter=max_iter, seed=seed)
+    disc = discrepancy(space, mu)
     est = _regular_estimate(mu, regular_norm_method, n_max)
-    notes = []
+    notes = [disc.trivial_note] if disc.trivial_note else []
     if violations:
         passed = None
         notes.append("inequality not asserted (hypothesis violation: %s)"
@@ -363,14 +282,13 @@ def verify_lower_bound(
     else:
         passed = bool(disc.value >= est.value - tol)
     return VerifyReport(
-        delta=disc.value,
+        spectrum=disc,
         regular_norm=est.value,
         regular_method=est.method,
         tol=tol,
         hypothesis_ok=not violations,
         violations=tuple(violations),
         passed=passed,
-        delta_residual=disc.residual,
         notes=tuple(notes),
     )
 

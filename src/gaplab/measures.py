@@ -29,6 +29,8 @@ class GroupMeasure:
     def __post_init__(self):
         clean = {}
         for g, w in self.atoms.items():
+            if not math.isfinite(w):
+                raise PreconditionError(f"non-finite weight {w} at atom {g}")
             if w < 0:
                 raise PreconditionError(f"negative weight {w} at atom {g}")
             if w > 0:

@@ -1,8 +1,9 @@
 """Operator norms of self-adjoint nonnegative operators via power iteration.
 
 Operators are passed around as apply-to-vector handles, so the callers can
-back them by dense matrices, permutation gathers, or FFT multipliers
-without changing this module.
+back them by dense matrices or permutation gathers without changing this
+module.  Discrepancies are computed exactly elsewhere (``gaplab.koopman``);
+power iteration is the independent oracle they are tested against.
 """
 
 from __future__ import annotations

@@ -71,7 +71,7 @@ def test_criterion_1_margulis_zero_operator():
     char = character_norm(space, mu, n // 2)
     crit.check(f"max nonzero character eigenvalue {char:.3e} <= 1e-10",
                char <= 1e-10)
-    disc = discrepancy(space, mu, tol=1e-9, seed=7)
+    disc = discrepancy(space, mu)
     crit.check(f"discrepancy {disc.value:.3e} <= 1e-8", disc.value <= 1e-8)
     lam = amenable_norm(mu)
     crit.check("amenable oracle exactly 1", lam.value == 1.0)
@@ -90,7 +90,7 @@ def test_criterion_2_torus_line_flow_inequality():
     crit.check(f"character-oracle discrepancy {char:.6f} >= 0.999",
                char >= 0.999)
     report = verify_lower_bound(space, mu, regular_norm_method="amenable",
-                                tol=1e-3, seed=7)
+                                tol=1e-3)
     crit.check("amenable oracle gives 1", abs(report.regular_norm - 1.0) < 1e-12)
     crit.check(f"verify_lower_bound passes at tol 1e-3 "
                f"(delta {report.delta:.6f})", report.passed is True)
@@ -186,7 +186,7 @@ def test_criterion_6_certificate_pipeline():
     crit.check(f"certified lower bound {report.norm_lower_bound:.5f} >= 0.95",
                report.norm_lower_bound >= 0.95)
     tol = 1e-3
-    disc = discrepancy(space, mu, tol=tol, seed=7)
+    disc = discrepancy(space, mu)
     crit.check(f"bound never exceeds discrepancy {disc.value:.5f} + 2 tol",
                report.norm_lower_bound <= disc.value + 2 * tol)
     crit.finish()
@@ -213,10 +213,8 @@ def test_criterion_7_symmetrization_squares_discrepancy():
         mu = GroupMeasure.from_atoms(
             Z, [((int(s),), float(w)) for s, w in zip(supports, weights)]
         )
-        d_mu = discrepancy(space, mu, tol=1e-9, seed=trial,
-                           max_iter=10 ** 6).value
-        d_eta = discrepancy(space, symmetrize(mu), tol=1e-9, seed=trial,
-                            max_iter=10 ** 6).value
+        d_mu = discrepancy(space, mu).value
+        d_eta = discrepancy(space, symmetrize(mu)).value
         worst = max(worst, abs(d_eta - d_mu ** 2))
     crit.check(f"worst deviation {worst:.2e} within 3 tol (tol {tol})",
                worst <= 3 * tol)
@@ -228,7 +226,7 @@ def test_criterion_8_bernoulli_window_specialization():
     space = build_action("bernoulli-window", group=Z, alphabet=2,
                         window_radius=3)
     mu = GroupMeasure.simple_random_walk(Z)
-    report = verify_lower_bound(space, mu, tol=1e-6, seed=7)
+    report = verify_lower_bound(space, mu, tol=1e-6)
     crit.check("amenable oracle gives 1", report.regular_norm == 1.0)
     crit.check(f"discrepancy {report.delta:.9f} >= 1 - 1e-6",
                report.delta >= 1 - 1e-6)

@@ -260,7 +260,7 @@ class TestNormLowerBound:
         mu = GroupMeasure.uniform_interval(time_grid(2), -1.0, 1.0)
         tol = 1e-3
         report = run_certificate(space, mu, x0=0, n_max=8)
-        disc = discrepancy(space, mu, tol=tol, seed=7)
+        disc = discrepancy(space, mu)
         assert report.norm_lower_bound <= disc.value + 2 * tol
         assert report.cond1_all and report.cond2_all
 

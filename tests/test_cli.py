@@ -75,6 +75,60 @@ class TestVerifyBound:
         assert "experiment" in capsys.readouterr().err
 
 
+def read_record(out_dir, prefix):
+    lines = (out_dir / f"{prefix}record.csv").read_text().splitlines()[1:]
+    return dict(line.split(",", 1) for line in lines)
+
+
+class TestKoopmanNorm:
+    def test_single_cycle_rotation(self, tmp_path):
+        cfg = {
+            "experiment": "koopman-norm",
+            "group": {"kind": "lattice", "dimension": 1},
+            "measure": {"kind": "srw"},
+            "action": {"kind": "circle-rotation", "N": 233, "cells_per_step": 144},
+        }
+        code, out_dir = run_cli(tmp_path, cfg)
+        assert code == 0
+        record = read_record(out_dir, "koopman-norm_")
+        assert float(record["discrepancy"]) == float(record["character_norm"])
+        assert (record["n_cycles"], record["invariant_dim"]) == ("1", "0")
+        # SRW eigenvalues cos(2 pi k / 233) peak in modulus at k = 116, 117
+        assert record["witness"] == "(233;116)"
+        assert "residual" not in record and "iterations" not in record
+        assert record["assert:cycle spectrum agrees with the character oracle"] == "true"
+        summary = (out_dir / "koopman-norm_summary.txt").read_text()
+        assert "holds trivially" not in summary
+
+    def test_torus_flags_trivial_bound(self, tmp_path):
+        cfg = {
+            "experiment": "koopman-norm",
+            "group": {"kind": "real-grid", "dimension": 1, "resolution": 2},
+            "measure": {"kind": "uniform-interval", "lo": -1, "hi": 1},
+            "action": {"kind": "torus-translation", "N": 16, "step": [3, 5]},
+        }
+        code, out_dir = run_cli(tmp_path, cfg)
+        assert code == 0
+        record = read_record(out_dir, "koopman-norm_")
+        assert record["discrepancy"] == "1"
+        assert (record["n_cycles"], record["invariant_dim"]) == ("16", "15")
+        assert record["witness"] == "(16;0)"
+        summary = (out_dir / "koopman-norm_summary.txt").read_text()
+        assert ("holds trivially (non-ergodic discretization: 15 invariant "
+                "zero-mean functions)") in summary
+
+    def test_nan_weight_exit_two(self, tmp_path, capsys):
+        cfg = {
+            "experiment": "koopman-norm",
+            "group": {"kind": "lattice", "dimension": 1},
+            "measure": {"kind": "atoms", "atoms": [[1, math.nan], [2, 0.5]]},
+            "action": {"kind": "circle-rotation", "N": 8},
+        }
+        code, _ = run_cli(tmp_path, cfg)
+        assert code == 2
+        assert "config error: measure:" in capsys.readouterr().err
+
+
 class TestRegularNormExperiment:
     def test_berg_sequence_written(self, tmp_path):
         cfg = {

@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaplab import (
+    ActionSpace,
     ConstructionError,
+    DescriptorMismatchError,
     GroupDescriptor,
     GroupMeasure,
     KoopmanAveragingOperator,
@@ -15,7 +19,9 @@ from gaplab import (
     character_line_scan,
     character_norm,
     continued_fraction_convergent,
+    dense_handle,
     discrepancy,
+    operator_norm_self_adjoint,
     symmetrize,
     verify_lower_bound,
 )
@@ -27,6 +33,43 @@ SQRT2 = math.sqrt(2.0)
 
 def time_grid(q):
     return GroupDescriptor(kind="real-grid", dimension=1, resolution=q)
+
+
+def labelled_cycles(lengths, seed=0):
+    """A permutation of the given cycle type on randomly labelled cells."""
+    labels = np.random.default_rng(seed).permutation(sum(lengths))
+    perm = np.empty(sum(lengths), dtype=np.int64)
+    start = 0
+    for length in lengths:
+        cycle = labels[start:start + length]
+        perm[cycle] = np.roll(cycle, -1)
+        start += length
+    return perm
+
+
+def dense_zero_mean(space, mu):
+    """The averaging operator on zero-mean functions as a dense matrix in the
+    coordinates u = sqrt(weights) * phi, where the L2 norm is Euclidean."""
+    gathers = KoopmanAveragingOperator(space, mu).apply_l2(np.eye(space.n_cells))
+    s = np.sqrt(space.weights)
+    project = np.eye(space.n_cells) - np.outer(s, s)
+    return project @ (s[:, None] * gathers / s[None, :]) @ project
+
+
+THREE = [((1,), 0.3), ((-2,), 0.45), ((3,), 0.25)]
+
+# (kind, action parameters, expected cycle type)
+SMALL_SPACES = [
+    ("circle-rotation", dict(N=24, cells_per_step=7), {24: 1}),
+    ("circle-rotation", dict(N=24, cells_per_step=9), {8: 3}),
+    ("torus-translation", dict(N=6, step=(1, 2)), {6: 6}),
+    ("torus-translation", dict(N=8, step=(2, 4)), {4: 16}),
+    ("bernoulli-window", dict(alphabet=2, window_radius=1), {1: 2, 3: 2}),
+    ("bernoulli-window", dict(alphabet=3, window_radius=1), {1: 3, 3: 8}),
+    ("finite-permutation", dict(permutation=labelled_cycles([9]).tolist()), {9: 1}),
+    ("finite-permutation", dict(permutation=labelled_cycles([4, 3, 2, 4]).tolist()),
+     {4: 2, 3: 1, 2: 1}),
+]
 
 
 class TestBuildAction:
@@ -99,41 +142,83 @@ class TestAveragingOperator:
         mu = GroupMeasure.simple_random_walk(Z)
         op = KoopmanAveragingOperator(space, mu)
         rng = np.random.default_rng(0)
-        u = rng.standard_normal(32)
-        out = op.handle()(u)
-        assert abs(np.dot(np.sqrt(space.weights), out)) <= 1e-10
+        phi = rng.standard_normal(32)
+        phi -= op.mean_of(phi)
+        assert abs(op.mean_of(op.apply_l2(phi))) <= 1e-10
 
-    def test_fft_path_matches_generic_permutations(self):
-        # the multiplier apply must agree with atom-by-atom gathers to 1e-10
-        space = build_action("circle-rotation", group=Z, N=24, cells_per_step=7)
-        mu = GroupMeasure.from_atoms(Z, [((1,), 0.3), ((-2,), 0.45), ((0,), 0.25)])
-        op = KoopmanAveragingOperator(space, mu)
-        rng = np.random.default_rng(1)
-        phi = rng.standard_normal(24)
-        direct = np.zeros(24)
-        for g, w in mu.items():
-            perm = space.koopman_permutation(g)
-            direct += w * phi[perm]
-        assert np.allclose(op.apply_l2(phi), direct, atol=1e-10)
 
-    def test_fft_path_matches_generic_on_torus(self):
-        space = build_action("torus-translation", group=time_grid(2),
-                            N=16, step=(3, 5))
-        mu = GroupMeasure.from_atoms(time_grid(2), [((1,), 0.6), ((-1,), 0.4)])
-        op = KoopmanAveragingOperator(space, mu)
-        rng = np.random.default_rng(2)
-        phi = rng.standard_normal(space.n_cells)
-        direct = np.zeros_like(phi)
-        for g, w in mu.items():
-            perm = space.koopman_permutation(g)
-            direct += w * phi[perm]
-        assert np.allclose(op.apply_l2(phi), direct, atol=1e-10)
+class TestCycleSpectrum:
+    @pytest.mark.parametrize("kind,kwargs,cycles", SMALL_SPACES)
+    def test_cycle_lengths_match_a_walk(self, kind, kwargs, cycles):
+        space = build_action(kind, group=Z, **kwargs)
+        assert space.cycle_lengths() == cycles
+        assert ActionSpace.cycle_lengths(space) == cycles
+
+    @pytest.mark.parametrize("kind,kwargs,cycles", SMALL_SPACES)
+    def test_matches_dense_norm(self, kind, kwargs, cycles):
+        space = build_action(kind, group=Z, **kwargs)
+        mu = GroupMeasure.from_atoms(Z, THREE).scaled(1.7)
+        res = discrepancy(space, mu)
+        assert res.n_cycles == sum(cycles.values())
+        assert res.value == pytest.approx(
+            np.linalg.norm(dense_zero_mean(space, mu), 2), abs=1e-10)
+        length, k = res.witness
+        eigenvalue = sum(w * np.exp(-2j * np.pi * g[0] * k / length)
+                         for g, w in mu.items())
+        assert abs(eigenvalue) == pytest.approx(res.value, abs=1e-12)
+
+    @pytest.mark.parametrize("kind,kwargs,cycles", SMALL_SPACES)
+    def test_matches_power_iteration(self, kind, kwargs, cycles):
+        space = build_action(kind, group=Z, **kwargs)
+        mu = GroupMeasure.from_atoms(Z, THREE)
+        m0 = dense_zero_mean(space, mu)
+        tol = 1e-10
+        top = operator_norm_self_adjoint(
+            dense_handle(m0 @ m0.T, self_adjoint=True, nonnegative=True),
+            tol=tol, seed=0,
+        )
+        assert discrepancy(space, mu).value ** 2 == pytest.approx(top.value, abs=tol)
+
+    def test_non_uniform_cycle_constant_weights(self):
+        cycles = [(0, 3, 7, 1, 9), (2, 5, 10), (4, 8, 6, 11)]
+        perm = np.empty(12, dtype=np.int64)
+        weights = np.empty(12)
+        for cycle, mass in zip(cycles, (0.5, 0.2, 0.3)):
+            perm[list(cycle)] = np.roll(cycle, -1)
+            weights[list(cycle)] = mass / len(cycle)
+        space = build_action("finite-permutation", group=Z,
+                             permutation=perm.tolist(), weights=weights)
+        for atoms in (THREE, [((2,), 1.0)]):
+            mu = GroupMeasure.from_atoms(Z, atoms)
+            expect = np.linalg.norm(dense_zero_mean(space, mu), 2)
+            assert discrepancy(space, mu).value == pytest.approx(expect, abs=1e-10)
+
+    def test_one_cell_space(self):
+        space = build_action("finite-permutation", group=Z, permutation=[0])
+        res = discrepancy(space, GroupMeasure.simple_random_walk(Z))
+        assert (res.value, res.n_cycles, res.witness) == (0.0, 1, None)
+
+    def test_group_mismatch(self):
+        space = build_action("circle-rotation", group=Z, N=8, cells_per_step=3)
+        with pytest.raises(DescriptorMismatchError):
+            discrepancy(space, GroupMeasure.simple_random_walk(time_grid(2)))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(perm=st.integers(2, 30).flatmap(lambda n: st.permutations(range(n))),
+           atoms=st.dictionaries(st.integers(-6, 6), st.floats(0.05, 1.0),
+                                 min_size=1, max_size=4))
+    def test_symmetrization_squares_discrepancy(self, perm, atoms):
+        space = build_action("finite-permutation", group=Z, permutation=perm)
+        mu = GroupMeasure.from_atoms(Z, [((c,), w) for c, w in atoms.items()])
+        d_mu = discrepancy(space, mu).value
+        assert discrepancy(space, symmetrize(mu)).value == pytest.approx(
+            d_mu ** 2, abs=1e-12)
 
 
 class TestDiscrepancy:
     def test_identity_measure(self):
         space = build_action("circle-rotation", group=Z, N=16, cells_per_step=3)
-        res = discrepancy(space, GroupMeasure.point_mass(Z, (0,)), tol=1e-10)
+        res = discrepancy(space, GroupMeasure.point_mass(Z, (0,)))
         assert res.value == pytest.approx(1.0, abs=1e-10)
 
     def test_margulis_zero_operator(self):
@@ -141,13 +226,13 @@ class TestDiscrepancy:
         grid = time_grid(n)
         mu = GroupMeasure.uniform_interval(grid, 0.0, 1.0, closed=False)
         space = build_action("circle-rotation", group=grid, N=n, cells_per_step=1)
-        res = discrepancy(space, mu, tol=1e-9)
+        res = discrepancy(space, mu)
         assert res.value <= 1e-10
 
     def test_cyclic_shift_has_norm_one(self):
         space = build_action("finite-permutation", group=Z,
                             permutation=[(i + 1) % 11 for i in range(11)])
-        res = discrepancy(space, GroupMeasure.point_mass(Z, (1,)), tol=1e-10)
+        res = discrepancy(space, GroupMeasure.point_mass(Z, (1,)))
         assert res.value == pytest.approx(1.0, abs=1e-9)
 
     def test_golden_rotation_matches_character_oracle(self):
@@ -161,25 +246,24 @@ class TestDiscrepancy:
         expect = float(np.abs(np.cos(2 * np.pi * m * p / n)).max())
         assert expect == pytest.approx(math.cos(math.pi / n), abs=1e-12)
         assert char == pytest.approx(expect, abs=1e-12)
-        res = discrepancy(space, mu, tol=5e-7, max_iter=10 ** 6)
+        res = discrepancy(space, mu)
         assert res.value == pytest.approx(char, abs=1e-8)
 
     def test_homogeneity_and_contraction(self):
         space = build_action("circle-rotation", group=Z, N=64, cells_per_step=11)
         mu = GroupMeasure.from_atoms(Z, [((1,), 0.5), ((-1,), 0.3), ((2,), 0.2)])
-        base = discrepancy(space, mu, tol=1e-9).value
+        base = discrepancy(space, mu).value
         assert base <= mu.total_mass + 1e-9
         for c in (0.5, 2.0):
-            scaled = discrepancy(space, mu.scaled(c), tol=1e-9).value
+            scaled = discrepancy(space, mu.scaled(c)).value
             assert scaled == pytest.approx(c * base, abs=1e-7)
 
     def test_step_two_identity(self):
         # the norm of the symmetrized measure is the squared norm
         space = build_action("circle-rotation", group=Z, N=128, cells_per_step=21)
         mu = GroupMeasure.from_atoms(Z, [((1,), 0.6), ((-2,), 0.4)])
-        tol = 1e-9
-        d_mu = discrepancy(space, mu, tol=tol).value
-        d_eta = discrepancy(space, symmetrize(mu), tol=tol).value
+        d_mu = discrepancy(space, mu).value
+        d_eta = discrepancy(space, symmetrize(mu)).value
         assert d_eta == pytest.approx(d_mu ** 2, abs=3 * 1e-7)
 
     def test_refinement_monotonicity(self):
@@ -188,7 +272,7 @@ class TestDiscrepancy:
         values = []
         for n in (8, 16, 32, 64):
             space = build_action("circle-rotation", group=Z, N=n, cells_per_step=1)
-            values.append(discrepancy(space, mu, tol=1e-10).value)
+            values.append(discrepancy(space, mu).value)
         assert all(b >= a - 2e-10 for a, b in zip(values, values[1:]))
 
 
@@ -219,7 +303,7 @@ class TestCharacterNorm:
             time_grid(2), [((1,), 0.4), ((-1,), 0.4), ((0,), 0.2)]
         )
         char = character_norm(space, mu, 16)
-        disc = discrepancy(space, mu, tol=1e-9, max_iter=10 ** 6).value
+        disc = discrepancy(space, mu).value
         assert disc == pytest.approx(char, abs=1e-6)
 
     def test_line_scan_near_resonance(self):
@@ -237,7 +321,9 @@ class TestVerifyLowerBound:
         space = build_action("bernoulli-window", group=Z, alphabet=2,
                             window_radius=3)
         mu = GroupMeasure.simple_random_walk(Z)
-        report = verify_lower_bound(space, mu, tol=1e-6, seed=3)
+        report = verify_lower_bound(space, mu, tol=1e-6)
+        assert report.spectrum.n_cycles == 20  # 2 fixed words, 18 of period 7
+        assert report.spectrum.invariant_dim == 19
         assert report.hypothesis_ok
         assert report.regular_norm == pytest.approx(1.0)
         assert report.delta >= 1 - 1e-6
@@ -248,10 +334,15 @@ class TestVerifyLowerBound:
         space = build_action("torus-translation", group=time_grid(q),
                             N=128, step=(29, 41), slope_hint=SQRT2)
         mu = GroupMeasure.uniform_interval(time_grid(q), -1.0, 1.0)
-        report = verify_lower_bound(space, mu, tol=1e-3, seed=4)
+        report = verify_lower_bound(space, mu, tol=1e-3)
         assert report.hypothesis_ok
         assert report.regular_norm == pytest.approx(1.0, abs=1e-12)
         assert report.passed is True
+        # every translation of the 128-torus has order <= 128: 128 cycles
+        assert report.spectrum.invariant_dim == 127
+        assert report.delta == mu.total_mass
+        assert any("holds trivially (non-ergodic discretization: 127 invariant "
+                   "zero-mean functions)" in line for line in report.notes)
 
     def test_orbit_covering_flagged_not_asserted(self):
         n = 256
@@ -259,9 +350,11 @@ class TestVerifyLowerBound:
         mu = GroupMeasure.uniform_interval(grid, 0.0, 1.0, closed=False)
         space = build_action("circle-rotation", group=grid, N=n, cells_per_step=1)
         report = verify_lower_bound(space, mu, regular_norm_method="amenable",
-                                    tol=1e-3, seed=5)
+                                    tol=1e-3)
         assert not report.hypothesis_ok
         assert report.passed is None
         assert any("orbit covers the space" in v for v in report.violations)
         assert report.delta <= 1e-8
         assert report.regular_norm == 1.0
+        assert report.spectrum.n_cycles == 1
+        assert not any("holds trivially" in line for line in report.notes)

@@ -10,6 +10,7 @@ from gaplab import (
     DescriptorMismatchError,
     GroupDescriptor,
     GroupMeasure,
+    PreconditionError,
     ResourceLimitError,
     convolution_power,
     convolve,
@@ -52,6 +53,13 @@ def random_measure(group, rng, n_atoms=4, reach=3):
             g = tuple(int(c) for c in rng.integers(-reach, reach + 1, group.dimension))
         atoms[g] = atoms.get(g, 0.0) + float(rng.uniform(0.1, 2.0))
     return GroupMeasure(group, atoms)
+
+
+class TestWeights:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(PreconditionError, match="non-finite"):
+            GroupMeasure.from_atoms(Z, [((1,), bad), ((2,), 0.5)])
 
 
 class TestGroupLaws:
