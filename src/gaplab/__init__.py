@@ -22,7 +22,6 @@ from .certificates import (
     ModerateGrowthSequence,
     build_companion_set,
     check_moderate_growth,
-    norm_lower_bound_from_certificate,
     orbit_neighborhood_sequence,
     rayleigh_chain,
     run_certificate,

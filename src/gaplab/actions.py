@@ -99,10 +99,6 @@ class ActionSpace:
             counts[length] = counts.get(length, 0) + 1
         return counts
 
-    def is_identity_action(self, g: Element) -> bool:
-        idx = np.arange(self.n_cells)
-        return bool((self.act_indices(g, idx) == idx).all())
-
     def has_fixed_cell(self, g: Element) -> bool:
         idx = np.arange(self.n_cells)
         return bool((self.act_indices(g, idx) == idx).any())
@@ -325,9 +321,6 @@ class BernoulliWindowSpace(ActionSpace):
             period[(period == 0) & (image == idx)] = r
         lengths, cells = np.unique(period, return_counts=True)
         return {int(n): int(c) // int(n) for n, c in zip(lengths, cells)}
-
-    def word_of(self, index: int) -> tuple[int, ...]:
-        return tuple(int(d) for d in self._digits[:, index])
 
 
 class FinitePermutationSpace(ActionSpace):

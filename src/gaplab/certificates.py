@@ -27,13 +27,15 @@ from .errors import (
     PreconditionError,
 )
 from .groups import is_symmetric_set, power_set, product_set
-from .measures import GroupMeasure, convolution_power, mass_on_set, symmetrize
+from .measures import (
+    GroupMeasure,
+    convolution_power,
+    convolve,
+    mass_on_set,
+    symmetrize,
+)
 
 CHAIN_TOL = 1e-10
-
-
-def _axes(shape) -> tuple[int, ...]:
-    return tuple(range(len(shape)))
 
 
 @dataclass(frozen=True)
@@ -96,6 +98,15 @@ class CertificateReport:
         return self.cond1_all and self.cond2_all and self.cond3_flag
 
 
+@dataclass(frozen=True)
+class RayleighChainResult:
+    rayleigh: float
+    chain_bound: float
+    chain_asserted: bool
+    nu_B: float
+    companion: np.ndarray
+
+
 # -- set machinery -----------------------------------------------------------
 
 
@@ -107,25 +118,23 @@ def _act_union(space: ActionSpace, elements, idx: np.ndarray) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
-def _pair_correlations(space: ActionSpace, elements, left: np.ndarray,
-                       right: np.ndarray) -> dict:
-    """nu(g*left & right) for every g in elements.
+def _pair_correlations(space: ActionSpace, elements, a: np.ndarray,
+                       b: np.ndarray) -> dict:
+    """<pi(g) a, b> = sum_x nu_x a(g^{-1} x) b(x) for every g in elements.
 
-    Translation actions go through one FFT cross-correlation per call;
-    counts are integers, so the FFT output is rounded back exactly.  The
-    generic path gathers atom by atom.
+    ``a`` and ``b`` are integer-valued cell vectors; for indicators of A
+    and B this is nu(gA & B).  Equal-weight translation grids go through
+    one FFT cross-correlation per call; the sums are integers, so the FFT
+    output is rounded back exactly.  The generic path gathers atom by atom
+    over the support of ``a``.
     """
     weights = space.weights
     if space.is_translation and np.allclose(weights, weights[0]):
         shape = space.grid_shape
-        a = np.zeros(shape)
-        b = np.zeros(shape)
-        a.ravel()[left] = 1.0
-        b.ravel()[right] = 1.0
-        # corr[d] = #{x : x in left, x + d in right} = |(left + d) & right|
-        corr = np.fft.irfftn(
-            np.conj(np.fft.rfftn(a)) * np.fft.rfftn(b), s=shape, axes=_axes(shape)
-        )
+        fa = np.fft.rfftn(a.reshape(shape))
+        fb = np.fft.rfftn(b.reshape(shape))
+        # corr[d] = sum_x a(x) b(x + d) = <pi(d) a, b>
+        corr = np.fft.irfftn(np.conj(fa) * fb, s=shape, axes=range(len(shape)))
         counts = np.rint(corr)
         if np.abs(corr - counts).max() > 1e-5:
             raise InternalConsistencyError("FFT correlation drifted off integers")
@@ -134,17 +143,100 @@ def _pair_correlations(space: ActionSpace, elements, left: np.ndarray,
             vec = space.translation_vector(g)
             out[g] = float(counts[tuple(v % s for v, s in zip(vec, shape))]) * weights[0]
         return out
-    right_mask = np.zeros(space.n_cells, dtype=bool)
-    right_mask[right] = True
+    support = np.flatnonzero(a)
+    values = a[support]
     out = {}
     for g in elements:
-        image = space.act_indices(g, left)
-        hit = image[right_mask[image]]
-        out[g] = float(weights[hit].sum())
+        image = space.act_indices(g, support)
+        out[g] = float((weights[image] * values * b[image]).sum())
     return out
 
 
-# -- the four certificate operations ----------------------------------------
+# -- the per-n step -------------------------------------------------------------
+
+
+def _growth_row(seq: ModerateGrowthSequence, n: int,
+                s_pow) -> tuple[CertificateRow, np.ndarray]:
+    """Row n of the moderate-growth conditions, and S^n B_n itself.
+
+    The overlap ratio is clamped to [0, 1]; it serves condition (3) and
+    the chain bound alike.
+    """
+    space = seq.space
+    b = seq.B(n)
+    nu_b = space.mass_of(b)
+    snb = _act_union(space, s_pow, b)
+    nu_snb = space.mass_of(snb)
+    ind = np.bincount(b, minlength=space.n_cells)
+    overlaps = _pair_correlations(space, seq.F, ind, ind)
+    ratio = min(max(min(overlaps.values()) / nu_b, 0.0), 1.0)
+    row = CertificateRow(
+        n=n,
+        nu_B=nu_b,
+        nu_SnB=nu_snb,
+        cond1=nu_b > 0,
+        cond2=nu_snb < 0.5,
+        ratio=ratio,
+        ratio_root=ratio ** (1.0 / n),
+    )
+    return row, snb
+
+
+def _rayleigh_part(seq: ModerateGrowthSequence, eta: GroupMeasure,
+                   eta_n: GroupMeasure, row: CertificateRow,
+                   snb: np.ndarray) -> np.ndarray:
+    """Fill the Rayleigh and chain columns of ``row`` from eta^{*n} and
+    S^n B_n; returns the companion set."""
+    space = seq.space
+    n = row.n
+    b = seq.B(n)
+    companion = build_companion_set(space, b, snb)
+    phi = (np.bincount(b, minlength=space.n_cells)
+           - np.bincount(companion, minlength=space.n_cells))
+    corr = _pair_correlations(space, list(eta_n.atoms), phi, phi)
+    row.rayleigh = sum(w * corr[g] for g, w in eta_n.atoms.items()) / (2.0 * row.nu_B)
+    row.chain_bound = 0.5 * mass_on_set(eta_n, seq.F) * row.ratio
+    row.chain_asserted = set(eta.atoms) <= set(seq.S)
+    if row.chain_asserted and row.rayleigh < row.chain_bound - CHAIN_TOL:
+        raise InternalConsistencyError(
+            f"chain inequality violated at n={n}: rayleigh={row.rayleigh!r} < "
+            f"bound={row.chain_bound!r}; the companion set must intersect the "
+            "support translates"
+        )
+    row.rayleigh_root = max(row.rayleigh, 0.0) ** (1.0 / (2 * n))
+    row.chain_root = max(row.chain_bound, 0.0) ** (1.0 / (2 * n))
+    return companion
+
+
+def _walk(seq: ModerateGrowthSequence, slack: float,
+          eta: GroupMeasure | None = None) -> CertificateReport:
+    """One pass over n = 1..max_n carrying S^n (and eta^{*n}) forward.
+
+    Without ``eta`` only the moderate-growth columns are filled.
+    """
+    group = seq.space.group
+    s_pow = [group.identity()]
+    eta_n = GroupMeasure.point_mass(group, group.identity())
+    rows = []
+    for n in range(1, seq.max_n + 1):
+        s_pow = product_set(group, s_pow, seq.S)
+        row, snb = _growth_row(seq, n, s_pow)
+        if eta is not None:
+            eta_n = convolve(eta_n, eta)
+            _rayleigh_part(seq, eta, eta_n, row, snb)
+        rows.append(row)
+    max_root = max(r.ratio_root for r in rows)
+    return CertificateReport(
+        rows=rows,
+        slack=slack,
+        cond1_all=all(r.cond1 for r in rows),
+        cond2_all=all(r.cond2 for r in rows),
+        cond3_flag=max_root >= 1.0 - slack,
+        max_ratio_root=max_root,
+    )
+
+
+# -- the certificate operations ----------------------------------------------
 
 
 def check_moderate_growth(
@@ -157,39 +249,7 @@ def check_moderate_growth(
     there.  Condition (3) is reported as the full sequence ratio_n^{1/n}
     together with the finite-horizon flag max_n ratio_n^{1/n} >= 1 - slack.
     """
-    space = seq.space
-    group = space.group
-    rows = []
-    s_pow = [group.identity()]
-    for n in range(1, seq.max_n + 1):
-        s_pow = product_set(group, s_pow, seq.S)
-        b = seq.B(n)
-        nu_b = space.mass_of(b)
-        snb = _act_union(space, s_pow, b)
-        nu_snb = space.mass_of(snb)
-        overlaps = _pair_correlations(space, seq.F, b, b)
-        ratio = min(overlaps[g] for g in seq.F) / nu_b
-        ratio = min(max(ratio, 0.0), 1.0)
-        rows.append(
-            CertificateRow(
-                n=n,
-                nu_B=nu_b,
-                nu_SnB=nu_snb,
-                cond1=nu_b > 0,
-                cond2=nu_snb < 0.5,
-                ratio=ratio,
-                ratio_root=ratio ** (1.0 / n),
-            )
-        )
-    max_root = max(r.ratio_root for r in rows)
-    return CertificateReport(
-        rows=rows,
-        slack=slack,
-        cond1_all=all(r.cond1 for r in rows),
-        cond2_all=all(r.cond2 for r in rows),
-        cond3_flag=max_root >= 1.0 - slack,
-        max_ratio_root=max_root,
-    )
+    return _walk(seq, slack)
 
 
 def build_companion_set(
@@ -216,15 +276,6 @@ def build_companion_set(
     return free[: len(b)].astype(np.int64)
 
 
-@dataclass(frozen=True)
-class RayleighChainResult:
-    rayleigh: float
-    chain_bound: float
-    chain_asserted: bool
-    nu_B: float
-    companion: np.ndarray
-
-
 def rayleigh_chain(
     space: ActionSpace,
     mu: GroupMeasure,
@@ -235,9 +286,10 @@ def rayleigh_chain(
     test vector, plus the analytic chain bound.
 
     ``mu`` must be symmetric (callers symmetrize first).  The test vector
-    is phi = (1_B - 1_{B^-}) normalized, with the companion B^- disjoint
-    from S^n B.  When supp(mu) is contained in S the cross terms vanish
-    on the support of mu^{*n} and the chain inequality
+    is phi = 1_B - 1_{B^-}, with the companion B^- disjoint from S^n B,
+    and the quotient is <pi(mu^{*n}) phi, phi> / (2 nu(B)).  When supp(mu)
+    is contained in S the cross terms vanish on the support of mu^{*n}
+    and the chain inequality
 
         rayleigh >= (1/2) mu^{*n}(F) inf_{g in F} nu(gB & B)/nu(B)
 
@@ -247,68 +299,15 @@ def rayleigh_chain(
     """
     if not mu.is_symmetric(tol=1e-12):
         raise PreconditionError("rayleigh_chain needs a symmetric measure")
-    group = space.group
-    b = seq.B(n)
-    s_pow = power_set(group, list(seq.S), n)
-    forbidden = _act_union(space, s_pow, b)
-    companion = build_companion_set(space, b, forbidden)
-
-    mu_n = convolution_power(mu, n)
-    atoms = list(mu_n.atoms)
-    nu_b = space.mass_of(b)
-
-    auto_b = _pair_correlations(space, atoms, b, b)
-    auto_c = _pair_correlations(space, atoms, companion, companion)
-    cross_cb = _pair_correlations(space, atoms, companion, b)
-    cross_bc = _pair_correlations(space, atoms, b, companion)
-
-    total = 0.0
-    for g in atoms:
-        w = mu_n.atoms[g]
-        total += w * (auto_b[g] + auto_c[g] - cross_cb[g] - cross_bc[g])
-    rayleigh = total / (2.0 * nu_b)
-
-    overlaps = _pair_correlations(space, seq.F, b, b)
-    ratio = min(overlaps[g] for g in seq.F) / nu_b
-    chain_bound = 0.5 * mass_on_set(mu_n, seq.F) * ratio
-
-    chain_asserted = set(mu.atoms) <= set(seq.S)
-    if chain_asserted and rayleigh < chain_bound - CHAIN_TOL:
-        raise InternalConsistencyError(
-            f"chain inequality violated at n={n}: rayleigh={rayleigh!r} < "
-            f"bound={chain_bound!r}; the companion set must intersect the "
-            "support translates"
-        )
+    row, snb = _growth_row(seq, n, power_set(space.group, list(seq.S), n))
+    companion = _rayleigh_part(seq, mu, convolution_power(mu, n), row, snb)
     return RayleighChainResult(
-        rayleigh=rayleigh,
-        chain_bound=chain_bound,
-        chain_asserted=chain_asserted,
-        nu_B=nu_b,
+        rayleigh=row.rayleigh,
+        chain_bound=row.chain_bound,
+        chain_asserted=row.chain_asserted,
+        nu_B=row.nu_B,
         companion=companion,
     )
-
-
-def norm_lower_bound_from_certificate(
-    space: ActionSpace, mu: GroupMeasure, seq: ModerateGrowthSequence
-) -> float:
-    """max_n <pi(eta^{*n}) phi_n, phi_n>^{1/(2n)} with eta = mu * mu^.
-
-    Each Rayleigh quotient lower-bounds the norm of the nonnegative
-    operator pi(eta)^n, so every term (and hence the max) is a certified
-    lower bound for the discrepancy of mu.
-    """
-    report = check_moderate_growth(seq)
-    if not (report.cond1_all and report.cond2_all):
-        raise PreconditionError(
-            "certificate sets fail conditions (1)-(2); no bound is certified"
-        )
-    eta = symmetrize(mu)
-    best = 0.0
-    for n in range(1, seq.max_n + 1):
-        res = rayleigh_chain(space, eta, seq, n)
-        value = max(res.rayleigh, 0.0) ** (1.0 / (2 * n))
-        best = max(best, value)
-    return best
 
 
 def orbit_neighborhood_sequence(
@@ -430,20 +429,17 @@ def run_certificate(
 ) -> CertificateReport:
     """Full pipeline: orbit-neighborhood sets for eta = mu * mu^, the three
     moderate-growth conditions, per-n Rayleigh/chain values, and the final
-    certified lower bound."""
+    certified lower bound max_n (<pi(eta^{*n}) phi_n, phi_n> /
+    ||phi_n||^2)^{1/(2n)}.
+
+    Each Rayleigh quotient lower-bounds the norm of the nonnegative
+    operator pi(eta)^n on zero-mean functions, so the max is a certified
+    lower bound for the discrepancy of mu.
+    """
     eta = symmetrize(mu)
     if seq is None:
         base = space.base_cell if x0 is None else int(x0)
         seq = orbit_neighborhood_sequence(space, base, list(eta.atoms), n_max)
-    report = check_moderate_growth(seq, slack=slack)
-    best = 0.0
-    for row in report.rows:
-        res = rayleigh_chain(space, eta, seq, row.n)
-        row.rayleigh = res.rayleigh
-        row.chain_bound = res.chain_bound
-        row.chain_asserted = res.chain_asserted
-        row.rayleigh_root = max(res.rayleigh, 0.0) ** (1.0 / (2 * row.n))
-        row.chain_root = max(res.chain_bound, 0.0) ** (1.0 / (2 * row.n))
-        best = max(best, row.rayleigh_root)
-    report.norm_lower_bound = best
+    report = _walk(seq, slack, eta)
+    report.norm_lower_bound = max(row.rayleigh_root for row in report.rows)
     return report

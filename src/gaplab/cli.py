@@ -150,6 +150,48 @@ def build_space(group: GroupDescriptor, cfg: dict, path: str = "action") -> Acti
         raise ConfigError(path, str(err))
 
 
+#: the params each experiment reads: name -> (type, default).  Every
+#: experiment also takes ``seed`` (``--seed`` writes it into any config);
+#: only ``nets`` reads it.
+PARAMS = {
+    "regular-norm": {"method": (str, "berg-christensen"), "n_max": (int, 50),
+                     "freq_bound": (float, 0.5), "freq_samples": (int, 1001)},
+    "koopman-norm": {"tol": (float, 1e-8), "freq_cutoff": (int, None),
+                     "line_freq_cutoff": (int, 10_000)},
+    "verify-bound": {"regular_norm_method": (str, "auto"), "tol": (float, 1e-3),
+                     "n_max": (int, 50)},
+    "certificate": {"n_max": (int, 10), "slack": (float, 0.02), "tol": (float, 1e-3),
+                    "x0": (int, 0), "cross_check_discrepancy": (bool, True)},
+    "nets": {"count": (int, 100), "seed": (int, 20250809), "ratio_n_max": (int, 10)},
+    "margulis-demo": {"N": (int, 1024), "tol": (float, 1e-3)},
+    "sweep": {},
+}
+
+
+def _params(cfg: dict) -> dict:
+    """The experiment's params, type-checked, with defaults filled in."""
+    params = cfg.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError("params", "must be an object")
+    table = {"seed": (int, None), **PARAMS[cfg["experiment"]]}
+    for key in params:
+        if key not in table:
+            raise ConfigError(f"params.{key}", "unknown parameter for "
+                              f"{cfg['experiment']}; it takes {sorted(table)}")
+    out = {}
+    for key, (kind, default) in table.items():
+        if key not in params:
+            out[key] = default
+            continue
+        value = params[key]
+        numeric = (int, float) if kind is float else kind
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, numeric):
+            raise ConfigError(f"params.{key}",
+                              f"expected {kind.__name__}, got {value!r}")
+        out[key] = kind(value)
+    return out
+
+
 def validate_config(cfg: dict) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("<root>", "config must be a JSON object")
@@ -157,6 +199,7 @@ def validate_config(cfg: dict) -> dict:
     if experiment not in EXPERIMENTS:
         raise ConfigError("experiment",
                           f"unknown experiment {experiment!r}; pick one of {EXPERIMENTS}")
+    _params(cfg)
     return cfg
 
 
@@ -187,27 +230,19 @@ class RunResult:
         return all(ok for _, ok in self.assertions)
 
 
-def _params(cfg: dict) -> dict:
-    params = cfg.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("params", "must be an object")
-    return params
-
-
 def run_regular_norm(cfg: dict) -> RunResult:
     res = RunResult("regular-norm")
     group = build_group(_require(cfg, "group", "<root>"))
     mu = build_measure(group, _require(cfg, "measure", "<root>"))
     p = _params(cfg)
-    method = p.get("method", "berg-christensen")
+    method = p["method"]
     if method in ("berg-christensen", "free-radial"):
-        est = berg_christensen_estimate(mu, n_max=int(p.get("n_max", 50)))
+        est = berg_christensen_estimate(mu, n_max=p["n_max"])
     elif method == "amenable-mass":
         est = amenable_norm(mu)
     elif method == "fourier-abelian":
         est = fourier_norm_abelian(
-            mu, freq_bound=float(p.get("freq_bound", 0.5)),
-            freq_samples=int(p.get("freq_samples", 1001)),
+            mu, freq_bound=p["freq_bound"], freq_samples=p["freq_samples"],
         )
     else:
         raise ConfigError("params.method", f"unknown method {method!r}")
@@ -247,7 +282,7 @@ def run_koopman_norm(cfg: dict) -> RunResult:
     mu = build_measure(group, _require(cfg, "measure", "<root>"))
     space = build_space(group, _require(cfg, "action", "<root>"))
     p = _params(cfg)
-    tol = float(p.get("tol", 1e-8))
+    tol = p["tol"]
     disc = discrepancy(space, mu)
     res.put("discrepancy", disc.value)
     witness = _put_spectrum(res, disc)
@@ -258,7 +293,9 @@ def run_koopman_norm(cfg: dict) -> RunResult:
     res.check("discrepancy <= total mass + tol",
               disc.value <= mu.total_mass + tol)
     if space.is_translation:
-        cutoff = int(p.get("freq_cutoff", max(space.grid_shape) // 2))
+        cutoff = p["freq_cutoff"]
+        if cutoff is None:
+            cutoff = max(space.grid_shape) // 2
         char = character_norm(space, mu, cutoff)
         res.put("character_norm", char)
         res.put("freq_cutoff", cutoff)
@@ -268,8 +305,7 @@ def run_koopman_norm(cfg: dict) -> RunResult:
                       abs(disc.value - char) <= 1e-9)
     slope = getattr(space, "slope_target", None)
     if slope is not None:
-        line_cutoff = int(p.get("line_freq_cutoff", 10_000))
-        value, witness = character_line_scan(mu, slope, line_cutoff)
+        value, witness = character_line_scan(mu, slope, p["line_freq_cutoff"])
         res.put("line_scan_value", value)
         res.put("line_scan_witness", f"({witness[0]};{witness[1]})")
         res.note(f"continuum line scan at slope {_fmt(slope)}: "
@@ -285,9 +321,9 @@ def run_verify_bound(cfg: dict) -> RunResult:
     p = _params(cfg)
     report = verify_lower_bound(
         space, mu,
-        regular_norm_method=p.get("regular_norm_method", "auto"),
-        tol=float(p.get("tol", 1e-3)),
-        n_max=int(p.get("n_max", 50)),
+        regular_norm_method=p["regular_norm_method"],
+        tol=p["tol"],
+        n_max=p["n_max"],
     )
     res.put("delta", report.delta)
     _put_spectrum(res, report.spectrum)
@@ -315,11 +351,10 @@ def run_certificate_experiment(cfg: dict) -> RunResult:
     mu = build_measure(group, _require(cfg, "measure", "<root>"))
     space = build_space(group, _require(cfg, "action", "<root>"))
     p = _params(cfg)
-    n_max = int(p.get("n_max", 10))
-    slack = float(p.get("slack", 0.02))
-    tol = float(p.get("tol", 1e-3))
-    report = run_certificate(space, mu, x0=int(p.get("x0", 0)),
-                             n_max=n_max, slack=slack)
+    n_max = p["n_max"]
+    slack = p["slack"]
+    tol = p["tol"]
+    report = run_certificate(space, mu, x0=p["x0"], n_max=n_max, slack=slack)
     res.put("n_max", n_max)
     res.put("slack", slack)
     res.put("norm_lower_bound", report.norm_lower_bound)
@@ -344,7 +379,7 @@ def run_certificate_experiment(cfg: dict) -> RunResult:
     chain_rows = [r for r in report.rows if r.chain_asserted]
     res.check("chain inequality on every asserted row",
               all(r.rayleigh >= r.chain_bound - 1e-10 for r in chain_rows))
-    if bool(p.get("cross_check_discrepancy", True)):
+    if p["cross_check_discrepancy"]:
         disc = discrepancy(space, mu)
         res.put("discrepancy", disc.value)
         res.check("certificate bound <= discrepancy + 2 tol",
@@ -358,8 +393,8 @@ def run_nets(cfg: dict) -> RunResult:
 
     res = RunResult("nets")
     p = _params(cfg)
-    count = int(p.get("count", 100))
-    seed = int(p.get("seed", 20250809))
+    count = p["count"]
+    seed = p["seed"]
     rng = np.random.default_rng(seed)
     res.put("count", count)
     res.put("seed", seed)
@@ -386,7 +421,7 @@ def run_nets(cfg: dict) -> RunResult:
     group = GroupDescriptor(kind="lattice", dimension=1)
     study = net_ratio_study(
         group, A1=[(0,), (1,)], A2=[(0,), (1,)], B=[(-1,), (0,), (1,)],
-        n_range=range(3, int(p.get("ratio_n_max", 10)) + 1),
+        n_range=range(3, p["ratio_n_max"] + 1),
     )
     res.put("ratio_c1", study.c1)
     res.put("ratio_c2", study.c2)
@@ -405,7 +440,7 @@ def _box(dim: int, radius: int):
 def run_margulis_demo(cfg: dict) -> RunResult:
     res = RunResult("margulis-demo")
     p = _params(cfg)
-    n = int(p.get("N", 1024))
+    n = p["N"]
     group = GroupDescriptor(kind="real-grid", dimension=1, resolution=n)
     mu = GroupMeasure.uniform_interval(group, 0.0, 1.0, closed=False)
     space = build_action("circle-rotation", group=group, N=n, cells_per_step=1)
@@ -413,7 +448,7 @@ def run_margulis_demo(cfg: dict) -> RunResult:
     disc = discrepancy(space, mu)
     lam = amenable_norm(mu)
     report = verify_lower_bound(space, mu, regular_norm_method="amenable",
-                                tol=float(p.get("tol", 1e-3)))
+                                tol=p["tol"])
     res.put("N", n)
     res.put("max_nonzero_character", char)
     res.put("discrepancy", disc.value)

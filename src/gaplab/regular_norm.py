@@ -37,7 +37,6 @@ class NormEstimate:
     value: float
     method: str  # berg-christensen | fourier-abelian | amenable-mass | free-radial
     sequence: list[tuple[int, float]] = field(default_factory=list)
-    extrapolated: bool = False
     note: str = ""
 
 
@@ -228,12 +227,13 @@ def fourier_norm_abelian(
 
 
 def amenable_norm(mu: GroupMeasure) -> NormEstimate:
-    """Exact norm (= total mass) for generating measures on amenable kinds.
+    """Exact norm (= total mass) of a positive measure on an amenable kind.
 
     All supported amenable kinds are abelian, where the norm of any
-    positive measure equals |mu-hat(0)| = total mass, so symmetry of mu is
-    not required; the generating-support condition is still checked and a
-    violation reports the proper subgroup that the support generates.
+    positive measure equals |mu-hat(0)| = total mass (Hulanicki 1966).
+    Neither symmetry of mu nor a generating support is required: on the
+    subgroup H that the support generates the trivial character already
+    attains the mass, and the norm on G equals the norm on H.
     """
     group = mu.group
     if not group.is_abelian:
@@ -242,63 +242,4 @@ def amenable_norm(mu: GroupMeasure) -> NormEstimate:
         )
     if not mu.atoms:
         raise PreconditionError("measure is zero")
-    subgroup = _generated_subgroup_defect(group, list(mu.atoms))
-    if subgroup is not None:
-        raise PreconditionError(
-            f"support does not generate the group: it generates {subgroup}"
-        )
     return NormEstimate(value=mu.total_mass, method="amenable-mass")
-
-
-def _generated_subgroup_defect(group: GroupDescriptor, atoms) -> str | None:
-    """None if the atoms generate the whole grid group, else a description
-    of the proper subgroup they do generate."""
-    d = group.dimension
-    rows = [list(a) for a in atoms if any(a)]
-    if group.kind == "torus-grid":
-        n = group.size
-        rows += [[n if i == j else 0 for j in range(d)] for i in range(d)]
-    if not rows:
-        return "the trivial subgroup {e}"
-    diag = _hermite_diagonal(rows, d)
-    if diag is None:
-        return "a sublattice of rank < dimension"
-    if all(x == 1 for x in diag):
-        return None
-    if d == 1:
-        return f"{diag[0]}Z (index {diag[0]})"
-    return f"a sublattice with diagonal {tuple(diag)} (index {math.prod(diag)})"
-
-
-def _hermite_diagonal(rows: list[list[int]], d: int) -> list[int] | None:
-    """Diagonal of a column-style Hermite form of the row lattice; None if
-    the rows do not span a finite-index sublattice."""
-    mat = [row[:] for row in rows]
-    diag = []
-    col = 0
-    for col in range(d):
-        pivot = None
-        for i, row in enumerate(mat):
-            if row[col] != 0:
-                pivot = i if pivot is None or abs(row[col]) < abs(mat[pivot][col]) else pivot
-        while True:
-            nonzero = [i for i, row in enumerate(mat) if row[col] != 0]
-            if not nonzero:
-                return None
-            pivot = min(nonzero, key=lambda i: abs(mat[i][col]))
-            done = True
-            for i in nonzero:
-                if i == pivot:
-                    continue
-                q = mat[i][col] // mat[pivot][col]
-                mat[i] = [x - q * y for x, y in zip(mat[i], mat[pivot])]
-                if mat[i][col] != 0:
-                    done = False
-            if done:
-                break
-        prow = mat.pop(pivot)
-        if prow[col] < 0:
-            prow = [-x for x in prow]
-        diag.append(prow[col])
-        # eliminate the pivot column from the remaining rows (already zero)
-    return diag

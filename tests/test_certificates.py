@@ -9,13 +9,14 @@ from gaplab import (
     GridResolutionError,
     GroupDescriptor,
     GroupMeasure,
+    KoopmanAveragingOperator,
     ModerateGrowthSequence,
     PreconditionError,
     build_action,
     build_companion_set,
     check_moderate_growth,
+    convolution_power,
     discrepancy,
-    norm_lower_bound_from_certificate,
     orbit_neighborhood_sequence,
     rayleigh_chain,
     run_certificate,
@@ -165,6 +166,49 @@ class TestRayleighChain:
             rayleigh_chain(space, GroupMeasure.point_mass(Z, (1,)), seq, 1)
 
 
+class TestRayleighOracle:
+    """The signed correlation against a dense <pi(eta^{*n}) phi, phi>."""
+
+    @staticmethod
+    def dense_quotient(space, eta, b, companion, n):
+        phi = np.zeros(space.n_cells)
+        phi[b] = 1.0
+        phi[companion] = -1.0
+        averaged = KoopmanAveragingOperator(space, convolution_power(eta, n)).apply_l2(phi)
+        return float(np.sum(space.weights * averaged * phi)) / (2.0 * space.mass_of(b))
+
+    def test_torus_fft_path(self):
+        space = build_action("torus-translation", group=time_grid(2),
+                            N=64, step=(29, 41))
+        assert space.is_translation
+        eta = symmetrize(GroupMeasure.uniform_interval(time_grid(2), -1.0, 1.0))
+        orbit_seq = orbit_neighborhood_sequence(space, 0, list(eta.atoms), 4)
+        # with S = {e} the companion abuts B, so the cross terms are nonzero
+        b = np.arange(64 * 4, 64 * 8)  # rows 4-7; the companion is rows 0-3
+        near_seq = ModerateGrowthSequence(space, S=((0,),), F=((0,),),
+                                          sets=(b,) * 4, max_n=4)
+        for seq in (orbit_seq, near_seq):
+            for n in range(1, 5):
+                res = rayleigh_chain(space, eta, seq, n)
+                want = self.dense_quotient(space, eta, seq.B(n), res.companion, n)
+                assert res.rayleigh == pytest.approx(want, abs=1e-12)
+
+    def test_bernoulli_window_gather_path(self):
+        space = build_action("bernoulli-window", group=Z, alphabet=2,
+                            window_radius=3)
+        assert not space.is_translation
+        eta = symmetrize(GroupMeasure.from_atoms(Z, [((1,), 0.3), ((-2,), 0.7)]))
+        b = np.array([3, 64, 97])
+        seq = ModerateGrowthSequence(
+            space, S=tuple(eta.support()), F=((0,),),
+            sets=(b,) * 4, max_n=4,
+        )
+        for n in range(1, 5):
+            res = rayleigh_chain(space, eta, seq, n)
+            want = self.dense_quotient(space, eta, b, res.companion, n)
+            assert res.rayleigh == pytest.approx(want, abs=1e-12)
+
+
 class TestOrbitNeighborhoodSequence:
     def test_free_transitive_cycle(self):
         space = cycle_space(64)
@@ -229,7 +273,7 @@ class TestNormLowerBound:
         seq = ModerateGrowthSequence(space, S=((0,),), F=((0,),),
                                      sets=(np.arange(5),) * 2, max_n=2)
         mu = GroupMeasure.point_mass(Z, (0,))
-        assert norm_lower_bound_from_certificate(space, mu, seq) == (
+        assert run_certificate(space, mu, seq=seq).norm_lower_bound == (
             pytest.approx(1.0, abs=1e-12)
         )
 
@@ -242,17 +286,16 @@ class TestNormLowerBound:
             space, S=((0,),), F=((0,),),
             sets=(np.arange(10),) * 3, max_n=3,
         )
-        value = norm_lower_bound_from_certificate(space, mu, seq)
+        value = run_certificate(space, mu, seq=seq).norm_lower_bound
         assert value <= 1e-6
 
     def test_requires_passing_conditions(self):
         space = cycle_space(8)
         seq = ModerateGrowthSequence(space, S=((0,),), F=((0,),),
                                      sets=(np.arange(8),), max_n=1)
-        with pytest.raises(PreconditionError):
-            norm_lower_bound_from_certificate(
-                space, GroupMeasure.point_mass(Z, (0,)), seq
-            )
+        # S^1 B_1 is the whole space: no room for the companion set
+        with pytest.raises(PreconditionError, match="condition"):
+            run_certificate(space, GroupMeasure.point_mass(Z, (0,)), seq=seq)
 
     def test_never_exceeds_discrepancy(self):
         space = build_action("torus-translation", group=time_grid(2),

@@ -75,6 +75,57 @@ class TestVerifyBound:
         assert "experiment" in capsys.readouterr().err
 
 
+class TestParams:
+    REGULAR = {
+        "experiment": "regular-norm",
+        "group": {"kind": "lattice", "dimension": 1},
+        "measure": {"kind": "srw"},
+    }
+
+    def test_wrong_type_exit_two(self, tmp_path, capsys):
+        cfg = dict(self.REGULAR, params={"n_max": "abc"})
+        code, out_dir = run_cli(tmp_path, cfg)
+        assert code == 2
+        assert "config error: params.n_max: expected int" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_bool_is_not_a_number(self, tmp_path, capsys):
+        cfg = {**MARGULIS_SMALL, "params": {"N": True}}
+        code, _ = run_cli(tmp_path, cfg)
+        assert code == 2
+        assert "params.N" in capsys.readouterr().err
+
+    def test_unknown_key_exit_two(self, tmp_path, capsys):
+        cfg = dict(self.REGULAR, params={"n_mx": 20})
+        code, _ = run_cli(tmp_path, cfg)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "params.n_mx: unknown parameter for regular-norm" in err
+
+    def test_retired_key_exit_two(self, tmp_path, capsys):
+        cfg = {**MARGULIS_SMALL, "params": {"N": 128, "max_iter": 100}}
+        code, _ = run_cli(tmp_path, cfg)
+        assert code == 2
+        assert "params.max_iter" in capsys.readouterr().err
+
+    def test_sweep_child_params_checked(self, tmp_path, capsys):
+        cfg = {"experiment": "sweep", "template": self.REGULAR,
+               "grid": {"params.n_max": [10, "20"]}}
+        code, _ = run_cli(tmp_path, cfg)
+        assert code == 2
+        assert "params.n_max" in capsys.readouterr().err
+
+    def test_seed_accepted_everywhere(self, tmp_path):
+        code, _ = run_cli(tmp_path, dict(self.REGULAR, params={"seed": 3}),
+                          "--seed", "5")
+        assert code == 0
+
+    def test_float_param_takes_integer(self, tmp_path):
+        cfg = {**MARGULIS_SMALL, "params": {"N": 128, "tol": 1}}
+        code, _ = run_cli(tmp_path, cfg)
+        assert code == 0
+
+
 def read_record(out_dir, prefix):
     lines = (out_dir / f"{prefix}record.csv").read_text().splitlines()[1:]
     return dict(line.split(",", 1) for line in lines)
