@@ -2,7 +2,10 @@
 
 Every supported action is a one-parameter flow/shift: the acting group is
 a 1-d lattice or a 1-d real grid, and the atom with grid coordinate c
-acts by the c-th power of a fixed cell permutation.  Four kinds:
+acts by the c-th power of a fixed cell permutation sigma.  Each kind
+supplies only sigma, as an index array; the cycles of sigma are the
+coordinates in which the base class applies every power of it.  Four
+kinds:
 
 * ``circle-rotation``    -- N cells on R/Z, generator rotates by p cells,
 * ``torus-translation``  -- N x N cells on (R/Z)^2, generator translates
@@ -22,6 +25,7 @@ All action maps are bijections, so the cell weights are preserved exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -42,10 +46,66 @@ def continued_fraction_convergent(alpha: float, max_denominator: int) -> tuple[i
     return frac.numerator, frac.denominator
 
 
+class CycleTable:
+    """The cycles of a cell permutation sigma as coordinates.
+
+    ``order`` lists the cells cycle by cycle: the cycles of one length L
+    fill one block of slots in the order of their least cells, and each
+    cycle starts at its least cell and follows sigma, so sigma^c moves a
+    cell at slot s of the cycle with first slot f to slot
+    f + (s - f + c) mod L.  ``slot`` is the inverse of ``order``.
+    ``lengths`` and ``counts`` give the cycle type, block by block in
+    increasing L.
+    """
+
+    def __init__(self, sigma: np.ndarray):
+        n = sigma.size
+        # pointer doubling: after t rounds key[i] packs (m, d) for the least
+        # cell m among sigma^-j(i), 0 <= j < 2^t, with sigma^d(m) = i; one
+        # minimum merges two windows and keeps the nearer occurrence, and
+        # the windows cover every cycle once m is constant along sigma
+        shift = (2 * n).bit_length()
+        cells = np.arange(n, dtype=np.int64)
+        back = np.empty_like(cells)
+        back[sigma] = cells
+        key = cells << shift
+        span = 1
+        while ((key[sigma] ^ key) >> shift).any():
+            np.minimum(key, key[back] + span, out=key)
+            back = back[back]
+            span *= 2
+        least = key >> shift
+        size = np.bincount(least, minlength=n)
+        heads = np.flatnonzero(size)
+        heads = heads[np.argsort(size[heads], kind="stable")]
+        first = np.zeros_like(size)
+        first[heads] = np.cumsum(size[heads]) - size[heads]
+        self.slot = first[least] + (key & ((1 << shift) - 1))
+        self.order = np.empty_like(self.slot)
+        self.order[self.slot] = cells
+        self.lengths, self.counts = np.unique(size[heads], return_counts=True)
+        self._ends = np.cumsum(self.lengths * self.counts)
+
+    def rows(self):
+        """Per cycle length L, the cells as an array of shape (cycles, L),
+        one cycle per row in sigma order."""
+        for length, count, end in zip(self.lengths, self.counts, self._ends):
+            yield int(length), self.order[end - length * count:end].reshape(count, length)
+
+    def locate(self, slots):
+        """First slot and length of the cycle through each slot (a block
+        ends on a cycle boundary, so its end fixes the phase)."""
+        k = np.searchsorted(self._ends, slots, side="right")
+        length = self.lengths[k]
+        return slots - (slots - self._ends[k]) % length, length
+
+
 class ActionSpace:
     """Base class: finite cell list, probability weights, group action."""
 
     kind: str = "abstract"
+    #: True when every atom acts by a global grid translation
+    is_translation: bool = False
 
     def __init__(self, group: GroupDescriptor, n_cells: int,
                  weights: np.ndarray | None = None, atom_threshold: float = 0.05):
@@ -63,6 +123,14 @@ class ActionSpace:
 
     # -- the group action --------------------------------------------------
 
+    def generator(self) -> np.ndarray:
+        """sigma as an index array: cell i goes to cell sigma[i]."""
+        raise NotImplementedError
+
+    @functools.cached_property
+    def cycles(self) -> CycleTable:
+        return CycleTable(self.generator())
+
     def steps_of(self, g: Element) -> int:
         """Grid coordinate of a 1-parameter group element."""
         if len(g) != 1:
@@ -73,50 +141,30 @@ class ActionSpace:
 
     def act_indices(self, g: Element, idx: np.ndarray) -> np.ndarray:
         """Forward action on cell indices: i -> index(g * cell_i)."""
-        raise NotImplementedError
-
-    def koopman_permutation(self, g: Element) -> np.ndarray:
-        """Index array P with (pi(g) phi)[i] = phi[P[i]], i.e. P[i] = idx(g^{-1} cell_i)."""
-        return self.act_indices(self.group.inverse(g), np.arange(self.n_cells))
+        slot = self.cycles.slot[idx]
+        first, length = self.cycles.locate(slot)
+        return self.cycles.order[first + (slot - first + self.steps_of(g)) % length]
 
     def cycle_lengths(self) -> dict[int, int]:
-        """Cycle type of the generator sigma: {cycle length L: number of cycles}.
+        """Cycle type of sigma: {cycle length L: number of cycles}."""
+        return {int(n): int(c) for n, c in zip(self.cycles.lengths, self.cycles.counts)}
 
-        The generic rule walks the cycles of sigma = the action of the
-        element with coordinate 1 once, in time linear in the cell count.
-        """
-        sigma = self.act_indices((1,), np.arange(self.n_cells)).tolist()
-        seen = [False] * self.n_cells
-        counts: dict[int, int] = {}
-        for start in range(self.n_cells):
-            if seen[start]:
-                continue
-            length, i = 0, start
-            while not seen[i]:
-                seen[i] = True
-                i = sigma[i]
-                length += 1
-            counts[length] = counts.get(length, 0) + 1
-        return counts
+    def period(self, cell: int) -> int:
+        """Length L of the cycle through the cell: g fixes it iff L divides
+        the steps of g."""
+        return int(self.cycles.locate(self.cycles.slot[cell])[1])
 
     def has_fixed_cell(self, g: Element) -> bool:
-        idx = np.arange(self.n_cells)
-        return bool((self.act_indices(g, idx) == idx).any())
+        return bool((self.steps_of(g) % self.cycles.lengths == 0).any())
 
     def orbit(self, start: int, elements) -> np.ndarray:
-        """Closure of a cell under repeated application of the given atoms."""
-        elements = list(elements)
-        seen = {int(start)}
-        frontier = np.array([int(start)], dtype=np.int64)
-        while frontier.size:
-            images = np.unique(
-                np.concatenate([self.act_indices(g, frontier) for g in elements])
-            )
-            fresh = np.array([i for i in images.tolist() if i not in seen],
-                             dtype=np.int64)
-            seen.update(fresh.tolist())
-            frontier = fresh
-        return np.array(sorted(seen), dtype=np.int64)
+        """Closure of a cell under repeated application of the given atoms:
+        the cells of its cycle at multiples of gcd(L, steps) from it."""
+        slot = int(self.cycles.slot[start])
+        first, length = (int(v) for v in self.cycles.locate(slot))
+        stride = math.gcd(length, *(self.steps_of(g) for g in elements))
+        ring = (slot - first + np.arange(0, length, stride)) % length
+        return np.sort(self.cycles.order[first + ring])
 
     # -- geometry ------------------------------------------------------------
 
@@ -128,13 +176,6 @@ class ActionSpace:
             f"{self.kind} has no cell geometry beyond single cells"
         )
 
-    # -- fast-path hooks -------------------------------------------------------
-
-    @property
-    def is_translation(self) -> bool:
-        """True when every atom acts by a global grid translation."""
-        return False
-
     def mass_of(self, idx: np.ndarray) -> float:
         return float(self.weights[idx].sum())
 
@@ -143,6 +184,7 @@ class CircleRotationSpace(ActionSpace):
     """N cells on the circle; the atom with coordinate c rotates by c*p cells."""
 
     kind = "circle-rotation"
+    is_translation = True
 
     def __init__(self, group: GroupDescriptor, n: int, cells_per_step: int = 1,
                  **kw):
@@ -156,18 +198,8 @@ class CircleRotationSpace(ActionSpace):
         self.n = n
         self.cells_per_step = int(cells_per_step)
 
-    def shift_of(self, g: Element) -> int:
-        return (self.steps_of(g) * self.cells_per_step) % self.n
-
-    def act_indices(self, g, idx):
-        return (idx + self.shift_of(g)) % self.n
-
-    def has_fixed_cell(self, g):
-        return self.shift_of(g) == 0
-
-    def cycle_lengths(self):
-        cycles = math.gcd(self.n, self.cells_per_step)
-        return {self.n // cycles: cycles}
+    def generator(self):
+        return (np.arange(self.n, dtype=np.int64) + self.cells_per_step) % self.n
 
     def cell_ball(self, center, radius):
         if radius < 0:
@@ -176,12 +208,8 @@ class CircleRotationSpace(ActionSpace):
             return np.arange(self.n, dtype=np.int64)
         return np.sort((center + np.arange(-radius, radius + 1)) % self.n).astype(np.int64)
 
-    @property
-    def is_translation(self):
-        return True
-
     def translation_vector(self, g: Element) -> tuple[int, ...]:
-        return (self.shift_of(g),)
+        return ((self.steps_of(g) * self.cells_per_step) % self.n,)
 
     @property
     def grid_shape(self) -> tuple[int, ...]:
@@ -201,6 +229,7 @@ class TorusTranslationSpace(ActionSpace):
     """
 
     kind = "torus-translation"
+    is_translation = True
 
     def __init__(self, group: GroupDescriptor, n: int, step: tuple[int, int],
                  slope_target: float | None = None, **kw):
@@ -218,22 +247,10 @@ class TorusTranslationSpace(ActionSpace):
             raise ConstructionError("translation step is trivial on this grid")
         self.slope_target = slope_target
 
-    def vector_of(self, g: Element) -> tuple[int, int]:
-        c = self.steps_of(g)
-        return ((c * self.step[0]) % self.n, (c * self.step[1]) % self.n)
-
-    def act_indices(self, g, idx):
-        a, b = self.vector_of(g)
-        rows = idx // self.n
-        cols = idx % self.n
-        return ((rows + a) % self.n) * self.n + (cols + b) % self.n
-
-    def has_fixed_cell(self, g):
-        return self.vector_of(g) == (0, 0)
-
-    def cycle_lengths(self):
-        length = self.n // math.gcd(self.n, *self.step)
-        return {length: self.n_cells // length}
+    def generator(self):
+        rows = (np.arange(self.n, dtype=np.int64) + self.step[0]) % self.n
+        cols = (np.arange(self.n, dtype=np.int64) + self.step[1]) % self.n
+        return (rows[:, None] * self.n + cols).ravel()
 
     def cell_ball(self, center, radius):
         if radius < 0:
@@ -248,12 +265,9 @@ class TorusTranslationSpace(ActionSpace):
         ]
         return np.array(sorted(set(cells)), dtype=np.int64)
 
-    @property
-    def is_translation(self):
-        return True
-
     def translation_vector(self, g: Element) -> tuple[int, ...]:
-        return self.vector_of(g)
+        c = self.steps_of(g)
+        return ((c * self.step[0]) % self.n, (c * self.step[1]) % self.n)
 
     @property
     def grid_shape(self) -> tuple[int, ...]:
@@ -271,10 +285,11 @@ class BernoulliWindowSpace(ActionSpace):
     """Windows of width 2w+1 of a Bernoulli sequence over a finite alphabet.
 
     Cells are the alphabet^(2w+1) words with the product marginal
-    (uniform) weights.  The shift by one acts by a cyclic rotation of the
-    window; under the product measure the wrapped-around symbol has
-    exactly the marginal law of the refreshed boundary, so the rotation
-    is a measure-exact bijective model of the shift compression.
+    (uniform) weights, indexed by their digits, most significant first.
+    The shift by one acts by a cyclic rotation of the window; under the
+    product measure the wrapped-around symbol has exactly the marginal
+    law of the refreshed boundary, so the rotation is a measure-exact
+    bijective model of the shift compression.
     """
 
     kind = "bernoulli-window"
@@ -287,40 +302,13 @@ class BernoulliWindowSpace(ActionSpace):
             raise ConstructionError("window radius must be >= 1")
         self.alphabet = alphabet
         self.window = 2 * window_radius + 1
-        n_cells = alphabet ** self.window
-        super().__init__(group, n_cells, **kw)
-        # digit decomposition of every cell index, most significant first
-        idx = np.arange(n_cells)
-        digits = np.empty((self.window, n_cells), dtype=np.int64)
-        for pos in range(self.window - 1, -1, -1):
-            digits[pos] = idx % alphabet
-            idx = idx // alphabet
-        self._digits = digits
-        self._powers = alphabet ** np.arange(self.window - 1, -1, -1, dtype=np.int64)
+        super().__init__(group, alphabet ** self.window, **kw)
 
-    def rotation_of(self, g: Element) -> int:
-        return self.steps_of(g) % self.window
-
-    def act_indices(self, g, idx):
-        r = self.rotation_of(g)
-        if r == 0:
-            return idx.copy()
-        digits = self._digits[:, idx]
-        rotated = np.roll(digits, -r, axis=0)
-        return self._powers @ rotated
-
-    def cycle_lengths(self):
-        """sigma^window is the identity, so a cell's cycle length is the
-        least r <= window with sigma^r(i) = i: one gather per r."""
-        idx = np.arange(self.n_cells)
-        sigma = self.act_indices((1,), idx)
-        period = np.zeros(self.n_cells, dtype=np.int64)
-        image = idx
-        for r in range(1, self.window + 1):
-            image = sigma[image]
-            period[(period == 0) & (image == idx)] = r
-        lengths, cells = np.unique(period, return_counts=True)
-        return {int(n): int(c) // int(n) for n, c in zip(lengths, cells)}
+    def generator(self):
+        """The leading digit moves to the end: i -> (i mod a^(w-1)) a + i div a^(w-1)."""
+        idx = np.arange(self.n_cells, dtype=np.int64)
+        high = self.alphabet ** (self.window - 1)
+        return (idx % high) * self.alphabet + idx // high
 
 
 class FinitePermutationSpace(ActionSpace):
@@ -340,15 +328,9 @@ class FinitePermutationSpace(ActionSpace):
                 "cell weights are not preserved by the permutation"
             )
         self._perm = perm
-        self._inv = np.argsort(perm)
 
-    def act_indices(self, g, idx):
-        c = self.steps_of(g)
-        forward = self._perm if c >= 0 else self._inv
-        out = idx.copy()
-        for _ in range(abs(c)):
-            out = forward[out]
-        return out
+    def generator(self):
+        return self._perm
 
 
 def build_action(kind: str, **params) -> ActionSpace:

@@ -16,7 +16,7 @@ cells, with deterministic lexicographic fill.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,11 +91,6 @@ class CertificateReport:
     cond3_flag: bool
     max_ratio_root: float
     norm_lower_bound: float | None = None
-    notes: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return self.cond1_all and self.cond2_all and self.cond3_flag
 
 
 @dataclass(frozen=True)
@@ -110,12 +105,32 @@ class RayleighChainResult:
 # -- set machinery -----------------------------------------------------------
 
 
+def _integer_counts(spectrum: np.ndarray, length: int) -> np.ndarray:
+    """Inverse real FFT along the cycle axis of sums that must be integers,
+    rounded back exactly."""
+    values = np.fft.irfft(spectrum, n=length, axis=-1)
+    counts = np.rint(values)
+    if np.abs(values - counts).max() > 1e-5:
+        raise InternalConsistencyError("FFT counts drifted off integers")
+    return counts
+
+
 def _act_union(space: ActionSpace, elements, idx: np.ndarray) -> np.ndarray:
-    """Indices of the union of g * cells over g in elements."""
-    mask = np.zeros(space.n_cells, dtype=bool)
-    for g in elements:
-        mask[space.act_indices(g, idx)] = True
-    return np.flatnonzero(mask).astype(np.int64)
+    """Indices of the union of g * cells over g in elements.
+
+    On each cycle the union is where the circular convolution of the
+    indicator with the indicator of the steps mod L is positive.
+    """
+    steps = np.array([space.steps_of(g) for g in elements], dtype=np.int64)
+    inside = np.zeros(space.n_cells)
+    inside[idx] = 1.0
+    union = np.zeros(space.n_cells, dtype=bool)
+    for length, cells in space.cycles.rows():
+        kernel = np.bincount(steps % length, minlength=length) > 0
+        counts = _integer_counts(
+            np.fft.rfft(inside[cells]) * np.fft.rfft(kernel), length)
+        union[cells[counts > 0]] = True
+    return np.flatnonzero(union)
 
 
 def _pair_correlations(space: ActionSpace, elements, a: np.ndarray,
@@ -123,33 +138,20 @@ def _pair_correlations(space: ActionSpace, elements, a: np.ndarray,
     """<pi(g) a, b> = sum_x nu_x a(g^{-1} x) b(x) for every g in elements.
 
     ``a`` and ``b`` are integer-valued cell vectors; for indicators of A
-    and B this is nu(gA & B).  Equal-weight translation grids go through
-    one FFT cross-correlation per call; the sums are integers, so the FFT
-    output is rounded back exactly.  The generic path gathers atom by atom
-    over the support of ``a``.
+    and B this is nu(gA & B).  On each cycle the sum over x is a circular
+    cross-correlation; the weights are constant on cycles, so the integer
+    counts of the cycles of one weight are summed, rounded back exactly,
+    and weighted once.
     """
-    weights = space.weights
-    if space.is_translation and np.allclose(weights, weights[0]):
-        shape = space.grid_shape
-        fa = np.fft.rfftn(a.reshape(shape))
-        fb = np.fft.rfftn(b.reshape(shape))
-        # corr[d] = sum_x a(x) b(x + d) = <pi(d) a, b>
-        corr = np.fft.irfftn(np.conj(fa) * fb, s=shape, axes=range(len(shape)))
-        counts = np.rint(corr)
-        if np.abs(corr - counts).max() > 1e-5:
-            raise InternalConsistencyError("FFT correlation drifted off integers")
-        out = {}
-        for g in elements:
-            vec = space.translation_vector(g)
-            out[g] = float(counts[tuple(v % s for v, s in zip(vec, shape))]) * weights[0]
-        return out
-    support = np.flatnonzero(a)
-    values = a[support]
-    out = {}
-    for g in elements:
-        image = space.act_indices(g, support)
-        out[g] = float((weights[image] * values * b[image]).sum())
-    return out
+    steps = np.array([space.steps_of(g) for g in elements], dtype=np.int64)
+    totals = np.zeros(len(steps))
+    for length, cells in space.cycles.rows():
+        spectra = np.conj(np.fft.rfft(a[cells])) * np.fft.rfft(b[cells])
+        weights = space.weights[cells[:, 0]]
+        for weight in np.unique(weights):
+            counts = _integer_counts(spectra[weights == weight].sum(axis=0), length)
+            totals += weight * counts[steps % length]
+    return {g: float(t) for g, t in zip(elements, totals)}
 
 
 # -- the per-n step -------------------------------------------------------------
@@ -336,16 +338,14 @@ def orbit_neighborhood_sequence(
     for _ in range(2 * n_max):
         powers.append(product_set(group, powers[-1], S))
 
-    x0_arr = np.array([x0], dtype=np.int64)
+    period = space.period(x0)
     for g in powers[2 * n_max]:
-        if g == identity:
-            continue
-        if int(space.act_indices(g, x0_arr)[0]) == x0:
+        if g != identity and space.steps_of(g) % period == 0:
             raise GridResolutionError(
                 f"free-orbit surrogate fails at the base cell: atom {g} of "
                 f"S^{2 * n_max} fixes it; refine the grid or shorten the horizon"
             )
-    orbit_idx = _act_union(space, powers[2 * n_max], x0_arr)
+    orbit_idx = _act_union(space, powers[2 * n_max], np.array([x0]))
     orbit_mass = space.mass_of(orbit_idx)
     if orbit_mass >= 0.5:
         raise GridResolutionError(
@@ -385,9 +385,9 @@ def _separation_radius(space: ActionSpace, separators, x0: int) -> int:
             )
         return max(int(math.ceil(dmin / 2.0)) - 1, 0)
     # no geometry: single-cell neighborhoods, guarded by the fixed-cell check
-    x0_arr = np.array([x0], dtype=np.int64)
+    period = space.period(x0)
     for g in separators:
-        if int(space.act_indices(g, x0_arr)[0]) == x0:
+        if space.steps_of(g) % period == 0:
             raise GridResolutionError(
                 f"separator atom {g} fixes the base cell; grid too coarse"
             )
@@ -424,7 +424,7 @@ def run_certificate(
     mu: GroupMeasure,
     x0: int | None = None,
     seq: ModerateGrowthSequence | None = None,
-    n_max: int = 10,
+    n_max: int | None = None,
     slack: float = 0.02,
 ) -> CertificateReport:
     """Full pipeline: orbit-neighborhood sets for eta = mu * mu^, the three
@@ -434,12 +434,19 @@ def run_certificate(
 
     Each Rayleigh quotient lower-bounds the norm of the nonnegative
     operator pi(eta)^n on zero-mean functions, so the max is a certified
-    lower bound for the discrepancy of mu.
+    lower bound for the discrepancy of mu.  The sets come either from
+    ``seq`` or from the base cell ``x0`` (default: the space's base cell)
+    and the horizon ``n_max`` (default 10), not from both.
     """
     eta = symmetrize(mu)
     if seq is None:
         base = space.base_cell if x0 is None else int(x0)
-        seq = orbit_neighborhood_sequence(space, base, list(eta.atoms), n_max)
+        seq = orbit_neighborhood_sequence(
+            space, base, list(eta.atoms), 10 if n_max is None else n_max)
+    elif x0 is not None or n_max is not None:
+        raise PreconditionError(
+            "run_certificate takes either seq or x0/n_max; seq fixes the "
+            "base cell and the horizon")
     report = _walk(seq, slack, eta)
     report.norm_lower_bound = max(row.rayleigh_root for row in report.rows)
     return report

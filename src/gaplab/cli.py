@@ -19,6 +19,8 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
+
 from .actions import ActionSpace, build_action
 from .certificates import run_certificate
 from .errors import GaplabError
@@ -58,8 +60,8 @@ class ConfigError(GaplabError):
 
 
 def _fmt(value) -> str:
-    """Fixed rendering: floats at 12 significant digits."""
-    if isinstance(value, bool):
+    """Fixed rendering: floats at 12 significant digits, booleans as true/false."""
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.12g}"
@@ -141,29 +143,28 @@ def build_space(group: GroupDescriptor, cfg: dict, path: str = "action") -> Acti
     if kind in ("torus-translation", "circle-rotation") and "N" not in cfg:
         raise ConfigError(f"{path}.N", f"{kind} needs a grid size N")
     try:
-        if "step" in cfg:
-            cfg["step"] = tuple(cfg["step"])
-        if "permutation" in cfg:
-            cfg["permutation"] = list(cfg["permutation"])
         return build_action(kind, group=group, **cfg)
     except (GaplabError, TypeError, ValueError) as err:
         raise ConfigError(path, str(err))
 
 
-#: the params each experiment reads: name -> (type, default).  Every
-#: experiment also takes ``seed`` (``--seed`` writes it into any config);
-#: only ``nets`` reads it.
+#: the params each experiment reads: name -> (type, default, least allowed
+#: value or None).  Every experiment also takes ``seed`` (``--seed`` writes
+#: it into any config); only ``nets`` reads it.
 PARAMS = {
-    "regular-norm": {"method": (str, "berg-christensen"), "n_max": (int, 50),
-                     "freq_bound": (float, 0.5), "freq_samples": (int, 1001)},
-    "koopman-norm": {"tol": (float, 1e-8), "freq_cutoff": (int, None),
-                     "line_freq_cutoff": (int, 10_000)},
-    "verify-bound": {"regular_norm_method": (str, "auto"), "tol": (float, 1e-3),
-                     "n_max": (int, 50)},
-    "certificate": {"n_max": (int, 10), "slack": (float, 0.02), "tol": (float, 1e-3),
-                    "x0": (int, 0), "cross_check_discrepancy": (bool, True)},
-    "nets": {"count": (int, 100), "seed": (int, 20250809), "ratio_n_max": (int, 10)},
-    "margulis-demo": {"N": (int, 1024), "tol": (float, 1e-3)},
+    "regular-norm": {"method": (str, "berg-christensen", None),
+                     "n_max": (int, 50, 2), "freq_bound": (float, 0.5, 0),
+                     "freq_samples": (int, 1001, 1)},
+    "koopman-norm": {"tol": (float, 1e-8, 0), "freq_cutoff": (int, None, 1),
+                     "line_freq_cutoff": (int, 10_000, 1)},
+    "verify-bound": {"regular_norm_method": (str, "auto", None),
+                     "tol": (float, 1e-3, 0), "n_max": (int, 50, 2)},
+    "certificate": {"n_max": (int, 10, 1), "slack": (float, 0.02, 0),
+                    "tol": (float, 1e-3, 0), "x0": (int, 0, 0),
+                    "cross_check_discrepancy": (bool, True, None)},
+    "nets": {"count": (int, 100, 1), "seed": (int, 20250809, 0),
+             "ratio_n_max": (int, 10, 3)},
+    "margulis-demo": {"N": (int, 1024, 2), "tol": (float, 1e-3, 0)},
     "sweep": {},
 }
 
@@ -173,13 +174,13 @@ def _params(cfg: dict) -> dict:
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params", "must be an object")
-    table = {"seed": (int, None), **PARAMS[cfg["experiment"]]}
+    table = {"seed": (int, None, 0), **PARAMS[cfg["experiment"]]}
     for key in params:
         if key not in table:
             raise ConfigError(f"params.{key}", "unknown parameter for "
                               f"{cfg['experiment']}; it takes {sorted(table)}")
     out = {}
-    for key, (kind, default) in table.items():
+    for key, (kind, default, least) in table.items():
         if key not in params:
             out[key] = default
             continue
@@ -188,6 +189,8 @@ def _params(cfg: dict) -> dict:
         if isinstance(value, bool) != (kind is bool) or not isinstance(value, numeric):
             raise ConfigError(f"params.{key}",
                               f"expected {kind.__name__}, got {value!r}")
+        if least is not None and value < least:
+            raise ConfigError(f"params.{key}", f"must be >= {least}, got {value!r}")
         out[key] = kind(value)
     return out
 
@@ -351,6 +354,9 @@ def run_certificate_experiment(cfg: dict) -> RunResult:
     mu = build_measure(group, _require(cfg, "measure", "<root>"))
     space = build_space(group, _require(cfg, "action", "<root>"))
     p = _params(cfg)
+    if p["x0"] >= space.n_cells:
+        raise ConfigError("params.x0", f"must be < {space.n_cells}, the number "
+                          f"of cells, got {p['x0']}")
     n_max = p["n_max"]
     slack = p["slack"]
     tol = p["tol"]
@@ -389,8 +395,6 @@ def run_certificate_experiment(cfg: dict) -> RunResult:
 
 
 def run_nets(cfg: dict) -> RunResult:
-    import numpy as np
-
     res = RunResult("nets")
     p = _params(cfg)
     count = p["count"]

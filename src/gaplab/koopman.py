@@ -40,8 +40,11 @@ class KoopmanAveragingOperator:
             )
         self.space = space
         self.measure = measure
+        # (pi(g) phi)[i] = phi[P[i]] with P[i] the index of g^{-1} cell_i
+        cells = np.arange(space.n_cells)
         self._perms = [
-            (space.koopman_permutation(g), w) for g, w in measure.items()
+            (space.act_indices(space.group.inverse(g), cells), w)
+            for g, w in measure.items()
         ]
 
     def apply_l2(self, phi: np.ndarray) -> np.ndarray:

@@ -1,0 +1,183 @@
+"""The single action path: every power of sigma, cycle types, orbits,
+dilations and correlations read off the cycle coordinates, checked
+against sigma iterated step by step."""
+
+import numpy as np
+import pytest
+
+from gaplab import GroupDescriptor, build_action
+from gaplab.certificates import _act_union, _pair_correlations
+
+Z = GroupDescriptor(kind="lattice", dimension=1)
+
+
+def reference_sigma(kind, kw):
+    """The generator of each kind, written out from its definition."""
+    if kind == "circle-rotation":
+        return [(i + kw["cells_per_step"]) % kw["N"] for i in range(kw["N"])]
+    if kind == "torus-translation":
+        n, (q, p) = kw["N"], kw["step"]
+        return [((i // n + q) % n) * n + (i % n + p) % n for i in range(n * n)]
+    if kind == "bernoulli-window":
+        a, w = kw["alphabet"], 2 * kw["window_radius"] + 1
+        out = []
+        for i in range(a ** w):
+            digits = [(i // a ** (w - 1 - k)) % a for k in range(w)]
+            rotated = digits[1:] + digits[:1]
+            out.append(sum(d * a ** (w - 1 - k) for k, d in enumerate(rotated)))
+        return out
+    return list(kw["permutation"])
+
+
+def power(sigma, c):
+    """sigma^c as a list, by |c| steps of sigma or of its inverse."""
+    step = sigma if c >= 0 else [sigma.index(i) for i in range(len(sigma))]
+    out = list(range(len(sigma)))
+    for _ in range(abs(c)):
+        out = [step[i] for i in out]
+    return out
+
+
+def bfs_orbit(sigma, start, steps):
+    powers = [power(sigma, c) for c in steps]
+    seen, frontier = {start}, [start]
+    while frontier:
+        frontier = [p[i] for i in frontier for p in powers if p[i] not in seen]
+        seen.update(frontier)
+    return sorted(seen)
+
+
+# cycles of unequal lengths, weights constant on each cycle but not
+# uniform, and two cycles of each of the lengths 1 and 3 that weigh
+# differently
+UNEVEN_CYCLES = [(0, 3, 7, 1, 9), (2, 5, 10), (4, 8, 6, 11), (12,),
+                 (13, 16, 14), (15,)]
+
+
+def uneven_space():
+    perm = np.empty(17, dtype=np.int64)
+    weights = np.empty(17)
+    for cycle, mass in zip(UNEVEN_CYCLES, (0.3, 0.2, 0.2, 0.1, 0.15, 0.05)):
+        perm[list(cycle)] = np.roll(cycle, -1)
+        weights[list(cycle)] = mass / len(cycle)
+    return build_action("finite-permutation", group=Z,
+                        permutation=perm.tolist(), weights=weights)
+
+
+SPACES = [
+    ("circle-rotation", dict(N=24, cells_per_step=9)),
+    ("circle-rotation", dict(N=15, cells_per_step=4)),
+    ("torus-translation", dict(N=8, step=(2, 4))),
+    ("torus-translation", dict(N=6, step=(1, 2))),
+    ("bernoulli-window", dict(alphabet=2, window_radius=1)),
+    ("bernoulli-window", dict(alphabet=3, window_radius=1)),
+    ("finite-permutation", dict(permutation=[3, 0, 4, 1, 2, 6, 5, 7])),
+]
+
+
+@pytest.mark.parametrize("kind,kw", SPACES)
+def test_act_indices_is_sigma_iterated(kind, kw):
+    space = build_action(kind, group=Z, **kw)
+    sigma = reference_sigma(kind, kw)
+    assert space.generator().tolist() == sigma
+    longest = max(space.cycle_lengths())
+    idx = np.arange(space.n_cells)
+    for c in range(-2 * longest, 2 * longest + 1):
+        assert space.act_indices((c,), idx).tolist() == power(sigma, c), c
+    picked = idx[::3][::-1]
+    assert space.act_indices((5,), picked).tolist() == [
+        power(sigma, 5)[i] for i in picked]
+
+
+@pytest.mark.parametrize("kind,kw", SPACES)
+def test_orbit_and_fixed_cells_match_bfs(kind, kw):
+    space = build_action(kind, group=Z, **kw)
+    sigma = reference_sigma(kind, kw)
+    longest = max(space.cycle_lengths())
+    for steps in ([], [0], [1], [2], [-3], [2, 3], [4, -6], [longest]):
+        for start in range(0, space.n_cells, 5):
+            got = space.orbit(start, [(c,) for c in steps]).tolist()
+            assert got == bfs_orbit(sigma, start, steps), (steps, start)
+    for c in range(-2 * longest, 2 * longest + 1):
+        moved = power(sigma, c)
+        fixed = any(moved[i] == i for i in range(space.n_cells))
+        assert space.has_fixed_cell((c,)) == fixed, c
+    for cell in range(space.n_cells):
+        assert space.period(cell) == len(bfs_orbit(sigma, cell, [1]))
+
+
+def test_cycle_table_of_uneven_permutation():
+    space = uneven_space()
+    assert space.cycle_lengths() == {1: 2, 3: 2, 4: 1, 5: 1}
+    table = space.cycles
+    assert np.array_equal(table.order[table.slot], np.arange(17))
+    rows = [row.tolist() for _, cells in table.rows() for row in cells]
+    assert rows == [[12], [15], [2, 5, 10], [13, 16, 14], [4, 8, 6, 11],
+                    [0, 3, 7, 1, 9]]
+    for row in rows:
+        assert space.act_indices((1,), np.array(row)).tolist() == row[1:] + row[:1]
+
+
+def test_large_cycle_type():
+    lengths = [1, 2, 2, 7, 64, 1000, 3000]
+    labels = np.random.default_rng(3).permutation(sum(lengths))
+    perm = np.empty(sum(lengths), dtype=np.int64)
+    start = 0
+    for length in lengths:
+        cycle = labels[start:start + length]
+        perm[cycle] = np.roll(cycle, -1)
+        start += length
+    space = build_action("finite-permutation", group=Z, permutation=perm.tolist())
+    assert space.cycle_lengths() == {1: 1, 2: 2, 7: 1, 64: 1, 1000: 1, 3000: 1}
+    idx = np.arange(space.n_cells)
+    image = idx
+    for _ in range(5):
+        image = perm[image]
+    assert np.array_equal(space.act_indices((5,), idx), image)
+    assert np.array_equal(space.act_indices((-5,), image), idx)
+
+
+def gathered_union(space, elements, idx):
+    sigma = space.generator().tolist()
+    cells = {power(sigma, g[0])[i] for g in elements for i in idx}
+    return sorted(cells)
+
+
+def gathered_correlations(space, elements, a, b):
+    sigma = space.generator().tolist()
+    out = {}
+    for g in elements:
+        back = power(sigma, -g[0])  # (pi(g) a)(x) = a(g^{-1} x)
+        out[g] = sum(space.weights[x] * a[back[x]] * b[x]
+                     for x in range(space.n_cells))
+    return out
+
+
+CERTIFICATE_SPACES = [
+    ("torus-translation", dict(N=8, step=(3, 2))),
+    ("torus-translation", dict(N=8, step=(2, 4))),
+    ("bernoulli-window", dict(alphabet=2, window_radius=2)),
+    ("circle-rotation", dict(N=30, cells_per_step=12)),
+]
+
+
+@pytest.mark.parametrize("space", [
+    *(build_action(kind, group=Z, **kw) for kind, kw in CERTIFICATE_SPACES),
+    uneven_space(),
+], ids=[kind for kind, _ in CERTIFICATE_SPACES] + ["uneven-permutation"])
+def test_dilation_and_correlation_match_gathers(space):
+    rng = np.random.default_rng(5)
+    elements = [(0,), (1,), (-1,), (2,), (-7,), (11,)]
+    for trial in range(4):
+        idx = np.sort(rng.choice(space.n_cells, size=1 + trial * 3, replace=False))
+        assert _act_union(space, elements, idx).tolist() == gathered_union(
+            space, elements, idx)
+        assert _act_union(space, [], idx).size == 0
+        a = rng.integers(-2, 3, size=space.n_cells)
+        b = rng.integers(-1, 2, size=space.n_cells)
+        a[rng.random(space.n_cells) < 0.5] = 0
+        got = _pair_correlations(space, elements, a, b)
+        want = gathered_correlations(space, elements, a, b)
+        assert list(got) == elements
+        for g in elements:
+            assert got[g] == pytest.approx(want[g], abs=1e-15)

@@ -297,6 +297,15 @@ class TestNormLowerBound:
         with pytest.raises(PreconditionError, match="condition"):
             run_certificate(space, GroupMeasure.point_mass(Z, (0,)), seq=seq)
 
+    def test_seq_excludes_base_cell_and_horizon(self):
+        space = cycle_space(32)
+        seq = ModerateGrowthSequence(space, S=((0,),), F=((0,),),
+                                     sets=(np.arange(5),) * 2, max_n=2)
+        mu = GroupMeasure.point_mass(Z, (0,))
+        for extra in (dict(x0=0), dict(n_max=2), dict(x0=3, n_max=4)):
+            with pytest.raises(PreconditionError, match="either seq or x0/n_max"):
+                run_certificate(space, mu, seq=seq, **extra)
+
     def test_never_exceeds_discrepancy(self):
         space = build_action("torus-translation", group=time_grid(2),
                             N=128, step=(29, 41), slope_hint=SQRT2)

@@ -3,7 +3,10 @@
 import json
 import math
 
-from gaplab.cli import main
+import numpy as np
+import pytest
+
+from gaplab.cli import _fmt, main
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -119,6 +122,37 @@ class TestParams:
         code, _ = run_cli(tmp_path, dict(self.REGULAR, params={"seed": 3}),
                           "--seed", "5")
         assert code == 0
+
+    @pytest.mark.parametrize("experiment,n_max", [
+        ("certificate", 0), ("certificate", -3), ("regular-norm", 1),
+    ])
+    def test_below_minimum_exit_two(self, tmp_path, capsys, experiment, n_max):
+        cfg = {
+            "experiment": experiment,
+            "group": {"kind": "lattice", "dimension": 1},
+            "measure": {"kind": "srw"},
+            "action": {"kind": "circle-rotation", "N": 64},
+            "params": {"n_max": n_max},
+        }
+        if experiment == "regular-norm":
+            del cfg["action"]
+        code, out_dir = run_cli(tmp_path, cfg)
+        assert code == 2
+        assert "config error: params.n_max: must be >=" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_base_cell_outside_grid_exit_two(self, tmp_path, capsys):
+        cfg = {
+            "experiment": "certificate",
+            "group": {"kind": "lattice", "dimension": 1},
+            "measure": {"kind": "srw"},
+            "action": {"kind": "torus-translation", "N": 16, "step": [1, 3]},
+            "params": {"n_max": 2, "x0": 256},
+        }
+        code, out_dir = run_cli(tmp_path, cfg)
+        assert code == 2
+        assert "config error: params.x0: must be < 256" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_float_param_takes_integer(self, tmp_path):
         cfg = {**MARGULIS_SMALL, "params": {"N": 128, "tol": 1}}
@@ -295,3 +329,19 @@ class TestCertificateExperiment:
         record = (out_dir / "certificate_record.csv").read_text()
         assert "cond1_all,true" in record
         assert "cond2_all,true" in record
+
+    def test_booleans_render_lowercase(self, tmp_path):
+        cfg = {
+            "experiment": "certificate",
+            "group": {"kind": "real-grid", "dimension": 1, "resolution": 2},
+            "measure": {"kind": "uniform-interval", "lo": -1, "hi": 1},
+            "action": {"kind": "torus-translation", "N": 64, "step": [29, 41]},
+            "params": {"n_max": 2},
+        }
+        _, out_dir = run_cli(tmp_path, cfg)
+        record = read_record(out_dir, "certificate_")
+        flags = ["cond1_all", "cond2_all", "cond3_flag",
+                 *(key for key in record if key.startswith("assert:"))]
+        assert {record[key] for key in flags} <= {"true", "false"}
+        assert not {"True", "False"} & set(record.values())
+        assert (_fmt(np.True_), _fmt(np.False_)) == ("true", "false")

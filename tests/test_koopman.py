@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaplab import (
-    ActionSpace,
     ConstructionError,
     DescriptorMismatchError,
     GroupDescriptor,
@@ -152,7 +151,6 @@ class TestCycleSpectrum:
     def test_cycle_lengths_match_a_walk(self, kind, kwargs, cycles):
         space = build_action(kind, group=Z, **kwargs)
         assert space.cycle_lengths() == cycles
-        assert ActionSpace.cycle_lengths(space) == cycles
 
     @pytest.mark.parametrize("kind,kwargs,cycles", SMALL_SPACES)
     def test_matches_dense_norm(self, kind, kwargs, cycles):
