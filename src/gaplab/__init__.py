@@ -70,10 +70,7 @@ from .nets import (
 from .operators import (
     LinearOperatorHandle,
     NormResult,
-    dense_handle,
-    norm_via_symmetrization,
     operator_norm_self_adjoint,
-    validate_handle,
 )
 from .regular_norm import (
     NormEstimate,

@@ -332,6 +332,10 @@ def orbit_neighborhood_sequence(
     if not is_symmetric_set(group, S) or group.identity() not in S:
         raise PreconditionError("S must be symmetric and contain the identity")
     x0 = int(x0)
+    if not 0 <= x0 < space.n_cells:
+        raise PreconditionError(
+            f"base cell x0 = {x0} is outside the {space.n_cells} cells of the space"
+        )
     identity = group.identity()
 
     powers = [[identity]]

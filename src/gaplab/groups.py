@@ -17,6 +17,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ResourceLimitError, UnsupportedKindError
 
 Element = tuple[int, ...]
@@ -209,6 +211,9 @@ def product_set(
     cap: int = 10_000_000,
 ) -> list[Element]:
     """The product set {x*y}, deduplicated, in deterministic order."""
+    if group.is_abelian:
+        cells, _, _ = _pair_sums(group, xs, ys, cap, "product set")
+        return [tuple(c) for c in cells.tolist()]
     out = set()
     for x in xs:
         for y in ys:
@@ -218,6 +223,36 @@ def product_set(
                     f"product set exceeded the support cap of {cap} elements"
                 )
     return sorted(out, key=group.sort_key)
+
+
+def _pair_sums(group: GroupDescriptor, xs, ys, cap: int, what: str):
+    """All sums x + y of an abelian kind at once, deduplicated.
+
+    The pairs are taken x-major (pair p is xs[p // len(ys)] + ys[p % len(ys)])
+    as int64 coordinates, reduced mod N on the torus.  Returns the distinct
+    sums in lexicographic order, which is ``sort_key`` order on these kinds,
+    the position of each pair's sum among them, and the first pair that
+    forms each sum.  More than ``cap`` distinct sums raise
+    ``ResourceLimitError``.
+    """
+    d = group.dimension
+    x = np.asarray(xs, dtype=np.int64).reshape(len(xs), d)
+    y = np.asarray(ys, dtype=np.int64).reshape(len(ys), d)
+    sums = (x[:, None, :] + y[None, :, :]).reshape(-1, d)
+    if group.kind == TORUS_GRID:
+        sums %= group.size
+    # a stable lexicographic sort: ``np.unique(axis=0)`` gives the same
+    # result, but sorts the rows as structured records, several times slower
+    perm = np.lexsort(sums.T[::-1])
+    ordered = sums[perm]
+    starts = np.ones(len(perm), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    n_cells = int(starts.sum())
+    if n_cells > cap:
+        raise ResourceLimitError(f"{what} exceeded the support cap of {cap} elements")
+    index = np.empty_like(perm)
+    index[perm] = np.cumsum(starts) - 1
+    return ordered[starts], index, perm[starts]
 
 
 def inverse_set(group: GroupDescriptor, xs) -> list[Element]:

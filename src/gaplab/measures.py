@@ -12,8 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DescriptorMismatchError, PreconditionError, ResourceLimitError
-from .groups import Element, GroupDescriptor
+from .groups import Element, GroupDescriptor, _pair_sums
 
 #: default cap on the support size produced by convolutions
 DEFAULT_SUPPORT_CAP = 10_000_000
@@ -142,12 +144,31 @@ class GroupMeasure:
 def convolve(
     a: GroupMeasure, b: GroupMeasure, cap: int = DEFAULT_SUPPORT_CAP
 ) -> GroupMeasure:
-    """Convolution: mass of g is the sum of a(h)*b(k) over h*k = g."""
+    """Convolution: mass of g is the sum of a(h)*b(k) over h*k = g.
+
+    Exact direct summation over all pairs (h, k), h-major in atom order.
+    On the abelian kinds the pair sums are formed at once in numpy and
+    ``np.bincount`` adds the products in that same pair order, so each
+    weight, and the order of the atoms (first formed first), is that of
+    the pair loop the free group still runs.
+    """
     if a.group != b.group:
         raise DescriptorMismatchError(
             f"cannot convolve measures on {a.group.kind} and {b.group.kind} groups"
         )
     g = a.group
+    if g.is_abelian:
+        cells, index, first = _pair_sums(g, list(a.atoms), list(b.atoms), cap,
+                                         "convolution")
+        products = np.multiply.outer(
+            np.fromiter(a.atoms.values(), float, len(a)),
+            np.fromiter(b.atoms.values(), float, len(b)),
+        )
+        weights = np.bincount(index, weights=products.ravel(), minlength=len(cells))
+        order = np.argsort(first)
+        return GroupMeasure(
+            g, dict(zip(map(tuple, cells[order].tolist()), weights[order].tolist()))
+        )
     out: dict[Element, float] = {}
     compose = g.compose
     for h, wa in a.atoms.items():
@@ -156,7 +177,7 @@ def convolve(
             out[key] = out.get(key, 0.0) + wa * wb
         if len(out) > cap:
             raise ResourceLimitError(
-                f"convolution support exceeded the cap of {cap} atoms"
+                f"convolution exceeded the support cap of {cap} elements"
             )
     return GroupMeasure(g, out)
 

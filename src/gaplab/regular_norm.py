@@ -23,7 +23,7 @@ from .measures import (
     DEFAULT_SUPPORT_CAP,
     GroupMeasure,
     convolve,
-    mass_on_set,
+    involute,
     symmetrize,
 )
 
@@ -66,6 +66,10 @@ def berg_christensen_estimate(
     beyond 1e-10 is logged as a warning rather than raised, since no
     quantitative monotonicity statement backs the general case.
 
+    Only eta^{*m} for m <= ceil(n_max/2) is built: each term comes from
+    eta^{*n}(F) = sum_g eta^{*ceil(n/2)}(g) (1_F * (eta^{*floor(n/2)})^)(g),
+    so ``cap`` bounds the support of eta^{*ceil(n_max/2)}.
+
     For the uniform measure on free-group generators with F = {e} the
     exact radial oracle replaces convolution powers (no exponential
     support growth).
@@ -85,14 +89,19 @@ def berg_christensen_estimate(
         return _radial_estimate(mu, n_max)
 
     eta = symmetrize(mu, cap=cap)
+    indicator = GroupMeasure(group, dict.fromkeys(F, 1.0))
+    # high = eta^{*ceil(n/2)}; reach = 1_F * (eta^{*floor(n/2)})^, as atoms
+    high, reach = eta, indicator.atoms
     seq: list[tuple[int, float]] = []
-    power = eta
     prev = -math.inf
     try:
         for n in range(1, n_max + 1):
-            if n > 1:
-                power = convolve(power, eta, cap=cap)
-            raw = mass_on_set(power, F) ** (1.0 / (2 * n))
+            if n % 2 == 0:
+                reach = convolve(indicator, involute(high), cap=cap).atoms
+            elif n > 1:
+                high = convolve(high, eta, cap=cap)
+            mass = sum(w * reach.get(g, 0.0) for g, w in high.atoms.items())
+            raw = mass ** (1.0 / (2 * n))
             if raw < prev - 1e-10:
                 log.warning(
                     "convolution-power sequence decreased at n=%d (%.12g -> %.12g); "
@@ -105,7 +114,8 @@ def berg_christensen_estimate(
         hint = ""
         if group.kind == FREE:
             hint = (
-                " (free-group support grows exponentially; the radial oracle"
+                f" (the cap bounds the support of eta^{{*{(n_max + 1) // 2}}};"
+                " free-group support grows exponentially, and the radial oracle"
                 " free_group_radial_return covers the uniform-generator walk)"
             )
         raise ResourceLimitError(str(err) + hint) from err

@@ -266,6 +266,13 @@ class TestOrbitNeighborhoodSequence:
         with pytest.raises(GridResolutionError):
             orbit_neighborhood_sequence(space, 0, S, 2)
 
+    @pytest.mark.parametrize("x0", [5000, 4096, -1])
+    def test_base_cell_outside_space(self, x0):
+        space = build_action("torus-translation", group=time_grid(1),
+                            N=64, step=(29, 41))
+        with pytest.raises(PreconditionError, match=rf"x0 = {x0} .* 4096 cells"):
+            orbit_neighborhood_sequence(space, x0, [(-1,), (0,), (1,)], 2)
+
 
 class TestNormLowerBound:
     def test_identity_measure_gives_one(self):

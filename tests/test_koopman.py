@@ -18,12 +18,12 @@ from gaplab import (
     character_line_scan,
     character_norm,
     continued_fraction_convergent,
-    dense_handle,
     discrepancy,
     operator_norm_self_adjoint,
     symmetrize,
     verify_lower_bound,
 )
+from operator_helpers import dense_handle
 
 Z = GroupDescriptor(kind="lattice", dimension=1)
 

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaplab import (
     DescriptorMismatchError,
@@ -18,6 +20,7 @@ from gaplab import (
     mass_on_set,
     measure_from_text,
     measure_to_text,
+    product_set,
     regularize,
     symmetrize,
     truncate,
@@ -154,6 +157,107 @@ class TestConvolve:
         mu = GroupMeasure.simple_random_walk(F2)
         with pytest.raises(ResourceLimitError, match="cap"):
             convolution_power(mu, 10, cap=100)
+
+
+# -- abelian pair sums against a brute-force pair loop ------------------------
+
+PAIR_GROUPS = [
+    GroupDescriptor(kind="lattice", dimension=1),
+    GroupDescriptor(kind="lattice", dimension=2),
+    GroupDescriptor(kind="real-grid", dimension=1, resolution=8),
+    GroupDescriptor(kind="torus-grid", dimension=1, size=5),
+    GroupDescriptor(kind="torus-grid", dimension=2, size=4),
+]
+
+
+def brute_sum(group, h, k):
+    """Coordinate sum, reduced mod N on the torus; independent of compose."""
+    if group.kind == "torus-grid":
+        return tuple((x + y) % group.size for x, y in zip(h, k))
+    return tuple(x + y for x, y in zip(h, k))
+
+
+def brute_convolve(a, b):
+    """The pair loop, h-major in atom order: {g: weight} in first-formed order."""
+    out = {}
+    for h, wa in a.atoms.items():
+        for k, wb in b.atoms.items():
+            g = brute_sum(a.group, h, k)
+            out[g] = out.get(g, 0.0) + wa * wb
+    return out
+
+
+def brute_product_set(group, xs, ys):
+    return sorted({brute_sum(group, x, y) for x in xs for y in ys})
+
+
+@st.composite
+def pair_case(draw):
+    """A group of an abelian kind and two atom lists on it."""
+    group = draw(st.sampled_from(PAIR_GROUPS))
+    lo, hi = (0, group.size - 1) if group.kind == "torus-grid" else (-6, 6)
+    cell = st.tuples(*[st.integers(lo, hi)] * group.dimension)
+    weight = st.floats(1e-3, 10.0)
+    atoms = st.lists(st.tuples(cell, weight), min_size=1, max_size=12)
+    return group, draw(atoms), draw(atoms)
+
+
+class TestAbelianPairSums:
+    @settings(max_examples=150, deadline=None)
+    @given(pair_case())
+    def test_convolve_matches_pair_loop(self, case):
+        group, xs, ys = case
+        a = GroupMeasure.from_atoms(group, xs)
+        b = GroupMeasure.from_atoms(group, ys)
+        got = convolve(a, b)
+        want = brute_convolve(a, b)
+        assert list(got.atoms) == list(want)
+        for g, w in want.items():
+            assert got.atoms[g] == pytest.approx(w, rel=1e-15, abs=0)
+        assert all(type(c) is int for g in got.atoms for c in g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair_case())
+    def test_product_set_matches_pair_loop(self, case):
+        group, xs, ys = case
+        xs, ys = [g for g, _ in xs], [g for g, _ in ys]
+        got = product_set(group, xs, ys)
+        assert got == brute_product_set(group, xs, ys)
+        assert got == sorted(got, key=group.sort_key)
+        assert all(type(c) is int for g in got for c in g)
+
+    def test_torus_wraps_around(self):
+        t2 = GroupDescriptor(kind="torus-grid", dimension=2, size=4)
+        a = GroupMeasure.from_atoms(t2, [((3, 0), 0.5), ((2, 3), 0.5)])
+        b = GroupMeasure.from_atoms(t2, [((1, 1), 0.25), ((3, 2), 0.75)])
+        got = convolve(a, b)
+        assert list(got.atoms.items()) == [
+            ((0, 1), 0.125), ((2, 2), 0.375), ((3, 0), 0.125), ((1, 1), 0.375)]
+        assert product_set(t2, list(a.atoms), list(b.atoms)) == [
+            (0, 1), (1, 1), (2, 2), (3, 0)]
+
+    def test_empty_factor(self):
+        assert product_set(Z2, [], [(1, 2)]) == []
+        assert product_set(Z2, [(1, 2)], []) == []
+
+    @pytest.mark.parametrize("group", [*PAIR_GROUPS, F2],
+                             ids=lambda g: f"{g.kind}-{g.dimension}")
+    def test_cap_on_both_paths(self, group):
+        rng = np.random.default_rng(5)
+        a, b = (random_measure(group, rng, n_atoms=6) for _ in range(2))
+        if group.kind == "torus-grid":  # cells as residues in [0, N)
+            a, b = (GroupMeasure.from_atoms(group, (
+                (tuple(c % group.size for c in g), w) for g, w in m.atoms.items()))
+                for m in (a, b))
+        size = len(convolve(a, b))
+        assert size > 1
+        assert len(convolve(a, b, cap=size)) == size
+        with pytest.raises(ResourceLimitError, match="cap of"):
+            convolve(a, b, cap=size - 1)
+        xs, ys = list(a.atoms), list(b.atoms)
+        assert len(product_set(group, xs, ys, cap=size)) == size
+        with pytest.raises(ResourceLimitError, match="cap of"):
+            product_set(group, xs, ys, cap=size - 1)
 
 
 class TestInvolute:

@@ -18,6 +18,7 @@ from gaplab import (
     free_group_radial_return,
     involute,
     mass_on_set,
+    symmetrize,
 )
 
 Z = GroupDescriptor(kind="lattice", dimension=1)
@@ -102,6 +103,61 @@ class TestBergChristensen:
         mu = GroupMeasure.from_atoms(F2, [((1,), 0.6), ((-1,), 0.2), ((2,), 0.2)])
         with pytest.raises(ResourceLimitError, match="radial"):
             berg_christensen_estimate(mu, F=[()], n_max=30, cap=500)
+        hint = r"the cap bounds the support of eta\^\{\*15\}"
+        with pytest.raises(ResourceLimitError, match=hint):
+            berg_christensen_estimate(mu, F=[()], n_max=30, cap=500)
+
+
+F2_NONUNIFORM = [((1,), 0.3), ((-1,), 0.2), ((2,), 0.3), ((-2,), 0.2)]
+GRID8 = GroupDescriptor(kind="real-grid", dimension=1, resolution=8)
+
+
+def full_depth_sequence(mu, F, n_max):
+    """(eta^{*n}(F))^{1/(2n)} from the n-fold convolution power itself."""
+    eta = symmetrize(mu)
+    return [mass_on_set(convolution_power(eta, n), F) ** (1.0 / (2 * n))
+            for n in range(1, n_max + 1)]
+
+
+class TestHalfDepth:
+    """Each term comes from eta^{*ceil(n/2)} and eta^{*floor(n/2)} only."""
+
+    @pytest.mark.parametrize("mu,F,n_max", [
+        (GroupMeasure.from_atoms(F2, F2_NONUNIFORM), [()], 5),
+        (GroupMeasure.simple_random_walk(Z2), [(0, 0)], 12),
+        (GroupMeasure.uniform_interval(GRID8, -1, 1), GRID8.ball(1.0), 12),
+    ], ids=["free-nonuniform", "z2-walk", "interval-q8"])
+    def test_matches_full_depth(self, mu, F, n_max):
+        est = berg_christensen_estimate(mu, F=F, n_max=n_max)
+        assert [n for n, _ in est.sequence] == list(range(1, n_max + 1))
+        want = full_depth_sequence(mu, F, n_max)
+        for (_, got), ref in zip(est.sequence, want):
+            assert got == pytest.approx(ref, rel=1e-12, abs=0)
+
+    def test_cap_bounds_half_depth_power(self):
+        from gaplab import ResourceLimitError
+
+        mu = GroupMeasure.from_atoms(F2, F2_NONUNIFORM)
+        eta = symmetrize(mu)
+        size3 = len(convolution_power(eta, 3))
+        size5 = len(convolution_power(eta, 5))
+        assert size3 < size5
+        est = berg_christensen_estimate(mu, F=[()], n_max=5, cap=size3)
+        assert est.sequence == berg_christensen_estimate(mu, F=[()], n_max=5).sequence
+        with pytest.raises(ResourceLimitError):
+            convolution_power(eta, 5, cap=size3)
+        with pytest.raises(ResourceLimitError, match=r"eta\^\{\*4\}"):
+            berg_christensen_estimate(mu, F=[()], n_max=7, cap=size3)
+
+    def test_cap_is_met_exactly_on_z(self):
+        from gaplab import ResourceLimitError
+
+        # supp eta^{*m} = {-2m, ..., 2m} by steps of 2: 2m + 1 atoms
+        mu = GroupMeasure.simple_random_walk(Z)
+        est = berg_christensen_estimate(mu, F=[(0,)], n_max=40, cap=41)
+        assert len(est.sequence) == 40
+        with pytest.raises(ResourceLimitError):
+            berg_christensen_estimate(mu, F=[(0,)], n_max=40, cap=40)
 
 
 class TestRadialOracle:
