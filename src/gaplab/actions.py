@@ -256,14 +256,12 @@ class TorusTranslationSpace(ActionSpace):
         if radius < 0:
             raise PreconditionError("radius must be >= 0")
         ci, cj = divmod(int(center), self.n)
-        offs = range(-radius, radius + 1)
-        cells = [
-            ((ci + di) % self.n) * self.n + (cj + dj) % self.n
-            for di in offs
-            for dj in offs
-            if di * di + dj * dj <= radius * radius
-        ]
-        return np.array(sorted(set(cells)), dtype=np.int64)
+        offs = np.arange(-radius, radius + 1, dtype=np.int64)
+        di, dj = offs[:, None], offs[None, :]
+        inside = di * di + dj * dj <= radius * radius
+        cells = np.sort((((ci + di) % self.n) * self.n + (cj + dj) % self.n)[inside])
+        # a ball wider than the torus meets itself
+        return cells[np.r_[True, cells[1:] != cells[:-1]]]
 
     def translation_vector(self, g: Element) -> tuple[int, ...]:
         c = self.steps_of(g)

@@ -115,22 +115,62 @@ def _integer_counts(spectrum: np.ndarray, length: int) -> np.ndarray:
     return counts
 
 
-def _act_union(space: ActionSpace, elements, idx: np.ndarray) -> np.ndarray:
-    """Indices of the union of g * cells over g in elements.
+def _arc_segments(space: ActionSpace, elements,
+                  idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The union of g * cells over g in elements, as disjoint half-open
+    slot segments [lo, hi) of the cycle table, sorted by lo.
 
-    On each cycle the union is where the circular convolution of the
-    indicator with the indicator of the steps mod L is positive.
+    On a cycle of length L a run of consecutive steps [a, b] carries the
+    cell at offset o onto the arc [o + a, o + b + 1) mod L, at most L
+    wide; an arc that wraps splits in two.  One sort of the arcs by start
+    and a running maximum of their ends merge them (the 1-d case of
+    Klee's measure problem), in integers only.  Arcs that merely touch
+    stay apart, so no segment leaves its cycle.
     """
-    steps = np.array([space.steps_of(g) for g in elements], dtype=np.int64)
-    inside = np.zeros(space.n_cells)
-    inside[idx] = 1.0
-    union = np.zeros(space.n_cells, dtype=bool)
-    for length, cells in space.cycles.rows():
-        kernel = np.bincount(steps % length, minlength=length) > 0
-        counts = _integer_counts(
-            np.fft.rfft(inside[cells]) * np.fft.rfft(kernel), length)
-        union[cells[counts > 0]] = True
-    return np.flatnonzero(union)
+    steps = np.unique(np.array([space.steps_of(g) for g in elements],
+                               dtype=np.int64))
+    idx = np.asarray(idx, dtype=np.int64)
+    if steps.size == 0 or idx.size == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty
+    breaks = np.flatnonzero(np.diff(steps) > 1)
+    run_lo = steps[np.r_[0, breaks + 1]]
+    run_width = steps[np.r_[breaks, steps.size - 1]] + 1 - run_lo
+    slot = space.cycles.slot[idx]
+    first, length = space.cycles.locate(slot)
+    first, length = first[:, None], length[:, None]
+    start = (slot[:, None] - first + run_lo) % length
+    end = start + np.minimum(run_width, length)
+    wraps = end > length
+    lo = np.concatenate([(first + start).ravel(),
+                         np.broadcast_to(first, wraps.shape)[wraps]])
+    hi = np.concatenate([(first + np.minimum(end, length)).ravel(),
+                         (first + end - length)[wraps]])
+    # one sort of the arcs packed as (start, width); a width is at most L
+    shift = space.n_cells.bit_length()
+    arcs = np.sort((lo << shift) | (hi - lo))
+    lo = arcs >> shift
+    reach = np.maximum.accumulate(lo + (arcs & ((1 << shift) - 1)))
+    heads = np.flatnonzero(np.r_[True, lo[1:] >= reach[:-1]])
+    return lo[heads], reach[np.r_[heads[1:] - 1, lo.size - 1]]
+
+
+def _act_union(space: ActionSpace, elements, idx: np.ndarray) -> np.ndarray:
+    """Sorted indices of the union of g * cells over g in elements."""
+    lo, hi = _arc_segments(space, elements, idx)
+    sizes = hi - lo
+    slots = np.repeat(lo - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+    covered = np.zeros(space.n_cells, dtype=bool)
+    covered[space.cycles.order[slots]] = True
+    return np.flatnonzero(covered)
+
+
+def _union_mass(space: ActionSpace, elements, idx: np.ndarray) -> float:
+    """Mass of the union of g * cells over g in elements; the weights are
+    constant on cycles, so each segment weighs its first cell times its
+    size."""
+    lo, hi = _arc_segments(space, elements, idx)
+    return float((space.weights[space.cycles.order[lo]] * (hi - lo)).sum())
 
 
 def _pair_correlations(space: ActionSpace, elements, a: np.ndarray,
@@ -349,8 +389,7 @@ def orbit_neighborhood_sequence(
                 f"free-orbit surrogate fails at the base cell: atom {g} of "
                 f"S^{2 * n_max} fixes it; refine the grid or shorten the horizon"
             )
-    orbit_idx = _act_union(space, powers[2 * n_max], np.array([x0]))
-    orbit_mass = space.mass_of(orbit_idx)
+    orbit_mass = _union_mass(space, powers[2 * n_max], np.array([x0]))
     if orbit_mass >= 0.5:
         raise GridResolutionError(
             f"the S^{2 * n_max}-orbit of the base cell has mass "
@@ -358,12 +397,14 @@ def orbit_neighborhood_sequence(
         )
 
     sets = []
+    # S^{2n} only grows with n, so the admissible radius cannot grow
+    radius = math.inf
     for n in range(1, n_max + 1):
         exempt = set(S)
         separators = [g for g in powers[2 * n - 2] if g not in exempt]
         r_cap = _separation_radius(space, separators, x0)
         radius = _largest_mass_admissible_radius(
-            space, powers[2 * n], x0, r_cap
+            space, powers[2 * n], x0, min(r_cap, radius)
         )
         if radius is None:
             raise GridResolutionError(
@@ -408,8 +449,7 @@ def _largest_mass_admissible_radius(
     space: ActionSpace, thickening, x0: int, r_cap: int
 ) -> int | None:
     def mass_at(radius: int) -> float:
-        v = space.cell_ball(x0, radius)
-        return space.mass_of(_act_union(space, thickening, v))
+        return _union_mass(space, thickening, space.cell_ball(x0, radius))
 
     if mass_at(0) >= 0.5:
         return None

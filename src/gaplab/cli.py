@@ -507,22 +507,40 @@ def run_sweep(cfg: dict, jobs: int = 1) -> tuple[RunResult, list[RunResult]]:
             raise ConfigError(f"grid.{key}", "grid values must be lists")
         combos = [dict(c, **{key: v}) for c in combos for v in values]
 
-    def child(combo: dict) -> RunResult:
+    def child(combo: dict) -> tuple[RunResult, str | None]:
+        """The child's result, and its error text if it raised."""
         instance = copy.deepcopy(template)
         for dotted, value in combo.items():
             _set_path(instance, dotted, value)
-        return RUNNERS[instance["experiment"]](instance)
+        try:
+            return RUNNERS[instance["experiment"]](instance), None
+        except ConfigError:
+            raise
+        except Exception as err:  # one failing child must not abort the sweep
+            # one line without commas, to fit a report cell
+            error = " ".join(f"{type(err).__name__}: {err}".split()).replace(",", ";")
+            res = RunResult(instance["experiment"])
+            res.put("error", error)
+            res.check("child ran without error", False)
+            return res, error
 
     if jobs > 1 and len(combos) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            children = list(pool.map(child, combos))
+            outcomes = list(pool.map(child, combos))
     else:
-        children = [child(c) for c in combos]
+        outcomes = [child(c) for c in combos]
+    children = [res for res, _ in outcomes]
+    errors = [error for _, error in outcomes]
+    failed = [i for i, error in enumerate(errors) if error is not None]
 
     agg = RunResult("sweep")
     agg.put("children", len(children))
     if children:
-        value_keys = [k for k, _ in children[0].record if k != "experiment"]
+        good = [c for c, e in zip(children, errors) if e is None]
+        value_keys = [k for k, _ in (good[0].record if good else [])
+                      if k != "experiment"]
+        if failed:
+            value_keys.append("error")
         agg.sequence_columns = ["child", *keys, *value_keys, "passed"]
         for i, (combo, child_res) in enumerate(zip(combos, children)):
             rec = dict(child_res.record)
@@ -531,6 +549,8 @@ def run_sweep(cfg: dict, jobs: int = 1) -> tuple[RunResult, list[RunResult]]:
                  *(rec.get(k, "") for k in value_keys),
                  _fmt(child_res.passed)]
             )
+    for i in failed:
+        agg.note(f"child {i} failed: {errors[i]}")
     agg.check("all sweep children passed",
               all(c.passed for c in children) if children else True)
     return agg, children

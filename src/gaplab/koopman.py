@@ -24,6 +24,9 @@ from .errors import DescriptorMismatchError, PreconditionError, UnsupportedKindE
 from .measures import GroupMeasure
 from .regular_norm import NormEstimate, amenable_norm, berg_christensen_estimate
 
+#: complex entries per block of the line scan's transform matrix
+SCAN_BLOCK = 1 << 20
+
 
 class KoopmanAveragingOperator:
     """The operator phi -> integral of phi(g^{-1} x) d mu(g) on the cell
@@ -169,27 +172,26 @@ def character_line_scan(
     spacings = np.diff(np.unique(times))
     nyquist = 0.5 / spacings.min() if spacings.size else math.inf
 
-    def transform(theta: float) -> float:
-        return float(np.abs(np.dot(weights, np.exp(-2j * np.pi * times * theta))))
-
-    best, best_m = 0.0, (0, 0)
-    for m2 in range(0, freq_cutoff + 1):
-        if m2 == 0:
-            candidates = list(range(1, min(freq_cutoff, 8) + 1))
-        else:
-            center = -round(slope * m2)
-            candidates = [c for c in (center - 1, center, center + 1)
-                          if abs(c) <= freq_cutoff]
-        for m1 in candidates:
-            if m1 == 0 and m2 == 0:
-                continue
-            theta = m1 + slope * m2
-            if abs(theta) > nyquist:
-                continue
-            val = transform(theta)
-            if val > best:
-                best, best_m = val, (m1, m2)
-    return best, best_m
+    # the candidates in scan order: m1 = 1..8 on m2 = 0, then the three
+    # m1 nearest -slope * m2 for each m2 >= 1
+    m2 = np.arange(1, freq_cutoff + 1)
+    centers = -np.round(slope * m2).astype(np.int64)
+    m1 = np.concatenate([np.arange(1, min(freq_cutoff, 8) + 1),
+                         (centers[:, None] + np.arange(-1, 2)).ravel()])
+    m2 = np.concatenate([np.zeros(min(freq_cutoff, 8), dtype=np.int64),
+                         np.repeat(m2, 3)])
+    theta = m1 + slope * m2
+    keep = (np.abs(m1) <= freq_cutoff) & (np.abs(theta) <= nyquist)
+    m1, m2, theta = m1[keep], m2[keep], theta[keep]
+    values = np.zeros(theta.size)
+    rows = max(1, SCAN_BLOCK // max(times.size, 1))
+    for i in range(0, theta.size, rows):
+        phases = np.exp(-2j * np.pi * times * theta[i:i + rows, None])
+        values[i:i + rows] = np.abs((phases * weights).sum(axis=1))
+    best = int(np.argmax(values)) if values.size else 0
+    if not values.size or values[best] <= 0:
+        return 0.0, (0, 0)
+    return float(values[best]), (int(m1[best]), int(m2[best]))
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,11 @@ against sigma iterated step by step."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaplab import GroupDescriptor, build_action
-from gaplab.certificates import _act_union, _pair_correlations
+from gaplab.certificates import _act_union, _pair_correlations, _union_mass
 
 Z = GroupDescriptor(kind="lattice", dimension=1)
 
@@ -139,7 +141,8 @@ def test_large_cycle_type():
 
 def gathered_union(space, elements, idx):
     sigma = space.generator().tolist()
-    cells = {power(sigma, g[0])[i] for g in elements for i in idx}
+    powers = {c: power(sigma, c) for c in {g[0] for g in elements}}
+    cells = {powers[g[0]][i] for g in elements for i in idx}
     return sorted(cells)
 
 
@@ -181,3 +184,60 @@ def test_dilation_and_correlation_match_gathers(space):
         assert list(got) == elements
         for g in elements:
             assert got[g] == pytest.approx(want[g], abs=1e-15)
+
+
+# one space of each kind with cycles of several lengths (the circle's
+# single cycle of 15 is the longest), and the uneven permutation with its
+# unequal cycle weights
+ARC_SPACES = [
+    ("circle-rotation", dict(N=15, cells_per_step=4)),
+    ("circle-rotation", dict(N=24, cells_per_step=9)),
+    ("torus-translation", dict(N=6, step=(1, 2))),
+    ("bernoulli-window", dict(alphabet=3, window_radius=1)),
+    ("finite-permutation", dict(permutation=[3, 0, 4, 1, 2, 6, 5, 7])),
+]
+
+# step sets with gaps, negative and duplicate steps, and runs of
+# consecutive steps both shorter and longer than every cycle
+step_lists = st.tuples(
+    st.lists(st.tuples(st.integers(-30, 30), st.integers(1, 20)), max_size=3),
+    st.lists(st.integers(-40, 40), max_size=6),
+).map(lambda parts: [s for lo, width in parts[0] for s in range(lo, lo + width)]
+      + parts[1])
+
+
+@pytest.mark.parametrize("space", [
+    *(build_action(kind, group=Z, **kw) for kind, kw in ARC_SPACES),
+    uneven_space(),
+], ids=[kind for kind, _ in ARC_SPACES] + ["uneven-permutation"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(steps=step_lists, picks=st.lists(st.integers(0, 10**6), max_size=8))
+def test_arc_union_matches_gathers(space, steps, picks):
+    elements = [(c,) for c in steps]
+    idx = np.array([i % space.n_cells for i in picks], dtype=np.int64)
+    want = gathered_union(space, elements, idx)
+    got = _act_union(space, elements, idx)
+    assert got.dtype == np.int64
+    assert got.tolist() == want
+    assert _union_mass(space, elements, idx) == pytest.approx(
+        space.mass_of(np.array(want, dtype=np.int64)), abs=1e-15)
+
+
+@pytest.mark.parametrize("steps,want", [
+    ([], []),
+    ([0], [5]),
+    ([2, 3], [7, 8]),  # one arc inside the cycle
+    ([8, 9, 10], [13, 14, 0]),  # an arc that wraps
+    ([-6, -5, 1, 2], [14, 0, 6, 7]),  # two runs, one wrapping backwards
+    (list(range(-3, 12)), list(range(15))),  # a run exactly one cycle wide
+    (list(range(-40, 0)), list(range(15))),  # a run wider than the cycle
+])
+def test_arcs_on_one_cycle(steps, want):
+    # the rotation by one cell on 15 cells: slot = cell, one cycle
+    space = build_action("circle-rotation", group=Z, N=15, cells_per_step=1)
+    idx = np.array([5])
+    elements = [(c,) for c in steps]
+    assert _act_union(space, elements, idx).tolist() == sorted(want)
+    assert _union_mass(space, elements, idx) == pytest.approx(len(want) / 15)
+    assert _act_union(space, elements, idx[:0]).size == 0
+    assert _union_mass(space, elements, idx[:0]) == 0.0

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gaplab import certificates
 from gaplab import (
     GridResolutionError,
     GroupDescriptor,
@@ -18,6 +19,7 @@ from gaplab import (
     convolution_power,
     discrepancy,
     orbit_neighborhood_sequence,
+    power_set,
     rayleigh_chain,
     run_certificate,
     symmetrize,
@@ -209,7 +211,79 @@ class TestRayleighOracle:
             assert res.rayleigh == pytest.approx(want, abs=1e-12)
 
 
+def torus_distance(a, b, n):
+    d = abs(a - b) % n
+    return min(d, n - d)
+
+
+class TestCellBall:
+    @pytest.mark.parametrize("n", [7, 10])
+    def test_torus_ball_is_brute_force_disk(self, n):
+        space = build_action("torus-translation", group=Z, N=n, step=(1, 2))
+        # a center cell, a corner (every ball wraps) and the last cell;
+        # radii past n/2 meet the ball with itself around the torus
+        for center in (n * (n // 2) + n // 2, 0, n * n - 1):
+            ci, cj = divmod(center, n)
+            for radius in range(0, n + 2):
+                want = [
+                    cell for cell in range(n * n)
+                    if torus_distance(cell // n, ci, n) ** 2
+                    + torus_distance(cell % n, cj, n) ** 2 <= radius ** 2
+                ]
+                got = space.cell_ball(center, radius)
+                assert got.dtype == np.int64
+                assert got.tolist() == want, (center, radius)
+
+    def test_circle_ball_is_brute_force_arc(self):
+        n = 11
+        space = build_action("circle-rotation", group=Z, N=n, cells_per_step=3)
+        for center in (0, 5, 10):
+            for radius in range(0, n):
+                want = [c for c in range(n) if torus_distance(c, center, n) <= radius]
+                assert space.cell_ball(center, radius).tolist() == want
+
+
 class TestOrbitNeighborhoodSequence:
+    @pytest.mark.parametrize("kind,kw,q,n_max", [
+        ("torus-translation", dict(N=64, step=(29, 41)), 2, 4),
+        ("torus-translation", dict(N=90, step=(12, 17)), 2, 5),
+        ("circle-rotation", dict(N=101, cells_per_step=2), 1, 6),
+    ])
+    def test_bounded_radius_search_matches_scan(self, monkeypatch, kind, kw,
+                                                q, n_max):
+        # the search at n runs in [0, min(r_cap, r_{n-1})]; a scan of every
+        # radius up to r_cap alone must pick the same one
+        space = build_action(kind, group=time_grid(q), **kw)
+        eta = symmetrize(GroupMeasure.uniform_interval(time_grid(q), -1.0, 1.0))
+        S = sorted(eta.atoms)
+        x0 = 3
+        picked = []
+        search = certificates._largest_mass_admissible_radius
+
+        def spy(*args):
+            picked.append(search(*args))
+            return picked[-1]
+
+        monkeypatch.setattr(certificates, "_largest_mass_admissible_radius", spy)
+        seq = orbit_neighborhood_sequence(space, x0, S, n_max)
+        bound_active = False
+        for n in range(1, n_max + 1):
+            separators = [g for g in power_set(space.group, S, 2 * n - 2)
+                          if g not in S]
+            r_cap = certificates._separation_radius(space, separators, x0)
+            thickening = power_set(space.group, S, 2 * n)
+            masses = [space.mass_of(certificates._act_union(
+                space, thickening, space.cell_ball(x0, r)))
+                for r in range(r_cap + 1)]
+            assert masses == sorted(masses)
+            radius = max(r for r, m in enumerate(masses) if m < 0.5)
+            assert picked[n - 1] == radius, n
+            bound_active |= n > 1 and picked[n - 2] < r_cap
+            want = certificates._act_union(space, power_set(space.group, S, n),
+                                           space.cell_ball(x0, radius))
+            assert seq.B(n).tolist() == want.tolist()
+        assert bound_active
+
     def test_free_transitive_cycle(self):
         space = cycle_space(64)
         S = [(0,), (1,), (-1,)]

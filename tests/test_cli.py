@@ -288,6 +288,38 @@ class TestSweep:
         assert values == sorted(values)
         assert values[-1] < 1.0
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failing_child_gets_a_failed_row(self, tmp_path, capsys, jobs):
+        # N = 8 is too coarse for the horizon: that child raises a grid
+        # resolution error at run time, and the others still run
+        cfg = {
+            "experiment": "sweep",
+            "template": {
+                "experiment": "certificate",
+                "group": {"kind": "real-grid", "dimension": 1, "resolution": 2},
+                "measure": {"kind": "uniform-interval", "lo": -1, "hi": 1},
+                "action": {"kind": "torus-translation", "N": 128, "step": [29, 41]},
+                "params": {"n_max": 6, "cross_check_discrepancy": False},
+            },
+            "grid": {"action.N": [128, 8, 160]},
+        }
+        code, out_dir = run_cli(tmp_path, cfg, "--jobs", jobs)
+        assert code == 1
+        assert "child 1 failed: GridResolutionError" in capsys.readouterr().out
+        rows = (out_dir / "sweep_sequence.csv").read_text().splitlines()
+        header = rows[0].split(",")
+        cells = [dict(zip(header, r.split(","))) for r in rows[1:]]
+        assert [c["action.N"] for c in cells] == ["128", "8", "160"]
+        assert [c["passed"] for c in cells] == ["true", "false", "true"]
+        assert [c["cond1_all"] for c in cells] == ["true", "", "true"]
+        assert cells[0]["error"] == cells[2]["error"] == ""
+        assert cells[1]["error"].startswith("GridResolutionError: ")
+        record = (out_dir / "sweep_record.csv").read_text()
+        assert "assert:all sweep children passed,false" in record
+        child = (out_dir / "sweep_child001_record.csv").read_text()
+        assert "error,GridResolutionError: " in child
+        assert (out_dir / "sweep_child002_record.csv").exists()
+
     def test_empty_grid_is_single_child(self, tmp_path):
         cfg = {
             "experiment": "sweep",

@@ -1,5 +1,6 @@
 """Action spaces, averaging operators, discrepancies, character oracles."""
 
+import cmath
 import math
 
 import numpy as np
@@ -303,6 +304,47 @@ class TestCharacterNorm:
         char = character_norm(space, mu, 16)
         disc = discrepancy(space, mu).value
         assert disc == pytest.approx(char, abs=1e-6)
+
+    @staticmethod
+    def looped_line_scan(mu, slope, freq_cutoff):
+        """The scan one candidate at a time, in scan order; the first
+        strict maximum wins."""
+        times = [mu.group.value(g)[0] for g in mu.atoms]
+        weights = [mu.atoms[g] for g in mu.atoms]
+        gaps = np.diff(np.unique(times))
+        nyquist = 0.5 / gaps.min() if gaps.size else math.inf
+        best, best_m = 0.0, (0, 0)
+        for m2 in range(freq_cutoff + 1):
+            if m2 == 0:
+                candidates = range(1, min(freq_cutoff, 8) + 1)
+            else:
+                center = -round(slope * m2)
+                candidates = [c for c in (center - 1, center, center + 1)
+                              if abs(c) <= freq_cutoff]
+            for m1 in candidates:
+                theta = m1 + slope * m2
+                if abs(theta) > nyquist:
+                    continue
+                val = abs(sum(w * cmath.exp(-2j * math.pi * t * theta)
+                              for t, w in zip(times, weights)))
+                if val > best:
+                    best, best_m = val, (m1, m2)
+        return best, best_m
+
+    @pytest.mark.parametrize("q,lo,hi", [(1, -1.0, 1.0), (8, -1.0, 1.0),
+                                         (4, 0.0, 3.0)])
+    @pytest.mark.parametrize("slope", [SQRT2, (1 + 5 ** 0.5) / 2, math.pi])
+    @pytest.mark.parametrize("cutoff", [1, 8, 2000])
+    def test_line_scan_matches_loop(self, q, lo, hi, slope, cutoff):
+        mu = GroupMeasure.uniform_interval(time_grid(q), lo, hi)
+        value, witness = character_line_scan(mu, slope, cutoff)
+        want, want_witness = self.looped_line_scan(mu, slope, cutoff)
+        assert witness == want_witness
+        assert value == pytest.approx(want, abs=1e-14)
+
+    def test_line_scan_of_point_mass_is_one(self):
+        mu = GroupMeasure.point_mass(Z, (0,))
+        assert character_line_scan(mu, SQRT2, 50) == (1.0, (1, 0))
 
     def test_line_scan_near_resonance(self):
         q = 8
