@@ -10,10 +10,7 @@ separated nets) into executable certificates on discretized examples.
 
 from .actions import (
     ActionSpace,
-    BernoulliWindowSpace,
-    CircleRotationSpace,
-    FinitePermutationSpace,
-    TorusTranslationSpace,
+    GridTranslationSpace,
     build_action,
     continued_fraction_convergent,
 )

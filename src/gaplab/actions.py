@@ -2,10 +2,9 @@
 
 Every supported action is a one-parameter flow/shift: the acting group is
 a 1-d lattice or a 1-d real grid, and the atom with grid coordinate c
-acts by the c-th power of a fixed cell permutation sigma.  Each kind
-supplies only sigma, as an index array; the cycles of sigma are the
-coordinates in which the base class applies every power of it.  Four
-kinds:
+acts by the c-th power of a fixed cell permutation sigma.  An
+``ActionSpace`` is built from sigma alone, as an index array, and applies
+every power of it in the coordinates of its cycles.  Four kinds:
 
 * ``circle-rotation``    -- N cells on R/Z, generator rotates by p cells,
 * ``torus-translation``  -- N x N cells on (R/Z)^2, generator translates
@@ -20,12 +19,15 @@ kinds:
                             measure-exact under the product marginal),
 * ``finite-permutation`` -- an explicit permutation and its powers.
 
+The first two are one ``GridTranslationSpace`` on (Z/N)^d, d = 1 or 2,
+which also holds the translation geometry: cell balls, translation
+vectors and displacements.  The other two supply sigma only.
+
 All action maps are bijections, so the cell weights are preserved exactly.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
@@ -101,35 +103,27 @@ class CycleTable:
 
 
 class ActionSpace:
-    """Base class: finite cell list, probability weights, group action."""
+    """Finite cell list, probability weights, and the action c -> sigma^c
+    of one cell permutation sigma, applied through its cycles."""
 
-    kind: str = "abstract"
-    #: True when every atom acts by a global grid translation
-    is_translation: bool = False
-
-    def __init__(self, group: GroupDescriptor, n_cells: int,
-                 weights: np.ndarray | None = None, atom_threshold: float = 0.05):
+    def __init__(self, group: GroupDescriptor, kind: str, sigma: np.ndarray,
+                 weights: np.ndarray | None = None):
         self.group = group
-        self.n_cells = int(n_cells)
+        self.kind = kind
+        self.n_cells = int(sigma.size)
         if weights is None:
             weights = np.full(self.n_cells, 1.0 / self.n_cells)
         self.weights = np.asarray(weights, dtype=float)
+        if self.weights.shape != (self.n_cells,):
+            raise ConstructionError("cell weights must give one weight per cell")
         if abs(self.weights.sum() - 1.0) > 1e-12:
             raise ConstructionError("cell weights must sum to 1 within 1e-12")
         if (self.weights <= 0).any():
             raise ConstructionError("cell weights must be strictly positive")
-        self.atom_threshold = atom_threshold
         self.base_cell = 0
+        self.cycles = CycleTable(sigma)
 
     # -- the group action --------------------------------------------------
-
-    def generator(self) -> np.ndarray:
-        """sigma as an index array: cell i goes to cell sigma[i]."""
-        raise NotImplementedError
-
-    @functools.cached_property
-    def cycles(self) -> CycleTable:
-        return CycleTable(self.generator())
 
     def steps_of(self, g: Element) -> int:
         """Grid coordinate of a 1-parameter group element."""
@@ -180,173 +174,66 @@ class ActionSpace:
         return float(self.weights[idx].sum())
 
 
-class CircleRotationSpace(ActionSpace):
-    """N cells on the circle; the atom with coordinate c rotates by c*p cells."""
+class GridTranslationSpace(ActionSpace):
+    """The grid (Z/N)^d, d = len(step), of N^d equal cells on the d-torus,
+    indexed row-major; the atom with coordinate c translates by c * step.
 
-    kind = "circle-rotation"
-    is_translation = True
-
-    def __init__(self, group: GroupDescriptor, n: int, cells_per_step: int = 1,
-                 **kw):
-        if n < 2:
-            raise ConstructionError("circle grid needs N >= 2")
-        if cells_per_step != int(cells_per_step):
-            raise ConstructionError(
-                f"rotation step {cells_per_step!r} is not an integer cell count"
-            )
-        super().__init__(group, n, **kw)
-        self.n = n
-        self.cells_per_step = int(cells_per_step)
-
-    def generator(self):
-        return (np.arange(self.n, dtype=np.int64) + self.cells_per_step) % self.n
-
-    def cell_ball(self, center, radius):
-        if radius < 0:
-            raise PreconditionError("radius must be >= 0")
-        if 2 * radius + 1 >= self.n:
-            return np.arange(self.n, dtype=np.int64)
-        return np.sort((center + np.arange(-radius, radius + 1)) % self.n).astype(np.int64)
-
-    def translation_vector(self, g: Element) -> tuple[int, ...]:
-        return ((self.steps_of(g) * self.cells_per_step) % self.n,)
-
-    @property
-    def grid_shape(self) -> tuple[int, ...]:
-        return (self.n,)
-
-    def min_displacement(self, steps: int) -> float:
-        shift = (steps * self.cells_per_step) % self.n
-        return float(min(shift, self.n - shift))
-
-
-class TorusTranslationSpace(ActionSpace):
-    """N x N cells on the 2-torus; the generator translates by ``step`` cells.
-
-    ``step`` is an integer lattice vector (q, p); p/q approximates the
+    d = 1 is the circle rotation by ``step[0]`` cells, d = 2 the torus
+    translation by the lattice vector (q, p), where p/q approximates the
     target slope (recorded as ``slope_target`` for continuum diagnostics).
-    Cells are indexed row-major: cell (i, j) -> i * N + j.
     """
 
-    kind = "torus-translation"
-    is_translation = True
-
-    def __init__(self, group: GroupDescriptor, n: int, step: tuple[int, int],
-                 slope_target: float | None = None, **kw):
-        if n < 2:
-            raise ConstructionError("torus grid needs N >= 2")
-        bad = [s for s in step if s != int(s)]
-        if bad or len(step) != 2:
-            raise ConstructionError(
-                f"translation step {step!r} must be a pair of integer cell counts"
-            )
-        super().__init__(group, n * n, **kw)
+    def __init__(self, group: GroupDescriptor, n: int, step,
+                 slope_target: float | None = None):
         self.n = n
-        self.step = (int(step[0]) % n, int(step[1]) % n)
-        if self.step == (0, 0):
+        self.step = tuple(int(s) % n for s in step)
+        if not any(self.step):
             raise ConstructionError("translation step is trivial on this grid")
+        self.grid_shape = (n,) * len(self.step)
         self.slope_target = slope_target
-
-    def generator(self):
-        rows = (np.arange(self.n, dtype=np.int64) + self.step[0]) % self.n
-        cols = (np.arange(self.n, dtype=np.int64) + self.step[1]) % self.n
-        return (rows[:, None] * self.n + cols).ravel()
+        sigma = np.zeros((), dtype=np.int64)
+        for s in self.step:
+            sigma = sigma[..., None] * n + (np.arange(n, dtype=np.int64) + s) % n
+        kind = "circle-rotation" if len(self.step) == 1 else "torus-translation"
+        super().__init__(group, kind, sigma.ravel())
 
     def cell_ball(self, center, radius):
         if radius < 0:
             raise PreconditionError("radius must be >= 0")
-        ci, cj = divmod(int(center), self.n)
         offs = np.arange(-radius, radius + 1, dtype=np.int64)
-        di, dj = offs[:, None], offs[None, :]
-        inside = di * di + dj * dj <= radius * radius
-        cells = np.sort((((ci + di) % self.n) * self.n + (cj + dj) % self.n)[inside])
-        # a ball wider than the torus meets itself
+        cells = dist = np.zeros((), dtype=np.int64)
+        for c in np.unravel_index(int(center), self.grid_shape):
+            cells = cells[..., None] * self.n + (c + offs) % self.n
+            dist = dist[..., None] + offs * offs
+        cells = np.sort(cells[dist <= radius * radius])
+        # a ball wider than the grid meets itself
         return cells[np.r_[True, cells[1:] != cells[:-1]]]
 
     def translation_vector(self, g: Element) -> tuple[int, ...]:
         c = self.steps_of(g)
-        return ((c * self.step[0]) % self.n, (c * self.step[1]) % self.n)
+        return tuple((c * s) % self.n for s in self.step)
 
-    @property
-    def grid_shape(self) -> tuple[int, ...]:
-        return (self.n, self.n)
-
-    def min_displacement(self, steps: int) -> float:
-        a = (steps * self.step[0]) % self.n
-        b = (steps * self.step[1]) % self.n
-        a = min(a, self.n - a)
-        b = min(b, self.n - b)
-        return math.hypot(a, b)
-
-
-class BernoulliWindowSpace(ActionSpace):
-    """Windows of width 2w+1 of a Bernoulli sequence over a finite alphabet.
-
-    Cells are the alphabet^(2w+1) words with the product marginal
-    (uniform) weights, indexed by their digits, most significant first.
-    The shift by one acts by a cyclic rotation of the window; under the
-    product measure the wrapped-around symbol has exactly the marginal
-    law of the refreshed boundary, so the rotation is a measure-exact
-    bijective model of the shift compression.
-    """
-
-    kind = "bernoulli-window"
-
-    def __init__(self, group: GroupDescriptor, alphabet: int, window_radius: int,
-                 **kw):
-        if alphabet < 2:
-            raise ConstructionError("alphabet size must be >= 2")
-        if window_radius < 1:
-            raise ConstructionError("window radius must be >= 1")
-        self.alphabet = alphabet
-        self.window = 2 * window_radius + 1
-        super().__init__(group, alphabet ** self.window, **kw)
-
-    def generator(self):
-        """The leading digit moves to the end: i -> (i mod a^(w-1)) a + i div a^(w-1)."""
-        idx = np.arange(self.n_cells, dtype=np.int64)
-        high = self.alphabet ** (self.window - 1)
-        return (idx % high) * self.alphabet + idx // high
-
-
-class FinitePermutationSpace(ActionSpace):
-    """An explicit permutation sigma; the atom with coordinate c acts by sigma^c."""
-
-    kind = "finite-permutation"
-
-    def __init__(self, group: GroupDescriptor, permutation, weights=None, **kw):
-        perm = np.asarray(permutation, dtype=np.int64)
-        if sorted(perm.tolist()) != list(range(len(perm))):
-            raise ConstructionError("permutation must be a bijection on 0..n-1")
-        super().__init__(group, len(perm), weights=weights, **kw)
-        pushed = np.zeros_like(self.weights)
-        np.add.at(pushed, perm, self.weights)
-        if not np.array_equal(pushed, self.weights):
-            raise ConstructionError(
-                "cell weights are not preserved by the permutation"
-            )
-        self._perm = perm
-
-    def generator(self):
-        return self._perm
+    def min_displacement(self, steps) -> np.ndarray:
+        """Least torus distance by which each step count moves every cell."""
+        shift = np.multiply.outer(np.asarray(steps, dtype=np.int64), self.step) % self.n
+        return np.sqrt(np.square(np.minimum(shift, self.n - shift)).sum(axis=-1))
 
 
 def build_action(kind: str, **params) -> ActionSpace:
     """Construct an action space from keyword parameters.
 
-    Common parameters: ``group`` (defaults to the integer lattice Z),
-    ``atom_threshold``.  Kind-specific:
+    Common parameter: ``group`` (defaults to the integer lattice Z).
+    Kind-specific:
 
     * circle-rotation:   N, cells_per_step (or rotation_hint + the grid)
     * torus-translation: N, step=(q, p) or slope_hint + max_denominator
     * bernoulli-window:  alphabet, window_radius
-    * finite-permutation: permutation
+    * finite-permutation: permutation, weights
     """
     params = dict(params)
     group = params.pop("group", None) or GroupDescriptor(kind="lattice", dimension=1)
     if group.dimension != 1 or group.kind == "free":
         raise ConstructionError("actions are driven by 1-d lattice or grid groups")
-    threshold = params.pop("atom_threshold", 0.05)
     if kind == "circle-rotation":
         n = int(params.pop("N"))
         if "cells_per_step" in params:
@@ -356,7 +243,11 @@ def build_action(kind: str, **params) -> ActionSpace:
         else:
             p = 1
         _reject_extra(kind, params)
-        return CircleRotationSpace(group, n, cells_per_step=p, atom_threshold=threshold)
+        if n < 2:
+            raise ConstructionError("circle grid needs N >= 2")
+        if p != int(p):
+            raise ConstructionError(f"rotation step {p!r} is not an integer cell count")
+        return GridTranslationSpace(group, n, (p,))
     if kind == "torus-translation":
         n = int(params.pop("N"))
         slope_target = params.pop("slope_hint", None)
@@ -370,24 +261,45 @@ def build_action(kind: str, **params) -> ActionSpace:
             )
             step = (q, p)
         _reject_extra(kind, params)
-        return TorusTranslationSpace(
-            group, n, step=step, slope_target=slope_target, atom_threshold=threshold
-        )
+        if n < 2:
+            raise ConstructionError("torus grid needs N >= 2")
+        if len(step) != 2 or any(s != int(s) for s in step):
+            raise ConstructionError(
+                f"translation step {step!r} must be a pair of integer cell counts"
+            )
+        return GridTranslationSpace(group, n, step, slope_target=slope_target)
     if kind == "bernoulli-window":
         alphabet = int(params.pop("alphabet", 2))
         radius = int(params.pop("window_radius"))
         _reject_extra(kind, params)
-        return BernoulliWindowSpace(
-            group, alphabet=alphabet, window_radius=radius, atom_threshold=threshold
-        )
+        if alphabet < 2:
+            raise ConstructionError("alphabet size must be >= 2")
+        if radius < 1:
+            raise ConstructionError("window radius must be >= 1")
+        return ActionSpace(group, kind, _window_rotation(alphabet, 2 * radius + 1))
     if kind == "finite-permutation":
         perm = params.pop("permutation")
         weights = params.pop("weights", None)
         _reject_extra(kind, params)
-        return FinitePermutationSpace(
-            group, perm, weights=weights, atom_threshold=threshold
-        )
+        perm = np.asarray(perm, dtype=np.int64)
+        if sorted(perm.tolist()) != list(range(len(perm))):
+            raise ConstructionError("permutation must be a bijection on 0..n-1")
+        space = ActionSpace(group, kind, perm, weights)
+        if not np.array_equal(space.weights[perm], space.weights):
+            raise ConstructionError(
+                "cell weights are not preserved by the permutation"
+            )
+        return space
     raise ConstructionError(f"unknown action kind {kind!r}")
+
+
+def _window_rotation(alphabet: int, width: int) -> np.ndarray:
+    """sigma of the Bernoulli window: the words of ``width`` letters with
+    their digits most significant first, the leading digit moved to the
+    end: i -> (i mod a^(w-1)) a + i div a^(w-1)."""
+    idx = np.arange(alphabet ** width, dtype=np.int64)
+    high = alphabet ** (width - 1)
+    return (idx % high) * alphabet + idx // high
 
 
 def _reject_extra(kind: str, params: dict) -> None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import ActionSpace
+from .actions import ActionSpace, GridTranslationSpace
 from .errors import (
     GridResolutionError,
     InternalConsistencyError,
@@ -402,7 +402,7 @@ def orbit_neighborhood_sequence(
     for n in range(1, n_max + 1):
         exempt = set(S)
         separators = [g for g in powers[2 * n - 2] if g not in exempt]
-        r_cap = _separation_radius(space, separators, x0)
+        r_cap = _separation_radius(space, separators)
         radius = _largest_mass_admissible_radius(
             space, powers[2 * n], x0, min(r_cap, radius)
         )
@@ -418,31 +418,21 @@ def orbit_neighborhood_sequence(
     )
 
 
-def _separation_radius(space: ActionSpace, separators, x0: int) -> int:
-    """Largest ball radius whose separator translates stay disjoint."""
+def _separation_radius(space: ActionSpace, separators) -> int:
+    """Largest ball radius whose separator translates stay disjoint: below
+    half the least separator displacement on a translation grid, single
+    cells elsewhere.
+
+    No separator displaces by zero: it would fix the base cell, and the
+    separators lie in S^{2 n_max}, which the caller has checked for atoms
+    that do.
+    """
+    if not isinstance(space, GridTranslationSpace):
+        return 0
     if not separators:
-        return _max_geometry_radius(space)
-    if hasattr(space, "min_displacement"):
-        dmin = min(space.min_displacement(int(g[0])) for g in separators)
-        if dmin <= 0:
-            raise GridResolutionError(
-                "a separator atom acts trivially; the grid is too coarse"
-            )
-        return max(int(math.ceil(dmin / 2.0)) - 1, 0)
-    # no geometry: single-cell neighborhoods, guarded by the fixed-cell check
-    period = space.period(x0)
-    for g in separators:
-        if space.steps_of(g) % period == 0:
-            raise GridResolutionError(
-                f"separator atom {g} fixes the base cell; grid too coarse"
-            )
-    return 0
-
-
-def _max_geometry_radius(space: ActionSpace) -> int:
-    if hasattr(space, "grid_shape"):
-        return int(min(space.grid_shape)) // 2
-    return 0
+        return min(space.grid_shape) // 2
+    dmin = space.min_displacement([g[0] for g in separators]).min()
+    return max(int(math.ceil(dmin / 2.0)) - 1, 0)
 
 
 def _largest_mass_admissible_radius(

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .actions import ActionSpace, build_action
+from .actions import ActionSpace, GridTranslationSpace, build_action
 from .certificates import run_certificate
 from .errors import GaplabError
 from .groups import GroupDescriptor, power_set
@@ -77,6 +77,14 @@ def _require(cfg: dict, field: str, path: str):
     return cfg[field]
 
 
+def _integer(cfg: dict, field: str, path: str, default=None) -> int:
+    """A field that must be a JSON integer (not a bool, float or string)."""
+    value = cfg.get(field, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{path}.{field}", f"expected int, got {value!r}")
+    return value
+
+
 def build_group(cfg: dict, path: str = "group") -> GroupDescriptor:
     kind = _require(cfg, "kind", path)
     aliases = {"z": "lattice", "zd": "lattice", "lattice": "lattice",
@@ -85,16 +93,16 @@ def build_group(cfg: dict, path: str = "group") -> GroupDescriptor:
     if kind not in aliases:
         raise ConfigError(f"{path}.kind", f"unknown group kind {kind!r}")
     kind = aliases[kind]
-    dim = int(cfg.get("dimension", cfg.get("rank", 1)))
+    dim = _integer(cfg, "dimension" if "dimension" in cfg else "rank", path, 1)
     kwargs = {"kind": kind, "dimension": dim}
     if kind == "real-grid":
         if "resolution" not in cfg:
             raise ConfigError(f"{path}.resolution", "real-grid needs a resolution q")
-        kwargs["resolution"] = int(cfg["resolution"])
+        kwargs["resolution"] = _integer(cfg, "resolution", path)
     if kind == "torus-grid":
         if "size" not in cfg:
             raise ConfigError(f"{path}.size", "torus-grid needs a size N")
-        kwargs["size"] = int(cfg["size"])
+        kwargs["size"] = _integer(cfg, "size", path)
     try:
         return GroupDescriptor(**kwargs)
     except (GaplabError, ValueError) as err:
@@ -142,6 +150,10 @@ def build_space(group: GroupDescriptor, cfg: dict, path: str = "action") -> Acti
         raise ConfigError(f"{path}.kind", "required field is missing")
     if kind in ("torus-translation", "circle-rotation") and "N" not in cfg:
         raise ConfigError(f"{path}.N", f"{kind} needs a grid size N")
+    for field in ("N", "cells_per_step", "alphabet", "window_radius",
+                  "max_denominator"):
+        if field in cfg:
+            _integer(cfg, field, path)
     try:
         return build_action(kind, group=group, **cfg)
     except (GaplabError, TypeError, ValueError) as err:
@@ -295,7 +307,7 @@ def run_koopman_norm(cfg: dict) -> RunResult:
         res.note(disc.trivial_note)
     res.check("discrepancy <= total mass + tol",
               disc.value <= mu.total_mass + tol)
-    if space.is_translation:
+    if isinstance(space, GridTranslationSpace):
         cutoff = p["freq_cutoff"]
         if cutoff is None:
             cutoff = max(space.grid_shape) // 2
@@ -306,13 +318,13 @@ def run_koopman_norm(cfg: dict) -> RunResult:
         if cutoff >= max(space.grid_shape) // 2:
             res.check("cycle spectrum agrees with the character oracle",
                       abs(disc.value - char) <= 1e-9)
-    slope = getattr(space, "slope_target", None)
-    if slope is not None:
-        value, witness = character_line_scan(mu, slope, p["line_freq_cutoff"])
-        res.put("line_scan_value", value)
-        res.put("line_scan_witness", f"({witness[0]};{witness[1]})")
-        res.note(f"continuum line scan at slope {_fmt(slope)}: "
-                 f"{_fmt(value)} at frequency {witness}")
+        slope = space.slope_target
+        if slope is not None:
+            value, witness = character_line_scan(mu, slope, p["line_freq_cutoff"])
+            res.put("line_scan_value", value)
+            res.put("line_scan_witness", f"({witness[0]};{witness[1]})")
+            res.note(f"continuum line scan at slope {_fmt(slope)}: "
+                     f"{_fmt(value)} at frequency {witness}")
     return res
 
 

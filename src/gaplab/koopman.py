@@ -19,11 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .actions import ActionSpace
+from .actions import ActionSpace, GridTranslationSpace
 from .errors import DescriptorMismatchError, PreconditionError, UnsupportedKindError
 from .measures import GroupMeasure
 from .regular_norm import NormEstimate, amenable_norm, berg_christensen_estimate
 
+#: a cell at or above this mass fails the atomless surrogate
+ATOM_THRESHOLD = 0.05
 #: complex entries per block of the line scan's transform matrix
 SCAN_BLOCK = 1 << 20
 
@@ -130,7 +132,7 @@ def character_norm(space: ActionSpace, mu: GroupMeasure, freq_cutoff: int) -> fl
     the grid dual this equals the discrepancy of the discretized action
     exactly.
     """
-    if not space.is_translation:
+    if not isinstance(space, GridTranslationSpace):
         raise UnsupportedKindError(
             f"character oracle needs a translation action, got {space.kind}"
         )
@@ -229,10 +231,10 @@ def check_hypotheses(space: ActionSpace, mu: GroupMeasure) -> list[str]:
     """
     violations = []
     wmax = float(space.weights.max())
-    if wmax >= space.atom_threshold:
+    if wmax >= ATOM_THRESHOLD:
         violations.append(
             f"atomless surrogate fails: a cell carries mass {wmax:.6g} "
-            f">= threshold {space.atom_threshold}"
+            f">= threshold {ATOM_THRESHOLD}"
         )
     if mu.group.is_grid:
         identity = mu.group.identity()

@@ -81,7 +81,7 @@ SPACES = [
 def test_act_indices_is_sigma_iterated(kind, kw):
     space = build_action(kind, group=Z, **kw)
     sigma = reference_sigma(kind, kw)
-    assert space.generator().tolist() == sigma
+    assert space.act_indices((1,), np.arange(space.n_cells)).tolist() == sigma
     longest = max(space.cycle_lengths())
     idx = np.arange(space.n_cells)
     for c in range(-2 * longest, 2 * longest + 1):
@@ -139,15 +139,19 @@ def test_large_cycle_type():
     assert np.array_equal(space.act_indices((-5,), image), idx)
 
 
+def sigma_of(space):
+    return space.act_indices((1,), np.arange(space.n_cells)).tolist()
+
+
 def gathered_union(space, elements, idx):
-    sigma = space.generator().tolist()
+    sigma = sigma_of(space)
     powers = {c: power(sigma, c) for c in {g[0] for g in elements}}
     cells = {powers[g[0]][i] for g in elements for i in idx}
     return sorted(cells)
 
 
 def gathered_correlations(space, elements, a, b):
-    sigma = space.generator().tolist()
+    sigma = sigma_of(space)
     out = {}
     for g in elements:
         back = power(sigma, -g[0])  # (pi(g) a)(x) = a(g^{-1} x)

@@ -1,5 +1,6 @@
 """Moderate-growth certificates: conditions, companions, Rayleigh chains."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from gaplab import certificates
 from gaplab import (
     GridResolutionError,
+    GridTranslationSpace,
     GroupDescriptor,
     GroupMeasure,
     KoopmanAveragingOperator,
@@ -182,7 +184,7 @@ class TestRayleighOracle:
     def test_torus_fft_path(self):
         space = build_action("torus-translation", group=time_grid(2),
                             N=64, step=(29, 41))
-        assert space.is_translation
+        assert isinstance(space, GridTranslationSpace)
         eta = symmetrize(GroupMeasure.uniform_interval(time_grid(2), -1.0, 1.0))
         orbit_seq = orbit_neighborhood_sequence(space, 0, list(eta.atoms), 4)
         # with S = {e} the companion abuts B, so the cross terms are nonzero
@@ -198,7 +200,7 @@ class TestRayleighOracle:
     def test_bernoulli_window_gather_path(self):
         space = build_action("bernoulli-window", group=Z, alphabet=2,
                             window_radius=3)
-        assert not space.is_translation
+        assert not isinstance(space, GridTranslationSpace)
         eta = symmetrize(GroupMeasure.from_atoms(Z, [((1,), 0.3), ((-2,), 0.7)]))
         b = np.array([3, 64, 97])
         seq = ModerateGrowthSequence(
@@ -243,6 +245,32 @@ class TestCellBall:
                 assert space.cell_ball(center, radius).tolist() == want
 
 
+class TestMinDisplacement:
+    @staticmethod
+    def least_distance(vector, n):
+        """Least length of vector - n m over integer vectors m, by search."""
+        reach = max(abs(v) for v in vector) // n + 2
+        return min(
+            math.sqrt(sum((v - n * m) ** 2 for v, m in zip(vector, ms)))
+            for ms in itertools.product(range(-reach, reach + 1),
+                                        repeat=len(vector))
+        )
+
+    # steps that are multiples of N, at or near N/2, and negative
+    @pytest.mark.parametrize("n,step", [
+        (10, (3,)), (10, (5,)), (10, (-4,)), (11, (6,)),
+        (9, (4, 5)), (9, (9, 3)), (9, (2, -7)), (8, (4, 4)),
+    ])
+    def test_against_least_torus_distance(self, n, step):
+        space = GridTranslationSpace(Z, n, step)
+        counts = np.arange(-3 * n, 3 * n + 1)
+        got = space.min_displacement(counts)
+        assert got.shape == counts.shape
+        for c, d in zip(counts.tolist(), got.tolist()):
+            assert d == self.least_distance([c * s for s in step], n), c
+        assert got[counts % n == 0].max() == 0.0
+
+
 class TestOrbitNeighborhoodSequence:
     @pytest.mark.parametrize("kind,kw,q,n_max", [
         ("torus-translation", dict(N=64, step=(29, 41)), 2, 4),
@@ -270,7 +298,7 @@ class TestOrbitNeighborhoodSequence:
         for n in range(1, n_max + 1):
             separators = [g for g in power_set(space.group, S, 2 * n - 2)
                           if g not in S]
-            r_cap = certificates._separation_radius(space, separators, x0)
+            r_cap = certificates._separation_radius(space, separators)
             thickening = power_set(space.group, S, 2 * n)
             masses = [space.mass_of(certificates._act_union(
                 space, thickening, space.cell_ball(x0, r)))
@@ -331,6 +359,12 @@ class TestOrbitNeighborhoodSequence:
         eta = symmetrize(mu)
         with pytest.raises(GridResolutionError):
             orbit_neighborhood_sequence(space, 0, list(eta.atoms), 5)
+
+    def test_fixed_base_cell_rejected_without_geometry(self):
+        # S^8 holds the steps -8 and 8, which fix every cell of the 8-cycle
+        with pytest.raises(GridResolutionError,
+                           match="free-orbit surrogate fails at the base cell"):
+            orbit_neighborhood_sequence(cycle_space(8), 0, [(-1,), (0,), (1,)], 4)
 
     def test_orbit_covering_rejected(self):
         n = 64

@@ -154,6 +154,57 @@ class TestParams:
         assert "config error: params.x0: must be < 256" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("block,field,value", [
+        ("action", "N", 64.7),
+        ("action", "N", "64"),
+        ("action", "cells_per_step", 3.0),
+        ("action", "alphabet", 2.9),
+        ("action", "window_radius", 1.5),
+        ("action", "max_denominator", 8.5),
+        ("group", "dimension", 1.0),
+        ("group", "rank", "1"),
+        ("group", "resolution", 8.9),
+        ("group", "size", True),
+    ])
+    def test_integer_fields_exit_two(self, tmp_path, capsys, block, field, value):
+        groups = {"resolution": {"kind": "real-grid", "resolution": 8},
+                  "size": {"kind": "torus-grid", "size": 8}}
+        actions = {
+            "alphabet": {"kind": "bernoulli-window", "alphabet": 2,
+                         "window_radius": 1},
+            "max_denominator": {"kind": "torus-translation", "N": 16,
+                                "slope_hint": 1.5, "max_denominator": 8},
+        }
+        actions["window_radius"] = actions["alphabet"]
+        cfg = {
+            "experiment": "koopman-norm",
+            "group": groups.get(field, {"kind": "lattice"}),
+            "measure": {"kind": "srw"},
+            "action": actions.get(field, {"kind": "circle-rotation", "N": 64,
+                                          "cells_per_step": 3}),
+        }
+        (tmp_path / "good").mkdir()
+        code, _ = run_cli(tmp_path / "good", cfg)
+        assert code == 0
+        cfg[block] = {**cfg[block], field: value}
+        code, out_dir = run_cli(tmp_path, cfg)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config error: {block}.{field}: expected int, got {value!r}" in err
+        assert not out_dir.exists()
+
+    def test_identity_rotation_exit_two(self, tmp_path, capsys):
+        cfg = {
+            "experiment": "koopman-norm",
+            "group": {"kind": "lattice"},
+            "measure": {"kind": "srw"},
+            "action": {"kind": "circle-rotation", "N": 16, "cells_per_step": 16},
+        }
+        code, _ = run_cli(tmp_path, cfg)
+        assert code == 2
+        assert ("config error: action: translation step is trivial on this grid"
+                in capsys.readouterr().err)
+
     def test_float_param_takes_integer(self, tmp_path):
         cfg = {**MARGULIS_SMALL, "params": {"N": 128, "tol": 1}}
         code, _ = run_cli(tmp_path, cfg)
