@@ -25,8 +25,6 @@ from .certificates import (
 )
 from .errors import (
     ConstructionError,
-    ContractError,
-    ConvergenceError,
     DescriptorMismatchError,
     GaplabError,
     GridResolutionError,
@@ -38,7 +36,6 @@ from .errors import (
 from .groups import GroupDescriptor, inverse_set, power_set, product_set
 from .koopman import (
     DiscrepancyResult,
-    KoopmanAveragingOperator,
     VerifyReport,
     character_line_scan,
     character_norm,
@@ -63,11 +60,6 @@ from .nets import (
     greedy_maximal_net,
     net_ratio_study,
     verify_net_bounds,
-)
-from .operators import (
-    LinearOperatorHandle,
-    NormResult,
-    operator_norm_self_adjoint,
 )
 from .regular_norm import (
     NormEstimate,

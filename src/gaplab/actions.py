@@ -20,8 +20,8 @@ every power of it in the coordinates of its cycles.  Four kinds:
 * ``finite-permutation`` -- an explicit permutation and its powers.
 
 The first two are one ``GridTranslationSpace`` on (Z/N)^d, d = 1 or 2,
-which also holds the translation geometry: cell balls, translation
-vectors and displacements.  The other two supply sigma only.
+which also holds the translation geometry: cell balls and
+displacements.  The other two supply sigma only.
 
 All action maps are bijections, so the cell weights are preserved exactly.
 """
@@ -39,7 +39,7 @@ from .errors import (
     GridResolutionError,
     PreconditionError,
 )
-from .groups import Element, GroupDescriptor
+from .groups import TORUS_GRID, GroupDescriptor
 
 
 def continued_fraction_convergent(alpha: float, max_denominator: int) -> tuple[int, int]:
@@ -125,38 +125,49 @@ class ActionSpace:
 
     # -- the group action --------------------------------------------------
 
-    def steps_of(self, g: Element) -> int:
-        """Grid coordinate of a 1-parameter group element."""
-        if len(g) != 1:
+    def steps(self, elements) -> np.ndarray:
+        """Grid coordinates of one-parameter group elements, as int64 step
+        counts: the element with coordinate c acts as sigma^c."""
+        elements = list(elements)
+        for g in elements:
+            if len(g) != 1:
+                raise DescriptorMismatchError(
+                    f"{self.kind} is a one-parameter action; got element {g}"
+                )
+        steps = np.array([g[0] for g in elements])
+        if steps.size and steps.dtype.kind not in "iu":
             raise DescriptorMismatchError(
-                f"{self.kind} is a one-parameter action; got element {g}"
+                f"{self.kind} acts by integer steps; got coordinates {steps[:3].tolist()}"
             )
-        return int(g[0])
+        return steps.astype(np.int64)
 
-    def act_indices(self, g: Element, idx: np.ndarray) -> np.ndarray:
-        """Forward action on cell indices: i -> index(g * cell_i)."""
+    def act_indices(self, steps: int, idx: np.ndarray) -> np.ndarray:
+        """Forward action of sigma^steps on cell indices."""
         slot = self.cycles.slot[idx]
         first, length = self.cycles.locate(slot)
-        return self.cycles.order[first + (slot - first + self.steps_of(g)) % length]
+        return self.cycles.order[first + (slot - first + steps) % length]
 
     def cycle_lengths(self) -> dict[int, int]:
         """Cycle type of sigma: {cycle length L: number of cycles}."""
         return {int(n): int(c) for n, c in zip(self.cycles.lengths, self.cycles.counts)}
 
     def period(self, cell: int) -> int:
-        """Length L of the cycle through the cell: g fixes it iff L divides
-        the steps of g."""
+        """Length L of the cycle through the cell: sigma^c fixes it iff L
+        divides c."""
         return int(self.cycles.locate(self.cycles.slot[cell])[1])
 
-    def has_fixed_cell(self, g: Element) -> bool:
-        return bool((self.steps_of(g) % self.cycles.lengths == 0).any())
+    def has_fixed_cell(self, steps) -> np.ndarray:
+        """Per step count c, whether sigma^c fixes a cell: whether some
+        cycle length divides c."""
+        steps = np.asarray(steps, dtype=np.int64)
+        return (steps[..., None] % self.cycles.lengths == 0).any(axis=-1)
 
-    def orbit(self, start: int, elements) -> np.ndarray:
-        """Closure of a cell under repeated application of the given atoms:
-        the cells of its cycle at multiples of gcd(L, steps) from it."""
+    def orbit(self, start: int, steps) -> np.ndarray:
+        """Closure of a cell under sigma^c for the given step counts c: the
+        cells of its cycle at multiples of gcd(L, steps) from it."""
         slot = int(self.cycles.slot[start])
         first, length = (int(v) for v in self.cycles.locate(slot))
-        stride = math.gcd(length, *(self.steps_of(g) for g in elements))
+        stride = math.gcd(length, *np.asarray(steps, dtype=np.int64).tolist())
         ring = (slot - first + np.arange(0, length, stride)) % length
         return np.sort(self.cycles.order[first + ring])
 
@@ -209,10 +220,6 @@ class GridTranslationSpace(ActionSpace):
         # a ball wider than the grid meets itself
         return cells[np.r_[True, cells[1:] != cells[:-1]]]
 
-    def translation_vector(self, g: Element) -> tuple[int, ...]:
-        c = self.steps_of(g)
-        return tuple((c * s) % self.n for s in self.step)
-
     def min_displacement(self, steps) -> np.ndarray:
         """Least torus distance by which each step count moves every cell."""
         shift = np.multiply.outer(np.asarray(steps, dtype=np.int64), self.step) % self.n
@@ -229,15 +236,19 @@ def build_action(kind: str, **params) -> ActionSpace:
     * torus-translation: N, step=(q, p) or slope_hint + max_denominator
     * bernoulli-window:  alphabet, window_radius
     * finite-permutation: permutation, weights
+
+    Cell counts and steps must be integers (not bools).  A ``torus-grid``
+    group of size M drives sigma^c only when every cycle length of sigma
+    divides M.
     """
     params = dict(params)
     group = params.pop("group", None) or GroupDescriptor(kind="lattice", dimension=1)
     if group.dimension != 1 or group.kind == "free":
         raise ConstructionError("actions are driven by 1-d lattice or grid groups")
     if kind == "circle-rotation":
-        n = int(params.pop("N"))
+        n = _integer("N", params.pop("N"))
         if "cells_per_step" in params:
-            p = params.pop("cells_per_step")
+            p = _integer("cells_per_step", params.pop("cells_per_step"))
         elif "rotation_hint" in params:
             p = round(params.pop("rotation_hint") * n)
         else:
@@ -245,43 +256,43 @@ def build_action(kind: str, **params) -> ActionSpace:
         _reject_extra(kind, params)
         if n < 2:
             raise ConstructionError("circle grid needs N >= 2")
-        if p != int(p):
-            raise ConstructionError(f"rotation step {p!r} is not an integer cell count")
-        return GridTranslationSpace(group, n, (p,))
-    if kind == "torus-translation":
-        n = int(params.pop("N"))
+        space = GridTranslationSpace(group, n, (p,))
+    elif kind == "torus-translation":
+        n = _integer("N", params.pop("N"))
         slope_target = params.pop("slope_hint", None)
         if "step" in params:
-            step = tuple(params.pop("step"))
+            step = tuple(_integer("step", s) for s in params.pop("step"))
         else:
             if slope_target is None:
                 raise ConstructionError("torus-translation needs step=(q,p) or slope_hint")
-            p, q = continued_fraction_convergent(
-                slope_target, params.pop("max_denominator", 128)
-            )
+            max_den = _integer("max_denominator", params.pop("max_denominator", 128))
+            p, q = continued_fraction_convergent(slope_target, max_den)
             step = (q, p)
         _reject_extra(kind, params)
         if n < 2:
             raise ConstructionError("torus grid needs N >= 2")
-        if len(step) != 2 or any(s != int(s) for s in step):
+        if len(step) != 2:
             raise ConstructionError(
                 f"translation step {step!r} must be a pair of integer cell counts"
             )
-        return GridTranslationSpace(group, n, step, slope_target=slope_target)
-    if kind == "bernoulli-window":
-        alphabet = int(params.pop("alphabet", 2))
-        radius = int(params.pop("window_radius"))
+        space = GridTranslationSpace(group, n, step, slope_target=slope_target)
+    elif kind == "bernoulli-window":
+        alphabet = _integer("alphabet", params.pop("alphabet", 2))
+        radius = _integer("window_radius", params.pop("window_radius"))
         _reject_extra(kind, params)
         if alphabet < 2:
             raise ConstructionError("alphabet size must be >= 2")
         if radius < 1:
             raise ConstructionError("window radius must be >= 1")
-        return ActionSpace(group, kind, _window_rotation(alphabet, 2 * radius + 1))
-    if kind == "finite-permutation":
-        perm = params.pop("permutation")
+        space = ActionSpace(group, kind, _window_rotation(alphabet, 2 * radius + 1))
+    elif kind == "finite-permutation":
+        perm = np.asarray(params.pop("permutation"))
         weights = params.pop("weights", None)
         _reject_extra(kind, params)
-        perm = np.asarray(perm, dtype=np.int64)
+        if perm.size and perm.dtype.kind not in "iu":
+            raise ConstructionError(
+                f"permutation entries must be integers, got {perm.dtype}")
+        perm = perm.astype(np.int64)
         if sorted(perm.tolist()) != list(range(len(perm))):
             raise ConstructionError("permutation must be a bijection on 0..n-1")
         space = ActionSpace(group, kind, perm, weights)
@@ -289,8 +300,24 @@ def build_action(kind: str, **params) -> ActionSpace:
             raise ConstructionError(
                 "cell weights are not preserved by the permutation"
             )
-        return space
-    raise ConstructionError(f"unknown action kind {kind!r}")
+    else:
+        raise ConstructionError(f"unknown action kind {kind!r}")
+    # Z/M acts through c -> sigma^c only if sigma^M is the identity; the
+    # remainders avoid forming the lcm of the lengths, which can overflow
+    if group.kind == TORUS_GRID and (group.size % space.cycles.lengths).any():
+        raise ConstructionError(
+            f"the torus-grid group of size {group.size} cannot drive this "
+            f"action: its cycle lengths {sorted(space.cycle_lengths())} do not "
+            f"all divide {group.size}"
+        )
+    return space
+
+
+def _integer(name: str, value) -> int:
+    """A cell count or step: a Python or numpy integer, not a bool."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ConstructionError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _window_rotation(alphabet: int, width: int) -> np.ndarray:

@@ -11,6 +11,10 @@ whose 1/(2n)-th roots certify lower bounds on the discrepancy.
 The companion construction is exact here: on equal-weight grids the
 intermediate-value argument for atomless spaces degenerates to counting
 cells, with deterministic lexicographic fill.
+
+Every action is one-parameter, so past the ``ModerateGrowthSequence``
+boundary S, F and the powers S^k are sorted int64 arrays of steps, and
+S^k is built only by ``_step_powers``.
 """
 
 from __future__ import annotations
@@ -26,12 +30,12 @@ from .errors import (
     InternalConsistencyError,
     PreconditionError,
 )
-from .groups import is_symmetric_set, power_set, product_set
+from .groups import GroupDescriptor, _pair_sums, is_symmetric_set
 from .measures import (
+    DEFAULT_SUPPORT_CAP,
     GroupMeasure,
     convolution_power,
     convolve,
-    mass_on_set,
     symmetrize,
 )
 
@@ -40,20 +44,21 @@ CHAIN_TOL = 1e-10
 
 @dataclass(frozen=True)
 class ModerateGrowthSequence:
-    """A candidate certificate: sets B_1..B_max_n plus the atom sets S, F."""
+    """A candidate certificate: sets B_1..B_max_n plus the atom sets S, F.
+
+    S and F are given as group elements; once validated they are held as
+    sorted int64 arrays of their steps.
+    """
 
     space: ActionSpace
-    S: tuple
-    F: tuple
+    S: np.ndarray
+    F: np.ndarray
     sets: tuple  # sets[i] is the cell-index array of B_{i+1}
     max_n: int
 
     def __post_init__(self):
-        group = self.space.group
-        if not is_symmetric_set(group, self.S) or group.identity() not in self.S:
-            raise PreconditionError("S must be symmetric and contain the identity")
-        if not is_symmetric_set(group, self.F) or group.identity() not in self.F:
-            raise PreconditionError("F must be symmetric and contain the identity")
+        object.__setattr__(self, "S", _symmetric_steps(self.space, self.S, "S"))
+        object.__setattr__(self, "F", _symmetric_steps(self.space, self.F, "F"))
         if len(self.sets) != self.max_n:
             raise PreconditionError("need one cell set per n = 1..max_n")
         for i, b in enumerate(self.sets):
@@ -105,6 +110,26 @@ class RayleighChainResult:
 # -- set machinery -----------------------------------------------------------
 
 
+def _symmetric_steps(space: ActionSpace, atoms, name: str) -> np.ndarray:
+    """The sorted steps of an atom set that must be symmetric and hold the
+    identity."""
+    group = space.group
+    atoms = {tuple(g) for g in atoms}
+    if not is_symmetric_set(group, atoms) or group.identity() not in atoms:
+        raise PreconditionError(f"{name} must be symmetric and contain the identity")
+    return np.unique(space.steps(atoms))
+
+
+def _step_powers(group: GroupDescriptor, S: np.ndarray, k: int) -> list[np.ndarray]:
+    """S^0..S^k of a step array S, each sorted: the steps add as the
+    elements compose (mod N on ``torus-grid``)."""
+    powers = [np.zeros(1, dtype=np.int64)]
+    for _ in range(k):
+        sums, _, _ = _pair_sums(group, powers[-1], S, DEFAULT_SUPPORT_CAP, "step power")
+        powers.append(sums.ravel())
+    return powers
+
+
 def _integer_counts(spectrum: np.ndarray, length: int) -> np.ndarray:
     """Inverse real FFT along the cycle axis of sums that must be integers,
     rounded back exactly."""
@@ -115,10 +140,10 @@ def _integer_counts(spectrum: np.ndarray, length: int) -> np.ndarray:
     return counts
 
 
-def _arc_segments(space: ActionSpace, elements,
+def _arc_segments(space: ActionSpace, steps,
                   idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The union of g * cells over g in elements, as disjoint half-open
-    slot segments [lo, hi) of the cycle table, sorted by lo.
+    """The union of sigma^c cells over the step counts c, as disjoint
+    half-open slot segments [lo, hi) of the cycle table, sorted by lo.
 
     On a cycle of length L a run of consecutive steps [a, b] carries the
     cell at offset o onto the arc [o + a, o + b + 1) mod L, at most L
@@ -127,8 +152,7 @@ def _arc_segments(space: ActionSpace, elements,
     Klee's measure problem), in integers only.  Arcs that merely touch
     stay apart, so no segment leaves its cycle.
     """
-    steps = np.unique(np.array([space.steps_of(g) for g in elements],
-                               dtype=np.int64))
+    steps = np.unique(np.asarray(steps, dtype=np.int64))
     idx = np.asarray(idx, dtype=np.int64)
     if steps.size == 0 or idx.size == 0:
         empty = np.zeros(0, dtype=np.int64)
@@ -155,9 +179,9 @@ def _arc_segments(space: ActionSpace, elements,
     return lo[heads], reach[np.r_[heads[1:] - 1, lo.size - 1]]
 
 
-def _act_union(space: ActionSpace, elements, idx: np.ndarray) -> np.ndarray:
-    """Sorted indices of the union of g * cells over g in elements."""
-    lo, hi = _arc_segments(space, elements, idx)
+def _act_union(space: ActionSpace, steps, idx: np.ndarray) -> np.ndarray:
+    """Sorted indices of the union of sigma^c cells over the step counts c."""
+    lo, hi = _arc_segments(space, steps, idx)
     sizes = hi - lo
     slots = np.repeat(lo - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
     covered = np.zeros(space.n_cells, dtype=bool)
@@ -165,17 +189,18 @@ def _act_union(space: ActionSpace, elements, idx: np.ndarray) -> np.ndarray:
     return np.flatnonzero(covered)
 
 
-def _union_mass(space: ActionSpace, elements, idx: np.ndarray) -> float:
-    """Mass of the union of g * cells over g in elements; the weights are
-    constant on cycles, so each segment weighs its first cell times its
-    size."""
-    lo, hi = _arc_segments(space, elements, idx)
+def _union_mass(space: ActionSpace, steps, idx: np.ndarray) -> float:
+    """Mass of the union of sigma^c cells over the step counts c; the
+    weights are constant on cycles, so each segment weighs its first cell
+    times its size."""
+    lo, hi = _arc_segments(space, steps, idx)
     return float((space.weights[space.cycles.order[lo]] * (hi - lo)).sum())
 
 
-def _pair_correlations(space: ActionSpace, elements, a: np.ndarray,
-                       b: np.ndarray) -> dict:
-    """<pi(g) a, b> = sum_x nu_x a(g^{-1} x) b(x) for every g in elements.
+def _pair_correlations(space: ActionSpace, steps, a: np.ndarray,
+                       b: np.ndarray) -> np.ndarray:
+    """<pi(g) a, b> = sum_x nu_x a(g^{-1} x) b(x) for the element g of
+    each step count, as an array aligned with ``steps``.
 
     ``a`` and ``b`` are integer-valued cell vectors; for indicators of A
     and B this is nu(gA & B).  On each cycle the sum over x is a circular
@@ -183,22 +208,22 @@ def _pair_correlations(space: ActionSpace, elements, a: np.ndarray,
     counts of the cycles of one weight are summed, rounded back exactly,
     and weighted once.
     """
-    steps = np.array([space.steps_of(g) for g in elements], dtype=np.int64)
-    totals = np.zeros(len(steps))
+    steps = np.asarray(steps, dtype=np.int64)
+    totals = np.zeros(steps.size)
     for length, cells in space.cycles.rows():
         spectra = np.conj(np.fft.rfft(a[cells])) * np.fft.rfft(b[cells])
         weights = space.weights[cells[:, 0]]
         for weight in np.unique(weights):
             counts = _integer_counts(spectra[weights == weight].sum(axis=0), length)
             totals += weight * counts[steps % length]
-    return {g: float(t) for g, t in zip(elements, totals)}
+    return totals
 
 
 # -- the per-n step -------------------------------------------------------------
 
 
 def _growth_row(seq: ModerateGrowthSequence, n: int,
-                s_pow) -> tuple[CertificateRow, np.ndarray]:
+                s_pow: np.ndarray) -> tuple[CertificateRow, np.ndarray]:
     """Row n of the moderate-growth conditions, and S^n B_n itself.
 
     The overlap ratio is clamped to [0, 1]; it serves condition (3) and
@@ -211,7 +236,7 @@ def _growth_row(seq: ModerateGrowthSequence, n: int,
     nu_snb = space.mass_of(snb)
     ind = np.bincount(b, minlength=space.n_cells)
     overlaps = _pair_correlations(space, seq.F, ind, ind)
-    ratio = min(max(min(overlaps.values()) / nu_b, 0.0), 1.0)
+    ratio = min(max(float(overlaps.min()) / nu_b, 0.0), 1.0)
     row = CertificateRow(
         n=n,
         nu_B=nu_b,
@@ -235,10 +260,16 @@ def _rayleigh_part(seq: ModerateGrowthSequence, eta: GroupMeasure,
     companion = build_companion_set(space, b, snb)
     phi = (np.bincount(b, minlength=space.n_cells)
            - np.bincount(companion, minlength=space.n_cells))
-    corr = _pair_correlations(space, list(eta_n.atoms), phi, phi)
-    row.rayleigh = sum(w * corr[g] for g, w in eta_n.atoms.items()) / (2.0 * row.nu_B)
-    row.chain_bound = 0.5 * mass_on_set(eta_n, seq.F) * row.ratio
-    row.chain_asserted = set(eta.atoms) <= set(seq.S)
+    steps = space.steps(eta_n.atoms)
+    weights = list(eta_n.atoms.values())
+    # plain Python sums over the atoms in dict order: the reported digits
+    # depend on the summation order
+    corr = _pair_correlations(space, steps, phi, phi).tolist()
+    row.rayleigh = sum(w * c for w, c in zip(weights, corr)) / (2.0 * row.nu_B)
+    in_f = np.isin(steps, seq.F).tolist()
+    f_mass = sum(w for w, keep in zip(weights, in_f) if keep)
+    row.chain_bound = 0.5 * f_mass * row.ratio
+    row.chain_asserted = bool(np.isin(space.steps(eta.atoms), seq.S).all())
     if row.chain_asserted and row.rayleigh < row.chain_bound - CHAIN_TOL:
         raise InternalConsistencyError(
             f"chain inequality violated at n={n}: rayleigh={row.rayleigh!r} < "
@@ -257,12 +288,11 @@ def _walk(seq: ModerateGrowthSequence, slack: float,
     Without ``eta`` only the moderate-growth columns are filled.
     """
     group = seq.space.group
-    s_pow = [group.identity()]
+    s_pow = _step_powers(group, seq.S, seq.max_n)
     eta_n = GroupMeasure.point_mass(group, group.identity())
     rows = []
     for n in range(1, seq.max_n + 1):
-        s_pow = product_set(group, s_pow, seq.S)
-        row, snb = _growth_row(seq, n, s_pow)
+        row, snb = _growth_row(seq, n, s_pow[n])
         if eta is not None:
             eta_n = convolve(eta_n, eta)
             _rayleigh_part(seq, eta, eta_n, row, snb)
@@ -341,7 +371,7 @@ def rayleigh_chain(
     """
     if not mu.is_symmetric(tol=1e-12):
         raise PreconditionError("rayleigh_chain needs a symmetric measure")
-    row, snb = _growth_row(seq, n, power_set(space.group, list(seq.S), n))
+    row, snb = _growth_row(seq, n, _step_powers(space.group, seq.S, n)[n])
     companion = _rayleigh_part(seq, mu, convolution_power(mu, n), row, snb)
     return RayleighChainResult(
         rayleigh=row.rayleigh,
@@ -367,29 +397,23 @@ def orbit_neighborhood_sequence(
     role of the small open superset: with it, S^n B_n = S^{2n} V_n stays
     below mass 1/2 by construction.
     """
-    group = space.group
-    S = sorted({tuple(g) for g in S}, key=group.sort_key)
-    if not is_symmetric_set(group, S) or group.identity() not in S:
-        raise PreconditionError("S must be symmetric and contain the identity")
+    S = tuple(S)
+    steps = _symmetric_steps(space, S, "S")
     x0 = int(x0)
     if not 0 <= x0 < space.n_cells:
         raise PreconditionError(
             f"base cell x0 = {x0} is outside the {space.n_cells} cells of the space"
         )
-    identity = group.identity()
-
-    powers = [[identity]]
-    for _ in range(2 * n_max):
-        powers.append(product_set(group, powers[-1], S))
-
-    period = space.period(x0)
-    for g in powers[2 * n_max]:
-        if g != identity and space.steps_of(g) % period == 0:
-            raise GridResolutionError(
-                f"free-orbit surrogate fails at the base cell: atom {g} of "
-                f"S^{2 * n_max} fixes it; refine the grid or shorten the horizon"
-            )
-    orbit_mass = _union_mass(space, powers[2 * n_max], np.array([x0]))
+    powers = _step_powers(space.group, steps, 2 * n_max)
+    thickest = powers[2 * n_max]
+    # the identity, the step 0, fixes every cell and is exempt
+    fixing = thickest[(thickest != 0) & (thickest % space.period(x0) == 0)]
+    if fixing.size:
+        raise GridResolutionError(
+            f"free-orbit surrogate fails at the base cell: atom {(int(fixing[0]),)} "
+            f"of S^{2 * n_max} fixes it; refine the grid or shorten the horizon"
+        )
+    orbit_mass = _union_mass(space, thickest, np.array([x0]))
     if orbit_mass >= 0.5:
         raise GridResolutionError(
             f"the S^{2 * n_max}-orbit of the base cell has mass "
@@ -400,8 +424,7 @@ def orbit_neighborhood_sequence(
     # S^{2n} only grows with n, so the admissible radius cannot grow
     radius = math.inf
     for n in range(1, n_max + 1):
-        exempt = set(S)
-        separators = [g for g in powers[2 * n - 2] if g not in exempt]
+        separators = np.setdiff1d(powers[2 * n - 2], steps, assume_unique=True)
         r_cap = _separation_radius(space, separators)
         radius = _largest_mass_admissible_radius(
             space, powers[2 * n], x0, min(r_cap, radius)
@@ -414,11 +437,11 @@ def orbit_neighborhood_sequence(
         v = space.cell_ball(x0, radius)
         sets.append(_act_union(space, powers[n], v))
     return ModerateGrowthSequence(
-        space=space, S=tuple(S), F=tuple(S), sets=tuple(sets), max_n=n_max
+        space=space, S=S, F=S, sets=tuple(sets), max_n=n_max
     )
 
 
-def _separation_radius(space: ActionSpace, separators) -> int:
+def _separation_radius(space: ActionSpace, separators: np.ndarray) -> int:
     """Largest ball radius whose separator translates stay disjoint: below
     half the least separator displacement on a translation grid, single
     cells elsewhere.
@@ -429,14 +452,14 @@ def _separation_radius(space: ActionSpace, separators) -> int:
     """
     if not isinstance(space, GridTranslationSpace):
         return 0
-    if not separators:
+    if len(separators) == 0:
         return min(space.grid_shape) // 2
-    dmin = space.min_displacement([g[0] for g in separators]).min()
+    dmin = space.min_displacement(separators).min()
     return max(int(math.ceil(dmin / 2.0)) - 1, 0)
 
 
 def _largest_mass_admissible_radius(
-    space: ActionSpace, thickening, x0: int, r_cap: int
+    space: ActionSpace, thickening: np.ndarray, x0: int, r_cap: int
 ) -> int | None:
     def mass_at(radius: int) -> float:
         return _union_mass(space, thickening, space.cell_ball(x0, radius))

@@ -85,6 +85,33 @@ def _integer(cfg: dict, field: str, path: str, default=None) -> int:
     return value
 
 
+def _number(cfg: dict, field: str, path: str, default=None) -> float:
+    """A field that must be a JSON number (int or float, not a bool);
+    required when it has no default."""
+    value = _require(cfg, field, path) if default is None else cfg.get(field, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}.{field}", f"expected number, got {value!r}")
+    return float(value)
+
+
+def _element(cfg: dict, field: str, path: str, default=None) -> tuple:
+    """A group element: a JSON list of integer coordinates; required when
+    it has no default."""
+    value = _require(cfg, field, path) if default is None else cfg.get(field, default)
+    if not isinstance(value, (list, tuple)) or any(
+            isinstance(c, bool) or not isinstance(c, int) for c in value):
+        raise ConfigError(f"{path}.{field}", f"expected a list of ints, got {value!r}")
+    return tuple(value)
+
+
+def _boolean(cfg: dict, field: str, path: str, default: bool) -> bool:
+    """A field that must be a JSON true or false."""
+    value = cfg.get(field, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path}.{field}", f"expected bool, got {value!r}")
+    return value
+
+
 def build_group(cfg: dict, path: str = "group") -> GroupDescriptor:
     kind = _require(cfg, "kind", path)
     aliases = {"z": "lattice", "zd": "lattice", "lattice": "lattice",
@@ -115,29 +142,37 @@ def build_measure(group: GroupDescriptor, cfg: dict, path: str = "measure") -> G
         if kind == "atoms":
             pairs = []
             for i, rec in enumerate(_require(cfg, "atoms", path)):
-                if isinstance(rec, dict):
-                    pairs.append((tuple(rec["element"]), float(rec["weight"])))
-                else:
-                    pairs.append((tuple(rec[:-1]), float(rec[-1])))
+                where = f"{path}.atoms[{i}]"
+                if isinstance(rec, list) and rec:
+                    rec = {"element": rec[:-1], "weight": rec[-1]}
+                elif not isinstance(rec, dict):
+                    raise ConfigError(where, "expected [coordinates..., weight] "
+                                      f"or {{element, weight}}, got {rec!r}")
+                pairs.append((_element(rec, "element", where),
+                              _number(rec, "weight", where)))
             return GroupMeasure.from_atoms(group, pairs)
         if kind == "point":
             return GroupMeasure.point_mass(
-                group, tuple(cfg.get("element", group.identity())),
-                float(cfg.get("mass", 1.0)),
+                group, _element(cfg, "element", path, group.identity()),
+                _number(cfg, "mass", path, 1.0),
             )
         if kind == "srw":
-            return GroupMeasure.simple_random_walk(group, step=int(cfg.get("step", 1)))
+            return GroupMeasure.simple_random_walk(
+                group, step=_integer(cfg, "step", path, 1))
         if kind == "uniform-interval":
             return GroupMeasure.uniform_interval(
-                group, float(_require(cfg, "lo", path)), float(_require(cfg, "hi", path)),
-                total=float(cfg.get("total", 1.0)), closed=bool(cfg.get("closed", True)),
+                group, _number(cfg, "lo", path), _number(cfg, "hi", path),
+                total=_number(cfg, "total", path, 1.0),
+                closed=_boolean(cfg, "closed", path, True),
             )
         if kind == "uniform-generators":
             return GroupMeasure.simple_random_walk(group)
         if kind == "uniform-ball":
             return GroupMeasure.uniform_on(
-                group, group.ball(float(_require(cfg, "radius", path)))
+                group, group.ball(_number(cfg, "radius", path))
             )
+    except ConfigError:
+        raise
     except (GaplabError, KeyError, ValueError) as err:
         raise ConfigError(path, str(err))
     raise ConfigError(f"{path}.kind", f"unknown measure kind {kind!r}")

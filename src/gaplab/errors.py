@@ -29,17 +29,5 @@ class GridResolutionError(GaplabError):
     """The discretization grid is too coarse for the requested construction."""
 
 
-class ConvergenceError(GaplabError):
-    """An iterative solver did not reach its tolerance within its budget."""
-
-    def __init__(self, message: str, last_residual: float | None = None):
-        super().__init__(message)
-        self.last_residual = last_residual
-
-
-class ContractError(GaplabError):
-    """An operator handle violated its declared contract (shape, adjointness)."""
-
-
 class InternalConsistencyError(GaplabError):
     """A certified inequality failed; indicates a bug, not a user error."""

@@ -45,16 +45,13 @@ class GroupDescriptor:
 
     ``dimension`` is d for the lattice kinds and the rank k for ``free``.
     ``resolution`` is the grid parameter q of ``real-grid`` (cell spacing
-    1/q); ``size`` is the torus parameter N.  ``unimodular`` is always
-    True for the supported kinds and stored only to make the standing
-    hypothesis explicit.
+    1/q); ``size`` is the torus parameter N.
     """
 
     kind: str
     dimension: int = 1
     resolution: int = 1
     size: int = 0
-    unimodular: bool = True
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -65,8 +62,6 @@ class GroupDescriptor:
             raise ValueError("real-grid resolution q must be >= 1")
         if self.kind == TORUS_GRID and self.size < 1:
             raise ValueError("torus-grid size N must be >= 1")
-        if not self.unimodular:
-            raise UnsupportedKindError("only unimodular groups are supported")
 
     # -- basic structure ------------------------------------------------
 

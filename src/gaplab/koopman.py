@@ -8,8 +8,7 @@ averaging operator is a direct sum of circulants, one per cycle, and the
 discrepancy is read off their eigenvalues exactly (circulant
 diagonalization; P. J. Davis, *Circulant Matrices*, 1979).  For
 translation actions the character oracle diagonalizes the whole cell
-grid instead and serves as an independent check; the atom-by-atom gather
-apply is the building block of the dense test oracles.
+grid instead and serves as an independent check.
 """
 
 from __future__ import annotations
@@ -28,40 +27,6 @@ from .regular_norm import NormEstimate, amenable_norm, berg_christensen_estimate
 ATOM_THRESHOLD = 0.05
 #: complex entries per block of the line scan's transform matrix
 SCAN_BLOCK = 1 << 20
-
-
-class KoopmanAveragingOperator:
-    """The operator phi -> integral of phi(g^{-1} x) d mu(g) on the cell
-    space, applied atom by atom through cell permutations.
-
-    ``apply_l2`` is the raw averaging in the natural cell coordinates,
-    without the projection onto zero-mean functions.
-    """
-
-    def __init__(self, space: ActionSpace, measure: GroupMeasure):
-        if measure.group != space.group:
-            raise DescriptorMismatchError(
-                "measure and action space live on different groups"
-            )
-        self.space = space
-        self.measure = measure
-        # (pi(g) phi)[i] = phi[P[i]] with P[i] the index of g^{-1} cell_i
-        cells = np.arange(space.n_cells)
-        self._perms = [
-            (space.act_indices(space.group.inverse(g), cells), w)
-            for g, w in measure.items()
-        ]
-
-    def apply_l2(self, phi: np.ndarray) -> np.ndarray:
-        """Averaging without the zero-mean projection (natural coordinates)."""
-        phi = np.asarray(phi, dtype=float)
-        out = np.zeros_like(phi)
-        for perm, w in self._perms:
-            out += w * phi[perm]
-        return out
-
-    def mean_of(self, phi: np.ndarray) -> float:
-        return float(np.dot(self.space.weights, phi))
 
 
 @dataclass(frozen=True)
@@ -112,7 +77,7 @@ def discrepancy(space: ActionSpace, mu: GroupMeasure) -> DiscrepancyResult:
     if n_cycles >= 2:
         return DiscrepancyResult(mu.total_mass, n_cycles, (min(cycles), 0))
     (length,) = cycles
-    steps = np.array([space.steps_of(g) for g in mu.atoms], dtype=np.int64)
+    steps = space.steps(mu.atoms)
     weights = np.array(list(mu.atoms.values()), dtype=float)
     folded = np.bincount(steps % length, weights=weights, minlength=length)
     mags = np.abs(np.fft.fft(folded))[1:]
@@ -139,9 +104,13 @@ def character_norm(space: ActionSpace, mu: GroupMeasure, freq_cutoff: int) -> fl
     if mu.group != space.group:
         raise DescriptorMismatchError("measure and action space group mismatch")
     shape = space.grid_shape
+    support = mu.support()
+    # the translation vector of c is c * step mod N; np.add.at adds the
+    # weights one by one in support order, so atoms that land on one cell
+    # always sum in the same order
+    vectors = np.multiply.outer(space.steps(support), space.step) % space.n
     mass_grid = np.zeros(shape)
-    for g, w in mu.items():
-        mass_grid[space.translation_vector(g)] += w
+    np.add.at(mass_grid, tuple(vectors.T), [mu.atoms[g] for g in support])
     spectrum = np.fft.fftn(mass_grid)
     mags = np.abs(spectrum)
     freqs = [np.fft.fftfreq(m, d=1.0 / m).astype(np.int64) for m in shape]
@@ -237,18 +206,16 @@ def check_hypotheses(space: ActionSpace, mu: GroupMeasure) -> list[str]:
             f">= threshold {ATOM_THRESHOLD}"
         )
     if mu.group.is_grid:
-        identity = mu.group.identity()
-        offenders = []
-        for g, _ in mu.items():
-            if g == identity:
-                continue
-            if space.has_fixed_cell(g):
-                offenders.append(g)
-        if offenders:
+        support = mu.support()
+        steps = space.steps(support)
+        # the identity is the step 0, which fixes every cell
+        fixing = (steps != 0) & space.has_fixed_cell(steps)
+        if fixing.any():
+            offenders = [g for g, bad in zip(support, fixing) if bad]
             violations.append(
                 f"free-orbit surrogate fails: support atoms {offenders[:3]} fix cells"
             )
-        orbit = space.orbit(space.base_cell, [g for g, _ in mu.items()])
+        orbit = space.orbit(space.base_cell, steps)
         mass = space.mass_of(orbit)
         if mass > 0.5 - 1e-12:
             if mass >= 1.0 - 1e-12:

@@ -1,15 +1,133 @@
-"""Test-only helpers around ``gaplab.operators``: dense matrices as operator
-handles, a spot check of a handle's declared flags, and the operator norm
-of a non-self-adjoint T through T T*."""
+"""Test-only oracles: power iteration on apply-to-vector operator handles,
+dense matrices as handles, a spot check of a handle's declared flags, the
+operator norm of a non-self-adjoint T through T T*, and the averaging
+operator of an action applied atom by atom through cell gathers.
+
+The exact discrepancies of ``gaplab.koopman`` are tested against these.
+"""
+
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from gaplab import (
-    ContractError,
-    LinearOperatorHandle,
-    NormResult,
-    operator_norm_self_adjoint,
-)
+from gaplab import DescriptorMismatchError, GaplabError
+
+
+class ConvergenceError(GaplabError):
+    """An iterative solver did not reach its tolerance within its budget."""
+
+    def __init__(self, message: str, last_residual: float | None = None):
+        super().__init__(message)
+        self.last_residual = last_residual
+
+
+class ContractError(GaplabError):
+    """An operator handle violated its declared contract (shape, adjointness)."""
+
+
+@dataclass(frozen=True)
+class LinearOperatorHandle:
+    """An apply-to-vector view of a bounded operator on R^dimension."""
+
+    dimension: int
+    apply: Callable[[np.ndarray], np.ndarray]
+    self_adjoint: bool = False
+    nonnegative: bool = False
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        y = self.apply(x)
+        if y.shape != x.shape:
+            raise ContractError(
+                f"operator returned shape {y.shape} for input shape {x.shape}"
+            )
+        return y
+
+
+@dataclass(frozen=True)
+class NormResult:
+    """A norm estimate with its residual-based error bound."""
+
+    value: float
+    residual: float
+    iterations: int
+
+
+def operator_norm_self_adjoint(
+    handle: LinearOperatorHandle,
+    tol: float = 1e-8,
+    max_iter: int = 100_000,
+    seed: int = 0,
+) -> NormResult:
+    """Largest eigenvalue of a self-adjoint nonnegative operator.
+
+    Power iteration from a seeded random start vector.  Convergence is
+    declared when the residual ||Tv - lam*v|| of the unit iterate drops
+    below ``tol`` (residual, not eigenvalue stagnation: clustered spectra
+    near the top stagnate early).  A zero operator is detected at the
+    first step and reported as exactly 0.0.
+    """
+    if not (handle.self_adjoint and handle.nonnegative):
+        raise ContractError("operator_norm_self_adjoint needs both contract flags set")
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(handle.dimension)
+    v /= np.linalg.norm(v)
+    w = handle(v)
+    wnorm = float(np.linalg.norm(w))
+    if wnorm < tol:
+        return NormResult(value=0.0, residual=wnorm, iterations=1)
+    lam = float(np.dot(v, w))
+    for it in range(1, max_iter + 1):
+        residual = float(np.linalg.norm(w - lam * v))
+        if residual <= tol:
+            return NormResult(value=lam, residual=residual, iterations=it)
+        v = w / wnorm
+        w = handle(v)
+        wnorm = float(np.linalg.norm(w))
+        if wnorm == 0.0:
+            return NormResult(value=0.0, residual=0.0, iterations=it)
+        lam = float(np.dot(v, w))
+    raise ConvergenceError(
+        f"power iteration did not reach tol={tol} within {max_iter} iterations "
+        f"(last residual {residual:.3e})",
+        last_residual=residual,
+    )
+
+
+class KoopmanAveragingOperator:
+    """The operator phi -> integral of phi(g^{-1} x) d mu(g) on the cell
+    space, applied atom by atom through cell gathers.
+
+    ``apply_l2`` is the raw averaging in the natural cell coordinates,
+    without the projection onto zero-mean functions.
+    """
+
+    def __init__(self, space, measure):
+        if measure.group != space.group:
+            raise DescriptorMismatchError(
+                "measure and action space live on different groups"
+            )
+        self.space = space
+        self.measure = measure
+        # (pi(g) phi)[i] = phi[P[i]] with P[i] the index of g^{-1} cell_i,
+        # and g^{-1} is the step -c
+        cells = np.arange(space.n_cells)
+        support = measure.support()
+        self._perms = [
+            (space.act_indices(-c, cells), measure.atoms[g])
+            for g, c in zip(support, space.steps(support).tolist())
+        ]
+
+    def apply_l2(self, phi: np.ndarray) -> np.ndarray:
+        """Averaging without the zero-mean projection (natural coordinates)."""
+        phi = np.asarray(phi, dtype=float)
+        out = np.zeros_like(phi)
+        for perm, w in self._perms:
+            out += w * phi[perm]
+        return out
+
+    def mean_of(self, phi: np.ndarray) -> float:
+        return float(np.dot(self.space.weights, phi))
 
 
 def dense_handle(matrix: np.ndarray, **flags) -> LinearOperatorHandle:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaplab import GroupDescriptor, build_action
+from gaplab import DescriptorMismatchError, GroupDescriptor, build_action
 from gaplab.certificates import _act_union, _pair_correlations, _union_mass
 
 Z = GroupDescriptor(kind="lattice", dimension=1)
@@ -81,14 +81,25 @@ SPACES = [
 def test_act_indices_is_sigma_iterated(kind, kw):
     space = build_action(kind, group=Z, **kw)
     sigma = reference_sigma(kind, kw)
-    assert space.act_indices((1,), np.arange(space.n_cells)).tolist() == sigma
+    assert space.act_indices(1, np.arange(space.n_cells)).tolist() == sigma
     longest = max(space.cycle_lengths())
     idx = np.arange(space.n_cells)
     for c in range(-2 * longest, 2 * longest + 1):
-        assert space.act_indices((c,), idx).tolist() == power(sigma, c), c
+        assert space.act_indices(c, idx).tolist() == power(sigma, c), c
     picked = idx[::3][::-1]
-    assert space.act_indices((5,), picked).tolist() == [
+    assert space.act_indices(5, picked).tolist() == [
         power(sigma, 5)[i] for i in picked]
+
+
+def test_steps_of_elements():
+    space = build_action("circle-rotation", group=Z, N=8)
+    steps = space.steps([(3,), (-2,), (0,)])
+    assert steps.dtype == np.int64 and steps.tolist() == [3, -2, 0]
+    assert space.steps([]).dtype == np.int64
+    with pytest.raises(DescriptorMismatchError, match="one-parameter action"):
+        space.steps([(1,), (2, 3)])
+    with pytest.raises(DescriptorMismatchError, match="integer steps"):
+        space.steps([(1,), (1.5,)])
 
 
 @pytest.mark.parametrize("kind,kw", SPACES)
@@ -98,12 +109,12 @@ def test_orbit_and_fixed_cells_match_bfs(kind, kw):
     longest = max(space.cycle_lengths())
     for steps in ([], [0], [1], [2], [-3], [2, 3], [4, -6], [longest]):
         for start in range(0, space.n_cells, 5):
-            got = space.orbit(start, [(c,) for c in steps]).tolist()
+            got = space.orbit(start, steps).tolist()
             assert got == bfs_orbit(sigma, start, steps), (steps, start)
     for c in range(-2 * longest, 2 * longest + 1):
         moved = power(sigma, c)
         fixed = any(moved[i] == i for i in range(space.n_cells))
-        assert space.has_fixed_cell((c,)) == fixed, c
+        assert space.has_fixed_cell(c) == fixed, c
     for cell in range(space.n_cells):
         assert space.period(cell) == len(bfs_orbit(sigma, cell, [1]))
 
@@ -117,7 +128,7 @@ def test_cycle_table_of_uneven_permutation():
     assert rows == [[12], [15], [2, 5, 10], [13, 16, 14], [4, 8, 6, 11],
                     [0, 3, 7, 1, 9]]
     for row in rows:
-        assert space.act_indices((1,), np.array(row)).tolist() == row[1:] + row[:1]
+        assert space.act_indices(1, np.array(row)).tolist() == row[1:] + row[:1]
 
 
 def test_large_cycle_type():
@@ -135,28 +146,28 @@ def test_large_cycle_type():
     image = idx
     for _ in range(5):
         image = perm[image]
-    assert np.array_equal(space.act_indices((5,), idx), image)
-    assert np.array_equal(space.act_indices((-5,), image), idx)
+    assert np.array_equal(space.act_indices(5, idx), image)
+    assert np.array_equal(space.act_indices(-5, image), idx)
 
 
 def sigma_of(space):
-    return space.act_indices((1,), np.arange(space.n_cells)).tolist()
+    return space.act_indices(1, np.arange(space.n_cells)).tolist()
 
 
-def gathered_union(space, elements, idx):
+def gathered_union(space, steps, idx):
     sigma = sigma_of(space)
-    powers = {c: power(sigma, c) for c in {g[0] for g in elements}}
-    cells = {powers[g[0]][i] for g in elements for i in idx}
+    powers = {c: power(sigma, c) for c in set(steps)}
+    cells = {powers[c][i] for c in steps for i in idx}
     return sorted(cells)
 
 
-def gathered_correlations(space, elements, a, b):
+def gathered_correlations(space, steps, a, b):
     sigma = sigma_of(space)
-    out = {}
-    for g in elements:
-        back = power(sigma, -g[0])  # (pi(g) a)(x) = a(g^{-1} x)
-        out[g] = sum(space.weights[x] * a[back[x]] * b[x]
-                     for x in range(space.n_cells))
+    out = []
+    for c in steps:
+        back = power(sigma, -c)  # (pi(g) a)(x) = a(g^{-1} x)
+        out.append(sum(space.weights[x] * a[back[x]] * b[x]
+                       for x in range(space.n_cells)))
     return out
 
 
@@ -174,20 +185,20 @@ CERTIFICATE_SPACES = [
 ], ids=[kind for kind, _ in CERTIFICATE_SPACES] + ["uneven-permutation"])
 def test_dilation_and_correlation_match_gathers(space):
     rng = np.random.default_rng(5)
-    elements = [(0,), (1,), (-1,), (2,), (-7,), (11,)]
+    steps = [0, 1, -1, 2, -7, 11]
     for trial in range(4):
         idx = np.sort(rng.choice(space.n_cells, size=1 + trial * 3, replace=False))
-        assert _act_union(space, elements, idx).tolist() == gathered_union(
-            space, elements, idx)
+        assert _act_union(space, steps, idx).tolist() == gathered_union(
+            space, steps, idx)
         assert _act_union(space, [], idx).size == 0
         a = rng.integers(-2, 3, size=space.n_cells)
         b = rng.integers(-1, 2, size=space.n_cells)
         a[rng.random(space.n_cells) < 0.5] = 0
-        got = _pair_correlations(space, elements, a, b)
-        want = gathered_correlations(space, elements, a, b)
-        assert list(got) == elements
-        for g in elements:
-            assert got[g] == pytest.approx(want[g], abs=1e-15)
+        got = _pair_correlations(space, steps, a, b)
+        want = gathered_correlations(space, steps, a, b)
+        assert got.shape == (len(steps),)
+        for g, w in zip(got.tolist(), want):
+            assert g == pytest.approx(w, abs=1e-15)
 
 
 # one space of each kind with cycles of several lengths (the circle's
@@ -217,13 +228,12 @@ step_lists = st.tuples(
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(steps=step_lists, picks=st.lists(st.integers(0, 10**6), max_size=8))
 def test_arc_union_matches_gathers(space, steps, picks):
-    elements = [(c,) for c in steps]
     idx = np.array([i % space.n_cells for i in picks], dtype=np.int64)
-    want = gathered_union(space, elements, idx)
-    got = _act_union(space, elements, idx)
+    want = gathered_union(space, steps, idx)
+    got = _act_union(space, steps, idx)
     assert got.dtype == np.int64
     assert got.tolist() == want
-    assert _union_mass(space, elements, idx) == pytest.approx(
+    assert _union_mass(space, steps, idx) == pytest.approx(
         space.mass_of(np.array(want, dtype=np.int64)), abs=1e-15)
 
 
@@ -240,8 +250,7 @@ def test_arcs_on_one_cycle(steps, want):
     # the rotation by one cell on 15 cells: slot = cell, one cycle
     space = build_action("circle-rotation", group=Z, N=15, cells_per_step=1)
     idx = np.array([5])
-    elements = [(c,) for c in steps]
-    assert _act_union(space, elements, idx).tolist() == sorted(want)
-    assert _union_mass(space, elements, idx) == pytest.approx(len(want) / 15)
-    assert _act_union(space, elements, idx[:0]).size == 0
-    assert _union_mass(space, elements, idx[:0]) == 0.0
+    assert _act_union(space, steps, idx).tolist() == sorted(want)
+    assert _union_mass(space, steps, idx) == pytest.approx(len(want) / 15)
+    assert _act_union(space, steps, idx[:0]).size == 0
+    assert _union_mass(space, steps, idx[:0]) == 0.0

@@ -12,7 +12,6 @@ from gaplab import (
     GridTranslationSpace,
     GroupDescriptor,
     GroupMeasure,
-    KoopmanAveragingOperator,
     ModerateGrowthSequence,
     PreconditionError,
     build_action,
@@ -26,6 +25,7 @@ from gaplab import (
     run_certificate,
     symmetrize,
 )
+from operator_helpers import KoopmanAveragingOperator
 
 Z = GroupDescriptor(kind="lattice", dimension=1)
 SQRT2 = math.sqrt(2.0)
@@ -108,10 +108,8 @@ class TestCompanionSet:
         seq = orbit_neighborhood_sequence(space, 0, list(eta.atoms), 5)
         res = rayleigh_chain(space, eta, seq, 5)
         forbidden = set()
-        from gaplab import power_set
-
-        for g in power_set(space.group, list(seq.S), 5):
-            forbidden.update(space.act_indices(g, seq.B(5)).tolist())
+        for (c,) in power_set(space.group, [(s,) for s in seq.S.tolist()], 5):
+            forbidden.update(space.act_indices(c, seq.B(5)).tolist())
         assert set(res.companion.tolist()).isdisjoint(forbidden)
         assert len(res.companion) == len(seq.B(5))
 
@@ -298,8 +296,8 @@ class TestOrbitNeighborhoodSequence:
         for n in range(1, n_max + 1):
             separators = [g for g in power_set(space.group, S, 2 * n - 2)
                           if g not in S]
-            r_cap = certificates._separation_radius(space, separators)
-            thickening = power_set(space.group, S, 2 * n)
+            r_cap = certificates._separation_radius(space, space.steps(separators))
+            thickening = space.steps(power_set(space.group, S, 2 * n))
             masses = [space.mass_of(certificates._act_union(
                 space, thickening, space.cell_ball(x0, r)))
                 for r in range(r_cap + 1)]
@@ -307,8 +305,9 @@ class TestOrbitNeighborhoodSequence:
             radius = max(r for r, m in enumerate(masses) if m < 0.5)
             assert picked[n - 1] == radius, n
             bound_active |= n > 1 and picked[n - 2] < r_cap
-            want = certificates._act_union(space, power_set(space.group, S, n),
-                                           space.cell_ball(x0, radius))
+            want = certificates._act_union(
+                space, space.steps(power_set(space.group, S, n)),
+                space.cell_ball(x0, radius))
             assert seq.B(n).tolist() == want.tolist()
         assert bound_active
 

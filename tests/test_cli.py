@@ -2,11 +2,19 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gaplab.cli import _fmt, main
+from gaplab.cli import (
+    _fmt,
+    build_group,
+    build_measure,
+    build_space,
+    main,
+    validate_config,
+)
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -174,6 +182,8 @@ class TestParams:
                          "window_radius": 1},
             "max_denominator": {"kind": "torus-translation", "N": 16,
                                 "slope_hint": 1.5, "max_denominator": 8},
+            # Z/8 drives only actions whose cycle lengths divide 8
+            "size": {"kind": "circle-rotation", "N": 8, "cells_per_step": 3},
         }
         actions["window_radius"] = actions["alphabet"]
         cfg = {
@@ -205,10 +215,72 @@ class TestParams:
         assert ("config error: action: translation step is trivial on this grid"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("measure,field,value", [
+        ({"kind": "srw", "step": 2}, "step", 2.7),
+        ({"kind": "uniform-interval", "lo": -1, "hi": 1, "closed": False},
+         "closed", "false"),
+        ({"kind": "uniform-interval", "lo": -1, "hi": 1}, "hi", "1"),
+        ({"kind": "atoms", "atoms": [[1, 0.5], [-1, 0.5]]},
+         "atoms", [[1, "0.5"], [-1, 0.5]]),
+        ({"kind": "atoms", "atoms": [[1, 0.5], [-1, 0.5]]},
+         "atoms", [[1.5, 0.5], [-1, 0.5]]),
+        ({"kind": "point", "element": [2]}, "element", [2.5]),
+    ])
+    def test_measure_field_types_exit_two(self, tmp_path, capsys, measure,
+                                          field, value):
+        cfg = {
+            "experiment": "koopman-norm",
+            "group": {"kind": "real-grid", "resolution": 8},
+            "measure": measure,
+            "action": {"kind": "circle-rotation", "N": 64, "cells_per_step": 3},
+        }
+        (tmp_path / "good").mkdir()
+        code, _ = run_cli(tmp_path / "good", cfg)
+        assert code == 0
+        cfg["measure"] = {**measure, field: value}
+        code, out_dir = run_cli(tmp_path, cfg)
+        assert code == 2
+        assert f"config error: measure.{field}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_torus_group_must_drive_the_action(self, tmp_path, capsys):
+        # sigma^1 sigma^9 is not the identity on 7 cells, though 1 + 9 = 0 in Z/10
+        cfg = {
+            "experiment": "koopman-norm",
+            "group": {"kind": "torus-grid", "size": 10},
+            "measure": {"kind": "srw"},
+            "action": {"kind": "circle-rotation", "N": 7},
+        }
+        code, out_dir = run_cli(tmp_path, cfg)
+        assert code == 2
+        assert ("config error: action: the torus-grid group of size 10 cannot "
+                "drive this action" in capsys.readouterr().err)
+        assert not out_dir.exists()
+        cfg["group"]["size"] = 14
+        code, _ = run_cli(tmp_path, cfg)
+        assert code == 0
+
     def test_float_param_takes_integer(self, tmp_path):
         cfg = {**MARGULIS_SMALL, "params": {"N": 128, "tol": 1}}
         code, _ = run_cli(tmp_path, cfg)
         assert code == 0
+
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+def test_shipped_config_matches_schema(path):
+    """Every shipped config (a sweep through its template) validates and
+    builds its group, measure and action blocks; nothing is run."""
+    cfg = validate_config(json.loads(path.read_text()))
+    if cfg["experiment"] == "sweep":
+        cfg = validate_config(cfg["template"])
+    group = build_group(cfg["group"]) if "group" in cfg else None
+    if "measure" in cfg:
+        assert build_measure(group, cfg["measure"]).total_mass > 0
+    if "action" in cfg:
+        assert build_space(group, cfg["action"]).n_cells > 0
 
 
 def read_record(out_dir, prefix):

@@ -13,18 +13,20 @@ from gaplab import (
     DescriptorMismatchError,
     GroupDescriptor,
     GroupMeasure,
-    KoopmanAveragingOperator,
     UnsupportedKindError,
     build_action,
     character_line_scan,
     character_norm,
     continued_fraction_convergent,
     discrepancy,
-    operator_norm_self_adjoint,
     symmetrize,
     verify_lower_bound,
 )
-from operator_helpers import dense_handle
+from operator_helpers import (
+    KoopmanAveragingOperator,
+    dense_handle,
+    operator_norm_self_adjoint,
+)
 
 Z = GroupDescriptor(kind="lattice", dimension=1)
 
@@ -76,7 +78,7 @@ class TestBuildAction:
     def test_circle_rotation_permutation(self):
         space = build_action("circle-rotation", group=Z, N=8, cells_per_step=3)
         idx = np.arange(8)
-        assert (space.act_indices((1,), idx) == (idx + 3) % 8).all()
+        assert (space.act_indices(1, idx) == (idx + 3) % 8).all()
         assert np.allclose(space.weights, 1 / 8)
 
     def test_torus_translations_are_bijections(self):
@@ -85,7 +87,7 @@ class TestBuildAction:
                             N=100, step=(1, 41))
         idx = np.arange(space.n_cells)
         for c in (-3, -1, 1, 2, 17):
-            image = space.act_indices((c,), idx)
+            image = space.act_indices(c, idx)
             assert np.array_equal(np.sort(image), idx)
 
     def test_torus_from_slope_hint(self):
@@ -100,6 +102,42 @@ class TestBuildAction:
             build_action("torus-translation", group=time_grid(4),
                          N=64, step=(1, 2.5))
 
+    @pytest.mark.parametrize("kind,kwargs", [
+        ("circle-rotation", dict(N=64.7, cells_per_step=3)),
+        ("circle-rotation", dict(N=64, cells_per_step=3.0)),
+        ("circle-rotation", dict(N=True, cells_per_step=1)),
+        ("torus-translation", dict(N=64, step=(3.0, 5))),
+        ("torus-translation", dict(N=64, step=(3, False))),
+        ("torus-translation", dict(N=64, slope_hint=SQRT2, max_denominator=8.5)),
+        ("bernoulli-window", dict(alphabet=2.9, window_radius=1)),
+        ("bernoulli-window", dict(alphabet=2, window_radius=1.5)),
+        ("finite-permutation", dict(permutation=[1.0, 0.0])),
+    ])
+    def test_non_integer_counts_rejected(self, kind, kwargs):
+        with pytest.raises(ConstructionError, match="integer"):
+            build_action(kind, group=Z, **kwargs)
+
+    def test_torus_group_size_divisible_by_cycle_lengths(self):
+        # Z/M acts through c -> sigma^c only if every cycle length divides M
+        for size in (8, 10):
+            with pytest.raises(ConstructionError, match="cannot drive"):
+                build_action("circle-rotation", N=7, cells_per_step=1,
+                             group=GroupDescriptor(kind="torus-grid", size=size))
+        mu = GroupMeasure.simple_random_walk(Z)
+        want = discrepancy(build_action("circle-rotation", group=Z, N=7), mu).value
+        for size in (7, 14):
+            group = GroupDescriptor(kind="torus-grid", size=size)
+            space = build_action("circle-rotation", group=group, N=7)
+            got = discrepancy(space, GroupMeasure.simple_random_walk(group)).value
+            assert got == pytest.approx(want, abs=1e-15)
+        # cycles of lengths 1 and 3 need a multiple of 3
+        window = dict(alphabet=2, window_radius=1)
+        build_action("bernoulli-window", group=GroupDescriptor(kind="torus-grid", size=6),
+                     **window)
+        with pytest.raises(ConstructionError, match=r"\[1, 3\] do not all divide 4"):
+            build_action("bernoulli-window",
+                         group=GroupDescriptor(kind="torus-grid", size=4), **window)
+
     def test_bernoulli_window_cells(self):
         space = build_action("bernoulli-window", group=Z, alphabet=2,
                             window_radius=2)
@@ -107,18 +145,18 @@ class TestBuildAction:
         assert np.allclose(space.weights, 1 / 32)
         # the shift rotates the window: bijective, order 2w+1
         idx = np.arange(32)
-        rotated = space.act_indices((1,), idx)
+        rotated = space.act_indices(1, idx)
         assert np.array_equal(np.sort(rotated), idx)
         five = idx
         for _ in range(5):
-            five = space.act_indices((1,), five)
+            five = space.act_indices(1, five)
         assert np.array_equal(five, idx)
 
     def test_finite_permutation_space(self):
         space = build_action("finite-permutation", group=Z,
                             permutation=[1, 2, 3, 4, 0])
-        assert space.act_indices((2,), np.array([0]))[0] == 2
-        assert space.act_indices((-1,), np.array([0]))[0] == 4
+        assert space.act_indices(2, np.array([0]))[0] == 2
+        assert space.act_indices(-1, np.array([0]))[0] == 4
 
     def test_missing_parameter(self):
         with pytest.raises((ConstructionError, TypeError, KeyError)):

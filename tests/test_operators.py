@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from gaplab import ContractError, LinearOperatorHandle, operator_norm_self_adjoint
-from operator_helpers import dense_handle, norm_via_symmetrization, validate_handle
+from operator_helpers import (
+    ContractError,
+    LinearOperatorHandle,
+    dense_handle,
+    norm_via_symmetrization,
+    operator_norm_self_adjoint,
+    validate_handle,
+)
 
 
 def test_identity_norm():

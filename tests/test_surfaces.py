@@ -27,7 +27,7 @@ class TestMeasurePreservation:
         space = build_action(kind, group=Z, **kwargs)
         idx = np.arange(space.n_cells)
         for c in (-2, 1, 3):
-            image = space.act_indices((c,), idx)
+            image = space.act_indices(c, idx)
             pushed = np.zeros_like(space.weights)
             np.add.at(pushed, image, space.weights)
             assert np.array_equal(pushed, space.weights)
