@@ -46,8 +46,9 @@ CHAIN_TOL = 1e-10
 class ModerateGrowthSequence:
     """A candidate certificate: sets B_1..B_max_n plus the atom sets S, F.
 
-    S and F are given as group elements; once validated they are held as
-    sorted int64 arrays of their steps.
+    S and F are given as group elements, or as 1-d integer arrays of
+    steps; once validated they are held as sorted int64 arrays of their
+    steps, which validate again, so ``dataclasses.replace`` works.
     """
 
     space: ActionSpace
@@ -61,9 +62,18 @@ class ModerateGrowthSequence:
         object.__setattr__(self, "F", _symmetric_steps(self.space, self.F, "F"))
         if len(self.sets) != self.max_n:
             raise PreconditionError("need one cell set per n = 1..max_n")
+        n_cells = self.space.n_cells
         for i, b in enumerate(self.sets):
             if len(b) == 0:
                 raise PreconditionError(f"B_{i + 1} is empty (condition (1) fails)")
+            b = np.asarray(b)
+            if b.dtype.kind not in "iu" or b.min() < 0 or b.max() >= n_cells:
+                raise PreconditionError(
+                    f"B_{i + 1} must hold cell indices in 0..{n_cells - 1}")
+            covered = np.zeros(n_cells, dtype=bool)
+            covered[b] = True
+            if np.count_nonzero(covered) != b.size:
+                raise PreconditionError(f"B_{i + 1} lists a cell more than once")
 
     def B(self, n: int) -> np.ndarray:
         if not 1 <= n <= self.max_n:
@@ -112,8 +122,10 @@ class RayleighChainResult:
 
 def _symmetric_steps(space: ActionSpace, atoms, name: str) -> np.ndarray:
     """The sorted steps of an atom set that must be symmetric and hold the
-    identity."""
+    identity; a 1-d array holds the steps themselves."""
     group = space.group
+    if isinstance(atoms, np.ndarray) and atoms.ndim == 1:
+        atoms = atoms[:, None]
     atoms = {tuple(g) for g in atoms}
     if not is_symmetric_set(group, atoms) or group.identity() not in atoms:
         raise PreconditionError(f"{name} must be symmetric and contain the identity")
@@ -132,7 +144,7 @@ def _step_powers(group: GroupDescriptor, S: np.ndarray, k: int) -> list[np.ndarr
 
 def _integer_counts(spectrum: np.ndarray, length: int) -> np.ndarray:
     """Inverse real FFT along the cycle axis of sums that must be integers,
-    rounded back exactly."""
+    rounded back exactly (the overlap counts of ``_pair_correlations``)."""
     values = np.fft.irfft(spectrum, n=length, axis=-1)
     counts = np.rint(values)
     if np.abs(values - counts).max() > 1e-5:
@@ -203,15 +215,20 @@ def _pair_correlations(space: ActionSpace, steps, a: np.ndarray,
     each step count, as an array aligned with ``steps``.
 
     ``a`` and ``b`` are integer-valued cell vectors; for indicators of A
-    and B this is nu(gA & B).  On each cycle the sum over x is a circular
-    cross-correlation; the weights are constant on cycles, so the integer
-    counts of the cycles of one weight are summed, rounded back exactly,
-    and weighted once.
+    and B this is nu(gA & B), which serves the F-overlap ratios.  On each
+    cycle the sum over x is a circular cross-correlation; the weights are
+    constant on cycles, so the integer counts of the cycles of one weight
+    are summed, rounded back exactly, and weighted once.  When ``b is a``
+    the spectrum is |a^|^2, from one transform.
     """
     steps = np.asarray(steps, dtype=np.int64)
     totals = np.zeros(steps.size)
     for length, cells in space.cycles.rows():
-        spectra = np.conj(np.fft.rfft(a[cells])) * np.fft.rfft(b[cells])
+        a_hat = np.fft.rfft(a[cells])
+        if b is a:
+            spectra = a_hat.real ** 2 + a_hat.imag ** 2
+        else:
+            spectra = np.conj(a_hat) * np.fft.rfft(b[cells])
         weights = space.weights[cells[:, 0]]
         for weight in np.unique(weights):
             counts = _integer_counts(spectra[weights == weight].sum(axis=0), length)
@@ -219,12 +236,50 @@ def _pair_correlations(space: ActionSpace, steps, a: np.ndarray,
     return totals
 
 
+def _measure_spectra(space: ActionSpace, eta: GroupMeasure) -> dict[int, np.ndarray]:
+    """eta^_L(k) = sum_c eta(c) e^{2 pi i k c / L} on the real-FFT bins
+    k = 0..L//2 of each cycle length L, from the weights folded mod L."""
+    steps = space.steps(eta.atoms)
+    weights = np.fromiter(eta.atoms.values(), float, len(eta))
+    return {
+        int(length): np.conj(np.fft.rfft(
+            np.bincount(steps % length, weights, minlength=length)))
+        for length in space.cycles.lengths
+    }
+
+
+def _rayleigh_numerator(space: ActionSpace, phi: np.ndarray,
+                        spectra: dict[int, np.ndarray]) -> float:
+    """<pi(eta) phi, phi> for the measure eta with ``_measure_spectra``
+    ``spectra``, as one sum over the spectrum of phi.
+
+    On a cycle of length L, sum_c eta(c) sum_j phi_{j-c} phi_j is
+    (1/L) sum_k |phi^(k)|^2 Re eta^_L(k); the real-FFT bins count the
+    pairs k, L - k twice, except k = 0 and, for even L, the Nyquist bin.
+    The terms of the cycles of one weight are summed before weighting.
+    """
+    total = 0.0
+    for length, cells in space.cycles.rows():
+        phi_hat = np.fft.rfft(phi[cells])
+        power = phi_hat.real ** 2 + phi_hat.imag ** 2
+        gain = np.full(power.shape[1], 2.0 / length)
+        gain[0] = 1.0 / length
+        if length % 2 == 0:
+            gain[-1] = 1.0 / length
+        gain *= spectra[length].real
+        weights = space.weights[cells[:, 0]]
+        for weight in np.unique(weights):
+            # one pairwise sum: its rounding grows with log(cells), not cells
+            total += weight * float((power[weights == weight] * gain).sum())
+    return total
+
+
 # -- the per-n step -------------------------------------------------------------
 
 
 def _growth_row(seq: ModerateGrowthSequence, n: int,
-                s_pow: np.ndarray) -> tuple[CertificateRow, np.ndarray]:
-    """Row n of the moderate-growth conditions, and S^n B_n itself.
+                snb: np.ndarray) -> CertificateRow:
+    """Row n of the moderate-growth conditions, given S^n B_n.
 
     The overlap ratio is clamped to [0, 1]; it serves condition (3) and
     the chain bound alike.
@@ -232,12 +287,14 @@ def _growth_row(seq: ModerateGrowthSequence, n: int,
     space = seq.space
     b = seq.B(n)
     nu_b = space.mass_of(b)
-    snb = _act_union(space, s_pow, b)
     nu_snb = space.mass_of(snb)
-    ind = np.bincount(b, minlength=space.n_cells)
+    # int8 cell vectors: the cycle-order gathers of the correlations read
+    # an eighth of the memory of int64 ones
+    ind = np.zeros(space.n_cells, dtype=np.int8)
+    ind[b] = 1
     overlaps = _pair_correlations(space, seq.F, ind, ind)
     ratio = min(max(float(overlaps.min()) / nu_b, 0.0), 1.0)
-    row = CertificateRow(
+    return CertificateRow(
         n=n,
         nu_B=nu_b,
         nu_SnB=nu_snb,
@@ -246,28 +303,26 @@ def _growth_row(seq: ModerateGrowthSequence, n: int,
         ratio=ratio,
         ratio_root=ratio ** (1.0 / n),
     )
-    return row, snb
 
 
 def _rayleigh_part(seq: ModerateGrowthSequence, eta: GroupMeasure,
-                   eta_n: GroupMeasure, row: CertificateRow,
-                   snb: np.ndarray) -> np.ndarray:
-    """Fill the Rayleigh and chain columns of ``row`` from eta^{*n} and
-    S^n B_n; returns the companion set."""
+                   eta_n: GroupMeasure, eta_hat: dict[int, np.ndarray],
+                   row: CertificateRow, snb: np.ndarray) -> np.ndarray:
+    """Fill the Rayleigh and chain columns of ``row`` from eta^{*n}, the
+    spectra ``eta_hat`` of eta and S^n B_n; returns the companion set."""
     space = seq.space
     n = row.n
     b = seq.B(n)
     companion = build_companion_set(space, b, snb)
-    phi = (np.bincount(b, minlength=space.n_cells)
-           - np.bincount(companion, minlength=space.n_cells))
-    steps = space.steps(eta_n.atoms)
-    weights = list(eta_n.atoms.values())
-    # plain Python sums over the atoms in dict order: the reported digits
+    phi = np.zeros(space.n_cells, dtype=np.int8)
+    phi[b] = 1
+    phi[companion] = -1
+    spectra = {length: values ** n for length, values in eta_hat.items()}
+    row.rayleigh = _rayleigh_numerator(space, phi, spectra) / (2.0 * row.nu_B)
+    # a plain Python sum over the atoms in dict order: the reported digits
     # depend on the summation order
-    corr = _pair_correlations(space, steps, phi, phi).tolist()
-    row.rayleigh = sum(w * c for w, c in zip(weights, corr)) / (2.0 * row.nu_B)
-    in_f = np.isin(steps, seq.F).tolist()
-    f_mass = sum(w for w, keep in zip(weights, in_f) if keep)
+    in_f = np.isin(space.steps(eta_n.atoms), seq.F).tolist()
+    f_mass = sum(w for w, keep in zip(eta_n.atoms.values(), in_f) if keep)
     row.chain_bound = 0.5 * f_mass * row.ratio
     row.chain_asserted = bool(np.isin(space.steps(eta.atoms), seq.S).all())
     if row.chain_asserted and row.rayleigh < row.chain_bound - CHAIN_TOL:
@@ -285,17 +340,31 @@ def _walk(seq: ModerateGrowthSequence, slack: float,
           eta: GroupMeasure | None = None) -> CertificateReport:
     """One pass over n = 1..max_n carrying S^n (and eta^{*n}) forward.
 
-    Without ``eta`` only the moderate-growth columns are filled.
+    Without ``eta`` only the moderate-growth columns are filled.  On a
+    sequence from ``orbit_neighborhood_sequence``, S^n B_n is dilated as
+    S^{2n} V_n from the few cells of the ball V_n instead of all of B_n.
     """
-    group = seq.space.group
-    s_pow = _step_powers(group, seq.S, seq.max_n)
+    space = seq.space
+    group = space.group
+    cores = getattr(seq, "_cores", None)
+    if cores is None:
+        s_pow = _step_powers(group, seq.S, seq.max_n)
+    else:
+        balls, s_pow = cores
+    if eta is not None:
+        eta_hat = _measure_spectra(space, eta)
     eta_n = GroupMeasure.point_mass(group, group.identity())
     rows = []
     for n in range(1, seq.max_n + 1):
-        row, snb = _growth_row(seq, n, s_pow[n])
+        if cores is None:
+            snb = _act_union(space, s_pow[n], seq.B(n))
+        else:
+            snb = _act_union(space, s_pow[2 * n], balls[n - 1])
+        row = _growth_row(seq, n, snb)
         if eta is not None:
+            # eta^{*n} serves only the F-mass of the chain bound
             eta_n = convolve(eta_n, eta)
-            _rayleigh_part(seq, eta, eta_n, row, snb)
+            _rayleigh_part(seq, eta, eta_n, eta_hat, row, snb)
         rows.append(row)
     max_root = max(r.ratio_root for r in rows)
     return CertificateReport(
@@ -334,7 +403,8 @@ def build_companion_set(
     reproducible.
     """
     weights = space.weights
-    if not np.allclose(weights, weights[0]):
+    # np.allclose(weights, weights[0]) in one pass
+    if (np.abs(weights - weights[0]) > 1e-8 + 1e-5 * weights[0]).any():
         raise PreconditionError("companion sets need an equal-weight cell grid")
     blocked = np.zeros(space.n_cells, dtype=bool)
     blocked[forbidden] = True
@@ -371,8 +441,10 @@ def rayleigh_chain(
     """
     if not mu.is_symmetric(tol=1e-12):
         raise PreconditionError("rayleigh_chain needs a symmetric measure")
-    row, snb = _growth_row(seq, n, _step_powers(space.group, seq.S, n)[n])
-    companion = _rayleigh_part(seq, mu, convolution_power(mu, n), row, snb)
+    snb = _act_union(space, _step_powers(space.group, seq.S, n)[n], seq.B(n))
+    row = _growth_row(seq, n, snb)
+    companion = _rayleigh_part(seq, mu, convolution_power(mu, n),
+                               _measure_spectra(space, mu), row, snb)
     return RayleighChainResult(
         rayleigh=row.rayleigh,
         chain_bound=row.chain_bound,
@@ -395,7 +467,10 @@ def orbit_neighborhood_sequence(
     exemption under the free-orbit surrogate), and (b) the orbit
     thickening S^{2n} V_n keeps mass below 1/2.  Condition (b) plays the
     role of the small open superset: with it, S^n B_n = S^{2n} V_n stays
-    below mass 1/2 by construction.
+    below mass 1/2 by construction.  The balls V_n and the powers
+    S^0..S^{2 n_max} ride along on the sequence as ``_cores``, outside its
+    fields, so that the walk can dilate S^n B_n as S^{2n} V_n;
+    ``dataclasses.replace`` drops them.
     """
     S = tuple(S)
     steps = _symmetric_steps(space, S, "S")
@@ -420,7 +495,7 @@ def orbit_neighborhood_sequence(
             f"{orbit_mass:.6g} >= 1/2; refine the grid"
         )
 
-    sets = []
+    balls, sets = [], []
     # S^{2n} only grows with n, so the admissible radius cannot grow
     radius = math.inf
     for n in range(1, n_max + 1):
@@ -434,11 +509,13 @@ def orbit_neighborhood_sequence(
                 f"no admissible neighborhood at n={n}: even the single base "
                 "cell pushes the orbit thickening to mass >= 1/2; use a finer grid"
             )
-        v = space.cell_ball(x0, radius)
-        sets.append(_act_union(space, powers[n], v))
-    return ModerateGrowthSequence(
+        balls.append(space.cell_ball(x0, radius))
+        sets.append(_act_union(space, powers[n], balls[-1]))
+    seq = ModerateGrowthSequence(
         space=space, S=S, F=S, sets=tuple(sets), max_n=n_max
     )
+    object.__setattr__(seq, "_cores", (balls, powers))
+    return seq
 
 
 def _separation_radius(space: ActionSpace, separators: np.ndarray) -> int:

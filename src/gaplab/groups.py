@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError, UnsupportedKindError
+from .errors import DescriptorMismatchError, ResourceLimitError, UnsupportedKindError
 
 Element = tuple[int, ...]
 
@@ -228,11 +228,19 @@ def _pair_sums(group: GroupDescriptor, xs, ys, cap: int, what: str):
     sums in lexicographic order, which is ``sort_key`` order on these kinds,
     the position of each pair's sum among them, and the first pair that
     forms each sum.  More than ``cap`` distinct sums raise
-    ``ResourceLimitError``.
+    ``ResourceLimitError``, and non-integer coordinates
+    ``DescriptorMismatchError``.
     """
     d = group.dimension
-    x = np.asarray(xs, dtype=np.int64).reshape(len(xs), d)
-    y = np.asarray(ys, dtype=np.int64).reshape(len(ys), d)
+    x, y = np.asarray(xs), np.asarray(ys)
+    for factor in (x, y):
+        if factor.size and factor.dtype.kind not in "iu":
+            raise DescriptorMismatchError(
+                f"{what} needs integer coordinates on {group.kind}; got "
+                f"{factor.reshape(-1)[:3].tolist()}"
+            )
+    x = x.astype(np.int64).reshape(len(xs), d)
+    y = y.astype(np.int64).reshape(len(ys), d)
     sums = (x[:, None, :] + y[None, :, :]).reshape(-1, d)
     if group.kind == TORUS_GRID:
         sums %= group.size

@@ -170,7 +170,7 @@ def test_criterion_5_net_counting_battery():
 
 
 def test_criterion_6_certificate_pipeline():
-    crit = Criterion(6, "orbit-neighborhood certificate on the line flow", 300)
+    crit = Criterion(6, "orbit-neighborhood certificate on the line flow", 30)
     q = 8
     grid = time_grid(q)
     mu = GroupMeasure.uniform_interval(grid, -1.0, 1.0)

@@ -1,5 +1,6 @@
 """Moderate-growth certificates: conditions, companions, Rayleigh chains."""
 
+import dataclasses
 import itertools
 import math
 
@@ -50,11 +51,52 @@ class TestSequenceValidation:
             ModerateGrowthSequence(space, S=((0,), (1,), (-1,)), F=((1,), (-1,)),
                                    sets=(np.array([0]),), max_n=1)
 
+    def test_step_arrays_validate_like_elements(self):
+        space = cycle_space(8)
+        seq = ModerateGrowthSequence(space, S=np.array([1, 0, -1]), F=((0,),),
+                                     sets=(np.array([0]),), max_n=1)
+        assert seq.S.tolist() == [-1, 0, 1]
+        for bad in (np.array([0, 1]), np.array([1, -1]), np.array([0, 2, -1])):
+            with pytest.raises(PreconditionError, match="symmetric"):
+                dataclasses.replace(seq, S=bad)
+            with pytest.raises(PreconditionError, match="symmetric"):
+                dataclasses.replace(seq, F=bad)
+
+    def test_replace_matches_fresh_construction(self):
+        space = build_action("torus-translation", group=time_grid(2),
+                            N=64, step=(29, 41))
+        mu = GroupMeasure.uniform_interval(time_grid(2), -1.0, 1.0)
+        S = list(symmetrize(mu).atoms)
+        seq = orbit_neighborhood_sequence(space, 0, S, 4)
+        same = dataclasses.replace(seq)
+        assert same.S.tolist() == seq.S.tolist()
+        assert same.F.tolist() == seq.F.tolist()
+        # the replaced sequence dilates B_n itself; the x0 route dilates V_n
+        assert not hasattr(same, "_cores")
+        assert (run_certificate(space, mu, seq=same)
+                == run_certificate(space, mu, x0=0, n_max=4))
+        shorter = dataclasses.replace(seq, sets=seq.sets[1:3], max_n=2)
+        fresh = ModerateGrowthSequence(space, S=S, F=S, sets=seq.sets[1:3],
+                                       max_n=2)
+        assert (run_certificate(space, mu, seq=shorter)
+                == run_certificate(space, mu, seq=fresh))
+
     def test_rejects_empty_sets(self):
         space = cycle_space(8)
         with pytest.raises(PreconditionError, match="condition"):
             ModerateGrowthSequence(space, S=((0,),), F=((0,),),
                                    sets=(np.array([], dtype=np.int64),), max_n=1)
+
+    @pytest.mark.parametrize("cells,match", [
+        ([3, 3, 4], "more than once"),
+        ([2, 8], r"cell indices in 0\.\.7"),
+        ([-1, 2], r"cell indices in 0\.\.7"),
+        ([0.0, 1.0], r"cell indices in 0\.\.7"),
+    ])
+    def test_rejects_malformed_cell_sets(self, cells, match):
+        with pytest.raises(PreconditionError, match=match):
+            ModerateGrowthSequence(cycle_space(8), S=((0,),), F=((0,),),
+                                   sets=(np.array([0]), np.array(cells)), max_n=2)
 
 
 class TestCheckModerateGrowth:
@@ -209,6 +251,75 @@ class TestRayleighOracle:
             res = rayleigh_chain(space, eta, seq, n)
             want = self.dense_quotient(space, eta, b, res.companion, n)
             assert res.rayleigh == pytest.approx(want, abs=1e-12)
+
+
+    def test_odd_circle(self):
+        space = build_action("circle-rotation", group=Z, N=127, cells_per_step=2)
+        assert space.cycle_lengths() == {127: 1}
+        eta = symmetrize(GroupMeasure.simple_random_walk(Z))
+        orbit_seq = orbit_neighborhood_sequence(space, 0, list(eta.atoms), 4)
+        b = np.arange(10, 20)  # the companion is cells 0-9
+        near_seq = ModerateGrowthSequence(space, S=((0,),), F=((0,),),
+                                          sets=(b,) * 4, max_n=4)
+        for seq in (orbit_seq, near_seq):
+            for n in range(1, 5):
+                res = rayleigh_chain(space, eta, seq, n)
+                want = self.dense_quotient(space, eta, seq.B(n), res.companion, n)
+                assert res.rayleigh == pytest.approx(want, abs=1e-12)
+
+    def test_permutation_with_short_cycles(self):
+        # cycles of lengths 1, 2, 3 and 4: the L = 1 and L = 2 spectra and
+        # the Nyquist bins of the even lengths
+        space = build_action("finite-permutation", group=Z,
+                             permutation=[0, 2, 1, 4, 5, 3, 7, 8, 9, 6])
+        assert space.cycle_lengths() == {1: 1, 2: 1, 3: 1, 4: 1}
+        eta = symmetrize(GroupMeasure.from_atoms(
+            Z, [((1,), 0.3), ((-2,), 0.5), ((3,), 0.2)]))
+        b = np.array([4, 8])  # the companion is cells 0 and 1
+        seq = ModerateGrowthSequence(space, S=((0,),), F=((0,),),
+                                     sets=(b,) * 4, max_n=4)
+        for n in range(1, 5):
+            res = rayleigh_chain(space, eta, seq, n)
+            assert res.companion.tolist() == [0, 1]
+            want = self.dense_quotient(space, eta, b, res.companion, n)
+            assert res.rayleigh == pytest.approx(want, abs=1e-12)
+
+    def test_numerator_with_two_cell_weights(self):
+        # cycles (0 1 2), (3 4 5), (6 7 8 9), (10 11 12 13), (14) with the
+        # weights 1, 2, 1, 2, 1 up to normalization
+        perm = [1, 2, 0, 4, 5, 3, 7, 8, 9, 6, 11, 12, 13, 10, 14]
+        weights = np.array([1.0] * 3 + [2.0] * 3 + [1.0] * 4 + [2.0] * 4 + [1.0])
+        space = build_action("finite-permutation", group=Z, permutation=perm,
+                             weights=weights / weights.sum())
+        eta = symmetrize(GroupMeasure.from_atoms(Z, [((1,), 0.6), ((-3,), 0.4)]))
+        eta_hat = certificates._measure_spectra(space, eta)
+        phi = np.random.default_rng(3).integers(-2, 3, size=space.n_cells)
+        for n in range(1, 6):
+            spectra = {length: v ** n for length, v in eta_hat.items()}
+            got = certificates._rayleigh_numerator(space, phi, spectra)
+            averaged = KoopmanAveragingOperator(
+                space, convolution_power(eta, n)).apply_l2(phi)
+            want = float(np.sum(space.weights * averaged * phi))
+            assert got == pytest.approx(want, abs=1e-12)
+
+
+class TestThickeningFromBalls:
+    """S^n B_n of the x0 route, S^{2n} V_n, against the dilation of B_n."""
+
+    @pytest.mark.parametrize("kind,kw,q,n_max", [
+        ("torus-translation", dict(N=64, step=(29, 41)), 2, 5),
+        ("circle-rotation", dict(N=101, cells_per_step=2), 1, 6),
+    ])
+    def test_matches_dilated_sets(self, kind, kw, q, n_max):
+        space = build_action(kind, group=time_grid(q), **kw)
+        eta = symmetrize(GroupMeasure.uniform_interval(time_grid(q), -1.0, 1.0))
+        seq = orbit_neighborhood_sequence(space, 3, list(eta.atoms), n_max)
+        balls, powers = seq._cores
+        for n in range(1, n_max + 1):
+            from_ball = certificates._act_union(space, powers[2 * n], balls[n - 1])
+            from_set = certificates._act_union(space, powers[n], seq.B(n))
+            assert from_ball.tolist() == from_set.tolist()
+            assert len(balls[n - 1]) < len(seq.B(n))
 
 
 def torus_distance(a, b, n):

@@ -239,6 +239,20 @@ class TestAbelianPairSums:
     def test_empty_factor(self):
         assert product_set(Z2, [], [(1, 2)]) == []
         assert product_set(Z2, [(1, 2)], []) == []
+        empty = GroupMeasure(Z, {})
+        assert len(convolve(empty, GroupMeasure.point_mass(Z, (1,)))) == 0
+        assert len(convolve(GroupMeasure.point_mass(Z, (1,)), empty)) == 0
+
+    def test_non_integer_coordinates_rejected(self):
+        half = GroupMeasure.from_atoms(Z, [((1.5,), 0.5), ((-1,), 0.5)])
+        with pytest.raises(DescriptorMismatchError, match="integer coordinates"):
+            convolve(half, half)
+        with pytest.raises(DescriptorMismatchError, match="integer coordinates"):
+            convolve(GroupMeasure.point_mass(Z, (1,)), half)
+        with pytest.raises(DescriptorMismatchError, match="integer coordinates"):
+            product_set(Z, [(1.5,)], [(0.4,)])
+        with pytest.raises(DescriptorMismatchError, match="integer coordinates"):
+            product_set(Z, [(1,)], [(0.4,)])
 
     @pytest.mark.parametrize("group", [*PAIR_GROUPS, F2],
                              ids=lambda g: f"{g.kind}-{g.dimension}")
@@ -258,6 +272,53 @@ class TestAbelianPairSums:
         assert len(product_set(group, xs, ys, cap=size)) == size
         with pytest.raises(ResourceLimitError, match="cap of"):
             product_set(group, xs, ys, cap=size - 1)
+
+
+@st.composite
+def measure_triple(draw):
+    """A group of an abelian kind and three measures on it."""
+    group = draw(st.sampled_from(PAIR_GROUPS))
+    lo, hi = (0, group.size - 1) if group.kind == "torus-grid" else (-6, 6)
+    cell = st.tuples(*[st.integers(lo, hi)] * group.dimension)
+    atoms = st.lists(st.tuples(cell, st.floats(1e-3, 10.0)), min_size=1, max_size=8)
+    return group, *(GroupMeasure.from_atoms(group, draw(atoms)) for _ in range(3))
+
+
+def assert_same_measure(left, right, rel=1e-12):
+    assert set(left.atoms) == set(right.atoms)
+    for g, w in left.atoms.items():
+        assert right.atoms[g] == pytest.approx(w, rel=rel, abs=0)
+
+
+class TestAbelianConvolveLaws:
+    """Group-algebra identities of ``convolve`` on the abelian kinds."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(measure_triple())
+    def test_commutative(self, case):
+        _, a, b, _ = case
+        assert_same_measure(convolve(a, b), convolve(b, a))
+
+    @settings(max_examples=100, deadline=None)
+    @given(measure_triple())
+    def test_associative(self, case):
+        _, a, b, c = case
+        assert_same_measure(convolve(convolve(a, b), c),
+                            convolve(a, convolve(b, c)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(measure_triple())
+    def test_involution_reverses_products(self, case):
+        _, a, b, _ = case
+        assert_same_measure(involute(convolve(a, b)),
+                            convolve(involute(b), involute(a)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(measure_triple())
+    def test_mass_multiplies(self, case):
+        _, a, b, _ = case
+        assert convolve(a, b).total_mass == pytest.approx(
+            a.total_mass * b.total_mass, rel=1e-12, abs=0)
 
 
 class TestInvolute:
