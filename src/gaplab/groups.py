@@ -244,15 +244,21 @@ def _pair_sums(group: GroupDescriptor, xs, ys, cap: int, what: str):
     sums = (x[:, None, :] + y[None, :, :]).reshape(-1, d)
     if group.kind == TORUS_GRID:
         sums %= group.size
+    cells, index, first = _unique_rows(sums)
+    if len(cells) > cap:
+        raise ResourceLimitError(f"{what} exceeded the support cap of {cap} elements")
+    return cells, index, first
+
+
+def _unique_rows(rows: np.ndarray):
+    """The distinct rows of a 2-d array in lexicographic order, the position
+    of each row among them, and the first row equal to each."""
     # a stable lexicographic sort: ``np.unique(axis=0)`` gives the same
     # result, but sorts the rows as structured records, several times slower
-    perm = np.lexsort(sums.T[::-1])
-    ordered = sums[perm]
+    perm = np.lexsort(rows.T[::-1])
+    ordered = rows[perm]
     starts = np.ones(len(perm), dtype=bool)
     starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    n_cells = int(starts.sum())
-    if n_cells > cap:
-        raise ResourceLimitError(f"{what} exceeded the support cap of {cap} elements")
     index = np.empty_like(perm)
     index[perm] = np.cumsum(starts) - 1
     return ordered[starts], index, perm[starts]

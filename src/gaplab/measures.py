@@ -147,10 +147,9 @@ def convolve(
     """Convolution: mass of g is the sum of a(h)*b(k) over h*k = g.
 
     Exact direct summation over all pairs (h, k), h-major in atom order.
-    On the abelian kinds the pair sums are formed at once in numpy and
-    ``np.bincount`` adds the products in that same pair order, so each
-    weight, and the order of the atoms (first formed first), is that of
-    the pair loop the free group still runs.
+    On the abelian kinds ``_convolve_arrays`` forms the pair sums at once
+    in numpy, with each weight, and the order of the atoms (first formed
+    first), that of the pair loop the free group still runs.
     """
     if a.group != b.group:
         raise DescriptorMismatchError(
@@ -158,17 +157,12 @@ def convolve(
         )
     g = a.group
     if g.is_abelian:
-        cells, index, first = _pair_sums(g, list(a.atoms), list(b.atoms), cap,
-                                         "convolution")
-        products = np.multiply.outer(
-            np.fromiter(a.atoms.values(), float, len(a)),
-            np.fromiter(b.atoms.values(), float, len(b)),
-        )
-        weights = np.bincount(index, weights=products.ravel(), minlength=len(cells))
-        order = np.argsort(first)
-        return GroupMeasure(
-            g, dict(zip(map(tuple, cells[order].tolist()), weights[order].tolist()))
-        )
+        cells, weights = _convolve_arrays(g, *_arrays(a), *_arrays(b), cap)
+        out = object.__new__(GroupMeasure)  # checked atoms: no __post_init__
+        object.__setattr__(out, "group", g)
+        object.__setattr__(out, "atoms", dict(zip(map(tuple, cells.tolist()),
+                                                   weights.tolist())))
+        return out
     out: dict[Element, float] = {}
     compose = g.compose
     for h, wa in a.atoms.items():
@@ -180,6 +174,33 @@ def convolve(
                 f"convolution exceeded the support cap of {cap} elements"
             )
     return GroupMeasure(g, out)
+
+
+def _arrays(a: GroupMeasure):
+    """The atoms of a measure as a (cells, weights) pair of arrays, in atom order."""
+    cells = np.asarray(list(a.atoms)).reshape(len(a), a.group.dimension)
+    return cells, np.fromiter(a.atoms.values(), float, len(a))
+
+
+def _convolve_arrays(group: GroupDescriptor, cells_a, w_a, cells_b, w_b, cap: int):
+    """Abelian ``convolve`` on (cells, weights) arrays, in first-formed order.
+
+    ``np.bincount`` adds the products in pair order, as the pair loop does.
+    As in ``GroupMeasure``, the first non-finite weight raises, and weights
+    that underflow to 0 are dropped.
+    """
+    cells, index, first = _pair_sums(group, cells_a, cells_b, cap, "convolution")
+    with np.errstate(over="ignore"):  # an overflow is reported below, by atom
+        products = np.multiply.outer(w_a, w_b)
+    weights = np.bincount(index, weights=products.ravel(), minlength=len(cells))
+    order = np.argsort(first)
+    cells, weights = cells[order], weights[order]
+    bad = ~np.isfinite(weights)
+    if bad.any():
+        g, w = cells[bad][0].tolist(), weights[bad][0]
+        raise PreconditionError(f"non-finite weight {w} at atom {tuple(g)}")
+    keep = weights > 0
+    return cells[keep], weights[keep]
 
 
 def convolution_power(

@@ -49,22 +49,22 @@ def greedy_maximal_net(
     """Greedy maximal A-separated net of ``span`` in deterministic order.
 
     Points are visited in the group's lexicographic order and accepted
-    iff their A-translate is disjoint from all accepted translates.  The
-    result is maximal (no remaining point can be added), hence the span
-    is covered by net * A * A^{-1}.
+    iff their A-translate is disjoint from all accepted translates pA,
+    that is, iff they lie in no p A A^{-1}.  The result is maximal (no
+    remaining point can be added), hence the span is covered by
+    net * A * A^{-1}.
     """
     A = sorted({tuple(a) for a in A}, key=group.sort_key)
     if group.identity() not in A:
         raise PreconditionError("A must contain the identity")
     span = sorted({tuple(x) for x in span}, key=group.sort_key)
-    covered: set[Element] = set()
+    diffs = product_set(group, A, inverse_set(group, A))
+    blocked: set[Element] = set()
     net: list[Element] = []
     for point in span:
-        translate = [group.compose(point, a) for a in A]
-        if any(t in covered for t in translate):
-            continue
-        net.append(point)
-        covered.update(translate)
+        if point not in blocked:
+            net.append(point)
+            blocked.update(product_set(group, [point], diffs))
     return NetInstance(
         group=group,
         A=tuple(A),

@@ -18,13 +18,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError, ResourceLimitError, UnsupportedKindError
-from .groups import FREE, GroupDescriptor
+from .groups import FREE, GroupDescriptor, _unique_rows
 from .measures import (
     DEFAULT_SUPPORT_CAP,
     GroupMeasure,
+    _arrays,
+    _convolve_arrays,
     convolve,
     involute,
-    symmetrize,
 )
 
 log = logging.getLogger(__name__)
@@ -88,19 +89,21 @@ def berg_christensen_estimate(
     if F == [group.identity()] and _is_uniform_generator_walk(mu):
         return _radial_estimate(mu, n_max)
 
-    eta = symmetrize(mu, cap=cap)
-    indicator = GroupMeasure(group, dict.fromkeys(F, 1.0))
-    # high = eta^{*ceil(n/2)}; reach = 1_F * (eta^{*floor(n/2)})^, as atoms
-    high, reach = eta, indicator.atoms
+    as_rep, conv, inv, pairing = _walk_steps(group, cap)
+    base = as_rep(mu)
+    eta = conv(base, inv(base))  # mu * mu^
+    indicator = as_rep(GroupMeasure(group, dict.fromkeys(F, 1.0)))
+    # high = eta^{*ceil(n/2)}; reach = 1_F * (eta^{*floor(n/2)})^
+    high, reach = eta, indicator
     seq: list[tuple[int, float]] = []
     prev = -math.inf
     try:
         for n in range(1, n_max + 1):
             if n % 2 == 0:
-                reach = convolve(indicator, involute(high), cap=cap).atoms
+                reach = conv(indicator, inv(high))
             elif n > 1:
-                high = convolve(high, eta, cap=cap)
-            mass = sum(w * reach.get(g, 0.0) for g, w in high.atoms.items())
+                high = conv(high, eta)
+            mass = pairing(high, reach)
             raw = mass ** (1.0 / (2 * n))
             if raw < prev - 1e-10:
                 log.warning(
@@ -120,6 +123,29 @@ def berg_christensen_estimate(
             )
         raise ResourceLimitError(str(err) + hint) from err
     return NormEstimate(value=seq[-1][1], method="berg-christensen", sequence=seq)
+
+
+def _walk_steps(group: GroupDescriptor, cap: int):
+    """``(as_rep, convolve, involute, pairing)`` of the walk on one kind: on
+    ``GroupMeasure``s for the free group, on (cells, weights) arrays for
+    the abelian kinds.  ``pairing(high, reach)`` is sum_g high(g) reach(g),
+    added one by one in the atom order of ``high``: ``np.sum`` adds
+    pairwise, and moves the last digit."""
+    if not group.is_abelian:
+        return (lambda m: m, lambda a, b: convolve(a, b, cap=cap), involute,
+                lambda h, r: sum(w * r.atoms.get(g, 0.0) for g, w in h.atoms.items()))
+
+    def pairing(high, reach):
+        (cells, weights), (reach_cells, reach_weights) = high, reach
+        _, index, _ = _unique_rows(np.concatenate([cells, reach_cells]))
+        reach_at = np.zeros(len(index))
+        reach_at[index[len(cells):]] = reach_weights
+        with np.errstate(over="ignore"):
+            return sum((weights * reach_at[index[:len(cells)]]).tolist())
+
+    # negated cells are only convolved, and ``_pair_sums`` reduces them mod N
+    return (_arrays, lambda a, b: _convolve_arrays(group, *a, *b, cap),
+            lambda a: (-a[0], a[1]), pairing)
 
 
 def _is_uniform_generator_walk(mu: GroupMeasure) -> bool:
@@ -199,8 +225,9 @@ def fourier_norm_abelian(
     """Sup of |mu-hat| over a uniform frequency sample (abelian kinds only).
 
     The frequency 0 is always included when ``freq_min`` is 0 (the
-    default), so the value is a lower bound on the true sup with a
-    sampling-resolution caveat recorded in the note.
+    default), and then the value is the exact sup, as the note says:
+    |mu-hat| of a positive measure peaks at 0.  Otherwise it is a lower
+    bound on the sup with a sampling-resolution caveat.
     """
     group = mu.group
     if not group.is_abelian:
@@ -233,6 +260,8 @@ def fourier_norm_abelian(
     note = f"sup over {xi.shape[0]} sampled frequencies, |xi| <= {freq_bound}"
     if freq_min > 0:
         note += f", |xi| >= {freq_min}"
+    if not xi.any(axis=1).all():
+        note += "; exact, since xi = 0 is sampled and |mu-hat| peaks there"
     return NormEstimate(value=best, method="fourier-abelian", note=note)
 
 

@@ -98,7 +98,7 @@ def test_criterion_2_torus_line_flow_inequality():
 
 
 def test_criterion_3_berg_christensen_vs_binomial():
-    crit = Criterion(3, "convolution-power estimate vs binomial oracle", 30)
+    crit = Criterion(3, "convolution-power estimate vs binomial oracle", 5)
     mu = GroupMeasure.simple_random_walk(Z)
     est50 = berg_christensen_estimate(mu, F=[(0,)], n_max=50)
     exact = (math.comb(100, 50) / 4 ** 50) ** (1 / 100)
@@ -136,7 +136,7 @@ def test_criterion_4_free_group_radial_oracle():
 
 
 def test_criterion_5_net_counting_battery():
-    crit = Criterion(5, "net packing/covering battery", 60)
+    crit = Criterion(5, "net packing/covering battery", 5)
     rng = np.random.default_rng(20250809)
     all_ok = True
     for i in range(100):

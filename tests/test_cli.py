@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -350,6 +351,20 @@ class TestRegularNormExperiment:
         seq = (out_dir / "regular-norm_sequence.csv").read_text().splitlines()
         assert seq[0] == "n,value"
         assert len(seq) == 21
+
+    def test_overflow_exit_one_without_numpy_warning(self, tmp_path, capsys):
+        cfg = {
+            "experiment": "regular-norm",
+            "group": {"kind": "lattice", "dimension": 1},
+            "measure": {"kind": "atoms", "atoms": [[1, 1e200], [-1, 1e200]]},
+            "params": {"method": "berg-christensen", "n_max": 4},
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _ = run_cli(tmp_path, cfg)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: non-finite weight inf at atom (0,)\n")
 
     def test_kv_format(self, tmp_path):
         cfg = {

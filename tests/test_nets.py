@@ -4,6 +4,9 @@ import itertools
 
 import numpy as np
 import pytest
+from dict_oracles import translate_greedy_net
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaplab import (
     GroupDescriptor,
@@ -67,6 +70,55 @@ class TestGreedyNet:
             inst = greedy_maximal_net(Z2, span, A=box(a_r))
             assert net_is_separated(inst)
             assert net_is_maximal(inst)
+
+
+NET_GROUPS = [
+    GroupDescriptor(kind="lattice", dimension=1),
+    GroupDescriptor(kind="lattice", dimension=2),
+    GroupDescriptor(kind="real-grid", dimension=1, resolution=4),
+    GroupDescriptor(kind="torus-grid", dimension=1, size=11),
+    GroupDescriptor(kind="torus-grid", dimension=2, size=5),
+    GroupDescriptor(kind="free", dimension=2),
+]
+
+
+@st.composite
+def net_case(draw):
+    """A group, a span and a set A containing the identity."""
+    group = draw(st.sampled_from(NET_GROUPS))
+    if group.kind == "free":
+        cell, small = st.sampled_from(group.ball(3)), st.sampled_from(group.ball(2))
+    else:
+        wide, near = (((0, group.size - 1),) * 2 if group.kind == "torus-grid"
+                      else ((-5, 5), (-2, 2)))
+        cell = st.tuples(*[st.integers(*wide)] * group.dimension)
+        small = st.tuples(*[st.integers(*near)] * group.dimension)
+    span = draw(st.lists(cell, max_size=40))
+    A = [group.identity(), *draw(st.lists(small, max_size=5))]
+    return group, span, A
+
+
+class TestGreedyNetOracle:
+    """Blocking by A A^{-1} gives the net of the per-translate greedy."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(net_case())
+    def test_matches_translate_greedy(self, case):
+        group, span, A = case
+        inst = greedy_maximal_net(group, span, A)
+        assert inst.net == translate_greedy_net(group, span, A)
+        assert net_is_separated(inst)
+        assert net_is_maximal(inst)
+
+    def test_free_group_ball(self):
+        f2 = GroupDescriptor(kind="free", dimension=2)
+        span, A = f2.ball(3), f2.ball(1)
+        inst = greedy_maximal_net(f2, span, A)
+        assert inst.net == translate_greedy_net(f2, span, A)
+        assert inst.net[0] == ()
+        assert net_is_separated(inst)
+        assert net_is_maximal(inst)
+        assert verify_net_bounds(inst).all_ok
 
 
 class TestNetBounds:

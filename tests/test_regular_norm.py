@@ -2,9 +2,13 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from dict_oracles import dict_berg_christensen_sequence, dict_convolve, dict_involute
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaplab import (
     GroupDescriptor,
@@ -14,6 +18,7 @@ from gaplab import (
     amenable_norm,
     berg_christensen_estimate,
     convolution_power,
+    convolve,
     fourier_norm_abelian,
     free_group_radial_return,
     involute,
@@ -160,6 +165,93 @@ class TestHalfDepth:
             berg_christensen_estimate(mu, F=[(0,)], n_max=40, cap=40)
 
 
+WALK_GROUPS = [
+    GroupDescriptor(kind="lattice", dimension=1),
+    GroupDescriptor(kind="lattice", dimension=2),
+    GroupDescriptor(kind="real-grid", dimension=1, resolution=8),
+    GroupDescriptor(kind="real-grid", dimension=2, resolution=4),
+    GroupDescriptor(kind="torus-grid", dimension=1, size=7),
+    GroupDescriptor(kind="torus-grid", dimension=2, size=5),
+]
+
+
+@st.composite
+def walk_case(draw):
+    """A measure of an abelian kind, a neighborhood F of e and a depth."""
+    group = draw(st.sampled_from(WALK_GROUPS))
+    lo, hi = (0, group.size - 1) if group.kind == "torus-grid" else (-3, 3)
+    cell = st.tuples(*[st.integers(lo, hi)] * group.dimension)
+    atoms = draw(st.lists(st.tuples(cell, st.floats(1e-3, 10.0)),
+                          min_size=1, max_size=5))
+    F = [group.identity(), *draw(st.lists(cell, max_size=3))]
+    n_max = draw(st.integers(2, 9 if group.dimension == 1 else 6))
+    return GroupMeasure.from_atoms(group, atoms), F, n_max
+
+
+class TestArrayWalkOracle:
+    """The array walk of the abelian kinds equals the dict walk bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(walk_case())
+    def test_matches_dict_walk(self, case):
+        mu, F, n_max = case
+        est = berg_christensen_estimate(mu, F=F, n_max=n_max)
+        assert est.sequence == dict_berg_christensen_sequence(mu, F, n_max)
+
+    @pytest.mark.parametrize("mu,F,n_max", [
+        (GroupMeasure.simple_random_walk(Z), [(0,)], 60),
+        (GroupMeasure.from_atoms(Z, [((1,), 0.3), ((-2,), 0.45), ((3,), 0.25)]),
+         [(0,), (1,), (-4,)], 30),
+        (GroupMeasure.from_atoms(Z2, [((1, 0), 0.3), ((0, 2), 0.45),
+                                      ((-1, -1), 0.25)]),
+         [(0, 0), (1, 0), (0, -1)], 12),
+        (GroupMeasure.uniform_interval(GRID8, -1, 1), GRID8.ball(1.0), 12),
+        (GroupMeasure.from_atoms(GroupDescriptor(kind="torus-grid", size=17),
+                                 [((1,), 0.3), ((3,), 0.5), ((16,), 0.2)]),
+         [(0,), (2,), (15,)], 20),
+        (GroupMeasure.from_atoms(F2, F2_NONUNIFORM), [(), (1,)], 4),
+    ], ids=["z-walk", "z-nonsymmetric", "z2-nonsymmetric", "interval-q8",
+            "torus-nonsymmetric", "free-nonuniform"])
+    def test_matches_dict_walk_on_fixed_cases(self, mu, F, n_max):
+        est = berg_christensen_estimate(mu, F=F, n_max=n_max)
+        assert est.sequence == dict_berg_christensen_sequence(mu, F, n_max)
+
+
+class TestNonFiniteAndUnderflow:
+    """Overflow fails cleanly, naming the first bad atom; underflow drops atoms."""
+
+    def test_overflow_names_first_atom_without_numpy_warning(self):
+        mu = GroupMeasure.from_atoms(Z, [((1,), 1e200), ((-1,), 1e200)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError) as err:
+                berg_christensen_estimate(mu, F=[(0,)], n_max=4)
+        assert str(err.value) == "non-finite weight inf at atom (0,)"
+
+    def test_overflow_inside_the_walk_matches_dict_walk(self):
+        # eta carries 1e120 per atom; eta^{*3} overflows at n = 5
+        mu = GroupMeasure.from_atoms(Z, [((1,), 1e60), ((-2,), 1e60)])
+        with pytest.raises(PreconditionError) as want:
+            dict_berg_christensen_sequence(mu, [(0,)], 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError) as got:
+                berg_christensen_estimate(mu, F=[(0,)], n_max=8)
+        assert str(got.value) == str(want.value)
+        assert "non-finite weight inf" in str(got.value)
+
+    def test_underflow_dropped_as_in_dict_path(self):
+        mu = GroupMeasure.from_atoms(
+            Z, [((1,), 1e-200), ((-1,), 1e-200), ((0,), 0.5)])
+        got = convolve(mu, involute(mu))
+        want = dict_convolve(Z, mu.atoms, dict_involute(Z, mu.atoms))
+        assert list(got.atoms.items()) == list(want.items())
+        # +-2 are formed only as 1e-200 * 1e-200, which underflows to 0
+        assert list(got.atoms) == [(0,), (1,), (-1,)]
+        est = berg_christensen_estimate(mu, F=[(0,), (1,)], n_max=8)
+        assert est.sequence == dict_berg_christensen_sequence(mu, [(0,), (1,)], 8)
+
+
 class TestRadialOracle:
     def test_two_steps(self):
         assert free_group_radial_return(2, 2) == pytest.approx(0.25, abs=1e-15)
@@ -235,6 +327,28 @@ class TestFourierOracle:
     def test_free_group_unsupported(self):
         with pytest.raises(UnsupportedKindError):
             fourier_norm_abelian(GroupMeasure.simple_random_walk(F2))
+
+    def test_note_exact_when_zero_sampled(self):
+        # torus-grid with the default freq_bound samples xi = 0 alone
+        torus = GroupDescriptor(kind="torus-grid", dimension=2, size=9)
+        mu = GroupMeasure.from_atoms(torus, [((1, 0), 0.3), ((0, 2), 0.5),
+                                             ((8, 8), 0.2)])
+        est = fourier_norm_abelian(mu)
+        assert est.note == ("sup over 1 sampled frequencies, |xi| <= 0.5; exact, "
+                            "since xi = 0 is sampled and |mu-hat| peaks there")
+        assert est.value == pytest.approx(mu.total_mass, rel=1e-15)
+        wide = fourier_norm_abelian(GroupMeasure.simple_random_walk(Z))
+        assert wide.note.startswith("sup over 1001 sampled frequencies")
+        assert wide.note.endswith("; exact, since xi = 0 is sampled and "
+                                  "|mu-hat| peaks there")
+
+    def test_note_sampled_without_zero(self):
+        grid = GroupDescriptor(kind="real-grid", dimension=1, resolution=1000)
+        mu = GroupMeasure.uniform_interval(grid, 0.0, 1.0, closed=False)
+        band = fourier_norm_abelian(mu, freq_bound=2.0, freq_samples=201,
+                                    freq_min=0.5)
+        assert band.note.startswith("sup over ")
+        assert band.note.endswith("|xi| >= 0.5")
 
 
 class TestAmenableOracle:
