@@ -64,18 +64,25 @@ class CycleTable:
         n = sigma.size
         # pointer doubling: after t rounds key[i] packs (m, d) for the least
         # cell m among sigma^-j(i), 0 <= j < 2^t, with sigma^d(m) = i; one
-        # minimum merges two windows and keeps the nearer occurrence, and
-        # the windows cover every cycle once m is constant along sigma
+        # minimum merges two windows and keeps the nearer occurrence.  While
+        # a cycle is longer than 2^t, the cell 2^t slots after its least
+        # cell gains that cell, so a round that lowers no key ends the loop
+        # with every window covering its cycle
         shift = (2 * n).bit_length()
         cells = np.arange(n, dtype=np.int64)
         back = np.empty_like(cells)
         back[sigma] = cells
         key = cells << shift
         span = 1
-        while ((key[sigma] ^ key) >> shift).any():
-            np.minimum(key, key[back] + span, out=key)
+        while True:
+            merged = key[back]
+            merged += span
+            if not (merged < key).any():
+                break
+            np.minimum(key, merged, out=key)
             back = back[back]
             span *= 2
+        del back, merged
         least = key >> shift
         size = np.bincount(least, minlength=n)
         heads = np.flatnonzero(size)
@@ -324,9 +331,8 @@ def _window_rotation(alphabet: int, width: int) -> np.ndarray:
     """sigma of the Bernoulli window: the words of ``width`` letters with
     their digits most significant first, the leading digit moved to the
     end: i -> (i mod a^(w-1)) a + i div a^(w-1)."""
-    idx = np.arange(alphabet ** width, dtype=np.int64)
-    high = alphabet ** (width - 1)
-    return (idx % high) * alphabet + idx // high
+    rest = np.arange(alphabet ** (width - 1), dtype=np.int64) * alphabet
+    return (rest + np.arange(alphabet, dtype=np.int64)[:, None]).ravel()
 
 
 def _reject_extra(kind: str, params: dict) -> None:

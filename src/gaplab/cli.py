@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import csv
 import json
 import os
 import sys
@@ -614,18 +615,24 @@ def _write_outputs(res: RunResult, out_dir: Path, prefix: str, fmt: str) -> None
     summary.append(f"result: {'PASS' if res.passed else 'FAIL'}")
     (out_dir / f"{prefix}summary.txt").write_text("\n".join(summary) + "\n")
     if fmt == "csv":
-        lines = ["key,value"]
-        lines += [f"{k},{v}" for k, v in res.record]
-        lines += [f"assert:{name},{_fmt(ok)}" for name, ok in res.assertions]
-        (out_dir / f"{prefix}record.csv").write_text("\n".join(lines) + "\n")
+        rows = [("key", "value"), *res.record]
+        rows += [(f"assert:{name}", _fmt(ok)) for name, ok in res.assertions]
+        _write_csv(out_dir / f"{prefix}record.csv", rows)
     else:
         lines = [f"{k} = {v}" for k, v in res.record]
         lines += [f"assert:{name} = {_fmt(ok)}" for name, ok in res.assertions]
         (out_dir / f"{prefix}record.kv").write_text("\n".join(lines) + "\n")
     if res.sequence_rows:
-        lines = [",".join(res.sequence_columns)]
-        lines += [",".join(str(x) for x in row) for row in res.sequence_rows]
-        (out_dir / f"{prefix}sequence.csv").write_text("\n".join(lines) + "\n")
+        _write_csv(out_dir / f"{prefix}sequence.csv",
+                   [res.sequence_columns, *res.sequence_rows])
+
+
+def _write_csv(path: Path, rows) -> None:
+    """Rows as CSV with \\n line ends; a field holding a comma, a double
+    quote or a newline is quoted, every other one written as ``str`` gives it."""
+    with path.open("w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(
+            [str(x) for x in row] for row in rows)
 
 
 # -- entry point -------------------------------------------------------------------

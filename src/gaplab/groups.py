@@ -85,13 +85,18 @@ class GroupDescriptor:
         return tuple(-x for x in a)
 
     @property
+    def scale(self) -> int:
+        """Cells per unit length: ``value`` is ``coordinates`` / scale."""
+        if self.kind == REAL_GRID:
+            return self.resolution
+        if self.kind == TORUS_GRID:
+            return self.size
+        return 1
+
+    @property
     def cell_volume(self) -> float:
         """Haar weight of a single atom/cell."""
-        if self.kind == REAL_GRID:
-            return float(self.resolution) ** (-self.dimension)
-        if self.kind == TORUS_GRID:
-            return float(self.size) ** (-self.dimension)
-        return 1.0
+        return float(self.scale) ** (-self.dimension)
 
     @property
     def is_grid(self) -> bool:
@@ -107,15 +112,18 @@ class GroupDescriptor:
 
     # -- geometry -------------------------------------------------------
 
+    def coordinates(self, a: Element) -> Element:
+        """Integer coordinates of an element in cells: torus residues as
+        their representatives in [-N/2, N/2), words as their length."""
+        if self.kind == TORUS_GRID:
+            return tuple(_torus_rep(x, self.size) for x in a)
+        if self.kind == FREE:
+            return (len(a),)
+        return a
+
     def value(self, a: Element) -> tuple[float, ...]:
         """Physical coordinates of an element (word length for free groups)."""
-        if self.kind == LATTICE:
-            return tuple(float(x) for x in a)
-        if self.kind == REAL_GRID:
-            return tuple(x / self.resolution for x in a)
-        if self.kind == TORUS_GRID:
-            return tuple(_torus_rep(x, self.size) / self.size for x in a)
-        return (float(len(a)),)
+        return tuple(c / self.scale for c in self.coordinates(a))
 
     def norm(self, a: Element) -> float:
         """Euclidean norm of the value; word length on the free group."""

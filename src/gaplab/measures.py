@@ -79,9 +79,7 @@ class GroupMeasure:
         """
         if group.dimension != 1 or group.kind == "free":
             raise PreconditionError("uniform_interval needs a 1-d grid-like group")
-        q = group.resolution if group.kind == "real-grid" else 1
-        if group.kind == "torus-grid":
-            q = group.size
+        q = group.scale
         a = math.ceil(lo * q - 1e-9)
         b = math.floor(hi * q + 1e-9)
         if not closed:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaplab import DescriptorMismatchError, GroupDescriptor, build_action
+from gaplab.actions import CycleTable, _window_rotation
 from gaplab.certificates import _act_union, _pair_correlations, _union_mass
 
 Z = GroupDescriptor(kind="lattice", dimension=1)
@@ -21,14 +22,19 @@ def reference_sigma(kind, kw):
         n, (q, p) = kw["N"], kw["step"]
         return [((i // n + q) % n) * n + (i % n + p) % n for i in range(n * n)]
     if kind == "bernoulli-window":
-        a, w = kw["alphabet"], 2 * kw["window_radius"] + 1
-        out = []
-        for i in range(a ** w):
-            digits = [(i // a ** (w - 1 - k)) % a for k in range(w)]
-            rotated = digits[1:] + digits[:1]
-            out.append(sum(d * a ** (w - 1 - k) for k, d in enumerate(rotated)))
-        return out
+        return rotated_words(kw["alphabet"], 2 * kw["window_radius"] + 1)
     return list(kw["permutation"])
+
+
+def rotated_words(a, w):
+    """The words of w letters over a letters, digits most significant
+    first, each sent to the word with its leading digit moved to the end."""
+    out = []
+    for i in range(a ** w):
+        digits = [(i // a ** (w - 1 - k)) % a for k in range(w)]
+        rotated = digits[1:] + digits[:1]
+        out.append(sum(d * a ** (w - 1 - k) for k, d in enumerate(rotated)))
+    return out
 
 
 def power(sigma, c):
@@ -148,6 +154,64 @@ def test_large_cycle_type():
         image = perm[image]
     assert np.array_equal(space.act_indices(5, idx), image)
     assert np.array_equal(space.act_indices(-5, image), idx)
+
+
+def walked_cycle_table(sigma):
+    """(order, slot, lengths, counts) by walking each cycle from its least
+    cell; cycles sorted by length, least cell first within one length."""
+    seen = [False] * len(sigma)
+    cycles = []
+    for start in range(len(sigma)):  # so every cycle starts at its least cell
+        cycle = []
+        cell = start
+        while not seen[cell]:
+            seen[cell] = True
+            cycle.append(cell)
+            cell = sigma[cell]
+        if cycle:
+            cycles.append(cycle)
+    cycles.sort(key=len)  # stable: keeps least-cell order within a length
+    order = [cell for cycle in cycles for cell in cycle]
+    slot = [0] * len(order)
+    for s, cell in enumerate(order):
+        slot[cell] = s
+    lengths = sorted({len(cycle) for cycle in cycles})
+    counts = [sum(len(cycle) == n for cycle in cycles) for n in lengths]
+    return order, slot, lengths, counts
+
+
+def assert_cycle_table_is_walk(sigma):
+    table = CycleTable(np.array(sigma, dtype=np.int64))
+    got = (table.order.tolist(), table.slot.tolist(), table.lengths.tolist(),
+           table.counts.tolist())
+    assert got == walked_cycle_table(sigma)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(sigma=st.integers(1, 300).flatmap(lambda n: st.permutations(range(n))))
+def test_cycle_table_matches_walk(sigma):
+    assert_cycle_table_is_walk(list(sigma))
+
+
+@pytest.mark.parametrize("sigma", [
+    [0],  # n = 1
+    list(range(12)),  # the identity
+    list(range(1, 1025)) + [0],  # one cycle longer than a power of two
+    [5, 6, 7, 4, 0, 2, 3, 1],  # one 8-cycle: 0 5 2 7 1 6 3 4
+    [i ^ 1 for i in range(16)],  # all 2-cycles
+    [1, 0, 2, 4, 5, 3, 7, 8, 9, 10, 6],  # lengths 2, 1, 3 and 5
+], ids=["n1", "identity", "long-cycle", "shuffled-cycle", "two-cycles", "mixed"])
+def test_cycle_table_special_permutations(sigma):
+    assert_cycle_table_is_walk(sigma)
+
+
+@pytest.mark.parametrize("alphabet,width", [
+    (2, 1), (2, 2), (2, 5), (3, 1), (3, 3), (4, 4), (5, 2),
+])
+def test_window_rotation_is_digit_rotation(alphabet, width):
+    sigma = _window_rotation(alphabet, width)
+    assert sigma.dtype == np.int64
+    assert sigma.tolist() == rotated_words(alphabet, width)
 
 
 def sigma_of(space):

@@ -1,5 +1,6 @@
 """End-to-end CLI runs: determinism, exit codes, report formats."""
 
+import csv
 import json
 import math
 import warnings
@@ -285,8 +286,11 @@ def test_shipped_config_matches_schema(path):
 
 
 def read_record(out_dir, prefix):
-    lines = (out_dir / f"{prefix}record.csv").read_text().splitlines()[1:]
-    return dict(line.split(",", 1) for line in lines)
+    with open(out_dir / f"{prefix}record.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["key", "value"]
+    assert all(len(row) == 2 for row in rows)
+    return dict(rows[1:])
 
 
 class TestKoopmanNorm:
@@ -365,6 +369,23 @@ class TestRegularNormExperiment:
         assert code == 1
         assert capsys.readouterr().err == (
             "error: non-finite weight inf at atom (0,)\n")
+
+    def test_note_with_commas_is_one_csv_field(self, tmp_path):
+        cfg = {
+            "experiment": "regular-norm",
+            "group": {"kind": "torus-grid", "dimension": 1, "size": 9},
+            "measure": {"kind": "srw"},
+            "params": {"method": "fourier-abelian"},
+        }
+        code, out_dir = run_cli(tmp_path, cfg)
+        assert code == 0
+        record = read_record(out_dir, "regular-norm_")
+        assert record["note"] == (
+            "sup over 1 sampled frequencies, |xi| <= 0.5; exact, since xi = 0 "
+            "is sampled and |mu-hat| peaks there")
+        text = (out_dir / "regular-norm_record.csv").read_text()
+        assert '\nnote,"sup over 1 sampled frequencies, |xi| <= 0.5; ' in text
+        assert "\nmethod,fourier-abelian\n" in text
 
     def test_kv_format(self, tmp_path):
         cfg = {

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from operator_helpers import (
 )
 
 Z = GroupDescriptor(kind="lattice", dimension=1)
+Z17 = GroupDescriptor(kind="torus-grid", dimension=1, size=17)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -379,6 +381,39 @@ class TestCharacterNorm:
         want, want_witness = self.looped_line_scan(mu, slope, cutoff)
         assert witness == want_witness
         assert value == pytest.approx(want, abs=1e-14)
+
+    @pytest.mark.parametrize("group,atoms", [
+        (Z, [((-1,), 0.5), ((1,), 0.5)]),
+        (Z, [((2,), 0.1), ((0,), 0.4), ((5,), 0.2), ((1,), 0.3)]),
+        (Z17, [((c % 17,), 1 / 7) for c in range(-3, 4)]),
+        (GroupDescriptor(kind="torus-grid", dimension=1, size=64),
+         [((62,), 0.25), ((1,), 0.25), ((0,), 0.3), ((63,), 0.2)]),
+        # unsorted, negative coordinates, uneven gaps
+        (time_grid(4), [((5,), 0.2), ((-3,), 0.3), ((0,), 0.1), ((-11,), 0.4)]),
+        # (0,) and (17,) are one cell of Z/17 at time 0: a gap of 0
+        (Z17, [((0,), 0.3), ((17,), 0.2), ((3,), 0.5)]),
+    ], ids=["lattice-srw", "lattice-uneven", "torus-interval", "torus-wrap",
+            "unsorted-negative", "repeated-coordinate"])
+    @pytest.mark.parametrize("slope", [SQRT2, (1 + 5 ** 0.5) / 2, math.pi])
+    @pytest.mark.parametrize("cutoff", [8, 2000])
+    def test_line_scan_matches_loop_on_atoms(self, group, atoms, slope, cutoff):
+        mu = GroupMeasure.from_atoms(group, atoms)
+        value, witness = character_line_scan(mu, slope, cutoff)
+        want, want_witness = self.looped_line_scan(mu, slope, cutoff)
+        assert witness == want_witness
+        assert value == pytest.approx(want, abs=1e-14)
+
+    def test_line_scan_of_sparse_support(self):
+        # gaps 1 and 999,999: the cost does not grow with the span
+        mu = GroupMeasure.uniform_on(Z, [(0,), (1,), (10**6,)])
+        start = time.perf_counter()
+        value, (m1, m2) = character_line_scan(mu, SQRT2, 2000)
+        assert time.perf_counter() - start < 0.25
+        theta = m1 + SQRT2 * m2
+        at_witness = abs(sum(w * cmath.exp(-2j * math.pi * g[0] * theta)
+                             for g, w in mu.atoms.items()))
+        assert value == pytest.approx(at_witness, abs=1e-12)
+        assert value > 0.99
 
     def test_line_scan_of_point_mass_is_one(self):
         mu = GroupMeasure.point_mass(Z, (0,))
