@@ -30,7 +30,7 @@ from .errors import (
     InternalConsistencyError,
     PreconditionError,
 )
-from .groups import GroupDescriptor, _pair_sums, is_symmetric_set
+from .groups import GroupDescriptor, _sum_set, is_symmetric_set
 from .measures import (
     DEFAULT_SUPPORT_CAP,
     GroupMeasure,
@@ -137,8 +137,8 @@ def _step_powers(group: GroupDescriptor, S: np.ndarray, k: int) -> list[np.ndarr
     elements compose (mod N on ``torus-grid``)."""
     powers = [np.zeros(1, dtype=np.int64)]
     for _ in range(k):
-        sums, _, _ = _pair_sums(group, powers[-1], S, DEFAULT_SUPPORT_CAP, "step power")
-        powers.append(sums.ravel())
+        powers.append(_sum_set(group, powers[-1], S, DEFAULT_SUPPORT_CAP,
+                               "step power").ravel())
     return powers
 
 

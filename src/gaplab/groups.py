@@ -77,6 +77,12 @@ class GroupDescriptor:
             return tuple((x + y) % self.size for x, y in zip(a, b))
         return tuple(x + y for x, y in zip(a, b))
 
+    def canonical(self, a) -> Element:
+        """The element as a tuple, torus coordinates reduced to [0, N)."""
+        if self.kind == TORUS_GRID:
+            return tuple(x % self.size for x in a)
+        return tuple(a)
+
     def inverse(self, a: Element) -> Element:
         if self.kind == FREE:
             return tuple(-letter for letter in reversed(a))
@@ -205,6 +211,159 @@ def _euclid_ball(dim: int, radius: float, scale: int) -> list[Element]:
 
 
 # -- finite set arithmetic ---------------------------------------------
+#
+# On the abelian kinds a finite set of cells is handled as one int64 key per
+# cell: the offset of the cell in a box, most significant axis first.  Key
+# order is then lexicographic (``sort_key``) order, and keys add as cells do.
+
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+
+#: ``_unique_keys`` deduplicates keys within a range of at most this many
+#: times their count through a table over the range, wider ones by a sort
+_DENSE_RANGE = 4
+
+
+class KeyBox:
+    """The cells lo <= c <= hi of an abelian kind, keyed (c - lo) . strides
+    with the last axis fastest, so key(a) + key(b) = key(a + b - lo).
+
+    On ``torus-grid`` the box is the whole torus (lo = 0), and ``add``
+    reduces mod N axis by axis.  Bounds, or a cell count, that
+    leave int64 raise ``DescriptorMismatchError`` naming ``what``.
+    """
+
+    def __init__(self, group: GroupDescriptor, lo, hi, what: str):
+        for c in (*lo, *hi):
+            if not _INT64_MIN <= c <= _INT64_MAX:
+                raise DescriptorMismatchError(f"{what} leaves int64 at coordinate {c}")
+        widths = [h - l + 1 for l, h in zip(lo, hi)]
+        if math.prod(widths) > _INT64_MAX:
+            raise DescriptorMismatchError(
+                f"{what} needs a key box of {math.prod(widths)} cells, "
+                f"more than int64 holds"
+            )
+        strides = [1] * len(widths)
+        for axis in range(len(widths) - 1, 0, -1):
+            strides[axis - 1] = strides[axis] * widths[axis]
+        self.modulus = group.size if group.kind == TORUS_GRID else 0
+        self.lo = np.array(lo, dtype=np.int64)
+        self.widths = np.array(widths, dtype=np.int64)
+        self.strides = np.array(strides, dtype=np.int64)
+
+    @classmethod
+    def torus(cls, group: GroupDescriptor, what: str) -> "KeyBox":
+        return cls(group, [0] * group.dimension, [group.size - 1] * group.dimension, what)
+
+    def keys(self, cells: np.ndarray) -> np.ndarray:
+        return (cells - self.lo) @ self.strides
+
+    def cells(self, keys: np.ndarray) -> np.ndarray:
+        return keys[:, None] // self.strides % self.widths + self.lo
+
+    def add(self, xk: np.ndarray, yk: np.ndarray) -> np.ndarray:
+        """The keys xk[i] + yk[j], x-major; on the torus the residues add
+        mod N axis by axis, so that a sum that wraps carries into no other
+        axis."""
+        if not self.modulus:
+            return np.add.outer(xk, yk).ravel()
+        x, y, n = self.cells(xk), self.cells(yk), self.modulus
+        keys = np.zeros((len(x), len(y)), dtype=np.int64)
+        for axis, stride in enumerate(self.strides.tolist()):
+            s = np.subtract.outer(x[:, axis], n - y[:, axis])  # x + y - N, in int64
+            s[s < 0] += n
+            keys += s * stride
+        return keys.ravel()
+
+
+def _coordinates(group: GroupDescriptor, xs, what: str) -> np.ndarray:
+    """The cells of a finite set as an (n, d) int64 array, reduced mod N on
+    ``torus-grid``; coordinates that are not integers, or leave int64, raise
+    ``DescriptorMismatchError``."""
+    if isinstance(xs, np.ndarray):
+        cells = xs
+    else:  # a flat list converts faster than a list of tuples
+        cells = np.array(list(itertools.chain.from_iterable(xs)))
+    if cells.size and (cells.dtype.kind not in "iu"
+                       or cells.dtype.kind == "u" and cells.max() > _INT64_MAX):
+        flat = np.asarray(xs, dtype=object).ravel().tolist()
+        wide = [c for c in flat if type(c) is int and not _INT64_MIN <= c <= _INT64_MAX]
+        if wide:
+            raise DescriptorMismatchError(f"{what} leaves int64 at coordinate {wide[0]}")
+        raise DescriptorMismatchError(
+            f"{what} needs integer coordinates on {group.kind}; got {flat[:3]}"
+        )
+    cells = cells.astype(np.int64).reshape(len(xs), group.dimension)
+    return cells % group.size if group.kind == TORUS_GRID else cells
+
+
+def _tuples(cells: np.ndarray) -> list[Element]:
+    """The rows of an (n, d) array as tuples of Python ints."""
+    return list(zip(*cells.T.tolist()))
+
+
+def _factor_keys(group: GroupDescriptor, xs, ys, what: str):
+    """A box that holds every sum x + y (the bounding box of the sums, or
+    the torus), and keys of xs and ys whose ``box.add`` is the key of each
+    sum."""
+    x, y = _coordinates(group, xs, what), _coordinates(group, ys, what)
+    if group.kind == TORUS_GRID:
+        box = KeyBox.torus(group, what)
+        return box, box.keys(x), box.keys(y)
+    if not (len(x) and len(y)):
+        box = KeyBox(group, [0] * group.dimension, [0] * group.dimension, what)
+        return box, box.keys(x), box.keys(y)
+    x_lo, y_lo = x.min(axis=0), y.min(axis=0)
+    # in Python ints: a sum of bounds may leave int64
+    lo = [a + b for a, b in zip(x_lo.tolist(), y_lo.tolist())]
+    hi = [a + b for a, b in zip(x.max(axis=0).tolist(), y.max(axis=0).tolist())]
+    box = KeyBox(group, lo, hi, what)
+    # x + y_lo and y + x_lo lie in the box and add to x + y + lo
+    return box, box.keys(x + y_lo), box.keys(y + x_lo)
+
+
+def _unique_keys(keys: np.ndarray, cap: int, what: str):
+    """The distinct keys in increasing order, the position of each key among
+    them, and the first position holding each.
+
+    Keys within a range of at most ``_DENSE_RANGE`` times their count are
+    counted in a table over that range, where ``np.minimum.at`` finds the
+    first positions; wider ones are sorted.  Both give the same arrays.
+    More than ``cap`` distinct keys raise ``ResourceLimitError``.
+    """
+    n = len(keys)
+    if not n:
+        return keys, keys, keys
+    lo = keys.min()
+    span = int(keys.max()) - int(lo) + 1
+    if span <= _DENSE_RANGE * n:
+        offsets = keys - lo
+        table = np.full(span, n)
+        np.minimum.at(table, offsets, np.arange(n))
+        seen = table < n
+        _check_cap(int(seen.sum()), cap, what)
+        return np.flatnonzero(seen) + lo, (seen.cumsum() - 1)[offsets], table[seen]
+    perm = np.argsort(keys)
+    ordered = keys[perm]
+    starts = _run_starts(ordered)
+    index = np.empty_like(perm)
+    index[perm] = starts.cumsum() - 1
+    at = np.flatnonzero(starts)
+    _check_cap(len(at), cap, what)
+    # the sort is not stable: the first position is the least in each run
+    return ordered[at], index, np.minimum.reduceat(perm, at)
+
+
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Where each run of equal keys begins in an increasing key array."""
+    starts = np.empty(len(ordered), dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    return starts
+
+
+def _check_cap(size: int, cap: int, what: str) -> None:
+    if size > cap:
+        raise ResourceLimitError(f"{what} exceeded the support cap of {cap} elements")
 
 
 def product_set(
@@ -215,8 +374,7 @@ def product_set(
 ) -> list[Element]:
     """The product set {x*y}, deduplicated, in deterministic order."""
     if group.is_abelian:
-        cells, _, _ = _pair_sums(group, xs, ys, cap, "product set")
-        return [tuple(c) for c in cells.tolist()]
+        return _tuples(_sum_set(group, xs, ys, cap, "product set"))
     out = set()
     for x in xs:
         for y in ys:
@@ -228,48 +386,16 @@ def product_set(
     return sorted(out, key=group.sort_key)
 
 
-def _pair_sums(group: GroupDescriptor, xs, ys, cap: int, what: str):
-    """All sums x + y of an abelian kind at once, deduplicated.
-
-    The pairs are taken x-major (pair p is xs[p // len(ys)] + ys[p % len(ys)])
-    as int64 coordinates, reduced mod N on the torus.  Returns the distinct
-    sums in lexicographic order, which is ``sort_key`` order on these kinds,
-    the position of each pair's sum among them, and the first pair that
-    forms each sum.  More than ``cap`` distinct sums raise
-    ``ResourceLimitError``, and non-integer coordinates
-    ``DescriptorMismatchError``.
-    """
-    d = group.dimension
-    x, y = np.asarray(xs), np.asarray(ys)
-    for factor in (x, y):
-        if factor.size and factor.dtype.kind not in "iu":
-            raise DescriptorMismatchError(
-                f"{what} needs integer coordinates on {group.kind}; got "
-                f"{factor.reshape(-1)[:3].tolist()}"
-            )
-    x = x.astype(np.int64).reshape(len(xs), d)
-    y = y.astype(np.int64).reshape(len(ys), d)
-    sums = (x[:, None, :] + y[None, :, :]).reshape(-1, d)
-    if group.kind == TORUS_GRID:
-        sums %= group.size
-    cells, index, first = _unique_rows(sums)
-    if len(cells) > cap:
-        raise ResourceLimitError(f"{what} exceeded the support cap of {cap} elements")
-    return cells, index, first
-
-
-def _unique_rows(rows: np.ndarray):
-    """The distinct rows of a 2-d array in lexicographic order, the position
-    of each row among them, and the first row equal to each."""
-    # a stable lexicographic sort: ``np.unique(axis=0)`` gives the same
-    # result, but sorts the rows as structured records, several times slower
-    perm = np.lexsort(rows.T[::-1])
-    ordered = rows[perm]
-    starts = np.ones(len(perm), dtype=bool)
-    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    index = np.empty_like(perm)
-    index[perm] = np.cumsum(starts) - 1
-    return ordered[starts], index, perm[starts]
+def _sum_set(group: GroupDescriptor, xs, ys, cap: int, what: str) -> np.ndarray:
+    """The distinct sums x + y of an abelian kind, in ``sort_key`` order, as an
+    (n, d) int64 array (reduced mod N on the torus).  More than ``cap``
+    distinct sums raise ``ResourceLimitError``; coordinates that are not
+    integers, or sums that leave int64, ``DescriptorMismatchError``."""
+    box, xk, yk = _factor_keys(group, xs, ys, what)
+    keys = np.sort(box.add(xk, yk))  # no positions: less work than _unique_keys
+    keys = keys[_run_starts(keys)]
+    _check_cap(len(keys), cap, what)
+    return box.cells(keys)
 
 
 def inverse_set(group: GroupDescriptor, xs) -> list[Element]:
@@ -282,6 +408,12 @@ def power_set(
     """The n-fold product set base^n (base^0 = {e})."""
     if n < 0:
         raise ValueError("power must be >= 0")
+    if group.is_abelian:
+        acc = np.zeros((1, group.dimension), dtype=np.int64)
+        base = _coordinates(group, base, "product set")
+        for _ in range(n):
+            acc = _sum_set(group, acc, base, cap, "product set")
+        return _tuples(acc)
     acc: list[Element] = [group.identity()]
     for _ in range(n):
         acc = product_set(group, acc, base, cap=cap)

@@ -15,7 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DescriptorMismatchError, PreconditionError, ResourceLimitError
-from .groups import Element, GroupDescriptor, _pair_sums
+from .groups import (
+    TORUS_GRID,
+    Element,
+    GroupDescriptor,
+    KeyBox,
+    _factor_keys,
+    _unique_keys,
+)
 
 #: default cap on the support size produced by convolutions
 DEFAULT_SUPPORT_CAP = 10_000_000
@@ -29,6 +36,7 @@ class GroupMeasure:
     atoms: dict[Element, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        canonical = self.group.canonical if self.group.kind == TORUS_GRID else tuple
         clean = {}
         for g, w in self.atoms.items():
             if not math.isfinite(w):
@@ -36,7 +44,12 @@ class GroupMeasure:
             if w < 0:
                 raise PreconditionError(f"negative weight {w} at atom {g}")
             if w > 0:
-                clean[tuple(g)] = float(w)
+                g = canonical(g)
+                if g in clean:  # atoms on one torus cell mod N merge, in atom order
+                    w = clean[g] + float(w)
+                    if not math.isfinite(w):
+                        raise PreconditionError(f"non-finite weight {w} at atom {g}")
+                clean[g] = float(w)
         object.__setattr__(self, "atoms", clean)
 
     # -- constructors ----------------------------------------------------
@@ -49,7 +62,7 @@ class GroupMeasure:
     def from_atoms(cls, group: GroupDescriptor, pairs):
         atoms: dict[Element, float] = {}
         for g, w in pairs:
-            g = tuple(g)
+            g = group.canonical(g)
             atoms[g] = atoms.get(g, 0.0) + float(w)
         return cls(group, atoms)
 
@@ -111,7 +124,7 @@ class GroupMeasure:
         return float(sum(self.atoms.values()))
 
     def mass_at(self, g: Element) -> float:
-        return self.atoms.get(tuple(g), 0.0)
+        return self.atoms.get(self.group.canonical(g), 0.0)
 
     def density_at(self, g: Element) -> float:
         return self.mass_at(g) / self.group.cell_volume
@@ -181,24 +194,32 @@ def _arrays(a: GroupMeasure):
 
 
 def _convolve_arrays(group: GroupDescriptor, cells_a, w_a, cells_b, w_b, cap: int):
-    """Abelian ``convolve`` on (cells, weights) arrays, in first-formed order.
+    """Abelian ``convolve`` on (cells, weights) arrays, in first-formed order."""
+    box, keys_a, keys_b = _factor_keys(group, cells_a, cells_b, "convolution")
+    keys, weights = _convolve_keys(box, keys_a, w_a, keys_b, w_b, cap)
+    return box.cells(keys), weights
 
-    ``np.bincount`` adds the products in pair order, as the pair loop does.
-    As in ``GroupMeasure``, the first non-finite weight raises, and weights
-    that underflow to 0 are dropped.
+
+def _convolve_keys(box: KeyBox, keys_a, w_a, keys_b, w_b, cap: int):
+    """Abelian ``convolve`` on (keys, weights) arrays whose ``box.add`` keys
+    the sums, in first-formed order.
+
+    The pairs are taken x-major, and ``np.bincount`` adds their products in
+    pair order, as the pair loop does.  As in ``GroupMeasure``, the first
+    non-finite weight raises, naming its cell, and weights that underflow to
+    0 are dropped.
     """
-    cells, index, first = _pair_sums(group, cells_a, cells_b, cap, "convolution")
+    keys, index, first = _unique_keys(box.add(keys_a, keys_b), cap, "convolution")
     with np.errstate(over="ignore"):  # an overflow is reported below, by atom
         products = np.multiply.outer(w_a, w_b)
-    weights = np.bincount(index, weights=products.ravel(), minlength=len(cells))
     order = np.argsort(first)
-    cells, weights = cells[order], weights[order]
+    weights = np.bincount(index, weights=products.ravel(), minlength=len(keys))[order]
     bad = ~np.isfinite(weights)
     if bad.any():
-        g, w = cells[bad][0].tolist(), weights[bad][0]
-        raise PreconditionError(f"non-finite weight {w} at atom {tuple(g)}")
+        g = box.cells(keys[order[bad]][:1])[0].tolist()
+        raise PreconditionError(f"non-finite weight {weights[bad][0]} at atom {tuple(g)}")
     keep = weights > 0
-    return cells[keep], weights[keep]
+    return keys[order[keep]], weights[keep]
 
 
 def convolution_power(

@@ -11,10 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import PreconditionError
 from .groups import (
     Element,
     GroupDescriptor,
+    _factor_keys,
     inverse_set,
     power_set,
     product_set,
@@ -24,6 +27,11 @@ from .groups import (
 def haar(group: GroupDescriptor, cells) -> float:
     """Haar measure of a finite cell set: cardinality times cell volume."""
     return len(set(cells)) * group.cell_volume
+
+
+def _canonical_set(group: GroupDescriptor, xs) -> list[Element]:
+    """The distinct elements of xs (torus coordinates mod N) in sort order."""
+    return sorted({group.canonical(x) for x in xs}, key=group.sort_key)
 
 
 @dataclass(frozen=True)
@@ -54,25 +62,57 @@ def greedy_maximal_net(
     remaining point can be added), hence the span is covered by
     net * A * A^{-1}.
     """
-    A = sorted({tuple(a) for a in A}, key=group.sort_key)
+    A = _canonical_set(group, A)
     if group.identity() not in A:
         raise PreconditionError("A must contain the identity")
-    span = sorted({tuple(x) for x in span}, key=group.sort_key)
+    span = _canonical_set(group, span)
     diffs = product_set(group, A, inverse_set(group, A))
-    blocked: set[Element] = set()
-    net: list[Element] = []
-    for point in span:
-        if point not in blocked:
-            net.append(point)
-            blocked.update(product_set(group, [point], diffs))
+    if group.is_abelian:
+        net = _abelian_greedy(group, span, diffs)
+    else:
+        blocked: set[Element] = set()
+        net = []
+        for point in span:
+            if point not in blocked:
+                net.append(point)
+                blocked.update(product_set(group, [point], diffs))
     return NetInstance(
         group=group,
         A=tuple(A),
-        B=tuple(sorted({tuple(b) for b in B}, key=group.sort_key)) if B else tuple(),
+        B=tuple(_canonical_set(group, B)) if B else tuple(),
         n=n,
         net=tuple(net),
         span=tuple(span),
     )
+
+
+#: sums span + A A^{-1} keyed at once by ``_abelian_greedy``, which bounds its memory
+_NET_PAIRS = 1 << 20
+
+
+def _abelian_greedy(group: GroupDescriptor, span: list, diffs: list) -> list:
+    """The greedy net of ``greedy_maximal_net`` on an abelian kind: the sums
+    span + A A^{-1} are keyed a block of rows at a time, located in the
+    span by binary search, and each accepted point marks the span points of
+    its row in a boolean array over the span."""
+    if not span:
+        return []
+    box, span_keys, diff_keys = _factor_keys(group, span, diffs, "net")
+    zero = diffs.index(group.identity())
+    points = box.add(span_keys, diff_keys[zero:zero + 1])  # increasing, as span
+    blocked = np.zeros(len(span) + 1, dtype=bool)  # the last slot: sums off the span
+    rows = max(1, _NET_PAIRS // len(diffs))
+    net = []
+    for start in range(0, len(span), rows):
+        sums = box.add(span_keys[start:start + rows], diff_keys)
+        at = np.searchsorted(points, sums).clip(max=len(span) - 1)
+        at[points[at] != sums] = len(span)
+        block = at.reshape(-1, len(diffs))
+        for i in range(start, start + len(block)):
+            if not blocked[i]:
+                net.append(span[i])
+                blocked[block[i - start]] = True
+    return net
 
 
 def net_is_separated(inst: NetInstance) -> bool:
@@ -167,9 +207,7 @@ def net_ratio_study(
     n_range = sorted(n_range)
     if not n_range or n_range[0] < 3:
         raise PreconditionError("the ratio study needs n >= 3 throughout")
-    A1 = sorted({tuple(a) for a in A1}, key=group.sort_key)
-    A2 = sorted({tuple(a) for a in A2}, key=group.sort_key)
-    B = sorted({tuple(b) for b in B}, key=group.sort_key)
+    A1, A2, B = (_canonical_set(group, xs) for xs in (A1, A2, B))
 
     powers = {0: [group.identity()]}
     for m in range(1, max(n_range) + 1):
@@ -223,8 +261,7 @@ def covering_witness(
     within B^n S then holds for every n >= 1; it is re-verified here by
     exhaustive set arithmetic for n up to ``verify_up_to``.
     """
-    A = sorted({tuple(a) for a in A}, key=group.sort_key)
-    B = sorted({tuple(b) for b in B}, key=group.sort_key)
+    A, B = _canonical_set(group, A), _canonical_set(group, B)
     if group.identity() not in B:
         raise PreconditionError("B must contain the identity")
     target = product_set(group, power_set(group, B, k), A)

@@ -18,12 +18,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError, ResourceLimitError, UnsupportedKindError
-from .groups import FREE, GroupDescriptor, _unique_rows
+from .groups import (
+    FREE,
+    TORUS_GRID,
+    GroupDescriptor,
+    KeyBox,
+    _coordinates,
+)
 from .measures import (
     DEFAULT_SUPPORT_CAP,
     GroupMeasure,
     _arrays,
     _convolve_arrays,
+    _convolve_keys,
     convolve,
     involute,
 )
@@ -80,7 +87,7 @@ def berg_christensen_estimate(
     group = mu.group
     if F is None:
         F = default_neighborhood(group)
-    F = [tuple(x) for x in F]
+    F = [group.canonical(x) for x in F]
     if not F:
         raise PreconditionError("F must be a nonempty neighborhood of the identity")
     if group.identity() not in F:
@@ -89,10 +96,7 @@ def berg_christensen_estimate(
     if F == [group.identity()] and _is_uniform_generator_walk(mu):
         return _radial_estimate(mu, n_max)
 
-    as_rep, conv, inv, pairing = _walk_steps(group, cap)
-    base = as_rep(mu)
-    eta = conv(base, inv(base))  # mu * mu^
-    indicator = as_rep(GroupMeasure(group, dict.fromkeys(F, 1.0)))
+    eta, indicator, conv, inv, pairing = _walk_steps(mu, F, n_max, cap)
     # high = eta^{*ceil(n/2)}; reach = 1_F * (eta^{*floor(n/2)})^
     high, reach = eta, indicator
     seq: list[tuple[int, float]] = []
@@ -125,27 +129,67 @@ def berg_christensen_estimate(
     return NormEstimate(value=seq[-1][1], method="berg-christensen", sequence=seq)
 
 
-def _walk_steps(group: GroupDescriptor, cap: int):
-    """``(as_rep, convolve, involute, pairing)`` of the walk on one kind: on
-    ``GroupMeasure``s for the free group, on (cells, weights) arrays for
-    the abelian kinds.  ``pairing(high, reach)`` is sum_g high(g) reach(g),
-    added one by one in the atom order of ``high``: ``np.sum`` adds
-    pairwise, and moves the last digit."""
+def _walk_steps(mu: GroupMeasure, F: list, n_max: int, cap: int):
+    """``(eta, indicator, convolve, involute, pairing)`` of the walk on one
+    kind: eta = mu * mu^ and 1_F as ``GroupMeasure``s for the free group, as
+    (keys, weights) arrays in one ``KeyBox`` for the abelian kinds.
+    ``pairing(high, reach)`` is sum_g high(g) reach(g), added one by one in
+    the atom order of ``high``: ``np.sum`` adds pairwise, and moves the last
+    digit."""
+    group = mu.group
+    indicator = GroupMeasure(group, dict.fromkeys(F, 1.0))
     if not group.is_abelian:
-        return (lambda m: m, lambda a, b: convolve(a, b, cap=cap), involute,
+        return (convolve(mu, involute(mu), cap=cap), indicator,
+                lambda a, b: convolve(a, b, cap=cap), involute,
                 lambda h, r: sum(w * r.atoms.get(g, 0.0) for g, w in h.atoms.items()))
 
-    def pairing(high, reach):
-        (cells, weights), (reach_cells, reach_weights) = high, reach
-        _, index, _ = _unique_rows(np.concatenate([cells, reach_cells]))
-        reach_at = np.zeros(len(index))
-        reach_at[index[len(cells):]] = reach_weights
-        with np.errstate(over="ignore"):
-            return sum((weights * reach_at[index[:len(cells)]]).tolist())
+    cells, weights = _arrays(mu)
+    eta_cells, eta_weights = _convolve_arrays(group, cells, weights, -cells, weights, cap)
+    f_cells, f_weights = _arrays(indicator)
+    f_cells = _coordinates(group, f_cells, "convolution")
+    box = _walk_box(group, eta_cells, f_cells, n_max)
+    zero = box.keys(np.zeros(group.dimension, dtype=np.int64))
 
-    # negated cells are only convolved, and ``_pair_sums`` reduces them mod N
-    return (_arrays, lambda a, b: _convolve_arrays(group, *a, *b, cap),
-            lambda a: (-a[0], a[1]), pairing)
+    def conv(a, b):
+        # key(x) + key(y) is the key of x + y - lo, and key(y) - key(0) that of y + lo
+        return _convolve_keys(box, a[0], a[1], b[0] - zero, b[1], cap)
+
+    def inv(a):
+        if box.modulus:
+            return box.keys(-box.cells(a[0]) % box.modulus), a[1]
+        return 2 * zero - a[0], a[1]  # the box is symmetric about 0
+
+    def pairing(high, reach):
+        (keys, weights), (reach_keys, reach_weights) = high, reach
+        if not len(reach_keys):  # then high is empty too
+            return 0
+        order = np.argsort(reach_keys)
+        at = order[np.searchsorted(reach_keys, keys, sorter=order).clip(max=len(order) - 1)]
+        found = np.where(reach_keys[at] == keys, reach_weights[at], 0.0)
+        with np.errstate(over="ignore"):
+            return sum((weights * found).tolist())
+
+    return ((box.keys(eta_cells), eta_weights), (box.keys(f_cells), f_weights),
+            conv, inv, pairing)
+
+
+def _walk_box(group: GroupDescriptor, eta_cells, f_cells, n_max: int) -> KeyBox:
+    """One key box for every measure of the walk: the torus, or the cells
+    within max(h e, |F| + l e) of 0 on each axis, e the reach of eta on that
+    axis, so that eta^{*h} (h = ceil(n_max/2)) and 1_F * (eta^{*l})^
+    (l = floor(n_max/2)) fit.  Its size grows with n_max times the spread of
+    mu, not with where mu lies."""
+    what = "Berg-Christensen walk"
+    if group.kind == TORUS_GRID:
+        return KeyBox.torus(group, what)
+    high, low = (n_max + 1) // 2, n_max // 2
+    # in Python ints: a reach times n_max may leave int64
+    far = [max(-lo, hi) for lo, hi in zip(eta_cells.min(axis=0, initial=0).tolist(),
+                                          eta_cells.max(axis=0, initial=0).tolist())]
+    f_far = [max(-lo, hi) for lo, hi in zip(f_cells.min(axis=0).tolist(),
+                                            f_cells.max(axis=0).tolist())]
+    radius = [max(high * e, f + low * e) for e, f in zip(far, f_far)]
+    return KeyBox(group, [-r for r in radius], radius, what)
 
 
 def _is_uniform_generator_walk(mu: GroupMeasure) -> bool:

@@ -5,12 +5,15 @@
 abelian kinds moved to integer arrays; its convolution is the plain pair
 loop through ``GroupDescriptor.compose``.  ``translate_greedy_net`` is the
 greedy net that tests each candidate's whole A-translate against the
-accepted ones.
+accepted ones.  ``unique_rows`` is the lexicographic row sort that
+deduplicated the abelian pair sums before they were keyed in a box.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from gaplab import PreconditionError
 
@@ -68,3 +71,15 @@ def translate_greedy_net(group, span, A) -> tuple:
         net.append(point)
         covered.update(translate)
     return tuple(net)
+
+
+def unique_rows(rows: np.ndarray):
+    """The distinct rows of a 2-d array in lexicographic order, the position
+    of each row among them, and the first row equal to each."""
+    perm = np.lexsort(rows.T[::-1])  # stable: equal rows keep their order
+    ordered = rows[perm]
+    starts = np.ones(len(perm), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    index = np.empty_like(perm)
+    index[perm] = np.cumsum(starts) - 1
+    return ordered[starts], index, perm[starts]

@@ -370,6 +370,18 @@ class TestRegularNormExperiment:
         assert capsys.readouterr().err == (
             "error: non-finite weight inf at atom (0,)\n")
 
+    def test_coordinates_beyond_int64_exit_one_without_traceback(self, tmp_path, capsys):
+        cfg = {
+            "experiment": "regular-norm",
+            "group": {"kind": "lattice", "dimension": 1},
+            "measure": {"kind": "atoms", "atoms": [[2**62, 0.5], [-2**62, 0.5]]},
+            "params": {"method": "berg-christensen", "n_max": 4},
+        }
+        code, _ = run_cli(tmp_path, cfg)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: convolution leaves int64 at coordinate {2**63}\n"
+
     def test_note_with_commas_is_one_csv_field(self, tmp_path):
         cfg = {
             "experiment": "regular-norm",

@@ -2,12 +2,15 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from dict_oracles import unique_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaplab import groups
 from gaplab import (
     DescriptorMismatchError,
     GroupDescriptor,
@@ -272,6 +275,155 @@ class TestAbelianPairSums:
         assert len(product_set(group, xs, ys, cap=size)) == size
         with pytest.raises(ResourceLimitError, match="cap of"):
             product_set(group, xs, ys, cap=size - 1)
+
+
+# -- box keys against the lexicographic row sort -------------------------------
+
+KEY_GROUPS = [
+    *(GroupDescriptor(kind="lattice", dimension=d) for d in (1, 2, 3)),
+    *(GroupDescriptor(kind="real-grid", dimension=d, resolution=4) for d in (1, 2, 3)),
+    *(GroupDescriptor(kind="torus-grid", dimension=d, size=n)
+      for d, n in ((1, 7), (2, 5), (3, 3))),
+]
+
+#: ``_DENSE_RANGE`` values that send every deduplication through one branch
+BRANCHES = {"table": 10**18, "sort": 0}
+
+
+@st.composite
+def key_case(draw):
+    """An abelian group of dimension 1 to 3 and two cell lists on it, empty
+    ones included; torus coordinates negative or beyond N, and, sometimes,
+    cells 10^9 apart, whose keys are too wide for a table."""
+    group = draw(st.sampled_from(KEY_GROUPS))
+    reach = 2 * group.size if group.kind == "torus-grid" else 6
+    far = draw(st.sampled_from([0, 10**9]))
+    cell = st.tuples(*[st.integers(-reach, reach)] * group.dimension).map(
+        lambda c: c if c[0] % 2 else (c[0] + far, *c[1:]))
+    xs, ys = draw(st.lists(cell, max_size=10)), draw(st.lists(cell, max_size=10))
+    return group, xs, ys, ("sort",) if far else tuple(BRANCHES)
+
+
+def keyed_pair_sums(group, xs, ys, cap):
+    """The pair sums as ``convolve`` forms them, keyed by ``_factor_keys`` and
+    deduplicated by ``_unique_keys``: (cells, positions, first pairs)."""
+    box, xk, yk = groups._factor_keys(group, xs, ys, "test")
+    keys, index, first = groups._unique_keys(box.add(xk, yk), cap, "test")
+    return box.cells(keys), index, first
+
+
+def oracle_pair_sums(group, xs, ys):
+    """``keyed_pair_sums`` by the pair loop and the lexicographic row sort."""
+    rows = np.array([brute_sum(group, x, y) for x in xs for y in ys],
+                    dtype=np.int64).reshape(-1, group.dimension)
+    return unique_rows(rows)
+
+
+class TestBoxKeys:
+    """Both deduplication branches give the row sort's sums, positions and
+    first pairs."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(key_case())
+    def test_pair_sums_match_row_sort(self, case):
+        group, xs, ys, branches = case
+        want = oracle_pair_sums(group, xs, ys)
+        for branch in branches:
+            with mock.patch.object(groups, "_DENSE_RANGE", BRANCHES[branch]):
+                got = keyed_pair_sums(group, xs, ys, 10**6)
+            for g, w in zip(got, want):
+                assert g.dtype == np.int64
+                np.testing.assert_array_equal(g, w)
+        assert product_set(group, xs, ys) == [tuple(c) for c in want[0].tolist()]
+
+    @pytest.mark.parametrize("branch", BRANCHES)
+    @pytest.mark.parametrize("group, xs, ys", [
+        (Z, [(3,), (-1,), (3,)], [(0,), (2,), (-2,)]),
+        (Z2, [(0, 1), (1, 0)], [(1, 0), (0, 1), (1, 0)]),
+        (GroupDescriptor(kind="torus-grid", dimension=2, size=4),
+         [(-1, 5), (3, 1)], [(1, 3), (9, -4)]),
+    ], ids=["z", "z2", "torus"])
+    def test_branches_on_fixed_cases(self, group, xs, ys, branch):
+        with mock.patch.object(groups, "_DENSE_RANGE", BRANCHES[branch]):
+            got = keyed_pair_sums(group, xs, ys, 100)
+        for g, w in zip(got, oracle_pair_sums(group, xs, ys)):
+            np.testing.assert_array_equal(g, w)
+
+    def test_wide_keys_are_sorted(self):
+        xs, ys = [(0,), (10**9,)], [(0,), (1,), (10**9,)]
+        with mock.patch.object(np, "full", side_effect=AssertionError("table")):
+            got = keyed_pair_sums(Z, xs, ys, 100)
+        for g, w in zip(got, oracle_pair_sums(Z, xs, ys)):
+            np.testing.assert_array_equal(g, w)
+        assert got[0].ravel().tolist() == [0, 1, 10**9, 10**9 + 1, 2 * 10**9]
+
+    @pytest.mark.parametrize("branch", BRANCHES)
+    def test_cap_on_distinct_sums(self, branch):
+        with mock.patch.object(groups, "_DENSE_RANGE", BRANCHES[branch]):
+            keyed_pair_sums(Z, [(0,), (1,)], [(0,), (1,)], 3)
+            with pytest.raises(ResourceLimitError, match="test exceeded the support cap of 2"):
+                keyed_pair_sums(Z, [(0,), (1,)], [(0,), (1,)], 2)
+
+
+class TestInt64Range:
+    """A sum, or a key box, that leaves int64 raises instead of wrapping."""
+
+    def test_sum_beyond_int64(self):
+        with pytest.raises(DescriptorMismatchError,
+                           match=f"product set leaves int64 at coordinate {2**63}"):
+            product_set(Z, [(2**62,)], [(2**62,)])
+        with pytest.raises(DescriptorMismatchError, match=f"coordinate {-2**63 - 2}"):
+            product_set(Z, [(-2**63,)], [(-2,)])
+        big = GroupMeasure.from_atoms(Z, [((2**62,), 0.5), ((1,), 0.5)])
+        with pytest.raises(DescriptorMismatchError, match="convolution leaves int64"):
+            convolve(big, big)
+
+    def test_coordinate_beyond_int64(self):
+        for xs in ([(2**63,)], [(2**64,)], [(-1,), (2**63,)]):
+            with pytest.raises(DescriptorMismatchError,
+                               match=r"product set leaves int64 at coordinate \d+"):
+                product_set(Z, xs, [(0,)])
+
+    def test_key_box_beyond_int64(self):
+        z3 = GroupDescriptor(kind="lattice", dimension=3)
+        with pytest.raises(DescriptorMismatchError, match="key box of .* cells"):
+            product_set(z3, [(0, 0, 0), (2**21, 2**21, 2**21)], [(0, 0, 0)])
+        torus = GroupDescriptor(kind="torus-grid", dimension=2, size=2**32)
+        with pytest.raises(DescriptorMismatchError, match=f"key box of {2**64} cells"):
+            product_set(torus, [(1, 1)], [(2, 2)])
+        # far from 0, a narrow set keys in a narrow box
+        far = [(10**15 + i, -10**15, 10**15 + j) for i, j in ((0, 0), (1, 2), (2, 1))]
+        assert product_set(z3, far, [(0, 0, 0), (0, 1, 0)]) == sorted(
+            {brute_sum(z3, x, y) for x in far for y in [(0, 0, 0), (0, 1, 0)]})
+        # the largest sums that fit still add exactly
+        assert product_set(Z, [(2**62,)], [(2**62 - 1,)]) == [(2**63 - 1,)]
+        assert product_set(Z, [(-2**62,)], [(-2**62,)]) == [(-2**63,)]
+
+
+class TestCanonicalTorus:
+    """Torus coordinates are reduced mod N where they enter a measure."""
+
+    Z17 = GroupDescriptor(kind="torus-grid", dimension=1, size=17)
+
+    def test_colliding_atoms_merge_in_atom_order(self):
+        mu = GroupMeasure.from_atoms(
+            self.Z17, [((0,), 0.5), ((3,), 0.25), ((17,), 0.125)])
+        assert list(mu.atoms.items()) == [((0,), 0.625), ((3,), 0.25)]
+        direct = GroupMeasure(self.Z17, {(20,): 0.25, (-14,): 0.5, (1,): 1.0})
+        assert list(direct.atoms.items()) == [((3,), 0.75), ((1,), 1.0)]
+        assert mu.mass_at((-17,)) == 0.625
+        assert GroupMeasure.point_mass(self.Z17, (18,)).atoms == {(1,): 1.0}
+
+    def test_merged_weight_that_overflows_raises(self):
+        with pytest.raises(PreconditionError, match=r"non-finite weight inf at atom \(0,\)"):
+            GroupMeasure(self.Z17, {(0,): 1e308, (17,): 1e308})
+        with pytest.raises(PreconditionError, match="non-finite weight inf"):
+            GroupMeasure.from_atoms(self.Z17, [((0,), 1e308), ((17,), 1e308)])
+
+    def test_zero_and_seventeen_are_one_atom(self):
+        mu = GroupMeasure.from_atoms(self.Z17, [((0,), 0.5), ((17,), 0.5)])
+        assert mu.atoms == {(0,): 1.0}
+        assert len(convolve(mu, mu)) == 1
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Separated-net construction and the volume-counting inequalities."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,8 +14,11 @@ from gaplab import (
     PreconditionError,
     covering_witness,
     greedy_maximal_net,
+    inverse_set,
     power_set,
+    product_set,
 )
+from gaplab import nets
 from gaplab.nets import (
     haar,
     net_is_maximal,
@@ -75,6 +79,7 @@ class TestGreedyNet:
 NET_GROUPS = [
     GroupDescriptor(kind="lattice", dimension=1),
     GroupDescriptor(kind="lattice", dimension=2),
+    GroupDescriptor(kind="lattice", dimension=3),
     GroupDescriptor(kind="real-grid", dimension=1, resolution=4),
     GroupDescriptor(kind="torus-grid", dimension=1, size=11),
     GroupDescriptor(kind="torus-grid", dimension=2, size=5),
@@ -88,8 +93,8 @@ def net_case(draw):
     group = draw(st.sampled_from(NET_GROUPS))
     if group.kind == "free":
         cell, small = st.sampled_from(group.ball(3)), st.sampled_from(group.ball(2))
-    else:
-        wide, near = (((0, group.size - 1),) * 2 if group.kind == "torus-grid"
+    else:  # torus coordinates also negative or beyond N
+        wide, near = (((-group.size, 2 * group.size),) * 2 if group.kind == "torus-grid"
                       else ((-5, 5), (-2, 2)))
         cell = st.tuples(*[st.integers(*wide)] * group.dimension)
         small = st.tuples(*[st.integers(*near)] * group.dimension)
@@ -106,9 +111,22 @@ class TestGreedyNetOracle:
     def test_matches_translate_greedy(self, case):
         group, span, A = case
         inst = greedy_maximal_net(group, span, A)
-        assert inst.net == translate_greedy_net(group, span, A)
+        canonical = [group.canonical(x) for x in span], [group.canonical(a) for a in A]
+        assert inst.net == translate_greedy_net(group, *canonical)
         assert net_is_separated(inst)
         assert net_is_maximal(inst)
+        diffs = len(product_set(group, inst.A, inverse_set(group, inst.A)))
+        for pairs in (1, 3 * diffs):  # one span row, and three, per block
+            with mock.patch.object(nets, "_NET_PAIRS", pairs):
+                assert greedy_maximal_net(group, span, A).net == inst.net
+
+    def test_torus_points_equal_mod_n_are_one_point(self):
+        z17 = GroupDescriptor(kind="torus-grid", dimension=1, size=17)
+        inst = greedy_maximal_net(z17, [(0,), (17,), (1,)], [(0,)])
+        assert inst.net == ((0,), (1,))
+        assert inst.span == ((0,), (1,))
+        inst = greedy_maximal_net(z17, [(5,), (-12,)], [(17,), (1,)], B=[(18,)])
+        assert (inst.A, inst.B, inst.net) == (((0,), (1,)), ((1,),), ((5,),))
 
     def test_free_group_ball(self):
         f2 = GroupDescriptor(kind="free", dimension=2)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaplab import (
+    DescriptorMismatchError,
     GroupDescriptor,
     GroupMeasure,
     PreconditionError,
@@ -168,6 +169,7 @@ class TestHalfDepth:
 WALK_GROUPS = [
     GroupDescriptor(kind="lattice", dimension=1),
     GroupDescriptor(kind="lattice", dimension=2),
+    GroupDescriptor(kind="lattice", dimension=3),
     GroupDescriptor(kind="real-grid", dimension=1, resolution=8),
     GroupDescriptor(kind="real-grid", dimension=2, resolution=4),
     GroupDescriptor(kind="torus-grid", dimension=1, size=7),
@@ -184,7 +186,7 @@ def walk_case(draw):
     atoms = draw(st.lists(st.tuples(cell, st.floats(1e-3, 10.0)),
                           min_size=1, max_size=5))
     F = [group.identity(), *draw(st.lists(cell, max_size=3))]
-    n_max = draw(st.integers(2, 9 if group.dimension == 1 else 6))
+    n_max = draw(st.integers(2, {1: 9, 2: 6, 3: 4}[group.dimension]))
     return GroupMeasure.from_atoms(group, atoms), F, n_max
 
 
@@ -210,11 +212,54 @@ class TestArrayWalkOracle:
                                  [((1,), 0.3), ((3,), 0.5), ((16,), 0.2)]),
          [(0,), (2,), (15,)], 20),
         (GroupMeasure.from_atoms(F2, F2_NONUNIFORM), [(), (1,)], 4),
+        (GroupMeasure.from_atoms(Z, [((0,), 0.5), ((10**9,), 0.3), ((1,), 0.2)]),
+         [(0,), (10**9,), (-1,)], 9),
+        (GroupMeasure.from_atoms(Z2, [((0, 0), 0.5), ((1, 10**6), 0.5)]),
+         [(0, 0), (1, 10**6)], 8),
     ], ids=["z-walk", "z-nonsymmetric", "z2-nonsymmetric", "interval-q8",
-            "torus-nonsymmetric", "free-nonuniform"])
+            "torus-nonsymmetric", "free-nonuniform", "z-sparse", "z2-sparse"])
     def test_matches_dict_walk_on_fixed_cases(self, mu, F, n_max):
         est = berg_christensen_estimate(mu, F=F, n_max=n_max)
         assert est.sequence == dict_berg_christensen_sequence(mu, F, n_max)
+
+
+class TestWalkInputs:
+    """F is read mod N on the torus; a walk that would leave int64 raises."""
+
+    def test_f_reduced_mod_n(self):
+        z17 = GroupDescriptor(kind="torus-grid", dimension=1, size=17)
+        mu = GroupMeasure.from_atoms(z17, [((1,), 0.5), ((16,), 0.5)])
+        written = [berg_christensen_estimate(mu, F=F, n_max=4).sequence
+                   for F in ([(0,), (19,)], [(0,), (2,)], [(17,), (2,), (-15,)])]
+        assert written[0] == written[1] == written[2]
+        assert written[0][0] == (1, pytest.approx(0.8660254037844386, abs=1e-15))
+
+    def test_walk_beyond_int64_raises(self):
+        mu = GroupMeasure.from_atoms(Z, [((2**62,), 0.5), ((-2**62,), 0.5)])
+        with pytest.raises(DescriptorMismatchError, match="leaves int64 at coordinate"):
+            berg_christensen_estimate(mu, F=[(0,)], n_max=4)
+
+    def test_far_measure_keys_by_its_spread(self):
+        z3 = GroupDescriptor(kind="lattice", dimension=3)
+        far = (10**15, -10**15, 3 * 10**15)
+        mu = GroupMeasure.from_atoms(z3, [(far, 0.5), ((far[0] + 1, *far[1:]), 0.3),
+                                          ((far[0], far[1] + 2, far[2]), 0.2)])
+        F = [(0, 0, 0), (1, 0, 0)]
+        est = berg_christensen_estimate(mu, F=F, n_max=6)
+        assert est.sequence == dict_berg_christensen_sequence(mu, F, 6)
+
+    @pytest.mark.parametrize("group, atoms, n_max", [
+        (Z2, [(0, 0), (10**9, 10**9)], 10),
+        (GroupDescriptor(kind="lattice", dimension=3), [(0, 0, 0), (10**5, 10**5, 10**5)], 50),
+    ], ids=["z2", "z3"])
+    def test_walk_box_grows_with_n_max_times_spread(self, group, atoms, n_max):
+        # the box holds eta^{*h} whole: (2 h e + 1)^d cells, beyond int64 here
+        mu = GroupMeasure.uniform_on(group, atoms)
+        with pytest.raises(DescriptorMismatchError,
+                           match="Berg-Christensen walk needs a key box of .* cells"):
+            berg_christensen_estimate(mu, F=[group.identity()], n_max=n_max)
+        est = berg_christensen_estimate(mu, F=[group.identity()], n_max=2)
+        assert est.sequence == dict_berg_christensen_sequence(mu, [group.identity()], 2)
 
 
 class TestNonFiniteAndUnderflow:
