@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -51,49 +52,71 @@ def continued_fraction_convergent(alpha: float, max_denominator: int) -> tuple[i
 class CycleTable:
     """The cycles of a cell permutation sigma as coordinates.
 
-    ``order`` lists the cells cycle by cycle: the cycles of one length L
-    fill one block of slots in the order of their least cells, and each
-    cycle starts at its least cell and follows sigma, so sigma^c moves a
-    cell at slot s of the cycle with first slot f to slot
-    f + (s - f + c) mod L.  ``slot`` is the inverse of ``order``.
     ``lengths`` and ``counts`` give the cycle type, block by block in
-    increasing L.
+    increasing L; the constructor builds only these.  ``order`` lists the
+    cells cycle by cycle: the cycles of one length L fill one block of
+    slots in the order of their least cells, and each cycle starts at its
+    least cell and follows sigma, so sigma^c moves a cell at slot s of the
+    cycle with first slot f to slot f + (s - f + c) mod L.  ``slot`` is
+    the inverse of ``order``.  Both are built together on first use.
     """
 
     def __init__(self, sigma: np.ndarray):
         n = sigma.size
         # pointer doubling: after t rounds key[i] packs (m, d) for the least
-        # cell m among sigma^-j(i), 0 <= j < 2^t, with sigma^d(m) = i; one
+        # cell m among sigma^j(i), 0 <= j < 2^t, with sigma^d(i) = m; one
         # minimum merges two windows and keeps the nearer occurrence.  While
-        # a cycle is longer than 2^t, the cell 2^t slots after its least
+        # a cycle is longer than 2^t, the cell 2^t steps short of its least
         # cell gains that cell, so a round that lowers no key ends the loop
         # with every window covering its cycle
-        shift = (2 * n).bit_length()
-        cells = np.arange(n, dtype=np.int64)
-        back = np.empty_like(cells)
-        back[sigma] = cells
-        key = cells << shift
+        self._shift = (2 * n).bit_length()
+        key = np.arange(n, dtype=np.int64) << self._shift
+        ahead = sigma
         span = 1
         while True:
-            merged = key[back]
+            merged = key[ahead]
             merged += span
             if not (merged < key).any():
                 break
             np.minimum(key, merged, out=key)
-            back = back[back]
+            ahead = ahead[ahead]
             span *= 2
-        del back, merged
-        least = key >> shift
-        size = np.bincount(least, minlength=n)
-        heads = np.flatnonzero(size)
-        heads = heads[np.argsort(size[heads], kind="stable")]
-        first = np.zeros_like(size)
-        first[heads] = np.cumsum(size[heads]) - size[heads]
-        self.slot = first[least] + (key & ((1 << shift) - 1))
-        self.order = np.empty_like(self.slot)
-        self.order[self.slot] = cells
-        self.lengths, self.counts = np.unique(size[heads], return_counts=True)
+        del ahead, merged
+        # the heads are the least cells (d = 0); the successor of a head
+        # is L - 1 steps short of it
+        mask = (1 << self._shift) - 1
+        self._heads = np.flatnonzero((key & mask) == 0)
+        self._sizes = (key[sigma[self._heads]] & mask) + 1
+        self.lengths, self.counts = np.unique(self._sizes, return_counts=True)
         self._ends = np.cumsum(self.lengths * self.counts)
+        self._key = key
+
+    @cached_property
+    def slot(self) -> np.ndarray:
+        """Slot of each cell in ``order``."""
+        return self._coordinates()[0]
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """The cells in slot order."""
+        return self._coordinates()[1]
+
+    def _coordinates(self) -> tuple[np.ndarray, np.ndarray]:
+        """Build ``slot`` and ``order`` from the packed keys, which are then
+        released: a cell d steps short of its least cell m sits L - d slots
+        after m, that is d slots before the end of m's cycle."""
+        by_size = np.argsort(self._sizes, kind="stable")
+        heads, size = self._heads[by_size], self._sizes[by_size]
+        end = np.empty(self._key.size, dtype=np.int64)  # read at heads only
+        end[heads] = np.cumsum(size)
+        slot = end[self._key >> self._shift]
+        slot -= self._key & ((1 << self._shift) - 1)
+        slot[heads] -= size
+        order = np.empty_like(slot)
+        order[slot] = np.arange(slot.size, dtype=np.int64)
+        self.__dict__.update(slot=slot, order=order)
+        del self._key, self._heads, self._sizes
+        return slot, order
 
     def rows(self):
         """Per cycle length L, the cells as an array of shape (cycles, L),

@@ -226,14 +226,32 @@ def _pair_correlations(space: ActionSpace, steps, a: np.ndarray,
     for length, cells in space.cycles.rows():
         a_hat = np.fft.rfft(a[cells])
         if b is a:
-            spectra = a_hat.real ** 2 + a_hat.imag ** 2
+            spectra = _squared_modulus(a_hat)
         else:
             spectra = np.conj(a_hat) * np.fft.rfft(b[cells])
-        weights = space.weights[cells[:, 0]]
-        for weight in np.unique(weights):
-            counts = _integer_counts(spectra[weights == weight].sum(axis=0), length)
+        for weight, block in _weight_blocks(space, cells, spectra):
+            counts = _integer_counts(block.sum(axis=0), length)
             totals += weight * counts[steps % length]
     return totals
+
+
+def _squared_modulus(spectrum: np.ndarray) -> np.ndarray:
+    """|spectrum|^2, squaring the parts of ``spectrum`` in place."""
+    np.square(spectrum.real, out=spectrum.real)
+    np.square(spectrum.imag, out=spectrum.imag)
+    return np.add(spectrum.real, spectrum.imag)
+
+
+def _weight_blocks(space: ActionSpace, cells: np.ndarray, values: np.ndarray):
+    """(weight, rows of ``values``) per distinct weight of the cycles in
+    ``cells``, one row per cycle; a single weight takes no copy."""
+    weights = space.weights[cells[:, 0]]
+    distinct = np.unique(weights)
+    if distinct.size == 1:
+        yield distinct[0], values
+        return
+    for weight in distinct:
+        yield weight, values[weights == weight]
 
 
 def _measure_spectra(space: ActionSpace, eta: GroupMeasure) -> dict[int, np.ndarray]:
@@ -260,17 +278,16 @@ def _rayleigh_numerator(space: ActionSpace, phi: np.ndarray,
     """
     total = 0.0
     for length, cells in space.cycles.rows():
-        phi_hat = np.fft.rfft(phi[cells])
-        power = phi_hat.real ** 2 + phi_hat.imag ** 2
+        power = _squared_modulus(np.fft.rfft(phi[cells]))
         gain = np.full(power.shape[1], 2.0 / length)
         gain[0] = 1.0 / length
         if length % 2 == 0:
             gain[-1] = 1.0 / length
         gain *= spectra[length].real
-        weights = space.weights[cells[:, 0]]
-        for weight in np.unique(weights):
+        power *= gain
+        for weight, block in _weight_blocks(space, cells, power):
             # one pairwise sum: its rounding grows with log(cells), not cells
-            total += weight * float((power[weights == weight] * gain).sum())
+            total += weight * float(block.sum())
     return total
 
 
@@ -403,8 +420,9 @@ def build_companion_set(
     reproducible.
     """
     weights = space.weights
-    # np.allclose(weights, weights[0]) in one pass
-    if (np.abs(weights - weights[0]) > 1e-8 + 1e-5 * weights[0]).any():
+    # np.allclose(weights, weights[0]), without a cell-sized temporary
+    w0 = weights[0]
+    if max(weights.max() - w0, w0 - weights.min()) > 1e-8 + 1e-5 * w0:
         raise PreconditionError("companion sets need an equal-weight cell grid")
     blocked = np.zeros(space.n_cells, dtype=bool)
     blocked[forbidden] = True

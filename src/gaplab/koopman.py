@@ -93,7 +93,8 @@ def character_norm(space: ActionSpace, mu: GroupMeasure, freq_cutoff: int) -> fl
     returned value is the max of |eigenvalue| over nonzero characters
     with sup-norm at most ``freq_cutoff``.  With ``freq_cutoff`` spanning
     the grid dual this equals the discrepancy of the discretized action
-    exactly.
+    exactly.  The value is clamped at the total mass, which bounds every
+    |mu-hat| exactly.
     """
     if not isinstance(space, GridTranslationSpace):
         raise UnsupportedKindError(
@@ -111,15 +112,17 @@ def character_norm(space: ActionSpace, mu: GroupMeasure, freq_cutoff: int) -> fl
     np.add.at(mass_grid, tuple(vectors.T), [mu.atoms[g] for g in support])
     spectrum = np.fft.fftn(mass_grid)
     mags = np.abs(spectrum)
-    freqs = [np.fft.fftfreq(m, d=1.0 / m).astype(np.int64) for m in shape]
-    grids = np.meshgrid(*freqs, indexing="ij")
+    # the mask of each axis broadcast along the others, with no grid of
+    # frequencies
     keep = np.ones(shape, dtype=bool)
-    for gax in grids:
-        keep &= np.abs(gax) <= freq_cutoff
+    for axis, m in enumerate(shape):
+        near = np.abs(np.fft.fftfreq(m, d=1.0 / m).astype(np.int64)) <= freq_cutoff
+        keep &= near.reshape((m,) + (1,) * (len(shape) - 1 - axis))
     keep.flat[0] = False  # exclude the trivial character
     if not keep.any():
         raise PreconditionError("freq_cutoff excludes every nonzero character")
-    return float(mags[keep].max())
+    # |mu^(chi)| <= mu(G) exactly; the FFT can round a hair above it
+    return min(float(mags[keep].max()), mu.total_mass)
 
 
 def character_line_scan(

@@ -44,6 +44,7 @@ class NetInstance:
     n: int
     net: tuple
     span: tuple  # the set the net lives in (B^n)
+    diffs: tuple  # A A^{-1}, the set each net point blocks around itself
     maximal: bool = True
 
 
@@ -83,6 +84,7 @@ def greedy_maximal_net(
         n=n,
         net=tuple(net),
         span=tuple(span),
+        diffs=tuple(diffs),
     )
 
 
@@ -160,11 +162,10 @@ def verify_net_bounds(inst: NetInstance) -> NetBoundsReport:
     """Check both counting inequalities exactly in Haar cell weights."""
     group = inst.group
     span_a = product_set(group, inst.span, inst.A)
-    aainv = product_set(group, inst.A, inverse_set(group, inst.A))
     mu_a = haar(group, inst.A)
     mu_span_a = haar(group, span_a)
     mu_span = haar(group, inst.span)
-    mu_aainv = haar(group, aainv)
+    mu_aainv = haar(group, inst.diffs)
     packing = len(inst.net) * mu_a <= mu_span_a + 1e-12
     covering = (not inst.maximal) or (mu_span <= len(inst.net) * mu_aainv + 1e-12)
     return NetBoundsReport(
@@ -226,8 +227,8 @@ def net_ratio_study(
 
     mu_a1 = haar(group, A1)
     mu_a2 = haar(group, A2)
-    mu_a1a1 = haar(group, product_set(group, A1, inverse_set(group, A1)))
-    mu_a2a2 = haar(group, product_set(group, A2, inverse_set(group, A2)))
+    mu_a1a1 = haar(group, n1.diffs)
+    mu_a2a2 = haar(group, n2.diffs)
     c1 = mu_a1 / (k3 * k1 * mu_a2a2)
     c2 = k2 * mu_a1a1 / mu_a2
     within = all(c1 - 1e-12 <= r <= c2 + 1e-12 for r in ratios.values())

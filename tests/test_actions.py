@@ -181,10 +181,17 @@ def walked_cycle_table(sigma):
 
 
 def assert_cycle_table_is_walk(sigma):
-    table = CycleTable(np.array(sigma, dtype=np.int64))
-    got = (table.order.tolist(), table.slot.tolist(), table.lengths.tolist(),
-           table.counts.tolist())
-    assert got == walked_cycle_table(sigma)
+    """The cycle type before and after the coordinates are built, with
+    either coordinate read first."""
+    want = walked_cycle_table(sigma)
+    for first in ("slot", "order"):
+        table = CycleTable(np.array(sigma, dtype=np.int64))
+        assert (table.lengths.tolist(), table.counts.tolist()) == want[2:]
+        assert not {"slot", "order"} & table.__dict__.keys()
+        getattr(table, first)
+        got = (table.order.tolist(), table.slot.tolist(), table.lengths.tolist(),
+               table.counts.tolist())
+        assert got == want
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -284,13 +284,32 @@ class TestRayleighOracle:
             want = self.dense_quotient(space, eta, b, res.companion, n)
             assert res.rayleigh == pytest.approx(want, abs=1e-12)
 
-    def test_numerator_with_two_cell_weights(self):
-        # cycles (0 1 2), (3 4 5), (6 7 8 9), (10 11 12 13), (14) with the
-        # weights 1, 2, 1, 2, 1 up to normalization
-        perm = [1, 2, 0, 4, 5, 3, 7, 8, 9, 6, 11, 12, 13, 10, 14]
+    # cycles (0 1 2), (3 4 5), (6 7 8 9), (10 11 12 13), (14) with the
+    # weights 1, 2, 1, 2, 1 up to normalization
+    TWO_WEIGHT_PERM = [1, 2, 0, 4, 5, 3, 7, 8, 9, 6, 11, 12, 13, 10, 14]
+
+    def two_weight_space(self):
         weights = np.array([1.0] * 3 + [2.0] * 3 + [1.0] * 4 + [2.0] * 4 + [1.0])
-        space = build_action("finite-permutation", group=Z, permutation=perm,
-                             weights=weights / weights.sum())
+        return build_action("finite-permutation", group=Z,
+                            permutation=self.TWO_WEIGHT_PERM,
+                            weights=weights / weights.sum())
+
+    def test_self_correlation_with_two_cell_weights(self):
+        space = self.two_weight_space()
+        perm = self.TWO_WEIGHT_PERM
+        inverse = [perm.index(x) for x in range(len(perm))]
+        a = np.random.default_rng(4).integers(0, 2, size=space.n_cells).astype(np.int8)
+        steps = [0, 1, -1, 2, 5, -7, 12]
+        got = certificates._pair_correlations(space, steps, a, a)
+        for c, value in zip(steps, got.tolist()):
+            back = list(range(len(perm)))  # sigma^-c, so (pi(c) a)(x) = a(back[x])
+            for _ in range(abs(c)):
+                back = [(inverse if c > 0 else perm)[x] for x in back]
+            want = sum(space.weights[x] * a[back[x]] * a[x] for x in range(len(perm)))
+            assert value == pytest.approx(want, abs=1e-15), c
+
+    def test_numerator_with_two_cell_weights(self):
+        space = self.two_weight_space()
         eta = symmetrize(GroupMeasure.from_atoms(Z, [((1,), 0.6), ((-3,), 0.4)]))
         eta_hat = certificates._measure_spectra(space, eta)
         phi = np.random.default_rng(3).integers(-2, 3, size=space.n_cells)
@@ -548,6 +567,8 @@ class TestRunCertificate:
                             N=128, step=(29, 41), slope_hint=SQRT2)
         mu = GroupMeasure.uniform_interval(time_grid(2), -1.0, 1.0)
         report = run_certificate(space, mu, x0=0, n_max=8)
+        # the walk moves cells, so it builds the cycle coordinates
+        assert {"slot", "order"} <= space.cycles.__dict__.keys()
         assert report.cond1_all and report.cond2_all
         assert report.norm_lower_bound > 0.5
         for row in report.rows:

@@ -316,6 +316,16 @@ class TestDiscrepancy:
 
 
 class TestCharacterNorm:
+    def test_clamped_at_the_mass(self):
+        # the 256-torus line flow: the largest |mu^| is the mass, 1, which
+        # the FFT rounds to 1.0000000000000002
+        grid = time_grid(8)
+        space = build_action("torus-translation", group=grid, N=256,
+                             step=(29, 41), slope_hint=SQRT2)
+        mu = GroupMeasure.uniform_interval(grid, -1.0, 1.0)
+        assert mu.total_mass == 1.0
+        assert character_norm(space, mu, 128) == 1.0
+
     def test_identity_measure(self):
         space = build_action("circle-rotation", group=Z, N=16, cells_per_step=3)
         assert character_norm(space, GroupMeasure.point_mass(Z, (0,)), 1) == (
@@ -427,6 +437,36 @@ class TestCharacterNorm:
         assert value > 0.999
         # the witness frequency must nearly annihilate m1 + sqrt(2) m2
         assert abs(m1 + SQRT2 * m2) < 1e-3
+
+
+def coordinates_built(space):
+    return {"slot", "order"} & space.cycles.__dict__.keys()
+
+
+class TestCycleTypeAlone:
+    """The discrepancy, the lattice-group verification and the character
+    oracle read only the cycle type: no cycle coordinates are built."""
+
+    @pytest.mark.parametrize("kind,kw", [
+        ("bernoulli-window", dict(alphabet=4, window_radius=2)),
+        ("finite-permutation", dict(permutation=labelled_cycles([50, 30, 20]).tolist())),
+    ])
+    def test_lattice_verification(self, kind, kw):
+        space = build_action(kind, group=Z, **kw)
+        mu = GroupMeasure.from_atoms(Z, THREE)
+        discrepancy(space, mu)
+        assert verify_lower_bound(space, mu, tol=1e-6).passed is True
+        assert not coordinates_built(space)
+
+    def test_koopman_norm_on_torus(self):
+        grid = time_grid(8)
+        space = build_action("torus-translation", group=grid, N=64,
+                             step=(29, 41), slope_hint=SQRT2)
+        mu = GroupMeasure.uniform_interval(grid, -1.0, 1.0)
+        discrepancy(space, mu)
+        character_norm(space, mu, 32)
+        character_line_scan(mu, space.slope_target, 100)
+        assert not coordinates_built(space)
 
 
 class TestVerifyLowerBound:

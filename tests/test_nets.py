@@ -115,10 +115,20 @@ class TestGreedyNetOracle:
         assert inst.net == translate_greedy_net(group, *canonical)
         assert net_is_separated(inst)
         assert net_is_maximal(inst)
-        diffs = len(product_set(group, inst.A, inverse_set(group, inst.A)))
-        for pairs in (1, 3 * diffs):  # one span row, and three, per block
+        assert inst.diffs == tuple(product_set(group, inst.A, inverse_set(group, inst.A)))
+        for pairs in (1, 3 * len(inst.diffs)):  # one span row, and three, per block
             with mock.patch.object(nets, "_NET_PAIRS", pairs):
                 assert greedy_maximal_net(group, span, A).net == inst.net
+
+    @pytest.mark.parametrize("group", NET_GROUPS, ids=lambda g: f"{g.kind}-{g.dimension}")
+    def test_instance_carries_a_a_inverse(self, group):
+        if group.kind == "free":
+            span, A = group.ball(2), group.ball(1)
+        else:
+            span = [tuple(c) for c in itertools.product(range(-3, 4), repeat=group.dimension)]
+            A = [group.identity(), (1,) * group.dimension, (2,) + (0,) * (group.dimension - 1)]
+        inst = greedy_maximal_net(group, span, A)
+        assert inst.diffs == tuple(product_set(group, inst.A, inverse_set(group, inst.A)))
 
     def test_torus_points_equal_mod_n_are_one_point(self):
         z17 = GroupDescriptor(kind="torus-grid", dimension=1, size=17)
