@@ -18,9 +18,7 @@ from .certificates import (
     CertificateReport,
     ModerateGrowthSequence,
     build_companion_set,
-    check_moderate_growth,
     orbit_neighborhood_sequence,
-    rayleigh_chain,
     run_certificate,
 )
 from .errors import (

@@ -40,7 +40,7 @@ from .errors import (
     GridResolutionError,
     PreconditionError,
 )
-from .groups import TORUS_GRID, GroupDescriptor
+from .groups import TORUS_GRID, GroupDescriptor, _run_starts
 
 
 def continued_fraction_convergent(alpha: float, max_denominator: int) -> tuple[int, int]:
@@ -248,7 +248,7 @@ class GridTranslationSpace(ActionSpace):
             dist = dist[..., None] + offs * offs
         cells = np.sort(cells[dist <= radius * radius])
         # a ball wider than the grid meets itself
-        return cells[np.r_[True, cells[1:] != cells[:-1]]]
+        return cells[_run_starts(cells)]
 
     def min_displacement(self, steps) -> np.ndarray:
         """Least torus distance by which each step count moves every cell."""

@@ -34,8 +34,8 @@ from .groups import GroupDescriptor, _sum_set, is_symmetric_set
 from .measures import (
     DEFAULT_SUPPORT_CAP,
     GroupMeasure,
-    convolution_power,
-    convolve,
+    _arrays,
+    _convolve_arrays,
     symmetrize,
 )
 
@@ -108,15 +108,6 @@ class CertificateReport:
     norm_lower_bound: float | None = None
 
 
-@dataclass(frozen=True)
-class RayleighChainResult:
-    rayleigh: float
-    chain_bound: float
-    chain_asserted: bool
-    nu_B: float
-    companion: np.ndarray
-
-
 # -- set machinery -----------------------------------------------------------
 
 
@@ -142,41 +133,31 @@ def _step_powers(group: GroupDescriptor, S: np.ndarray, k: int) -> list[np.ndarr
     return powers
 
 
-def _integer_counts(spectrum: np.ndarray, length: int) -> np.ndarray:
-    """Inverse real FFT along the cycle axis of sums that must be integers,
-    rounded back exactly (the overlap counts of ``_pair_correlations``)."""
-    values = np.fft.irfft(spectrum, n=length, axis=-1)
-    counts = np.rint(values)
-    if np.abs(values - counts).max() > 1e-5:
-        raise InternalConsistencyError("FFT counts drifted off integers")
-    return counts
-
-
 def _arc_segments(space: ActionSpace, steps,
                   idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The union of sigma^c cells over the step counts c, as disjoint
     half-open slot segments [lo, hi) of the cycle table, sorted by lo.
 
-    On a cycle of length L a run of consecutive steps [a, b] carries the
-    cell at offset o onto the arc [o + a, o + b + 1) mod L, at most L
+    The cells first merge into the segments of ``_slot_segments``.  On a
+    cycle of length L a run of consecutive steps [a, b] carries the
+    segment of offsets [o, p) onto the arc [o + a, p + b) mod L, at most L
     wide; an arc that wraps splits in two.  One sort of the arcs by start
     and a running maximum of their ends merge them (the 1-d case of
     Klee's measure problem), in integers only.  Arcs that merely touch
     stay apart, so no segment leaves its cycle.
     """
     steps = np.unique(np.asarray(steps, dtype=np.int64))
-    idx = np.asarray(idx, dtype=np.int64)
-    if steps.size == 0 or idx.size == 0:
+    seg_lo, seg_hi = _slot_segments(space, np.asarray(idx, dtype=np.int64))
+    if steps.size == 0 or seg_lo.size == 0:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty
-    breaks = np.flatnonzero(np.diff(steps) > 1)
-    run_lo = steps[np.r_[0, breaks + 1]]
-    run_width = steps[np.r_[breaks, steps.size - 1]] + 1 - run_lo
-    slot = space.cycles.slot[idx]
-    first, length = space.cycles.locate(slot)
+    head, tail = _runs(np.diff(steps) > 1)
+    run_lo = steps[head]
+    run_width = steps[tail] + 1 - run_lo
+    first, length = space.cycles.locate(seg_lo)
     first, length = first[:, None], length[:, None]
-    start = (slot[:, None] - first + run_lo) % length
-    end = start + np.minimum(run_width, length)
+    start = (seg_lo[:, None] - first + run_lo) % length
+    end = start + np.minimum((seg_hi - seg_lo - 1)[:, None] + run_width, length)
     wraps = end > length
     lo = np.concatenate([(first + start).ravel(),
                          np.broadcast_to(first, wraps.shape)[wraps]])
@@ -187,18 +168,44 @@ def _arc_segments(space: ActionSpace, steps,
     arcs = np.sort((lo << shift) | (hi - lo))
     lo = arcs >> shift
     reach = np.maximum.accumulate(lo + (arcs & ((1 << shift) - 1)))
-    heads = np.flatnonzero(np.r_[True, lo[1:] >= reach[:-1]])
-    return lo[heads], reach[np.r_[heads[1:] - 1, lo.size - 1]]
+    head, tail = _runs(lo[1:] >= reach[:-1])
+    return lo[head], reach[tail]
+
+
+def _slot_segments(space: ActionSpace,
+                   idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cells as slot segments [lo, hi), sorted by lo: the runs of
+    consecutive slots, split where a cycle starts.  The segments of
+    distinct cells are disjoint; a repeated cell starts a segment that
+    overlaps the one before."""
+    slots = np.sort(space.cycles.slot[idx])
+    if slots.size == 0:
+        return slots, slots
+    rest = slots[1:]
+    breaks = (rest - slots[:-1] != 1) | (space.cycles.locate(rest)[0] == rest)
+    head, tail = _runs(breaks)
+    return slots[head], slots[tail] + 1
+
+
+def _runs(breaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the first and the last element of each run, given for
+    every element but the first whether a run starts there."""
+    head = np.empty(breaks.size + 1, dtype=bool)
+    tail = np.empty_like(head)
+    head[0] = tail[-1] = True
+    head[1:] = tail[:-1] = breaks
+    return head, tail
 
 
 def _act_union(space: ActionSpace, steps, idx: np.ndarray) -> np.ndarray:
-    """Sorted indices of the union of sigma^c cells over the step counts c."""
+    """The union of sigma^c cells over the step counts c, as a mask over
+    the cells."""
     lo, hi = _arc_segments(space, steps, idx)
     sizes = hi - lo
     slots = np.repeat(lo - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
     covered = np.zeros(space.n_cells, dtype=bool)
     covered[space.cycles.order[slots]] = True
-    return np.flatnonzero(covered)
+    return covered
 
 
 def _union_mass(space: ActionSpace, steps, idx: np.ndarray) -> float:
@@ -209,30 +216,69 @@ def _union_mass(space: ActionSpace, steps, idx: np.ndarray) -> float:
     return float((space.weights[space.cycles.order[lo]] * (hi - lo)).sum())
 
 
-def _pair_correlations(space: ActionSpace, steps, a: np.ndarray,
-                       b: np.ndarray) -> np.ndarray:
-    """<pi(g) a, b> = sum_x nu_x a(g^{-1} x) b(x) for the element g of
-    each step count, as an array aligned with ``steps``.
+def _pair_correlations(space: ActionSpace, steps, lo: np.ndarray,
+                       hi: np.ndarray) -> np.ndarray:
+    """nu(gB & B) for the element g of each step count, as an array aligned
+    with ``steps``, from the disjoint slot segments [lo, hi) of B, sorted
+    by lo, none leaving its cycle (as ``_arc_segments`` and
+    ``_slot_segments`` give them).
 
-    ``a`` and ``b`` are integer-valued cell vectors; for indicators of A
-    and B this is nu(gA & B), which serves the F-overlap ratios.  On each
-    cycle the sum over x is a circular cross-correlation; the weights are
-    constant on cycles, so the integer counts of the cycles of one weight
-    are summed, rounded back exactly, and weighted once.  When ``b is a``
-    the spectrum is |a^|^2, from one transform.
+    The counts |sigma^c B & B| are exact integers.  On a cycle of length L
+    they depend only on s = min(c mod L, L - c mod L), since sigma^-c
+    gives the same count.  The weights are constant on cycles, so the
+    counts are added per block of cycles of one length and one weight and
+    each block is weighted once, blocks in order of length, then weight.
     """
     steps = np.asarray(steps, dtype=np.int64)
     totals = np.zeros(steps.size)
-    for length, cells in space.cycles.rows():
-        a_hat = np.fft.rfft(a[cells])
-        if b is a:
-            spectra = _squared_modulus(a_hat)
-        else:
-            spectra = np.conj(a_hat) * np.fft.rfft(b[cells])
-        for weight, block in _weight_blocks(space, cells, spectra):
-            counts = _integer_counts(block.sum(axis=0), length)
-            totals += weight * counts[steps % length]
+    if steps.size == 0 or lo.size == 0:
+        return totals
+    first, length = space.cycles.locate(lo)
+    weight = space.weights[space.cycles.order[lo]]
+    for cycle_length in np.unique(length):
+        rest = steps % cycle_length
+        shifts, at = np.unique(np.minimum(rest, cycle_length - rest),
+                               return_inverse=True)
+        of_length = length == cycle_length
+        for w in np.unique(weight[of_length]):
+            block = of_length & (weight == w)
+            counts = _overlap_counts(first[block], lo[block], hi[block],
+                                     cycle_length, shifts)
+            totals += w * counts[at]
     return totals
+
+
+def _overlap_counts(first: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                    length: int, shifts: np.ndarray) -> np.ndarray:
+    """|sigma^s B & B| for the increasing shifts s <= length/2, from the
+    segments [lo, hi) of B on cycles of one length with first slots
+    ``first``.
+
+    A segment [a_i, b_i) moved by s meets the segment [a_j, b_j) of its
+    cycle, or that segment's copy one turn on (o = L), in
+
+        max(0, min(b_i + s, b_j + o) - max(a_i + s, a_j + o))
+
+    cells.  With s_max the largest shift, only the pairs with
+    a_j + o < b_i + s_max can meet, and no segment before i, which ends by
+    a_i: so the segments from i on that start before b_i + s_max, and the
+    copies of those starting within s_max of their cycle's first slot.
+    """
+    s_max = shifts[-1]
+    # positions first + slot (+ L for a copy) increase along each cycle and
+    # from one cycle to the next, whose first slot is at least L further
+    copy = lo - first < s_max
+    start = np.concatenate([first + lo, (first + lo + length)[copy]])
+    end = np.concatenate([first + hi, (first + hi + length)[copy]])
+    order = np.argsort(start)
+    start, end = start[order], end[order]
+    own = np.flatnonzero(order < lo.size)
+    pairs = np.searchsorted(start, end[own] + s_max) - own
+    i = np.repeat(own, pairs)
+    j = np.arange(pairs.sum()) + np.repeat(own - np.cumsum(pairs) + pairs, pairs)
+    met = np.minimum(end[i, None] + shifts, end[j, None]) - np.maximum(
+        start[i, None] + shifts, start[j, None])
+    return np.maximum(met, 0).sum(axis=0)
 
 
 def _squared_modulus(spectrum: np.ndarray) -> np.ndarray:
@@ -291,25 +337,19 @@ def _rayleigh_numerator(space: ActionSpace, phi: np.ndarray,
     return total
 
 
-# -- the per-n step -------------------------------------------------------------
+# -- the walk -------------------------------------------------------------------
 
 
-def _growth_row(seq: ModerateGrowthSequence, n: int,
-                snb: np.ndarray) -> CertificateRow:
-    """Row n of the moderate-growth conditions, given S^n B_n.
+def _growth_row(space: ActionSpace, n: int, b: np.ndarray, covered: np.ndarray,
+                overlaps: np.ndarray) -> CertificateRow:
+    """Row n of the moderate-growth conditions from B_n, the mask of
+    S^n B_n and the F-overlaps nu(gB_n & B_n).
 
     The overlap ratio is clamped to [0, 1]; it serves condition (3) and
     the chain bound alike.
     """
-    space = seq.space
-    b = seq.B(n)
     nu_b = space.mass_of(b)
-    nu_snb = space.mass_of(snb)
-    # int8 cell vectors: the cycle-order gathers of the correlations read
-    # an eighth of the memory of int64 ones
-    ind = np.zeros(space.n_cells, dtype=np.int8)
-    ind[b] = 1
-    overlaps = _pair_correlations(space, seq.F, ind, ind)
+    nu_snb = space.mass_of(covered)
     ratio = min(max(float(overlaps.min()) / nu_b, 0.0), 1.0)
     return CertificateRow(
         n=n,
@@ -322,27 +362,19 @@ def _growth_row(seq: ModerateGrowthSequence, n: int,
     )
 
 
-def _rayleigh_part(seq: ModerateGrowthSequence, eta: GroupMeasure,
-                   eta_n: GroupMeasure, eta_hat: dict[int, np.ndarray],
-                   row: CertificateRow, snb: np.ndarray) -> np.ndarray:
-    """Fill the Rayleigh and chain columns of ``row`` from eta^{*n}, the
-    spectra ``eta_hat`` of eta and S^n B_n; returns the companion set."""
-    space = seq.space
+def _rayleigh_part(space: ActionSpace, row: CertificateRow, b: np.ndarray,
+                   covered: np.ndarray, spectra: dict[int, np.ndarray],
+                   f_mass: float, chain_asserted: bool) -> None:
+    """Fill the Rayleigh and chain columns of ``row`` from B_n, the mask of
+    S^n B_n, the spectra of eta^{*n} and its mass on F."""
     n = row.n
-    b = seq.B(n)
-    companion = build_companion_set(space, b, snb)
     phi = np.zeros(space.n_cells, dtype=np.int8)
     phi[b] = 1
-    phi[companion] = -1
-    spectra = {length: values ** n for length, values in eta_hat.items()}
+    phi[build_companion_set(space, b, covered)] = -1
     row.rayleigh = _rayleigh_numerator(space, phi, spectra) / (2.0 * row.nu_B)
-    # a plain Python sum over the atoms in dict order: the reported digits
-    # depend on the summation order
-    in_f = np.isin(space.steps(eta_n.atoms), seq.F).tolist()
-    f_mass = sum(w for w, keep in zip(eta_n.atoms.values(), in_f) if keep)
     row.chain_bound = 0.5 * f_mass * row.ratio
-    row.chain_asserted = bool(np.isin(space.steps(eta.atoms), seq.S).all())
-    if row.chain_asserted and row.rayleigh < row.chain_bound - CHAIN_TOL:
+    row.chain_asserted = chain_asserted
+    if chain_asserted and row.rayleigh < row.chain_bound - CHAIN_TOL:
         raise InternalConsistencyError(
             f"chain inequality violated at n={n}: rayleigh={row.rayleigh!r} < "
             f"bound={row.chain_bound!r}; the companion set must intersect the "
@@ -350,16 +382,16 @@ def _rayleigh_part(seq: ModerateGrowthSequence, eta: GroupMeasure,
         )
     row.rayleigh_root = max(row.rayleigh, 0.0) ** (1.0 / (2 * n))
     row.chain_root = max(row.chain_bound, 0.0) ** (1.0 / (2 * n))
-    return companion
 
 
 def _walk(seq: ModerateGrowthSequence, slack: float,
-          eta: GroupMeasure | None = None) -> CertificateReport:
-    """One pass over n = 1..max_n carrying S^n (and eta^{*n}) forward.
+          eta: GroupMeasure) -> CertificateReport:
+    """One pass over n = 1..max_n carrying S^n and eta^{*n} forward.
 
-    Without ``eta`` only the moderate-growth columns are filled.  On a
-    sequence from ``orbit_neighborhood_sequence``, S^n B_n is dilated as
-    S^{2n} V_n from the few cells of the ball V_n instead of all of B_n.
+    On a sequence from ``orbit_neighborhood_sequence``, S^n B_n is dilated
+    as S^{2n} V_n from the few cells of the ball V_n instead of all of
+    B_n, and the segments of B_n = S^n V_n come from one arc sweep of V_n.
+    eta^{*n} is carried as (cells, weights) arrays in atom order.
     """
     space = seq.space
     group = space.group
@@ -368,20 +400,29 @@ def _walk(seq: ModerateGrowthSequence, slack: float,
         s_pow = _step_powers(group, seq.S, seq.max_n)
     else:
         balls, s_pow = cores
-    if eta is not None:
-        eta_hat = _measure_spectra(space, eta)
-    eta_n = GroupMeasure.point_mass(group, group.identity())
+    eta_hat = _measure_spectra(space, eta)
+    eta_cells, eta_weights = _arrays(eta)
+    chain_asserted = bool(np.isin(eta_cells[:, 0], seq.S).all())
+    cells, weights = np.array([group.identity()]), np.ones(1)
     rows = []
     for n in range(1, seq.max_n + 1):
+        b = seq.B(n)
         if cores is None:
-            snb = _act_union(space, s_pow[n], seq.B(n))
+            covered = _act_union(space, s_pow[n], b)
+            lo, hi = _slot_segments(space, b)
         else:
-            snb = _act_union(space, s_pow[2 * n], balls[n - 1])
-        row = _growth_row(seq, n, snb)
-        if eta is not None:
-            # eta^{*n} serves only the F-mass of the chain bound
-            eta_n = convolve(eta_n, eta)
-            _rayleigh_part(seq, eta, eta_n, eta_hat, row, snb)
+            covered = _act_union(space, s_pow[2 * n], balls[n - 1])
+            lo, hi = _arc_segments(space, s_pow[n], balls[n - 1])
+        row = _growth_row(space, n, b, covered,
+                          _pair_correlations(space, seq.F, lo, hi))
+        cells, weights = _convolve_arrays(group, cells, weights, eta_cells,
+                                          eta_weights, DEFAULT_SUPPORT_CAP)
+        # a plain Python sum over the atoms in atom order: the reported
+        # digits depend on the summation order
+        in_f = np.isin(cells[:, 0], seq.F).tolist()
+        f_mass = sum(w for w, keep in zip(weights.tolist(), in_f) if keep)
+        spectra = {length: values ** n for length, values in eta_hat.items()}
+        _rayleigh_part(space, row, b, covered, spectra, f_mass, chain_asserted)
         rows.append(row)
     max_root = max(r.ratio_root for r in rows)
     return CertificateReport(
@@ -391,29 +432,18 @@ def _walk(seq: ModerateGrowthSequence, slack: float,
         cond2_all=all(r.cond2 for r in rows),
         cond3_flag=max_root >= 1.0 - slack,
         max_ratio_root=max_root,
+        norm_lower_bound=max(r.rayleigh_root for r in rows),
     )
 
 
 # -- the certificate operations ----------------------------------------------
 
 
-def check_moderate_growth(
-    seq: ModerateGrowthSequence, slack: float = 0.02
-) -> CertificateReport:
-    """Evaluate the three moderate-growth conditions on a finite horizon.
-
-    Condition (2) uses nu(S^n B_n) itself: on a finite space every set is
-    measurable, so the infimum over measurable supersets is attained
-    there.  Condition (3) is reported as the full sequence ratio_n^{1/n}
-    together with the finite-horizon flag max_n ratio_n^{1/n} >= 1 - slack.
-    """
-    return _walk(seq, slack)
-
-
 def build_companion_set(
     space: ActionSpace, b: np.ndarray, forbidden: np.ndarray
 ) -> np.ndarray:
-    """A set of the same measure as b, disjoint from ``forbidden``.
+    """A set of the same measure as b, disjoint from ``forbidden``, which
+    holds cell indices or is a mask over the cells.
 
     Equal-weight cells make exact mass matching a counting problem; the
     fill is greedy in deterministic cell order, so certificates are
@@ -424,9 +454,15 @@ def build_companion_set(
     w0 = weights[0]
     if max(weights.max() - w0, w0 - weights.min()) > 1e-8 + 1e-5 * w0:
         raise PreconditionError("companion sets need an equal-weight cell grid")
-    blocked = np.zeros(space.n_cells, dtype=bool)
-    blocked[forbidden] = True
-    free = np.flatnonzero(~blocked)
+    forbidden = np.asarray(forbidden)
+    if forbidden.dtype != bool:
+        blocked = np.zeros(space.n_cells, dtype=bool)
+        blocked[forbidden] = True
+        forbidden = blocked
+    elif forbidden.shape != (space.n_cells,):
+        raise PreconditionError(
+            f"a forbidden mask needs one entry per cell, {space.n_cells}")
+    free = np.flatnonzero(~forbidden)
     if len(free) < len(b):
         raise PreconditionError(
             "not enough mass outside the forbidden set (condition (2) gives "
@@ -434,42 +470,6 @@ def build_companion_set(
             f"have {len(free)})"
         )
     return free[: len(b)].astype(np.int64)
-
-
-def rayleigh_chain(
-    space: ActionSpace,
-    mu: GroupMeasure,
-    seq: ModerateGrowthSequence,
-    n: int,
-) -> RayleighChainResult:
-    """Rayleigh quotient of the n-th convolution power against the n-th
-    test vector, plus the analytic chain bound.
-
-    ``mu`` must be symmetric (callers symmetrize first).  The test vector
-    is phi = 1_B - 1_{B^-}, with the companion B^- disjoint from S^n B,
-    and the quotient is <pi(mu^{*n}) phi, phi> / (2 nu(B)).  When supp(mu)
-    is contained in S the cross terms vanish on the support of mu^{*n}
-    and the chain inequality
-
-        rayleigh >= (1/2) mu^{*n}(F) inf_{g in F} nu(gB & B)/nu(B)
-
-    is asserted; a violation raises, since it can only mean a
-    disjointness bug.  If supp(mu) exceeds S the bound is still reported
-    but not asserted.
-    """
-    if not mu.is_symmetric(tol=1e-12):
-        raise PreconditionError("rayleigh_chain needs a symmetric measure")
-    snb = _act_union(space, _step_powers(space.group, seq.S, n)[n], seq.B(n))
-    row = _growth_row(seq, n, snb)
-    companion = _rayleigh_part(seq, mu, convolution_power(mu, n),
-                               _measure_spectra(space, mu), row, snb)
-    return RayleighChainResult(
-        rayleigh=row.rayleigh,
-        chain_bound=row.chain_bound,
-        chain_asserted=row.chain_asserted,
-        nu_B=row.nu_B,
-        companion=companion,
-    )
 
 
 def orbit_neighborhood_sequence(
@@ -520,7 +520,7 @@ def orbit_neighborhood_sequence(
         separators = np.setdiff1d(powers[2 * n - 2], steps, assume_unique=True)
         r_cap = _separation_radius(space, separators)
         radius = _largest_mass_admissible_radius(
-            space, powers[2 * n], x0, min(r_cap, radius)
+            space, powers[2 * n], x0, min(r_cap, radius), n > 1
         )
         if radius is None:
             raise GridResolutionError(
@@ -528,7 +528,7 @@ def orbit_neighborhood_sequence(
                 "cell pushes the orbit thickening to mass >= 1/2; use a finer grid"
             )
         balls.append(space.cell_ball(x0, radius))
-        sets.append(_act_union(space, powers[n], balls[-1]))
+        sets.append(np.flatnonzero(_act_union(space, powers[n], balls[-1])))
     seq = ModerateGrowthSequence(
         space=space, S=S, F=S, sets=tuple(sets), max_n=n_max
     )
@@ -554,21 +554,52 @@ def _separation_radius(space: ActionSpace, separators: np.ndarray) -> int:
 
 
 def _largest_mass_admissible_radius(
-    space: ActionSpace, thickening: np.ndarray, x0: int, r_cap: int
+    space: ActionSpace, thickening: np.ndarray, x0: int, r_cap: int,
+    downward: bool
 ) -> int | None:
-    def mass_at(radius: int) -> float:
-        return _union_mass(space, thickening, space.cell_ball(x0, radius))
+    """The largest radius r <= r_cap whose ball around x0 keeps its
+    thickening below mass 1/2, or None if even r = 0 does not.
 
-    if mass_at(0) >= 0.5:
-        return None
-    lo, hi = 0, r_cap
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if mass_at(mid) < 0.5:
-            lo = mid
+    The mass only grows with r, so a gallop brackets the radius, good
+    below and bad above, and a bisection closes the bracket: upward from
+    0, or downward from r_cap when r_cap is the radius of the previous n,
+    which the answer usually equals or nearly equals.
+    """
+    def admissible(radius: int) -> bool:
+        return _union_mass(space, thickening, space.cell_ball(x0, radius)) < 0.5
+
+    step = 1
+    if downward:
+        if admissible(r_cap):
+            return r_cap
+        bad = r_cap
+        while True:
+            if bad == 0:
+                return None
+            probe = max(bad - step, 0)
+            if admissible(probe):
+                good = probe
+                break
+            bad, step = probe, 2 * step
+    else:
+        if not admissible(0):
+            return None
+        good = 0
+        while True:
+            if good == r_cap:
+                return good
+            probe = min(good + step, r_cap)
+            if not admissible(probe):
+                bad = probe
+                break
+            good, step = probe, 2 * step
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if admissible(mid):
+            good = mid
         else:
-            hi = mid - 1
-    return lo
+            bad = mid
+    return good
 
 
 def run_certificate(
@@ -586,9 +617,23 @@ def run_certificate(
 
     Each Rayleigh quotient lower-bounds the norm of the nonnegative
     operator pi(eta)^n on zero-mean functions, so the max is a certified
-    lower bound for the discrepancy of mu.  The sets come either from
-    ``seq`` or from the base cell ``x0`` (default: the space's base cell)
-    and the horizon ``n_max`` (default 10), not from both.
+    lower bound for the discrepancy of mu.  The test vector is
+    phi = 1_B - 1_{B^-}, with the companion B^- disjoint from S^n B.  When
+    supp(eta) lies in S the cross terms vanish on the support of eta^{*n},
+    and the chain inequality
+
+        rayleigh >= (1/2) eta^{*n}(F) inf_{g in F} nu(gB & B)/nu(B)
+
+    is asserted; a violation raises, since it can only mean a disjointness
+    bug.  Otherwise the bound is reported but not asserted.
+
+    Condition (2) uses nu(S^n B_n) itself: on a finite space every set is
+    measurable, so the infimum over measurable supersets is attained
+    there.  Condition (3) is reported as the full sequence ratio_n^{1/n}
+    together with the finite-horizon flag max_n ratio_n^{1/n} >= 1 - slack.
+    The sets come either from ``seq`` or from the base cell ``x0``
+    (default: the space's base cell) and the horizon ``n_max`` (default
+    10), not from both.
     """
     eta = symmetrize(mu)
     if seq is None:
@@ -599,6 +644,4 @@ def run_certificate(
         raise PreconditionError(
             "run_certificate takes either seq or x0/n_max; seq fixes the "
             "base cell and the horizon")
-    report = _walk(seq, slack, eta)
-    report.norm_lower_bound = max(row.rayleigh_root for row in report.rows)
-    return report
+    return _walk(seq, slack, eta)

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from gaplab import DescriptorMismatchError, GroupDescriptor, build_action
 from gaplab.actions import CycleTable, _window_rotation
-from gaplab.certificates import _act_union, _pair_correlations, _union_mass
+from gaplab.certificates import (
+    _act_union,
+    _arc_segments,
+    _pair_correlations,
+    _slot_segments,
+    _union_mass,
+)
 
 Z = GroupDescriptor(kind="lattice", dimension=1)
 
@@ -232,14 +238,48 @@ def gathered_union(space, steps, idx):
     return sorted(cells)
 
 
+def powers_of(sigma, steps):
+    """sigma^c as a list for each step count c, stepping up from the least."""
+    out = {}
+    wanted = sorted(set(steps))
+    if wanted:
+        at, current = wanted[0], power(sigma, wanted[0])
+        for c in wanted:
+            for _ in range(c - at):
+                current = [sigma[i] for i in current]
+            at, out[c] = c, current
+    return out
+
+
 def gathered_correlations(space, steps, a, b):
+    """sum_x nu_x a(sigma^-c x) b(x) per step count c, by iterating sigma.
+
+    The integer terms a(sigma^-c x) b(x) are added per block of cycles of
+    one length and one weight, and each block total is weighted once,
+    blocks in order of length, then weight: the order of the lab's sums,
+    so that the results compare with ==.
+    """
     sigma = sigma_of(space)
+    blocks = [(len(bfs_orbit(sigma, x, [1])), space.weights[x])
+              for x in range(space.n_cells)]
+    backs = powers_of(sigma, [-c for c in steps])  # (pi(g) a)(x) = a(g^{-1} x)
     out = []
     for c in steps:
-        back = power(sigma, -c)  # (pi(g) a)(x) = a(g^{-1} x)
-        out.append(sum(space.weights[x] * a[back[x]] * b[x]
-                       for x in range(space.n_cells)))
+        back = backs[-c]
+        counts = {}
+        for x, block in enumerate(blocks):
+            counts[block] = counts.get(block, 0) + int(a[back[x]] * b[x])
+        total = 0.0
+        for block in sorted(counts):
+            total += block[1] * counts[block]
+        out.append(total)
     return out
+
+
+def indicator(space, cells):
+    ind = np.zeros(space.n_cells, dtype=np.int64)
+    ind[cells] = 1
+    return ind
 
 
 CERTIFICATE_SPACES = [
@@ -259,17 +299,13 @@ def test_dilation_and_correlation_match_gathers(space):
     steps = [0, 1, -1, 2, -7, 11]
     for trial in range(4):
         idx = np.sort(rng.choice(space.n_cells, size=1 + trial * 3, replace=False))
-        assert _act_union(space, steps, idx).tolist() == gathered_union(
-            space, steps, idx)
-        assert _act_union(space, [], idx).size == 0
-        a = rng.integers(-2, 3, size=space.n_cells)
-        b = rng.integers(-1, 2, size=space.n_cells)
-        a[rng.random(space.n_cells) < 0.5] = 0
-        got = _pair_correlations(space, steps, a, b)
-        want = gathered_correlations(space, steps, a, b)
+        assert np.flatnonzero(_act_union(space, steps, idx)).tolist() == (
+            gathered_union(space, steps, idx))
+        assert not _act_union(space, [], idx).any()
+        ind = indicator(space, idx)
+        got = _pair_correlations(space, steps, *_slot_segments(space, idx))
         assert got.shape == (len(steps),)
-        for g, w in zip(got.tolist(), want):
-            assert g == pytest.approx(w, abs=1e-15)
+        assert got.tolist() == gathered_correlations(space, steps, ind, ind)
 
 
 # one space of each kind with cycles of several lengths (the circle's
@@ -302,10 +338,29 @@ def test_arc_union_matches_gathers(space, steps, picks):
     idx = np.array([i % space.n_cells for i in picks], dtype=np.int64)
     want = gathered_union(space, steps, idx)
     got = _act_union(space, steps, idx)
-    assert got.dtype == np.int64
-    assert got.tolist() == want
+    assert got.dtype == bool and got.shape == (space.n_cells,)
+    assert np.flatnonzero(got).tolist() == want
     assert _union_mass(space, steps, idx) == pytest.approx(
         space.mass_of(np.array(want, dtype=np.int64)), abs=1e-15)
+
+
+@pytest.mark.parametrize("space", [
+    *(build_action(kind, group=Z, **kw) for kind, kw in ARC_SPACES),
+    uneven_space(),
+], ids=[kind for kind, _ in ARC_SPACES] + ["uneven-permutation"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(steps=step_lists, picks=st.lists(st.integers(0, 10**6), max_size=8),
+       dilation=step_lists)
+def test_overlap_sweep_matches_gathers(space, steps, picks, dilation):
+    # B as arbitrary cells, and as the arcs of a dilation of those cells
+    idx = np.unique(np.array([i % space.n_cells for i in picks], dtype=np.int64))
+    for cells, segments in (
+        (idx, _slot_segments(space, idx)),
+        (gathered_union(space, dilation, idx), _arc_segments(space, dilation, idx)),
+    ):
+        ind = indicator(space, cells)
+        got = _pair_correlations(space, steps, *segments)
+        assert got.tolist() == gathered_correlations(space, steps, ind, ind)
 
 
 @pytest.mark.parametrize("steps,want", [
@@ -321,7 +376,7 @@ def test_arcs_on_one_cycle(steps, want):
     # the rotation by one cell on 15 cells: slot = cell, one cycle
     space = build_action("circle-rotation", group=Z, N=15, cells_per_step=1)
     idx = np.array([5])
-    assert _act_union(space, steps, idx).tolist() == sorted(want)
+    assert np.flatnonzero(_act_union(space, steps, idx)).tolist() == sorted(want)
     assert _union_mass(space, steps, idx) == pytest.approx(len(want) / 15)
-    assert _act_union(space, steps, idx[:0]).size == 0
+    assert not _act_union(space, steps, idx[:0]).any()
     assert _union_mass(space, steps, idx[:0]) == 0.0

@@ -17,12 +17,10 @@ from gaplab import (
     PreconditionError,
     build_action,
     build_companion_set,
-    check_moderate_growth,
     convolution_power,
     discrepancy,
     orbit_neighborhood_sequence,
     power_set,
-    rayleigh_chain,
     run_certificate,
     symmetrize,
 )
@@ -39,6 +37,14 @@ def time_grid(q):
 def cycle_space(size):
     return build_action("finite-permutation", group=Z,
                         permutation=[(i + 1) % size for i in range(size)])
+
+
+def gathered_thickening(space, seq, n):
+    """S^n B_n, by moving B_n with every step count of S^n in turn."""
+    cells = set()
+    for (c,) in power_set(space.group, [(s,) for s in seq.S.tolist()], n):
+        cells.update(space.act_indices(c, seq.B(n)).tolist())
+    return np.array(sorted(cells), dtype=np.int64)
 
 
 class TestSequenceValidation:
@@ -99,16 +105,18 @@ class TestSequenceValidation:
                                    sets=(np.array([0]), np.array(cells)), max_n=2)
 
 
-class TestCheckModerateGrowth:
-    def test_whole_space_fails_condition_two(self):
+class TestGrowthConditions:
+    def test_thickening_past_half_fails_condition_two(self):
+        # S B_1 covers 9 of 16 cells and S^2 B_2 10 of them: condition (2)
+        # fails at both n, yet the companions still fit
         space = cycle_space(16)
-        whole = np.arange(16)
         seq = ModerateGrowthSequence(
             space, S=((0,), (1,), (-1,)), F=((0,),),
-            sets=(whole, whole), max_n=2,
+            sets=(np.array([0, 5, 10]), np.array([0, 8])), max_n=2,
         )
-        report = check_moderate_growth(seq)
+        report = run_certificate(space, GroupMeasure.point_mass(Z, (0,)), seq=seq)
         assert not report.cond2_all
+        assert [row.nu_SnB for row in report.rows] == [9 / 16, 10 / 16]
         assert all(not row.cond2 for row in report.rows)
 
     def test_identity_F_gives_ratio_one(self):
@@ -120,7 +128,7 @@ class TestCheckModerateGrowth:
             space, S=((0,), (1,), (-1,)), F=((0,),),
             sets=(b, b, b), max_n=3,
         )
-        report = check_moderate_growth(seq)
+        report = run_certificate(space, GroupMeasure.point_mass(Z, (0,)), seq=seq)
         assert report.cond1_all and report.cond2_all and report.cond3_flag
         assert all(row.ratio == 1.0 for row in report.rows)
         assert report.max_ratio_root == 1.0
@@ -141,6 +149,11 @@ class TestCompanionSet:
         assert len(out) == 10
         assert set(out) & set(forbidden) == set()
         assert out.tolist() == list(range(410, 420))
+        mask = np.zeros(1024, dtype=bool)
+        mask[forbidden] = True
+        assert build_companion_set(space, b, mask).tolist() == out.tolist()
+        with pytest.raises(PreconditionError, match="one entry per cell"):
+            build_companion_set(space, b, mask[:-1])
 
     def test_torus_instance_exhaustive_disjointness(self):
         space = build_action("torus-translation", group=time_grid(2),
@@ -148,12 +161,13 @@ class TestCompanionSet:
         mu = GroupMeasure.uniform_interval(time_grid(2), -1.0, 1.0)
         eta = symmetrize(mu)
         seq = orbit_neighborhood_sequence(space, 0, list(eta.atoms), 5)
-        res = rayleigh_chain(space, eta, seq, 5)
-        forbidden = set()
-        for (c,) in power_set(space.group, [(s,) for s in seq.S.tolist()], 5):
-            forbidden.update(space.act_indices(c, seq.B(5)).tolist())
-        assert set(res.companion.tolist()).isdisjoint(forbidden)
-        assert len(res.companion) == len(seq.B(5))
+        balls, powers = seq._cores
+        # the walk's companion: the first cells outside the mask of S^5 B_5
+        companion = build_companion_set(
+            space, seq.B(5), certificates._act_union(space, powers[10], balls[4]))
+        assert set(companion.tolist()).isdisjoint(
+            gathered_thickening(space, seq, 5).tolist())
+        assert len(companion) == len(seq.B(5))
 
     def test_insufficient_room(self):
         space = cycle_space(16)
@@ -169,45 +183,35 @@ class TestRayleighChain:
             sets=(np.arange(5),), max_n=1,
         )
         mu = GroupMeasure.point_mass(Z, (0,))
-        res = rayleigh_chain(space, mu, seq, 1)
-        assert res.rayleigh == pytest.approx(1.0, abs=1e-12)
-        assert res.chain_bound == pytest.approx(0.5, abs=1e-12)
-        assert res.chain_asserted
+        (row,) = run_certificate(space, mu, seq=seq).rows
+        assert row.rayleigh == pytest.approx(1.0, abs=1e-12)
+        assert row.chain_bound == pytest.approx(0.5, abs=1e-12)
+        assert row.chain_asserted
 
     def test_bernoulli_window_chain_holds(self):
         space = build_action("bernoulli-window", group=Z, alphabet=2,
                             window_radius=3)
-        eta = symmetrize(GroupMeasure.simple_random_walk(Z))
+        mu = GroupMeasure.simple_random_walk(Z)
         b = np.array([64])  # the window word 1000000
         n_max = 10
         seq = ModerateGrowthSequence(
-            space, S=tuple(eta.support()), F=((0,),),
+            space, S=tuple(symmetrize(mu).support()), F=((0,),),
             sets=tuple([b] * n_max), max_n=n_max,
         )
-        report = check_moderate_growth(seq)
+        report = run_certificate(space, mu, seq=seq)
         assert report.cond1_all and report.cond2_all
-        for n in range(1, n_max + 1):
-            res = rayleigh_chain(space, eta, seq, n)
-            assert res.chain_asserted
-            assert res.rayleigh >= res.chain_bound - 1e-10
+        for row in report.rows:
+            assert row.chain_asserted
+            assert row.rayleigh >= row.chain_bound - 1e-10
 
     def test_torus_flow_chain_holds(self):
         space = build_action("torus-translation", group=time_grid(2),
                             N=128, step=(29, 41), slope_hint=SQRT2)
         mu = GroupMeasure.uniform_interval(time_grid(2), -1.0, 1.0)
-        eta = symmetrize(mu)
-        seq = orbit_neighborhood_sequence(space, 0, list(eta.atoms), 10)
-        res = rayleigh_chain(space, eta, seq, 10)
-        assert res.chain_asserted
-        assert res.rayleigh >= res.chain_bound - 1e-10
-        assert 0.0 < res.rayleigh <= eta.total_mass ** 10 + 1e-9
-
-    def test_asymmetric_measure_rejected(self):
-        space = cycle_space(16)
-        seq = ModerateGrowthSequence(space, S=((0,),), F=((0,),),
-                                     sets=(np.arange(3),), max_n=1)
-        with pytest.raises(PreconditionError):
-            rayleigh_chain(space, GroupMeasure.point_mass(Z, (1,)), seq, 1)
+        row = run_certificate(space, mu, x0=0, n_max=10).rows[9]
+        assert row.chain_asserted
+        assert row.rayleigh >= row.chain_bound - 1e-10
+        assert 0.0 < row.rayleigh <= symmetrize(mu).total_mass ** 10 + 1e-9
 
 
 class TestRayleighOracle:
@@ -221,51 +225,56 @@ class TestRayleighOracle:
         averaged = KoopmanAveragingOperator(space, convolution_power(eta, n)).apply_l2(phi)
         return float(np.sum(space.weights * averaged * phi)) / (2.0 * space.mass_of(b))
 
+    def assert_rows_match_dense(self, space, mu, seq):
+        """Each row of the walk against the dense quotient, with the
+        companion rebuilt from a gathered S^n B_n; returns the companions."""
+        eta = symmetrize(mu)
+        companions = []
+        for n, row in enumerate(run_certificate(space, mu, seq=seq).rows, 1):
+            b = seq.B(n)
+            companions.append(build_companion_set(
+                space, b, gathered_thickening(space, seq, n)))
+            want = self.dense_quotient(space, eta, b, companions[-1], n)
+            assert row.rayleigh == pytest.approx(want, abs=1e-12), n
+        return companions
+
     def test_torus_fft_path(self):
         space = build_action("torus-translation", group=time_grid(2),
                             N=64, step=(29, 41))
         assert isinstance(space, GridTranslationSpace)
-        eta = symmetrize(GroupMeasure.uniform_interval(time_grid(2), -1.0, 1.0))
-        orbit_seq = orbit_neighborhood_sequence(space, 0, list(eta.atoms), 4)
+        mu = GroupMeasure.uniform_interval(time_grid(2), -1.0, 1.0)
+        orbit_seq = orbit_neighborhood_sequence(
+            space, 0, list(symmetrize(mu).atoms), 4)
         # with S = {e} the companion abuts B, so the cross terms are nonzero
         b = np.arange(64 * 4, 64 * 8)  # rows 4-7; the companion is rows 0-3
         near_seq = ModerateGrowthSequence(space, S=((0,),), F=((0,),),
                                           sets=(b,) * 4, max_n=4)
         for seq in (orbit_seq, near_seq):
-            for n in range(1, 5):
-                res = rayleigh_chain(space, eta, seq, n)
-                want = self.dense_quotient(space, eta, seq.B(n), res.companion, n)
-                assert res.rayleigh == pytest.approx(want, abs=1e-12)
+            self.assert_rows_match_dense(space, mu, seq)
 
     def test_bernoulli_window_gather_path(self):
         space = build_action("bernoulli-window", group=Z, alphabet=2,
                             window_radius=3)
         assert not isinstance(space, GridTranslationSpace)
-        eta = symmetrize(GroupMeasure.from_atoms(Z, [((1,), 0.3), ((-2,), 0.7)]))
+        mu = GroupMeasure.from_atoms(Z, [((1,), 0.3), ((-2,), 0.7)])
         b = np.array([3, 64, 97])
         seq = ModerateGrowthSequence(
-            space, S=tuple(eta.support()), F=((0,),),
+            space, S=tuple(symmetrize(mu).support()), F=((0,),),
             sets=(b,) * 4, max_n=4,
         )
-        for n in range(1, 5):
-            res = rayleigh_chain(space, eta, seq, n)
-            want = self.dense_quotient(space, eta, b, res.companion, n)
-            assert res.rayleigh == pytest.approx(want, abs=1e-12)
-
+        self.assert_rows_match_dense(space, mu, seq)
 
     def test_odd_circle(self):
         space = build_action("circle-rotation", group=Z, N=127, cells_per_step=2)
         assert space.cycle_lengths() == {127: 1}
-        eta = symmetrize(GroupMeasure.simple_random_walk(Z))
-        orbit_seq = orbit_neighborhood_sequence(space, 0, list(eta.atoms), 4)
+        mu = GroupMeasure.simple_random_walk(Z)
+        orbit_seq = orbit_neighborhood_sequence(
+            space, 0, list(symmetrize(mu).atoms), 4)
         b = np.arange(10, 20)  # the companion is cells 0-9
         near_seq = ModerateGrowthSequence(space, S=((0,),), F=((0,),),
                                           sets=(b,) * 4, max_n=4)
         for seq in (orbit_seq, near_seq):
-            for n in range(1, 5):
-                res = rayleigh_chain(space, eta, seq, n)
-                want = self.dense_quotient(space, eta, seq.B(n), res.companion, n)
-                assert res.rayleigh == pytest.approx(want, abs=1e-12)
+            self.assert_rows_match_dense(space, mu, seq)
 
     def test_permutation_with_short_cycles(self):
         # cycles of lengths 1, 2, 3 and 4: the L = 1 and L = 2 spectra and
@@ -273,16 +282,12 @@ class TestRayleighOracle:
         space = build_action("finite-permutation", group=Z,
                              permutation=[0, 2, 1, 4, 5, 3, 7, 8, 9, 6])
         assert space.cycle_lengths() == {1: 1, 2: 1, 3: 1, 4: 1}
-        eta = symmetrize(GroupMeasure.from_atoms(
-            Z, [((1,), 0.3), ((-2,), 0.5), ((3,), 0.2)]))
+        mu = GroupMeasure.from_atoms(Z, [((1,), 0.3), ((-2,), 0.5), ((3,), 0.2)])
         b = np.array([4, 8])  # the companion is cells 0 and 1
         seq = ModerateGrowthSequence(space, S=((0,),), F=((0,),),
                                      sets=(b,) * 4, max_n=4)
-        for n in range(1, 5):
-            res = rayleigh_chain(space, eta, seq, n)
-            assert res.companion.tolist() == [0, 1]
-            want = self.dense_quotient(space, eta, b, res.companion, n)
-            assert res.rayleigh == pytest.approx(want, abs=1e-12)
+        companions = self.assert_rows_match_dense(space, mu, seq)
+        assert [c.tolist() for c in companions] == [[0, 1]] * 4
 
     # cycles (0 1 2), (3 4 5), (6 7 8 9), (10 11 12 13), (14) with the
     # weights 1, 2, 1, 2, 1 up to normalization
@@ -300,7 +305,8 @@ class TestRayleighOracle:
         inverse = [perm.index(x) for x in range(len(perm))]
         a = np.random.default_rng(4).integers(0, 2, size=space.n_cells).astype(np.int8)
         steps = [0, 1, -1, 2, 5, -7, 12]
-        got = certificates._pair_correlations(space, steps, a, a)
+        got = certificates._pair_correlations(
+            space, steps, *certificates._slot_segments(space, np.flatnonzero(a)))
         for c, value in zip(steps, got.tolist()):
             back = list(range(len(perm)))  # sigma^-c, so (pi(c) a)(x) = a(back[x])
             for _ in range(abs(c)):
@@ -339,6 +345,11 @@ class TestThickeningFromBalls:
             from_set = certificates._act_union(space, powers[n], seq.B(n))
             assert from_ball.tolist() == from_set.tolist()
             assert len(balls[n - 1]) < len(seq.B(n))
+            # the F-overlaps of B_n = S^n V_n from the arcs of V_n
+            arcs = certificates._arc_segments(space, powers[n], balls[n - 1])
+            runs = certificates._slot_segments(space, seq.B(n))
+            assert np.array_equal(certificates._pair_correlations(space, seq.F, *arcs),
+                                  certificates._pair_correlations(space, seq.F, *runs))
 
 
 def torus_distance(a, b, n):
@@ -438,8 +449,47 @@ class TestOrbitNeighborhoodSequence:
             want = certificates._act_union(
                 space, space.steps(power_set(space.group, S, n)),
                 space.cell_ball(x0, radius))
-            assert seq.B(n).tolist() == want.tolist()
+            assert seq.B(n).tolist() == np.flatnonzero(want).tolist()
         assert bound_active
+
+    def test_anchored_search_on_benchmark_torus(self, monkeypatch):
+        # the N=256 flow of the certificate benchmark: the gallops probe at
+        # most 20 balls, where bisections from radius 0 took 27, and pick
+        # the radii of a scan
+        grid = time_grid(8)
+        space = build_action("torus-translation", group=grid, N=256,
+                            step=(29, 41), slope_hint=SQRT2)
+        S = sorted(symmetrize(GroupMeasure.uniform_interval(grid, -1.0, 1.0)).atoms)
+        x0, n_max = 7001, 6
+        probes, picked = [], []
+        union_mass = certificates._union_mass
+        search = certificates._largest_mass_admissible_radius
+
+        def count(*args):
+            probes.append(args)
+            return union_mass(*args)
+
+        def spy(*args):
+            picked.append(search(*args))
+            return picked[-1]
+
+        monkeypatch.setattr(certificates, "_union_mass", count)
+        monkeypatch.setattr(certificates, "_largest_mass_admissible_radius", spy)
+        orbit_neighborhood_sequence(space, x0, S, n_max)
+        # one call checks the orbit of the base cell, the rest are probes
+        assert len(probes) - 1 <= 20
+        monkeypatch.undo()
+        powers = certificates._step_powers(space.group, space.steps(S), 2 * n_max)
+        scanned = []
+        for n in range(1, n_max + 1):
+            separators = np.setdiff1d(powers[2 * n - 2], powers[1])
+            r_cap = certificates._separation_radius(space, separators)
+            radius = 0
+            while radius < r_cap and space.mass_of(certificates._act_union(
+                    space, powers[2 * n], space.cell_ball(x0, radius + 1))) < 0.5:
+                radius += 1
+            scanned.append(radius)
+        assert picked == scanned
 
     def test_free_transitive_cycle(self):
         space = cycle_space(64)
@@ -456,7 +506,8 @@ class TestOrbitNeighborhoodSequence:
                             N=n_grid, step=(29, 41), slope_hint=SQRT2)
         S = [(k,) for k in range(-smax, smax + 1)]
         seq = orbit_neighborhood_sequence(space, 0, S, n_max)
-        report = check_moderate_growth(seq)
+        report = run_certificate(
+            space, GroupMeasure.point_mass(time_grid(1), (0,)), seq=seq)
         assert report.cond1_all and report.cond2_all
         # every cell of B_n hugs the discrete flow line: distance to the
         # nearest bead center k * (29, 41) stays bounded by a tube radius
@@ -575,3 +626,26 @@ class TestRunCertificate:
             assert 0.0 <= row.ratio <= 1.0
             if row.chain_asserted:
                 assert row.rayleigh >= row.chain_bound - 1e-10
+
+
+class TestWalkTransforms:
+    def test_only_the_numerator_is_transformed(self, monkeypatch):
+        # per cycle length, one transform of eta and one of phi per n; the
+        # F-overlaps are segment counts
+        space = build_action("bernoulli-window", group=Z, alphabet=2,
+                            window_radius=1)
+        assert space.cycle_lengths() == {1: 2, 3: 2}
+        calls = {"rfft": 0, "irfft": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(np.fft, name), **kw):
+                calls[_name] += 1
+                return _fn(*args, **kw)
+            monkeypatch.setattr(np.fft, name, counted)
+        mu = GroupMeasure.simple_random_walk(Z)
+        n_max = 3
+        seq = ModerateGrowthSequence(
+            space, S=tuple(symmetrize(mu).support()), F=((0,), (1,), (-1,)),
+            sets=(np.array([1]),) * n_max, max_n=n_max)
+        report = run_certificate(space, mu, seq=seq)
+        assert report.cond2_all and all(row.chain_asserted for row in report.rows)
+        assert calls == {"rfft": 2 * (n_max + 1), "irfft": 0}
