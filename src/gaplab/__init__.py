@@ -4,7 +4,7 @@ Computes both sides of the universal bound relating the norm of a
 group-averaging operator on zero-mean functions (the discrepancy of a
 measure-preserving action) to the regular-representation norm of the
 averaged measure, and turns the constructive machinery behind the bound
-(moderate-growth set sequences, companion sets, Rayleigh chains,
+(moderate-growth set sequences, companion sets, Rayleigh quotients,
 separated nets) into executable certificates on discretized examples.
 """
 
@@ -15,7 +15,6 @@ from .actions import (
     continued_fraction_convergent,
 )
 from .certificates import (
-    CertificateReport,
     ModerateGrowthSequence,
     build_companion_set,
     orbit_neighborhood_sequence,
@@ -34,7 +33,6 @@ from .errors import (
 from .groups import GroupDescriptor, inverse_set, power_set, product_set
 from .koopman import (
     DiscrepancyResult,
-    VerifyReport,
     character_line_scan,
     character_norm,
     discrepancy,
@@ -42,29 +40,18 @@ from .koopman import (
 )
 from .measures import (
     GroupMeasure,
-    convolution_power,
     convolve,
     involute,
-    mass_on_set,
     measure_from_text,
     measure_to_text,
-    regularize,
     symmetrize,
-    truncate,
 )
-from .nets import (
-    NetInstance,
-    covering_witness,
-    greedy_maximal_net,
-    net_ratio_study,
-    verify_net_bounds,
-)
+from .nets import greedy_maximal_net, net_ratio_study, verify_net_bounds
 from .regular_norm import (
-    NormEstimate,
     amenable_norm,
     berg_christensen_estimate,
-    fourier_norm_abelian,
     free_group_radial_return,
+    regular_norm,
 )
 
 __version__ = "0.1.0"

@@ -262,7 +262,7 @@ def build_action(kind: str, **params) -> ActionSpace:
     Common parameter: ``group`` (defaults to the integer lattice Z).
     Kind-specific:
 
-    * circle-rotation:   N, cells_per_step (or rotation_hint + the grid)
+    * circle-rotation:   N, cells_per_step
     * torus-translation: N, step=(q, p) or slope_hint + max_denominator
     * bernoulli-window:  alphabet, window_radius
     * finite-permutation: permutation, weights
@@ -277,12 +277,7 @@ def build_action(kind: str, **params) -> ActionSpace:
         raise ConstructionError("actions are driven by 1-d lattice or grid groups")
     if kind == "circle-rotation":
         n = _integer("N", params.pop("N"))
-        if "cells_per_step" in params:
-            p = _integer("cells_per_step", params.pop("cells_per_step"))
-        elif "rotation_hint" in params:
-            p = round(params.pop("rotation_hint") * n)
-        else:
-            p = 1
+        p = _integer("cells_per_step", params.pop("cells_per_step", 1))
         _reject_extra(kind, params)
         if n < 2:
             raise ConstructionError("circle grid needs N >= 2")

@@ -25,7 +25,7 @@ import numpy as np
 from .actions import ActionSpace, GridTranslationSpace, build_action
 from .certificates import run_certificate
 from .errors import GaplabError
-from .groups import GroupDescriptor, power_set
+from .groups import _KINDS, GroupDescriptor, power_set
 from .koopman import (
     DiscrepancyResult,
     character_line_scan,
@@ -35,11 +35,7 @@ from .koopman import (
 )
 from .measures import GroupMeasure
 from .nets import greedy_maximal_net, net_ratio_study, verify_net_bounds
-from .regular_norm import (
-    amenable_norm,
-    berg_christensen_estimate,
-    fourier_norm_abelian,
-)
+from .regular_norm import METHODS, regular_norm
 
 ENV_OUT_DIR = "GAPLAB_OUT"
 
@@ -115,12 +111,9 @@ def _boolean(cfg: dict, field: str, path: str, default: bool) -> bool:
 
 def build_group(cfg: dict, path: str = "group") -> GroupDescriptor:
     kind = _require(cfg, "kind", path)
-    aliases = {"z": "lattice", "zd": "lattice", "lattice": "lattice",
-               "free": "free", "real-grid": "real-grid",
-               "torus-grid": "torus-grid"}
-    if kind not in aliases:
-        raise ConfigError(f"{path}.kind", f"unknown group kind {kind!r}")
-    kind = aliases[kind]
+    if kind not in _KINDS:
+        raise ConfigError(f"{path}.kind", f"unknown group kind {kind!r}; "
+                          f"pick one of {_KINDS}")
     dim = _integer(cfg, "dimension" if "dimension" in cfg else "rank", path, 1)
     kwargs = {"kind": kind, "dimension": dim}
     if kind == "real-grid":
@@ -197,15 +190,15 @@ def build_space(group: GroupDescriptor, cfg: dict, path: str = "action") -> Acti
 
 
 #: the params each experiment reads: name -> (type, default, least allowed
-#: value or None).  Every experiment also takes ``seed`` (``--seed`` writes
-#: it into any config); only ``nets`` reads it.
+#: value, or the allowed names of a str, or None).  Every experiment also
+#: takes ``seed`` (``--seed`` writes it into any config); only ``nets``
+#: reads it.
 PARAMS = {
-    "regular-norm": {"method": (str, "berg-christensen", None),
-                     "n_max": (int, 50, 2), "freq_bound": (float, 0.5, 0),
-                     "freq_samples": (int, 1001, 1)},
+    "regular-norm": {"method": (str, "berg-christensen", METHODS),
+                     "n_max": (int, 50, 2)},
     "koopman-norm": {"tol": (float, 1e-8, 0), "freq_cutoff": (int, None, 1),
                      "line_freq_cutoff": (int, 10_000, 1)},
-    "verify-bound": {"regular_norm_method": (str, "auto", None),
+    "verify-bound": {"regular_norm_method": (str, "auto", METHODS),
                      "tol": (float, 1e-3, 0), "n_max": (int, 50, 2)},
     "certificate": {"n_max": (int, 10, 1), "slack": (float, 0.02, 0),
                     "tol": (float, 1e-3, 0), "x0": (int, 0, 0),
@@ -237,7 +230,11 @@ def _params(cfg: dict) -> dict:
         if isinstance(value, bool) != (kind is bool) or not isinstance(value, numeric):
             raise ConfigError(f"params.{key}",
                               f"expected {kind.__name__}, got {value!r}")
-        if least is not None and value < least:
+        if kind is str:
+            if value not in least:
+                raise ConfigError(f"params.{key}", f"unknown name {value!r}; "
+                                  f"pick one of {least}")
+        elif least is not None and value < least:
             raise ConfigError(f"params.{key}", f"must be >= {least}, got {value!r}")
         out[key] = kind(value)
     return out
@@ -286,17 +283,7 @@ def run_regular_norm(cfg: dict) -> RunResult:
     group = build_group(_require(cfg, "group", "<root>"))
     mu = build_measure(group, _require(cfg, "measure", "<root>"))
     p = _params(cfg)
-    method = p["method"]
-    if method in ("berg-christensen", "free-radial"):
-        est = berg_christensen_estimate(mu, n_max=p["n_max"])
-    elif method == "amenable-mass":
-        est = amenable_norm(mu)
-    elif method == "fourier-abelian":
-        est = fourier_norm_abelian(
-            mu, freq_bound=p["freq_bound"], freq_samples=p["freq_samples"],
-        )
-    else:
-        raise ConfigError("params.method", f"unknown method {method!r}")
+    est = regular_norm(mu, p["method"], p["n_max"])
     res.put("method", est.method)
     res.put("value", est.value)
     res.put("total_mass", mu.total_mass)
@@ -497,24 +484,23 @@ def run_margulis_demo(cfg: dict) -> RunResult:
     mu = GroupMeasure.uniform_interval(group, 0.0, 1.0, closed=False)
     space = build_action("circle-rotation", group=group, N=n, cells_per_step=1)
     char = character_norm(space, mu, n // 2)
-    disc = discrepancy(space, mu)
-    lam = amenable_norm(mu)
     report = verify_lower_bound(space, mu, regular_norm_method="amenable",
                                 tol=p["tol"])
+    delta, lam = report.delta, report.regular_norm
     res.put("N", n)
     res.put("max_nonzero_character", char)
-    res.put("discrepancy", disc.value)
-    res.put("regular_norm", lam.value)
+    res.put("discrepancy", delta)
+    res.put("regular_norm", lam)
     res.put("hypothesis_ok", report.hypothesis_ok)
     res.note(f"averaging the full rotation orbit kills every nonzero character: "
              f"max |eigenvalue| = {_fmt(char)}")
-    res.note(f"delta = {_fmt(disc.value)} < lambda = {_fmt(lam.value)}: the "
+    res.note(f"delta = {_fmt(delta)} < lambda = {_fmt(lam)}: the "
              "lower bound genuinely fails here")
     for line in report.notes:
         res.note(line)
     res.check("every nonzero character eigenvalue <= 1e-10", char <= 1e-10)
-    res.check("discrepancy <= 1e-8", disc.value <= 1e-8)
-    res.check("amenable oracle gives exactly 1", lam.value == 1.0)
+    res.check("discrepancy <= 1e-8", delta <= 1e-8)
+    res.check("amenable oracle gives exactly 1", lam == 1.0)
     res.check("hypothesis violation detected (inequality not asserted)",
               not report.hypothesis_ok and report.passed is None)
     return res

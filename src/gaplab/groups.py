@@ -131,12 +131,6 @@ class GroupDescriptor:
         """Physical coordinates of an element (word length for free groups)."""
         return tuple(c / self.scale for c in self.coordinates(a))
 
-    def norm(self, a: Element) -> float:
-        """Euclidean norm of the value; word length on the free group."""
-        if self.kind == FREE:
-            return float(len(a))
-        return math.sqrt(sum(v * v for v in self.value(a)))
-
     def ball(self, radius: float) -> list[Element]:
         """All elements of norm <= radius, in deterministic order."""
         if radius < 0:

@@ -21,7 +21,7 @@ import numpy as np
 from .actions import ActionSpace, GridTranslationSpace
 from .errors import DescriptorMismatchError, PreconditionError, UnsupportedKindError
 from .measures import GroupMeasure
-from .regular_norm import NormEstimate, amenable_norm, berg_christensen_estimate
+from .regular_norm import regular_norm
 
 #: a cell at or above this mass fails the atomless surrogate
 ATOM_THRESHOLD = 0.05
@@ -265,7 +265,7 @@ def verify_lower_bound(
         raise PreconditionError("measure must be positive")
     violations = check_hypotheses(space, mu)
     disc = discrepancy(space, mu)
-    est = _regular_estimate(mu, regular_norm_method, n_max)
+    est = regular_norm(mu, regular_norm_method, n_max)
     notes = [disc.trivial_note] if disc.trivial_note else []
     if violations:
         passed = None
@@ -283,13 +283,3 @@ def verify_lower_bound(
         passed=passed,
         notes=tuple(notes),
     )
-
-
-def _regular_estimate(mu: GroupMeasure, method: str, n_max: int) -> NormEstimate:
-    if method == "auto":
-        method = "amenable" if mu.group.is_abelian else "berg-christensen"
-    if method in ("amenable", "amenable-mass"):
-        return amenable_norm(mu)
-    if method == "berg-christensen":
-        return berg_christensen_estimate(mu, n_max=n_max)
-    raise PreconditionError(f"unknown regular-norm method {method!r}")

@@ -1,10 +1,9 @@
 """Finite positive measures on computational groups.
 
-A measure is stored as a finite map ``element -> mass``.  On grid kinds
-the mass of a cell equals density * cell volume, so a single atomic
-representation covers both the atomic and the grid-density views of the
-underlying continuous measure.  All operations are pure: they return new
-measures and never mutate their inputs.
+A measure is stored as a finite map ``element -> mass``; on grid kinds
+the mass of a cell is the mass of the continuous measure on that cell.
+All operations are pure: they return new measures and never mutate their
+inputs.
 """
 
 from __future__ import annotations
@@ -75,12 +74,6 @@ class GroupMeasure:
         return cls.from_atoms(group, ((g, w) for g in elements))
 
     @classmethod
-    def from_density(cls, group: GroupDescriptor, pairs):
-        """Grid-density view: each cell carries density * cell volume."""
-        vol = group.cell_volume
-        return cls.from_atoms(group, ((g, d * vol) for g, d in pairs))
-
-    @classmethod
     def uniform_interval(
         cls, group: GroupDescriptor, lo: float, hi: float, total: float = 1.0,
         closed: bool = True,
@@ -126,21 +119,12 @@ class GroupMeasure:
     def mass_at(self, g: Element) -> float:
         return self.atoms.get(self.group.canonical(g), 0.0)
 
-    def density_at(self, g: Element) -> float:
-        return self.mass_at(g) / self.group.cell_volume
-
     def support(self) -> list[Element]:
         return sorted(self.atoms, key=self.group.sort_key)
 
     def items(self):
         for g in self.support():
             yield g, self.atoms[g]
-
-    def is_symmetric(self, tol: float = 0.0) -> bool:
-        for g, w in self.atoms.items():
-            if abs(self.atoms.get(self.group.inverse(g), 0.0) - w) > tol:
-                return False
-        return True
 
     def scaled(self, factor: float) -> "GroupMeasure":
         return GroupMeasure(self.group, {g: w * factor for g, w in self.atoms.items()})
@@ -222,18 +206,6 @@ def _convolve_keys(box: KeyBox, keys_a, w_a, keys_b, w_b, cap: int):
     return keys[order[keep]], weights[keep]
 
 
-def convolution_power(
-    a: GroupMeasure, n: int, cap: int = DEFAULT_SUPPORT_CAP
-) -> GroupMeasure:
-    """The n-fold convolution a * a * ... * a (n = 0 gives the point mass at e)."""
-    if n < 0:
-        raise PreconditionError("convolution power must be >= 0")
-    result = GroupMeasure.point_mass(a.group, a.group.identity())
-    for _ in range(n):
-        result = convolve(result, a, cap=cap)
-    return result
-
-
 def involute(a: GroupMeasure) -> GroupMeasure:
     """The adjoint measure g -> a(g^{-1}); total mass is preserved exactly."""
     inv = a.group.inverse
@@ -243,38 +215,6 @@ def involute(a: GroupMeasure) -> GroupMeasure:
 def symmetrize(a: GroupMeasure, cap: int = DEFAULT_SUPPORT_CAP) -> GroupMeasure:
     """The positive-type measure a * a^.  Always symmetric."""
     return convolve(a, involute(a), cap=cap)
-
-
-def mass_on_set(a: GroupMeasure, cells) -> float:
-    """Total mass carried by the atoms lying in the given finite set."""
-    wanted = {tuple(c) for c in cells}
-    return float(sum(w for g, w in a.atoms.items() if g in wanted))
-
-
-def truncate(a: GroupMeasure, radius: float) -> GroupMeasure:
-    """Restriction to the word/Euclidean ball of the given radius."""
-    if radius < 0:
-        raise PreconditionError("truncation radius must be >= 0")
-    norm = a.group.norm
-    return GroupMeasure(
-        a.group, {g: w for g, w in a.atoms.items() if norm(g) <= radius + 1e-12}
-    )
-
-
-def regularize(a: GroupMeasure, epsilon: float, radius: float) -> GroupMeasure:
-    """Add epsilon times the Haar-uniform mass on the radius ball.
-
-    The total mass grows by exactly epsilon * (number of ball cells) *
-    (cell volume), i.e. by epsilon times the discrete Haar volume of the
-    ball.  On the discrete kinds the Haar measure is counting measure.
-    """
-    if epsilon <= 0:
-        raise PreconditionError("epsilon must be > 0")
-    vol = a.group.cell_volume
-    out = dict(a.atoms)
-    for g in a.group.ball(radius):
-        out[g] = out.get(g, 0.0) + epsilon * vol
-    return GroupMeasure(a.group, out)
 
 
 # -- serialization ----------------------------------------------------------

@@ -9,7 +9,7 @@ so a reported failure means an implementation bug, never bad luck.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .groups import (
     GroupDescriptor,
     _factor_keys,
     inverse_set,
-    power_set,
     product_set,
 )
 
@@ -117,32 +116,6 @@ def _abelian_greedy(group: GroupDescriptor, span: list, diffs: list) -> list:
     return net
 
 
-def net_is_separated(inst: NetInstance) -> bool:
-    group = inst.group
-    seen: set[Element] = set()
-    for point in inst.net:
-        translate = {group.compose(point, a) for a in inst.A}
-        if translate & seen:
-            return False
-        seen |= translate
-    return True
-
-
-def net_is_maximal(inst: NetInstance) -> bool:
-    """Exhaustive re-check: no point of the span can be added."""
-    group = inst.group
-    covered: set[Element] = set()
-    for point in inst.net:
-        covered.update(group.compose(point, a) for a in inst.A)
-    for point in inst.span:
-        if point in inst.net:
-            continue
-        translate = {group.compose(point, a) for a in inst.A}
-        if not (translate & covered):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class NetBoundsReport:
     net_size: int
@@ -235,47 +208,3 @@ def net_ratio_study(
     return NetRatioStudy(
         ratios=ratios, c1=c1, c2=c2, k1=k1, k2=k2, k3=k3, within_bounds=within
     )
-
-
-@dataclass(frozen=True)
-class CoveringWitness:
-    S: tuple
-    checked_powers: dict[int, bool] = field(default_factory=dict)
-
-    @property
-    def all_ok(self) -> bool:
-        return all(self.checked_powers.values())
-
-
-def covering_witness(
-    group: GroupDescriptor,
-    A,
-    B,
-    k: int,
-    verify_up_to: int = 3,
-) -> CoveringWitness:
-    """Greedy finite set S with B^k A contained in B S.
-
-    Scanning B^k A in deterministic order, every still-uncovered point h
-    is adopted into S and its translate B h is marked covered (B contains
-    the identity, so h covers itself).  The containment B^{k+n-1} A
-    within B^n S then holds for every n >= 1; it is re-verified here by
-    exhaustive set arithmetic for n up to ``verify_up_to``.
-    """
-    A, B = _canonical_set(group, A), _canonical_set(group, B)
-    if group.identity() not in B:
-        raise PreconditionError("B must contain the identity")
-    target = product_set(group, power_set(group, B, k), A)
-    covered: set[Element] = set()
-    chosen: list[Element] = []
-    for h in target:
-        if h in covered:
-            continue
-        chosen.append(h)
-        covered.update(group.compose(b, h) for b in B)
-    checks = {}
-    for n in range(1, verify_up_to + 1):
-        lhs = set(product_set(group, power_set(group, B, k + n - 1), A))
-        rhs = set(product_set(group, power_set(group, B, n), chosen))
-        checks[n] = lhs <= rhs
-    return CoveringWitness(S=tuple(chosen), checked_powers=checks)

@@ -4,9 +4,9 @@ The workhorse is the convolution-power estimate: for the symmetrized
 measure eta = mu * mu^, the masses eta^{*n}(F) on a fixed neighborhood F
 of the identity satisfy (eta^{*n}(F))^{1/n} -> ||lambda(eta)|| =
 ||lambda(mu)||^2 (Berg-Christensen), monotonically from below for
-positive-type measures.  Closed-form oracles for abelian groups (Fourier
-transform), amenable kinds (Kesten mass), and the free-group simple
-random walk (radial birth-death chain) cross-validate it.
+positive-type measures.  Closed-form oracles for the abelian kinds
+(Kesten mass) and the free-group simple random walk (radial birth-death
+chain) cross-validate it.  ``regular_norm`` picks one of them by name.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class NormEstimate:
     """A lower-bound estimate of the regular-representation norm."""
 
     value: float
-    method: str  # berg-christensen | fourier-abelian | amenable-mass | free-radial
+    method: str  # berg-christensen | amenable-mass | free-radial
     sequence: list[tuple[int, float]] = field(default_factory=list)
     note: str = ""
 
@@ -260,55 +260,6 @@ def _radial_return_sequence(k: int, n_steps: int) -> np.ndarray:
 # -- closed-form oracles ---------------------------------------------------
 
 
-def fourier_norm_abelian(
-    mu: GroupMeasure,
-    freq_bound: float = 0.5,
-    freq_samples: int = 1001,
-    freq_min: float = 0.0,
-) -> NormEstimate:
-    """Sup of |mu-hat| over a uniform frequency sample (abelian kinds only).
-
-    The frequency 0 is always included when ``freq_min`` is 0 (the
-    default), and then the value is the exact sup, as the note says:
-    |mu-hat| of a positive measure peaks at 0.  Otherwise it is a lower
-    bound on the sup with a sampling-resolution caveat.
-    """
-    group = mu.group
-    if not group.is_abelian:
-        raise UnsupportedKindError(
-            f"Fourier oracle needs an abelian group kind, got {group.kind}"
-        )
-    d = group.dimension
-    if group.kind == "torus-grid":
-        reach = int(freq_bound)
-        axis = np.arange(-reach, reach + 1, dtype=float)
-    else:
-        axis = np.linspace(-freq_bound, freq_bound, freq_samples)
-        if freq_min == 0.0:
-            axis = np.union1d(axis, [0.0])
-    grids = np.meshgrid(*([axis] * d), indexing="ij")
-    xi = np.stack([g.ravel() for g in grids], axis=1)
-    if freq_min > 0.0:
-        keep = np.linalg.norm(xi, axis=1) >= freq_min - 1e-12
-        xi = xi[keep]
-        if xi.size == 0:
-            raise PreconditionError("no frequencies left after the freq_min cut")
-    values = np.array([group.value(g) for g in mu.atoms], dtype=float)
-    weights = np.array([mu.atoms[g] for g in mu.atoms], dtype=float)
-    best = 0.0
-    chunk = 65536
-    for start in range(0, xi.shape[0], chunk):
-        block = xi[start : start + chunk]
-        phases = np.exp(-2j * np.pi * (block @ values.T))
-        best = max(best, float(np.abs(phases @ weights).max()))
-    note = f"sup over {xi.shape[0]} sampled frequencies, |xi| <= {freq_bound}"
-    if freq_min > 0:
-        note += f", |xi| >= {freq_min}"
-    if not xi.any(axis=1).all():
-        note += "; exact, since xi = 0 is sampled and |mu-hat| peaks there"
-    return NormEstimate(value=best, method="fourier-abelian", note=note)
-
-
 def amenable_norm(mu: GroupMeasure) -> NormEstimate:
     """Exact norm (= total mass) of a positive measure on an amenable kind.
 
@@ -326,3 +277,24 @@ def amenable_norm(mu: GroupMeasure) -> NormEstimate:
     if not mu.atoms:
         raise PreconditionError("measure is zero")
     return NormEstimate(value=mu.total_mass, method="amenable-mass")
+
+
+# -- one entry point ---------------------------------------------------------
+
+#: the method names ``regular_norm`` takes: ``auto`` is ``amenable`` on the
+#: abelian kinds and ``berg-christensen`` otherwise; ``amenable`` and
+#: ``amenable-mass`` name the same exact oracle
+METHODS = ("auto", "amenable", "amenable-mass", "berg-christensen")
+
+
+def regular_norm(mu: GroupMeasure, method: str = "auto", n_max: int = 50) -> NormEstimate:
+    """The regular-representation norm of mu by the named method in
+    ``METHODS``; ``n_max`` is the depth of a Berg-Christensen walk."""
+    if method == "auto":
+        method = "amenable" if mu.group.is_abelian else "berg-christensen"
+    if method in ("amenable", "amenable-mass"):
+        return amenable_norm(mu)
+    if method == "berg-christensen":
+        return berg_christensen_estimate(mu, n_max=n_max)
+    raise PreconditionError(f"unknown regular-norm method {method!r}; "
+                            f"pick one of {METHODS}")

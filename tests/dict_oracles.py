@@ -1,4 +1,4 @@
-"""Dict-based reference implementations, kept as bit-for-bit test oracles.
+"""Reference implementations, kept as test oracles.
 
 ``dict_berg_christensen_sequence`` is the convolution-power walk on
 ``{element: weight}`` maps, as gaplab ran it on every kind before the
@@ -7,6 +7,9 @@ loop through ``GroupDescriptor.compose``.  ``translate_greedy_net`` is the
 greedy net that tests each candidate's whole A-translate against the
 accepted ones.  ``unique_rows`` is the lexicographic row sort that
 deduplicated the abelian pair sums before they were keyed in a box.
+``convolution_power`` and ``mass_on_set`` give eta^{*n}(F) at full depth,
+``net_is_separated`` and ``net_is_maximal`` re-check a net exhaustively,
+and ``sampled_fourier_sup`` is sup |mu-hat| over sampled frequencies.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 
 import numpy as np
 
-from gaplab import PreconditionError
+from gaplab import GroupMeasure, PreconditionError, UnsupportedKindError, convolve
 
 
 def _clean(atoms: dict) -> dict:
@@ -83,3 +86,54 @@ def unique_rows(rows: np.ndarray):
     index = np.empty_like(perm)
     index[perm] = np.cumsum(starts) - 1
     return ordered[starts], index, perm[starts]
+
+
+def convolution_power(a: GroupMeasure, n: int, cap: int = 10_000_000) -> GroupMeasure:
+    """The n-fold convolution a * a * ... * a (n = 0 gives the point mass at e)."""
+    result = GroupMeasure.point_mass(a.group, a.group.identity())
+    for _ in range(n):
+        result = convolve(result, a, cap=cap)
+    return result
+
+
+def mass_on_set(a: GroupMeasure, cells) -> float:
+    """Total mass carried by the atoms lying in the given finite set."""
+    wanted = {tuple(c) for c in cells}
+    return float(sum(w for g, w in a.atoms.items() if g in wanted))
+
+
+def net_is_separated(inst) -> bool:
+    """No two A-translates of net points meet."""
+    group = inst.group
+    seen: set = set()
+    for point in inst.net:
+        translate = {group.compose(point, a) for a in inst.A}
+        if translate & seen:
+            return False
+        seen |= translate
+    return True
+
+
+def net_is_maximal(inst) -> bool:
+    """No point of the span can be added."""
+    group = inst.group
+    covered: set = set()
+    for point in inst.net:
+        covered.update(group.compose(point, a) for a in inst.A)
+    for point in inst.span:
+        if point in inst.net:
+            continue
+        translate = {group.compose(point, a) for a in inst.A}
+        if not (translate & covered):
+            return False
+    return True
+
+
+def sampled_fourier_sup(mu: GroupMeasure, xi) -> float:
+    """max |sum_g mu(g) exp(-2 pi i <xi, value(g)>)| over the rows of xi."""
+    if not mu.group.is_abelian:
+        raise UnsupportedKindError(f"no characters on {mu.group.kind}")
+    values = np.array([mu.group.value(g) for g in mu.atoms], dtype=float)
+    weights = np.array(list(mu.atoms.values()))
+    phases = np.exp(-2j * np.pi * (np.atleast_2d(xi) @ values.T))
+    return float(np.abs(phases @ weights).max())

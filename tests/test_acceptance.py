@@ -11,19 +11,18 @@ import math
 import time
 
 import numpy as np
+from dict_oracles import convolution_power, mass_on_set
 
 from gaplab import (
     GroupDescriptor,
     GroupMeasure,
     build_action,
     character_norm,
-    convolution_power,
     discrepancy,
     free_group_radial_return,
     amenable_norm,
     berg_christensen_estimate,
     greedy_maximal_net,
-    mass_on_set,
     net_ratio_study,
     power_set,
     run_certificate,

@@ -17,13 +17,13 @@ from gaplab import (
     PreconditionError,
     build_action,
     build_companion_set,
-    convolution_power,
     discrepancy,
     orbit_neighborhood_sequence,
     power_set,
     run_certificate,
     symmetrize,
 )
+from dict_oracles import convolution_power
 from operator_helpers import KoopmanAveragingOperator
 
 Z = GroupDescriptor(kind="lattice", dimension=1)

@@ -1,14 +1,17 @@
 """End-to-end CLI runs: determinism, exit codes, report formats."""
 
 import csv
+import importlib
 import json
 import math
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from gaplab import cli, koopman
 from gaplab.cli import (
     _fmt,
     build_group,
@@ -17,6 +20,9 @@ from gaplab.cli import (
     main,
     validate_config,
 )
+
+# the package re-exports the function ``regular_norm`` under the module's name
+regular_norm_module = importlib.import_module("gaplab.regular_norm")
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -52,6 +58,16 @@ class TestMargulisDemo:
         assert float(record["max_nonzero_character"]) <= 1e-10
         assert float(record["discrepancy"]) <= 1e-8
         assert record["regular_norm"] == "1"
+
+    def test_discrepancy_and_norm_computed_once(self, tmp_path):
+        spy = mock.Mock(wraps=koopman.discrepancy)
+        norm_spy = mock.Mock(wraps=regular_norm_module.amenable_norm)
+        with mock.patch.object(koopman, "discrepancy", spy), \
+                mock.patch.object(cli, "discrepancy", spy), \
+                mock.patch.object(regular_norm_module, "amenable_norm", norm_spy):
+            code, _ = run_cli(tmp_path, MARGULIS_SMALL)
+        assert code == 0
+        assert (spy.call_count, norm_spy.call_count) == (1, 1)
 
 
 class TestVerifyBound:
@@ -262,6 +278,56 @@ class TestParams:
         code, _ = run_cli(tmp_path, cfg)
         assert code == 0
 
+    @pytest.mark.parametrize("experiment,key,value", [
+        ("verify-bound", "regular_norm_method", "amenabel"),
+        ("regular-norm", "method", "fourier-abelian"),
+        ("regular-norm", "method", "free-radial"),
+    ])
+    def test_unknown_method_exit_two(self, tmp_path, capsys, experiment, key,
+                                     value):
+        cfg = {
+            "experiment": experiment,
+            "group": {"kind": "lattice"},
+            "measure": {"kind": "srw"},
+            "action": {"kind": "circle-rotation", "N": 64, "cells_per_step": 3},
+            "params": {key: value},
+        }
+        code, out_dir = run_cli(tmp_path, cfg)
+        assert code == 2
+        assert (f"config error: params.{key}: unknown name {value!r}; pick one "
+                "of ('auto', 'amenable', 'amenable-mass', 'berg-christensen')"
+                in capsys.readouterr().err)
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("kind", ["z", "zd"])
+    def test_retired_group_kind_exit_two(self, tmp_path, capsys, kind):
+        cfg = {**TestParams.REGULAR, "group": {"kind": kind, "dimension": 2}}
+        code, _ = run_cli(tmp_path, cfg)
+        assert code == 2
+        assert (f"config error: group.kind: unknown group kind {kind!r}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("key", ["freq_bound", "freq_samples"])
+    def test_retired_param_exit_two(self, tmp_path, capsys, key):
+        cfg = {**TestParams.REGULAR, "params": {key: 3}}
+        code, out_dir = run_cli(tmp_path, cfg)
+        assert code == 2
+        assert (f"config error: params.{key}: unknown parameter for regular-norm; "
+                "it takes ['method', 'n_max', 'seed']" in capsys.readouterr().err)
+        assert not out_dir.exists()
+
+    def test_retired_action_field_exit_two(self, tmp_path, capsys):
+        cfg = {
+            "experiment": "koopman-norm",
+            "group": {"kind": "lattice"},
+            "measure": {"kind": "srw"},
+            "action": {"kind": "circle-rotation", "N": 64, "rotation_hint": 0.3},
+        }
+        code, _ = run_cli(tmp_path, cfg)
+        assert code == 2
+        assert ("config error: action: unknown parameters for circle-rotation: "
+                "['rotation_hint']" in capsys.readouterr().err)
+
     def test_float_param_takes_integer(self, tmp_path):
         cfg = {**MARGULIS_SMALL, "params": {"N": 128, "tol": 1}}
         code, _ = run_cli(tmp_path, cfg)
@@ -382,22 +448,25 @@ class TestRegularNormExperiment:
         err = capsys.readouterr().err
         assert err == f"error: convolution leaves int64 at coordinate {2**63}\n"
 
-    def test_note_with_commas_is_one_csv_field(self, tmp_path):
+    @pytest.mark.parametrize("method,recorded", [
+        ("auto", "amenable-mass"),
+        ("amenable", "amenable-mass"),
+        ("amenable-mass", "amenable-mass"),
+        ("berg-christensen", "berg-christensen"),
+    ])
+    def test_every_method_name_runs(self, tmp_path, method, recorded):
         cfg = {
             "experiment": "regular-norm",
-            "group": {"kind": "torus-grid", "dimension": 1, "size": 9},
+            "group": {"kind": "lattice", "dimension": 2},
             "measure": {"kind": "srw"},
-            "params": {"method": "fourier-abelian"},
+            "params": {"method": method, "n_max": 4},
         }
         code, out_dir = run_cli(tmp_path, cfg)
         assert code == 0
         record = read_record(out_dir, "regular-norm_")
-        assert record["note"] == (
-            "sup over 1 sampled frequencies, |xi| <= 0.5; exact, since xi = 0 "
-            "is sampled and |mu-hat| peaks there")
-        text = (out_dir / "regular-norm_record.csv").read_text()
-        assert '\nnote,"sup over 1 sampled frequencies, |xi| <= 0.5; ' in text
-        assert "\nmethod,fourier-abelian\n" in text
+        assert record["method"] == recorded
+        assert (recorded == "berg-christensen") == (
+            out_dir / "regular-norm_sequence.csv").exists()
 
     def test_kv_format(self, tmp_path):
         cfg = {
@@ -516,6 +585,17 @@ class TestNetsExperiment:
         assert code == 0
         rows = (out_dir / "nets_sequence.csv").read_text().splitlines()
         assert len(rows) == 11
+
+    def test_value_with_commas_is_one_csv_field(self, tmp_path):
+        cfg = {"experiment": "nets",
+               "params": {"count": 2, "seed": 3, "ratio_n_max": 4}}
+        code, out_dir = run_cli(tmp_path, cfg)
+        assert code == 0
+        record = read_record(out_dir, "nets_")
+        assert record["assert:net ratios within [c1, c2]"] == "true"
+        text = (out_dir / "nets_record.csv").read_text()
+        assert '\n"assert:net ratios within [c1, c2]",true\n' in text
+        assert "\nratio_c1," in text  # fields without commas stay bare
 
 
 class TestCertificateExperiment:

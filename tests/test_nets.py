@@ -5,27 +5,20 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from dict_oracles import translate_greedy_net
+from dict_oracles import net_is_maximal, net_is_separated, translate_greedy_net
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaplab import (
     GroupDescriptor,
     PreconditionError,
-    covering_witness,
     greedy_maximal_net,
     inverse_set,
     power_set,
     product_set,
 )
 from gaplab import nets
-from gaplab.nets import (
-    haar,
-    net_is_maximal,
-    net_is_separated,
-    net_ratio_study,
-    verify_net_bounds,
-)
+from gaplab.nets import net_ratio_study, verify_net_bounds
 
 Z = GroupDescriptor(kind="lattice", dimension=1)
 Z2 = GroupDescriptor(kind="lattice", dimension=2)
@@ -222,30 +215,3 @@ class TestRatioStudy:
         with pytest.raises(PreconditionError):
             net_ratio_study(Z, A1=[(0,)], A2=[(0,)], B=[(0,)], n_range=[2, 3])
 
-
-class TestCoveringWitness:
-    def test_trivial(self):
-        wit = covering_witness(Z, A=[(0,)], B=[(-1,), (0,), (1,)], k=0)
-        assert wit.S == ((0,),)
-        assert wit.all_ok
-
-    def test_z_hand_example(self):
-        wit = covering_witness(Z, A=[(0,)], B=interval(-1, 1), k=2)
-        assert wit.S == ((-2,), (0,), (2,))
-        assert wit.all_ok
-
-    def test_z2_box_instance(self):
-        wit = covering_witness(Z2, A=box(1), B=box(1), k=1, verify_up_to=3)
-        assert wit.all_ok
-
-    def test_volume_growth_bounded_by_witness(self):
-        # mu(B^{n+k-1} A) / mu(B^n) stays below |S| for sampled n
-        b = interval(-1, 1)
-        a = interval(0, 1)
-        k = 2
-        wit = covering_witness(Z, A=a, B=b, k=k)
-        for n in (1, 2, 3):
-            lhs = haar(Z, [Z.compose(x, y)
-                           for x in power_set(Z, b, k + n - 1) for y in a])
-            rhs = len(wit.S) * haar(Z, power_set(Z, b, n))
-            assert lhs <= rhs

@@ -6,7 +6,14 @@ import warnings
 
 import numpy as np
 import pytest
-from dict_oracles import dict_berg_christensen_sequence, dict_convolve, dict_involute
+from dict_oracles import (
+    convolution_power,
+    dict_berg_christensen_sequence,
+    dict_convolve,
+    dict_involute,
+    mass_on_set,
+    sampled_fourier_sup,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,14 +25,12 @@ from gaplab import (
     UnsupportedKindError,
     amenable_norm,
     berg_christensen_estimate,
-    convolution_power,
     convolve,
-    fourier_norm_abelian,
     free_group_radial_return,
     involute,
-    mass_on_set,
     symmetrize,
 )
+from gaplab.regular_norm import regular_norm
 
 Z = GroupDescriptor(kind="lattice", dimension=1)
 Z2 = GroupDescriptor(kind="lattice", dimension=2)
@@ -338,27 +343,34 @@ class TestRadialOracle:
 
 
 class TestFourierOracle:
+    """The sampled mu-hat oracle of tests/ against the exact mass."""
+
     def test_point_mass(self):
-        est = fourier_norm_abelian(GroupMeasure.point_mass(Z, (0,)))
-        assert est.value == pytest.approx(1.0, abs=1e-12)
+        mu = GroupMeasure.point_mass(Z, (0,))
+        xi = np.linspace(-0.5, 0.5, 101)[:, None]
+        assert sampled_fourier_sup(mu, xi) == pytest.approx(1.0, abs=1e-12)
+        assert amenable_norm(mu).value == 1.0
 
     def test_srw_attains_one_at_zero(self):
-        est = fourier_norm_abelian(GroupMeasure.simple_random_walk(Z))
-        assert est.value == pytest.approx(1.0, abs=1e-12)
+        mu = GroupMeasure.simple_random_walk(Z)
+        assert sampled_fourier_sup(mu, [[0.0]]) == pytest.approx(1.0, abs=1e-12)
+        xi = np.linspace(-0.5, 0.5, 1001)[:, None]
+        assert sampled_fourier_sup(mu, xi) == pytest.approx(
+            amenable_norm(mu).value, abs=1e-12)
 
     def test_uniform_interval_sinc(self):
         grid = GroupDescriptor(kind="real-grid", dimension=1, resolution=1000)
         mu = GroupMeasure.uniform_interval(grid, 0.0, 1.0, closed=False)
-        full = fourier_norm_abelian(mu, freq_bound=2.0, freq_samples=501)
-        assert full.value == pytest.approx(1.0, abs=1e-12)
+        xi = np.linspace(-2.0, 2.0, 501)[:, None]
+        assert sampled_fourier_sup(mu, xi) == pytest.approx(1.0, abs=1e-12)
+        assert amenable_norm(mu).value == pytest.approx(1.0, abs=1e-12)
         # away from 0 the sup sits at xi = 1/2 with the sinc value 2/pi
-        band = fourier_norm_abelian(
-            mu, freq_bound=2.0, freq_samples=2001, freq_min=0.5
-        )
+        xi = np.linspace(-2.0, 2.0, 2001)
+        band = sampled_fourier_sup(mu, xi[np.abs(xi) >= 0.5][:, None])
         q = 1000
         exact_discrete = 1.0 / (q * math.sin(math.pi * 0.5 / q))
-        assert band.value == pytest.approx(exact_discrete, abs=1e-9)
-        assert band.value == pytest.approx(2 / math.pi, abs=1e-3)
+        assert band == pytest.approx(exact_discrete, abs=1e-9)
+        assert band == pytest.approx(2 / math.pi, abs=1e-3)
 
     def test_below_mass(self):
         rng = np.random.default_rng(1)
@@ -366,34 +378,13 @@ class TestFourierOracle:
             Z2, [((int(a), int(b)), float(rng.uniform(0.1, 1)))
                  for a, b in rng.integers(-3, 4, size=(4, 2))]
         )
-        est = fourier_norm_abelian(mu, freq_bound=0.5, freq_samples=41)
-        assert est.value <= mu.total_mass + 1e-10
+        axis = np.linspace(-0.5, 0.5, 41)
+        xi = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
+        assert sampled_fourier_sup(mu, xi) <= amenable_norm(mu).value + 1e-10
 
     def test_free_group_unsupported(self):
         with pytest.raises(UnsupportedKindError):
-            fourier_norm_abelian(GroupMeasure.simple_random_walk(F2))
-
-    def test_note_exact_when_zero_sampled(self):
-        # torus-grid with the default freq_bound samples xi = 0 alone
-        torus = GroupDescriptor(kind="torus-grid", dimension=2, size=9)
-        mu = GroupMeasure.from_atoms(torus, [((1, 0), 0.3), ((0, 2), 0.5),
-                                             ((8, 8), 0.2)])
-        est = fourier_norm_abelian(mu)
-        assert est.note == ("sup over 1 sampled frequencies, |xi| <= 0.5; exact, "
-                            "since xi = 0 is sampled and |mu-hat| peaks there")
-        assert est.value == pytest.approx(mu.total_mass, rel=1e-15)
-        wide = fourier_norm_abelian(GroupMeasure.simple_random_walk(Z))
-        assert wide.note.startswith("sup over 1001 sampled frequencies")
-        assert wide.note.endswith("; exact, since xi = 0 is sampled and "
-                                  "|mu-hat| peaks there")
-
-    def test_note_sampled_without_zero(self):
-        grid = GroupDescriptor(kind="real-grid", dimension=1, resolution=1000)
-        mu = GroupMeasure.uniform_interval(grid, 0.0, 1.0, closed=False)
-        band = fourier_norm_abelian(mu, freq_bound=2.0, freq_samples=201,
-                                    freq_min=0.5)
-        assert band.note.startswith("sup over ")
-        assert band.note.endswith("|xi| >= 0.5")
+            sampled_fourier_sup(GroupMeasure.simple_random_walk(F2), [[0.0]])
 
 
 class TestAmenableOracle:
@@ -414,7 +405,9 @@ class TestAmenableOracle:
         est = amenable_norm(mu)
         assert est.value == mu.total_mass
         assert est.method == "amenable-mass"
-        assert fourier_norm_abelian(mu).value == pytest.approx(est.value, abs=1e-12)
+        # the sup of |mu-hat| is attained at xi = 0, though mu lives on 2Z
+        xi = np.linspace(-0.5, 0.5, 101)[:, None]
+        assert sampled_fourier_sup(mu, xi) == pytest.approx(est.value, abs=1e-12)
 
     def test_sublattice_failure_2d(self):
         mu = GroupMeasure.from_atoms(
@@ -423,6 +416,9 @@ class TestAmenableOracle:
         est = amenable_norm(mu)
         assert est.value == mu.total_mass
         assert est.method == "amenable-mass"
+        axis = np.linspace(-0.5, 0.5, 21)
+        xi = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
+        assert sampled_fourier_sup(mu, xi) == pytest.approx(est.value, abs=1e-12)
 
     def test_free_group_unsupported(self):
         with pytest.raises(UnsupportedKindError):
@@ -444,3 +440,22 @@ class TestAmenableOracle:
         grid = GroupDescriptor(kind="real-grid", dimension=1, resolution=16)
         mu = GroupMeasure.uniform_interval(grid, 0.0, 1.0, closed=False)
         assert amenable_norm(mu).value == pytest.approx(1.0, abs=1e-12)
+
+
+class TestRegularNormDispatch:
+    def test_mass_names_on_abelian_kinds(self):
+        mu = GroupMeasure.simple_random_walk(Z2).scaled(0.5)
+        for method in ("auto", "amenable", "amenable-mass"):
+            est = regular_norm(mu, method)
+            assert (est.value, est.method) == (0.5, "amenable-mass")
+
+    def test_walk_names(self):
+        mu = GroupMeasure.from_atoms(F2, F2_NONUNIFORM)
+        want = berg_christensen_estimate(mu, n_max=5).sequence
+        for method in ("auto", "berg-christensen"):
+            est = regular_norm(mu, method, n_max=5)
+            assert (est.method, est.sequence) == ("berg-christensen", want)
+
+    def test_unknown_name_rejected(self):
+        with pytest.raises(PreconditionError, match="unknown regular-norm method"):
+            regular_norm(GroupMeasure.simple_random_walk(Z), "amenabel")
