@@ -256,71 +256,52 @@ class GridTranslationSpace(ActionSpace):
         return np.sqrt(np.square(np.minimum(shift, self.n - shift)).sum(axis=-1))
 
 
-def build_action(kind: str, **params) -> ActionSpace:
+def build_action(kind: str, group: GroupDescriptor | None = None, **params) -> ActionSpace:
     """Construct an action space from keyword parameters.
 
-    Common parameter: ``group`` (defaults to the integer lattice Z).
-    Kind-specific:
+    ``group`` defaults to the integer lattice Z.  Kind-specific:
 
-    * circle-rotation:   N, cells_per_step
+    * circle-rotation:   N, cells_per_step (default 1)
     * torus-translation: N, step=(q, p) or slope_hint + max_denominator
-    * bernoulli-window:  alphabet, window_radius
-    * finite-permutation: permutation, weights
+                         (default 128)
+    * bernoulli-window:  alphabet (default 2), window_radius
+    * finite-permutation: permutation, weights (default equal)
 
-    Cell counts and steps must be integers (not bools).  A ``torus-grid``
-    group of size M drives sigma^c only when every cycle length of sigma
-    divides M.
+    The values are taken as given: ``cli.ACTIONS`` declares their types
+    and least values, which the CLI checks.  A ``torus-grid`` group of
+    size M drives sigma^c only when every cycle length of sigma divides M.
     """
-    params = dict(params)
-    group = params.pop("group", None) or GroupDescriptor(kind="lattice", dimension=1)
+    group = group or GroupDescriptor(kind="lattice", dimension=1)
     if group.dimension != 1 or group.kind == "free":
         raise ConstructionError("actions are driven by 1-d lattice or grid groups")
     if kind == "circle-rotation":
-        n = _integer("N", params.pop("N"))
-        p = _integer("cells_per_step", params.pop("cells_per_step", 1))
-        _reject_extra(kind, params)
-        if n < 2:
-            raise ConstructionError("circle grid needs N >= 2")
-        space = GridTranslationSpace(group, n, (p,))
+        space = GridTranslationSpace(group, params["N"], (params.get("cells_per_step", 1),))
     elif kind == "torus-translation":
-        n = _integer("N", params.pop("N"))
-        slope_target = params.pop("slope_hint", None)
+        slope_target = params.get("slope_hint")
         if "step" in params:
-            step = tuple(_integer("step", s) for s in params.pop("step"))
+            if "max_denominator" in params:
+                raise ConstructionError("max_denominator picks the convergent of "
+                                        "slope_hint; it cannot come with step")
+            step = tuple(params["step"])
+        elif slope_target is None:
+            raise ConstructionError("torus-translation needs step=(q,p) or slope_hint")
         else:
-            if slope_target is None:
-                raise ConstructionError("torus-translation needs step=(q,p) or slope_hint")
-            max_den = _integer("max_denominator", params.pop("max_denominator", 128))
-            p, q = continued_fraction_convergent(slope_target, max_den)
+            p, q = continued_fraction_convergent(
+                slope_target, params.get("max_denominator", 128))
             step = (q, p)
-        _reject_extra(kind, params)
-        if n < 2:
-            raise ConstructionError("torus grid needs N >= 2")
         if len(step) != 2:
             raise ConstructionError(
                 f"translation step {step!r} must be a pair of integer cell counts"
             )
-        space = GridTranslationSpace(group, n, step, slope_target=slope_target)
+        space = GridTranslationSpace(group, params["N"], step, slope_target=slope_target)
     elif kind == "bernoulli-window":
-        alphabet = _integer("alphabet", params.pop("alphabet", 2))
-        radius = _integer("window_radius", params.pop("window_radius"))
-        _reject_extra(kind, params)
-        if alphabet < 2:
-            raise ConstructionError("alphabet size must be >= 2")
-        if radius < 1:
-            raise ConstructionError("window radius must be >= 1")
-        space = ActionSpace(group, kind, _window_rotation(alphabet, 2 * radius + 1))
+        width = 2 * params["window_radius"] + 1
+        space = ActionSpace(group, kind, _window_rotation(params.get("alphabet", 2), width))
     elif kind == "finite-permutation":
-        perm = np.asarray(params.pop("permutation"))
-        weights = params.pop("weights", None)
-        _reject_extra(kind, params)
-        if perm.size and perm.dtype.kind not in "iu":
-            raise ConstructionError(
-                f"permutation entries must be integers, got {perm.dtype}")
-        perm = perm.astype(np.int64)
+        perm = np.asarray(params["permutation"], dtype=np.int64)
         if sorted(perm.tolist()) != list(range(len(perm))):
             raise ConstructionError("permutation must be a bijection on 0..n-1")
-        space = ActionSpace(group, kind, perm, weights)
+        space = ActionSpace(group, kind, perm, params.get("weights"))
         if not np.array_equal(space.weights[perm], space.weights):
             raise ConstructionError(
                 "cell weights are not preserved by the permutation"
@@ -338,13 +319,6 @@ def build_action(kind: str, **params) -> ActionSpace:
     return space
 
 
-def _integer(name: str, value) -> int:
-    """A cell count or step: a Python or numpy integer, not a bool."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-        raise ConstructionError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _window_rotation(alphabet: int, width: int) -> np.ndarray:
     """sigma of the Bernoulli window: the words of ``width`` letters with
     their digits most significant first, the leading digit moved to the
@@ -352,9 +326,3 @@ def _window_rotation(alphabet: int, width: int) -> np.ndarray:
     rest = np.arange(alphabet ** (width - 1), dtype=np.int64) * alphabet
     return (rest + np.arange(alphabet, dtype=np.int64)[:, None]).ravel()
 
-
-def _reject_extra(kind: str, params: dict) -> None:
-    if params:
-        raise ConstructionError(
-            f"unknown parameters for {kind}: {sorted(params)}"
-        )

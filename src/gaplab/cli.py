@@ -17,6 +17,7 @@ import csv
 import json
 import os
 import sys
+import types
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -25,7 +26,7 @@ import numpy as np
 from .actions import ActionSpace, GridTranslationSpace, build_action
 from .certificates import run_certificate
 from .errors import GaplabError
-from .groups import _KINDS, GroupDescriptor, power_set
+from .groups import GroupDescriptor, power_set
 from .koopman import (
     DiscrepancyResult,
     character_line_scan,
@@ -38,16 +39,6 @@ from .nets import greedy_maximal_net, net_ratio_study, verify_net_bounds
 from .regular_norm import METHODS, regular_norm
 
 ENV_OUT_DIR = "GAPLAB_OUT"
-
-EXPERIMENTS = (
-    "regular-norm",
-    "koopman-norm",
-    "verify-bound",
-    "certificate",
-    "nets",
-    "margulis-demo",
-    "sweep",
-)
 
 
 class ConfigError(GaplabError):
@@ -66,133 +57,65 @@ def _fmt(value) -> str:
 
 
 # -- config parsing ---------------------------------------------------------
+#
+# Every config object is checked against a table: field -> (type, default,
+# least value, or the allowed names of a str, or None).  A type is int,
+# float (any JSON number), bool, str, dict, list, or list[t] (a list of
+# values of type t).  The default ``...`` marks a required field, and
+# ``None`` an optional one that is left out when absent, so that the
+# builder's own default holds.
 
+_ROOT = {"params": (dict, None, None), "output": (dict, None, None)}
+_GROUP_MEASURE = {**_ROOT, "group": (dict, ..., None), "measure": (dict, ..., None)}
+_SPACE = {**_GROUP_MEASURE, "action": (dict, ..., None)}
 
-def _require(cfg: dict, field: str, path: str):
-    if field not in cfg:
-        raise ConfigError(f"{path}.{field}", "required field is missing")
-    return cfg[field]
+#: the root fields of each experiment's config besides ``experiment``
+BLOCKS = {
+    "regular-norm": _GROUP_MEASURE,
+    "koopman-norm": _SPACE,
+    "verify-bound": _SPACE,
+    "certificate": _SPACE,
+    "nets": _ROOT,
+    "margulis-demo": _ROOT,
+    "sweep": {**_ROOT, "template": (dict, ..., None), "grid": (dict, None, None)},
+}
 
+OUTPUT = {"prefix": (str, None, None)}
 
-def _integer(cfg: dict, field: str, path: str, default=None) -> int:
-    """A field that must be a JSON integer (not a bool, float or string)."""
-    value = cfg.get(field, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}.{field}", f"expected int, got {value!r}")
-    return value
+#: the fields of each group kind, read by ``GroupDescriptor``
+GROUPS = {
+    "lattice": {"dimension": (int, None, 1)},
+    "free": {"dimension": (int, None, 1)},
+    "real-grid": {"dimension": (int, None, 1), "resolution": (int, ..., 1)},
+    "torus-grid": {"dimension": (int, None, 1), "size": (int, ..., 1)},
+}
 
+#: the fields of each measure kind, read by the ``GroupMeasure`` constructors
+MEASURES = {
+    "atoms": {"atoms": (list, ..., None)},
+    "point": {"element": (list[int], None, None), "mass": (float, None, None)},
+    "srw": {"step": (int, None, None)},
+    "uniform-interval": {"lo": (float, ..., None), "hi": (float, ..., None),
+                         "total": (float, None, None), "closed": (bool, None, None)},
+    "uniform-ball": {"radius": (float, ..., None)},
+}
 
-def _number(cfg: dict, field: str, path: str, default=None) -> float:
-    """A field that must be a JSON number (int or float, not a bool);
-    required when it has no default."""
-    value = _require(cfg, field, path) if default is None else cfg.get(field, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{field}", f"expected number, got {value!r}")
-    return float(value)
+#: one atom of an ``atoms`` measure, also written [coordinates..., weight]
+ATOM = {"element": (list[int], ..., None), "weight": (float, ..., None)}
 
+#: the fields of each action kind, read by ``build_action``
+ACTIONS = {
+    "circle-rotation": {"N": (int, ..., 2), "cells_per_step": (int, None, None)},
+    "torus-translation": {"N": (int, ..., 2), "step": (list[int], None, None),
+                          "slope_hint": (float, None, None),
+                          "max_denominator": (int, None, 1)},
+    "bernoulli-window": {"alphabet": (int, None, 2), "window_radius": (int, ..., 1)},
+    "finite-permutation": {"permutation": (list[int], ..., None),
+                           "weights": (list[float], None, None)},
+}
 
-def _element(cfg: dict, field: str, path: str, default=None) -> tuple:
-    """A group element: a JSON list of integer coordinates; required when
-    it has no default."""
-    value = _require(cfg, field, path) if default is None else cfg.get(field, default)
-    if not isinstance(value, (list, tuple)) or any(
-            isinstance(c, bool) or not isinstance(c, int) for c in value):
-        raise ConfigError(f"{path}.{field}", f"expected a list of ints, got {value!r}")
-    return tuple(value)
-
-
-def _boolean(cfg: dict, field: str, path: str, default: bool) -> bool:
-    """A field that must be a JSON true or false."""
-    value = cfg.get(field, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path}.{field}", f"expected bool, got {value!r}")
-    return value
-
-
-def build_group(cfg: dict, path: str = "group") -> GroupDescriptor:
-    kind = _require(cfg, "kind", path)
-    if kind not in _KINDS:
-        raise ConfigError(f"{path}.kind", f"unknown group kind {kind!r}; "
-                          f"pick one of {_KINDS}")
-    dim = _integer(cfg, "dimension" if "dimension" in cfg else "rank", path, 1)
-    kwargs = {"kind": kind, "dimension": dim}
-    if kind == "real-grid":
-        if "resolution" not in cfg:
-            raise ConfigError(f"{path}.resolution", "real-grid needs a resolution q")
-        kwargs["resolution"] = _integer(cfg, "resolution", path)
-    if kind == "torus-grid":
-        if "size" not in cfg:
-            raise ConfigError(f"{path}.size", "torus-grid needs a size N")
-        kwargs["size"] = _integer(cfg, "size", path)
-    try:
-        return GroupDescriptor(**kwargs)
-    except (GaplabError, ValueError) as err:
-        raise ConfigError(path, str(err))
-
-
-def build_measure(group: GroupDescriptor, cfg: dict, path: str = "measure") -> GroupMeasure:
-    kind = _require(cfg, "kind", path)
-    try:
-        if kind == "atoms":
-            pairs = []
-            for i, rec in enumerate(_require(cfg, "atoms", path)):
-                where = f"{path}.atoms[{i}]"
-                if isinstance(rec, list) and rec:
-                    rec = {"element": rec[:-1], "weight": rec[-1]}
-                elif not isinstance(rec, dict):
-                    raise ConfigError(where, "expected [coordinates..., weight] "
-                                      f"or {{element, weight}}, got {rec!r}")
-                pairs.append((_element(rec, "element", where),
-                              _number(rec, "weight", where)))
-            return GroupMeasure.from_atoms(group, pairs)
-        if kind == "point":
-            return GroupMeasure.point_mass(
-                group, _element(cfg, "element", path, group.identity()),
-                _number(cfg, "mass", path, 1.0),
-            )
-        if kind == "srw":
-            return GroupMeasure.simple_random_walk(
-                group, step=_integer(cfg, "step", path, 1))
-        if kind == "uniform-interval":
-            return GroupMeasure.uniform_interval(
-                group, _number(cfg, "lo", path), _number(cfg, "hi", path),
-                total=_number(cfg, "total", path, 1.0),
-                closed=_boolean(cfg, "closed", path, True),
-            )
-        if kind == "uniform-generators":
-            return GroupMeasure.simple_random_walk(group)
-        if kind == "uniform-ball":
-            return GroupMeasure.uniform_on(
-                group, group.ball(_number(cfg, "radius", path))
-            )
-    except ConfigError:
-        raise
-    except (GaplabError, KeyError, ValueError) as err:
-        raise ConfigError(path, str(err))
-    raise ConfigError(f"{path}.kind", f"unknown measure kind {kind!r}")
-
-
-def build_space(group: GroupDescriptor, cfg: dict, path: str = "action") -> ActionSpace:
-    cfg = dict(cfg)
-    kind = cfg.pop("kind", None)
-    if kind is None:
-        raise ConfigError(f"{path}.kind", "required field is missing")
-    if kind in ("torus-translation", "circle-rotation") and "N" not in cfg:
-        raise ConfigError(f"{path}.N", f"{kind} needs a grid size N")
-    for field in ("N", "cells_per_step", "alphabet", "window_radius",
-                  "max_denominator"):
-        if field in cfg:
-            _integer(cfg, field, path)
-    try:
-        return build_action(kind, group=group, **cfg)
-    except (GaplabError, TypeError, ValueError) as err:
-        raise ConfigError(path, str(err))
-
-
-#: the params each experiment reads: name -> (type, default, least allowed
-#: value, or the allowed names of a str, or None).  Every experiment also
-#: takes ``seed`` (``--seed`` writes it into any config); only ``nets``
-#: reads it.
+#: the params each experiment reads.  Every experiment also takes ``seed``
+#: (``--seed`` writes it into any config); only ``nets`` reads it.
 PARAMS = {
     "regular-norm": {"method": (str, "berg-christensen", METHODS),
                      "n_max": (int, 50, 2)},
@@ -210,44 +133,114 @@ PARAMS = {
 }
 
 
-def _params(cfg: dict) -> dict:
-    """The experiment's params, type-checked, with defaults filled in."""
-    params = cfg.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("params", "must be an object")
-    table = {"seed": (int, None, 0), **PARAMS[cfg["experiment"]]}
-    for key in params:
-        if key not in table:
-            raise ConfigError(f"params.{key}", "unknown parameter for "
-                              f"{cfg['experiment']}; it takes {sorted(table)}")
+def _is(value, kind) -> bool:
+    """Whether a JSON value has the type ``kind`` of a table (a float may
+    be written as an integer, a bool is no int)."""
+    if isinstance(kind, types.GenericAlias):
+        return type(value) is list and all(_is(v, kind.__args__[0]) for v in value)
+    return type(value) in ((int, float) if kind is float else (kind,))
+
+
+def _fields(block, table: dict, path: str, owner) -> dict:
+    """The fields of a config object, checked against ``table``, with the
+    defaults that are not None filled in; ``owner`` names the table.  A
+    root field is named by itself, an unknown one as ``<root>.<field>``."""
+    if not isinstance(block, dict):
+        raise ConfigError(path, f"expected dict, got {block!r}")
     out = {}
     for key, (kind, default, least) in table.items():
-        if key not in params:
-            out[key] = default
+        where = key if path == "<root>" else f"{path}.{key}"
+        if key not in block:
+            if default is ...:
+                raise ConfigError(where, "required field is missing")
+            if default is not None:
+                out[key] = default
             continue
-        value = params[key]
-        numeric = (int, float) if kind is float else kind
-        if isinstance(value, bool) != (kind is bool) or not isinstance(value, numeric):
-            raise ConfigError(f"params.{key}",
-                              f"expected {kind.__name__}, got {value!r}")
-        if kind is str:
+        value = block[key]
+        if not _is(value, kind):
+            name = kind.__name__ if isinstance(kind, type) else kind
+            raise ConfigError(where, f"expected {name}, got {value!r}")
+        if isinstance(least, tuple):
             if value not in least:
-                raise ConfigError(f"params.{key}", f"unknown name {value!r}; "
-                                  f"pick one of {least}")
+                raise ConfigError(where, f"unknown name {value!r}; pick one of {least}")
         elif least is not None and value < least:
-            raise ConfigError(f"params.{key}", f"must be >= {least}, got {value!r}")
-        out[key] = kind(value)
+            raise ConfigError(where, f"must be >= {least}, got {value!r}")
+        out[key] = float(value) if kind is float else value
+    for key in block:
+        if key not in table:
+            raise ConfigError(f"{path}.{key}", f"unknown parameter for {owner}; "
+                              f"it takes {sorted(table)}")
     return out
 
 
-def validate_config(cfg: dict) -> dict:
-    if not isinstance(cfg, dict):
-        raise ConfigError("<root>", "config must be a JSON object")
-    experiment = _require(cfg, "experiment", "<root>")
-    if experiment not in EXPERIMENTS:
-        raise ConfigError("experiment",
-                          f"unknown experiment {experiment!r}; pick one of {EXPERIMENTS}")
+def _tagged(block, tables: dict, path: str, tag: str = "kind") -> tuple[str, dict]:
+    """A block whose field ``tag`` names one of ``tables``: that name, and
+    the other fields checked against its table."""
+    name = block.get(tag) if isinstance(block, dict) else None
+    table = tables[name] if isinstance(name, str) and name in tables else {}
+    fields = _fields(block, {tag: (str, ..., tuple(tables)), **table}, path, name)
+    return fields.pop(tag), fields
+
+
+def build_group(cfg: dict, path: str = "group") -> GroupDescriptor:
+    kind, fields = _tagged(cfg, GROUPS, path)
+    return GroupDescriptor(kind=kind, **fields)
+
+
+def build_measure(group: GroupDescriptor, cfg: dict, path: str = "measure") -> GroupMeasure:
+    kind, fields = _tagged(cfg, MEASURES, path)
+    pairs = []
+    for i, rec in enumerate(fields.get("atoms", ())):
+        if isinstance(rec, list) and rec:
+            rec = {"element": rec[:-1], "weight": rec[-1]}
+        atom = _fields(rec, ATOM, f"{path}.atoms[{i}]", "an atom")
+        pairs.append((atom["element"], atom["weight"]))
+    try:
+        if kind == "atoms":
+            return GroupMeasure.from_atoms(group, pairs)
+        if kind == "point":
+            return GroupMeasure.point_mass(group, fields.pop("element", group.identity()),
+                                           **fields)
+        if kind == "srw":
+            return GroupMeasure.simple_random_walk(group, **fields)
+        if kind == "uniform-interval":
+            return GroupMeasure.uniform_interval(group, **fields)
+        return GroupMeasure.uniform_on(group, group.ball(fields["radius"]))
+    except (GaplabError, ValueError) as err:
+        raise ConfigError(path, str(err))
+
+
+def build_space(group: GroupDescriptor, cfg: dict, path: str = "action") -> ActionSpace:
+    kind, fields = _tagged(cfg, ACTIONS, path)
+    try:
+        return build_action(kind, group=group, **fields)
+    except (GaplabError, ValueError) as err:
+        raise ConfigError(path, str(err))
+
+
+def _params(cfg: dict) -> dict:
+    """The experiment's params, type-checked, with defaults filled in."""
+    experiment = cfg["experiment"]
+    return _fields(cfg.get("params", {}), {"seed": (int, None, 0), **PARAMS[experiment]},
+                   "params", experiment)
+
+
+def validate_config(cfg: dict, path: str = "<root>") -> dict:
+    """Check a config's root fields, params and output, and a sweep's
+    template and grid; the group, measure and action blocks are checked
+    where they are built."""
+    experiment, _ = _tagged(cfg, BLOCKS, path, "experiment")
     _params(cfg)
+    _fields(cfg.get("output", {}), OUTPUT, "output", "output")
+    if experiment == "sweep":
+        template = validate_config(cfg["template"], "template")
+        if template["experiment"] == "sweep":
+            raise ConfigError("template.experiment", "sweeps cannot nest")
+        if "output" in template:
+            raise ConfigError("template.output", "the sweep's own output names "
+                              "the children's reports")
+        grid = cfg.get("grid", {})
+        _fields(grid, dict.fromkeys(grid, (list, ..., None)), "grid", "grid")
     return cfg
 
 
@@ -280,8 +273,8 @@ class RunResult:
 
 def run_regular_norm(cfg: dict) -> RunResult:
     res = RunResult("regular-norm")
-    group = build_group(_require(cfg, "group", "<root>"))
-    mu = build_measure(group, _require(cfg, "measure", "<root>"))
+    group = build_group(cfg["group"])
+    mu = build_measure(group, cfg["measure"])
     p = _params(cfg)
     est = regular_norm(mu, p["method"], p["n_max"])
     res.put("method", est.method)
@@ -316,9 +309,9 @@ def _put_spectrum(res: RunResult, disc: DiscrepancyResult) -> str:
 
 def run_koopman_norm(cfg: dict) -> RunResult:
     res = RunResult("koopman-norm")
-    group = build_group(_require(cfg, "group", "<root>"))
-    mu = build_measure(group, _require(cfg, "measure", "<root>"))
-    space = build_space(group, _require(cfg, "action", "<root>"))
+    group = build_group(cfg["group"])
+    mu = build_measure(group, cfg["measure"])
+    space = build_space(group, cfg["action"])
     p = _params(cfg)
     tol = p["tol"]
     disc = discrepancy(space, mu)
@@ -331,7 +324,7 @@ def run_koopman_norm(cfg: dict) -> RunResult:
     res.check("discrepancy <= total mass + tol",
               disc.value <= mu.total_mass + tol)
     if isinstance(space, GridTranslationSpace):
-        cutoff = p["freq_cutoff"]
+        cutoff = p.get("freq_cutoff")
         if cutoff is None:
             cutoff = max(space.grid_shape) // 2
         char = character_norm(space, mu, cutoff)
@@ -353,9 +346,9 @@ def run_koopman_norm(cfg: dict) -> RunResult:
 
 def run_verify_bound(cfg: dict) -> RunResult:
     res = RunResult("verify-bound")
-    group = build_group(_require(cfg, "group", "<root>"))
-    mu = build_measure(group, _require(cfg, "measure", "<root>"))
-    space = build_space(group, _require(cfg, "action", "<root>"))
+    group = build_group(cfg["group"])
+    mu = build_measure(group, cfg["measure"])
+    space = build_space(group, cfg["action"])
     p = _params(cfg)
     report = verify_lower_bound(
         space, mu,
@@ -385,9 +378,9 @@ def run_verify_bound(cfg: dict) -> RunResult:
 
 def run_certificate_experiment(cfg: dict) -> RunResult:
     res = RunResult("certificate")
-    group = build_group(_require(cfg, "group", "<root>"))
-    mu = build_measure(group, _require(cfg, "measure", "<root>"))
-    space = build_space(group, _require(cfg, "action", "<root>"))
+    group = build_group(cfg["group"])
+    mu = build_measure(group, cfg["measure"])
+    space = build_space(group, cfg["action"])
     p = _params(cfg)
     if p["x0"] >= space.n_cells:
         raise ConfigError("params.x0", f"must be < {space.n_cells}, the number "
@@ -524,22 +517,19 @@ def _set_path(cfg: dict, dotted: str, value):
     parts = dotted.split(".")
     for part in parts[:-1]:
         node = node.setdefault(part, {})
+        if not isinstance(node, dict):
+            raise ConfigError(f"grid.{dotted}", f"the template's {part} is not an object")
     node[parts[-1]] = value
 
 
 def run_sweep(cfg: dict, jobs: int = 1) -> tuple[RunResult, list[RunResult]]:
-    template = _require(cfg, "template", "<root>")
-    grid = cfg.get("grid", {})
-    validate_config(template)
-    if template.get("experiment") == "sweep":
-        raise ConfigError("template.experiment", "sweeps cannot nest")
+    """Run the template of a validated sweep config once per combination
+    of its grid values."""
+    template, grid = cfg["template"], cfg.get("grid", {})
     keys = sorted(grid)
     combos: list[dict] = [{}]
     for key in keys:
-        values = grid[key]
-        if not isinstance(values, list):
-            raise ConfigError(f"grid.{key}", "grid values must be lists")
-        combos = [dict(c, **{key: v}) for c in combos for v in values]
+        combos = [dict(c, **{key: v}) for c in combos for v in grid[key]]
 
     def child(combo: dict) -> tuple[RunResult, str | None]:
         """The child's result, and its error text if it raised."""
@@ -547,7 +537,7 @@ def run_sweep(cfg: dict, jobs: int = 1) -> tuple[RunResult, list[RunResult]]:
         for dotted, value in combo.items():
             _set_path(instance, dotted, value)
         try:
-            return RUNNERS[instance["experiment"]](instance), None
+            return RUNNERS[instance["experiment"]](validate_config(instance)), None
         except ConfigError:
             raise
         except Exception as err:  # one failing child must not abort the sweep

@@ -92,7 +92,8 @@ class GroupDescriptor:
 
     @property
     def scale(self) -> int:
-        """Cells per unit length: ``value`` is ``coordinates`` / scale."""
+        """Cells per unit length: an element's physical coordinates are its
+        ``coordinates`` / scale."""
         if self.kind == REAL_GRID:
             return self.resolution
         if self.kind == TORUS_GRID:
@@ -126,10 +127,6 @@ class GroupDescriptor:
         if self.kind == FREE:
             return (len(a),)
         return a
-
-    def value(self, a: Element) -> tuple[float, ...]:
-        """Physical coordinates of an element (word length for free groups)."""
-        return tuple(c / self.scale for c in self.coordinates(a))
 
     def ball(self, radius: float) -> list[Element]:
         """All elements of norm <= radius, in deterministic order."""

@@ -97,8 +97,11 @@ class GroupMeasure:
 
     @classmethod
     def simple_random_walk(cls, group: GroupDescriptor, step: int = 1):
-        """Uniform measure on the +-step generators of a lattice-like group."""
+        """Uniform measure on the +-step generators of a lattice-like group,
+        or on the letters and their inverses of a free group (step 1 only)."""
         if group.kind == "free":
+            if step != 1:
+                raise PreconditionError(f"the free-group walk has step 1, got step {step}")
             letters = [(i,) for i in range(1, group.dimension + 1)]
             gens = letters + [group.inverse(w) for w in letters]
             return cls.uniform_on(group, gens)
@@ -116,18 +119,12 @@ class GroupMeasure:
     def total_mass(self) -> float:
         return float(sum(self.atoms.values()))
 
-    def mass_at(self, g: Element) -> float:
-        return self.atoms.get(self.group.canonical(g), 0.0)
-
     def support(self) -> list[Element]:
         return sorted(self.atoms, key=self.group.sort_key)
 
     def items(self):
         for g in self.support():
             yield g, self.atoms[g]
-
-    def scaled(self, factor: float) -> "GroupMeasure":
-        return GroupMeasure(self.group, {g: w * factor for g, w in self.atoms.items()})
 
     def __len__(self) -> int:
         return len(self.atoms)

@@ -10,6 +10,8 @@ deduplicated the abelian pair sums before they were keyed in a box.
 ``convolution_power`` and ``mass_on_set`` give eta^{*n}(F) at full depth,
 ``net_is_separated`` and ``net_is_maximal`` re-check a net exhaustively,
 and ``sampled_fourier_sup`` is sup |mu-hat| over sampled frequencies.
+``physical`` and ``scaled`` give an element's physical coordinates and a
+measure times a factor.
 """
 
 from __future__ import annotations
@@ -37,6 +39,16 @@ def dict_convolve(group, a: dict, b: dict) -> dict:
             g = group.compose(h, k)
             out[g] = out.get(g, 0.0) + wa * wb
     return _clean(out)
+
+
+def physical(group, g) -> tuple[float, ...]:
+    """Physical coordinates of an element: its cell coordinates over the
+    scale (the word length for free groups)."""
+    return tuple(c / group.scale for c in group.coordinates(g))
+
+
+def scaled(mu: GroupMeasure, factor: float) -> GroupMeasure:
+    return GroupMeasure(mu.group, {g: w * factor for g, w in mu.atoms.items()})
 
 
 def dict_involute(group, a: dict) -> dict:
@@ -130,10 +142,10 @@ def net_is_maximal(inst) -> bool:
 
 
 def sampled_fourier_sup(mu: GroupMeasure, xi) -> float:
-    """max |sum_g mu(g) exp(-2 pi i <xi, value(g)>)| over the rows of xi."""
+    """max |sum_g mu(g) exp(-2 pi i <xi, physical(g)>)| over the rows of xi."""
     if not mu.group.is_abelian:
         raise UnsupportedKindError(f"no characters on {mu.group.kind}")
-    values = np.array([mu.group.value(g) for g in mu.atoms], dtype=float)
+    values = np.array([physical(mu.group, g) for g in mu.atoms], dtype=float)
     weights = np.array(list(mu.atoms.values()))
     phases = np.exp(-2j * np.pi * (np.atleast_2d(xi) @ values.T))
     return float(np.abs(phases @ weights).max())

@@ -1,9 +1,10 @@
 """End-to-end CLI runs: determinism, exit codes, report formats."""
 
 import csv
-import importlib
+import importlib.util
 import json
 import math
+import sys
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -187,6 +188,11 @@ class TestParams:
         ("action", "alphabet", 2.9),
         ("action", "window_radius", 1.5),
         ("action", "max_denominator", 8.5),
+        ("action", "step", [3.0, 5]),
+        ("action", "step", [3, False]),
+        ("action", "step", [1, 2.5]),
+        ("action", "N", True),
+        ("action", "permutation", [1.0, 0.0]),
         ("group", "dimension", 1.0),
         ("group", "rank", "1"),
         ("group", "resolution", 8.9),
@@ -200,6 +206,8 @@ class TestParams:
                          "window_radius": 1},
             "max_denominator": {"kind": "torus-translation", "N": 16,
                                 "slope_hint": 1.5, "max_denominator": 8},
+            "step": {"kind": "torus-translation", "N": 16, "step": [1, 3]},
+            "permutation": {"kind": "finite-permutation", "permutation": [1, 0]},
             # Z/8 drives only actions whose cycle lengths divide 8
             "size": {"kind": "circle-rotation", "N": 8, "cells_per_step": 3},
         }
@@ -218,7 +226,11 @@ class TestParams:
         code, out_dir = run_cli(tmp_path, cfg)
         assert code == 2
         err = capsys.readouterr().err
-        assert f"config error: {block}.{field}: expected int, got {value!r}" in err
+        if field == "rank":  # the retired alias of dimension
+            assert "config error: group.rank: unknown parameter" in err
+        else:
+            expected = "list[int]" if isinstance(value, list) else "int"
+            assert f"config error: {block}.{field}: expected {expected}, got {value!r}" in err
         assert not out_dir.exists()
 
     def test_identity_rotation_exit_two(self, tmp_path, capsys):
@@ -292,6 +304,8 @@ class TestParams:
             "action": {"kind": "circle-rotation", "N": 64, "cells_per_step": 3},
             "params": {key: value},
         }
+        if experiment == "regular-norm":
+            del cfg["action"]
         code, out_dir = run_cli(tmp_path, cfg)
         assert code == 2
         assert (f"config error: params.{key}: unknown name {value!r}; pick one "
@@ -304,7 +318,7 @@ class TestParams:
         cfg = {**TestParams.REGULAR, "group": {"kind": kind, "dimension": 2}}
         code, _ = run_cli(tmp_path, cfg)
         assert code == 2
-        assert (f"config error: group.kind: unknown group kind {kind!r}"
+        assert (f"config error: group.kind: unknown name {kind!r}"
                 in capsys.readouterr().err)
 
     @pytest.mark.parametrize("key", ["freq_bound", "freq_samples"])
@@ -325,8 +339,9 @@ class TestParams:
         }
         code, _ = run_cli(tmp_path, cfg)
         assert code == 2
-        assert ("config error: action: unknown parameters for circle-rotation: "
-                "['rotation_hint']" in capsys.readouterr().err)
+        assert ("config error: action.rotation_hint: unknown parameter for "
+                "circle-rotation; it takes ['N', 'cells_per_step', 'kind']"
+                in capsys.readouterr().err)
 
     def test_float_param_takes_integer(self, tmp_path):
         cfg = {**MARGULIS_SMALL, "params": {"N": 128, "tol": 1}}
@@ -334,21 +349,111 @@ class TestParams:
         assert code == 0
 
 
-CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+KOOPMAN = {**TestParams.REGULAR, "experiment": "koopman-norm",
+           "action": {"kind": "torus-translation", "N": 16, "step": [1, 3]}}
+SWEEP = {"experiment": "sweep", "template": TestParams.REGULAR}
+
+# a config with one fault, and the start of the message that names it
+CONFIG_FAULTS = [
+    ({**KOOPMAN, "group": {"kind": "lattice", "dimensoin": 2}},
+     "group.dimensoin: unknown parameter for lattice"),
+    ({**KOOPMAN, "group": {"kind": "lattice", "size": 8}},
+     "group.size: unknown parameter for lattice"),
+    ({**KOOPMAN, "measure": {"kind": "srw", "stepp": 3}},
+     "measure.stepp: unknown parameter for srw"),
+    ({**KOOPMAN, "measure": {"kind": "uniform-generators"}},
+     "measure.kind: unknown name 'uniform-generators'"),
+    ({**KOOPMAN, "measure": {"kind": "atoms", "atoms": 5}},
+     "measure.atoms: expected list, got 5"),
+    ({**TestParams.REGULAR, "group": {"kind": "free", "dimension": 2},
+      "measure": {"kind": "srw", "step": 3}},
+     "measure: the free-group walk has step 1, got step 3"),
+    ({**KOOPMAN, "action": {"kind": "circle-rotation", "N": 64, "rotation_hint": 0.3}},
+     "action.rotation_hint: unknown parameter for circle-rotation"),
+    ({**KOOPMAN, "action": {"kind": "torus-translation", "N": 16, "slope_hint": "1.4"}},
+     "action.slope_hint: expected float, got '1.4'"),
+    ({**KOOPMAN, "action": [1]}, "action: expected dict, got [1]"),
+    ({**KOOPMAN, "action": {"kind": "circle-rotation", "N": 1}},
+     "action.N: must be >= 2, got 1"),
+    ({**KOOPMAN, "action": {"kind": "bernoulli-window", "alphabet": 1,
+                            "window_radius": 1}},
+     "action.alphabet: must be >= 2, got 1"),
+    ({**KOOPMAN, "action": {"kind": "bernoulli-window", "window_radius": 0}},
+     "action.window_radius: must be >= 1, got 0"),
+    ({**KOOPMAN, "action": {"kind": "torus-translation", "N": 16, "step": [1, 3],
+                            "max_denominator": 8}},
+     "action: max_denominator picks the convergent of slope_hint"),
+    ({**TestParams.REGULAR, "parms": {"n_max": 3}},
+     "<root>.parms: unknown parameter for regular-norm"),
+    ({**MARGULIS_SMALL, "group": {"kind": "lattice"}},
+     "<root>.group: unknown parameter for margulis-demo"),
+    ({**TestParams.REGULAR, "output": "x"}, "output: expected dict, got 'x'"),
+    ({**TestParams.REGULAR, "output": {"prefx": "x_"}},
+     "output.prefx: unknown parameter for output"),
+    ({**SWEEP, "grid": [1]}, "grid: expected dict, got [1]"),
+    ({**SWEEP, "grid": {"params.n_max": 5}}, "grid.params.n_max: expected list, got 5"),
+    ({**SWEEP, "grid": {"group.kind.x": [1]}},
+     "grid.group.kind.x: the template's kind is not an object"),
+    ({**SWEEP, "template": "x"}, "template: expected dict, got 'x'"),
+    ({**SWEEP, "template": {**TestParams.REGULAR, "output": {"prefix": "x_"}}},
+     "template.output: the sweep's own output names the children's reports"),
+]
 
 
-@pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
-def test_shipped_config_matches_schema(path):
-    """Every shipped config (a sweep through its template) validates and
-    builds its group, measure and action blocks; nothing is run."""
-    cfg = validate_config(json.loads(path.read_text()))
+@pytest.mark.parametrize("cfg,message", CONFIG_FAULTS,
+                         ids=[message.split(":")[0] for _, message in CONFIG_FAULTS])
+def test_config_fault_exit_two_naming_its_path(tmp_path, capsys, cfg, message):
+    code, out_dir = run_cli(tmp_path, cfg)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"config error: {message}")
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = {path.stem: json.loads(path.read_text())
+           for path in sorted((ROOT / "configs").glob("*.json"))}
+
+
+def benchmark_configs() -> dict:
+    """The configs of the benchmark's three workloads at seeds 0-3, as
+    ``perfbench/workloads.py`` builds them."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look up their module
+    spec.loader.exec_module(workloads)
+    golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
+    return {f"{workload}{seed}-{exp.name}": exp.config
+            for workload in workloads.WORKLOADS for seed in range(4)
+            for exp in workloads.build(workload, seed, golden)}
+
+
+CONFIGS.update(benchmark_configs())
+
+
+@pytest.mark.parametrize("cfg", CONFIGS.values(), ids=CONFIGS.keys())
+def test_shipped_config_matches_schema(cfg):
+    """Every shipped config and every benchmark config (a sweep through its
+    template) validates and builds its group, measure and action blocks;
+    nothing is run."""
+    cfg = validate_config(cfg)
     if cfg["experiment"] == "sweep":
-        cfg = validate_config(cfg["template"])
+        cfg = cfg["template"]
     group = build_group(cfg["group"]) if "group" in cfg else None
     if "measure" in cfg:
         assert build_measure(group, cfg["measure"]).total_mass > 0
     if "action" in cfg:
         assert build_space(group, cfg["action"]).n_cells > 0
+
+
+def test_readme_names_every_kind_and_field():
+    readme = (ROOT / "README.md").read_text()
+    section = readme[readme.index("### Config blocks"):readme.index("### Sweeps")]
+    names = [name for tables in (cli.GROUPS, cli.MEASURES, cli.ACTIONS)
+             for kind, table in tables.items() for name in (kind, *table)]
+    assert [name for name in names if f"`{name}`" not in section] == []
 
 
 def read_record(out_dir, prefix):

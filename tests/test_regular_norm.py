@@ -13,6 +13,7 @@ from dict_oracles import (
     dict_involute,
     mass_on_set,
     sampled_fourier_sup,
+    scaled,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -394,7 +395,7 @@ class TestAmenableOracle:
         assert est.method == "amenable-mass"
 
     def test_scaling_on_z2(self):
-        mu = GroupMeasure.simple_random_walk(Z2).scaled(2.0)
+        mu = scaled(GroupMeasure.simple_random_walk(Z2), 2.0)
         assert amenable_norm(mu).value == pytest.approx(2.0)
 
     # a support generating a proper subgroup H still gives the mass: the
@@ -444,7 +445,7 @@ class TestAmenableOracle:
 
 class TestRegularNormDispatch:
     def test_mass_names_on_abelian_kinds(self):
-        mu = GroupMeasure.simple_random_walk(Z2).scaled(0.5)
+        mu = scaled(GroupMeasure.simple_random_walk(Z2), 0.5)
         for method in ("auto", "amenable", "amenable-mass"):
             est = regular_norm(mu, method)
             assert (est.value, est.method) == (0.5, "amenable-mass")
