@@ -8,9 +8,11 @@ such sequences the test vectors (1_{B_n} - 1_{B_n^-}) built from
 equal-mass companion sets disjoint from S^n B_n give Rayleigh quotients
 whose 1/(2n)-th roots certify lower bounds on the discrepancy.
 
-The companion construction is exact here: on equal-weight grids the
-intermediate-value argument for atomless spaces degenerates to counting
-cells, with deterministic lexicographic fill.
+The companion construction is exact here: on a grid whose cells all
+weigh exactly the same, the intermediate-value argument for atomless
+spaces degenerates to counting cells, with deterministic lexicographic
+fill.  ``run_certificate`` therefore runs only on such grids, and checks
+that before it builds anything.
 
 Every action is one-parameter, so past the ``ModerateGrowthSequence``
 boundary S, F and the powers S^k are sorted int64 arrays of steps, and
@@ -81,7 +83,7 @@ class ModerateGrowthSequence:
         return np.asarray(self.sets[n - 1], dtype=np.int64)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CertificateRow:
     n: int
     nu_B: float
@@ -90,25 +92,36 @@ class CertificateRow:
     cond2: bool
     ratio: float
     ratio_root: float
-    rayleigh: float | None = None
-    chain_bound: float | None = None
-    chain_asserted: bool | None = None
-    rayleigh_root: float | None = None
-    chain_root: float | None = None
+    rayleigh: float
+    chain_bound: float
+    rayleigh_root: float
+    chain_root: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class CertificateReport:
-    rows: list[CertificateRow]
-    slack: float
+    rows: tuple[CertificateRow, ...]
+    chain_asserted: bool  # supp(eta) lies in S: every row asserts the chain
     cond1_all: bool
     cond2_all: bool
     cond3_flag: bool
     max_ratio_root: float
-    norm_lower_bound: float | None = None
+    norm_lower_bound: float
 
 
 # -- set machinery -----------------------------------------------------------
+
+
+def _cell_weight(space: ActionSpace) -> float:
+    """The weight of every cell; raises unless all cells weigh exactly the
+    same, the one case in which counting cells matches their mass."""
+    weights = space.weights
+    weight = weights[0]
+    if weights.min() != weight or weights.max() != weight:
+        raise PreconditionError(
+            "certificates need an equal-weight cell grid: companion sets "
+            "match masses by counting cells")
+    return weight
 
 
 def _symmetric_steps(space: ActionSpace, atoms, name: str) -> np.ndarray:
@@ -148,9 +161,6 @@ def _arc_segments(space: ActionSpace, steps,
     """
     steps = np.unique(np.asarray(steps, dtype=np.int64))
     seg_lo, seg_hi = _slot_segments(space, np.asarray(idx, dtype=np.int64))
-    if steps.size == 0 or seg_lo.size == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty
     head, tail = _runs(np.diff(steps) > 1)
     run_lo = steps[head]
     run_width = steps[tail] + 1 - run_lo
@@ -179,8 +189,6 @@ def _slot_segments(space: ActionSpace,
     distinct cells are disjoint; a repeated cell starts a segment that
     overlaps the one before."""
     slots = np.sort(space.cycles.slot[idx])
-    if slots.size == 0:
-        return slots, slots
     rest = slots[1:]
     breaks = (rest - slots[:-1] != 1) | (space.cycles.locate(rest)[0] == rest)
     head, tail = _runs(breaks)
@@ -217,34 +225,29 @@ def _union_mass(space: ActionSpace, steps, idx: np.ndarray) -> float:
 
 
 def _pair_correlations(space: ActionSpace, steps, lo: np.ndarray,
-                       hi: np.ndarray) -> np.ndarray:
+                       hi: np.ndarray, weight: float) -> np.ndarray:
     """nu(gB & B) for the element g of each step count, as an array aligned
     with ``steps``, from the disjoint slot segments [lo, hi) of B, sorted
     by lo, none leaving its cycle (as ``_arc_segments`` and
-    ``_slot_segments`` give them).
+    ``_slot_segments`` give them), on a grid whose cells all weigh
+    ``weight``.
 
     The counts |sigma^c B & B| are exact integers.  On a cycle of length L
     they depend only on s = min(c mod L, L - c mod L), since sigma^-c
-    gives the same count.  The weights are constant on cycles, so the
-    counts are added per block of cycles of one length and one weight and
-    each block is weighted once, blocks in order of length, then weight.
+    gives the same count.  The counts of the cycles of one length are
+    added and weighted once, lengths in increasing order.
     """
     steps = np.asarray(steps, dtype=np.int64)
     totals = np.zeros(steps.size)
-    if steps.size == 0 or lo.size == 0:
-        return totals
     first, length = space.cycles.locate(lo)
-    weight = space.weights[space.cycles.order[lo]]
     for cycle_length in np.unique(length):
         rest = steps % cycle_length
         shifts, at = np.unique(np.minimum(rest, cycle_length - rest),
                                return_inverse=True)
-        of_length = length == cycle_length
-        for w in np.unique(weight[of_length]):
-            block = of_length & (weight == w)
-            counts = _overlap_counts(first[block], lo[block], hi[block],
-                                     cycle_length, shifts)
-            totals += w * counts[at]
+        block = length == cycle_length
+        counts = _overlap_counts(first[block], lo[block], hi[block],
+                                 cycle_length, shifts)
+        totals += weight * counts[at]
     return totals
 
 
@@ -288,18 +291,6 @@ def _squared_modulus(spectrum: np.ndarray) -> np.ndarray:
     return np.add(spectrum.real, spectrum.imag)
 
 
-def _weight_blocks(space: ActionSpace, cells: np.ndarray, values: np.ndarray):
-    """(weight, rows of ``values``) per distinct weight of the cycles in
-    ``cells``, one row per cycle; a single weight takes no copy."""
-    weights = space.weights[cells[:, 0]]
-    distinct = np.unique(weights)
-    if distinct.size == 1:
-        yield distinct[0], values
-        return
-    for weight in distinct:
-        yield weight, values[weights == weight]
-
-
 def _measure_spectra(space: ActionSpace, eta: GroupMeasure) -> dict[int, np.ndarray]:
     """eta^_L(k) = sum_c eta(c) e^{2 pi i k c / L} on the real-FFT bins
     k = 0..L//2 of each cycle length L, from the weights folded mod L."""
@@ -313,14 +304,15 @@ def _measure_spectra(space: ActionSpace, eta: GroupMeasure) -> dict[int, np.ndar
 
 
 def _rayleigh_numerator(space: ActionSpace, phi: np.ndarray,
-                        spectra: dict[int, np.ndarray]) -> float:
+                        spectra: dict[int, np.ndarray], weight: float) -> float:
     """<pi(eta) phi, phi> for the measure eta with ``_measure_spectra``
-    ``spectra``, as one sum over the spectrum of phi.
+    ``spectra``, as one sum over the spectrum of phi, on a grid whose
+    cells all weigh ``weight``.
 
     On a cycle of length L, sum_c eta(c) sum_j phi_{j-c} phi_j is
     (1/L) sum_k |phi^(k)|^2 Re eta^_L(k); the real-FFT bins count the
     pairs k, L - k twice, except k = 0 and, for even L, the Nyquist bin.
-    The terms of the cycles of one weight are summed before weighting.
+    The terms of the cycles of one length are summed before weighting.
     """
     total = 0.0
     for length, cells in space.cycles.rows():
@@ -331,26 +323,32 @@ def _rayleigh_numerator(space: ActionSpace, phi: np.ndarray,
             gain[-1] = 1.0 / length
         gain *= spectra[length].real
         power *= gain
-        for weight, block in _weight_blocks(space, cells, power):
-            # one pairwise sum: its rounding grows with log(cells), not cells
-            total += weight * float(block.sum())
+        # one pairwise sum: its rounding grows with log(cells), not cells
+        total += weight * float(power.sum())
     return total
 
 
 # -- the walk -------------------------------------------------------------------
 
 
-def _growth_row(space: ActionSpace, n: int, b: np.ndarray, covered: np.ndarray,
-                overlaps: np.ndarray) -> CertificateRow:
-    """Row n of the moderate-growth conditions from B_n, the mask of
-    S^n B_n and the F-overlaps nu(gB_n & B_n).
+def _row(n: int, nu_b: float, nu_snb: float, overlap: float, numerator: float,
+         f_mass: float, chain_asserted: bool) -> CertificateRow:
+    """Row n from the masses of B_n and S^n B_n, the least F-overlap
+    inf_{g in F} nu(gB_n & B_n), <pi(eta^{*n}) phi_n, phi_n> and
+    eta^{*n}(F).
 
     The overlap ratio is clamped to [0, 1]; it serves condition (3) and
-    the chain bound alike.
+    the chain bound alike.  An asserted chain inequality that fails raises.
     """
-    nu_b = space.mass_of(b)
-    nu_snb = space.mass_of(covered)
-    ratio = min(max(float(overlaps.min()) / nu_b, 0.0), 1.0)
+    ratio = min(max(overlap / nu_b, 0.0), 1.0)
+    rayleigh = numerator / (2.0 * nu_b)
+    chain_bound = 0.5 * f_mass * ratio
+    if chain_asserted and rayleigh < chain_bound - CHAIN_TOL:
+        raise InternalConsistencyError(
+            f"chain inequality violated at n={n}: rayleigh={rayleigh!r} < "
+            f"bound={chain_bound!r}; the companion set must intersect the "
+            "support translates"
+        )
     return CertificateRow(
         n=n,
         nu_B=nu_b,
@@ -359,34 +357,17 @@ def _growth_row(space: ActionSpace, n: int, b: np.ndarray, covered: np.ndarray,
         cond2=nu_snb < 0.5,
         ratio=ratio,
         ratio_root=ratio ** (1.0 / n),
+        rayleigh=rayleigh,
+        chain_bound=chain_bound,
+        rayleigh_root=max(rayleigh, 0.0) ** (1.0 / (2 * n)),
+        chain_root=max(chain_bound, 0.0) ** (1.0 / (2 * n)),
     )
 
 
-def _rayleigh_part(space: ActionSpace, row: CertificateRow, b: np.ndarray,
-                   covered: np.ndarray, spectra: dict[int, np.ndarray],
-                   f_mass: float, chain_asserted: bool) -> None:
-    """Fill the Rayleigh and chain columns of ``row`` from B_n, the mask of
-    S^n B_n, the spectra of eta^{*n} and its mass on F."""
-    n = row.n
-    phi = np.zeros(space.n_cells, dtype=np.int8)
-    phi[b] = 1
-    phi[build_companion_set(space, b, covered)] = -1
-    row.rayleigh = _rayleigh_numerator(space, phi, spectra) / (2.0 * row.nu_B)
-    row.chain_bound = 0.5 * f_mass * row.ratio
-    row.chain_asserted = chain_asserted
-    if chain_asserted and row.rayleigh < row.chain_bound - CHAIN_TOL:
-        raise InternalConsistencyError(
-            f"chain inequality violated at n={n}: rayleigh={row.rayleigh!r} < "
-            f"bound={row.chain_bound!r}; the companion set must intersect the "
-            "support translates"
-        )
-    row.rayleigh_root = max(row.rayleigh, 0.0) ** (1.0 / (2 * n))
-    row.chain_root = max(row.chain_bound, 0.0) ** (1.0 / (2 * n))
-
-
-def _walk(seq: ModerateGrowthSequence, slack: float,
-          eta: GroupMeasure) -> CertificateReport:
-    """One pass over n = 1..max_n carrying S^n and eta^{*n} forward.
+def _walk(seq: ModerateGrowthSequence, slack: float, eta: GroupMeasure,
+          weight: float) -> CertificateReport:
+    """One pass over n = 1..max_n carrying S^n and eta^{*n} forward, on a
+    grid whose cells all weigh ``weight``.
 
     On a sequence from ``orbit_neighborhood_sequence``, S^n B_n is dilated
     as S^{2n} V_n from the few cells of the ball V_n instead of all of
@@ -413,21 +394,25 @@ def _walk(seq: ModerateGrowthSequence, slack: float,
         else:
             covered = _act_union(space, s_pow[2 * n], balls[n - 1])
             lo, hi = _arc_segments(space, s_pow[n], balls[n - 1])
-        row = _growth_row(space, n, b, covered,
-                          _pair_correlations(space, seq.F, lo, hi))
+        overlaps = _pair_correlations(space, seq.F, lo, hi, weight)
         cells, weights = _convolve_arrays(group, cells, weights, eta_cells,
                                           eta_weights, DEFAULT_SUPPORT_CAP)
         # a plain Python sum over the atoms in atom order: the reported
         # digits depend on the summation order
         in_f = np.isin(cells[:, 0], seq.F).tolist()
         f_mass = sum(w for w, keep in zip(weights.tolist(), in_f) if keep)
+        phi = np.zeros(space.n_cells, dtype=np.int8)
+        phi[b] = 1
+        phi[build_companion_set(space, b, covered)] = -1
         spectra = {length: values ** n for length, values in eta_hat.items()}
-        _rayleigh_part(space, row, b, covered, spectra, f_mass, chain_asserted)
-        rows.append(row)
+        rows.append(_row(n, space.mass_of(b), space.mass_of(covered),
+                         float(overlaps.min()),
+                         _rayleigh_numerator(space, phi, spectra, weight),
+                         f_mass, chain_asserted))
     max_root = max(r.ratio_root for r in rows)
     return CertificateReport(
-        rows=rows,
-        slack=slack,
+        rows=tuple(rows),
+        chain_asserted=chain_asserted,
         cond1_all=all(r.cond1 for r in rows),
         cond2_all=all(r.cond2 for r in rows),
         cond3_flag=max_root >= 1.0 - slack,
@@ -442,26 +427,18 @@ def _walk(seq: ModerateGrowthSequence, slack: float,
 def build_companion_set(
     space: ActionSpace, b: np.ndarray, forbidden: np.ndarray
 ) -> np.ndarray:
-    """A set of the same measure as b, disjoint from ``forbidden``, which
-    holds cell indices or is a mask over the cells.
+    """A set of the same measure as b, disjoint from the cells of the mask
+    ``forbidden``.
 
     Equal-weight cells make exact mass matching a counting problem; the
     fill is greedy in deterministic cell order, so certificates are
     reproducible.
     """
-    weights = space.weights
-    # np.allclose(weights, weights[0]), without a cell-sized temporary
-    w0 = weights[0]
-    if max(weights.max() - w0, w0 - weights.min()) > 1e-8 + 1e-5 * w0:
-        raise PreconditionError("companion sets need an equal-weight cell grid")
+    _cell_weight(space)
     forbidden = np.asarray(forbidden)
-    if forbidden.dtype != bool:
-        blocked = np.zeros(space.n_cells, dtype=bool)
-        blocked[forbidden] = True
-        forbidden = blocked
-    elif forbidden.shape != (space.n_cells,):
+    if forbidden.dtype != bool or forbidden.shape != (space.n_cells,):
         raise PreconditionError(
-            f"a forbidden mask needs one entry per cell, {space.n_cells}")
+            f"the forbidden set must be a mask of the {space.n_cells} cells")
     free = np.flatnonzero(~forbidden)
     if len(free) < len(b):
         raise PreconditionError(
@@ -631,10 +608,12 @@ def run_certificate(
     measurable, so the infimum over measurable supersets is attained
     there.  Condition (3) is reported as the full sequence ratio_n^{1/n}
     together with the finite-horizon flag max_n ratio_n^{1/n} >= 1 - slack.
-    The sets come either from ``seq`` or from the base cell ``x0``
-    (default: the space's base cell) and the horizon ``n_max`` (default
-    10), not from both.
+    The sets come either from ``seq``, built on ``space``, or from the
+    base cell ``x0`` (default: the space's base cell) and the horizon
+    ``n_max`` (default 10), not from both.  Every cell must weigh exactly
+    the same, which is checked before anything is built.
     """
+    weight = _cell_weight(space)
     eta = symmetrize(mu)
     if seq is None:
         base = space.base_cell if x0 is None else int(x0)
@@ -644,4 +623,6 @@ def run_certificate(
         raise PreconditionError(
             "run_certificate takes either seq or x0/n_max; seq fixes the "
             "base cell and the horizon")
-    return _walk(seq, slack, eta)
+    elif seq.space is not space:
+        raise PreconditionError("seq must be built on the space it runs on")
+    return _walk(seq, slack, eta, weight)

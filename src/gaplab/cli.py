@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .actions import ActionSpace, GridTranslationSpace, build_action
-from .certificates import run_certificate
+from .certificates import CHAIN_TOL, run_certificate
 from .errors import GaplabError
 from .groups import GroupDescriptor, power_set
 from .koopman import (
@@ -60,8 +60,8 @@ def _fmt(value) -> str:
 #
 # Every config object is checked against a table: field -> (type, default,
 # least value, or the allowed names of a str, or None).  A type is int,
-# float (any JSON number), bool, str, dict, list, or list[t] (a list of
-# values of type t).  The default ``...`` marks a required field, and
+# float (any finite JSON number), bool, str, dict, list, or list[t] (a list
+# of values of type t).  The default ``...`` marks a required field, and
 # ``None`` an optional one that is left out when absent, so that the
 # builder's own default holds.
 
@@ -135,10 +135,14 @@ PARAMS = {
 
 def _is(value, kind) -> bool:
     """Whether a JSON value has the type ``kind`` of a table (a float may
-    be written as an integer, a bool is no int)."""
+    be written as an integer but must be finite as a float, a bool is no
+    int)."""
     if isinstance(kind, types.GenericAlias):
         return type(value) is list and all(_is(v, kind.__args__[0]) for v in value)
-    return type(value) in ((int, float) if kind is float else (kind,))
+    if kind is float:
+        # NaN compares false, and an int compares exactly, without overflow
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    return type(value) is kind
 
 
 def _fields(block, table: dict, path: str, owner) -> dict:
@@ -410,9 +414,9 @@ def run_certificate_experiment(cfg: dict) -> RunResult:
     res.check("condition (2): nu(S^n B_n) < 1/2 for every n", report.cond2_all)
     res.check(f"condition (3) flag: max ratio_n^(1/n) >= 1 - {slack}",
               report.cond3_flag)
-    chain_rows = [r for r in report.rows if r.chain_asserted]
     res.check("chain inequality on every asserted row",
-              all(r.rayleigh >= r.chain_bound - 1e-10 for r in chain_rows))
+              not report.chain_asserted
+              or all(r.rayleigh >= r.chain_bound - CHAIN_TOL for r in report.rows))
     if p["cross_check_discrepancy"]:
         disc = discrepancy(space, mu)
         res.put("discrepancy", disc.value)
@@ -623,11 +627,13 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="gaplab-out",
                         help=f"output directory (env {ENV_OUT_DIR} overrides)")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel children for sweeps")
+                        help="parallel children for sweeps (at least 1)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     parser.add_argument("--format", choices=("csv", "kv"), default="csv")
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
 
     try:
         cfg = json.loads(Path(args.config).read_text())

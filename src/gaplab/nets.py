@@ -44,7 +44,6 @@ class NetInstance:
     net: tuple
     span: tuple  # the set the net lives in (B^n)
     diffs: tuple  # A A^{-1}, the set each net point blocks around itself
-    maximal: bool = True
 
 
 def greedy_maximal_net(
@@ -124,7 +123,7 @@ class NetBoundsReport:
     mu_span: float
     mu_AAinv: float
     packing_ok: bool  # |N| mu(A) <= mu(span A)
-    covering_ok: bool  # mu(span) <= |N| mu(A A^{-1}), for maximal nets
+    covering_ok: bool  # mu(span) <= |N| mu(A A^{-1}); the net is maximal
 
     @property
     def all_ok(self) -> bool:
@@ -140,7 +139,7 @@ def verify_net_bounds(inst: NetInstance) -> NetBoundsReport:
     mu_span = haar(group, inst.span)
     mu_aainv = haar(group, inst.diffs)
     packing = len(inst.net) * mu_a <= mu_span_a + 1e-12
-    covering = (not inst.maximal) or (mu_span <= len(inst.net) * mu_aainv + 1e-12)
+    covering = mu_span <= len(inst.net) * mu_aainv + 1e-12
     return NetBoundsReport(
         net_size=len(inst.net),
         mu_A=mu_a,

@@ -2,12 +2,13 @@
 
 import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
-from gaplab import certificates
+from gaplab import certificates, cli
 from gaplab import (
     GridResolutionError,
     GridTranslationSpace,
@@ -37,6 +38,13 @@ def time_grid(q):
 def cycle_space(size):
     return build_action("finite-permutation", group=Z,
                         permutation=[(i + 1) % size for i in range(size)])
+
+
+def cell_mask(space, cells):
+    """The mask over the cells of ``space`` that holds ``cells``."""
+    mask = np.zeros(space.n_cells, dtype=bool)
+    mask[cells] = True
+    return mask
 
 
 def gathered_thickening(space, seq, n):
@@ -138,22 +146,22 @@ class TestCompanionSet:
     def test_single_cell(self):
         space = cycle_space(8)
         b = np.array([3])
-        out = build_companion_set(space, b, forbidden=b)
+        out = build_companion_set(space, b, forbidden=cell_mask(space, b))
         assert out.tolist() == [0]  # deterministic first free cell
 
     def test_counting(self):
         space = cycle_space(1024)
         b = np.arange(10)
         forbidden = np.arange(410)  # mass 0.4
-        out = build_companion_set(space, b, forbidden)
+        mask = cell_mask(space, forbidden)
+        out = build_companion_set(space, b, mask)
         assert len(out) == 10
         assert set(out) & set(forbidden) == set()
         assert out.tolist() == list(range(410, 420))
-        mask = np.zeros(1024, dtype=bool)
-        mask[forbidden] = True
-        assert build_companion_set(space, b, mask).tolist() == out.tolist()
-        with pytest.raises(PreconditionError, match="one entry per cell"):
-            build_companion_set(space, b, mask[:-1])
+        # the cell indices themselves, or a mask of another length, are no mask
+        for bad in (forbidden, mask[:-1]):
+            with pytest.raises(PreconditionError, match="mask of the 1024 cells"):
+                build_companion_set(space, b, bad)
 
     def test_torus_instance_exhaustive_disjointness(self):
         space = build_action("torus-translation", group=time_grid(2),
@@ -172,7 +180,7 @@ class TestCompanionSet:
     def test_insufficient_room(self):
         space = cycle_space(16)
         with pytest.raises(PreconditionError, match="condition"):
-            build_companion_set(space, np.arange(10), np.arange(10))
+            build_companion_set(space, np.arange(10), cell_mask(space, np.arange(10)))
 
 
 class TestRayleighChain:
@@ -183,10 +191,11 @@ class TestRayleighChain:
             sets=(np.arange(5),), max_n=1,
         )
         mu = GroupMeasure.point_mass(Z, (0,))
-        (row,) = run_certificate(space, mu, seq=seq).rows
+        report = run_certificate(space, mu, seq=seq)
+        (row,) = report.rows
         assert row.rayleigh == pytest.approx(1.0, abs=1e-12)
         assert row.chain_bound == pytest.approx(0.5, abs=1e-12)
-        assert row.chain_asserted
+        assert report.chain_asserted
 
     def test_bernoulli_window_chain_holds(self):
         space = build_action("bernoulli-window", group=Z, alphabet=2,
@@ -200,17 +209,18 @@ class TestRayleighChain:
         )
         report = run_certificate(space, mu, seq=seq)
         assert report.cond1_all and report.cond2_all
+        assert report.chain_asserted
         for row in report.rows:
-            assert row.chain_asserted
-            assert row.rayleigh >= row.chain_bound - 1e-10
+            assert row.rayleigh >= row.chain_bound - certificates.CHAIN_TOL
 
     def test_torus_flow_chain_holds(self):
         space = build_action("torus-translation", group=time_grid(2),
                             N=128, step=(29, 41), slope_hint=SQRT2)
         mu = GroupMeasure.uniform_interval(time_grid(2), -1.0, 1.0)
-        row = run_certificate(space, mu, x0=0, n_max=10).rows[9]
-        assert row.chain_asserted
-        assert row.rayleigh >= row.chain_bound - 1e-10
+        report = run_certificate(space, mu, x0=0, n_max=10)
+        row = report.rows[9]
+        assert report.chain_asserted
+        assert row.rayleigh >= row.chain_bound - certificates.CHAIN_TOL
         assert 0.0 < row.rayleigh <= symmetrize(mu).total_mass ** 10 + 1e-9
 
 
@@ -233,7 +243,7 @@ class TestRayleighOracle:
         for n, row in enumerate(run_certificate(space, mu, seq=seq).rows, 1):
             b = seq.B(n)
             companions.append(build_companion_set(
-                space, b, gathered_thickening(space, seq, n)))
+                space, b, cell_mask(space, gathered_thickening(space, seq, n))))
             want = self.dense_quotient(space, eta, b, companions[-1], n)
             assert row.rayleigh == pytest.approx(want, abs=1e-12), n
         return companions
@@ -289,43 +299,39 @@ class TestRayleighOracle:
         companions = self.assert_rows_match_dense(space, mu, seq)
         assert [c.tolist() for c in companions] == [[0, 1]] * 4
 
-    # cycles (0 1 2), (3 4 5), (6 7 8 9), (10 11 12 13), (14) with the
-    # weights 1, 2, 1, 2, 1 up to normalization
-    TWO_WEIGHT_PERM = [1, 2, 0, 4, 5, 3, 7, 8, 9, 6, 11, 12, 13, 10, 14]
 
-    def two_weight_space(self):
-        weights = np.array([1.0] * 3 + [2.0] * 3 + [1.0] * 4 + [2.0] * 4 + [1.0])
-        return build_action("finite-permutation", group=Z,
-                            permutation=self.TWO_WEIGHT_PERM,
-                            weights=weights / weights.sum())
+class TestEqualWeightPrecondition:
+    # cycles (0 1 2 3) and (4 5 6 7) of light cells, (8 .. 11) and
+    # (12 .. 15) of heavy ones; the permutation preserves the weights
+    PERMUTATION = [i - i % 4 + (i + 1) % 4 for i in range(16)]
 
-    def test_self_correlation_with_two_cell_weights(self):
-        space = self.two_weight_space()
-        perm = self.TWO_WEIGHT_PERM
-        inverse = [perm.index(x) for x in range(len(perm))]
-        a = np.random.default_rng(4).integers(0, 2, size=space.n_cells).astype(np.int8)
-        steps = [0, 1, -1, 2, 5, -7, 12]
-        got = certificates._pair_correlations(
-            space, steps, *certificates._slot_segments(space, np.flatnonzero(a)))
-        for c, value in zip(steps, got.tolist()):
-            back = list(range(len(perm)))  # sigma^-c, so (pi(c) a)(x) = a(back[x])
-            for _ in range(abs(c)):
-                back = [(inverse if c > 0 else perm)[x] for x in back]
-            want = sum(space.weights[x] * a[back[x]] * a[x] for x in range(len(perm)))
-            assert value == pytest.approx(want, abs=1e-15), c
-
-    def test_numerator_with_two_cell_weights(self):
-        space = self.two_weight_space()
-        eta = symmetrize(GroupMeasure.from_atoms(Z, [((1,), 0.6), ((-3,), 0.4)]))
-        eta_hat = certificates._measure_spectra(space, eta)
-        phi = np.random.default_rng(3).integers(-2, 3, size=space.n_cells)
-        for n in range(1, 6):
-            spectra = {length: v ** n for length, v in eta_hat.items()}
-            got = certificates._rayleigh_numerator(space, phi, spectra)
-            averaged = KoopmanAveragingOperator(
-                space, convolution_power(eta, n)).apply_l2(phi)
-            want = float(np.sum(space.weights * averaged * phi))
-            assert got == pytest.approx(want, abs=1e-12)
+    @pytest.mark.parametrize("light,heavy", [
+        (1 / 32, 3 / 32),
+        ((1 - 1e-7) / 16, (1 + 1e-7) / 16),  # one part in 10^7 apart
+    ], ids=["two-weights", "near-equal"])
+    def test_checked_before_the_walk(self, tmp_path, capsys, monkeypatch,
+                                     light, heavy):
+        cfg = {
+            "experiment": "certificate",
+            "group": {"kind": "lattice", "dimension": 1},
+            "measure": {"kind": "point"},
+            "action": {"kind": "finite-permutation",
+                       "permutation": self.PERMUTATION,
+                       "weights": [light] * 8 + [heavy] * 8},
+            "params": {"n_max": 1},
+        }
+        calls = []
+        for name in ("_pair_correlations", "orbit_neighborhood_sequence"):
+            def spy(*args, _name=name, _fn=getattr(certificates, name), **kw):
+                calls.append(_name)
+                return _fn(*args, **kw)
+            monkeypatch.setattr(certificates, name, spy)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert ("error: certificates need an equal-weight cell grid"
+                in capsys.readouterr().err)
+        assert calls == []
 
 
 class TestThickeningFromBalls:
@@ -348,8 +354,10 @@ class TestThickeningFromBalls:
             # the F-overlaps of B_n = S^n V_n from the arcs of V_n
             arcs = certificates._arc_segments(space, powers[n], balls[n - 1])
             runs = certificates._slot_segments(space, seq.B(n))
-            assert np.array_equal(certificates._pair_correlations(space, seq.F, *arcs),
-                                  certificates._pair_correlations(space, seq.F, *runs))
+            weight = space.weights[0]
+            assert np.array_equal(
+                certificates._pair_correlations(space, seq.F, *arcs, weight),
+                certificates._pair_correlations(space, seq.F, *runs, weight))
 
 
 def torus_distance(a, b, n):
@@ -601,6 +609,12 @@ class TestNormLowerBound:
             with pytest.raises(PreconditionError, match="either seq or x0/n_max"):
                 run_certificate(space, mu, seq=seq, **extra)
 
+    def test_seq_runs_on_its_own_space(self):
+        seq = ModerateGrowthSequence(cycle_space(32), S=((0,),), F=((0,),),
+                                     sets=(np.arange(5),), max_n=1)
+        with pytest.raises(PreconditionError, match="seq must be built on the space"):
+            run_certificate(cycle_space(32), GroupMeasure.point_mass(Z, (0,)), seq=seq)
+
     def test_never_exceeds_discrepancy(self):
         space = build_action("torus-translation", group=time_grid(2),
                             N=128, step=(29, 41), slope_hint=SQRT2)
@@ -622,10 +636,10 @@ class TestRunCertificate:
         assert {"slot", "order"} <= space.cycles.__dict__.keys()
         assert report.cond1_all and report.cond2_all
         assert report.norm_lower_bound > 0.5
+        assert report.chain_asserted
         for row in report.rows:
             assert 0.0 <= row.ratio <= 1.0
-            if row.chain_asserted:
-                assert row.rayleigh >= row.chain_bound - 1e-10
+            assert row.rayleigh >= row.chain_bound - certificates.CHAIN_TOL
 
 
 class TestWalkTransforms:
@@ -647,5 +661,5 @@ class TestWalkTransforms:
             space, S=tuple(symmetrize(mu).support()), F=((0,), (1,), (-1,)),
             sets=(np.array([1]),) * n_max, max_n=n_max)
         report = run_certificate(space, mu, seq=seq)
-        assert report.cond2_all and all(row.chain_asserted for row in report.rows)
+        assert report.cond2_all and report.chain_asserted
         assert calls == {"rfft": 2 * (n_max + 1), "irfft": 0}

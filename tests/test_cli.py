@@ -352,6 +352,14 @@ class TestParams:
 KOOPMAN = {**TestParams.REGULAR, "experiment": "koopman-norm",
            "action": {"kind": "torus-translation", "N": 16, "step": [1, 3]}}
 SWEEP = {"experiment": "sweep", "template": TestParams.REGULAR}
+# a torus flow whose hypotheses hold, so that the bound is asserted
+VERIFY = {
+    "experiment": "verify-bound",
+    "group": {"kind": "real-grid", "dimension": 1, "resolution": 2},
+    "measure": {"kind": "uniform-interval", "lo": -1, "hi": 1},
+    "action": {"kind": "torus-translation", "N": 64, "step": [29, 41]},
+    "params": {"regular_norm_method": "amenable"},
+}
 
 # a config with one fault, and the start of the message that names it
 CONFIG_FAULTS = [
@@ -397,6 +405,17 @@ CONFIG_FAULTS = [
     ({**SWEEP, "template": "x"}, "template: expected dict, got 'x'"),
     ({**SWEEP, "template": {**TestParams.REGULAR, "output": {"prefix": "x_"}}},
      "template.output: the sweep's own output names the children's reports"),
+    # float fields take finite numbers only: json reads Infinity, NaN and
+    # -1e400 as floats, and an integer may lie beyond float range
+    ({**VERIFY, "params": {"tol": math.inf}}, "params.tol: expected float, got inf"),
+    ({**VERIFY, "params": {"tol": math.nan}}, "params.tol: expected float, got nan"),
+    ({**VERIFY, "measure": {"kind": "uniform-interval", "lo": -math.inf, "hi": 1}},
+     "measure.lo: expected float, got -inf"),
+    ({**VERIFY, "measure": {"kind": "uniform-interval", "lo": -10**400, "hi": 1}},
+     "measure.lo: expected float, got -1000"),
+    ({**KOOPMAN, "action": {"kind": "finite-permutation", "permutation": [1, 0],
+                            "weights": [math.nan, 0.5]}},
+     "action.weights: expected list[float], got [nan, 0.5]"),
 ]
 
 
@@ -409,6 +428,17 @@ def test_config_fault_exit_two_naming_its_path(tmp_path, capsys, cfg, message):
     assert err.startswith(f"config error: {message}")
     assert "Traceback" not in err
     assert not out_dir.exists()
+
+
+def test_float_literal_beyond_range_exit_two(tmp_path, capsys):
+    # json reads the literal -1e400 as -inf
+    text = json.dumps(VERIFY).replace('"lo": -1,', '"lo": -1e400,')
+    assert "-1e400" in text
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: measure.lo: expected float, got -inf\n")
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -510,7 +540,8 @@ class TestKoopmanNorm:
         }
         code, _ = run_cli(tmp_path, cfg)
         assert code == 2
-        assert "config error: measure:" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "config error: measure.atoms[0].weight: expected float, got nan\n")
 
 
 class TestRegularNormExperiment:
@@ -664,6 +695,16 @@ class TestSweep:
         child = (out_dir / "sweep_child001_record.csv").read_text()
         assert "error,GridResolutionError: " in child
         assert (out_dir / "sweep_child002_record.csv").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exit_two(self, tmp_path, capsys, jobs):
+        cfg = {**SWEEP, "grid": {"params.n_max": [3, 4]}}
+        with pytest.raises(SystemExit) as stop:
+            run_cli(tmp_path, cfg, "--jobs", jobs)
+        assert stop.value.code == 2
+        assert (f"argument --jobs: must be >= 1, got {jobs}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     def test_empty_grid_is_single_child(self, tmp_path):
         cfg = {

@@ -1,0 +1,71 @@
+"""The reports of the shipped ``configs/*.json`` against snapshots.
+
+Every record a config writes, and the certificate's sequence, must match
+the files under ``tests/snapshots/<config>/``: numbers that are not both
+integers within 1e-9 relative, every other field exactly.  A change that
+means to move a reported number rewrites its snapshot and says why.
+"""
+
+import csv
+import math
+from pathlib import Path
+
+import pytest
+
+from gaplab.cli import ENV_OUT_DIR, main
+
+ROOT = Path(__file__).resolve().parents[1]
+SNAPSHOTS = Path(__file__).with_name("snapshots")
+CONFIGS = sorted((ROOT / "configs").glob("*.json"))
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def _number(text):
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def same_field(got: str, want: str) -> bool:
+    """Equal text, or two numbers within 1e-9 relative unless both are
+    integers."""
+    a, b = _number(got), _number(want)
+    if a is None or b is None or (type(a) is int and type(b) is int):
+        return got == want
+    return math.isclose(a, b, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=[path.stem for path in CONFIGS])
+def test_reports_match_snapshots(tmp_path, monkeypatch, config):
+    monkeypatch.delenv(ENV_OUT_DIR, raising=False)
+    assert main(["--config", str(config), "--out", str(tmp_path)]) == 0
+    snapshots = SNAPSHOTS / config.stem
+    assert (sorted(path.name for path in tmp_path.glob("*record.csv"))
+            == sorted(path.name for path in snapshots.glob("*record.csv")))
+    for snapshot in sorted(snapshots.iterdir()):
+        got, want = read_rows(tmp_path / snapshot.name), read_rows(snapshot)
+        assert [len(row) for row in got] == [len(row) for row in want], snapshot.name
+        for line, (row, expected) in enumerate(zip(got, want), 1):
+            assert all(map(same_field, row, expected)), (snapshot.name, line, row)
+
+
+@pytest.mark.parametrize("got,want,same", [
+    ("0.991735008479", "0.991735008479", True),
+    ("0.9917350084795", "0.991735008479", True),
+    ("0.99173501", "0.991735008479", False),
+    ("1", "0.9999999999995", True),
+    ("16", "17", False),
+    ("true", "false", False),
+    ("(16;0)", "(16;0)", True),
+])
+def test_field_comparison(got, want, same):
+    assert same_field(got, want) is same
