@@ -32,7 +32,7 @@ from .errors import (
     InternalConsistencyError,
     PreconditionError,
 )
-from .groups import GroupDescriptor, _sum_set, is_symmetric_set
+from .groups import GroupDescriptor, _powers, is_symmetric_set
 from .measures import (
     DEFAULT_SUPPORT_CAP,
     GroupMeasure,
@@ -139,11 +139,8 @@ def _symmetric_steps(space: ActionSpace, atoms, name: str) -> np.ndarray:
 def _step_powers(group: GroupDescriptor, S: np.ndarray, k: int) -> list[np.ndarray]:
     """S^0..S^k of a step array S, each sorted: the steps add as the
     elements compose (mod N on ``torus-grid``)."""
-    powers = [np.zeros(1, dtype=np.int64)]
-    for _ in range(k):
-        powers.append(_sum_set(group, powers[-1], S, DEFAULT_SUPPORT_CAP,
-                               "step power").ravel())
-    return powers
+    return [p.ravel() for p in _powers(group, S[:, None], k, DEFAULT_SUPPORT_CAP,
+                                       "step power")]
 
 
 def _arc_segments(space: ActionSpace, steps,
@@ -403,7 +400,7 @@ def _walk(seq: ModerateGrowthSequence, slack: float, eta: GroupMeasure,
         f_mass = sum(w for w, keep in zip(weights.tolist(), in_f) if keep)
         phi = np.zeros(space.n_cells, dtype=np.int8)
         phi[b] = 1
-        phi[build_companion_set(space, b, covered)] = -1
+        phi[_companion_set(b, covered)] = -1
         spectra = {length: values ** n for length, values in eta_hat.items()}
         rows.append(_row(n, space.mass_of(b), space.mass_of(covered),
                          float(overlaps.min()),
@@ -439,6 +436,13 @@ def build_companion_set(
     if forbidden.dtype != bool or forbidden.shape != (space.n_cells,):
         raise PreconditionError(
             f"the forbidden set must be a mask of the {space.n_cells} cells")
+    return _companion_set(b, forbidden)
+
+
+def _companion_set(b: np.ndarray, forbidden: np.ndarray) -> np.ndarray:
+    """``build_companion_set`` without its checks, for a caller that has
+    checked the equal cell weights and the mask: the first len(b) cells
+    outside the mask."""
     free = np.flatnonzero(~forbidden)
     if len(free) < len(b):
         raise PreconditionError(

@@ -352,6 +352,14 @@ def _run_starts(ordered: np.ndarray) -> np.ndarray:
     return starts
 
 
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct keys in increasing order, by a sort and its run starts
+    (``np.unique`` hashes first: 2 to 8 times slower on these arrays,
+    numpy 2.4)."""
+    keys = np.sort(keys)
+    return keys[_run_starts(keys)]
+
+
 def _check_cap(size: int, cap: int, what: str) -> None:
     if size > cap:
         raise ResourceLimitError(f"{what} exceeded the support cap of {cap} elements")
@@ -363,9 +371,18 @@ def product_set(
     ys: list[Element] | tuple[Element, ...],
     cap: int = 10_000_000,
 ) -> list[Element]:
-    """The product set {x*y}, deduplicated, in deterministic order."""
+    """The product set {x*y}, deduplicated, in deterministic order.
+
+    On the abelian kinds the sums are keyed in one box (reduced mod N on
+    the torus); coordinates that are not integers, or sums that leave
+    int64, raise ``DescriptorMismatchError``.  More than ``cap`` elements
+    raise ``ResourceLimitError``.
+    """
     if group.is_abelian:
-        return _tuples(_sum_set(group, xs, ys, cap, "product set"))
+        box, xk, yk = _factor_keys(group, xs, ys, "product set")
+        keys = _distinct(box.add(xk, yk))
+        _check_cap(len(keys), cap, "product set")
+        return _tuples(box.cells(keys))
     out = set()
     for x in xs:
         for y in ys:
@@ -375,18 +392,6 @@ def product_set(
                     f"product set exceeded the support cap of {cap} elements"
                 )
     return sorted(out, key=group.sort_key)
-
-
-def _sum_set(group: GroupDescriptor, xs, ys, cap: int, what: str) -> np.ndarray:
-    """The distinct sums x + y of an abelian kind, in ``sort_key`` order, as an
-    (n, d) int64 array (reduced mod N on the torus).  More than ``cap``
-    distinct sums raise ``ResourceLimitError``; coordinates that are not
-    integers, or sums that leave int64, ``DescriptorMismatchError``."""
-    box, xk, yk = _factor_keys(group, xs, ys, what)
-    keys = np.sort(box.add(xk, yk))  # no positions: less work than _unique_keys
-    keys = keys[_run_starts(keys)]
-    _check_cap(len(keys), cap, what)
-    return box.cells(keys)
 
 
 def inverse_set(group: GroupDescriptor, xs) -> list[Element]:
@@ -400,15 +405,57 @@ def power_set(
     if n < 0:
         raise ValueError("power must be >= 0")
     if group.is_abelian:
-        acc = np.zeros((1, group.dimension), dtype=np.int64)
-        base = _coordinates(group, base, "product set")
+        box, _, keys = _power_keys(group, base, n, cap, "product set")
+        return _tuples(box.cells(keys[n]))
+    return _powers(group, base, n, cap, "product set")[n]
+
+
+def _powers(group: GroupDescriptor, base, n: int, cap: int, what: str) -> list:
+    """B^0..B^n for B = base, each in ``sort_key`` order: lists of words on
+    the free group, by ``product_set``; (m, d) int64 cell arrays on the
+    abelian kinds, from ``_power_keys``."""
+    if not group.is_abelian:
+        powers = [[group.identity()]]
         for _ in range(n):
-            acc = _sum_set(group, acc, base, cap, "product set")
-        return _tuples(acc)
-    acc: list[Element] = [group.identity()]
+            powers.append(product_set(group, powers[-1], base, cap))
+        return powers
+    box, lo, keys = _power_keys(group, base, n, cap, what)
+    return [box.cells(k) - (n - i) * lo for i, k in enumerate(keys)]
+
+
+def _power_keys(group: GroupDescriptor, base, n: int, cap: int, what: str):
+    """B^0..B^n of an abelian kind as increasing key arrays of one box,
+    that of B^n: the box, the least corner lo of B (0 on the torus) and
+    the keys.
+
+    B^k is keyed as B^k + (n - k) lo, so that the keys of B^k and of
+    B - lo add to those of B^{k+1}, and the cells of B^k are
+    ``box.cells(keys[k]) - (n - k) lo``.  More than ``cap`` cells in a
+    power raise ``ResourceLimitError``, a B^n whose box leaves int64
+    ``DescriptorMismatchError``.
+    """
+    b = _coordinates(group, base, what)
+    lo, hi = _bounds(group, b)
+    if group.kind == TORUS_GRID:
+        box = KeyBox.torus(group, what)
+    else:  # in Python ints: n times a corner may leave int64
+        box = KeyBox(group, [n * c for c in lo.tolist()], [n * c for c in hi.tolist()], what)
+    step = (b - lo) @ box.strides
+    keys = [np.zeros(1, dtype=np.int64)]
     for _ in range(n):
-        acc = product_set(group, acc, base, cap=cap)
-    return acc
+        keys.append(_distinct(box.add(keys[-1], step)))
+        _check_cap(len(keys[-1]), cap, what)
+    return box, lo, keys
+
+
+def _bounds(group: GroupDescriptor, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The least and greatest coordinate of a cell array on each axis: the
+    corners of its bounding box, or 0 for no cells and on the torus, whose
+    box is the whole torus."""
+    if group.kind == TORUS_GRID or not len(cells):
+        zero = np.zeros(group.dimension, dtype=np.int64)
+        return zero, zero
+    return cells.min(axis=0), cells.max(axis=0)
 
 
 def is_symmetric_set(group: GroupDescriptor, xs) -> bool:

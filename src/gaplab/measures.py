@@ -19,6 +19,7 @@ from .groups import (
     Element,
     GroupDescriptor,
     KeyBox,
+    _check_cap,
     _factor_keys,
     _unique_keys,
 )
@@ -183,24 +184,31 @@ def _convolve_arrays(group: GroupDescriptor, cells_a, w_a, cells_b, w_b, cap: in
 
 def _convolve_keys(box: KeyBox, keys_a, w_a, keys_b, w_b, cap: int):
     """Abelian ``convolve`` on (keys, weights) arrays whose ``box.add`` keys
-    the sums, in first-formed order.
+    the sums, in first-formed order; the keys on each side are distinct.
 
     The pairs are taken x-major, and ``np.bincount`` adds their products in
-    pair order, as the pair loop does.  As in ``GroupMeasure``, the first
-    non-finite weight raises, naming its cell, and weights that underflow to
-    0 are dropped.
+    pair order, as the pair loop does.  When one side is a single atom the
+    product is a translate: its sums are distinct and in the other side's
+    order, and each weight is one product.  As in ``GroupMeasure``, the
+    first non-finite weight raises, naming its cell, and weights that
+    underflow to 0 are dropped.
     """
-    keys, index, first = _unique_keys(box.add(keys_a, keys_b), cap, "convolution")
     with np.errstate(over="ignore"):  # an overflow is reported below, by atom
-        products = np.multiply.outer(w_a, w_b)
-    order = np.argsort(first)
-    weights = np.bincount(index, weights=products.ravel(), minlength=len(keys))[order]
+        products = np.multiply.outer(w_a, w_b).ravel()
+    if min(len(keys_a), len(keys_b)) == 1:
+        keys, weights = box.add(keys_a, keys_b), products
+        _check_cap(len(keys), cap, "convolution")
+    else:
+        keys, index, first = _unique_keys(box.add(keys_a, keys_b), cap, "convolution")
+        order = np.argsort(first)
+        keys = keys[order]
+        weights = np.bincount(index, weights=products, minlength=len(keys))[order]
     bad = ~np.isfinite(weights)
     if bad.any():
-        g = box.cells(keys[order[bad]][:1])[0].tolist()
+        g = box.cells(keys[bad][:1])[0].tolist()
         raise PreconditionError(f"non-finite weight {weights[bad][0]} at atom {tuple(g)}")
     keep = weights > 0
-    return keys[order[keep]], weights[keep]
+    return keys[keep], weights[keep]
 
 
 def involute(a: GroupMeasure) -> GroupMeasure:

@@ -17,15 +17,23 @@ from .errors import PreconditionError
 from .groups import (
     Element,
     GroupDescriptor,
-    _factor_keys,
+    KeyBox,
+    TORUS_GRID,
+    _bounds,
+    _coordinates,
+    _distinct,
+    _powers,
+    _tuples,
     inverse_set,
     product_set,
 )
+from .measures import DEFAULT_SUPPORT_CAP
 
 
 def haar(group: GroupDescriptor, cells) -> float:
-    """Haar measure of a finite cell set: cardinality times cell volume."""
-    return len(set(cells)) * group.cell_volume
+    """Haar measure of a finite cell set: the number of distinct cells
+    (torus cells mod N) times the cell volume."""
+    return len({group.canonical(x) for x in cells}) * group.cell_volume
 
 
 def _canonical_set(group: GroupDescriptor, xs) -> list[Element]:
@@ -44,6 +52,7 @@ class NetInstance:
     net: tuple
     span: tuple  # the set the net lives in (B^n)
     diffs: tuple  # A A^{-1}, the set each net point blocks around itself
+    span_a_cells: int  # |span A|, counted where the net is built
 
 
 def greedy_maximal_net(
@@ -59,58 +68,107 @@ def greedy_maximal_net(
     iff their A-translate is disjoint from all accepted translates pA,
     that is, iff they lie in no p A A^{-1}.  The result is maximal (no
     remaining point can be added), hence the span is covered by
-    net * A * A^{-1}.
+    net * A * A^{-1}.  The sets may be lists of elements or, on the
+    abelian kinds, (m, d) integer arrays of cells.
     """
+    if group.is_abelian:
+        return _abelian_net(group, span, A, B, n)
     A = _canonical_set(group, A)
     if group.identity() not in A:
         raise PreconditionError("A must contain the identity")
     span = _canonical_set(group, span)
     diffs = product_set(group, A, inverse_set(group, A))
-    if group.is_abelian:
-        net = _abelian_greedy(group, span, diffs)
-    else:
-        blocked: set[Element] = set()
-        net = []
-        for point in span:
-            if point not in blocked:
-                net.append(point)
-                blocked.update(product_set(group, [point], diffs))
+    blocked: set[Element] = set()
+    net = []
+    for point in span:
+        if point not in blocked:
+            net.append(point)
+            blocked.update(product_set(group, [point], diffs))
     return NetInstance(
         group=group,
         A=tuple(A),
-        B=tuple(_canonical_set(group, B)) if B else tuple(),
+        B=tuple(_canonical_set(group, B)) if B is not None else (),
         n=n,
         net=tuple(net),
         span=tuple(span),
         diffs=tuple(diffs),
+        span_a_cells=len(product_set(group, span, A)),
     )
 
 
-#: sums span + A A^{-1} keyed at once by ``_abelian_greedy``, which bounds its memory
+#: sums span + A A^{-1} keyed at once by ``_greedy``, which bounds its memory
 _NET_PAIRS = 1 << 20
 
 
-def _abelian_greedy(group: GroupDescriptor, span: list, diffs: list) -> list:
-    """The greedy net of ``greedy_maximal_net`` on an abelian kind: the sums
-    span + A A^{-1} are keyed a block of rows at a time, located in the
-    span by binary search, and each accepted point marks the span points of
-    its row in a boolean array over the span."""
-    if not span:
-        return []
-    box, span_keys, diff_keys = _factor_keys(group, span, diffs, "net")
-    zero = diffs.index(group.identity())
-    points = box.add(span_keys, diff_keys[zero:zero + 1])  # increasing, as span
-    blocked = np.zeros(len(span) + 1, dtype=bool)  # the last slot: sums off the span
-    rows = max(1, _NET_PAIRS // len(diffs))
+def _abelian_net(group: GroupDescriptor, span, A, B, n: int) -> NetInstance:
+    """``greedy_maximal_net`` on an abelian kind: the span S, A, B and
+    A A^{-1} are keyed once, in one box, and canonicalized by their
+    distinct keys, which sort as the cells do.
+
+    The box has least corner 0, where keys add as the cells do, and each
+    set is shifted into it: S as S - lo(S), B as B - lo(B), and A A^{-1}
+    as (A - lo(A)) + (hi(A) - A), that is A A^{-1} + w with w = hi(A) -
+    lo(A).  A is keyed in that frame, as A + w, and the points of S as
+    S - lo(S) + w, in the frame of the sums S + A A^{-1}.  On the torus
+    the box is the whole torus and every shift is 0.  No mask over the
+    box is built: ``_greedy`` locates the sums among the points by binary
+    search.
+    """
+    what = "net"
+    s, a = _coordinates(group, span, what), _coordinates(group, A, what)
+    b = _coordinates(group, () if B is None else B, what)
+    if not (a == 0).all(axis=1).any():
+        raise PreconditionError("A must contain the identity")
+    bounds = [_bounds(group, x) for x in (s, a, b)]
+    (s_lo, _), (a_lo, a_hi), (b_lo, _) = bounds
+    if group.kind == TORUS_GRID:
+        box = KeyBox.torus(group, what)
+    else:  # in Python ints: a width may leave int64
+        s_w, a_w, b_w = ([h - l for l, h in zip(lo.tolist(), hi.tolist())] for lo, hi in bounds)
+        box = KeyBox(group, [0] * group.dimension,
+                     [max(x + 2 * y, z) for x, y, z in zip(s_w, a_w, b_w)], what)
+    w, strides = a_hi - a_lo, box.strides  # the box's least corner is 0
+    span_keys = _distinct((s - s_lo) @ strides)
+    a_keys = _distinct((a + w) @ strides)
+    b_keys = _distinct((b - b_lo) @ strides)
+    neg = _coordinates(group, a_hi - a, what)  # reduced mod N on the torus
+    diff_keys = _distinct(box.add((a - a_lo) @ strides, neg @ strides))
+    span = box.cells(span_keys) + s_lo
+    zero = w @ strides  # the identity in the frame of A A^{-1}
+    # off the torus p + d follows p in key order iff d > 0 does, and an
+    # accepted point blocks only points at or after it
+    ahead = diff_keys if box.modulus else diff_keys[diff_keys >= zero]
+    net = _greedy(box, span_keys, span_keys + zero, ahead)
+    return NetInstance(
+        group=group,
+        A=tuple(_tuples(box.cells(a_keys) - w)),
+        B=tuple(_tuples(box.cells(b_keys) + b_lo)),
+        n=n,
+        net=tuple(_tuples(span[net])),
+        span=tuple(_tuples(span)),
+        diffs=tuple(_tuples(box.cells(diff_keys) - w)),
+        span_a_cells=len(_distinct(box.add(span_keys, a_keys))),
+    )
+
+
+def _greedy(box: KeyBox, span_keys, points, diff_keys) -> list[int]:
+    """The span rows the greedy net accepts, in order.  ``box.add(span_keys,
+    diff_keys)`` keys the sums of S and the differences a point blocks, in
+    the frame of ``points``, the increasing keys of S; the sums are keyed
+    about ``_NET_PAIRS`` at a time, located among the points by binary
+    search, and each accepted point marks the points of its row in a
+    boolean array over the span."""
+    blocked = np.zeros(len(points) + 1, dtype=bool)  # the last slot: sums off the span
+    rows = max(1, _NET_PAIRS // len(diff_keys))
     net = []
-    for start in range(0, len(span), rows):
+    for start in range(0, len(points), rows):
         sums = box.add(span_keys[start:start + rows], diff_keys)
-        at = np.searchsorted(points, sums).clip(max=len(span) - 1)
-        at[points[at] != sums] = len(span)
-        block = at.reshape(-1, len(diffs))
+        at = np.searchsorted(points, sums)
+        at[points.take(at, mode="clip") != sums] = len(points)
+        block = at.reshape(-1, len(diff_keys))
         for i in range(start, start + len(block)):
             if not blocked[i]:
-                net.append(span[i])
+                net.append(i)
                 blocked[block[i - start]] = True
     return net
 
@@ -131,13 +189,13 @@ class NetBoundsReport:
 
 
 def verify_net_bounds(inst: NetInstance) -> NetBoundsReport:
-    """Check both counting inequalities exactly in Haar cell weights."""
-    group = inst.group
-    span_a = product_set(group, inst.span, inst.A)
-    mu_a = haar(group, inst.A)
-    mu_span_a = haar(group, span_a)
-    mu_span = haar(group, inst.span)
-    mu_aainv = haar(group, inst.diffs)
+    """Check both counting inequalities exactly in Haar cell weights: each
+    volume is a count of distinct cells times the cell volume."""
+    volume = inst.group.cell_volume
+    mu_a = len(inst.A) * volume
+    mu_span_a = inst.span_a_cells * volume
+    mu_span = len(inst.span) * volume
+    mu_aainv = len(inst.diffs) * volume
     packing = len(inst.net) * mu_a <= mu_span_a + 1e-12
     covering = mu_span <= len(inst.net) * mu_aainv + 1e-12
     return NetBoundsReport(
@@ -180,27 +238,24 @@ def net_ratio_study(
     n_range = sorted(n_range)
     if not n_range or n_range[0] < 3:
         raise PreconditionError("the ratio study needs n >= 3 throughout")
-    A1, A2, B = (_canonical_set(group, xs) for xs in (A1, A2, B))
-
-    powers = {0: [group.identity()]}
-    for m in range(1, max(n_range) + 1):
-        powers[m] = product_set(group, powers[m - 1], B)
+    powers = _powers(group, B, n_range[-1], DEFAULT_SUPPORT_CAP, "product set")
+    volume = group.cell_volume
 
     k1 = k2 = k3 = 0.0
     ratios = {}
     for n in n_range:
-        bn, bn2 = powers[n], powers[n - 2]
-        k1 = max(k1, haar(group, product_set(group, bn, A1)) / haar(group, bn))
-        k2 = max(k2, haar(group, product_set(group, bn2, A2)) / haar(group, bn))
-        k3 = max(k3, haar(group, bn) / haar(group, bn2))
-        n1 = greedy_maximal_net(group, bn, A1, B=B, n=n)
-        n2 = greedy_maximal_net(group, bn2, A2, B=B, n=n - 2)
+        n1 = greedy_maximal_net(group, powers[n], A1, B=B, n=n)
+        n2 = greedy_maximal_net(group, powers[n - 2], A2, B=B, n=n - 2)
+        mu_bn, mu_bn2 = len(n1.span) * volume, len(n2.span) * volume
+        k1 = max(k1, n1.span_a_cells * volume / mu_bn)
+        k2 = max(k2, n2.span_a_cells * volume / mu_bn)
+        k3 = max(k3, mu_bn / mu_bn2)
         ratios[n] = len(n2.net) / len(n1.net)
 
-    mu_a1 = haar(group, A1)
-    mu_a2 = haar(group, A2)
-    mu_a1a1 = haar(group, n1.diffs)
-    mu_a2a2 = haar(group, n2.diffs)
+    mu_a1 = len(n1.A) * volume
+    mu_a2 = len(n2.A) * volume
+    mu_a1a1 = len(n1.diffs) * volume
+    mu_a2a2 = len(n2.diffs) * volume
     c1 = mu_a1 / (k3 * k1 * mu_a2a2)
     c2 = k2 * mu_a1a1 / mu_a2
     within = all(c1 - 1e-12 <= r <= c2 + 1e-12 for r in ratios.values())

@@ -333,6 +333,24 @@ class TestEqualWeightPrecondition:
                 in capsys.readouterr().err)
         assert calls == []
 
+    def test_companion_checks_weights_for_its_own_callers(self):
+        space = build_action("finite-permutation", group=Z, permutation=self.PERMUTATION,
+                             weights=[1 / 32] * 8 + [3 / 32] * 8)
+        with pytest.raises(PreconditionError, match="equal-weight cell grid"):
+            build_companion_set(space, np.array([0]), cell_mask(space, np.array([0])))
+
+    def test_walk_checks_weights_once(self, monkeypatch):
+        calls = []
+
+        def spy(space, _fn=certificates._cell_weight):
+            calls.append(space)
+            return _fn(space)
+        monkeypatch.setattr(certificates, "_cell_weight", spy)
+        report = run_certificate(cycle_space(256), GroupMeasure.uniform_on(Z, [(-1,), (1,)]),
+                                 n_max=4)
+        assert len(report.rows) == 4
+        assert len(calls) == 1
+
 
 class TestThickeningFromBalls:
     """S^n B_n of the x0 route, S^{2n} V_n, against the dilation of B_n."""

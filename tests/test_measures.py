@@ -273,6 +273,35 @@ class TestAbelianPairSums:
             product_set(group, xs, ys, cap=size - 1)
 
 
+class TestOneAtomTranslate:
+    """A one-atom factor translates the other side: the pair loop's sums and
+    weights, dropped where they underflow, in the other side's order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair_case(), st.booleans())
+    def test_matches_pair_loop(self, case, atom_first):
+        group, xs, ys = case
+        a, b = GroupMeasure.from_atoms(group, xs[:1]), GroupMeasure.from_atoms(group, ys)
+        if not atom_first:
+            a, b = b, a
+        want = [(g, w) for g, w in brute_convolve(a, b).items() if w > 0]
+        assert list(convolve(a, b).atoms.items()) == want
+
+    def test_underflow_overflow_and_cap(self):
+        t5 = GroupDescriptor(kind="torus-grid", dimension=1, size=5)
+        atom = GroupMeasure.point_mass(t5, (3,), 1e-200)
+        other = GroupMeasure.from_atoms(t5, [((4,), 1e-200), ((1,), 0.5)])
+        for a, b in ((atom, other), (other, atom)):
+            assert list(convolve(a, b).atoms.items()) == [((4,), 1e-200 * 0.5)]
+        huge = GroupMeasure.point_mass(t5, (3,), 1e300)
+        other = GroupMeasure.from_atoms(t5, [((1,), 1.0), ((4,), 1e300)])
+        with pytest.raises(PreconditionError, match=r"non-finite weight inf at atom \(2,\)"):
+            convolve(huge, other)
+        assert len(convolve(atom, other, cap=2)) == 2
+        with pytest.raises(ResourceLimitError, match="convolution exceeded the support cap of 1"):
+            convolve(other, atom, cap=1)
+
+
 # -- box keys against the lexicographic row sort -------------------------------
 
 KEY_GROUPS = [

@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 from gaplab import (
     GroupDescriptor,
     PreconditionError,
+    ResourceLimitError,
     greedy_maximal_net,
     inverse_set,
     power_set,
     product_set,
 )
-from gaplab import nets
-from gaplab.nets import net_ratio_study, verify_net_bounds
+from gaplab import groups, nets
+from gaplab.nets import haar, net_ratio_study, verify_net_bounds
 
 Z = GroupDescriptor(kind="lattice", dimension=1)
 Z2 = GroupDescriptor(kind="lattice", dimension=2)
@@ -52,6 +53,23 @@ class TestGreedyNet:
     def test_empty_span(self):
         inst = greedy_maximal_net(Z, [], A=[(0,)])
         assert inst.net == ()
+
+    def test_array_inputs(self):
+        # span, A and B as (m, d) integer arrays, as the ratio study passes
+        # its powers, give the instance of the same lists
+        span, A, B = power_set(Z2, box(1), 2), [(0, 0), (1, 0), (0, 1)], box(1)
+        want = greedy_maximal_net(Z2, span, A, B=B, n=2)
+        got = greedy_maximal_net(Z2, np.array(span[::-1]), np.array(A), B=np.array(B), n=2)
+        assert got == want
+        assert got.B == tuple(B)
+
+    def test_span_at_the_int64_edge(self):
+        # span + A A^{-1} is keyed by offsets in the box, so its sums may
+        # leave int64, where a box of the sums themselves would not fit
+        top = 2**63 - 1
+        inst = greedy_maximal_net(Z, [(top,), (top - 2,)], A=[(0,), (1,)])
+        assert inst.net == ((top - 2,), (top,))
+        assert verify_net_bounds(inst).mu_spanA == 4
 
     def test_requires_identity_in_A(self):
         with pytest.raises(PreconditionError):
@@ -109,6 +127,7 @@ class TestGreedyNetOracle:
         assert net_is_separated(inst)
         assert net_is_maximal(inst)
         assert inst.diffs == tuple(product_set(group, inst.A, inverse_set(group, inst.A)))
+        assert inst.span_a_cells == len(product_set(group, inst.span, inst.A))
         for pairs in (1, 3 * len(inst.diffs)):  # one span row, and three, per block
             with mock.patch.object(nets, "_NET_PAIRS", pairs):
                 assert greedy_maximal_net(group, span, A).net == inst.net
@@ -185,6 +204,10 @@ class TestNetBounds:
         report = verify_net_bounds(inst)
         assert report.mu_A == pytest.approx(2 / 4)
         assert report.all_ok
+        # -1 and 10 are one cell of Z/11
+        t11 = GroupDescriptor(kind="torus-grid", dimension=1, size=11)
+        assert haar(t11, [(-1,), (10,)]) == 1 / 11
+        assert haar(grid, [(1,), (1,), (2,)]) == 2 / 4
 
 
 class TestRatioStudy:
@@ -215,3 +238,44 @@ class TestRatioStudy:
         with pytest.raises(PreconditionError):
             net_ratio_study(Z, A1=[(0,)], A2=[(0,)], B=[(0,)], n_range=[2, 3])
 
+
+POWER_GROUPS = [
+    GroupDescriptor(kind="lattice", dimension=1),
+    GroupDescriptor(kind="lattice", dimension=2),
+    GroupDescriptor(kind="real-grid", dimension=1, resolution=4),
+    GroupDescriptor(kind="real-grid", dimension=2, resolution=2),
+    GroupDescriptor(kind="torus-grid", dimension=1, size=7),
+    GroupDescriptor(kind="torus-grid", dimension=2, size=5),
+]
+
+
+@st.composite
+def power_case(draw):
+    """A group, a base set (possibly empty) and a power n in 0..6; torus
+    coordinates also negative or beyond N."""
+    group = draw(st.sampled_from(POWER_GROUPS))
+    reach = (-group.size, 2 * group.size) if group.kind == "torus-grid" else (-4, 4)
+    cell = st.tuples(*[st.integers(*reach)] * group.dimension)
+    return group, draw(st.lists(cell, max_size=6)), draw(st.integers(0, 6))
+
+
+class TestPowers:
+    """B^0..B^n from one box against the iterated product set."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(power_case())
+    def test_matches_iterated_product_set(self, case):
+        group, base, n = case
+        want = [[group.identity()]]
+        for _ in range(n):
+            want.append(product_set(group, want[-1], base))
+        got = groups._powers(group, base, n, 10**6, "test")
+        assert [[tuple(c) for c in p.tolist()] for p in got] == want
+        assert power_set(group, base, n) == want[n]
+
+    def test_empty_base_and_cap(self):
+        assert [len(p) for p in groups._powers(Z2, [], 3, 10, "test")] == [1, 0, 0, 0]
+        assert power_set(Z2, [], 0) == [(0, 0)]
+        assert power_set(Z, [(0,), (1,)], 3, cap=4) == interval(0, 3)
+        with pytest.raises(ResourceLimitError, match="product set exceeded the support cap of 3"):
+            power_set(Z, [(0,), (1,)], 3, cap=3)

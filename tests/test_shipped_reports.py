@@ -1,12 +1,15 @@
 """The reports of the shipped ``configs/*.json`` against snapshots.
 
 Every record a config writes, and the certificate's sequence, must match
-the files under ``tests/snapshots/<config>/``: numbers that are not both
-integers within 1e-9 relative, every other field exactly.  A change that
-means to move a reported number rewrites its snapshot and says why.
+the files under ``tests/snapshots/<config>/``, and the record and sequence
+of the benchmark's ``nets`` batch those under ``tests/snapshots/nets/``:
+numbers that are not both integers within 1e-9 relative, every other
+field exactly.  A change that means to move a reported number rewrites its
+snapshot and says why.
 """
 
 import csv
+import json
 import math
 from pathlib import Path
 
@@ -44,18 +47,34 @@ def same_field(got: str, want: str) -> bool:
     return math.isclose(a, b, rel_tol=1e-9)
 
 
+def assert_reports_match(out_dir: Path, snapshots: Path) -> None:
+    assert (sorted(path.name for path in out_dir.glob("*record.csv"))
+            == sorted(path.name for path in snapshots.glob("*record.csv")))
+    for snapshot in sorted(snapshots.iterdir()):
+        got, want = read_rows(out_dir / snapshot.name), read_rows(snapshot)
+        assert [len(row) for row in got] == [len(row) for row in want], snapshot.name
+        for line, (row, expected) in enumerate(zip(got, want), 1):
+            assert all(map(same_field, row, expected)), (snapshot.name, line, row)
+
+
 @pytest.mark.parametrize("config", CONFIGS, ids=[path.stem for path in CONFIGS])
 def test_reports_match_snapshots(tmp_path, monkeypatch, config):
     monkeypatch.delenv(ENV_OUT_DIR, raising=False)
     assert main(["--config", str(config), "--out", str(tmp_path)]) == 0
-    snapshots = SNAPSHOTS / config.stem
-    assert (sorted(path.name for path in tmp_path.glob("*record.csv"))
-            == sorted(path.name for path in snapshots.glob("*record.csv")))
-    for snapshot in sorted(snapshots.iterdir()):
-        got, want = read_rows(tmp_path / snapshot.name), read_rows(snapshot)
-        assert [len(row) for row in got] == [len(row) for row in want], snapshot.name
-        for line, (row, expected) in enumerate(zip(got, want), 1):
-            assert all(map(same_field, row, expected)), (snapshot.name, line, row)
+    assert_reports_match(tmp_path, SNAPSHOTS / config.stem)
+
+
+#: the ``nets`` batch of the benchmark at seed 0, which no shipped config runs
+NETS = {"experiment": "nets", "params": {"count": 40, "ratio_n_max": 10, "seed": 0},
+        "output": {"prefix": "nets_"}}
+
+
+def test_nets_report_matches_snapshot(tmp_path, monkeypatch):
+    monkeypatch.delenv(ENV_OUT_DIR, raising=False)
+    config = tmp_path / "nets.json"
+    config.write_text(json.dumps(NETS))
+    assert main(["--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert_reports_match(tmp_path / "out", SNAPSHOTS / "nets")
 
 
 @pytest.mark.parametrize("got,want,same", [
