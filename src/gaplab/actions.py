@@ -29,6 +29,7 @@ All action maps are bijections, so the cell weights are preserved exactly.
 from __future__ import annotations
 
 import math
+import os
 from fractions import Fraction
 from functools import cached_property
 
@@ -39,8 +40,27 @@ from .errors import (
     DescriptorMismatchError,
     GridResolutionError,
     PreconditionError,
+    ResourceLimitError,
 )
 from .groups import TORUS_GRID, GroupDescriptor, _run_starts
+
+
+#: bytes per cell while an action is built: 8 for sigma, and 3.25 words
+#: for the cycle table's keys, two work arrays and one bool array (the
+#: budget that tests/test_actions.py pins)
+CELL_BYTES = 8 + 26
+
+
+def _check_cells(cells: int, count: str) -> None:
+    """Refuse an action of ``cells`` cells (written ``count``) whose build
+    needs more than the machine's physical memory, before any cell-sized
+    array exists."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if cells * CELL_BYTES > memory:
+        raise ResourceLimitError(
+            f"{count} cells need {CELL_BYTES} bytes each to build, more than "
+            f"the {memory} bytes of physical memory"
+        )
 
 
 def continued_fraction_convergent(alpha: float, max_denominator: int) -> tuple[int, int]:
@@ -62,30 +82,39 @@ class CycleTable:
     """
 
     def __init__(self, sigma: np.ndarray):
+        sigma = np.asarray(sigma, dtype=np.int64)
         n = sigma.size
         # pointer doubling: after t rounds key[i] packs (m, d) for the least
         # cell m among sigma^j(i), 0 <= j < 2^t, with sigma^d(i) = m; one
         # minimum merges two windows and keeps the nearer occurrence.  While
         # a cycle is longer than 2^t, the cell 2^t steps short of its least
         # cell gains that cell, so a round that lowers no key ends the loop
-        # with every window covering its cycle
+        # with every window covering its cycle.  Two work arrays take turns:
+        # one takes the merged keys and then sigma's next power, the array
+        # of the previous power takes the next merged keys.  Every index is
+        # a cell, so the gathers clip, which writes ``out`` directly
         self._shift = (2 * n).bit_length()
-        key = np.arange(n, dtype=np.int64) << self._shift
-        ahead = sigma
+        key = np.arange(n, dtype=np.int64)
+        key <<= self._shift
+        ahead, merged = sigma, np.empty_like(key)
+        lowered = np.empty(n, dtype=bool)
         span = 1
         while True:
-            merged = key[ahead]
+            np.take(key, ahead, out=merged, mode="clip")
             merged += span
-            if not (merged < key).any():
+            if not np.less(merged, key, out=lowered).any():
                 break
             np.minimum(key, merged, out=key)
-            ahead = ahead[ahead]
+            np.take(ahead, ahead, out=merged, mode="clip")
+            ahead, merged = merged, (np.empty_like(key) if ahead is sigma else ahead)
             span *= 2
-        del ahead, merged
-        # the heads are the least cells (d = 0); the successor of a head
-        # is L - 1 steps short of it
+        del ahead
+        # the heads are the least cells (d = 0), found in the spare work
+        # array; the successor of a head is L - 1 steps short of it
         mask = (1 << self._shift) - 1
-        self._heads = np.flatnonzero((key & mask) == 0)
+        np.bitwise_and(key, mask, out=merged)
+        self._heads = np.flatnonzero(np.equal(merged, 0, out=lowered))
+        del merged, lowered
         self._sizes = (key[sigma[self._heads]] & mask) + 1
         self.lengths, self.counts = np.unique(self._sizes, return_counts=True)
         self._ends = np.cumsum(self.lengths * self.counts)
@@ -102,20 +131,25 @@ class CycleTable:
         return self._coordinates()[1]
 
     def _coordinates(self) -> tuple[np.ndarray, np.ndarray]:
-        """Build ``slot`` and ``order`` from the packed keys, which are then
-        released: a cell d steps short of its least cell m sits L - d slots
-        after m, that is d slots before the end of m's cycle."""
+        """Build ``slot`` and ``order`` from the packed keys, whose buffer
+        becomes ``slot``: a cell d steps short of its least cell m sits
+        L - d slots after m, that is d slots before the end of m's cycle."""
         by_size = np.argsort(self._sizes, kind="stable")
         heads, size = self._heads[by_size], self._sizes[by_size]
-        end = np.empty(self._key.size, dtype=np.int64)  # read at heads only
+        slot, shift = self._key, self._shift
+        del self._key, self._heads, self._sizes
+        order = slot & ((1 << shift) - 1)  # d, until the slots are known
+        slot >>= shift
+        end = np.empty(slot.size, dtype=np.int64)  # read at heads only
         end[heads] = np.cumsum(size)
-        slot = end[self._key >> self._shift]
-        slot -= self._key & ((1 << self._shift) - 1)
+        # out may alias the indices: the gather reads index i before it
+        # writes element i
+        np.take(end, slot, out=slot, mode="clip")
+        del end
+        slot -= order
         slot[heads] -= size
-        order = np.empty_like(slot)
         order[slot] = np.arange(slot.size, dtype=np.int64)
         self.__dict__.update(slot=slot, order=order)
-        del self._key, self._heads, self._sizes
         return slot, order
 
     def rows(self):
@@ -141,8 +175,8 @@ class ActionSpace:
         self.group = group
         self.kind = kind
         self.n_cells = int(sigma.size)
-        if weights is None:
-            weights = np.full(self.n_cells, 1.0 / self.n_cells)
+        if weights is None:  # one read-only value, not a cell-sized array
+            weights = np.broadcast_to(1.0 / self.n_cells, (self.n_cells,))
         self.weights = np.asarray(weights, dtype=float)
         if self.weights.shape != (self.n_cells,):
             raise ConstructionError("cell weights must give one weight per cell")
@@ -231,6 +265,7 @@ class GridTranslationSpace(ActionSpace):
         if not any(self.step):
             raise ConstructionError("translation step is trivial on this grid")
         self.grid_shape = (n,) * len(self.step)
+        _check_cells(n ** len(self.step), " x ".join([str(n)] * len(self.step)))
         self.slope_target = slope_target
         sigma = np.zeros((), dtype=np.int64)
         for s in self.step:
@@ -295,11 +330,16 @@ def build_action(kind: str, group: GroupDescriptor | None = None, **params) -> A
             )
         space = GridTranslationSpace(group, params["N"], step, slope_target=slope_target)
     elif kind == "bernoulli-window":
-        width = 2 * params["window_radius"] + 1
-        space = ActionSpace(group, kind, _window_rotation(params.get("alphabet", 2), width))
+        alphabet, width = params.get("alphabet", 2), 2 * params["window_radius"] + 1
+        # a window of 64 letters or more has at least 2^64 cells, beyond any
+        # memory, and the capped power stays cheap for any width
+        _check_cells(alphabet ** min(width, 64), f"{alphabet}^{width}")
+        space = ActionSpace(group, kind, _window_rotation(alphabet, width))
     elif kind == "finite-permutation":
+        cells = len(params["permutation"])
+        _check_cells(cells, str(cells))
         perm = np.asarray(params["permutation"], dtype=np.int64)
-        if sorted(perm.tolist()) != list(range(len(perm))):
+        if not np.array_equal(np.sort(perm), np.arange(perm.size)):
             raise ConstructionError("permutation must be a bijection on 0..n-1")
         space = ActionSpace(group, kind, perm, params.get("weights"))
         if not np.array_equal(space.weights[perm], space.weights):
@@ -323,6 +363,7 @@ def _window_rotation(alphabet: int, width: int) -> np.ndarray:
     """sigma of the Bernoulli window: the words of ``width`` letters with
     their digits most significant first, the leading digit moved to the
     end: i -> (i mod a^(w-1)) a + i div a^(w-1)."""
-    rest = np.arange(alphabet ** (width - 1), dtype=np.int64) * alphabet
+    rest = np.arange(alphabet ** (width - 1), dtype=np.int64)
+    rest *= alphabet
     return (rest + np.arange(alphabet, dtype=np.int64)[:, None]).ravel()
 

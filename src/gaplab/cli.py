@@ -138,11 +138,16 @@ def _is(value, kind) -> bool:
     be written as an integer but must be finite as a float, a bool is no
     int)."""
     if isinstance(kind, types.GenericAlias):
-        return type(value) is list and all(_is(v, kind.__args__[0]) for v in value)
+        if type(value) is not list:
+            return False
+        kind = kind.__args__[0]
+    else:
+        value = [value]
     if kind is float:
         # NaN compares false, and an int compares exactly, without overflow
-        return type(value) in (int, float) and abs(value) <= sys.float_info.max
-    return type(value) is kind
+        return all(type(v) in (int, float) and abs(v) <= sys.float_info.max
+                   for v in value)
+    return all(type(v) is kind for v in value)
 
 
 def _fields(block, table: dict, path: str, owner) -> dict:

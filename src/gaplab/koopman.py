@@ -122,7 +122,7 @@ def character_norm(space: ActionSpace, mu: GroupMeasure, freq_cutoff: int) -> fl
     if not keep.any():
         raise PreconditionError("freq_cutoff excludes every nonzero character")
     # |mu^(chi)| <= mu(G) exactly; the FFT can round a hair above it
-    return min(float(mags[keep].max()), mu.total_mass)
+    return min(float(mags.max(where=keep, initial=0.0)), mu.total_mass)
 
 
 def character_line_scan(

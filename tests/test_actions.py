@@ -2,13 +2,22 @@
 dilations and correlations read off the cycle coordinates, checked
 against sigma iterated step by step."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaplab import DescriptorMismatchError, GroupDescriptor, build_action
-from gaplab.actions import CycleTable, _window_rotation
+from gaplab import (
+    ConstructionError,
+    DescriptorMismatchError,
+    GroupDescriptor,
+    ResourceLimitError,
+    build_action,
+)
+from gaplab.actions import CELL_BYTES, ActionSpace, CycleTable, _window_rotation
 from gaplab.certificates import (
     _act_union,
     _arc_segments,
@@ -225,6 +234,67 @@ def test_window_rotation_is_digit_rotation(alphabet, width):
     sigma = _window_rotation(alphabet, width)
     assert sigma.dtype == np.int64
     assert sigma.tolist() == rotated_words(alphabet, width)
+
+
+def torus_sigma(n, q, p):
+    cell = np.arange(n * n, dtype=np.int64)
+    return ((cell // n + q) % n) * n + (cell % n + p) % n
+
+
+def traced_peak(build):
+    """Peak bytes that numpy and Python allocate while ``build`` runs."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("sigma", [
+    _window_rotation(4, 9),
+    torus_sigma(512, 3, 7),
+    np.random.default_rng(5).permutation(10**5),
+], ids=["window-4^9", "torus-512", "permutation-1e5"])
+def test_cycle_table_memory_budget(sigma):
+    """The build holds the keys, two work arrays and one bool array: 3.25
+    words per cell at most (the budget ``CELL_BYTES`` charges beside
+    sigma), the default weights add no array, and the coordinates reuse
+    the keys' buffer."""
+    word = 8 * sigma.size
+    assert CELL_BYTES == 8 + 3.25 * 8
+    assert traced_peak(lambda: CycleTable(sigma)) <= 3.25 * word
+    assert traced_peak(lambda: ActionSpace(Z, "test", sigma)) <= 3.25 * word
+    table = CycleTable(sigma)
+    assert traced_peak(lambda: table.slot) <= 3.5 * word
+    assert np.array_equal(table.order[table.slot], np.arange(sigma.size))
+
+
+def test_default_weights_are_one_read_only_value():
+    space = build_action("bernoulli-window", group=Z, alphabet=3, window_radius=1)
+    assert not space.weights.flags.writeable
+    assert space.weights.shape == (27,)
+    assert np.all(space.weights == 1 / 27)
+
+
+@pytest.mark.parametrize("kind,kw,count", [
+    ("torus-translation", dict(N=200_000, step=(1, 3)), "200000 x 200000 cells"),
+    ("circle-rotation", dict(N=10**15), "1000000000000000 cells"),
+    ("bernoulli-window", dict(alphabet=16, window_radius=10), "16^21 cells"),
+    ("bernoulli-window", dict(alphabet=2, window_radius=10**6), "2^2000001 cells"),
+])
+def test_oversized_action_is_refused_before_it_is_built(kind, kw, count):
+    def refuse():
+        with pytest.raises(ResourceLimitError, match=re.escape(count)):
+            build_action(kind, group=Z, **kw)
+
+    assert traced_peak(refuse) < 10**6
+
+
+def test_permutation_must_be_a_bijection():
+    for perm in ([0, 0, 1], [1, 2, 3], [0, -1]):
+        with pytest.raises(ConstructionError, match="must be a bijection on 0..n-1"):
+            build_action("finite-permutation", group=Z, permutation=perm)
 
 
 def sigma_of(space):

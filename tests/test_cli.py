@@ -5,6 +5,7 @@ import importlib.util
 import json
 import math
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -416,6 +417,11 @@ CONFIG_FAULTS = [
     ({**KOOPMAN, "action": {"kind": "finite-permutation", "permutation": [1, 0],
                             "weights": [math.nan, 0.5]}},
      "action.weights: expected list[float], got [nan, 0.5]"),
+    ({**KOOPMAN, "action": {"kind": "finite-permutation", "permutation": [1, 0],
+                            "weights": [0.5, -10**400]}},
+     "action.weights: expected list[float], got [0.5, -1000"),
+    ({**KOOPMAN, "action": {"kind": "finite-permutation", "permutation": [2, 0, True]}},
+     "action.permutation: expected list[int], got [2, 0, True]"),
 ]
 
 
@@ -428,6 +434,25 @@ def test_config_fault_exit_two_naming_its_path(tmp_path, capsys, cfg, message):
     assert err.startswith(f"config error: {message}")
     assert "Traceback" not in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("action,count", [
+    ({"kind": "torus-translation", "N": 200_000, "step": [1, 3]}, "200000 x 200000"),
+    ({"kind": "bernoulli-window", "alphabet": 16, "window_radius": 10}, "16^21"),
+])
+def test_oversized_action_exit_two_before_allocating(tmp_path, capsys, action, count):
+    tracemalloc.start()
+    try:
+        code, out_dir = run_cli(tmp_path, {**KOOPMAN, "action": action})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"config error: action: {count} cells need 34 bytes each")
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+    assert peak < 10**7
 
 
 def test_float_literal_beyond_range_exit_two(tmp_path, capsys):
