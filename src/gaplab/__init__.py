@@ -25,7 +25,6 @@ from .errors import (
     DescriptorMismatchError,
     GaplabError,
     GridResolutionError,
-    InternalConsistencyError,
     PreconditionError,
     ResourceLimitError,
     UnsupportedKindError,

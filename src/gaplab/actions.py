@@ -152,11 +152,12 @@ class CycleTable:
         self.__dict__.update(slot=slot, order=order)
         return slot, order
 
-    def rows(self):
-        """Per cycle length L, the cells as an array of shape (cycles, L),
-        one cycle per row in sigma order."""
+    def rows(self, values: np.ndarray):
+        """Per cycle length L, ``values``, one per slot, as an array of
+        shape (cycles, L), one cycle per row in sigma order: ``order`` gives
+        the cells."""
         for length, count, end in zip(self.lengths, self.counts, self._ends):
-            yield int(length), self.order[end - length * count:end].reshape(count, length)
+            yield int(length), values[end - length * count:end].reshape(count, length)
 
     def locate(self, slots):
         """First slot and length of the cycle through each slot (a block

@@ -17,6 +17,14 @@ that before it builds anything.
 Every action is one-parameter, so past the ``ModerateGrowthSequence``
 boundary S, F and the powers S^k are sorted int64 arrays of steps, and
 S^k is built only by ``_step_powers``.
+
+Sets are read as disjoint segments of slots in the cycle table, and each
+is swept once.  ``orbit_neighborhood_sequence`` hands the walk the
+segments of B_n and of S^n B_n; the walk reads everything off them: the
+masses are the cell weight times a segment count, the F-overlaps are
+integer sums over pairs of segments, the companion is the first cells
+outside the mask of S^n B_n, and the test vector phi is written in slot
+order, the order in which its FFT reads it.
 """
 
 from __future__ import annotations
@@ -27,11 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .actions import ActionSpace, GridTranslationSpace
-from .errors import (
-    GridResolutionError,
-    InternalConsistencyError,
-    PreconditionError,
-)
+from .errors import GridResolutionError, PreconditionError
 from .groups import GroupDescriptor, _powers, is_symmetric_set
 from .measures import (
     DEFAULT_SUPPORT_CAP,
@@ -68,13 +72,15 @@ class ModerateGrowthSequence:
         for i, b in enumerate(self.sets):
             if len(b) == 0:
                 raise PreconditionError(f"B_{i + 1} is empty (condition (1) fails)")
+            # the checks read B sorted: its ends bound the cells, and a
+            # repeated cell sits next to itself
             b = np.asarray(b)
-            if b.dtype.kind not in "iu" or b.min() < 0 or b.max() >= n_cells:
+            if b.dtype.kind in "iu" and not (b[1:] > b[:-1]).all():
+                b = np.sort(b)
+            if b.dtype.kind not in "iu" or b[0] < 0 or b[-1] >= n_cells:
                 raise PreconditionError(
                     f"B_{i + 1} must hold cell indices in 0..{n_cells - 1}")
-            covered = np.zeros(n_cells, dtype=bool)
-            covered[b] = True
-            if np.count_nonzero(covered) != b.size:
+            if (b[1:] == b[:-1]).any():
                 raise PreconditionError(f"B_{i + 1} lists a cell more than once")
 
     def B(self, n: int) -> np.ndarray:
@@ -102,6 +108,7 @@ class CertificateRow:
 class CertificateReport:
     rows: tuple[CertificateRow, ...]
     chain_asserted: bool  # supp(eta) lies in S: every row asserts the chain
+    chain_holds: bool  # every asserted row has rayleigh >= chain_bound - CHAIN_TOL
     cond1_all: bool
     cond2_all: bool
     cond3_flag: bool
@@ -202,23 +209,38 @@ def _runs(breaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return head, tail
 
 
+def _segment_slots(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The slots of the segments [lo, hi), segment by segment."""
+    sizes = hi - lo
+    return np.repeat(lo - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+
+
+def _segment_mask(space: ActionSpace, lo: np.ndarray, hi: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+    """The cells of the slot segments [lo, hi) as a mask, written into
+    the cell-sized bool array ``out``."""
+    out.fill(False)
+    out[space.cycles.order[_segment_slots(lo, hi)]] = True
+    return out
+
+
+def _segments_mass(space: ActionSpace, lo: np.ndarray, hi: np.ndarray) -> float:
+    """Mass of the disjoint slot segments [lo, hi); the weights are
+    constant on cycles, so each segment weighs its first cell times its
+    size."""
+    return float((space.weights[space.cycles.order[lo]] * (hi - lo)).sum())
+
+
 def _act_union(space: ActionSpace, steps, idx: np.ndarray) -> np.ndarray:
     """The union of sigma^c cells over the step counts c, as a mask over
     the cells."""
-    lo, hi = _arc_segments(space, steps, idx)
-    sizes = hi - lo
-    slots = np.repeat(lo - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
-    covered = np.zeros(space.n_cells, dtype=bool)
-    covered[space.cycles.order[slots]] = True
-    return covered
+    return _segment_mask(space, *_arc_segments(space, steps, idx),
+                         np.empty(space.n_cells, dtype=bool))
 
 
 def _union_mass(space: ActionSpace, steps, idx: np.ndarray) -> float:
-    """Mass of the union of sigma^c cells over the step counts c; the
-    weights are constant on cycles, so each segment weighs its first cell
-    times its size."""
-    lo, hi = _arc_segments(space, steps, idx)
-    return float((space.weights[space.cycles.order[lo]] * (hi - lo)).sum())
+    """Mass of the union of sigma^c cells over the step counts c."""
+    return _segments_mass(space, *_arc_segments(space, steps, idx))
 
 
 def _pair_correlations(space: ActionSpace, steps, lo: np.ndarray,
@@ -303,8 +325,9 @@ def _measure_spectra(space: ActionSpace, eta: GroupMeasure) -> dict[int, np.ndar
 def _rayleigh_numerator(space: ActionSpace, phi: np.ndarray,
                         spectra: dict[int, np.ndarray], weight: float) -> float:
     """<pi(eta) phi, phi> for the measure eta with ``_measure_spectra``
-    ``spectra``, as one sum over the spectrum of phi, on a grid whose
-    cells all weigh ``weight``.
+    ``spectra``, as one sum over the spectrum of phi, given in slot order
+    (phi[s] is the value at the cell of slot s), on a grid whose cells all
+    weigh ``weight``.
 
     On a cycle of length L, sum_c eta(c) sum_j phi_{j-c} phi_j is
     (1/L) sum_k |phi^(k)|^2 Re eta^_L(k); the real-FFT bins count the
@@ -312,8 +335,8 @@ def _rayleigh_numerator(space: ActionSpace, phi: np.ndarray,
     The terms of the cycles of one length are summed before weighting.
     """
     total = 0.0
-    for length, cells in space.cycles.rows():
-        power = _squared_modulus(np.fft.rfft(phi[cells]))
+    for length, values in space.cycles.rows(phi):
+        power = _squared_modulus(np.fft.rfft(values))
         gain = np.full(power.shape[1], 2.0 / length)
         gain[0] = 1.0 / length
         if length % 2 == 0:
@@ -329,23 +352,17 @@ def _rayleigh_numerator(space: ActionSpace, phi: np.ndarray,
 
 
 def _row(n: int, nu_b: float, nu_snb: float, overlap: float, numerator: float,
-         f_mass: float, chain_asserted: bool) -> CertificateRow:
+         f_mass: float) -> CertificateRow:
     """Row n from the masses of B_n and S^n B_n, the least F-overlap
     inf_{g in F} nu(gB_n & B_n), <pi(eta^{*n}) phi_n, phi_n> and
     eta^{*n}(F).
 
     The overlap ratio is clamped to [0, 1]; it serves condition (3) and
-    the chain bound alike.  An asserted chain inequality that fails raises.
+    the chain bound alike.
     """
     ratio = min(max(overlap / nu_b, 0.0), 1.0)
     rayleigh = numerator / (2.0 * nu_b)
     chain_bound = 0.5 * f_mass * ratio
-    if chain_asserted and rayleigh < chain_bound - CHAIN_TOL:
-        raise InternalConsistencyError(
-            f"chain inequality violated at n={n}: rayleigh={rayleigh!r} < "
-            f"bound={chain_bound!r}; the companion set must intersect the "
-            "support translates"
-        )
     return CertificateRow(
         n=n,
         nu_B=nu_b,
@@ -363,34 +380,38 @@ def _row(n: int, nu_b: float, nu_snb: float, overlap: float, numerator: float,
 
 def _walk(seq: ModerateGrowthSequence, slack: float, eta: GroupMeasure,
           weight: float) -> CertificateReport:
-    """One pass over n = 1..max_n carrying S^n and eta^{*n} forward, on a
-    grid whose cells all weigh ``weight``.
+    """One pass over n = 1..max_n carrying eta^{*n} forward, on a grid
+    whose cells all weigh ``weight``.
 
-    On a sequence from ``orbit_neighborhood_sequence``, S^n B_n is dilated
-    as S^{2n} V_n from the few cells of the ball V_n instead of all of
-    B_n, and the segments of B_n = S^n V_n come from one arc sweep of V_n.
-    eta^{*n} is carried as (cells, weights) arrays in atom order.
+    Each n reads B_n and S^n B_n off their disjoint slot segments: the
+    masses are ``weight`` times the segment sizes, the F-overlaps are sums
+    over pairs of B_n's segments, the companion is the first cells outside
+    the mask of S^n B_n, and phi is written in slot order, the order the
+    Rayleigh numerator transforms it in.  A sequence from
+    ``orbit_neighborhood_sequence`` carries both segment lists; on any
+    other the walk sweeps B_n into its runs of slots and S^n B_n into
+    arcs.  eta^{*n} is carried as (cells, weights) arrays in atom order.
     """
     space = seq.space
     group = space.group
     cores = getattr(seq, "_cores", None)
     if cores is None:
         s_pow = _step_powers(group, seq.S, seq.max_n)
-    else:
-        balls, s_pow = cores
     eta_hat = _measure_spectra(space, eta)
     eta_cells, eta_weights = _arrays(eta)
     chain_asserted = bool(np.isin(eta_cells[:, 0], seq.S).all())
     cells, weights = np.array([group.identity()]), np.ones(1)
+    # one mask of S^n B_n and one phi, rewritten at every n
+    covered = np.empty(space.n_cells, dtype=bool)
+    phi = np.empty(space.n_cells, dtype=np.int8)
     rows = []
     for n in range(1, seq.max_n + 1):
         b = seq.B(n)
         if cores is None:
-            covered = _act_union(space, s_pow[n], b)
-            lo, hi = _slot_segments(space, b)
+            (lo, hi), thickened = (_slot_segments(space, b),
+                                   _arc_segments(space, s_pow[n], b))
         else:
-            covered = _act_union(space, s_pow[2 * n], balls[n - 1])
-            lo, hi = _arc_segments(space, s_pow[n], balls[n - 1])
+            (lo, hi), thickened = cores[0][n - 1], cores[1][n - 1]
         overlaps = _pair_correlations(space, seq.F, lo, hi, weight)
         cells, weights = _convolve_arrays(group, cells, weights, eta_cells,
                                           eta_weights, DEFAULT_SUPPORT_CAP)
@@ -398,18 +419,22 @@ def _walk(seq: ModerateGrowthSequence, slack: float, eta: GroupMeasure,
         # digits depend on the summation order
         in_f = np.isin(cells[:, 0], seq.F).tolist()
         f_mass = sum(w for w, keep in zip(weights.tolist(), in_f) if keep)
-        phi = np.zeros(space.n_cells, dtype=np.int8)
-        phi[b] = 1
-        phi[_companion_set(b, covered)] = -1
+        companion = _companion_set(b, _segment_mask(space, *thickened, covered))
+        phi.fill(0)
+        phi[_segment_slots(lo, hi)] = 1
+        phi[space.cycles.slot[companion]] = -1
         spectra = {length: values ** n for length, values in eta_hat.items()}
-        rows.append(_row(n, space.mass_of(b), space.mass_of(covered),
+        rows.append(_row(n, float(weight * (hi - lo).sum()),
+                         float(weight * (thickened[1] - thickened[0]).sum()),
                          float(overlaps.min()),
                          _rayleigh_numerator(space, phi, spectra, weight),
-                         f_mass, chain_asserted))
+                         f_mass))
     max_root = max(r.ratio_root for r in rows)
     return CertificateReport(
         rows=tuple(rows),
         chain_asserted=chain_asserted,
+        chain_holds=not chain_asserted or all(
+            r.rayleigh >= r.chain_bound - CHAIN_TOL for r in rows),
         cond1_all=all(r.cond1 for r in rows),
         cond2_all=all(r.cond2 for r in rows),
         cond3_flag=max_root >= 1.0 - slack,
@@ -466,10 +491,12 @@ def orbit_neighborhood_sequence(
     exemption under the free-orbit surrogate), and (b) the orbit
     thickening S^{2n} V_n keeps mass below 1/2.  Condition (b) plays the
     role of the small open superset: with it, S^n B_n = S^{2n} V_n stays
-    below mass 1/2 by construction.  The balls V_n and the powers
-    S^0..S^{2 n_max} ride along on the sequence as ``_cores``, outside its
-    fields, so that the walk can dilate S^n B_n as S^{2n} V_n;
-    ``dataclasses.replace`` drops them.
+    below mass 1/2 by construction.  Each set is swept once: the radius
+    search keeps the slot segments of S^{2n} V_n from its accepted probe,
+    and one arc sweep of V_n gives those of B_n, whose cells are listed
+    from them.  Both segment lists ride along on the sequence as
+    ``_cores``, outside its fields, for the walk; ``dataclasses.replace``
+    drops them.
     """
     S = tuple(S)
     steps = _symmetric_steps(space, S, "S")
@@ -494,26 +521,28 @@ def orbit_neighborhood_sequence(
             f"{orbit_mass:.6g} >= 1/2; refine the grid"
         )
 
-    balls, sets = [], []
+    sets, segments, thickened = [], [], []
     # S^{2n} only grows with n, so the admissible radius cannot grow
     radius = math.inf
     for n in range(1, n_max + 1):
         separators = np.setdiff1d(powers[2 * n - 2], steps, assume_unique=True)
         r_cap = _separation_radius(space, separators)
-        radius = _largest_mass_admissible_radius(
+        accepted = _largest_mass_admissible_radius(
             space, powers[2 * n], x0, min(r_cap, radius), n > 1
         )
-        if radius is None:
+        if accepted is None:
             raise GridResolutionError(
                 f"no admissible neighborhood at n={n}: even the single base "
                 "cell pushes the orbit thickening to mass >= 1/2; use a finer grid"
             )
-        balls.append(space.cell_ball(x0, radius))
-        sets.append(np.flatnonzero(_act_union(space, powers[n], balls[-1])))
+        radius, swept = accepted
+        thickened.append(swept)
+        segments.append(_arc_segments(space, powers[n], space.cell_ball(x0, radius)))
+        sets.append(np.sort(space.cycles.order[_segment_slots(*segments[-1])]))
     seq = ModerateGrowthSequence(
         space=space, S=S, F=S, sets=tuple(sets), max_n=n_max
     )
-    object.__setattr__(seq, "_cores", (balls, powers))
+    object.__setattr__(seq, "_cores", (segments, thickened))
     return seq
 
 
@@ -537,22 +566,31 @@ def _separation_radius(space: ActionSpace, separators: np.ndarray) -> int:
 def _largest_mass_admissible_radius(
     space: ActionSpace, thickening: np.ndarray, x0: int, r_cap: int,
     downward: bool
-) -> int | None:
+) -> tuple[int, tuple[np.ndarray, np.ndarray]] | None:
     """The largest radius r <= r_cap whose ball around x0 keeps its
-    thickening below mass 1/2, or None if even r = 0 does not.
+    thickening below mass 1/2, with the slot segments of that thickening,
+    or None if even r = 0 does not.
 
     The mass only grows with r, so a gallop brackets the radius, good
     below and bad above, and a bisection closes the bracket: upward from
     0, or downward from r_cap when r_cap is the radius of the previous n,
-    which the answer usually equals or nearly equals.
+    which the answer usually equals or nearly equals.  Each admissible
+    probe raises ``good`` to its radius, so the last one is the answer.
     """
+    accepted = None
+
     def admissible(radius: int) -> bool:
-        return _union_mass(space, thickening, space.cell_ball(x0, radius)) < 0.5
+        nonlocal accepted
+        swept = _arc_segments(space, thickening, space.cell_ball(x0, radius))
+        if _segments_mass(space, *swept) >= 0.5:
+            return False
+        accepted = radius, swept
+        return True
 
     step = 1
     if downward:
         if admissible(r_cap):
-            return r_cap
+            return accepted
         bad = r_cap
         while True:
             if bad == 0:
@@ -568,7 +606,7 @@ def _largest_mass_admissible_radius(
         good = 0
         while True:
             if good == r_cap:
-                return good
+                return accepted
             probe = min(good + step, r_cap)
             if not admissible(probe):
                 bad = probe
@@ -580,7 +618,7 @@ def _largest_mass_admissible_radius(
             good = mid
         else:
             bad = mid
-    return good
+    return accepted
 
 
 def run_certificate(
@@ -605,8 +643,9 @@ def run_certificate(
 
         rayleigh >= (1/2) eta^{*n}(F) inf_{g in F} nu(gB & B)/nu(B)
 
-    is asserted; a violation raises, since it can only mean a disjointness
-    bug.  Otherwise the bound is reported but not asserted.
+    is asserted: ``chain_holds`` records whether every row meets it, and a
+    row that does not can only mean a disjointness bug.  Otherwise the
+    bound is reported but not asserted.
 
     Condition (2) uses nu(S^n B_n) itself: on a finite space every set is
     measurable, so the infimum over measurable supersets is attained

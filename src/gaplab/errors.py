@@ -27,7 +27,3 @@ class ConstructionError(GaplabError):
 
 class GridResolutionError(GaplabError):
     """The discretization grid is too coarse for the requested construction."""
-
-
-class InternalConsistencyError(GaplabError):
-    """A certified inequality failed; indicates a bug, not a user error."""

@@ -145,7 +145,7 @@ def test_cycle_table_of_uneven_permutation():
     assert space.cycle_lengths() == {1: 2, 3: 2, 4: 1, 5: 1}
     table = space.cycles
     assert np.array_equal(table.order[table.slot], np.arange(17))
-    rows = [row.tolist() for _, cells in table.rows() for row in cells]
+    rows = [row.tolist() for _, cells in table.rows(table.order) for row in cells]
     assert rows == [[12], [15], [2, 5, 10], [13, 16, 14], [4, 8, 6, 11],
                     [0, 3, 7, 1, 9]]
     for row in rows:

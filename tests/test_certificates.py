@@ -103,6 +103,7 @@ class TestSequenceValidation:
 
     @pytest.mark.parametrize("cells,match", [
         ([3, 3, 4], "more than once"),
+        ([5, 3, 5, 1], "more than once"),  # unsorted, the repeats apart
         ([2, 8], r"cell indices in 0\.\.7"),
         ([-1, 2], r"cell indices in 0\.\.7"),
         ([0.0, 1.0], r"cell indices in 0\.\.7"),
@@ -169,10 +170,11 @@ class TestCompanionSet:
         mu = GroupMeasure.uniform_interval(time_grid(2), -1.0, 1.0)
         eta = symmetrize(mu)
         seq = orbit_neighborhood_sequence(space, 0, list(eta.atoms), 5)
-        balls, powers = seq._cores
+        _, thickened = seq._cores
         # the walk's companion: the first cells outside the mask of S^5 B_5
-        companion = build_companion_set(
-            space, seq.B(5), certificates._act_union(space, powers[10], balls[4]))
+        mask = certificates._segment_mask(space, *thickened[4],
+                                          np.empty(space.n_cells, dtype=bool))
+        companion = build_companion_set(space, seq.B(5), mask)
         assert set(companion.tolist()).isdisjoint(
             gathered_thickening(space, seq, 5).tolist())
         assert len(companion) == len(seq.B(5))
@@ -195,7 +197,7 @@ class TestRayleighChain:
         (row,) = report.rows
         assert row.rayleigh == pytest.approx(1.0, abs=1e-12)
         assert row.chain_bound == pytest.approx(0.5, abs=1e-12)
-        assert report.chain_asserted
+        assert report.chain_asserted and report.chain_holds
 
     def test_bernoulli_window_chain_holds(self):
         space = build_action("bernoulli-window", group=Z, alphabet=2,
@@ -359,23 +361,66 @@ class TestThickeningFromBalls:
         ("torus-translation", dict(N=64, step=(29, 41)), 2, 5),
         ("circle-rotation", dict(N=101, cells_per_step=2), 1, 6),
     ])
-    def test_matches_dilated_sets(self, kind, kw, q, n_max):
+    def test_matches_dilated_sets(self, monkeypatch, kind, kw, q, n_max):
         space = build_action(kind, group=time_grid(q), **kw)
         eta = symmetrize(GroupMeasure.uniform_interval(time_grid(q), -1.0, 1.0))
+        radii = []
+        search = certificates._largest_mass_admissible_radius
+
+        def spy(*args):
+            accepted = search(*args)
+            radii.append(accepted[0])
+            return accepted
+
+        monkeypatch.setattr(certificates, "_largest_mass_admissible_radius", spy)
         seq = orbit_neighborhood_sequence(space, 3, list(eta.atoms), n_max)
-        balls, powers = seq._cores
+        segments, thickened = seq._cores
+        powers = certificates._step_powers(space.group, seq.S, n_max)
         for n in range(1, n_max + 1):
-            from_ball = certificates._act_union(space, powers[2 * n], balls[n - 1])
+            ball = space.cell_ball(3, radii[n - 1])
+            from_ball = certificates._segment_mask(
+                space, *thickened[n - 1], np.empty(space.n_cells, dtype=bool))
             from_set = certificates._act_union(space, powers[n], seq.B(n))
             assert from_ball.tolist() == from_set.tolist()
-            assert len(balls[n - 1]) < len(seq.B(n))
+            assert len(ball) < len(seq.B(n))
             # the F-overlaps of B_n = S^n V_n from the arcs of V_n
-            arcs = certificates._arc_segments(space, powers[n], balls[n - 1])
+            arcs = segments[n - 1]
+            assert all(map(np.array_equal, arcs, certificates._arc_segments(
+                space, powers[n], ball)))
             runs = certificates._slot_segments(space, seq.B(n))
             weight = space.weights[0]
             assert np.array_equal(
                 certificates._pair_correlations(space, seq.F, *arcs, weight),
                 certificates._pair_correlations(space, seq.F, *runs, weight))
+
+
+class TestCarriedSegments:
+    """The walk of the x0 route reads B_n and S^n B_n off the segments
+    the sequence carries, and sweeps nothing itself."""
+
+    @pytest.mark.parametrize("kind,kw,x0,n_max", [
+        ("torus-translation", dict(N=256, step=(29, 41), slope_hint=SQRT2), 7001, 6),
+        ("circle-rotation", dict(N=1000, cells_per_step=7), 3, 6),
+    ])
+    def test_rows_match_sweeping_the_sets(self, monkeypatch, kind, kw, x0, n_max):
+        grid = time_grid(8)
+        space = build_action(kind, group=grid, **kw)
+        mu = GroupMeasure.uniform_interval(grid, -1.0, 1.0)
+        seq = orbit_neighborhood_sequence(space, x0, list(symmetrize(mu).atoms), n_max)
+        sweeps = []
+        arc_segments = certificates._arc_segments
+
+        def spy(*args):
+            sweeps.append(args)
+            return arc_segments(*args)
+
+        monkeypatch.setattr(certificates, "_arc_segments", spy)
+        carried = run_certificate(space, mu, seq=seq)
+        assert sweeps == []
+        # the replaced sequence carries no segments: the walk sweeps S^n B_n
+        swept = run_certificate(space, mu, seq=dataclasses.replace(seq))
+        assert len(sweeps) == n_max
+        assert carried == swept
 
 
 def torus_distance(a, b, n):
@@ -459,6 +504,8 @@ class TestOrbitNeighborhoodSequence:
 
         monkeypatch.setattr(certificates, "_largest_mass_admissible_radius", spy)
         seq = orbit_neighborhood_sequence(space, x0, S, n_max)
+        swept = [segments for _, segments in picked]
+        picked = [radius for radius, _ in picked]
         bound_active = False
         for n in range(1, n_max + 1):
             separators = [g for g in power_set(space.group, S, 2 * n - 2)
@@ -471,6 +518,12 @@ class TestOrbitNeighborhoodSequence:
             assert masses == sorted(masses)
             radius = max(r for r, m in enumerate(masses) if m < 0.5)
             assert picked[n - 1] == radius, n
+            # the search hands over the thickening of the ball it picked
+            assert np.array_equal(
+                certificates._segment_mask(space, *swept[n - 1],
+                                           np.empty(space.n_cells, dtype=bool)),
+                certificates._act_union(space, thickening,
+                                        space.cell_ball(x0, radius)))
             bound_active |= n > 1 and picked[n - 2] < r_cap
             want = certificates._act_union(
                 space, space.steps(power_set(space.group, S, n)),
@@ -488,18 +541,19 @@ class TestOrbitNeighborhoodSequence:
         S = sorted(symmetrize(GroupMeasure.uniform_interval(grid, -1.0, 1.0)).atoms)
         x0, n_max = 7001, 6
         probes, picked = [], []
-        union_mass = certificates._union_mass
+        segments_mass = certificates._segments_mass
         search = certificates._largest_mass_admissible_radius
 
         def count(*args):
             probes.append(args)
-            return union_mass(*args)
+            return segments_mass(*args)
 
         def spy(*args):
-            picked.append(search(*args))
-            return picked[-1]
+            accepted = search(*args)
+            picked.append(accepted[0])
+            return accepted
 
-        monkeypatch.setattr(certificates, "_union_mass", count)
+        monkeypatch.setattr(certificates, "_segments_mass", count)
         monkeypatch.setattr(certificates, "_largest_mass_admissible_radius", spy)
         orbit_neighborhood_sequence(space, x0, S, n_max)
         # one call checks the orbit of the base cell, the rest are probes

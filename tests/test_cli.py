@@ -13,7 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from gaplab import cli, koopman
+from gaplab import certificates, cli, koopman
 from gaplab.cli import (
     _fmt,
     build_group,
@@ -799,3 +799,20 @@ class TestCertificateExperiment:
         assert {record[key] for key in flags} <= {"true", "false"}
         assert not {"True", "False"} & set(record.values())
         assert (_fmt(np.True_), _fmt(np.False_)) == ("true", "false")
+
+    def test_failed_chain_inequality_is_reported(self, tmp_path, monkeypatch):
+        # a zero Rayleigh numerator breaks the asserted chain inequality:
+        # the reports are still written, with the check false, and the run
+        # exits 1
+        monkeypatch.setattr(certificates, "_rayleigh_numerator", lambda *args: 0.0)
+        cfg = {
+            "experiment": "certificate",
+            "group": {"kind": "real-grid", "dimension": 1, "resolution": 2},
+            "measure": {"kind": "uniform-interval", "lo": -1, "hi": 1},
+            "action": {"kind": "torus-translation", "N": 64, "step": [29, 41]},
+            "params": {"n_max": 2},
+        }
+        code, out_dir = run_cli(tmp_path, cfg)
+        assert code == 1
+        record = (out_dir / "certificate_record.csv").read_text()
+        assert "\nassert:chain inequality on every asserted row,false\n" in record

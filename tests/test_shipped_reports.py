@@ -1,11 +1,13 @@
 """The reports of the shipped ``configs/*.json`` against snapshots.
 
 Every record a config writes, and the certificate's sequence, must match
-the files under ``tests/snapshots/<config>/``, and the record and sequence
-of the benchmark's ``nets`` batch those under ``tests/snapshots/nets/``:
-numbers that are not both integers within 1e-9 relative, every other
-field exactly.  A change that means to move a reported number rewrites its
-snapshot and says why.
+the files under ``tests/snapshots/<config>/``, the record and sequence
+of the benchmark's ``nets`` batch those under ``tests/snapshots/nets/``,
+and those of the benchmark's ``certificate`` config at each of its base
+cells those under ``tests/snapshots/certificate_bench/``: numbers that
+are not both integers within 1e-9 relative, every other field exactly.
+A change that means to move a reported number rewrites its snapshot and
+says why.
 """
 
 import csv
@@ -75,6 +77,32 @@ def test_nets_report_matches_snapshot(tmp_path, monkeypatch):
     config.write_text(json.dumps(NETS))
     assert main(["--config", str(config), "--out", str(tmp_path / "out")]) == 0
     assert_reports_match(tmp_path / "out", SNAPSHOTS / "nets")
+
+
+#: the ``certificate`` config of the benchmark, at each of its base cells
+CERT_X0 = (0, 7001, 23456, 65535, 39999, 4242, 51200, 55555)
+
+
+def certificate_bench(x0):
+    return {
+        "experiment": "certificate",
+        "group": {"kind": "real-grid", "dimension": 1, "resolution": 8},
+        "measure": {"kind": "uniform-interval", "lo": -1, "hi": 1},
+        "action": {"kind": "torus-translation", "N": 256, "step": [29, 41],
+                   "slope_hint": math.sqrt(2.0)},
+        "params": {"n_max": 6, "slack": 0.02, "tol": 1e-3, "seed": 7,
+                   "x0": x0, "cross_check_discrepancy": False},
+        "output": {"prefix": f"certificate_{x0}_"},
+    }
+
+
+def test_benchmark_certificates_match_snapshots(tmp_path, monkeypatch):
+    monkeypatch.delenv(ENV_OUT_DIR, raising=False)
+    for x0 in CERT_X0:
+        config = tmp_path / f"certificate_{x0}.json"
+        config.write_text(json.dumps(certificate_bench(x0)))
+        assert main(["--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert_reports_match(tmp_path / "out", SNAPSHOTS / "certificate_bench")
 
 
 @pytest.mark.parametrize("got,want,same", [
