@@ -19,12 +19,12 @@ boundary S, F and the powers S^k are sorted int64 arrays of steps, and
 S^k is built only by ``_step_powers``.
 
 Sets are read as disjoint segments of slots in the cycle table, and each
-is swept once.  ``orbit_neighborhood_sequence`` hands the walk the
-segments of B_n and of S^n B_n; the walk reads everything off them: the
-masses are the cell weight times a segment count, the F-overlaps are
-integer sums over pairs of segments, the companion is the first cells
-outside the mask of S^n B_n, and the test vector phi is written in slot
-order, the order in which its FFT reads it.
+is swept once.  The walk takes the segments of B_n and of S^n B_n, from
+the radius search or from one sweep of a sequence's B_n, and reads
+everything off them: the masses are the cell weight times a segment
+count, the F-overlaps are integer sums over pairs of segments, the
+companion is the first cells outside the mask of S^n B_n, and the test
+vector phi is written in slot order, the order in which its FFT reads it.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .actions import ActionSpace, GridTranslationSpace
-from .errors import GridResolutionError, PreconditionError
+from .errors import DescriptorMismatchError, GridResolutionError, PreconditionError
 from .groups import GroupDescriptor, _powers, is_symmetric_set
 from .measures import (
     DEFAULT_SUPPORT_CAP,
@@ -48,13 +48,14 @@ from .measures import (
 CHAIN_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModerateGrowthSequence:
     """A candidate certificate: sets B_1..B_max_n plus the atom sets S, F.
 
     S and F are given as group elements, or as 1-d integer arrays of
     steps; once validated they are held as sorted int64 arrays of their
-    steps, which validate again, so ``dataclasses.replace`` works.
+    steps, which validate again, so ``dataclasses.replace`` works.  Its
+    fields hold arrays, so a sequence equals and hashes as itself only.
     """
 
     space: ActionSpace
@@ -231,13 +232,6 @@ def _segments_mass(space: ActionSpace, lo: np.ndarray, hi: np.ndarray) -> float:
     return float((space.weights[space.cycles.order[lo]] * (hi - lo)).sum())
 
 
-def _act_union(space: ActionSpace, steps, idx: np.ndarray) -> np.ndarray:
-    """The union of sigma^c cells over the step counts c, as a mask over
-    the cells."""
-    return _segment_mask(space, *_arc_segments(space, steps, idx),
-                         np.empty(space.n_cells, dtype=bool))
-
-
 def _union_mass(space: ActionSpace, steps, idx: np.ndarray) -> float:
     """Mass of the union of sigma^c cells over the step counts c."""
     return _segments_mass(space, *_arc_segments(space, steps, idx))
@@ -310,11 +304,11 @@ def _squared_modulus(spectrum: np.ndarray) -> np.ndarray:
     return np.add(spectrum.real, spectrum.imag)
 
 
-def _measure_spectra(space: ActionSpace, eta: GroupMeasure) -> dict[int, np.ndarray]:
+def _measure_spectra(space: ActionSpace, steps: np.ndarray,
+                     weights: np.ndarray) -> dict[int, np.ndarray]:
     """eta^_L(k) = sum_c eta(c) e^{2 pi i k c / L} on the real-FFT bins
-    k = 0..L//2 of each cycle length L, from the weights folded mod L."""
-    steps = space.steps(eta.atoms)
-    weights = np.fromiter(eta.atoms.values(), float, len(eta))
+    k = 0..L//2 of each cycle length L, from the weights of the measure
+    eta, atom by atom at ``steps``, folded mod L."""
     return {
         int(length): np.conj(np.fft.rfft(
             np.bincount(steps % length, weights, minlength=length)))
@@ -378,53 +372,44 @@ def _row(n: int, nu_b: float, nu_snb: float, overlap: float, numerator: float,
     )
 
 
-def _walk(seq: ModerateGrowthSequence, slack: float, eta: GroupMeasure,
-          weight: float) -> CertificateReport:
-    """One pass over n = 1..max_n carrying eta^{*n} forward, on a grid
-    whose cells all weigh ``weight``.
+def _walk(space: ActionSpace, S: np.ndarray, F: np.ndarray, segments: list,
+          slack: float, eta: GroupMeasure, weight: float) -> CertificateReport:
+    """One pass over n = 1..len(segments) carrying eta^{*n} forward, on a
+    grid whose cells all weigh ``weight``, for the step arrays S and F.
 
-    Each n reads B_n and S^n B_n off their disjoint slot segments: the
-    masses are ``weight`` times the segment sizes, the F-overlaps are sums
-    over pairs of B_n's segments, the companion is the first cells outside
-    the mask of S^n B_n, and phi is written in slot order, the order the
-    Rayleigh numerator transforms it in.  A sequence from
-    ``orbit_neighborhood_sequence`` carries both segment lists; on any
-    other the walk sweeps B_n into its runs of slots and S^n B_n into
-    arcs.  eta^{*n} is carried as (cells, weights) arrays in atom order.
+    ``segments[n - 1]`` holds the disjoint slot segments of B_n and of
+    S^n B_n, each a (lo, hi) pair sorted by lo, none leaving its cycle.
+    Each n reads everything off them: the masses are ``weight`` times the
+    segment sizes, the F-overlaps are sums over pairs of B_n's segments,
+    the companion is the first |B_n| cells outside the mask of S^n B_n,
+    and phi is written in slot order, the order the Rayleigh numerator
+    transforms it in.  eta^{*n} is carried as (cells, weights) arrays in
+    atom order.
     """
-    space = seq.space
     group = space.group
-    cores = getattr(seq, "_cores", None)
-    if cores is None:
-        s_pow = _step_powers(group, seq.S, seq.max_n)
-    eta_hat = _measure_spectra(space, eta)
     eta_cells, eta_weights = _arrays(eta)
-    chain_asserted = bool(np.isin(eta_cells[:, 0], seq.S).all())
+    eta_hat = _measure_spectra(space, eta_cells[:, 0], eta_weights)
+    chain_asserted = bool(np.isin(eta_cells[:, 0], S).all())
     cells, weights = np.array([group.identity()]), np.ones(1)
     # one mask of S^n B_n and one phi, rewritten at every n
     covered = np.empty(space.n_cells, dtype=bool)
     phi = np.empty(space.n_cells, dtype=np.int8)
     rows = []
-    for n in range(1, seq.max_n + 1):
-        b = seq.B(n)
-        if cores is None:
-            (lo, hi), thickened = (_slot_segments(space, b),
-                                   _arc_segments(space, s_pow[n], b))
-        else:
-            (lo, hi), thickened = cores[0][n - 1], cores[1][n - 1]
-        overlaps = _pair_correlations(space, seq.F, lo, hi, weight)
+    for n, ((lo, hi), thickened) in enumerate(segments, 1):
+        size = int((hi - lo).sum())
+        overlaps = _pair_correlations(space, F, lo, hi, weight)
         cells, weights = _convolve_arrays(group, cells, weights, eta_cells,
                                           eta_weights, DEFAULT_SUPPORT_CAP)
         # a plain Python sum over the atoms in atom order: the reported
         # digits depend on the summation order
-        in_f = np.isin(cells[:, 0], seq.F).tolist()
+        in_f = np.isin(cells[:, 0], F).tolist()
         f_mass = sum(w for w, keep in zip(weights.tolist(), in_f) if keep)
-        companion = _companion_set(b, _segment_mask(space, *thickened, covered))
+        companion = _companion_set(size, _segment_mask(space, *thickened, covered))
         phi.fill(0)
         phi[_segment_slots(lo, hi)] = 1
         phi[space.cycles.slot[companion]] = -1
         spectra = {length: values ** n for length, values in eta_hat.items()}
-        rows.append(_row(n, float(weight * (hi - lo).sum()),
+        rows.append(_row(n, float(weight * size),
                          float(weight * (thickened[1] - thickened[0]).sum()),
                          float(overlaps.min()),
                          _rayleigh_numerator(space, phi, spectra, weight),
@@ -461,21 +446,21 @@ def build_companion_set(
     if forbidden.dtype != bool or forbidden.shape != (space.n_cells,):
         raise PreconditionError(
             f"the forbidden set must be a mask of the {space.n_cells} cells")
-    return _companion_set(b, forbidden)
+    return _companion_set(len(b), forbidden)
 
 
-def _companion_set(b: np.ndarray, forbidden: np.ndarray) -> np.ndarray:
-    """``build_companion_set`` without its checks, for a caller that has
-    checked the equal cell weights and the mask: the first len(b) cells
-    outside the mask."""
+def _companion_set(size: int, forbidden: np.ndarray) -> np.ndarray:
+    """``build_companion_set`` of a set of ``size`` cells without its
+    checks, for a caller that has checked the equal cell weights and the
+    mask: the first ``size`` cells outside the mask."""
     free = np.flatnonzero(~forbidden)
-    if len(free) < len(b):
+    if len(free) < size:
         raise PreconditionError(
             "not enough mass outside the forbidden set (condition (2) gives "
-            f"room only when nu(S^n B_n) < 1/2; need {len(b)} cells, "
+            f"room only when nu(S^n B_n) < 1/2; need {size} cells, "
             f"have {len(free)})"
         )
-    return free[: len(b)].astype(np.int64)
+    return free[:size].astype(np.int64)
 
 
 def orbit_neighborhood_sequence(
@@ -491,15 +476,21 @@ def orbit_neighborhood_sequence(
     exemption under the free-orbit surrogate), and (b) the orbit
     thickening S^{2n} V_n keeps mass below 1/2.  Condition (b) plays the
     role of the small open superset: with it, S^n B_n = S^{2n} V_n stays
-    below mass 1/2 by construction.  Each set is swept once: the radius
-    search keeps the slot segments of S^{2n} V_n from its accepted probe,
-    and one arc sweep of V_n gives those of B_n, whose cells are listed
-    from them.  Both segment lists ride along on the sequence as
-    ``_cores``, outside its fields, for the walk; ``dataclasses.replace``
-    drops them.
+    below mass 1/2 by construction.  The cells of B_n are listed from the
+    slot segments that ``_orbit_segments`` gives.
     """
-    S = tuple(S)
-    steps = _symmetric_steps(space, S, "S")
+    steps = _symmetric_steps(space, tuple(S), "S")
+    sets = tuple(np.sort(space.cycles.order[_segment_slots(*core)])
+                 for core, _ in _orbit_segments(space, x0, steps, n_max))
+    return ModerateGrowthSequence(space, S=steps, F=steps, sets=sets, max_n=n_max)
+
+
+def _orbit_segments(space: ActionSpace, x0: int, steps: np.ndarray,
+                    n_max: int) -> list:
+    """The slot segments of B_n = S^n V_n and of S^n B_n = S^{2n} V_n, V_n
+    as in ``orbit_neighborhood_sequence``, for n = 1..n_max and the checked
+    steps of S: the radius search keeps those of S^{2n} V_n from its
+    accepted probe, and one arc sweep of V_n gives those of B_n."""
     x0 = int(x0)
     if not 0 <= x0 < space.n_cells:
         raise PreconditionError(
@@ -521,7 +512,7 @@ def orbit_neighborhood_sequence(
             f"{orbit_mass:.6g} >= 1/2; refine the grid"
         )
 
-    sets, segments, thickened = [], [], []
+    segments = []
     # S^{2n} only grows with n, so the admissible radius cannot grow
     radius = math.inf
     for n in range(1, n_max + 1):
@@ -536,14 +527,9 @@ def orbit_neighborhood_sequence(
                 "cell pushes the orbit thickening to mass >= 1/2; use a finer grid"
             )
         radius, swept = accepted
-        thickened.append(swept)
-        segments.append(_arc_segments(space, powers[n], space.cell_ball(x0, radius)))
-        sets.append(np.sort(space.cycles.order[_segment_slots(*segments[-1])]))
-    seq = ModerateGrowthSequence(
-        space=space, S=S, F=S, sets=tuple(sets), max_n=n_max
-    )
-    object.__setattr__(seq, "_cores", (segments, thickened))
-    return seq
+        segments.append((_arc_segments(space, powers[n], space.cell_ball(x0, radius)),
+                         swept))
+    return segments
 
 
 def _separation_radius(space: ActionSpace, separators: np.ndarray) -> int:
@@ -653,19 +639,30 @@ def run_certificate(
     together with the finite-horizon flag max_n ratio_n^{1/n} >= 1 - slack.
     The sets come either from ``seq``, built on ``space``, or from the
     base cell ``x0`` (default: the space's base cell) and the horizon
-    ``n_max`` (default 10), not from both.  Every cell must weigh exactly
-    the same, which is checked before anything is built.
+    ``n_max`` (default 10), not from both; from the base cell the walk
+    takes the segments of the radius search and lists no cells of B_n.
+    mu must live on the space's group, and every cell must weigh exactly
+    the same; both are checked before anything is built.
     """
+    if mu.group != space.group:
+        raise DescriptorMismatchError("measure and action space live on "
+                                      "different groups")
     weight = _cell_weight(space)
     eta = symmetrize(mu)
     if seq is None:
-        base = space.base_cell if x0 is None else int(x0)
-        seq = orbit_neighborhood_sequence(
-            space, base, list(eta.atoms), 10 if n_max is None else n_max)
+        S = F = _symmetric_steps(space, list(eta.atoms), "S")
+        segments = _orbit_segments(space, space.base_cell if x0 is None else x0,
+                                   S, 10 if n_max is None else n_max)
     elif x0 is not None or n_max is not None:
         raise PreconditionError(
             "run_certificate takes either seq or x0/n_max; seq fixes the "
             "base cell and the horizon")
     elif seq.space is not space:
         raise PreconditionError("seq must be built on the space it runs on")
-    return _walk(seq, slack, eta, weight)
+    else:
+        S, F = seq.S, seq.F
+        powers = _step_powers(space.group, S, seq.max_n)
+        segments = [(_slot_segments(space, b), _arc_segments(space, s_n, b))
+                    for b, s_n in zip(map(seq.B, range(1, seq.max_n + 1)),
+                                      powers[1:])]
+    return _walk(space, S, F, segments, slack, eta, weight)

@@ -114,13 +114,15 @@ ACTIONS = {
                            "weights": (list[float], None, None)},
 }
 
+#: the largest m2 of the continuum line scan of a ``koopman-norm`` torus flow
+LINE_FREQ_CUTOFF = 10_000
+
 #: the params each experiment reads.  Every experiment also takes ``seed``
 #: (``--seed`` writes it into any config); only ``nets`` reads it.
 PARAMS = {
     "regular-norm": {"method": (str, "berg-christensen", METHODS),
                      "n_max": (int, 50, 2)},
-    "koopman-norm": {"tol": (float, 1e-8, 0), "freq_cutoff": (int, None, 1),
-                     "line_freq_cutoff": (int, 10_000, 1)},
+    "koopman-norm": {"tol": (float, 1e-8, 0)},
     "verify-bound": {"regular_norm_method": (str, "auto", METHODS),
                      "tol": (float, 1e-3, 0), "n_max": (int, 50, 2)},
     "certificate": {"n_max": (int, 10, 1), "slack": (float, 0.02, 0),
@@ -333,19 +335,17 @@ def run_koopman_norm(cfg: dict) -> RunResult:
     res.check("discrepancy <= total mass + tol",
               disc.value <= mu.total_mass + tol)
     if isinstance(space, GridTranslationSpace):
-        cutoff = p.get("freq_cutoff")
-        if cutoff is None:
-            cutoff = max(space.grid_shape) // 2
+        # a cutoff of half the grid side spans the grid dual
+        cutoff = max(space.grid_shape) // 2
         char = character_norm(space, mu, cutoff)
         res.put("character_norm", char)
         res.put("freq_cutoff", cutoff)
         res.note(f"character oracle = {_fmt(char)} at cutoff {cutoff}")
-        if cutoff >= max(space.grid_shape) // 2:
-            res.check("cycle spectrum agrees with the character oracle",
-                      abs(disc.value - char) <= 1e-9)
+        res.check("cycle spectrum agrees with the character oracle",
+                  abs(disc.value - char) <= 1e-9)
         slope = space.slope_target
         if slope is not None:
-            value, witness = character_line_scan(mu, slope, p["line_freq_cutoff"])
+            value, witness = character_line_scan(mu, slope, LINE_FREQ_CUTOFF)
             res.put("line_scan_value", value)
             res.put("line_scan_witness", f"({witness[0]};{witness[1]})")
             res.note(f"continuum line scan at slope {_fmt(slope)}: "

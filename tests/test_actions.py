@@ -19,14 +19,21 @@ from gaplab import (
 )
 from gaplab.actions import CELL_BYTES, ActionSpace, CycleTable, _window_rotation
 from gaplab.certificates import (
-    _act_union,
     _arc_segments,
     _pair_correlations,
+    _segment_mask,
     _slot_segments,
     _union_mass,
 )
 
 Z = GroupDescriptor(kind="lattice", dimension=1)
+
+
+def arc_mask(space, steps, idx):
+    """The union of sigma^c cells over the step counts c, as a mask over
+    the cells, from its arc segments."""
+    return _segment_mask(space, *_arc_segments(space, steps, idx),
+                         np.empty(space.n_cells, dtype=bool))
 
 
 def reference_sigma(kind, kw):
@@ -368,7 +375,7 @@ def test_dilation_and_correlation_match_gathers(space):
     steps = [0, 1, -1, 2, -7, 11]
     for trial in range(4):
         idx = np.sort(rng.choice(space.n_cells, size=1 + trial * 3, replace=False))
-        assert np.flatnonzero(_act_union(space, steps, idx)).tolist() == (
+        assert np.flatnonzero(arc_mask(space, steps, idx)).tolist() == (
             gathered_union(space, steps, idx))
         ind = indicator(space, idx)
         got = _pair_correlations(space, steps, *_slot_segments(space, idx),
@@ -408,7 +415,7 @@ cell_picks = st.lists(st.integers(0, 10**6), min_size=1, max_size=8)
 def test_arc_union_matches_gathers(space, steps, picks):
     idx = np.array([i % space.n_cells for i in picks], dtype=np.int64)
     want = gathered_union(space, steps, idx)
-    got = _act_union(space, steps, idx)
+    got = arc_mask(space, steps, idx)
     assert got.dtype == bool and got.shape == (space.n_cells,)
     assert np.flatnonzero(got).tolist() == want
     assert _union_mass(space, steps, idx) == pytest.approx(
@@ -444,5 +451,5 @@ def test_arcs_on_one_cycle(steps, want):
     # the rotation by one cell on 15 cells: slot = cell, one cycle
     space = build_action("circle-rotation", group=Z, N=15, cells_per_step=1)
     idx = np.array([5])
-    assert np.flatnonzero(_act_union(space, steps, idx)).tolist() == sorted(want)
+    assert np.flatnonzero(arc_mask(space, steps, idx)).tolist() == sorted(want)
     assert _union_mass(space, steps, idx) == pytest.approx(len(want) / 15)

@@ -10,6 +10,7 @@ import pytest
 
 from gaplab import certificates, cli
 from gaplab import (
+    DescriptorMismatchError,
     GridResolutionError,
     GridTranslationSpace,
     GroupDescriptor,
@@ -45,6 +46,14 @@ def cell_mask(space, cells):
     mask = np.zeros(space.n_cells, dtype=bool)
     mask[cells] = True
     return mask
+
+
+def arc_mask(space, steps, idx):
+    """The union of sigma^c cells over the step counts c, as a mask over
+    the cells, from its arc segments."""
+    return certificates._segment_mask(
+        space, *certificates._arc_segments(space, steps, idx),
+        np.empty(space.n_cells, dtype=bool))
 
 
 def gathered_thickening(space, seq, n):
@@ -86,7 +95,6 @@ class TestSequenceValidation:
         assert same.S.tolist() == seq.S.tolist()
         assert same.F.tolist() == seq.F.tolist()
         # the replaced sequence dilates B_n itself; the x0 route dilates V_n
-        assert not hasattr(same, "_cores")
         assert (run_certificate(space, mu, seq=same)
                 == run_certificate(space, mu, x0=0, n_max=4))
         shorter = dataclasses.replace(seq, sets=seq.sets[1:3], max_n=2)
@@ -94,6 +102,14 @@ class TestSequenceValidation:
                                        max_n=2)
         assert (run_certificate(space, mu, seq=shorter)
                 == run_certificate(space, mu, seq=fresh))
+
+    def test_equality_and_hash_are_identity(self):
+        # the fields hold arrays: a sequence equals and hashes as itself
+        seq = orbit_neighborhood_sequence(cycle_space(64), 0, [(0,), (1,), (-1,)], 2)
+        same = dataclasses.replace(seq)
+        assert seq == seq and same != seq
+        assert hash(seq) == hash(seq)
+        assert len({seq, same, seq}) == 2
 
     def test_rejects_empty_sets(self):
         space = cycle_space(8)
@@ -170,7 +186,7 @@ class TestCompanionSet:
         mu = GroupMeasure.uniform_interval(time_grid(2), -1.0, 1.0)
         eta = symmetrize(mu)
         seq = orbit_neighborhood_sequence(space, 0, list(eta.atoms), 5)
-        _, thickened = seq._cores
+        _, thickened = zip(*certificates._orbit_segments(space, 0, seq.S, 5))
         # the walk's companion: the first cells outside the mask of S^5 B_5
         mask = certificates._segment_mask(space, *thickened[4],
                                           np.empty(space.n_cells, dtype=bool))
@@ -374,13 +390,14 @@ class TestThickeningFromBalls:
 
         monkeypatch.setattr(certificates, "_largest_mass_admissible_radius", spy)
         seq = orbit_neighborhood_sequence(space, 3, list(eta.atoms), n_max)
-        segments, thickened = seq._cores
+        segments, thickened = zip(*certificates._orbit_segments(space, 3, seq.S,
+                                                                n_max))
         powers = certificates._step_powers(space.group, seq.S, n_max)
         for n in range(1, n_max + 1):
             ball = space.cell_ball(3, radii[n - 1])
             from_ball = certificates._segment_mask(
                 space, *thickened[n - 1], np.empty(space.n_cells, dtype=bool))
-            from_set = certificates._act_union(space, powers[n], seq.B(n))
+            from_set = arc_mask(space, powers[n], seq.B(n))
             assert from_ball.tolist() == from_set.tolist()
             assert len(ball) < len(seq.B(n))
             # the F-overlaps of B_n = S^n V_n from the arcs of V_n
@@ -396,7 +413,7 @@ class TestThickeningFromBalls:
 
 class TestCarriedSegments:
     """The walk of the x0 route reads B_n and S^n B_n off the segments
-    the sequence carries, and sweeps nothing itself."""
+    of the radius search, and sweeps nothing itself."""
 
     @pytest.mark.parametrize("kind,kw,x0,n_max", [
         ("torus-translation", dict(N=256, step=(29, 41), slope_hint=SQRT2), 7001, 6),
@@ -407,6 +424,7 @@ class TestCarriedSegments:
         space = build_action(kind, group=grid, **kw)
         mu = GroupMeasure.uniform_interval(grid, -1.0, 1.0)
         seq = orbit_neighborhood_sequence(space, x0, list(symmetrize(mu).atoms), n_max)
+        segments = certificates._orbit_segments(space, x0, seq.S, n_max)
         sweeps = []
         arc_segments = certificates._arc_segments
 
@@ -415,9 +433,10 @@ class TestCarriedSegments:
             return arc_segments(*args)
 
         monkeypatch.setattr(certificates, "_arc_segments", spy)
-        carried = run_certificate(space, mu, seq=seq)
+        carried = certificates._walk(space, seq.S, seq.F, segments, 0.02,
+                                     symmetrize(mu), space.weights[0])
         assert sweeps == []
-        # the replaced sequence carries no segments: the walk sweeps S^n B_n
+        # a sequence carries no segments: the walk sweeps S^n B_n
         swept = run_certificate(space, mu, seq=dataclasses.replace(seq))
         assert len(sweeps) == n_max
         assert carried == swept
@@ -512,9 +531,9 @@ class TestOrbitNeighborhoodSequence:
                           if g not in S]
             r_cap = certificates._separation_radius(space, space.steps(separators))
             thickening = space.steps(power_set(space.group, S, 2 * n))
-            masses = [space.mass_of(certificates._act_union(
-                space, thickening, space.cell_ball(x0, r)))
-                for r in range(r_cap + 1)]
+            masses = [space.mass_of(arc_mask(space, thickening,
+                                             space.cell_ball(x0, r)))
+                      for r in range(r_cap + 1)]
             assert masses == sorted(masses)
             radius = max(r for r, m in enumerate(masses) if m < 0.5)
             assert picked[n - 1] == radius, n
@@ -522,10 +541,9 @@ class TestOrbitNeighborhoodSequence:
             assert np.array_equal(
                 certificates._segment_mask(space, *swept[n - 1],
                                            np.empty(space.n_cells, dtype=bool)),
-                certificates._act_union(space, thickening,
-                                        space.cell_ball(x0, radius)))
+                arc_mask(space, thickening, space.cell_ball(x0, radius)))
             bound_active |= n > 1 and picked[n - 2] < r_cap
-            want = certificates._act_union(
+            want = arc_mask(
                 space, space.steps(power_set(space.group, S, n)),
                 space.cell_ball(x0, radius))
             assert seq.B(n).tolist() == np.flatnonzero(want).tolist()
@@ -565,7 +583,7 @@ class TestOrbitNeighborhoodSequence:
             separators = np.setdiff1d(powers[2 * n - 2], powers[1])
             r_cap = certificates._separation_radius(space, separators)
             radius = 0
-            while radius < r_cap and space.mass_of(certificates._act_union(
+            while radius < r_cap and space.mass_of(arc_mask(
                     space, powers[2 * n], space.cell_ball(x0, radius + 1))) < 0.5:
                 radius += 1
             scanned.append(radius)
@@ -686,6 +704,40 @@ class TestNormLowerBound:
                                      sets=(np.arange(5),), max_n=1)
         with pytest.raises(PreconditionError, match="seq must be built on the space"):
             run_certificate(cycle_space(32), GroupMeasure.point_mass(Z, (0,)), seq=seq)
+
+    def test_measure_on_another_group(self):
+        # an interval on Z, run on the q=8 time grid's circle
+        space = build_action("circle-rotation", group=time_grid(8), N=1000,
+                             cells_per_step=7)
+        mu = GroupMeasure.uniform_interval(Z, -1.0, 1.0)
+        seq = ModerateGrowthSequence(space, S=((0,),), F=((0,),),
+                                     sets=(np.arange(5),), max_n=1)
+        message = "measure and action space live on different groups"
+        with pytest.raises(DescriptorMismatchError, match=message):
+            discrepancy(space, mu)
+        with pytest.raises(DescriptorMismatchError, match=message):
+            run_certificate(space, mu, x0=0, n_max=3)
+        with pytest.raises(DescriptorMismatchError, match=message):
+            run_certificate(space, mu, seq=seq)
+
+    def test_x0_route_builds_no_sequence(self, monkeypatch):
+        space = build_action("torus-translation", group=time_grid(2),
+                             N=64, step=(29, 41))
+        mu = GroupMeasure.uniform_interval(time_grid(2), -1.0, 1.0)
+        built = []
+        post_init = ModerateGrowthSequence.__post_init__
+
+        def spy(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(ModerateGrowthSequence, "__post_init__", spy)
+        report = run_certificate(space, mu, x0=0, n_max=4)
+        assert len(built) == 0
+        seq = orbit_neighborhood_sequence(space, 0, list(symmetrize(mu).atoms), 4)
+        assert len(built) == 1
+        assert report == run_certificate(space, mu, seq=seq)
+        assert report == run_certificate(space, mu, seq=dataclasses.replace(seq))
 
     def test_never_exceeds_discrepancy(self):
         space = build_action("torus-translation", group=time_grid(2),

@@ -139,3 +139,28 @@ def unreached_public_names(root: Path) -> list[str]:
 def test_every_public_name_is_reached():
     """An entry point that only tests call belongs in tests/, not in src."""
     assert unreached_public_names(ROOT) == []
+
+
+def unreached_private_functions(root: Path) -> list[str]:
+    """The private module-level functions of ``src/gaplab`` that no code
+    of ``src/gaplab`` reads: a call, or a function passed on, names it
+    (an import alone does not)."""
+    trees = {p.stem: ast.parse(p.read_text())
+             for p in sorted((root / "src" / "gaplab").glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(
+        f"{module}.{node.name}" for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+        and not node.name.startswith("__") and node.name not in read)
+
+
+def test_every_private_function_is_reached():
+    """A private helper that only tests call belongs in tests/, not in src."""
+    assert unreached_private_functions(ROOT) == []
