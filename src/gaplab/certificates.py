@@ -479,7 +479,7 @@ def orbit_neighborhood_sequence(
     below mass 1/2 by construction.  The cells of B_n are listed from the
     slot segments that ``_orbit_segments`` gives.
     """
-    steps = _symmetric_steps(space, tuple(S), "S")
+    steps = _symmetric_steps(space, S, "S")
     sets = tuple(np.sort(space.cycles.order[_segment_slots(*core)])
                  for core, _ in _orbit_segments(space, x0, steps, n_max))
     return ModerateGrowthSequence(space, S=steps, F=steps, sets=sets, max_n=n_max)

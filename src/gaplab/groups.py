@@ -210,7 +210,9 @@ def _euclid_ball(dim: int, radius: float, scale: int) -> list[Element]:
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 #: ``_unique_keys`` deduplicates keys within a range of at most this many
-#: times their count through a table over the range, wider ones by a sort
+#: times their count through a table over the range, wider ones by a sort;
+#: the Berg-Christensen walk pairs through a table over its key box while
+#: the box holds at most this many cells per pair of the step
 _DENSE_RANGE = 4
 
 
@@ -312,27 +314,33 @@ def _factor_keys(group: GroupDescriptor, xs, ys, what: str):
     return box, box.keys(x + y_lo), box.keys(y + x_lo)
 
 
-def _unique_keys(keys: np.ndarray, cap: int, what: str):
-    """The distinct keys in increasing order, the position of each key among
-    them, and the first position holding each.
+def _unique_keys(keys: np.ndarray, weights: np.ndarray, cap: int, what: str):
+    """The distinct keys in first-formed order (ordered by the first
+    position holding each) and the sum of the weights at each key, added
+    in position order by ``np.bincount``.
 
-    Keys within a range of at most ``_DENSE_RANGE`` times their count are
-    counted in a table over that range, where ``np.minimum.at`` finds the
-    first positions; wider ones are sorted.  Both give the same arrays.
-    More than ``cap`` distinct keys raise ``ResourceLimitError``.
+    Keys within a range of at most ``_DENSE_RANGE`` times their count go
+    through a table over that range: ``np.minimum.at`` writes the first
+    position of each key, and the positions that find themselves there are
+    the distinct keys, already in first-formed order.  Wider keys are
+    sorted, and the distinct ones reordered by their least position.  Both
+    give the same arrays.  More than ``cap`` distinct keys raise
+    ``ResourceLimitError``.
     """
     n = len(keys)
     if not n:
-        return keys, keys, keys
+        return keys, weights
     lo = keys.min()
     span = int(keys.max()) - int(lo) + 1
     if span <= _DENSE_RANGE * n:
         offsets = keys - lo
+        positions = np.arange(n)
         table = np.full(span, n)
-        np.minimum.at(table, offsets, np.arange(n))
-        seen = table < n
-        _check_cap(int(seen.sum()), cap, what)
-        return np.flatnonzero(seen) + lo, (seen.cumsum() - 1)[offsets], table[seen]
+        np.minimum.at(table, offsets, positions)
+        first = table[offsets] == positions
+        distinct = keys[first]
+        _check_cap(len(distinct), cap, what)
+        return distinct, np.bincount(offsets, weights)[offsets[first]]
     perm = np.argsort(keys)
     ordered = keys[perm]
     starts = _run_starts(ordered)
@@ -341,7 +349,8 @@ def _unique_keys(keys: np.ndarray, cap: int, what: str):
     at = np.flatnonzero(starts)
     _check_cap(len(at), cap, what)
     # the sort is not stable: the first position is the least in each run
-    return ordered[at], index, np.minimum.reduceat(perm, at)
+    order = np.argsort(np.minimum.reduceat(perm, at))
+    return ordered[at][order], np.bincount(index, weights)[order]
 
 
 def _run_starts(ordered: np.ndarray) -> np.ndarray:

@@ -186,8 +186,9 @@ def _convolve_keys(box: KeyBox, keys_a, w_a, keys_b, w_b, cap: int):
     """Abelian ``convolve`` on (keys, weights) arrays whose ``box.add`` keys
     the sums, in first-formed order; the keys on each side are distinct.
 
-    The pairs are taken x-major, and ``np.bincount`` adds their products in
-    pair order, as the pair loop does.  When one side is a single atom the
+    The pairs are taken x-major, and ``_unique_keys`` hands back the
+    distinct sums in first-formed order with their products added in pair
+    order, as the pair loop does.  When one side is a single atom the
     product is a translate: its sums are distinct and in the other side's
     order, and each weight is one product.  As in ``GroupMeasure``, the
     first non-finite weight raises, naming its cell, and weights that
@@ -199,10 +200,7 @@ def _convolve_keys(box: KeyBox, keys_a, w_a, keys_b, w_b, cap: int):
         keys, weights = box.add(keys_a, keys_b), products
         _check_cap(len(keys), cap, "convolution")
     else:
-        keys, index, first = _unique_keys(box.add(keys_a, keys_b), cap, "convolution")
-        order = np.argsort(first)
-        keys = keys[order]
-        weights = np.bincount(index, weights=products, minlength=len(keys))[order]
+        keys, weights = _unique_keys(box.add(keys_a, keys_b), products, cap, "convolution")
     bad = ~np.isfinite(weights)
     if bad.any():
         g = box.cells(keys[bad][:1])[0].tolist()

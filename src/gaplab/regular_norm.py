@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import PreconditionError, ResourceLimitError, UnsupportedKindError
 from .groups import (
+    _DENSE_RANGE,
     FREE,
     TORUS_GRID,
     GroupDescriptor,
@@ -79,8 +80,10 @@ def berg_christensen_estimate(
     so ``cap`` bounds the support of eta^{*ceil(n_max/2)}.
 
     For the uniform measure on free-group generators with F = {e} the
-    exact radial oracle replaces convolution powers (no exponential
-    support growth).
+    radial oracle replaces convolution powers (no exponential support
+    growth).  Only its return probabilities are exact: the terms are the
+    same lower estimates, and on F2 the value at n_max 50 is 0.82014,
+    5.3% below the norm sqrt(3)/2 = 0.86603.
     """
     if n_max < 2:
         raise PreconditionError("n_max must be >= 2")
@@ -132,10 +135,15 @@ def berg_christensen_estimate(
 def _walk_steps(mu: GroupMeasure, F: list, n_max: int, cap: int):
     """``(eta, indicator, convolve, involute, pairing)`` of the walk on one
     kind: eta = mu * mu^ and 1_F as ``GroupMeasure``s for the free group, as
-    (keys, weights) arrays in one ``KeyBox`` for the abelian kinds.
+    (keys, weights) arrays in one ``KeyBox`` for the abelian kinds, where
+    ``_convolve_keys`` keeps each power in first-formed order.
     ``pairing(high, reach)`` is sum_g high(g) reach(g), added one by one in
     the atom order of ``high``: ``np.sum`` adds pairwise, and moves the last
-    digit."""
+    digit.  On the abelian kinds it reads reach at the keys of high from one
+    float array over the box, allocated on first use, while the box holds at
+    most ``_DENSE_RANGE`` cells per pair of the step high * eta (the pairing
+    writes reach's weights and zeroes them after the gather); in a wider box
+    it finds each key of high among reach's by binary search."""
     group = mu.group
     indicator = GroupMeasure(group, dict.fromkeys(F, 1.0))
     if not group.is_abelian:
@@ -148,7 +156,9 @@ def _walk_steps(mu: GroupMeasure, F: list, n_max: int, cap: int):
     f_cells, f_weights = _arrays(indicator)
     f_cells = _coordinates(group, f_cells, "convolution")
     box = _walk_box(group, eta_cells, f_cells, n_max)
+    box_cells = math.prod(box.widths.tolist())
     zero = box.keys(np.zeros(group.dimension, dtype=np.int64))
+    lookup = None  # the float array over the box, once allocated
 
     def conv(a, b):
         # key(x) + key(y) is the key of x + y - lo, and key(y) - key(0) that of y + lo
@@ -160,12 +170,20 @@ def _walk_steps(mu: GroupMeasure, F: list, n_max: int, cap: int):
         return 2 * zero - a[0], a[1]  # the box is symmetric about 0
 
     def pairing(high, reach):
+        nonlocal lookup
         (keys, weights), (reach_keys, reach_weights) = high, reach
         if not len(reach_keys):  # then high is empty too
             return 0
-        order = np.argsort(reach_keys)
-        at = order[np.searchsorted(reach_keys, keys, sorter=order).clip(max=len(order) - 1)]
-        found = np.where(reach_keys[at] == keys, reach_weights[at], 0.0)
+        if box_cells <= _DENSE_RANGE * len(keys) * len(eta_cells):
+            if lookup is None:
+                lookup = np.zeros(box_cells)
+            lookup[reach_keys] = reach_weights
+            found = lookup[keys]
+            lookup[reach_keys] = 0.0
+        else:
+            order = np.argsort(reach_keys)
+            at = order[np.searchsorted(reach_keys, keys, sorter=order).clip(max=len(order) - 1)]
+            found = np.where(reach_keys[at] == keys, reach_weights[at], 0.0)
         with np.errstate(over="ignore"):
             return sum((weights * found).tolist())
 

@@ -598,6 +598,14 @@ class TestOrbitNeighborhoodSequence:
             expect = sorted((c % 64) for c in range(-n, n + 1))
             assert seq.B(n).tolist() == expect
 
+    def test_step_array_gives_the_tuple_sets(self):
+        space = cycle_space(64)
+        want = orbit_neighborhood_sequence(space, 0, ((-1,), (0,), (1,)), 3)
+        got = orbit_neighborhood_sequence(space, 0, np.array([-1, 0, 1]), 3)
+        assert got.S.tolist() == want.S.tolist() == [-1, 0, 1]
+        for n in range(1, 4):
+            assert got.B(n).tolist() == want.B(n).tolist()
+
     def test_torus_blue_rectangle_geometry(self):
         n_grid, smax, n_max = 128, 2, 6
         space = build_action("torus-translation", group=time_grid(1),

@@ -329,24 +329,37 @@ def key_case(draw):
     return group, xs, ys, ("sort",) if far else tuple(BRANCHES)
 
 
+def pair_weights(xs, ys):
+    """A weight for each pair, x-major, whose sums depend on the order of
+    addition."""
+    return np.sqrt(np.arange(2.0, len(xs) * len(ys) + 2))
+
+
 def keyed_pair_sums(group, xs, ys, cap):
     """The pair sums as ``convolve`` forms them, keyed by ``_factor_keys`` and
-    deduplicated by ``_unique_keys``: (cells, positions, first pairs)."""
+    deduplicated by ``_unique_keys``: (cells, summed ``pair_weights``)."""
     box, xk, yk = groups._factor_keys(group, xs, ys, "test")
-    keys, index, first = groups._unique_keys(box.add(xk, yk), cap, "test")
-    return box.cells(keys), index, first
+    keys, weights = groups._unique_keys(box.add(xk, yk), pair_weights(xs, ys), cap, "test")
+    return box.cells(keys), weights
 
 
 def oracle_pair_sums(group, xs, ys):
-    """``keyed_pair_sums`` by the pair loop and the lexicographic row sort."""
+    """``keyed_pair_sums`` by the pair loop and the lexicographic row sort:
+    the distinct rows ordered by their first pair, and the weights added
+    one by one in pair order."""
     rows = np.array([brute_sum(group, x, y) for x in xs for y in ys],
                     dtype=np.int64).reshape(-1, group.dimension)
-    return unique_rows(rows)
+    distinct, index, first = unique_rows(rows)
+    sums = [0.0] * len(distinct)
+    for i, w in zip(index.tolist(), pair_weights(xs, ys).tolist()):
+        sums[i] += w
+    order = np.argsort(first)
+    return distinct[order], np.array(sums)[order]
 
 
 class TestBoxKeys:
-    """Both deduplication branches give the row sort's sums, positions and
-    first pairs."""
+    """Both deduplication branches give the row sort's sums in first-formed
+    order, with the weights of each added in pair order."""
 
     @settings(max_examples=200, deadline=None)
     @given(key_case())
@@ -356,10 +369,10 @@ class TestBoxKeys:
         for branch in branches:
             with mock.patch.object(groups, "_DENSE_RANGE", BRANCHES[branch]):
                 got = keyed_pair_sums(group, xs, ys, 10**6)
+            assert got[0].dtype == np.int64
             for g, w in zip(got, want):
-                assert g.dtype == np.int64
                 np.testing.assert_array_equal(g, w)
-        assert product_set(group, xs, ys) == [tuple(c) for c in want[0].tolist()]
+        assert product_set(group, xs, ys) == sorted(map(tuple, want[0].tolist()))
 
     @pytest.mark.parametrize("branch", BRANCHES)
     @pytest.mark.parametrize("group, xs, ys", [

@@ -1,8 +1,10 @@
 """Regular-representation norm estimators and their closed-form oracles."""
 
+import importlib
 import itertools
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from dict_oracles import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaplab import groups
 from gaplab import (
     DescriptorMismatchError,
     GroupDescriptor,
@@ -32,6 +35,9 @@ from gaplab import (
     symmetrize,
 )
 from gaplab.regular_norm import regular_norm
+
+# the module itself: the package attribute of that name is the function
+norms = importlib.import_module("gaplab.regular_norm")
 
 Z = GroupDescriptor(kind="lattice", dimension=1)
 Z2 = GroupDescriptor(kind="lattice", dimension=2)
@@ -227,6 +233,68 @@ class TestArrayWalkOracle:
     def test_matches_dict_walk_on_fixed_cases(self, mu, F, n_max):
         est = berg_christensen_estimate(mu, F=F, n_max=n_max)
         assert est.sequence == dict_berg_christensen_sequence(mu, F, n_max)
+
+
+#: ``_DENSE_RANGE`` values that send every deduplication, or every pairing,
+#: through one route
+ROUTES = {"table": 10**18, "search": 0}
+
+
+class TestWalkRoutes:
+    """Each deduplication branch with each pairing route gives the dict
+    walk's sequence bit for bit."""
+
+    @pytest.mark.parametrize("pairing", ROUTES)
+    @pytest.mark.parametrize("dedupe", ROUTES)
+    @pytest.mark.parametrize("mu,F,n_max", [
+        (GroupMeasure.simple_random_walk(Z), [(0,)], 40),
+        (GroupMeasure.from_atoms(Z2, [((1, 0), 0.3), ((0, 2), 0.45),
+                                      ((-1, -1), 0.25)]),
+         [(0, 0), (1, 0), (0, -1)], 10),
+        (GroupMeasure.uniform_interval(GRID8, -1, 1), GRID8.ball(1.0), 10),
+        (GroupMeasure.from_atoms(GroupDescriptor(kind="torus-grid", dimension=2, size=9),
+                                 [((1, 0), 0.3), ((0, 2), 0.5), ((8, 8), 0.2)]),
+         [(0, 0), (2, 0), (8, 1)], 12),
+        (GroupMeasure.from_atoms(Z, [((0,), 0.5), ((1000,), 0.3), ((1,), 0.2)]),
+         [(0,), (1000,), (-1,)], 9),
+    ], ids=["z-walk", "z2-nonsymmetric", "interval-q8", "torus2", "z-sparse"])
+    def test_matches_dict_walk(self, mu, F, n_max, dedupe, pairing):
+        with mock.patch.object(groups, "_DENSE_RANGE", ROUTES[dedupe]), \
+                mock.patch.object(norms, "_DENSE_RANGE", ROUTES[pairing]), \
+                mock.patch.object(np, "full", wraps=np.full) as table, \
+                mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as search:
+            est = berg_christensen_estimate(mu, F=F, n_max=n_max)
+        assert est.sequence == dict_berg_christensen_sequence(mu, F, n_max)
+        assert table.called == (dedupe == "table")
+        assert search.called == (pairing == "search")
+
+    def test_lookup_array_is_bounded_by_the_step(self):
+        # Z2 at n_max 24 keys a 49^2 box (eta reaches 2 per axis, h = 12);
+        # the pairing searches while 4 |high| |eta| is below that, then
+        # allocates one float array over the box
+        mu = GroupMeasure.simple_random_walk(Z2)
+        eta = symmetrize(mu)
+        searched = [n for n in range(1, 25)
+                    if 4 * len(convolution_power(eta, (n + 1) // 2)) * len(eta) < 49**2]
+        assert 0 < len(searched) < 24
+        with mock.patch.object(np, "zeros", wraps=np.zeros) as zeros, \
+                mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as search:
+            est = berg_christensen_estimate(mu, F=[(0, 0)], n_max=24)
+        assert est.sequence == dict_berg_christensen_sequence(mu, [(0, 0)], 24)
+        floats = [c.args for c in zeros.call_args_list if "dtype" not in c.kwargs]
+        assert floats == [(49**2,)]
+        assert search.call_count == len(searched)
+
+
+    def test_pairing_clears_what_it_wrote(self):
+        # a reach without a key of high must read 0 there on the next pairing
+        eta, *_, pairing = norms._walk_steps(GroupMeasure.simple_random_walk(Z),
+                                             [(0,)], 4, 100)
+        keys, weights = eta
+        for route in ROUTES.values():
+            with mock.patch.object(norms, "_DENSE_RANGE", route):
+                assert pairing(eta, eta) == sum((weights * weights).tolist())
+                assert pairing(eta, (keys[:1], weights[:1])) == weights[0] ** 2
 
 
 class TestWalkInputs:
