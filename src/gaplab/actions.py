@@ -73,12 +73,14 @@ class CycleTable:
     """The cycles of a cell permutation sigma as coordinates.
 
     ``lengths`` and ``counts`` give the cycle type, block by block in
-    increasing L; the constructor builds only these.  ``order`` lists the
-    cells cycle by cycle: the cycles of one length L fill one block of
-    slots in the order of their least cells, and each cycle starts at its
-    least cell and follows sigma, so sigma^c moves a cell at slot s of the
-    cycle with first slot f to slot f + (s - f + c) mod L.  ``slot`` is
-    the inverse of ``order``.  Both are built together on first use.
+    increasing L, and ``first_length`` is the length of the cycle of
+    cell 0, the least cell of its cycle; the constructor builds only
+    these.  ``order`` lists the cells cycle by cycle: the cycles of one
+    length L fill one block of slots in the order of their least cells,
+    and each cycle starts at its least cell and follows sigma, so sigma^c
+    moves a cell at slot s of the cycle with first slot f to slot
+    f + (s - f + c) mod L.  ``slot`` is the inverse of ``order``.  Both
+    are built together on first use.
     """
 
     def __init__(self, sigma: np.ndarray):
@@ -116,6 +118,8 @@ class CycleTable:
         self._heads = np.flatnonzero(np.equal(merged, 0, out=lowered))
         del merged, lowered
         self._sizes = (key[sigma[self._heads]] & mask) + 1
+        # cell 0 is least in its cycle, so that cycle is the first head's
+        self.first_length = int(self._sizes[0])
         self.lengths, self.counts = np.unique(self._sizes, return_counts=True)
         self._ends = np.cumsum(self.lengths * self.counts)
         self._key = key
@@ -227,14 +231,13 @@ class ActionSpace:
         steps = np.asarray(steps, dtype=np.int64)
         return (steps[..., None] % self.cycles.lengths == 0).any(axis=-1)
 
-    def orbit(self, start: int, steps) -> np.ndarray:
-        """Closure of a cell under sigma^c for the given step counts c: the
-        cells of its cycle at multiples of gcd(L, steps) from it."""
-        slot = int(self.cycles.slot[start])
-        first, length = (int(v) for v in self.cycles.locate(slot))
+    def base_orbit_mass(self, steps) -> float:
+        """Mass of the closure of the base cell 0 under sigma^c for the
+        given step counts c: every gcd(L, steps)-th cell of its cycle of
+        length L, all of one weight."""
+        length = self.cycles.first_length
         stride = math.gcd(length, *np.asarray(steps, dtype=np.int64).tolist())
-        ring = (slot - first + np.arange(0, length, stride)) % length
-        return np.sort(self.cycles.order[first + ring])
+        return float(self.weights[0] * (length // stride))
 
     # -- geometry ------------------------------------------------------------
 
@@ -245,9 +248,6 @@ class ActionSpace:
         raise GridResolutionError(
             f"{self.kind} has no cell geometry beyond single cells"
         )
-
-    def mass_of(self, idx: np.ndarray) -> float:
-        return float(self.weights[idx].sum())
 
 
 class GridTranslationSpace(ActionSpace):

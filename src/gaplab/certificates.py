@@ -512,14 +512,15 @@ def _orbit_segments(space: ActionSpace, x0: int, steps: np.ndarray,
             f"{orbit_mass:.6g} >= 1/2; refine the grid"
         )
 
-    segments = []
-    # S^{2n} only grows with n, so the admissible radius cannot grow
-    radius = math.inf
+    segments, radius = [], None
     for n in range(1, n_max + 1):
         separators = np.setdiff1d(powers[2 * n - 2], steps, assume_unique=True)
         r_cap = _separation_radius(space, separators)
+        # S^{2n} only grows with n, so the admissible radius cannot grow
+        if radius is not None:
+            r_cap = min(r_cap, radius)
         accepted = _largest_mass_admissible_radius(
-            space, powers[2 * n], x0, min(r_cap, radius), n > 1
+            space, powers[2 * n], x0, r_cap, 0 if radius is None else r_cap
         )
         if accepted is None:
             raise GridResolutionError(
@@ -550,60 +551,31 @@ def _separation_radius(space: ActionSpace, separators: np.ndarray) -> int:
 
 
 def _largest_mass_admissible_radius(
-    space: ActionSpace, thickening: np.ndarray, x0: int, r_cap: int,
-    downward: bool
+    space: ActionSpace, thickening: np.ndarray, x0: int, r_cap: int, start: int
 ) -> tuple[int, tuple[np.ndarray, np.ndarray]] | None:
     """The largest radius r <= r_cap whose ball around x0 keeps its
     thickening below mass 1/2, with the slot segments of that thickening,
     or None if even r = 0 does not.
 
-    The mass only grows with r, so a gallop brackets the radius, good
-    below and bad above, and a bisection closes the bracket: upward from
-    0, or downward from r_cap when r_cap is the radius of the previous n,
-    which the answer usually equals or nearly equals.  Each admissible
-    probe raises ``good`` to its radius, so the last one is the answer.
+    The mass only grows with r, so one loop keeps the largest admissible
+    probe ``good`` and the least inadmissible one ``bad``.  It probes
+    ``start`` first and gallops from there, by steps that double, until
+    the radius is bracketed, then bisects.  ``start`` is 0 at n = 1 and
+    r_cap after that, where r_cap is the previous radius or the
+    separation cap below it, which the answer usually equals or nearly
+    equals.  Admissible probes only rise, so the last one is the answer.
     """
-    accepted = None
-
-    def admissible(radius: int) -> bool:
-        nonlocal accepted
-        swept = _arc_segments(space, thickening, space.cell_ball(x0, radius))
-        if _segments_mass(space, *swept) >= 0.5:
-            return False
-        accepted = radius, swept
-        return True
-
-    step = 1
-    if downward:
-        if admissible(r_cap):
-            return accepted
-        bad = r_cap
-        while True:
-            if bad == 0:
-                return None
-            probe = max(bad - step, 0)
-            if admissible(probe):
-                good = probe
-                break
-            bad, step = probe, 2 * step
-    else:
-        if not admissible(0):
-            return None
-        good = 0
-        while True:
-            if good == r_cap:
-                return accepted
-            probe = min(good + step, r_cap)
-            if not admissible(probe):
-                bad = probe
-                break
-            good, step = probe, 2 * step
+    good, bad, accepted = -1, r_cap + 1, None
+    radius, step = start, 1
     while bad - good > 1:
-        mid = (good + bad) // 2
-        if admissible(mid):
-            good = mid
+        swept = _arc_segments(space, thickening, space.cell_ball(x0, radius))
+        if _segments_mass(space, *swept) < 0.5:
+            good, accepted, radius = radius, (radius, swept), radius + step
         else:
-            bad = mid
+            bad, radius = radius, radius - step
+        step *= 2
+        bracketed = good >= 0 and bad <= r_cap
+        radius = (good + bad) // 2 if bracketed else min(max(radius, good + 1), bad - 1)
     return accepted
 
 

@@ -449,7 +449,7 @@ def run_nets(cfg: dict) -> RunResult:
         a_box = _box(dim, a_rad)
         b_box = _box(dim, b_rad)
         span = power_set(group, b_box, n)
-        inst = greedy_maximal_net(group, span, a_box, B=b_box, n=n)
+        inst = greedy_maximal_net(group, span, a_box)
         report = verify_net_bounds(inst)
         all_ok &= report.all_ok
         res.sequence_rows.append([
@@ -484,7 +484,7 @@ def run_margulis_demo(cfg: dict) -> RunResult:
     mu = GroupMeasure.uniform_interval(group, 0.0, 1.0, closed=False)
     space = build_action("circle-rotation", group=group, N=n, cells_per_step=1)
     char = character_norm(space, mu, n // 2)
-    report = verify_lower_bound(space, mu, regular_norm_method="amenable",
+    report = verify_lower_bound(space, mu, regular_norm_method="amenable-mass",
                                 tol=p["tol"])
     delta, lam = report.delta, report.regular_norm
     res.put("N", n)

@@ -233,8 +233,7 @@ def check_hypotheses(space: ActionSpace, mu: GroupMeasure) -> list[str]:
             violations.append(
                 f"free-orbit surrogate fails: support atoms {offenders[:3]} fix cells"
             )
-        orbit = space.orbit(space.base_cell, steps)
-        mass = space.mass_of(orbit)
+        mass = space.base_orbit_mass(steps)
         if mass > 0.5 - 1e-12:
             if mass >= 1.0 - 1e-12:
                 violations.append("orbit covers the space")

@@ -47,21 +47,13 @@ class NetInstance:
 
     group: GroupDescriptor
     A: tuple
-    B: tuple  # the base set whose power was netted (may equal span)
-    n: int
     net: tuple
-    span: tuple  # the set the net lives in (B^n)
+    span: tuple  # the set the net lives in
     diffs: tuple  # A A^{-1}, the set each net point blocks around itself
     span_a_cells: int  # |span A|, counted where the net is built
 
 
-def greedy_maximal_net(
-    group: GroupDescriptor,
-    span,
-    A,
-    B=None,
-    n: int = 1,
-) -> NetInstance:
+def greedy_maximal_net(group: GroupDescriptor, span, A) -> NetInstance:
     """Greedy maximal A-separated net of ``span`` in deterministic order.
 
     Points are visited in the group's lexicographic order and accepted
@@ -72,7 +64,7 @@ def greedy_maximal_net(
     abelian kinds, (m, d) integer arrays of cells.
     """
     if group.is_abelian:
-        return _abelian_net(group, span, A, B, n)
+        return _abelian_net(group, span, A)
     A = _canonical_set(group, A)
     if group.identity() not in A:
         raise PreconditionError("A must contain the identity")
@@ -87,8 +79,6 @@ def greedy_maximal_net(
     return NetInstance(
         group=group,
         A=tuple(A),
-        B=tuple(_canonical_set(group, B)) if B is not None else (),
-        n=n,
         net=tuple(net),
         span=tuple(span),
         diffs=tuple(diffs),
@@ -100,14 +90,14 @@ def greedy_maximal_net(
 _NET_PAIRS = 1 << 20
 
 
-def _abelian_net(group: GroupDescriptor, span, A, B, n: int) -> NetInstance:
-    """``greedy_maximal_net`` on an abelian kind: the span S, A, B and
+def _abelian_net(group: GroupDescriptor, span, A) -> NetInstance:
+    """``greedy_maximal_net`` on an abelian kind: the span S, A and
     A A^{-1} are keyed once, in one box, and canonicalized by their
     distinct keys, which sort as the cells do.
 
     The box has least corner 0, where keys add as the cells do, and each
-    set is shifted into it: S as S - lo(S), B as B - lo(B), and A A^{-1}
-    as (A - lo(A)) + (hi(A) - A), that is A A^{-1} + w with w = hi(A) -
+    set is shifted into it: S as S - lo(S), and A A^{-1} as
+    (A - lo(A)) + (hi(A) - A), that is A A^{-1} + w with w = hi(A) -
     lo(A).  A is keyed in that frame, as A + w, and the points of S as
     S - lo(S) + w, in the frame of the sums S + A A^{-1}.  On the torus
     the box is the whole torus and every shift is 0.  No mask over the
@@ -116,21 +106,19 @@ def _abelian_net(group: GroupDescriptor, span, A, B, n: int) -> NetInstance:
     """
     what = "net"
     s, a = _coordinates(group, span, what), _coordinates(group, A, what)
-    b = _coordinates(group, () if B is None else B, what)
     if not (a == 0).all(axis=1).any():
         raise PreconditionError("A must contain the identity")
-    bounds = [_bounds(group, x) for x in (s, a, b)]
-    (s_lo, _), (a_lo, a_hi), (b_lo, _) = bounds
+    bounds = [_bounds(group, x) for x in (s, a)]
+    (s_lo, _), (a_lo, a_hi) = bounds
     if group.kind == TORUS_GRID:
         box = KeyBox.torus(group, what)
     else:  # in Python ints: a width may leave int64
-        s_w, a_w, b_w = ([h - l for l, h in zip(lo.tolist(), hi.tolist())] for lo, hi in bounds)
+        s_w, a_w = ([h - l for l, h in zip(lo.tolist(), hi.tolist())] for lo, hi in bounds)
         box = KeyBox(group, [0] * group.dimension,
-                     [max(x + 2 * y, z) for x, y, z in zip(s_w, a_w, b_w)], what)
+                     [x + 2 * y for x, y in zip(s_w, a_w)], what)
     w, strides = a_hi - a_lo, box.strides  # the box's least corner is 0
     span_keys = _distinct((s - s_lo) @ strides)
     a_keys = _distinct((a + w) @ strides)
-    b_keys = _distinct((b - b_lo) @ strides)
     neg = _coordinates(group, a_hi - a, what)  # reduced mod N on the torus
     diff_keys = _distinct(box.add((a - a_lo) @ strides, neg @ strides))
     span = box.cells(span_keys) + s_lo
@@ -142,8 +130,6 @@ def _abelian_net(group: GroupDescriptor, span, A, B, n: int) -> NetInstance:
     return NetInstance(
         group=group,
         A=tuple(_tuples(box.cells(a_keys) - w)),
-        B=tuple(_tuples(box.cells(b_keys) + b_lo)),
-        n=n,
         net=tuple(_tuples(span[net])),
         span=tuple(_tuples(span)),
         diffs=tuple(_tuples(box.cells(diff_keys) - w)),
@@ -244,8 +230,8 @@ def net_ratio_study(
     k1 = k2 = k3 = 0.0
     ratios = {}
     for n in n_range:
-        n1 = greedy_maximal_net(group, powers[n], A1, B=B, n=n)
-        n2 = greedy_maximal_net(group, powers[n - 2], A2, B=B, n=n - 2)
+        n1 = greedy_maximal_net(group, powers[n], A1)
+        n2 = greedy_maximal_net(group, powers[n - 2], A2)
         mu_bn, mu_bn2 = len(n1.span) * volume, len(n2.span) * volume
         k1 = max(k1, n1.span_a_cells * volume / mu_bn)
         k2 = max(k2, n2.span_a_cells * volume / mu_bn)

@@ -299,18 +299,17 @@ def amenable_norm(mu: GroupMeasure) -> NormEstimate:
 
 # -- one entry point ---------------------------------------------------------
 
-#: the method names ``regular_norm`` takes: ``auto`` is ``amenable`` on the
-#: abelian kinds and ``berg-christensen`` otherwise; ``amenable`` and
-#: ``amenable-mass`` name the same exact oracle
-METHODS = ("auto", "amenable", "amenable-mass", "berg-christensen")
+#: the method names ``regular_norm`` takes: ``auto`` is ``amenable-mass`` on
+#: the abelian kinds and ``berg-christensen`` otherwise
+METHODS = ("auto", "amenable-mass", "berg-christensen")
 
 
 def regular_norm(mu: GroupMeasure, method: str = "auto", n_max: int = 50) -> NormEstimate:
     """The regular-representation norm of mu by the named method in
     ``METHODS``; ``n_max`` is the depth of a Berg-Christensen walk."""
     if method == "auto":
-        method = "amenable" if mu.group.is_abelian else "berg-christensen"
-    if method in ("amenable", "amenable-mass"):
+        method = "amenable-mass" if mu.group.is_abelian else "berg-christensen"
+    if method == "amenable-mass":
         return amenable_norm(mu)
     if method == "berg-christensen":
         return berg_christensen_estimate(mu, n_max=n_max)

@@ -88,7 +88,7 @@ def test_criterion_2_torus_line_flow_inequality():
     char = character_norm(space, mu, 512)  # spans the 1024-grid dual
     crit.check(f"character-oracle discrepancy {char:.6f} >= 0.999",
                char >= 0.999)
-    report = verify_lower_bound(space, mu, regular_norm_method="amenable",
+    report = verify_lower_bound(space, mu, regular_norm_method="amenable-mass",
                                 tol=1e-3)
     crit.check("amenable oracle gives 1", abs(report.regular_norm - 1.0) < 1e-12)
     crit.check(f"verify_lower_bound passes at tol 1e-3 "
@@ -149,7 +149,7 @@ def test_criterion_5_net_counting_battery():
         b_set = [t for t in itertools.product(range(-b_rad, b_rad + 1),
                                               repeat=dim)]
         span = power_set(group, b_set, n)
-        inst = greedy_maximal_net(group, span, A=a_set, B=b_set, n=n)
+        inst = greedy_maximal_net(group, span, A=a_set)
         report = verify_net_bounds(inst)
         all_ok &= report.all_ok
     crit.check("100 seeded instances satisfy both inequalities exactly",

@@ -251,7 +251,7 @@ class TestRayleighOracle:
         phi[b] = 1.0
         phi[companion] = -1.0
         averaged = KoopmanAveragingOperator(space, convolution_power(eta, n)).apply_l2(phi)
-        return float(np.sum(space.weights * averaged * phi)) / (2.0 * space.mass_of(b))
+        return float(np.sum(space.weights * averaged * phi)) / (2.0 * space.weights[b].sum())
 
     def assert_rows_match_dense(self, space, mu, seq):
         """Each row of the walk against the dense quotient, with the
@@ -500,6 +500,54 @@ class TestMinDisplacement:
         assert got[counts % n == 0].max() == 0.0
 
 
+def two_gallop_search(space, thickening, x0, r_cap, downward):
+    """The radius search as it was written before the one bracketing loop:
+    a gallop upward from 0, or downward from r_cap, then a bisection."""
+    accepted = None
+
+    def admissible(radius):
+        nonlocal accepted
+        swept = certificates._arc_segments(space, thickening,
+                                           space.cell_ball(x0, radius))
+        if certificates._segments_mass(space, *swept) >= 0.5:
+            return False
+        accepted = radius, swept
+        return True
+
+    step = 1
+    if downward:
+        if admissible(r_cap):
+            return accepted
+        bad = r_cap
+        while True:
+            if bad == 0:
+                return None
+            probe = max(bad - step, 0)
+            if admissible(probe):
+                good = probe
+                break
+            bad, step = probe, 2 * step
+    else:
+        if not admissible(0):
+            return None
+        good = 0
+        while True:
+            if good == r_cap:
+                return accepted
+            probe = min(good + step, r_cap)
+            if not admissible(probe):
+                bad = probe
+                break
+            good, step = probe, 2 * step
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if admissible(mid):
+            good = mid
+        else:
+            bad = mid
+    return accepted
+
+
 class TestOrbitNeighborhoodSequence:
     @pytest.mark.parametrize("kind,kw,q,n_max", [
         ("torus-translation", dict(N=64, step=(29, 41)), 2, 4),
@@ -531,8 +579,8 @@ class TestOrbitNeighborhoodSequence:
                           if g not in S]
             r_cap = certificates._separation_radius(space, space.steps(separators))
             thickening = space.steps(power_set(space.group, S, 2 * n))
-            masses = [space.mass_of(arc_mask(space, thickening,
-                                             space.cell_ball(x0, r)))
+            masses = [space.weights[arc_mask(space, thickening,
+                                             space.cell_ball(x0, r))].sum()
                       for r in range(r_cap + 1)]
             assert masses == sorted(masses)
             radius = max(r for r, m in enumerate(masses) if m < 0.5)
@@ -583,11 +631,43 @@ class TestOrbitNeighborhoodSequence:
             separators = np.setdiff1d(powers[2 * n - 2], powers[1])
             r_cap = certificates._separation_radius(space, separators)
             radius = 0
-            while radius < r_cap and space.mass_of(arc_mask(
-                    space, powers[2 * n], space.cell_ball(x0, radius + 1))) < 0.5:
+            while radius < r_cap and space.weights[arc_mask(
+                    space, powers[2 * n], space.cell_ball(x0, radius + 1))].sum() < 0.5:
                 radius += 1
             scanned.append(radius)
         assert picked == scanned
+
+    def test_search_probes_as_the_two_gallops(self, monkeypatch):
+        # the probes see a stub space: the ball of radius r is r itself,
+        # and it is admissible up to a threshold radius
+        threshold, probes = 0, []
+
+        class Radii:
+            def cell_ball(self, x0, radius):
+                return radius
+
+        def probe(space, lo, hi):
+            probes.append(lo)
+            return 0.0 if lo <= threshold else 1.0
+
+        monkeypatch.setattr(certificates, "_arc_segments",
+                            lambda space, steps, ball: (ball, ball))
+        monkeypatch.setattr(certificates, "_segments_mass", probe)
+        space = Radii()
+        for r_cap in range(301):
+            for downward, threshold in itertools.product((False, True),
+                                                         range(-1, r_cap + 1)):
+                start = r_cap if downward else 0
+                probes.clear()
+                want = two_gallop_search(space, None, 0, r_cap, downward)
+                want_probes = probes[:]
+                probes.clear()
+                got = certificates._largest_mass_admissible_radius(
+                    space, None, 0, r_cap, start)
+                assert probes == want_probes, (r_cap, start, threshold)
+                assert got == want, (r_cap, start, threshold)
+                assert got == (None if threshold < 0 else
+                               (threshold, (threshold, threshold)))
 
     def test_free_transitive_cycle(self):
         space = cycle_space(64)

@@ -81,7 +81,7 @@ class TestVerifyBound:
             "action": {"kind": "torus-translation", "N": 128, "step": [29, 41],
                        "slope_hint": math.sqrt(2)},
             "params": {"tol": 1e-3, "seed": 7,
-                       "regular_norm_method": "amenable"},
+                       "regular_norm_method": "amenable-mass"},
         }
         code, out_dir = run_cli(tmp_path, cfg)
         assert code == 0
@@ -293,6 +293,7 @@ class TestParams:
 
     @pytest.mark.parametrize("experiment,key,value", [
         ("verify-bound", "regular_norm_method", "amenabel"),
+        ("verify-bound", "regular_norm_method", "amenable"),
         ("regular-norm", "method", "fourier-abelian"),
         ("regular-norm", "method", "free-radial"),
     ])
@@ -310,7 +311,7 @@ class TestParams:
         code, out_dir = run_cli(tmp_path, cfg)
         assert code == 2
         assert (f"config error: params.{key}: unknown name {value!r}; pick one "
-                "of ('auto', 'amenable', 'amenable-mass', 'berg-christensen')"
+                "of ('auto', 'amenable-mass', 'berg-christensen')"
                 in capsys.readouterr().err)
         assert not out_dir.exists()
 
@@ -359,7 +360,7 @@ VERIFY = {
     "group": {"kind": "real-grid", "dimension": 1, "resolution": 2},
     "measure": {"kind": "uniform-interval", "lo": -1, "hi": 1},
     "action": {"kind": "torus-translation", "N": 64, "step": [29, 41]},
-    "params": {"regular_norm_method": "amenable"},
+    "params": {"regular_norm_method": "amenable-mass"},
 }
 
 # a config with one fault, and the start of the message that names it
@@ -611,7 +612,6 @@ class TestRegularNormExperiment:
 
     @pytest.mark.parametrize("method,recorded", [
         ("auto", "amenable-mass"),
-        ("amenable", "amenable-mass"),
         ("amenable-mass", "amenable-mass"),
         ("berg-christensen", "berg-christensen"),
     ])

@@ -425,8 +425,9 @@ def coordinates_built(space):
 
 
 class TestCycleTypeAlone:
-    """The discrepancy, the lattice-group verification and the character
-    oracle read only the cycle type: no cycle coordinates are built."""
+    """The discrepancy, the verification with its hypothesis check and the
+    character oracle read only the cycle type: no cycle coordinates are
+    built."""
 
     @pytest.mark.parametrize("kind,kw", [
         ("bernoulli-window", dict(alphabet=4, window_radius=2)),
@@ -437,6 +438,15 @@ class TestCycleTypeAlone:
         mu = GroupMeasure.from_atoms(Z, THREE)
         discrepancy(space, mu)
         assert verify_lower_bound(space, mu, tol=1e-6).passed is True
+        assert not coordinates_built(space)
+
+    def test_grid_verification_on_torus(self):
+        # a grid-driven action adds the orbit check of the base cell
+        grid = time_grid(4)
+        space = build_action("torus-translation", group=grid, N=128,
+                             step=(29, 41), slope_hint=SQRT2)
+        mu = GroupMeasure.uniform_interval(grid, -1.0, 1.0)
+        assert verify_lower_bound(space, mu, tol=1e-3).passed is True
         assert not coordinates_built(space)
 
     def test_koopman_norm_on_torus(self):
@@ -483,7 +493,7 @@ class TestVerifyLowerBound:
         grid = time_grid(n)
         mu = GroupMeasure.uniform_interval(grid, 0.0, 1.0, closed=False)
         space = build_action("circle-rotation", group=grid, N=n, cells_per_step=1)
-        report = verify_lower_bound(space, mu, regular_norm_method="amenable",
+        report = verify_lower_bound(space, mu, regular_norm_method="amenable-mass",
                                     tol=1e-3)
         assert not report.hypothesis_ok
         assert report.passed is None

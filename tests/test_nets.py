@@ -44,8 +44,7 @@ class TestGreedyNet:
         # accepts every second point
         span = power_set(Z, interval(-1, 1), 5)
         assert span == interval(-5, 5)
-        inst = greedy_maximal_net(Z, span, A=[(0,), (1,)],
-                                  B=interval(-1, 1), n=5)
+        inst = greedy_maximal_net(Z, span, A=[(0,), (1,)])
         assert list(inst.net) == [(-5,), (-3,), (-1,), (1,), (3,), (5,)]
         assert net_is_separated(inst)
         assert net_is_maximal(inst)
@@ -55,13 +54,12 @@ class TestGreedyNet:
         assert inst.net == ()
 
     def test_array_inputs(self):
-        # span, A and B as (m, d) integer arrays, as the ratio study passes
+        # span and A as (m, d) integer arrays, as the ratio study passes
         # its powers, give the instance of the same lists
-        span, A, B = power_set(Z2, box(1), 2), [(0, 0), (1, 0), (0, 1)], box(1)
-        want = greedy_maximal_net(Z2, span, A, B=B, n=2)
-        got = greedy_maximal_net(Z2, np.array(span[::-1]), np.array(A), B=np.array(B), n=2)
+        span, A = power_set(Z2, box(1), 2), [(0, 0), (1, 0), (0, 1)]
+        want = greedy_maximal_net(Z2, span, A)
+        got = greedy_maximal_net(Z2, np.array(span[::-1]), np.array(A))
         assert got == want
-        assert got.B == tuple(B)
 
     def test_span_at_the_int64_edge(self):
         # span + A A^{-1} is keyed by offsets in the box, so its sums may
@@ -147,8 +145,8 @@ class TestGreedyNetOracle:
         inst = greedy_maximal_net(z17, [(0,), (17,), (1,)], [(0,)])
         assert inst.net == ((0,), (1,))
         assert inst.span == ((0,), (1,))
-        inst = greedy_maximal_net(z17, [(5,), (-12,)], [(17,), (1,)], B=[(18,)])
-        assert (inst.A, inst.B, inst.net) == (((0,), (1,)), ((1,),), ((5,),))
+        inst = greedy_maximal_net(z17, [(5,), (-12,)], [(17,), (1,)])
+        assert (inst.A, inst.net) == (((0,), (1,)), ((5,),))
 
     def test_free_group_ball(self):
         f2 = GroupDescriptor(kind="free", dimension=2)
@@ -193,7 +191,7 @@ class TestNetBounds:
                 a_set.append(group.identity())
             n = int(rng.integers(1, 7 - 2 * (dim - 1)))
             span = power_set(group, base, n)
-            inst = greedy_maximal_net(group, span, A=a_set, B=base, n=n)
+            inst = greedy_maximal_net(group, span, A=a_set)
             report = verify_net_bounds(inst)
             assert report.all_ok, f"instance {i} failed: {report}"
 

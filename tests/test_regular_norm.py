@@ -514,7 +514,7 @@ class TestAmenableOracle:
 class TestRegularNormDispatch:
     def test_mass_names_on_abelian_kinds(self):
         mu = scaled(GroupMeasure.simple_random_walk(Z2), 0.5)
-        for method in ("auto", "amenable", "amenable-mass"):
+        for method in ("auto", "amenable-mass"):
             est = regular_norm(mu, method)
             assert (est.value, est.method) == (0.5, "amenable-mass")
 
@@ -526,5 +526,7 @@ class TestRegularNormDispatch:
             assert (est.method, est.sequence) == ("berg-christensen", want)
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(PreconditionError, match="unknown regular-norm method"):
-            regular_norm(GroupMeasure.simple_random_walk(Z), "amenabel")
+        # "amenable" is retired: "amenable-mass" names the oracle it ran
+        for method in ("amenabel", "amenable"):
+            with pytest.raises(PreconditionError, match="unknown regular-norm method"):
+                regular_norm(GroupMeasure.simple_random_walk(Z), method)
