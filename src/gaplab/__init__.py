@@ -41,8 +41,6 @@ from .measures import (
     GroupMeasure,
     convolve,
     involute,
-    measure_from_text,
-    measure_to_text,
     symmetrize,
 )
 from .nets import greedy_maximal_net, net_ratio_study, verify_net_bounds

@@ -50,7 +50,8 @@ CHAIN_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class ModerateGrowthSequence:
-    """A candidate certificate: sets B_1..B_max_n plus the atom sets S, F.
+    """A candidate certificate: sets B_1..B_max_n plus the atom sets S, F;
+    max_n is the number of sets.
 
     S and F are given as group elements, or as 1-d integer arrays of
     steps; once validated they are held as sorted int64 arrays of their
@@ -62,13 +63,13 @@ class ModerateGrowthSequence:
     S: np.ndarray
     F: np.ndarray
     sets: tuple  # sets[i] is the cell-index array of B_{i+1}
-    max_n: int
 
     def __post_init__(self):
         object.__setattr__(self, "S", _symmetric_steps(self.space, self.S, "S"))
         object.__setattr__(self, "F", _symmetric_steps(self.space, self.F, "F"))
-        if len(self.sets) != self.max_n:
-            raise PreconditionError("need one cell set per n = 1..max_n")
+        if len(self.sets) == 0:
+            raise PreconditionError("need the cell sets B_1..B_max_n for a "
+                                    "max_n >= 1, got 0 sets")
         n_cells = self.space.n_cells
         for i, b in enumerate(self.sets):
             if len(b) == 0:
@@ -83,6 +84,10 @@ class ModerateGrowthSequence:
                     f"B_{i + 1} must hold cell indices in 0..{n_cells - 1}")
             if (b[1:] == b[:-1]).any():
                 raise PreconditionError(f"B_{i + 1} lists a cell more than once")
+
+    @property
+    def max_n(self) -> int:
+        return len(self.sets)
 
     def B(self, n: int) -> np.ndarray:
         if not 1 <= n <= self.max_n:
@@ -452,8 +457,9 @@ def build_companion_set(
 def _companion_set(size: int, forbidden: np.ndarray) -> np.ndarray:
     """``build_companion_set`` of a set of ``size`` cells without its
     checks, for a caller that has checked the equal cell weights and the
-    mask: the first ``size`` cells outside the mask."""
-    free = np.flatnonzero(~forbidden)
+    mask: the first ``size`` cells outside the mask, which lie among the
+    first ``size`` + (number of masked cells) cells."""
+    free = np.flatnonzero(~forbidden[:size + np.count_nonzero(forbidden)])
     if len(free) < size:
         raise PreconditionError(
             "not enough mass outside the forbidden set (condition (2) gives "
@@ -482,7 +488,7 @@ def orbit_neighborhood_sequence(
     steps = _symmetric_steps(space, S, "S")
     sets = tuple(np.sort(space.cycles.order[_segment_slots(*core)])
                  for core, _ in _orbit_segments(space, x0, steps, n_max))
-    return ModerateGrowthSequence(space, S=steps, F=steps, sets=sets, max_n=n_max)
+    return ModerateGrowthSequence(space, S=steps, F=steps, sets=sets)
 
 
 def _orbit_segments(space: ActionSpace, x0: int, steps: np.ndarray,
@@ -491,6 +497,8 @@ def _orbit_segments(space: ActionSpace, x0: int, steps: np.ndarray,
     as in ``orbit_neighborhood_sequence``, for n = 1..n_max and the checked
     steps of S: the radius search keeps those of S^{2n} V_n from its
     accepted probe, and one arc sweep of V_n gives those of B_n."""
+    if n_max < 1:
+        raise PreconditionError(f"the horizon n_max must be >= 1, got {n_max}")
     x0 = int(x0)
     if not 0 <= x0 < space.n_cells:
         raise PreconditionError(
@@ -527,9 +535,8 @@ def _orbit_segments(space: ActionSpace, x0: int, steps: np.ndarray,
                 f"no admissible neighborhood at n={n}: even the single base "
                 "cell pushes the orbit thickening to mass >= 1/2; use a finer grid"
             )
-        radius, swept = accepted
-        segments.append((_arc_segments(space, powers[n], space.cell_ball(x0, radius)),
-                         swept))
+        radius, ball, swept = accepted
+        segments.append((_arc_segments(space, powers[n], ball), swept))
     return segments
 
 
@@ -552,10 +559,10 @@ def _separation_radius(space: ActionSpace, separators: np.ndarray) -> int:
 
 def _largest_mass_admissible_radius(
     space: ActionSpace, thickening: np.ndarray, x0: int, r_cap: int, start: int
-) -> tuple[int, tuple[np.ndarray, np.ndarray]] | None:
+) -> tuple[int, np.ndarray, tuple[np.ndarray, np.ndarray]] | None:
     """The largest radius r <= r_cap whose ball around x0 keeps its
-    thickening below mass 1/2, with the slot segments of that thickening,
-    or None if even r = 0 does not.
+    thickening below mass 1/2, with that ball and the slot segments of its
+    thickening, or None if even r = 0 does not.
 
     The mass only grows with r, so one loop keeps the largest admissible
     probe ``good`` and the least inadmissible one ``bad``.  It probes
@@ -568,9 +575,10 @@ def _largest_mass_admissible_radius(
     good, bad, accepted = -1, r_cap + 1, None
     radius, step = start, 1
     while bad - good > 1:
-        swept = _arc_segments(space, thickening, space.cell_ball(x0, radius))
+        ball = space.cell_ball(x0, radius)
+        swept = _arc_segments(space, thickening, ball)
         if _segments_mass(space, *swept) < 0.5:
-            good, accepted, radius = radius, (radius, swept), radius + step
+            good, accepted, radius = radius, (radius, ball, swept), radius + step
         else:
             bad, radius = radius, radius - step
         step *= 2

@@ -2,11 +2,11 @@
 
 One experiment per invocation, driven by a single JSON config document.
 Each run writes a human-readable summary, a machine record (CSV key/value
-rows or a key = value document), and, for sequence-valued outputs,
-plot-ready columns.  Identical configs produce byte-identical report
-bodies: every random choice is seeded from the config and no timestamps
-enter the files.  Exit status is 0 iff every inequality/flag asserted by
-the experiment passed, 2 for config errors.
+rows), and, for sequence-valued outputs, plot-ready columns.  Identical
+configs produce byte-identical report bodies: every random choice is
+seeded from the config and no timestamps enter the files.  Exit status
+is 0 iff every inequality/flag asserted by the experiment passed, 2 for
+config errors.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import argparse
 import copy
 import csv
 import json
-import os
 import sys
 import types
 from concurrent.futures import ThreadPoolExecutor
@@ -37,8 +36,6 @@ from .koopman import (
 from .measures import GroupMeasure
 from .nets import greedy_maximal_net, net_ratio_study, verify_net_bounds
 from .regular_norm import METHODS, regular_norm
-
-ENV_OUT_DIR = "GAPLAB_OUT"
 
 
 class ConfigError(GaplabError):
@@ -123,8 +120,7 @@ PARAMS = {
     "regular-norm": {"method": (str, "berg-christensen", METHODS),
                      "n_max": (int, 50, 2)},
     "koopman-norm": {"tol": (float, 1e-8, 0)},
-    "verify-bound": {"regular_norm_method": (str, "auto", METHODS),
-                     "tol": (float, 1e-3, 0), "n_max": (int, 50, 2)},
+    "verify-bound": {"tol": (float, 1e-3, 0)},
     "certificate": {"n_max": (int, 10, 1), "slack": (float, 0.02, 0),
                     "tol": (float, 1e-3, 0), "x0": (int, 0, 0),
                     "cross_check_discrepancy": (bool, True, None)},
@@ -359,12 +355,7 @@ def run_verify_bound(cfg: dict) -> RunResult:
     mu = build_measure(group, cfg["measure"])
     space = build_space(group, cfg["action"])
     p = _params(cfg)
-    report = verify_lower_bound(
-        space, mu,
-        regular_norm_method=p["regular_norm_method"],
-        tol=p["tol"],
-        n_max=p["n_max"],
-    )
+    report = verify_lower_bound(space, mu, tol=p["tol"])
     res.put("delta", report.delta)
     _put_spectrum(res, report.spectrum)
     res.put("regular_norm", report.regular_norm)
@@ -484,8 +475,7 @@ def run_margulis_demo(cfg: dict) -> RunResult:
     mu = GroupMeasure.uniform_interval(group, 0.0, 1.0, closed=False)
     space = build_action("circle-rotation", group=group, N=n, cells_per_step=1)
     char = character_norm(space, mu, n // 2)
-    report = verify_lower_bound(space, mu, regular_norm_method="amenable-mass",
-                                tol=p["tol"])
+    report = verify_lower_bound(space, mu, tol=p["tol"])
     delta, lam = report.delta, report.regular_norm
     res.put("N", n)
     res.put("max_nonzero_character", char)
@@ -590,21 +580,16 @@ def run_sweep(cfg: dict, jobs: int = 1) -> tuple[RunResult, list[RunResult]]:
 # -- output ----------------------------------------------------------------------
 
 
-def _write_outputs(res: RunResult, out_dir: Path, prefix: str, fmt: str) -> None:
+def _write_outputs(res: RunResult, out_dir: Path, prefix: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = [f"gaplab experiment: {res.experiment}", ""]
     summary.extend(res.summary)
     summary.append("")
     summary.append(f"result: {'PASS' if res.passed else 'FAIL'}")
     (out_dir / f"{prefix}summary.txt").write_text("\n".join(summary) + "\n")
-    if fmt == "csv":
-        rows = [("key", "value"), *res.record]
-        rows += [(f"assert:{name}", _fmt(ok)) for name, ok in res.assertions]
-        _write_csv(out_dir / f"{prefix}record.csv", rows)
-    else:
-        lines = [f"{k} = {v}" for k, v in res.record]
-        lines += [f"assert:{name} = {_fmt(ok)}" for name, ok in res.assertions]
-        (out_dir / f"{prefix}record.kv").write_text("\n".join(lines) + "\n")
+    rows = [("key", "value"), *res.record]
+    rows += [(f"assert:{name}", _fmt(ok)) for name, ok in res.assertions]
+    _write_csv(out_dir / f"{prefix}record.csv", rows)
     if res.sequence_rows:
         _write_csv(out_dir / f"{prefix}sequence.csv",
                    [res.sequence_columns, *res.sequence_rows])
@@ -627,13 +612,11 @@ def main(argv=None) -> int:
         description="discrepancy lower-bound laboratory: reproducible experiments",
     )
     parser.add_argument("--config", required=True, help="path to the JSON config")
-    parser.add_argument("--out", default="gaplab-out",
-                        help=f"output directory (env {ENV_OUT_DIR} overrides)")
+    parser.add_argument("--out", default="gaplab-out", help="output directory")
     parser.add_argument("--jobs", type=int, default=1,
                         help="parallel children for sweeps (at least 1)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
-    parser.add_argument("--format", choices=("csv", "kv"), default="csv")
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
@@ -647,7 +630,7 @@ def main(argv=None) -> int:
         print(f"config is not valid JSON: {err}", file=sys.stderr)
         return 2
 
-    out_dir = Path(os.environ.get(ENV_OUT_DIR, args.out))
+    out_dir = Path(args.out)
     try:
         validate_config(cfg)
         if args.seed is not None:
@@ -659,13 +642,12 @@ def main(argv=None) -> int:
         if experiment == "sweep":
             agg, children = run_sweep(cfg, jobs=args.jobs)
             for i, child_res in enumerate(children):
-                _write_outputs(child_res, out_dir, f"{prefix}child{i:03d}_",
-                               args.format)
-            _write_outputs(agg, out_dir, prefix, args.format)
+                _write_outputs(child_res, out_dir, f"{prefix}child{i:03d}_")
+            _write_outputs(agg, out_dir, prefix)
             result = agg
         else:
             result = RUNNERS[experiment](cfg)
-            _write_outputs(result, out_dir, prefix, args.format)
+            _write_outputs(result, out_dir, prefix)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -21,7 +21,7 @@ import numpy as np
 from .actions import ActionSpace, GridTranslationSpace
 from .errors import DescriptorMismatchError, PreconditionError, UnsupportedKindError
 from .measures import GroupMeasure
-from .regular_norm import regular_norm
+from .regular_norm import amenable_norm
 
 #: a cell at or above this mass fails the atomless surrogate
 ATOM_THRESHOLD = 0.05
@@ -244,18 +244,14 @@ def check_hypotheses(space: ActionSpace, mu: GroupMeasure) -> list[str]:
     return violations
 
 
-def verify_lower_bound(
-    space: ActionSpace,
-    mu: GroupMeasure,
-    regular_norm_method: str = "auto",
-    tol: float = 1e-3,
-    n_max: int = 50,
-) -> VerifyReport:
+def verify_lower_bound(space: ActionSpace, mu: GroupMeasure,
+                       tol: float = 1e-3) -> VerifyReport:
     """Compute both sides of the universal bound and compare them.
 
     The report carries the exact discrepancy with its cycle structure, the
-    chosen regular-representation estimate, and the boolean
-    delta >= lambda - tol.
+    exact regular-representation norm, and the boolean
+    delta >= lambda - tol.  Every group an action space is built on is
+    abelian, so lambda is the total mass (``amenable_norm``).
     When the hypothesis surrogates fail the inequality is NOT asserted
     (it can genuinely fail, e.g. for orbit-covering measures) and
     ``passed`` is None.
@@ -264,7 +260,7 @@ def verify_lower_bound(
         raise PreconditionError("measure must be positive")
     violations = check_hypotheses(space, mu)
     disc = discrepancy(space, mu)
-    est = regular_norm(mu, regular_norm_method, n_max)
+    est = amenable_norm(mu)
     notes = [disc.trivial_note] if disc.trivial_note else []
     if violations:
         passed = None

@@ -219,51 +219,3 @@ def symmetrize(a: GroupMeasure, cap: int = DEFAULT_SUPPORT_CAP) -> GroupMeasure:
     """The positive-type measure a * a^.  Always symmetric."""
     return convolve(a, involute(a), cap=cap)
 
-
-# -- serialization ----------------------------------------------------------
-
-_KIND_FIELDS = {
-    "lattice": ("dimension",),
-    "free": ("dimension",),
-    "real-grid": ("dimension", "resolution"),
-    "torus-grid": ("dimension", "size"),
-}
-
-
-def measure_to_text(a: GroupMeasure) -> str:
-    """Serialize to the line-based interchange format.
-
-    Header: format tag, then the group kind and its parameters.  Body: one
-    ``atom`` record per support element with coordinates and weight, in
-    deterministic (length-then-lexicographic) order.
-    """
-    g = a.group
-    lines = ["gaplab-measure 1"]
-    params = " ".join(f"{name}={getattr(g, name)}" for name in _KIND_FIELDS[g.kind])
-    lines.append(f"group {g.kind} {params}".rstrip())
-    for el, w in a.items():
-        fields = ["atom", *(str(c) for c in el), repr(w)]
-        lines.append(" ".join(fields))
-    return "\n".join(lines) + "\n"
-
-
-def measure_from_text(text: str) -> GroupMeasure:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != "gaplab-measure 1":
-        raise PreconditionError("not a gaplab-measure document")
-    head = lines[1].split()
-    if head[0] != "group" or head[1] not in _KIND_FIELDS:
-        raise PreconditionError(f"bad group header: {lines[1]!r}")
-    kwargs = {"kind": head[1]}
-    for tok in head[2:]:
-        name, _, val = tok.partition("=")
-        kwargs[name] = int(val)
-    group = GroupDescriptor(**kwargs)
-    atoms = []
-    for ln in lines[2:]:
-        parts = ln.split()
-        if parts[0] != "atom":
-            raise PreconditionError(f"bad atom record: {ln!r}")
-        coords = tuple(int(c) for c in parts[1:-1])
-        atoms.append((coords, float(parts[-1])))
-    return GroupMeasure.from_atoms(group, atoms)

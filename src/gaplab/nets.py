@@ -30,12 +30,6 @@ from .groups import (
 from .measures import DEFAULT_SUPPORT_CAP
 
 
-def haar(group: GroupDescriptor, cells) -> float:
-    """Haar measure of a finite cell set: the number of distinct cells
-    (torus cells mod N) times the cell volume."""
-    return len({group.canonical(x) for x in cells}) * group.cell_volume
-
-
 def _canonical_set(group: GroupDescriptor, xs) -> list[Element]:
     """The distinct elements of xs (torus coordinates mod N) in sort order."""
     return sorted({group.canonical(x) for x in xs}, key=group.sort_key)

@@ -88,8 +88,7 @@ def test_criterion_2_torus_line_flow_inequality():
     char = character_norm(space, mu, 512)  # spans the 1024-grid dual
     crit.check(f"character-oracle discrepancy {char:.6f} >= 0.999",
                char >= 0.999)
-    report = verify_lower_bound(space, mu, regular_norm_method="amenable-mass",
-                                tol=1e-3)
+    report = verify_lower_bound(space, mu, tol=1e-3)
     crit.check("amenable oracle gives 1", abs(report.regular_norm - 1.0) < 1e-12)
     crit.check(f"verify_lower_bound passes at tol 1e-3 "
                f"(delta {report.delta:.6f})", report.passed is True)

@@ -69,15 +69,15 @@ class TestSequenceValidation:
         space = cycle_space(8)
         with pytest.raises(PreconditionError):
             ModerateGrowthSequence(space, S=((1,),), F=((0,),),
-                                   sets=(np.array([0]),), max_n=1)
+                                   sets=(np.array([0]),))
         with pytest.raises(PreconditionError):
             ModerateGrowthSequence(space, S=((0,), (1,), (-1,)), F=((1,), (-1,)),
-                                   sets=(np.array([0]),), max_n=1)
+                                   sets=(np.array([0]),))
 
     def test_step_arrays_validate_like_elements(self):
         space = cycle_space(8)
         seq = ModerateGrowthSequence(space, S=np.array([1, 0, -1]), F=((0,),),
-                                     sets=(np.array([0]),), max_n=1)
+                                     sets=(np.array([0]),))
         assert seq.S.tolist() == [-1, 0, 1]
         for bad in (np.array([0, 1]), np.array([1, -1]), np.array([0, 2, -1])):
             with pytest.raises(PreconditionError, match="symmetric"):
@@ -97,9 +97,8 @@ class TestSequenceValidation:
         # the replaced sequence dilates B_n itself; the x0 route dilates V_n
         assert (run_certificate(space, mu, seq=same)
                 == run_certificate(space, mu, x0=0, n_max=4))
-        shorter = dataclasses.replace(seq, sets=seq.sets[1:3], max_n=2)
-        fresh = ModerateGrowthSequence(space, S=S, F=S, sets=seq.sets[1:3],
-                                       max_n=2)
+        shorter = dataclasses.replace(seq, sets=seq.sets[1:3])
+        fresh = ModerateGrowthSequence(space, S=S, F=S, sets=seq.sets[1:3])
         assert (run_certificate(space, mu, seq=shorter)
                 == run_certificate(space, mu, seq=fresh))
 
@@ -115,7 +114,29 @@ class TestSequenceValidation:
         space = cycle_space(8)
         with pytest.raises(PreconditionError, match="condition"):
             ModerateGrowthSequence(space, S=((0,),), F=((0,),),
-                                   sets=(np.array([], dtype=np.int64),), max_n=1)
+                                   sets=(np.array([], dtype=np.int64),))
+
+    def test_rejects_no_sets(self):
+        with pytest.raises(PreconditionError, match="got 0 sets"):
+            ModerateGrowthSequence(cycle_space(8), S=((0,),), F=((0,),), sets=())
+
+    def test_max_n_is_the_number_of_sets(self):
+        sets = (np.array([0]),) * 3
+        seq = ModerateGrowthSequence(cycle_space(8), S=((0,),), F=((0,),), sets=sets)
+        assert seq.max_n == 3
+        with pytest.raises(TypeError):
+            ModerateGrowthSequence(cycle_space(8), S=((0,),), F=((0,),), sets=sets,
+                                   max_n=3)
+
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_run_certificate_rejects_horizon_below_one(self, n_max):
+        mu = GroupMeasure.uniform_on(Z, [(-1,), (0,), (1,)])
+        with pytest.raises(PreconditionError, match=f"n_max must be >= 1, got {n_max}"):
+            run_certificate(cycle_space(64), mu, x0=0, n_max=n_max)
+
+    def test_sequence_rejects_horizon_below_one(self):
+        with pytest.raises(PreconditionError, match="n_max must be >= 1, got 0"):
+            orbit_neighborhood_sequence(cycle_space(64), 0, [(-1,), (0,), (1,)], 0)
 
     @pytest.mark.parametrize("cells,match", [
         ([3, 3, 4], "more than once"),
@@ -127,7 +148,7 @@ class TestSequenceValidation:
     def test_rejects_malformed_cell_sets(self, cells, match):
         with pytest.raises(PreconditionError, match=match):
             ModerateGrowthSequence(cycle_space(8), S=((0,),), F=((0,),),
-                                   sets=(np.array([0]), np.array(cells)), max_n=2)
+                                   sets=(np.array([0]), np.array(cells)))
 
 
 class TestGrowthConditions:
@@ -137,7 +158,7 @@ class TestGrowthConditions:
         space = cycle_space(16)
         seq = ModerateGrowthSequence(
             space, S=((0,), (1,), (-1,)), F=((0,),),
-            sets=(np.array([0, 5, 10]), np.array([0, 8])), max_n=2,
+            sets=(np.array([0, 5, 10]), np.array([0, 8])),
         )
         report = run_certificate(space, GroupMeasure.point_mass(Z, (0,)), seq=seq)
         assert not report.cond2_all
@@ -151,7 +172,7 @@ class TestGrowthConditions:
         b = np.arange(4)
         seq = ModerateGrowthSequence(
             space, S=((0,), (1,), (-1,)), F=((0,),),
-            sets=(b, b, b), max_n=3,
+            sets=(b, b, b),
         )
         report = run_certificate(space, GroupMeasure.point_mass(Z, (0,)), seq=seq)
         assert report.cond1_all and report.cond2_all and report.cond3_flag
@@ -200,13 +221,32 @@ class TestCompanionSet:
         with pytest.raises(PreconditionError, match="condition"):
             build_companion_set(space, np.arange(10), cell_mask(space, np.arange(10)))
 
+    def test_first_free_cells_of_random_masks(self):
+        # the companion is read from a prefix of the mask; the free cells of
+        # the whole mask are the reference, and past the room the message
+        # counts every free cell
+        rng = np.random.default_rng(24)
+        for _ in range(100):
+            n = int(rng.integers(1, 300))
+            mask = rng.random(n) < rng.random()
+            free = np.flatnonzero(~mask)
+            room = len(free)
+            for size in sorted({0, min(1, room), room // 2, room}):
+                got = certificates._companion_set(size, mask)
+                assert got.dtype == np.int64
+                assert got.tolist() == free[:size].tolist()
+            for size in (room + 1, n + 1):
+                with pytest.raises(PreconditionError,
+                                   match=rf"need {size} cells, have {room}\)"):
+                    certificates._companion_set(size, mask)
+
 
 class TestRayleighChain:
     def test_identity_measure_half_bound(self):
         space = cycle_space(32)
         seq = ModerateGrowthSequence(
             space, S=((0,),), F=((0,),),
-            sets=(np.arange(5),), max_n=1,
+            sets=(np.arange(5),),
         )
         mu = GroupMeasure.point_mass(Z, (0,))
         report = run_certificate(space, mu, seq=seq)
@@ -223,7 +263,7 @@ class TestRayleighChain:
         n_max = 10
         seq = ModerateGrowthSequence(
             space, S=tuple(symmetrize(mu).support()), F=((0,),),
-            sets=tuple([b] * n_max), max_n=n_max,
+            sets=tuple([b] * n_max),
         )
         report = run_certificate(space, mu, seq=seq)
         assert report.cond1_all and report.cond2_all
@@ -276,7 +316,7 @@ class TestRayleighOracle:
         # with S = {e} the companion abuts B, so the cross terms are nonzero
         b = np.arange(64 * 4, 64 * 8)  # rows 4-7; the companion is rows 0-3
         near_seq = ModerateGrowthSequence(space, S=((0,),), F=((0,),),
-                                          sets=(b,) * 4, max_n=4)
+                                          sets=(b,) * 4)
         for seq in (orbit_seq, near_seq):
             self.assert_rows_match_dense(space, mu, seq)
 
@@ -288,7 +328,7 @@ class TestRayleighOracle:
         b = np.array([3, 64, 97])
         seq = ModerateGrowthSequence(
             space, S=tuple(symmetrize(mu).support()), F=((0,),),
-            sets=(b,) * 4, max_n=4,
+            sets=(b,) * 4,
         )
         self.assert_rows_match_dense(space, mu, seq)
 
@@ -300,7 +340,7 @@ class TestRayleighOracle:
             space, 0, list(symmetrize(mu).atoms), 4)
         b = np.arange(10, 20)  # the companion is cells 0-9
         near_seq = ModerateGrowthSequence(space, S=((0,),), F=((0,),),
-                                          sets=(b,) * 4, max_n=4)
+                                          sets=(b,) * 4)
         for seq in (orbit_seq, near_seq):
             self.assert_rows_match_dense(space, mu, seq)
 
@@ -313,7 +353,7 @@ class TestRayleighOracle:
         mu = GroupMeasure.from_atoms(Z, [((1,), 0.3), ((-2,), 0.5), ((3,), 0.2)])
         b = np.array([4, 8])  # the companion is cells 0 and 1
         seq = ModerateGrowthSequence(space, S=((0,),), F=((0,),),
-                                     sets=(b,) * 4, max_n=4)
+                                     sets=(b,) * 4)
         companions = self.assert_rows_match_dense(space, mu, seq)
         assert [c.tolist() for c in companions] == [[0, 1]] * 4
 
@@ -571,8 +611,8 @@ class TestOrbitNeighborhoodSequence:
 
         monkeypatch.setattr(certificates, "_largest_mass_admissible_radius", spy)
         seq = orbit_neighborhood_sequence(space, x0, S, n_max)
-        swept = [segments for _, segments in picked]
-        picked = [radius for radius, _ in picked]
+        swept = [segments for *_, segments in picked]
+        picked = [radius for radius, *_ in picked]
         bound_active = False
         for n in range(1, n_max + 1):
             separators = [g for g in power_set(space.group, S, 2 * n - 2)
@@ -606,13 +646,18 @@ class TestOrbitNeighborhoodSequence:
                             step=(29, 41), slope_hint=SQRT2)
         S = sorted(symmetrize(GroupMeasure.uniform_interval(grid, -1.0, 1.0)).atoms)
         x0, n_max = 7001, 6
-        probes, picked = [], []
+        probes, picked, balls = [], [], []
         segments_mass = certificates._segments_mass
         search = certificates._largest_mass_admissible_radius
+        cell_ball = space.cell_ball
 
         def count(*args):
             probes.append(args)
             return segments_mass(*args)
+
+        def ball(*args):
+            balls.append(args)
+            return cell_ball(*args)
 
         def spy(*args):
             accepted = search(*args)
@@ -621,9 +666,12 @@ class TestOrbitNeighborhoodSequence:
 
         monkeypatch.setattr(certificates, "_segments_mass", count)
         monkeypatch.setattr(certificates, "_largest_mass_admissible_radius", spy)
+        monkeypatch.setattr(space, "cell_ball", ball)
         orbit_neighborhood_sequence(space, x0, S, n_max)
         # one call checks the orbit of the base cell, the rest are probes
         assert len(probes) - 1 <= 20
+        # one ball per probe: the accepted ball is not built again for B_n
+        assert len(balls) == len(probes) - 1 == 16
         monkeypatch.undo()
         powers = certificates._step_powers(space.group, space.steps(S), 2 * n_max)
         scanned = []
@@ -665,9 +713,11 @@ class TestOrbitNeighborhoodSequence:
                 got = certificates._largest_mass_admissible_radius(
                     space, None, 0, r_cap, start)
                 assert probes == want_probes, (r_cap, start, threshold)
-                assert got == want, (r_cap, start, threshold)
+                # the stub ball of radius r is r itself
+                assert got == (None if want is None else (want[0], *want)), (
+                    r_cap, start, threshold)
                 assert got == (None if threshold < 0 else
-                               (threshold, (threshold, threshold)))
+                               (threshold, threshold, (threshold, threshold)))
 
     def test_free_transitive_cycle(self):
         space = cycle_space(64)
@@ -752,7 +802,7 @@ class TestNormLowerBound:
     def test_identity_measure_gives_one(self):
         space = cycle_space(32)
         seq = ModerateGrowthSequence(space, S=((0,),), F=((0,),),
-                                     sets=(np.arange(5),) * 2, max_n=2)
+                                     sets=(np.arange(5),) * 2)
         mu = GroupMeasure.point_mass(Z, (0,))
         assert run_certificate(space, mu, seq=seq).norm_lower_bound == (
             pytest.approx(1.0, abs=1e-12)
@@ -765,7 +815,7 @@ class TestNormLowerBound:
         space = build_action("circle-rotation", group=grid, N=n, cells_per_step=1)
         seq = ModerateGrowthSequence(
             space, S=((0,),), F=((0,),),
-            sets=(np.arange(10),) * 3, max_n=3,
+            sets=(np.arange(10),) * 3,
         )
         value = run_certificate(space, mu, seq=seq).norm_lower_bound
         assert value <= 1e-6
@@ -773,7 +823,7 @@ class TestNormLowerBound:
     def test_requires_passing_conditions(self):
         space = cycle_space(8)
         seq = ModerateGrowthSequence(space, S=((0,),), F=((0,),),
-                                     sets=(np.arange(8),), max_n=1)
+                                     sets=(np.arange(8),))
         # S^1 B_1 is the whole space: no room for the companion set
         with pytest.raises(PreconditionError, match="condition"):
             run_certificate(space, GroupMeasure.point_mass(Z, (0,)), seq=seq)
@@ -781,7 +831,7 @@ class TestNormLowerBound:
     def test_seq_excludes_base_cell_and_horizon(self):
         space = cycle_space(32)
         seq = ModerateGrowthSequence(space, S=((0,),), F=((0,),),
-                                     sets=(np.arange(5),) * 2, max_n=2)
+                                     sets=(np.arange(5),) * 2)
         mu = GroupMeasure.point_mass(Z, (0,))
         for extra in (dict(x0=0), dict(n_max=2), dict(x0=3, n_max=4)):
             with pytest.raises(PreconditionError, match="either seq or x0/n_max"):
@@ -789,7 +839,7 @@ class TestNormLowerBound:
 
     def test_seq_runs_on_its_own_space(self):
         seq = ModerateGrowthSequence(cycle_space(32), S=((0,),), F=((0,),),
-                                     sets=(np.arange(5),), max_n=1)
+                                     sets=(np.arange(5),))
         with pytest.raises(PreconditionError, match="seq must be built on the space"):
             run_certificate(cycle_space(32), GroupMeasure.point_mass(Z, (0,)), seq=seq)
 
@@ -799,7 +849,7 @@ class TestNormLowerBound:
                              cells_per_step=7)
         mu = GroupMeasure.uniform_interval(Z, -1.0, 1.0)
         seq = ModerateGrowthSequence(space, S=((0,),), F=((0,),),
-                                     sets=(np.arange(5),), max_n=1)
+                                     sets=(np.arange(5),))
         message = "measure and action space live on different groups"
         with pytest.raises(DescriptorMismatchError, match=message):
             discrepancy(space, mu)
@@ -871,7 +921,7 @@ class TestWalkTransforms:
         n_max = 3
         seq = ModerateGrowthSequence(
             space, S=tuple(symmetrize(mu).support()), F=((0,), (1,), (-1,)),
-            sets=(np.array([1]),) * n_max, max_n=n_max)
+            sets=(np.array([1]),) * n_max)
         report = run_certificate(space, mu, seq=seq)
         assert report.cond2_all and report.chain_asserted
         assert calls == {"rfft": 2 * (n_max + 1), "irfft": 0}

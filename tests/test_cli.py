@@ -66,7 +66,8 @@ class TestMargulisDemo:
         norm_spy = mock.Mock(wraps=regular_norm_module.amenable_norm)
         with mock.patch.object(koopman, "discrepancy", spy), \
                 mock.patch.object(cli, "discrepancy", spy), \
-                mock.patch.object(regular_norm_module, "amenable_norm", norm_spy):
+                mock.patch.object(regular_norm_module, "amenable_norm", norm_spy), \
+                mock.patch.object(koopman, "amenable_norm", norm_spy):
             code, _ = run_cli(tmp_path, MARGULIS_SMALL)
         assert code == 0
         assert (spy.call_count, norm_spy.call_count) == (1, 1)
@@ -80,8 +81,7 @@ class TestVerifyBound:
             "measure": {"kind": "uniform-interval", "lo": -1, "hi": 1},
             "action": {"kind": "torus-translation", "N": 128, "step": [29, 41],
                        "slope_hint": math.sqrt(2)},
-            "params": {"tol": 1e-3, "seed": 7,
-                       "regular_norm_method": "amenable-mass"},
+            "params": {"tol": 1e-3, "seed": 7},
         }
         code, out_dir = run_cli(tmp_path, cfg)
         assert code == 0
@@ -291,28 +291,39 @@ class TestParams:
         code, _ = run_cli(tmp_path, cfg)
         assert code == 0
 
-    @pytest.mark.parametrize("experiment,key,value", [
-        ("verify-bound", "regular_norm_method", "amenabel"),
-        ("verify-bound", "regular_norm_method", "amenable"),
-        ("regular-norm", "method", "fourier-abelian"),
-        ("regular-norm", "method", "free-radial"),
-    ])
-    def test_unknown_method_exit_two(self, tmp_path, capsys, experiment, key,
-                                     value):
+    @pytest.mark.parametrize("value", ["fourier-abelian", "free-radial"])
+    def test_unknown_method_exit_two(self, tmp_path, capsys, value):
         cfg = {
-            "experiment": experiment,
+            "experiment": "regular-norm",
+            "group": {"kind": "lattice"},
+            "measure": {"kind": "srw"},
+            "params": {"method": value},
+        }
+        code, out_dir = run_cli(tmp_path, cfg)
+        assert code == 2
+        assert (f"config error: params.method: unknown name {value!r}; pick one "
+                "of ('auto', 'amenable-mass', 'berg-christensen')"
+                in capsys.readouterr().err)
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("regular_norm_method", "amenable-mass"),
+        ("regular_norm_method", "berg-christensen"),
+        ("n_max", 50),
+    ])
+    def test_removed_verify_param_exit_two(self, tmp_path, capsys, key, value):
+        # verify-bound compares with the exact norm, which takes no setting
+        cfg = {
+            "experiment": "verify-bound",
             "group": {"kind": "lattice"},
             "measure": {"kind": "srw"},
             "action": {"kind": "circle-rotation", "N": 64, "cells_per_step": 3},
             "params": {key: value},
         }
-        if experiment == "regular-norm":
-            del cfg["action"]
         code, out_dir = run_cli(tmp_path, cfg)
         assert code == 2
-        assert (f"config error: params.{key}: unknown name {value!r}; pick one "
-                "of ('auto', 'amenable-mass', 'berg-christensen')"
-                in capsys.readouterr().err)
+        assert (f"config error: params.{key}: unknown parameter for verify-bound; "
+                "it takes ['seed', 'tol']" in capsys.readouterr().err)
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("kind", ["z", "zd"])
@@ -360,7 +371,6 @@ VERIFY = {
     "group": {"kind": "real-grid", "dimension": 1, "resolution": 2},
     "measure": {"kind": "uniform-interval", "lo": -1, "hi": 1},
     "action": {"kind": "torus-translation", "N": 64, "step": [29, 41]},
-    "params": {"regular_norm_method": "amenable-mass"},
 }
 
 # a config with one fault, and the start of the message that names it
@@ -629,21 +639,19 @@ class TestRegularNormExperiment:
         assert (recorded == "berg-christensen") == (
             out_dir / "regular-norm_sequence.csv").exists()
 
-    def test_kv_format(self, tmp_path):
+    def test_format_flag_exit_two(self, tmp_path, capsys):
+        # the record is always CSV
         cfg = {
             "experiment": "regular-norm",
             "group": {"kind": "lattice", "dimension": 1},
             "measure": {"kind": "srw"},
             "params": {"method": "amenable-mass"},
         }
-        cfg_path = write_config(tmp_path, cfg)
-        out_dir = tmp_path / "kvout"
-        code = main(["--config", cfg_path, "--out", str(out_dir),
-                     "--format", "kv"])
-        assert code == 0
-        text = (out_dir / "regular-norm_record.kv").read_text()
-        assert "method = amenable-mass" in text
-        assert "value = 1" in text
+        with pytest.raises(SystemExit) as stop:
+            run_cli(tmp_path, cfg, "--format", "kv")
+        assert stop.value.code == 2
+        assert "unrecognized arguments: --format kv" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestDeterminism:

@@ -493,8 +493,7 @@ class TestVerifyLowerBound:
         grid = time_grid(n)
         mu = GroupMeasure.uniform_interval(grid, 0.0, 1.0, closed=False)
         space = build_action("circle-rotation", group=grid, N=n, cells_per_step=1)
-        report = verify_lower_bound(space, mu, regular_norm_method="amenable-mass",
-                                    tol=1e-3)
+        report = verify_lower_bound(space, mu, tol=1e-3)
         assert not report.hypothesis_ok
         assert report.passed is None
         assert any("orbit covers the space" in v for v in report.violations)

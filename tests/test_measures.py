@@ -19,8 +19,6 @@ from gaplab import (
     ResourceLimitError,
     convolve,
     involute,
-    measure_from_text,
-    measure_to_text,
     product_set,
     symmetrize,
 )
@@ -592,23 +590,3 @@ class TestMassOnSet:
         assert mass_on_set(mu, mu.support()) == pytest.approx(
             mu.total_mass, rel=1e-12
         )
-
-
-class TestSerialization:
-    @pytest.mark.parametrize("group", [Z, Z2, F2,
-                                       GroupDescriptor(kind="real-grid", dimension=1, resolution=8),
-                                       GroupDescriptor(kind="torus-grid", dimension=2, size=16)])
-    def test_roundtrip(self, group):
-        rng = np.random.default_rng(8)
-        if group.kind == "torus-grid":
-            mu = GroupMeasure.from_atoms(group, [((1, 2), 0.5), ((15, 0), 1.25)])
-        else:
-            mu = random_measure(group, rng)
-        back = measure_from_text(measure_to_text(mu))
-        assert back.group == mu.group
-        assert back.atoms == mu.atoms
-
-    def test_deterministic_order(self):
-        mu = GroupMeasure.from_atoms(Z, [((3,), 1.0), ((-1,), 2.0)])
-        text = measure_to_text(mu)
-        assert text.index("-1") < text.index("3")

@@ -19,7 +19,7 @@ from gaplab import (
     product_set,
 )
 from gaplab import groups, nets
-from gaplab.nets import haar, net_ratio_study, verify_net_bounds
+from gaplab.nets import net_ratio_study, verify_net_bounds
 
 Z = GroupDescriptor(kind="lattice", dimension=1)
 Z2 = GroupDescriptor(kind="lattice", dimension=2)
@@ -202,10 +202,6 @@ class TestNetBounds:
         report = verify_net_bounds(inst)
         assert report.mu_A == pytest.approx(2 / 4)
         assert report.all_ok
-        # -1 and 10 are one cell of Z/11
-        t11 = GroupDescriptor(kind="torus-grid", dimension=1, size=11)
-        assert haar(t11, [(-1,), (10,)]) == 1 / 11
-        assert haar(grid, [(1,), (1,), (2,)]) == 2 / 4
 
 
 class TestRatioStudy:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from gaplab.cli import ENV_OUT_DIR, main
+from gaplab.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 SNAPSHOTS = Path(__file__).with_name("snapshots")
@@ -60,8 +60,7 @@ def assert_reports_match(out_dir: Path, snapshots: Path) -> None:
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=[path.stem for path in CONFIGS])
-def test_reports_match_snapshots(tmp_path, monkeypatch, config):
-    monkeypatch.delenv(ENV_OUT_DIR, raising=False)
+def test_reports_match_snapshots(tmp_path, config):
     assert main(["--config", str(config), "--out", str(tmp_path)]) == 0
     assert_reports_match(tmp_path, SNAPSHOTS / config.stem)
 
@@ -71,8 +70,7 @@ NETS = {"experiment": "nets", "params": {"count": 40, "ratio_n_max": 10, "seed":
         "output": {"prefix": "nets_"}}
 
 
-def test_nets_report_matches_snapshot(tmp_path, monkeypatch):
-    monkeypatch.delenv(ENV_OUT_DIR, raising=False)
+def test_nets_report_matches_snapshot(tmp_path):
     config = tmp_path / "nets.json"
     config.write_text(json.dumps(NETS))
     assert main(["--config", str(config), "--out", str(tmp_path / "out")]) == 0
@@ -96,8 +94,7 @@ def certificate_bench(x0):
     }
 
 
-def test_benchmark_certificates_match_snapshots(tmp_path, monkeypatch):
-    monkeypatch.delenv(ENV_OUT_DIR, raising=False)
+def test_benchmark_certificates_match_snapshots(tmp_path):
     for x0 in CERT_X0:
         config = tmp_path / f"certificate_{x0}.json"
         config.write_text(json.dumps(certificate_bench(x0)))

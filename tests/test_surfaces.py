@@ -64,7 +64,8 @@ class TestFourierTorusGroup:
 
 
 class TestCliEnvironment:
-    def test_out_dir_env_override(self, tmp_path, monkeypatch):
+    def test_reports_land_in_out_whatever_the_environment(self, tmp_path,
+                                                          monkeypatch):
         cfg = {
             "experiment": "regular-norm",
             "group": {"kind": "lattice", "dimension": 1},
@@ -74,11 +75,12 @@ class TestCliEnvironment:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         env_dir = tmp_path / "env-out"
+        # the variable that once overrode --out
         monkeypatch.setenv("GAPLAB_OUT", str(env_dir))
-        code = main(["--config", str(cfg_path), "--out", str(tmp_path / "ignored")])
+        code = main(["--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert code == 0
-        assert (env_dir / "regular-norm_record.csv").exists()
-        assert not (tmp_path / "ignored").exists()
+        assert (tmp_path / "out" / "regular-norm_record.csv").exists()
+        assert not env_dir.exists()
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = {
