@@ -17,25 +17,22 @@ import csv
 import json
 import sys
 import types
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .actions import ActionSpace, GridTranslationSpace, build_action
-from .certificates import run_certificate
-from .errors import GaplabError
+# Only what the config tables and the shared builders need is imported
+# here; each runner imports the modules it runs, so that an experiment
+# loads no module it does not use.
+from .errors import DescriptorMismatchError, GaplabError
 from .groups import GroupDescriptor, power_set
-from .koopman import (
-    DiscrepancyResult,
-    character_line_scan,
-    character_norm,
-    discrepancy,
-    verify_lower_bound,
-)
 from .measures import GroupMeasure
-from .nets import greedy_maximal_net, net_ratio_study, verify_net_bounds
 from .regular_norm import METHODS, regular_norm
+
+if TYPE_CHECKING:
+    from .actions import ActionSpace
+    from .koopman import DiscrepancyResult
 
 
 class ConfigError(GaplabError):
@@ -194,30 +191,49 @@ def build_group(cfg: dict, path: str = "group") -> GroupDescriptor:
     return GroupDescriptor(kind=kind, **fields)
 
 
+def _element(group: GroupDescriptor, element: list, path: str):
+    """A config's element, checked by ``group.element``."""
+    try:
+        return group.element(element)
+    except DescriptorMismatchError as err:
+        raise ConfigError(path, str(err))
+
+
 def build_measure(group: GroupDescriptor, cfg: dict, path: str = "measure") -> GroupMeasure:
+    """The measure of a config; its total mass must be positive, since
+    every experiment divides by it or compares with it."""
     kind, fields = _tagged(cfg, MEASURES, path)
     pairs = []
     for i, rec in enumerate(fields.get("atoms", ())):
         if isinstance(rec, list) and rec:
             rec = {"element": rec[:-1], "weight": rec[-1]}
         atom = _fields(rec, ATOM, f"{path}.atoms[{i}]", "an atom")
-        pairs.append((atom["element"], atom["weight"]))
+        pairs.append((_element(group, atom["element"], f"{path}.atoms[{i}].element"),
+                      atom["weight"]))
+    if "element" in fields:
+        fields["element"] = _element(group, fields["element"], f"{path}.element")
     try:
         if kind == "atoms":
-            return GroupMeasure.from_atoms(group, pairs)
-        if kind == "point":
-            return GroupMeasure.point_mass(group, fields.pop("element", group.identity()),
-                                           **fields)
-        if kind == "srw":
-            return GroupMeasure.simple_random_walk(group, **fields)
-        if kind == "uniform-interval":
-            return GroupMeasure.uniform_interval(group, **fields)
-        return GroupMeasure.uniform_on(group, group.ball(fields["radius"]))
+            mu = GroupMeasure.from_atoms(group, pairs)
+        elif kind == "point":
+            mu = GroupMeasure.point_mass(group, fields.pop("element", group.identity()),
+                                         **fields)
+        elif kind == "srw":
+            mu = GroupMeasure.simple_random_walk(group, **fields)
+        elif kind == "uniform-interval":
+            mu = GroupMeasure.uniform_interval(group, **fields)
+        else:
+            mu = GroupMeasure.uniform_on(group, group.ball(fields["radius"]))
     except (GaplabError, ValueError) as err:
         raise ConfigError(path, str(err))
+    if mu.total_mass <= 0:
+        raise ConfigError(path, "total mass must be positive")
+    return mu
 
 
 def build_space(group: GroupDescriptor, cfg: dict, path: str = "action") -> ActionSpace:
+    from .actions import build_action
+
     kind, fields = _tagged(cfg, ACTIONS, path)
     try:
         return build_action(kind, group=group, **fields)
@@ -248,6 +264,9 @@ def validate_config(cfg: dict, path: str = "<root>") -> dict:
                               "the children's reports")
         grid = cfg.get("grid", {})
         _fields(grid, dict.fromkeys(grid, (list, ..., None)), "grid", "grid")
+        for key, values in grid.items():
+            if not values:
+                raise ConfigError(f"grid.{key}", "needs at least one value")
     return cfg
 
 
@@ -315,6 +334,9 @@ def _put_spectrum(res: RunResult, disc: DiscrepancyResult) -> str:
 
 
 def run_koopman_norm(cfg: dict) -> RunResult:
+    from .actions import GridTranslationSpace
+    from .koopman import character_line_scan, character_norm, discrepancy
+
     res = RunResult("koopman-norm")
     group = build_group(cfg["group"])
     mu = build_measure(group, cfg["measure"])
@@ -350,6 +372,8 @@ def run_koopman_norm(cfg: dict) -> RunResult:
 
 
 def run_verify_bound(cfg: dict) -> RunResult:
+    from .koopman import verify_lower_bound
+
     res = RunResult("verify-bound")
     group = build_group(cfg["group"])
     mu = build_measure(group, cfg["measure"])
@@ -377,6 +401,8 @@ def run_verify_bound(cfg: dict) -> RunResult:
 
 
 def run_certificate_experiment(cfg: dict) -> RunResult:
+    from .certificates import run_certificate
+
     res = RunResult("certificate")
     group = build_group(cfg["group"])
     mu = build_measure(group, cfg["measure"])
@@ -412,6 +438,8 @@ def run_certificate_experiment(cfg: dict) -> RunResult:
               report.cond3_flag)
     res.check("chain inequality on every asserted row", report.chain_holds)
     if p["cross_check_discrepancy"]:
+        from .koopman import discrepancy
+
         disc = discrepancy(space, mu)
         res.put("discrepancy", disc.value)
         res.check("certificate bound <= discrepancy + 2 tol",
@@ -421,6 +449,8 @@ def run_certificate_experiment(cfg: dict) -> RunResult:
 
 
 def run_nets(cfg: dict) -> RunResult:
+    from .nets import greedy_maximal_net, net_ratio_study, verify_net_bounds
+
     res = RunResult("nets")
     p = _params(cfg)
     count = p["count"]
@@ -468,6 +498,9 @@ def _box(dim: int, radius: int):
 
 
 def run_margulis_demo(cfg: dict) -> RunResult:
+    from .actions import build_action
+    from .koopman import character_norm, verify_lower_bound
+
     res = RunResult("margulis-demo")
     p = _params(cfg)
     n = p["N"]
@@ -546,6 +579,8 @@ def run_sweep(cfg: dict, jobs: int = 1) -> tuple[RunResult, list[RunResult]]:
             return res, error
 
     if jobs > 1 and len(combos) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(child, combos))
     else:
@@ -556,24 +591,22 @@ def run_sweep(cfg: dict, jobs: int = 1) -> tuple[RunResult, list[RunResult]]:
 
     agg = RunResult("sweep")
     agg.put("children", len(children))
-    if children:
-        good = [c for c, e in zip(children, errors) if e is None]
-        value_keys = [k for k, _ in (good[0].record if good else [])
-                      if k != "experiment"]
-        if failed:
-            value_keys.append("error")
-        agg.sequence_columns = ["child", *keys, *value_keys, "passed"]
-        for i, (combo, child_res) in enumerate(zip(combos, children)):
-            rec = dict(child_res.record)
-            agg.sequence_rows.append(
-                [i, *(_fmt(combo[k]) for k in keys),
-                 *(rec.get(k, "") for k in value_keys),
-                 _fmt(child_res.passed)]
-            )
+    good = [c for c, e in zip(children, errors) if e is None]
+    value_keys = [k for k, _ in (good[0].record if good else [])
+                  if k != "experiment"]
+    if failed:
+        value_keys.append("error")
+    agg.sequence_columns = ["child", *keys, *value_keys, "passed"]
+    for i, (combo, child_res) in enumerate(zip(combos, children)):
+        rec = dict(child_res.record)
+        agg.sequence_rows.append(
+            [i, *(_fmt(combo[k]) for k in keys),
+             *(rec.get(k, "") for k in value_keys),
+             _fmt(child_res.passed)]
+        )
     for i in failed:
         agg.note(f"child {i} failed: {errors[i]}")
-    agg.check("all sweep children passed",
-              all(c.passed for c in children) if children else True)
+    agg.check("all sweep children passed", all(c.passed for c in children))
     return agg, children
 
 

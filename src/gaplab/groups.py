@@ -83,6 +83,28 @@ class GroupDescriptor:
             return tuple(x % self.size for x in a)
         return tuple(a)
 
+    def element(self, a) -> Element:
+        """``canonical(a)``, checked to be an element of this group: ``d``
+        coordinates on the abelian kinds, and on ``free`` a reduced word
+        over the letters +-1, ..., +-k.  For elements that come from
+        outside; raises ``DescriptorMismatchError``."""
+        a = self.canonical(a)
+        if self.kind == FREE:
+            for i, letter in enumerate(a):
+                if not 1 <= abs(letter) <= self.dimension:
+                    raise DescriptorMismatchError(
+                        f"the letters of F_{self.dimension} are +-1..+-{self.dimension}, "
+                        f"got {letter}")
+                if i and a[i - 1] == -letter:
+                    raise DescriptorMismatchError(
+                        f"word {list(a)} is not reduced: {a[i - 1]} is followed by "
+                        f"its inverse")
+        elif len(a) != self.dimension:
+            raise DescriptorMismatchError(
+                f"the {self.dimension}-dimensional {self.kind} takes elements of "
+                f"length {self.dimension}, got {list(a)}")
+        return a
+
     def inverse(self, a: Element) -> Element:
         if self.kind == FREE:
             return tuple(-letter for letter in reversed(a))

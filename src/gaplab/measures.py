@@ -56,13 +56,15 @@ class GroupMeasure:
 
     @classmethod
     def point_mass(cls, group: GroupDescriptor, g: Element, mass: float = 1.0):
-        return cls(group, {tuple(g): mass})
+        return cls(group, {group.element(g): mass})
 
     @classmethod
     def from_atoms(cls, group: GroupDescriptor, pairs):
+        """The measure with the given (element, weight) pairs, weights on
+        one element added; each element is checked by ``group.element``."""
         atoms: dict[Element, float] = {}
         for g, w in pairs:
-            g = group.canonical(g)
+            g = group.element(g)
             atoms[g] = atoms.get(g, 0.0) + float(w)
         return cls(group, atoms)
 

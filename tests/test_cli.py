@@ -65,7 +65,6 @@ class TestMargulisDemo:
         spy = mock.Mock(wraps=koopman.discrepancy)
         norm_spy = mock.Mock(wraps=regular_norm_module.amenable_norm)
         with mock.patch.object(koopman, "discrepancy", spy), \
-                mock.patch.object(cli, "discrepancy", spy), \
                 mock.patch.object(regular_norm_module, "amenable_norm", norm_spy), \
                 mock.patch.object(koopman, "amenable_norm", norm_spy):
             code, _ = run_cli(tmp_path, MARGULIS_SMALL)
@@ -365,6 +364,7 @@ class TestParams:
 KOOPMAN = {**TestParams.REGULAR, "experiment": "koopman-norm",
            "action": {"kind": "torus-translation", "N": 16, "step": [1, 3]}}
 SWEEP = {"experiment": "sweep", "template": TestParams.REGULAR}
+FREE = {**TestParams.REGULAR, "group": {"kind": "free", "dimension": 2}}
 # a torus flow whose hypotheses hold, so that the bound is asserted
 VERIFY = {
     "experiment": "verify-bound",
@@ -433,6 +433,30 @@ CONFIG_FAULTS = [
      "action.weights: expected list[float], got [0.5, -1000"),
     ({**KOOPMAN, "action": {"kind": "finite-permutation", "permutation": [2, 0, True]}},
      "action.permutation: expected list[int], got [2, 0, True]"),
+    # elements must belong to the group; the measure's mass must be positive
+    ({**TestParams.REGULAR, "group": {"kind": "lattice", "dimension": 2},
+      "measure": {"kind": "atoms", "atoms": [[1, 0.5]]}},
+     "measure.atoms[0].element: the 2-dimensional lattice takes elements of length 2"),
+    ({**TestParams.REGULAR, "measure": {"kind": "point", "element": [1, 2]}},
+     "measure.element: the 1-dimensional lattice takes elements of length 1"),
+    ({**FREE, "measure": {"kind": "atoms", "atoms": [[1, 0.5], [0, 0.5]]}},
+     "measure.atoms[1].element: the letters of F_2 are +-1..+-2, got 0"),
+    ({**FREE, "measure": {"kind": "atoms", "atoms": [[7, 0.5], [1, 0.5]]}},
+     "measure.atoms[0].element: the letters of F_2 are +-1..+-2, got 7"),
+    ({**FREE, "measure": {"kind": "atoms", "atoms": [
+        {"element": [1, -1], "weight": 0.5}, [1, 0.5]]}},
+     "measure.atoms[0].element: word [1, -1] is not reduced"),
+    ({**FREE, "measure": {"kind": "point", "element": [2, -3]}},
+     "measure.element: the letters of F_2 are +-1..+-2, got -3"),
+    ({**TestParams.REGULAR, "measure": {"kind": "point", "mass": 0}},
+     "measure: total mass must be positive"),
+    ({**TestParams.REGULAR, "measure": {"kind": "atoms", "atoms": []},
+      "params": {"method": "amenable-mass"}},
+     "measure: total mass must be positive"),
+    ({**VERIFY, "measure": {"kind": "uniform-interval", "lo": -1, "hi": 1, "total": 0}},
+     "measure: total mass must be positive"),
+    ({**SWEEP, "grid": {"params.n_max": [3], "params.method": []}},
+     "grid.params.method: needs at least one value"),
 ]
 
 

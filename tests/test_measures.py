@@ -62,6 +62,40 @@ class TestWeights:
             GroupMeasure.from_atoms(Z, [((1,), bad), ((2,), 0.5)])
 
 
+class TestOutsideElements:
+    """``from_atoms`` and ``point_mass`` check the elements they are given;
+    the measures the algebra forms itself are not checked again."""
+
+    @pytest.mark.parametrize("group,g,message", [
+        (Z2, (1,), "takes elements of length 2"),
+        (Z, (1, 2), "takes elements of length 1"),
+        (GroupDescriptor(kind="torus-grid", dimension=2, size=8), (3,),
+         "takes elements of length 2"),
+        (F2, (0,), "are \\+-1..\\+-2, got 0"),
+        (F2, (1, 3), "got 3"),
+        (F2, (-3,), "got -3"),
+        (F2, (2, 1, -1), "not reduced"),
+    ], ids=["Z2-short", "Z-long", "torus-short", "F2-zero", "F2-three",
+            "F2-minus-three", "F2-unreduced"])
+    def test_foreign_element_rejected(self, group, g, message):
+        with pytest.raises(DescriptorMismatchError, match=message):
+            GroupMeasure.from_atoms(group, [(group.identity(), 0.5), (g, 0.5)])
+        with pytest.raises(DescriptorMismatchError, match=message):
+            GroupMeasure.point_mass(group, g)
+
+    def test_members_accepted(self):
+        torus = GroupDescriptor(kind="torus-grid", dimension=1, size=16)
+        assert GroupMeasure.point_mass(torus, [17]).atoms == {(1,): 1.0}
+        word = GroupMeasure.from_atoms(F2, [((1, -2, 1), 0.25), ((), 0.75)])
+        assert word.atoms == {(1, -2, 1): 0.25, (): 0.75}
+
+    @pytest.mark.parametrize("group", [Z, F2], ids=["lattice", "free"])
+    def test_convolution_checks_no_element(self, group):
+        mu = GroupMeasure.simple_random_walk(group)
+        with mock.patch.object(GroupDescriptor, "element", side_effect=AssertionError):
+            assert len(convolve(mu, symmetrize(mu))) > 0
+
+
 class TestGroupLaws:
     def test_identity_and_inverse_laws_on_samples(self):
         rng = np.random.default_rng(0)
