@@ -23,8 +23,7 @@ from .regular_norm import regular_norm
 _EXPORTS = {
     "actions": ("ActionSpace", "GridTranslationSpace", "build_action",
                 "continued_fraction_convergent"),
-    "certificates": ("ModerateGrowthSequence", "build_companion_set",
-                     "orbit_neighborhood_sequence", "run_certificate"),
+    "certificates": ("run_certificate",),
     "errors": ("ConstructionError", "DescriptorMismatchError", "GaplabError",
                "GridResolutionError", "PreconditionError", "ResourceLimitError",
                "UnsupportedKindError"),
@@ -33,8 +32,7 @@ _EXPORTS = {
                 "discrepancy", "verify_lower_bound"),
     "measures": ("GroupMeasure", "convolve", "involute", "symmetrize"),
     "nets": ("greedy_maximal_net", "net_ratio_study", "verify_net_bounds"),
-    "regular_norm": ("amenable_norm", "berg_christensen_estimate",
-                     "free_group_radial_return", "regular_norm"),
+    "regular_norm": ("amenable_norm", "berg_christensen_estimate", "regular_norm"),
 }
 
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

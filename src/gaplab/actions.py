@@ -189,7 +189,6 @@ class ActionSpace:
             raise ConstructionError("cell weights must sum to 1 within 1e-12")
         if (self.weights <= 0).any():
             raise ConstructionError("cell weights must be strictly positive")
-        self.base_cell = 0
         self.cycles = CycleTable(sigma)
 
     # -- the group action --------------------------------------------------

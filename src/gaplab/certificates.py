@@ -1,12 +1,13 @@
 """Constructive norm certificates from moderate-growth set sequences.
 
-Given a symmetric set S of group atoms and a sequence of cell sets B_n,
-three conditions make the sequence usable as a certificate: every B_n has
-positive mass, S^n B_n stays below mass 1/2, and the n-th roots of the
-F-overlap ratios inf_{g in F} nu(gB_n & B_n)/nu(B_n) approach 1.  For
-such sequences the test vectors (1_{B_n} - 1_{B_n^-}) built from
-equal-mass companion sets disjoint from S^n B_n give Rayleigh quotients
-whose 1/(2n)-th roots certify lower bounds on the discrepancy.
+``run_certificate`` builds cell sets B_n around the orbit of a base cell
+for S = F = supp(eta), eta = mu * mu^, a symmetric set that holds the
+identity.  Three conditions make the sequence usable as a certificate:
+every B_n has positive mass, S^n B_n stays below mass 1/2, and the n-th
+roots of the F-overlap ratios inf_{g in F} nu(gB_n & B_n)/nu(B_n)
+approach 1.  For such sequences the test vectors (1_{B_n} - 1_{B_n^-})
+built from equal-mass companion sets disjoint from S^n B_n give Rayleigh
+quotients whose 1/(2n)-th roots certify lower bounds on the discrepancy.
 
 The companion construction is exact here: on a grid whose cells all
 weigh exactly the same, the intermediate-value argument for atomless
@@ -14,17 +15,16 @@ spaces degenerates to counting cells, with deterministic lexicographic
 fill.  ``run_certificate`` therefore runs only on such grids, and checks
 that before it builds anything.
 
-Every action is one-parameter, so past the ``ModerateGrowthSequence``
-boundary S, F and the powers S^k are sorted int64 arrays of steps, and
-S^k is built only by ``_step_powers``.
+Every action is one-parameter, so S, F and the powers S^k are sorted
+int64 arrays of steps, and S^k is built only by ``_step_powers``.
 
 Sets are read as disjoint segments of slots in the cycle table, and each
-is swept once.  The walk takes the segments of B_n and of S^n B_n, from
-the radius search or from one sweep of a sequence's B_n, and reads
-everything off them: the masses are the cell weight times a segment
-count, the F-overlaps are integer sums over pairs of segments, the
-companion is the first cells outside the mask of S^n B_n, and the test
-vector phi is written in slot order, the order in which its FFT reads it.
+is swept once.  The walk takes the segments of B_n and of S^n B_n from
+the radius search and reads everything off them: the masses are the
+cell weight times a segment count, the F-overlaps are integer sums over
+pairs of segments, the companion is the first cells outside the mask of
+S^n B_n, and the test vector phi is written in slot order, the order in
+which its FFT reads it.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 
 from .actions import ActionSpace, GridTranslationSpace
 from .errors import DescriptorMismatchError, GridResolutionError, PreconditionError
-from .groups import GroupDescriptor, _powers, is_symmetric_set
+from .groups import GroupDescriptor, _powers
 from .measures import (
     DEFAULT_SUPPORT_CAP,
     GroupMeasure,
@@ -46,53 +46,6 @@ from .measures import (
 )
 
 CHAIN_TOL = 1e-10
-
-
-@dataclass(frozen=True, eq=False)
-class ModerateGrowthSequence:
-    """A candidate certificate: sets B_1..B_max_n plus the atom sets S, F;
-    max_n is the number of sets.
-
-    S and F are given as group elements, or as 1-d integer arrays of
-    steps; once validated they are held as sorted int64 arrays of their
-    steps, which validate again, so ``dataclasses.replace`` works.  Its
-    fields hold arrays, so a sequence equals and hashes as itself only.
-    """
-
-    space: ActionSpace
-    S: np.ndarray
-    F: np.ndarray
-    sets: tuple  # sets[i] is the cell-index array of B_{i+1}
-
-    def __post_init__(self):
-        object.__setattr__(self, "S", _symmetric_steps(self.space, self.S, "S"))
-        object.__setattr__(self, "F", _symmetric_steps(self.space, self.F, "F"))
-        if len(self.sets) == 0:
-            raise PreconditionError("need the cell sets B_1..B_max_n for a "
-                                    "max_n >= 1, got 0 sets")
-        n_cells = self.space.n_cells
-        for i, b in enumerate(self.sets):
-            if len(b) == 0:
-                raise PreconditionError(f"B_{i + 1} is empty (condition (1) fails)")
-            # the checks read B sorted: its ends bound the cells, and a
-            # repeated cell sits next to itself
-            b = np.asarray(b)
-            if b.dtype.kind in "iu" and not (b[1:] > b[:-1]).all():
-                b = np.sort(b)
-            if b.dtype.kind not in "iu" or b[0] < 0 or b[-1] >= n_cells:
-                raise PreconditionError(
-                    f"B_{i + 1} must hold cell indices in 0..{n_cells - 1}")
-            if (b[1:] == b[:-1]).any():
-                raise PreconditionError(f"B_{i + 1} lists a cell more than once")
-
-    @property
-    def max_n(self) -> int:
-        return len(self.sets)
-
-    def B(self, n: int) -> np.ndarray:
-        if not 1 <= n <= self.max_n:
-            raise PreconditionError(f"n={n} outside 1..{self.max_n}")
-        return np.asarray(self.sets[n - 1], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -113,8 +66,7 @@ class CertificateRow:
 @dataclass(frozen=True)
 class CertificateReport:
     rows: tuple[CertificateRow, ...]
-    chain_asserted: bool  # supp(eta) lies in S: every row asserts the chain
-    chain_holds: bool  # every asserted row has rayleigh >= chain_bound - CHAIN_TOL
+    chain_holds: bool  # every row has rayleigh >= chain_bound - CHAIN_TOL
     cond1_all: bool
     cond2_all: bool
     cond3_flag: bool
@@ -135,18 +87,6 @@ def _cell_weight(space: ActionSpace) -> float:
             "certificates need an equal-weight cell grid: companion sets "
             "match masses by counting cells")
     return weight
-
-
-def _symmetric_steps(space: ActionSpace, atoms, name: str) -> np.ndarray:
-    """The sorted steps of an atom set that must be symmetric and hold the
-    identity; a 1-d array holds the steps themselves."""
-    group = space.group
-    if isinstance(atoms, np.ndarray) and atoms.ndim == 1:
-        atoms = atoms[:, None]
-    atoms = {tuple(g) for g in atoms}
-    if not is_symmetric_set(group, atoms) or group.identity() not in atoms:
-        raise PreconditionError(f"{name} must be symmetric and contain the identity")
-    return np.unique(space.steps(atoms))
 
 
 def _step_powers(group: GroupDescriptor, S: np.ndarray, k: int) -> list[np.ndarray]:
@@ -377,10 +317,10 @@ def _row(n: int, nu_b: float, nu_snb: float, overlap: float, numerator: float,
     )
 
 
-def _walk(space: ActionSpace, S: np.ndarray, F: np.ndarray, segments: list,
-          slack: float, eta: GroupMeasure, weight: float) -> CertificateReport:
+def _walk(space: ActionSpace, F: np.ndarray, segments: list, slack: float,
+          eta: GroupMeasure, weight: float) -> CertificateReport:
     """One pass over n = 1..len(segments) carrying eta^{*n} forward, on a
-    grid whose cells all weigh ``weight``, for the step arrays S and F.
+    grid whose cells all weigh ``weight``, for the step array F.
 
     ``segments[n - 1]`` holds the disjoint slot segments of B_n and of
     S^n B_n, each a (lo, hi) pair sorted by lo, none leaving its cycle.
@@ -394,7 +334,6 @@ def _walk(space: ActionSpace, S: np.ndarray, F: np.ndarray, segments: list,
     group = space.group
     eta_cells, eta_weights = _arrays(eta)
     eta_hat = _measure_spectra(space, eta_cells[:, 0], eta_weights)
-    chain_asserted = bool(np.isin(eta_cells[:, 0], S).all())
     cells, weights = np.array([group.identity()]), np.ones(1)
     # one mask of S^n B_n and one phi, rewritten at every n
     covered = np.empty(space.n_cells, dtype=bool)
@@ -422,9 +361,7 @@ def _walk(space: ActionSpace, S: np.ndarray, F: np.ndarray, segments: list,
     max_root = max(r.ratio_root for r in rows)
     return CertificateReport(
         rows=tuple(rows),
-        chain_asserted=chain_asserted,
-        chain_holds=not chain_asserted or all(
-            r.rayleigh >= r.chain_bound - CHAIN_TOL for r in rows),
+        chain_holds=all(r.rayleigh >= r.chain_bound - CHAIN_TOL for r in rows),
         cond1_all=all(r.cond1 for r in rows),
         cond2_all=all(r.cond2 for r in rows),
         cond3_flag=max_root >= 1.0 - slack,
@@ -436,29 +373,15 @@ def _walk(space: ActionSpace, S: np.ndarray, F: np.ndarray, segments: list,
 # -- the certificate operations ----------------------------------------------
 
 
-def build_companion_set(
-    space: ActionSpace, b: np.ndarray, forbidden: np.ndarray
-) -> np.ndarray:
-    """A set of the same measure as b, disjoint from the cells of the mask
-    ``forbidden``.
+def _companion_set(size: int, forbidden: np.ndarray) -> np.ndarray:
+    """A set of ``size`` cells disjoint from the cells of the cell-sized
+    bool mask ``forbidden``, on a grid whose cells all weigh the same, so
+    that it matches the mass of any set of ``size`` cells.
 
     Equal-weight cells make exact mass matching a counting problem; the
-    fill is greedy in deterministic cell order, so certificates are
-    reproducible.
-    """
-    _cell_weight(space)
-    forbidden = np.asarray(forbidden)
-    if forbidden.dtype != bool or forbidden.shape != (space.n_cells,):
-        raise PreconditionError(
-            f"the forbidden set must be a mask of the {space.n_cells} cells")
-    return _companion_set(len(b), forbidden)
-
-
-def _companion_set(size: int, forbidden: np.ndarray) -> np.ndarray:
-    """``build_companion_set`` of a set of ``size`` cells without its
-    checks, for a caller that has checked the equal cell weights and the
-    mask: the first ``size`` cells outside the mask, which lie among the
-    first ``size`` + (number of masked cells) cells."""
+    fill is greedy in cell order, so certificates are reproducible: the
+    first ``size`` cells outside the mask, which lie among the first
+    ``size`` + (number of masked cells) cells."""
     free = np.flatnonzero(~forbidden[:size + np.count_nonzero(forbidden)])
     if len(free) < size:
         raise PreconditionError(
@@ -469,34 +392,20 @@ def _companion_set(size: int, forbidden: np.ndarray) -> np.ndarray:
     return free[:size].astype(np.int64)
 
 
-def orbit_neighborhood_sequence(
-    space: ActionSpace,
-    x0: int,
-    S,
-    n_max: int,
-) -> ModerateGrowthSequence:
-    """Build B_n = S^n V_n from maximal admissible base-cell neighborhoods.
+def _orbit_segments(space: ActionSpace, x0: int, steps: np.ndarray,
+                    n_max: int) -> list:
+    """The slot segments of B_n = S^n V_n and of S^n B_n = S^{2n} V_n for
+    n = 1..n_max and the sorted steps of a symmetric S that holds the
+    identity.
 
     V_n is the largest cell ball around x0 such that (a) gV_n and V_n are
     disjoint for every g in S^{2n-2} outside S (the thickened-stabilizer
     exemption under the free-orbit surrogate), and (b) the orbit
     thickening S^{2n} V_n keeps mass below 1/2.  Condition (b) plays the
     role of the small open superset: with it, S^n B_n = S^{2n} V_n stays
-    below mass 1/2 by construction.  The cells of B_n are listed from the
-    slot segments that ``_orbit_segments`` gives.
-    """
-    steps = _symmetric_steps(space, S, "S")
-    sets = tuple(np.sort(space.cycles.order[_segment_slots(*core)])
-                 for core, _ in _orbit_segments(space, x0, steps, n_max))
-    return ModerateGrowthSequence(space, S=steps, F=steps, sets=sets)
-
-
-def _orbit_segments(space: ActionSpace, x0: int, steps: np.ndarray,
-                    n_max: int) -> list:
-    """The slot segments of B_n = S^n V_n and of S^n B_n = S^{2n} V_n, V_n
-    as in ``orbit_neighborhood_sequence``, for n = 1..n_max and the checked
-    steps of S: the radius search keeps those of S^{2n} V_n from its
-    accepted probe, and one arc sweep of V_n gives those of B_n."""
+    below mass 1/2 by construction.  The radius search keeps the segments
+    of S^{2n} V_n from its accepted probe, and one arc sweep of V_n gives
+    those of B_n."""
     if n_max < 1:
         raise PreconditionError(f"the horizon n_max must be >= 1, got {n_max}")
     x0 = int(x0)
@@ -590,12 +499,12 @@ def _largest_mass_admissible_radius(
 def run_certificate(
     space: ActionSpace,
     mu: GroupMeasure,
-    x0: int | None = None,
-    seq: ModerateGrowthSequence | None = None,
-    n_max: int | None = None,
+    x0: int,
+    n_max: int,
     slack: float = 0.02,
 ) -> CertificateReport:
-    """Full pipeline: orbit-neighborhood sets for eta = mu * mu^, the three
+    """Full pipeline: orbit-neighborhood sets B_1..B_{n_max} around the base
+    cell x0 for eta = mu * mu^ and S = F = supp(eta), the three
     moderate-growth conditions, per-n Rayleigh/chain values, and the final
     certified lower bound max_n (<pi(eta^{*n}) phi_n, phi_n> /
     ||phi_n||^2)^{1/(2n)}.
@@ -603,46 +512,29 @@ def run_certificate(
     Each Rayleigh quotient lower-bounds the norm of the nonnegative
     operator pi(eta)^n on zero-mean functions, so the max is a certified
     lower bound for the discrepancy of mu.  The test vector is
-    phi = 1_B - 1_{B^-}, with the companion B^- disjoint from S^n B.  When
-    supp(eta) lies in S the cross terms vanish on the support of eta^{*n},
-    and the chain inequality
+    phi = 1_B - 1_{B^-}, with the companion B^- disjoint from S^n B.  As
+    supp(eta) is S, the cross terms vanish on the support of eta^{*n}, and
+    every row asserts the chain inequality
 
-        rayleigh >= (1/2) eta^{*n}(F) inf_{g in F} nu(gB & B)/nu(B)
+        rayleigh >= (1/2) eta^{*n}(F) inf_{g in F} nu(gB & B)/nu(B):
 
-    is asserted: ``chain_holds`` records whether every row meets it, and a
-    row that does not can only mean a disjointness bug.  Otherwise the
-    bound is reported but not asserted.
+    ``chain_holds`` records whether every row meets it, and a row that
+    does not can only mean a disjointness bug.
 
     Condition (2) uses nu(S^n B_n) itself: on a finite space every set is
     measurable, so the infimum over measurable supersets is attained
     there.  Condition (3) is reported as the full sequence ratio_n^{1/n}
     together with the finite-horizon flag max_n ratio_n^{1/n} >= 1 - slack.
-    The sets come either from ``seq``, built on ``space``, or from the
-    base cell ``x0`` (default: the space's base cell) and the horizon
-    ``n_max`` (default 10), not from both; from the base cell the walk
-    takes the segments of the radius search and lists no cells of B_n.
-    mu must live on the space's group, and every cell must weigh exactly
-    the same; both are checked before anything is built.
+    The walk takes the segments of the radius search and lists no cells
+    of B_n.  mu must live on the space's group, and every cell must weigh
+    exactly the same; both are checked before anything is built.
     """
     if mu.group != space.group:
         raise DescriptorMismatchError("measure and action space live on "
                                       "different groups")
     weight = _cell_weight(space)
     eta = symmetrize(mu)
-    if seq is None:
-        S = F = _symmetric_steps(space, list(eta.atoms), "S")
-        segments = _orbit_segments(space, space.base_cell if x0 is None else x0,
-                                   S, 10 if n_max is None else n_max)
-    elif x0 is not None or n_max is not None:
-        raise PreconditionError(
-            "run_certificate takes either seq or x0/n_max; seq fixes the "
-            "base cell and the horizon")
-    elif seq.space is not space:
-        raise PreconditionError("seq must be built on the space it runs on")
-    else:
-        S, F = seq.S, seq.F
-        powers = _step_powers(space.group, S, seq.max_n)
-        segments = [(_slot_segments(space, b), _arc_segments(space, s_n, b))
-                    for b, s_n in zip(map(seq.B, range(1, seq.max_n + 1)),
-                                      powers[1:])]
-    return _walk(space, S, F, segments, slack, eta, weight)
+    # eta is symmetric and holds the identity, so S is too
+    S = np.unique(space.steps(eta.atoms))
+    segments = _orbit_segments(space, x0, S, n_max)
+    return _walk(space, S, segments, slack, eta, weight)

@@ -84,11 +84,14 @@ class GroupDescriptor:
         return tuple(a)
 
     def element(self, a) -> Element:
-        """``canonical(a)``, checked to be an element of this group: ``d``
-        coordinates on the abelian kinds, and on ``free`` a reduced word
-        over the letters +-1, ..., +-k.  For elements that come from
-        outside; raises ``DescriptorMismatchError``."""
+        """``canonical(a)``, checked to be an element of this group: integer
+        coordinates, ``d`` of them on the abelian kinds, and on ``free`` a
+        reduced word over the letters +-1, ..., +-k.  For elements that
+        come from outside; raises ``DescriptorMismatchError``."""
         a = self.canonical(a)
+        if not all(isinstance(x, (int, np.integer)) for x in a):
+            raise DescriptorMismatchError(
+                f"the {self.kind} takes integer coordinates, got {list(a)}")
         if self.kind == FREE:
             for i, letter in enumerate(a):
                 if not 1 <= abs(letter) <= self.dimension:
@@ -487,8 +490,3 @@ def _bounds(group: GroupDescriptor, cells: np.ndarray) -> tuple[np.ndarray, np.n
         zero = np.zeros(group.dimension, dtype=np.int64)
         return zero, zero
     return cells.min(axis=0), cells.max(axis=0)
-
-
-def is_symmetric_set(group: GroupDescriptor, xs) -> bool:
-    s = set(xs)
-    return all(group.inverse(x) in s for x in s)

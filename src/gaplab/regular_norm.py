@@ -125,8 +125,8 @@ def berg_christensen_estimate(
         if group.kind == FREE:
             hint = (
                 f" (the cap bounds the support of eta^{{*{(n_max + 1) // 2}}};"
-                " free-group support grows exponentially, and the radial oracle"
-                " free_group_radial_return covers the uniform-generator walk)"
+                " free-group support grows exponentially; with F = {e} the"
+                " uniform-generator walk takes the free-radial path instead)"
             )
         raise ResourceLimitError(str(err) + hint) from err
     return NormEstimate(value=seq[-1][1], method="berg-christensen", sequence=seq)
@@ -239,21 +239,16 @@ def _radial_estimate(mu: GroupMeasure, n_max: int) -> NormEstimate:
     )
 
 
-def free_group_radial_return(k: int, n: int) -> float:
-    """Return probability at e of the simple random walk on F_k after n steps.
+def _radial_return_sequence(k: int, n_steps: int) -> np.ndarray:
+    """Return probabilities at e of the simple random walk on F_k after
+    0..n_steps steps.
 
     Uses the distance-from-identity birth-death chain: from distance
     m >= 1 the walk moves to m+1 with probability (2k-1)/(2k) and to m-1
     with probability 1/(2k); from 0 it moves to 1 with probability 1.
-    Odd n returns exactly 0.  Cost O(n^2), no word enumeration.
+    Odd step counts give exactly 0.  Cost O(n_steps^2), no word
+    enumeration.
     """
-    if n % 2 == 1:
-        return 0.0
-    return _radial_return_sequence(k, n)[n]
-
-
-def _radial_return_sequence(k: int, n_steps: int) -> np.ndarray:
-    """Return probabilities at distance 0 after 0..n_steps steps."""
     if k < 2:
         raise PreconditionError("radial oracle needs rank k >= 2")
     if n_steps < 0:

@@ -1,6 +1,5 @@
 """Moderate-growth certificates: conditions, companions, Rayleigh chains."""
 
-import dataclasses
 import itertools
 import json
 import math
@@ -15,12 +14,9 @@ from gaplab import (
     GridTranslationSpace,
     GroupDescriptor,
     GroupMeasure,
-    ModerateGrowthSequence,
     PreconditionError,
     build_action,
-    build_companion_set,
     discrepancy,
-    orbit_neighborhood_sequence,
     power_set,
     run_certificate,
     symmetrize,
@@ -56,99 +52,45 @@ def arc_mask(space, steps, idx):
         np.empty(space.n_cells, dtype=bool))
 
 
-def gathered_thickening(space, seq, n):
-    """S^n B_n, by moving B_n with every step count of S^n in turn."""
+def gathered_thickening(space, S, b, n):
+    """S^n B, by moving the cells b with every step count of S^n in turn."""
     cells = set()
-    for (c,) in power_set(space.group, [(s,) for s in seq.S.tolist()], n):
-        cells.update(space.act_indices(c, seq.B(n)).tolist())
+    for (c,) in power_set(space.group, [(s,) for s in S.tolist()], n):
+        cells.update(space.act_indices(c, b).tolist())
     return np.array(sorted(cells), dtype=np.int64)
 
 
+def support_steps(space, mu):
+    """The sorted steps of supp(mu * mu^), the S and F of the walk."""
+    return np.unique(space.steps(symmetrize(mu).atoms))
+
+
+def orbit_cells(space, x0, S, n_max):
+    """The cells of B_1..B_{n_max} around x0 for the sorted step array S,
+    each sorted, from the slot segments ``_orbit_segments`` gives."""
+    return [np.sort(space.cycles.order[certificates._segment_slots(*core)])
+            for core, _ in certificates._orbit_segments(space, x0, S, n_max)]
+
+
+def walk_sets(space, mu, F, sets, S):
+    """The walk for eta = mu * mu^ over the cell sets B_1..B_len(sets),
+    given as index arrays, and the step sets F and S: each B_n is swept
+    into its slot segments and those of S^n B_n."""
+    F, S = np.unique(F), np.unique(S)
+    powers = certificates._step_powers(space.group, S, len(sets))
+    segments = [(certificates._slot_segments(space, b),
+                 certificates._arc_segments(space, s_n, b))
+                for b, s_n in zip(sets, powers[1:])]
+    return certificates._walk(space, F, segments, 0.02, symmetrize(mu),
+                              certificates._cell_weight(space))
+
+
 class TestSequenceValidation:
-    def test_requires_symmetric_S_with_identity(self):
-        space = cycle_space(8)
-        with pytest.raises(PreconditionError):
-            ModerateGrowthSequence(space, S=((1,),), F=((0,),),
-                                   sets=(np.array([0]),))
-        with pytest.raises(PreconditionError):
-            ModerateGrowthSequence(space, S=((0,), (1,), (-1,)), F=((1,), (-1,)),
-                                   sets=(np.array([0]),))
-
-    def test_step_arrays_validate_like_elements(self):
-        space = cycle_space(8)
-        seq = ModerateGrowthSequence(space, S=np.array([1, 0, -1]), F=((0,),),
-                                     sets=(np.array([0]),))
-        assert seq.S.tolist() == [-1, 0, 1]
-        for bad in (np.array([0, 1]), np.array([1, -1]), np.array([0, 2, -1])):
-            with pytest.raises(PreconditionError, match="symmetric"):
-                dataclasses.replace(seq, S=bad)
-            with pytest.raises(PreconditionError, match="symmetric"):
-                dataclasses.replace(seq, F=bad)
-
-    def test_replace_matches_fresh_construction(self):
-        space = build_action("torus-translation", group=time_grid(2),
-                            N=64, step=(29, 41))
-        mu = GroupMeasure.uniform_interval(time_grid(2), -1.0, 1.0)
-        S = list(symmetrize(mu).atoms)
-        seq = orbit_neighborhood_sequence(space, 0, S, 4)
-        same = dataclasses.replace(seq)
-        assert same.S.tolist() == seq.S.tolist()
-        assert same.F.tolist() == seq.F.tolist()
-        # the replaced sequence dilates B_n itself; the x0 route dilates V_n
-        assert (run_certificate(space, mu, seq=same)
-                == run_certificate(space, mu, x0=0, n_max=4))
-        shorter = dataclasses.replace(seq, sets=seq.sets[1:3])
-        fresh = ModerateGrowthSequence(space, S=S, F=S, sets=seq.sets[1:3])
-        assert (run_certificate(space, mu, seq=shorter)
-                == run_certificate(space, mu, seq=fresh))
-
-    def test_equality_and_hash_are_identity(self):
-        # the fields hold arrays: a sequence equals and hashes as itself
-        seq = orbit_neighborhood_sequence(cycle_space(64), 0, [(0,), (1,), (-1,)], 2)
-        same = dataclasses.replace(seq)
-        assert seq == seq and same != seq
-        assert hash(seq) == hash(seq)
-        assert len({seq, same, seq}) == 2
-
-    def test_rejects_empty_sets(self):
-        space = cycle_space(8)
-        with pytest.raises(PreconditionError, match="condition"):
-            ModerateGrowthSequence(space, S=((0,),), F=((0,),),
-                                   sets=(np.array([], dtype=np.int64),))
-
-    def test_rejects_no_sets(self):
-        with pytest.raises(PreconditionError, match="got 0 sets"):
-            ModerateGrowthSequence(cycle_space(8), S=((0,),), F=((0,),), sets=())
-
-    def test_max_n_is_the_number_of_sets(self):
-        sets = (np.array([0]),) * 3
-        seq = ModerateGrowthSequence(cycle_space(8), S=((0,),), F=((0,),), sets=sets)
-        assert seq.max_n == 3
-        with pytest.raises(TypeError):
-            ModerateGrowthSequence(cycle_space(8), S=((0,),), F=((0,),), sets=sets,
-                                   max_n=3)
-
     @pytest.mark.parametrize("n_max", [0, -1])
     def test_run_certificate_rejects_horizon_below_one(self, n_max):
         mu = GroupMeasure.uniform_on(Z, [(-1,), (0,), (1,)])
         with pytest.raises(PreconditionError, match=f"n_max must be >= 1, got {n_max}"):
             run_certificate(cycle_space(64), mu, x0=0, n_max=n_max)
-
-    def test_sequence_rejects_horizon_below_one(self):
-        with pytest.raises(PreconditionError, match="n_max must be >= 1, got 0"):
-            orbit_neighborhood_sequence(cycle_space(64), 0, [(-1,), (0,), (1,)], 0)
-
-    @pytest.mark.parametrize("cells,match", [
-        ([3, 3, 4], "more than once"),
-        ([5, 3, 5, 1], "more than once"),  # unsorted, the repeats apart
-        ([2, 8], r"cell indices in 0\.\.7"),
-        ([-1, 2], r"cell indices in 0\.\.7"),
-        ([0.0, 1.0], r"cell indices in 0\.\.7"),
-    ])
-    def test_rejects_malformed_cell_sets(self, cells, match):
-        with pytest.raises(PreconditionError, match=match):
-            ModerateGrowthSequence(cycle_space(8), S=((0,),), F=((0,),),
-                                   sets=(np.array([0]), np.array(cells)))
 
 
 class TestGrowthConditions:
@@ -156,11 +98,9 @@ class TestGrowthConditions:
         # S B_1 covers 9 of 16 cells and S^2 B_2 10 of them: condition (2)
         # fails at both n, yet the companions still fit
         space = cycle_space(16)
-        seq = ModerateGrowthSequence(
-            space, S=((0,), (1,), (-1,)), F=((0,),),
-            sets=(np.array([0, 5, 10]), np.array([0, 8])),
-        )
-        report = run_certificate(space, GroupMeasure.point_mass(Z, (0,)), seq=seq)
+        report = walk_sets(space, GroupMeasure.point_mass(Z, (0,)), F=[0],
+                           sets=(np.array([0, 5, 10]), np.array([0, 8])),
+                           S=[-1, 0, 1])
         assert not report.cond2_all
         assert [row.nu_SnB for row in report.rows] == [9 / 16, 10 / 16]
         assert all(not row.cond2 for row in report.rows)
@@ -170,11 +110,8 @@ class TestGrowthConditions:
         # conditions hold for any small fixed positive-mass set
         space = cycle_space(64)
         b = np.arange(4)
-        seq = ModerateGrowthSequence(
-            space, S=((0,), (1,), (-1,)), F=((0,),),
-            sets=(b, b, b),
-        )
-        report = run_certificate(space, GroupMeasure.point_mass(Z, (0,)), seq=seq)
+        report = walk_sets(space, GroupMeasure.point_mass(Z, (0,)), F=[0],
+                           sets=(b, b, b), S=[-1, 0, 1])
         assert report.cond1_all and report.cond2_all and report.cond3_flag
         assert all(row.ratio == 1.0 for row in report.rows)
         assert report.max_ratio_root == 1.0
@@ -184,42 +121,37 @@ class TestCompanionSet:
     def test_single_cell(self):
         space = cycle_space(8)
         b = np.array([3])
-        out = build_companion_set(space, b, forbidden=cell_mask(space, b))
+        out = certificates._companion_set(len(b), cell_mask(space, b))
         assert out.tolist() == [0]  # deterministic first free cell
 
     def test_counting(self):
         space = cycle_space(1024)
         b = np.arange(10)
         forbidden = np.arange(410)  # mass 0.4
-        mask = cell_mask(space, forbidden)
-        out = build_companion_set(space, b, mask)
+        out = certificates._companion_set(len(b), cell_mask(space, forbidden))
         assert len(out) == 10
         assert set(out) & set(forbidden) == set()
         assert out.tolist() == list(range(410, 420))
-        # the cell indices themselves, or a mask of another length, are no mask
-        for bad in (forbidden, mask[:-1]):
-            with pytest.raises(PreconditionError, match="mask of the 1024 cells"):
-                build_companion_set(space, b, bad)
 
     def test_torus_instance_exhaustive_disjointness(self):
         space = build_action("torus-translation", group=time_grid(2),
                             N=64, step=(29, 41))
         mu = GroupMeasure.uniform_interval(time_grid(2), -1.0, 1.0)
-        eta = symmetrize(mu)
-        seq = orbit_neighborhood_sequence(space, 0, list(eta.atoms), 5)
-        _, thickened = zip(*certificates._orbit_segments(space, 0, seq.S, 5))
+        S = support_steps(space, mu)
+        b = orbit_cells(space, 0, S, 5)[4]
+        _, thickened = zip(*certificates._orbit_segments(space, 0, S, 5))
         # the walk's companion: the first cells outside the mask of S^5 B_5
         mask = certificates._segment_mask(space, *thickened[4],
                                           np.empty(space.n_cells, dtype=bool))
-        companion = build_companion_set(space, seq.B(5), mask)
+        companion = certificates._companion_set(len(b), mask)
         assert set(companion.tolist()).isdisjoint(
-            gathered_thickening(space, seq, 5).tolist())
-        assert len(companion) == len(seq.B(5))
+            gathered_thickening(space, S, b, 5).tolist())
+        assert len(companion) == len(b)
 
     def test_insufficient_room(self):
         space = cycle_space(16)
         with pytest.raises(PreconditionError, match="condition"):
-            build_companion_set(space, np.arange(10), cell_mask(space, np.arange(10)))
+            certificates._companion_set(10, cell_mask(space, np.arange(10)))
 
     def test_first_free_cells_of_random_masks(self):
         # the companion is read from a prefix of the mask; the free cells of
@@ -244,16 +176,12 @@ class TestCompanionSet:
 class TestRayleighChain:
     def test_identity_measure_half_bound(self):
         space = cycle_space(32)
-        seq = ModerateGrowthSequence(
-            space, S=((0,),), F=((0,),),
-            sets=(np.arange(5),),
-        )
         mu = GroupMeasure.point_mass(Z, (0,))
-        report = run_certificate(space, mu, seq=seq)
+        report = walk_sets(space, mu, F=[0], sets=(np.arange(5),), S=[0])
         (row,) = report.rows
         assert row.rayleigh == pytest.approx(1.0, abs=1e-12)
         assert row.chain_bound == pytest.approx(0.5, abs=1e-12)
-        assert report.chain_asserted and report.chain_holds
+        assert report.chain_holds
 
     def test_bernoulli_window_chain_holds(self):
         space = build_action("bernoulli-window", group=Z, alphabet=2,
@@ -261,13 +189,10 @@ class TestRayleighChain:
         mu = GroupMeasure.simple_random_walk(Z)
         b = np.array([64])  # the window word 1000000
         n_max = 10
-        seq = ModerateGrowthSequence(
-            space, S=tuple(symmetrize(mu).support()), F=((0,),),
-            sets=tuple([b] * n_max),
-        )
-        report = run_certificate(space, mu, seq=seq)
+        report = walk_sets(space, mu, F=[0], sets=(b,) * n_max,
+                           S=support_steps(space, mu))
         assert report.cond1_all and report.cond2_all
-        assert report.chain_asserted
+        assert report.chain_holds
         for row in report.rows:
             assert row.rayleigh >= row.chain_bound - certificates.CHAIN_TOL
 
@@ -277,7 +202,7 @@ class TestRayleighChain:
         mu = GroupMeasure.uniform_interval(time_grid(2), -1.0, 1.0)
         report = run_certificate(space, mu, x0=0, n_max=10)
         row = report.rows[9]
-        assert report.chain_asserted
+        assert report.chain_holds
         assert row.rayleigh >= row.chain_bound - certificates.CHAIN_TOL
         assert 0.0 < row.rayleigh <= symmetrize(mu).total_mass ** 10 + 1e-9
 
@@ -293,15 +218,17 @@ class TestRayleighOracle:
         averaged = KoopmanAveragingOperator(space, convolution_power(eta, n)).apply_l2(phi)
         return float(np.sum(space.weights * averaged * phi)) / (2.0 * space.weights[b].sum())
 
-    def assert_rows_match_dense(self, space, mu, seq):
-        """Each row of the walk against the dense quotient, with the
-        companion rebuilt from a gathered S^n B_n; returns the companions."""
+    def assert_rows_match_dense(self, space, mu, F, sets, S):
+        """Each row of the walk over ``sets`` against the dense quotient,
+        with the companion rebuilt from a gathered S^n B_n; returns the
+        companions."""
         eta = symmetrize(mu)
+        S = np.unique(S)
         companions = []
-        for n, row in enumerate(run_certificate(space, mu, seq=seq).rows, 1):
-            b = seq.B(n)
-            companions.append(build_companion_set(
-                space, b, cell_mask(space, gathered_thickening(space, seq, n))))
+        for n, (row, b) in enumerate(zip(walk_sets(space, mu, F, sets, S).rows,
+                                         sets), 1):
+            companions.append(certificates._companion_set(
+                len(b), cell_mask(space, gathered_thickening(space, S, b, n))))
             want = self.dense_quotient(space, eta, b, companions[-1], n)
             assert row.rayleigh == pytest.approx(want, abs=1e-12), n
         return companions
@@ -311,14 +238,11 @@ class TestRayleighOracle:
                             N=64, step=(29, 41))
         assert isinstance(space, GridTranslationSpace)
         mu = GroupMeasure.uniform_interval(time_grid(2), -1.0, 1.0)
-        orbit_seq = orbit_neighborhood_sequence(
-            space, 0, list(symmetrize(mu).atoms), 4)
+        S = support_steps(space, mu)
+        self.assert_rows_match_dense(space, mu, S, orbit_cells(space, 0, S, 4), S)
         # with S = {e} the companion abuts B, so the cross terms are nonzero
         b = np.arange(64 * 4, 64 * 8)  # rows 4-7; the companion is rows 0-3
-        near_seq = ModerateGrowthSequence(space, S=((0,),), F=((0,),),
-                                          sets=(b,) * 4)
-        for seq in (orbit_seq, near_seq):
-            self.assert_rows_match_dense(space, mu, seq)
+        self.assert_rows_match_dense(space, mu, [0], (b,) * 4, [0])
 
     def test_bernoulli_window_gather_path(self):
         space = build_action("bernoulli-window", group=Z, alphabet=2,
@@ -326,23 +250,17 @@ class TestRayleighOracle:
         assert not isinstance(space, GridTranslationSpace)
         mu = GroupMeasure.from_atoms(Z, [((1,), 0.3), ((-2,), 0.7)])
         b = np.array([3, 64, 97])
-        seq = ModerateGrowthSequence(
-            space, S=tuple(symmetrize(mu).support()), F=((0,),),
-            sets=(b,) * 4,
-        )
-        self.assert_rows_match_dense(space, mu, seq)
+        self.assert_rows_match_dense(space, mu, [0], (b,) * 4,
+                                     support_steps(space, mu))
 
     def test_odd_circle(self):
         space = build_action("circle-rotation", group=Z, N=127, cells_per_step=2)
         assert space.cycle_lengths() == {127: 1}
         mu = GroupMeasure.simple_random_walk(Z)
-        orbit_seq = orbit_neighborhood_sequence(
-            space, 0, list(symmetrize(mu).atoms), 4)
+        S = support_steps(space, mu)
+        self.assert_rows_match_dense(space, mu, S, orbit_cells(space, 0, S, 4), S)
         b = np.arange(10, 20)  # the companion is cells 0-9
-        near_seq = ModerateGrowthSequence(space, S=((0,),), F=((0,),),
-                                          sets=(b,) * 4)
-        for seq in (orbit_seq, near_seq):
-            self.assert_rows_match_dense(space, mu, seq)
+        self.assert_rows_match_dense(space, mu, [0], (b,) * 4, [0])
 
     def test_permutation_with_short_cycles(self):
         # cycles of lengths 1, 2, 3 and 4: the L = 1 and L = 2 spectra and
@@ -352,9 +270,7 @@ class TestRayleighOracle:
         assert space.cycle_lengths() == {1: 1, 2: 1, 3: 1, 4: 1}
         mu = GroupMeasure.from_atoms(Z, [((1,), 0.3), ((-2,), 0.5), ((3,), 0.2)])
         b = np.array([4, 8])  # the companion is cells 0 and 1
-        seq = ModerateGrowthSequence(space, S=((0,),), F=((0,),),
-                                     sets=(b,) * 4)
-        companions = self.assert_rows_match_dense(space, mu, seq)
+        companions = self.assert_rows_match_dense(space, mu, [0], (b,) * 4, [0])
         assert [c.tolist() for c in companions] == [[0, 1]] * 4
 
 
@@ -379,7 +295,7 @@ class TestEqualWeightPrecondition:
             "params": {"n_max": 1},
         }
         calls = []
-        for name in ("_pair_correlations", "orbit_neighborhood_sequence"):
+        for name in ("_pair_correlations", "_orbit_segments"):
             def spy(*args, _name=name, _fn=getattr(certificates, name), **kw):
                 calls.append(_name)
                 return _fn(*args, **kw)
@@ -391,12 +307,6 @@ class TestEqualWeightPrecondition:
                 in capsys.readouterr().err)
         assert calls == []
 
-    def test_companion_checks_weights_for_its_own_callers(self):
-        space = build_action("finite-permutation", group=Z, permutation=self.PERMUTATION,
-                             weights=[1 / 32] * 8 + [3 / 32] * 8)
-        with pytest.raises(PreconditionError, match="equal-weight cell grid"):
-            build_companion_set(space, np.array([0]), cell_mask(space, np.array([0])))
-
     def test_walk_checks_weights_once(self, monkeypatch):
         calls = []
 
@@ -405,7 +315,7 @@ class TestEqualWeightPrecondition:
             return _fn(space)
         monkeypatch.setattr(certificates, "_cell_weight", spy)
         report = run_certificate(cycle_space(256), GroupMeasure.uniform_on(Z, [(-1,), (1,)]),
-                                 n_max=4)
+                                 x0=0, n_max=4)
         assert len(report.rows) == 4
         assert len(calls) == 1
 
@@ -419,7 +329,7 @@ class TestThickeningFromBalls:
     ])
     def test_matches_dilated_sets(self, monkeypatch, kind, kw, q, n_max):
         space = build_action(kind, group=time_grid(q), **kw)
-        eta = symmetrize(GroupMeasure.uniform_interval(time_grid(q), -1.0, 1.0))
+        S = support_steps(space, GroupMeasure.uniform_interval(time_grid(q), -1.0, 1.0))
         radii = []
         search = certificates._largest_mass_admissible_radius
 
@@ -429,26 +339,25 @@ class TestThickeningFromBalls:
             return accepted
 
         monkeypatch.setattr(certificates, "_largest_mass_admissible_radius", spy)
-        seq = orbit_neighborhood_sequence(space, 3, list(eta.atoms), n_max)
-        segments, thickened = zip(*certificates._orbit_segments(space, 3, seq.S,
-                                                                n_max))
-        powers = certificates._step_powers(space.group, seq.S, n_max)
-        for n in range(1, n_max + 1):
+        sets = orbit_cells(space, 3, S, n_max)
+        segments, thickened = zip(*certificates._orbit_segments(space, 3, S, n_max))
+        powers = certificates._step_powers(space.group, S, n_max)
+        for n, b in enumerate(sets, 1):
             ball = space.cell_ball(3, radii[n - 1])
             from_ball = certificates._segment_mask(
                 space, *thickened[n - 1], np.empty(space.n_cells, dtype=bool))
-            from_set = arc_mask(space, powers[n], seq.B(n))
+            from_set = arc_mask(space, powers[n], b)
             assert from_ball.tolist() == from_set.tolist()
-            assert len(ball) < len(seq.B(n))
+            assert len(ball) < len(b)
             # the F-overlaps of B_n = S^n V_n from the arcs of V_n
             arcs = segments[n - 1]
             assert all(map(np.array_equal, arcs, certificates._arc_segments(
                 space, powers[n], ball)))
-            runs = certificates._slot_segments(space, seq.B(n))
+            runs = certificates._slot_segments(space, b)
             weight = space.weights[0]
             assert np.array_equal(
-                certificates._pair_correlations(space, seq.F, *arcs, weight),
-                certificates._pair_correlations(space, seq.F, *runs, weight))
+                certificates._pair_correlations(space, S, *arcs, weight),
+                certificates._pair_correlations(space, S, *runs, weight))
 
 
 class TestCarriedSegments:
@@ -463,8 +372,9 @@ class TestCarriedSegments:
         grid = time_grid(8)
         space = build_action(kind, group=grid, **kw)
         mu = GroupMeasure.uniform_interval(grid, -1.0, 1.0)
-        seq = orbit_neighborhood_sequence(space, x0, list(symmetrize(mu).atoms), n_max)
-        segments = certificates._orbit_segments(space, x0, seq.S, n_max)
+        S = support_steps(space, mu)
+        sets = orbit_cells(space, x0, S, n_max)
+        segments = certificates._orbit_segments(space, x0, S, n_max)
         sweeps = []
         arc_segments = certificates._arc_segments
 
@@ -473,11 +383,11 @@ class TestCarriedSegments:
             return arc_segments(*args)
 
         monkeypatch.setattr(certificates, "_arc_segments", spy)
-        carried = certificates._walk(space, seq.S, seq.F, segments, 0.02,
-                                     symmetrize(mu), space.weights[0])
+        carried = certificates._walk(space, S, segments, 0.02, symmetrize(mu),
+                                     space.weights[0])
         assert sweeps == []
-        # a sequence carries no segments: the walk sweeps S^n B_n
-        swept = run_certificate(space, mu, seq=dataclasses.replace(seq))
+        # listed cells carry no segments: the walk sweeps S^n B_n
+        swept = walk_sets(space, mu, S, sets, S)
         assert len(sweeps) == n_max
         assert carried == swept
 
@@ -610,7 +520,7 @@ class TestOrbitNeighborhoodSequence:
             return picked[-1]
 
         monkeypatch.setattr(certificates, "_largest_mass_admissible_radius", spy)
-        seq = orbit_neighborhood_sequence(space, x0, S, n_max)
+        sets = orbit_cells(space, x0, np.unique(space.steps(S)), n_max)
         swept = [segments for *_, segments in picked]
         picked = [radius for radius, *_ in picked]
         bound_active = False
@@ -634,7 +544,7 @@ class TestOrbitNeighborhoodSequence:
             want = arc_mask(
                 space, space.steps(power_set(space.group, S, n)),
                 space.cell_ball(x0, radius))
-            assert seq.B(n).tolist() == np.flatnonzero(want).tolist()
+            assert sets[n - 1].tolist() == np.flatnonzero(want).tolist()
         assert bound_active
 
     def test_anchored_search_on_benchmark_torus(self, monkeypatch):
@@ -667,7 +577,7 @@ class TestOrbitNeighborhoodSequence:
         monkeypatch.setattr(certificates, "_segments_mass", count)
         monkeypatch.setattr(certificates, "_largest_mass_admissible_radius", spy)
         monkeypatch.setattr(space, "cell_ball", ball)
-        orbit_neighborhood_sequence(space, x0, S, n_max)
+        certificates._orbit_segments(space, x0, space.steps(S), n_max)
         # one call checks the orbit of the base cell, the rest are probes
         assert len(probes) - 1 <= 20
         # one ball per probe: the accepted ball is not built again for B_n
@@ -720,37 +630,27 @@ class TestOrbitNeighborhoodSequence:
                                (threshold, threshold, (threshold, threshold)))
 
     def test_free_transitive_cycle(self):
-        space = cycle_space(64)
-        S = [(0,), (1,), (-1,)]
-        seq = orbit_neighborhood_sequence(space, 0, S, 3)
+        sets = orbit_cells(cycle_space(64), 0, np.array([-1, 0, 1]), 3)
         # single-cell neighborhoods and orbit balls of radius n
-        for n in range(1, 4):
+        for n, b in enumerate(sets, 1):
             expect = sorted((c % 64) for c in range(-n, n + 1))
-            assert seq.B(n).tolist() == expect
-
-    def test_step_array_gives_the_tuple_sets(self):
-        space = cycle_space(64)
-        want = orbit_neighborhood_sequence(space, 0, ((-1,), (0,), (1,)), 3)
-        got = orbit_neighborhood_sequence(space, 0, np.array([-1, 0, 1]), 3)
-        assert got.S.tolist() == want.S.tolist() == [-1, 0, 1]
-        for n in range(1, 4):
-            assert got.B(n).tolist() == want.B(n).tolist()
+            assert b.tolist() == expect
 
     def test_torus_blue_rectangle_geometry(self):
         n_grid, smax, n_max = 128, 2, 6
         space = build_action("torus-translation", group=time_grid(1),
                             N=n_grid, step=(29, 41), slope_hint=SQRT2)
-        S = [(k,) for k in range(-smax, smax + 1)]
-        seq = orbit_neighborhood_sequence(space, 0, S, n_max)
-        report = run_certificate(
-            space, GroupMeasure.point_mass(time_grid(1), (0,)), seq=seq)
+        S = np.arange(-smax, smax + 1)
+        sets = orbit_cells(space, 0, S, n_max)
+        report = walk_sets(space, GroupMeasure.point_mass(time_grid(1), (0,)),
+                           S, sets, S)
         assert report.cond1_all and report.cond2_all
         # every cell of B_n hugs the discrete flow line: distance to the
         # nearest bead center k * (29, 41) stays bounded by a tube radius
         # (mass-limited at n=1, separation-limited at n=6, where the k=9
         # near-return (5, -15) caps the radius at 7)
         for n, tube in ((1, 18.0), (n_max, 8.0)):
-            b = seq.B(n)
+            b = sets[n - 1]
             centers = {
                 ((k * 29) % n_grid, (k * 41) % n_grid)
                 for k in range(-n * smax, n * smax + 1)
@@ -772,110 +672,62 @@ class TestOrbitNeighborhoodSequence:
         space = build_action("torus-translation", group=time_grid(2),
                             N=16, step=(29, 41))
         mu = GroupMeasure.uniform_interval(time_grid(2), -1.0, 1.0)
-        eta = symmetrize(mu)
         with pytest.raises(GridResolutionError):
-            orbit_neighborhood_sequence(space, 0, list(eta.atoms), 5)
+            run_certificate(space, mu, x0=0, n_max=5)
 
     def test_fixed_base_cell_rejected_without_geometry(self):
         # S^8 holds the steps -8 and 8, which fix every cell of the 8-cycle
         with pytest.raises(GridResolutionError,
                            match="free-orbit surrogate fails at the base cell"):
-            orbit_neighborhood_sequence(cycle_space(8), 0, [(-1,), (0,), (1,)], 4)
+            certificates._orbit_segments(cycle_space(8), 0, np.array([-1, 0, 1]), 4)
 
     def test_orbit_covering_rejected(self):
         n = 64
         grid = time_grid(n)
         space = build_action("circle-rotation", group=grid, N=n, cells_per_step=1)
-        S = [(k,) for k in range(-n, n + 1)]
         with pytest.raises(GridResolutionError):
-            orbit_neighborhood_sequence(space, 0, S, 2)
+            certificates._orbit_segments(space, 0, np.arange(-n, n + 1), 2)
 
     @pytest.mark.parametrize("x0", [5000, 4096, -1])
     def test_base_cell_outside_space(self, x0):
         space = build_action("torus-translation", group=time_grid(1),
                             N=64, step=(29, 41))
         with pytest.raises(PreconditionError, match=rf"x0 = {x0} .* 4096 cells"):
-            orbit_neighborhood_sequence(space, x0, [(-1,), (0,), (1,)], 2)
+            certificates._orbit_segments(space, x0, np.array([-1, 0, 1]), 2)
 
 
 class TestNormLowerBound:
     def test_identity_measure_gives_one(self):
-        space = cycle_space(32)
-        seq = ModerateGrowthSequence(space, S=((0,),), F=((0,),),
-                                     sets=(np.arange(5),) * 2)
         mu = GroupMeasure.point_mass(Z, (0,))
-        assert run_certificate(space, mu, seq=seq).norm_lower_bound == (
-            pytest.approx(1.0, abs=1e-12)
-        )
+        report = walk_sets(cycle_space(32), mu, F=[0], sets=(np.arange(5),) * 2,
+                           S=[0])
+        assert report.norm_lower_bound == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_operator_instance(self):
         n = 64
         grid = time_grid(n)
         mu = GroupMeasure.uniform_interval(grid, 0.0, 1.0, closed=False)
         space = build_action("circle-rotation", group=grid, N=n, cells_per_step=1)
-        seq = ModerateGrowthSequence(
-            space, S=((0,),), F=((0,),),
-            sets=(np.arange(10),) * 3,
-        )
-        value = run_certificate(space, mu, seq=seq).norm_lower_bound
+        value = walk_sets(space, mu, F=[0], sets=(np.arange(10),) * 3,
+                          S=[0]).norm_lower_bound
         assert value <= 1e-6
 
     def test_requires_passing_conditions(self):
-        space = cycle_space(8)
-        seq = ModerateGrowthSequence(space, S=((0,),), F=((0,),),
-                                     sets=(np.arange(8),))
         # S^1 B_1 is the whole space: no room for the companion set
         with pytest.raises(PreconditionError, match="condition"):
-            run_certificate(space, GroupMeasure.point_mass(Z, (0,)), seq=seq)
-
-    def test_seq_excludes_base_cell_and_horizon(self):
-        space = cycle_space(32)
-        seq = ModerateGrowthSequence(space, S=((0,),), F=((0,),),
-                                     sets=(np.arange(5),) * 2)
-        mu = GroupMeasure.point_mass(Z, (0,))
-        for extra in (dict(x0=0), dict(n_max=2), dict(x0=3, n_max=4)):
-            with pytest.raises(PreconditionError, match="either seq or x0/n_max"):
-                run_certificate(space, mu, seq=seq, **extra)
-
-    def test_seq_runs_on_its_own_space(self):
-        seq = ModerateGrowthSequence(cycle_space(32), S=((0,),), F=((0,),),
-                                     sets=(np.arange(5),))
-        with pytest.raises(PreconditionError, match="seq must be built on the space"):
-            run_certificate(cycle_space(32), GroupMeasure.point_mass(Z, (0,)), seq=seq)
+            walk_sets(cycle_space(8), GroupMeasure.point_mass(Z, (0,)), F=[0],
+                      sets=(np.arange(8),), S=[0])
 
     def test_measure_on_another_group(self):
         # an interval on Z, run on the q=8 time grid's circle
         space = build_action("circle-rotation", group=time_grid(8), N=1000,
                              cells_per_step=7)
         mu = GroupMeasure.uniform_interval(Z, -1.0, 1.0)
-        seq = ModerateGrowthSequence(space, S=((0,),), F=((0,),),
-                                     sets=(np.arange(5),))
         message = "measure and action space live on different groups"
         with pytest.raises(DescriptorMismatchError, match=message):
             discrepancy(space, mu)
         with pytest.raises(DescriptorMismatchError, match=message):
             run_certificate(space, mu, x0=0, n_max=3)
-        with pytest.raises(DescriptorMismatchError, match=message):
-            run_certificate(space, mu, seq=seq)
-
-    def test_x0_route_builds_no_sequence(self, monkeypatch):
-        space = build_action("torus-translation", group=time_grid(2),
-                             N=64, step=(29, 41))
-        mu = GroupMeasure.uniform_interval(time_grid(2), -1.0, 1.0)
-        built = []
-        post_init = ModerateGrowthSequence.__post_init__
-
-        def spy(self):
-            built.append(self)
-            post_init(self)
-
-        monkeypatch.setattr(ModerateGrowthSequence, "__post_init__", spy)
-        report = run_certificate(space, mu, x0=0, n_max=4)
-        assert len(built) == 0
-        seq = orbit_neighborhood_sequence(space, 0, list(symmetrize(mu).atoms), 4)
-        assert len(built) == 1
-        assert report == run_certificate(space, mu, seq=seq)
-        assert report == run_certificate(space, mu, seq=dataclasses.replace(seq))
 
     def test_never_exceeds_discrepancy(self):
         space = build_action("torus-translation", group=time_grid(2),
@@ -898,7 +750,7 @@ class TestRunCertificate:
         assert {"slot", "order"} <= space.cycles.__dict__.keys()
         assert report.cond1_all and report.cond2_all
         assert report.norm_lower_bound > 0.5
-        assert report.chain_asserted
+        assert report.chain_holds
         for row in report.rows:
             assert 0.0 <= row.ratio <= 1.0
             assert row.rayleigh >= row.chain_bound - certificates.CHAIN_TOL
@@ -919,9 +771,7 @@ class TestWalkTransforms:
             monkeypatch.setattr(np.fft, name, counted)
         mu = GroupMeasure.simple_random_walk(Z)
         n_max = 3
-        seq = ModerateGrowthSequence(
-            space, S=tuple(symmetrize(mu).support()), F=((0,), (1,), (-1,)),
-            sets=(np.array([1]),) * n_max)
-        report = run_certificate(space, mu, seq=seq)
-        assert report.cond2_all and report.chain_asserted
+        report = walk_sets(space, mu, F=[-1, 0, 1], sets=(np.array([1]),) * n_max,
+                           S=support_steps(space, mu))
+        assert report.cond2_all and report.chain_holds
         assert calls == {"rfft": 2 * (n_max + 1), "irfft": 0}

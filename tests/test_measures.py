@@ -75,8 +75,14 @@ class TestOutsideElements:
         (F2, (1, 3), "got 3"),
         (F2, (-3,), "got -3"),
         (F2, (2, 1, -1), "not reduced"),
+        (Z, (1.5,), "integer coordinates, got \\[1.5\\]"),
+        (Z2, (0, np.float64(2.0)), "integer coordinates"),
+        (GroupDescriptor(kind="torus-grid", dimension=1, size=8), (9.0,),
+         "integer coordinates"),
+        (F2, (1.0,), "integer coordinates"),
     ], ids=["Z2-short", "Z-long", "torus-short", "F2-zero", "F2-three",
-            "F2-minus-three", "F2-unreduced"])
+            "F2-minus-three", "F2-unreduced", "Z-half", "Z2-float",
+            "torus-float", "F2-float-letter"])
     def test_foreign_element_rejected(self, group, g, message):
         with pytest.raises(DescriptorMismatchError, match=message):
             GroupMeasure.from_atoms(group, [(group.identity(), 0.5), (g, 0.5)])
@@ -86,6 +92,7 @@ class TestOutsideElements:
     def test_members_accepted(self):
         torus = GroupDescriptor(kind="torus-grid", dimension=1, size=16)
         assert GroupMeasure.point_mass(torus, [17]).atoms == {(1,): 1.0}
+        assert GroupMeasure.point_mass(Z2, np.array([2, -3])).atoms == {(2, -3): 1.0}
         word = GroupMeasure.from_atoms(F2, [((1, -2, 1), 0.25), ((), 0.75)])
         assert word.atoms == {(1, -2, 1): 0.25, (): 0.75}
 
@@ -275,11 +282,8 @@ class TestAbelianPairSums:
         assert len(convolve(GroupMeasure.point_mass(Z, (1,)), empty)) == 0
 
     def test_non_integer_coordinates_rejected(self):
-        half = GroupMeasure.from_atoms(Z, [((1.5,), 0.5), ((-1,), 0.5)])
         with pytest.raises(DescriptorMismatchError, match="integer coordinates"):
-            convolve(half, half)
-        with pytest.raises(DescriptorMismatchError, match="integer coordinates"):
-            convolve(GroupMeasure.point_mass(Z, (1,)), half)
+            GroupMeasure.from_atoms(Z, [((1.5,), 0.5), ((-1,), 0.5)])
         with pytest.raises(DescriptorMismatchError, match="integer coordinates"):
             product_set(Z, [(1.5,)], [(0.4,)])
         with pytest.raises(DescriptorMismatchError, match="integer coordinates"):
@@ -590,9 +594,13 @@ class TestSymmetrize:
         assert out.atoms[()] == pytest.approx(0.25, abs=0)
 
     def test_symmetric_and_positive_at_identity(self):
+        # the one-parameter kinds too: the certificate walk takes supp(eta)
+        # as its symmetric step set S that holds the identity, unchecked;
+        # on the 5-cycle the atoms at reach 3 wrap
         rng = np.random.default_rng(6)
-        for group in (Z2, F2):
-            mu = random_measure(group, rng)
+        for group in (Z2, F2, GroupDescriptor(kind="real-grid", dimension=1, resolution=8),
+                      GroupDescriptor(kind="torus-grid", dimension=1, size=5)):
+            mu = GroupMeasure.from_atoms(group, random_measure(group, rng).atoms.items())
             eta = symmetrize(mu)
             for g, w in eta.atoms.items():
                 assert eta.atoms[group.inverse(g)] == pytest.approx(w, rel=0, abs=1e-12)

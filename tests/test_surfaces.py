@@ -3,6 +3,7 @@
 import ast
 import json
 import re
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -105,35 +106,48 @@ class TestCliEnvironment:
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def unreached_public_names(root: Path) -> list[str]:
-    """The public names of ``src/gaplab`` that nothing names outside tests.
+def read_names(trees) -> set[str]:
+    """The names the code of ``trees`` reads: a call, or a function passed
+    on, names it as a variable or an attribute (an import, a definition, a
+    docstring or a comment does not)."""
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return read
 
-    A module-level function or class is reached if README.md, configs/ or
-    a file of ``src/gaplab`` beyond the definition and the ``__init__``
-    re-export names it; a method of a public class, if ``src/gaplab``
-    reads it as ``.name``, or README.md or configs/ names it.
+
+def unreached_public_names(root: Path) -> list[str]:
+    """The public names of ``src/gaplab`` that nothing reaches outside tests.
+
+    A module-level function or class, or a method of a public class, is
+    reached if the code of ``src/gaplab`` reads it (``read_names``), or
+    README.md or configs/ names it.
     """
-    package = root / "src" / "gaplab"
-    sources = {p: p.read_text() for p in sorted(package.glob("*.py"))}
+    trees = {p.stem: ast.parse(p.read_text())
+             for p in sorted((root / "src" / "gaplab").glob("*.py"))}
+    read = read_names(trees.values())
     outside = (root / "README.md").read_text() + "".join(
         p.read_text() for p in sorted((root / "configs").glob("*")))
+
+    def reached(name):
+        return name in read or re.search(rf"\b{name}\b", outside)
+
     unreached = []
-    for path, text in sources.items():
-        for node in ast.parse(text).body:
+    for tree in trees.values():
+        for node in tree.body:
             if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     or node.name.startswith("_")):
                 continue
-            word = re.compile(rf"\b{node.name}\b")
-            uses = sum(len(word.findall(t)) for p, t in sources.items()
-                       if p.name != "__init__.py") - 1  # the definition
-            if not uses and not word.search(outside):
+            if not reached(node.name):
                 unreached.append(node.name)
             for method in node.body if isinstance(node, ast.ClassDef) else ():
                 if (isinstance(method, ast.FunctionDef)
                         and not method.name.startswith("_")
-                        and not any(re.search(rf"\.{method.name}\b", t)
-                                    for t in sources.values())
-                        and not re.search(rf"\b{method.name}\b", outside)):
+                        and not reached(method.name)):
                     unreached.append(f"{node.name}.{method.name}")
     return sorted(unreached)
 
@@ -143,19 +157,48 @@ def test_every_public_name_is_reached():
     assert unreached_public_names(ROOT) == []
 
 
+def test_a_mention_reaches_no_name(tmp_path):
+    """A docstring or a comment of ``src`` names a function without
+    reaching it; a call from a sibling module, or README.md, reaches it."""
+    package = tmp_path / "src" / "gaplab"
+    package.mkdir(parents=True)
+    (tmp_path / "configs").mkdir()
+    (tmp_path / "README.md").write_text("Run `documented_in_readme`.\n")
+    (package / "tools.py").write_text(textwrap.dedent('''
+        def only_mentioned():
+            """Not called: see only_mentioned and Tool.spoken."""
+
+        def called():
+            pass
+
+        def documented_in_readme():
+            pass
+
+        class Tool:
+            def spoken(self):  # Tool().spoken() is named only here
+                pass
+
+            def used(self):
+                pass
+        '''))
+    (package / "run.py").write_text(textwrap.dedent('''
+        """Calls called, not only_mentioned."""
+        from .tools import Tool, called, only_mentioned
+
+        def _run():
+            called()
+            return Tool().used
+        '''))
+    assert unreached_public_names(tmp_path) == ["Tool.spoken", "only_mentioned"]
+    assert unreached_private_functions(tmp_path) == ["run._run"]
+
+
 def unreached_private_functions(root: Path) -> list[str]:
     """The private module-level functions of ``src/gaplab`` that no code
-    of ``src/gaplab`` reads: a call, or a function passed on, names it
-    (an import alone does not)."""
+    of ``src/gaplab`` reads (``read_names``)."""
     trees = {p.stem: ast.parse(p.read_text())
              for p in sorted((root / "src" / "gaplab").glob("*.py"))}
-    read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+    read = read_names(trees.values())
     return sorted(
         f"{module}.{node.name}" for module, tree in trees.items()
         for node in tree.body
