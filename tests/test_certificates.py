@@ -92,6 +92,67 @@ class TestSequenceValidation:
         with pytest.raises(PreconditionError, match=f"n_max must be >= 1, got {n_max}"):
             run_certificate(cycle_space(64), mu, x0=0, n_max=n_max)
 
+    def test_sequence_rejects_horizon_below_one(self):
+        with pytest.raises(PreconditionError, match="n_max must be >= 1, got 0"):
+            certificates._orbit_segments(cycle_space(64), 0, np.array([-1, 0, 1]), 0)
+
+    def test_requires_symmetric_S_with_identity(self, monkeypatch):
+        # mu is neither symmetric nor holds the identity; the S of the
+        # radius search and the F of the walk are supp(mu * mu^), which is
+        seen = []
+
+        def search(space, x0, S, n_max, _fn=certificates._orbit_segments):
+            seen.append(S)
+            return _fn(space, x0, S, n_max)
+
+        def walk(space, F, *args, _fn=certificates._walk):
+            seen.append(F)
+            return _fn(space, F, *args)
+        monkeypatch.setattr(certificates, "_orbit_segments", search)
+        monkeypatch.setattr(certificates, "_walk", walk)
+        grid = time_grid(8)
+        for space, mu in (
+            (cycle_space(256), GroupMeasure.uniform_on(Z, [(1,), (3,)])),
+            (build_action("circle-rotation", group=grid, N=1000, cells_per_step=7),
+             GroupMeasure.from_atoms(grid, [((2,), 0.25), ((5,), 0.75)])),
+        ):
+            seen.clear()
+            run_certificate(space, mu, x0=0, n_max=2)
+            assert len(seen) == 2 and seen[0] is seen[1]
+            S = seen[0].tolist()
+            assert 0 in S
+            assert S == sorted(-s for s in S)
+
+    def test_step_arrays_validate_like_elements(self):
+        # the steps of the walk come from space.steps, which refuses what
+        # the group refuses: a second coordinate or a non-integer one
+        space = cycle_space(8)
+        assert space.steps([(1,), (0,), (-1,)]).tolist() == [1, 0, -1]
+        for bad, match in (((0, 1), "one-parameter"), ((1.5,), "integer steps")):
+            with pytest.raises(DescriptorMismatchError):
+                Z.element(bad)
+            with pytest.raises(DescriptorMismatchError, match=match):
+                space.steps([(0,), bad])
+
+    def test_rejects_empty_sets(self):
+        # every B_n holds the base cell, so condition (1) holds by
+        # construction; where even the base cell's orbit thickening
+        # reaches mass 1/2 the route refuses rather than shrink B_n
+        space = build_action("torus-translation", group=time_grid(1),
+                             N=128, step=(29, 41), slope_hint=SQRT2)
+        for x0 in (0, 5000):
+            sets = orbit_cells(space, x0, np.arange(-2, 3), 6)
+            assert all(x0 in b.tolist() for b in sets)
+        with pytest.raises(GridResolutionError, match=r"has mass .* >= 1/2"):
+            certificates._orbit_segments(cycle_space(8), 0, np.array([-1, 0, 1]), 1)
+
+    def test_max_n_is_the_number_of_sets(self):
+        space = cycle_space(64)
+        assert len(certificates._orbit_segments(space, 0, np.array([-1, 0, 1]), 3)) == 3
+        report = run_certificate(space, GroupMeasure.uniform_on(Z, [(-1,), (1,)]),
+                                 x0=0, n_max=3)
+        assert [row.n for row in report.rows] == [1, 2, 3]
+
 
 class TestGrowthConditions:
     def test_thickening_past_half_fails_condition_two(self):
@@ -636,6 +697,14 @@ class TestOrbitNeighborhoodSequence:
             expect = sorted((c % 64) for c in range(-n, n + 1))
             assert b.tolist() == expect
 
+    def test_step_array_gives_the_tuple_sets(self):
+        space = cycle_space(64)
+        from_tuples = np.unique(space.steps(((1,), (0,), (-1,))))
+        assert from_tuples.tolist() == [-1, 0, 1]
+        for got, want in zip(orbit_cells(space, 0, from_tuples, 3),
+                             orbit_cells(space, 0, np.array([-1, 0, 1]), 3)):
+            assert got.tolist() == want.tolist()
+
     def test_torus_blue_rectangle_geometry(self):
         n_grid, smax, n_max = 128, 2, 6
         space = build_action("torus-translation", group=time_grid(1),
@@ -728,6 +797,38 @@ class TestNormLowerBound:
             discrepancy(space, mu)
         with pytest.raises(DescriptorMismatchError, match=message):
             run_certificate(space, mu, x0=0, n_max=3)
+
+    @pytest.mark.parametrize("missing", ["x0", "n_max"])
+    def test_x0_and_n_max_are_required(self, missing):
+        kw = {"x0": 0, "n_max": 2}
+        del kw[missing]
+        with pytest.raises(TypeError, match=missing):
+            run_certificate(cycle_space(64), GroupMeasure.point_mass(Z, (1,)), **kw)
+
+    def test_x0_route_builds_no_sequence(self, monkeypatch):
+        # the route sweeps only the base cell and the balls of its radius
+        # search, never a listed B_n, yet gives the rows of sweeping B_n
+        space = build_action("torus-translation", group=time_grid(2),
+                             N=64, step=(29, 41))
+        mu = GroupMeasure.uniform_interval(time_grid(2), -1.0, 1.0)
+        balls, swept = [], []
+
+        def ball(*args, _fn=space.cell_ball):
+            balls.append(_fn(*args))
+            return balls[-1]
+
+        def sweep(space_, idx, _fn=certificates._slot_segments):
+            swept.append(idx)
+            return _fn(space_, idx)
+
+        monkeypatch.setattr(space, "cell_ball", ball)
+        monkeypatch.setattr(certificates, "_slot_segments", sweep)
+        report = run_certificate(space, mu, x0=0, n_max=4)
+        assert balls and swept
+        assert all(idx.tolist() == [0] or any(idx is b for b in balls)
+                   for idx in swept)
+        S = support_steps(space, mu)
+        assert report == walk_sets(space, mu, S, orbit_cells(space, 0, S, 4), S)
 
     def test_never_exceeds_discrepancy(self):
         space = build_action("torus-translation", group=time_grid(2),

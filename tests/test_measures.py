@@ -80,9 +80,10 @@ class TestOutsideElements:
         (GroupDescriptor(kind="torus-grid", dimension=1, size=8), (9.0,),
          "integer coordinates"),
         (F2, (1.0,), "integer coordinates"),
+        (Z, (np.float32(2.0),), "integer coordinates"),
     ], ids=["Z2-short", "Z-long", "torus-short", "F2-zero", "F2-three",
             "F2-minus-three", "F2-unreduced", "Z-half", "Z2-float",
-            "torus-float", "F2-float-letter"])
+            "torus-float", "F2-float-letter", "Z-float32"])
     def test_foreign_element_rejected(self, group, g, message):
         with pytest.raises(DescriptorMismatchError, match=message):
             GroupMeasure.from_atoms(group, [(group.identity(), 0.5), (g, 0.5)])

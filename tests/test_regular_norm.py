@@ -124,6 +124,15 @@ class TestBergChristensen:
         with pytest.raises(ResourceLimitError, match=hint):
             berg_christensen_estimate(mu, F=[()], n_max=30, cap=500)
 
+    def test_blowup_hint_names_the_free_radial_path(self):
+        from gaplab import ResourceLimitError
+
+        mu = GroupMeasure.from_atoms(F2, [((1,), 0.6), ((-1,), 0.2), ((2,), 0.2)])
+        with pytest.raises(ResourceLimitError,
+                           match=r"F = \{e\} the uniform-generator walk takes the "
+                                 "free-radial path"):
+            berg_christensen_estimate(mu, F=[()], n_max=30, cap=500)
+
 
 F2_NONUNIFORM = [((1,), 0.3), ((-1,), 0.2), ((2,), 0.3), ((-2,), 0.2)]
 GRID8 = GroupDescriptor(kind="real-grid", dimension=1, resolution=8)
@@ -385,6 +394,10 @@ class TestRadialOracle:
 
     def test_odd_steps_zero(self):
         assert radial_return(2, 7) == 0.0
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_every_odd_step_count_gives_exactly_zero(self, k):
+        assert norms._radial_return_sequence(k, 9)[1::2].tolist() == [0.0] * 5
 
     def test_rank_one_rejected(self):
         with pytest.raises(PreconditionError):

@@ -193,6 +193,33 @@ def test_a_mention_reaches_no_name(tmp_path):
     assert unreached_private_functions(tmp_path) == ["run._run"]
 
 
+def test_a_name_passed_on_or_configured_is_reached(tmp_path):
+    """A function handed on uncalled, or named in configs/, is reached; a
+    string that spells a name is not."""
+    package = tmp_path / "src" / "gaplab"
+    package.mkdir(parents=True)
+    (tmp_path / "configs").mkdir()
+    (tmp_path / "configs" / "run.json").write_text('{"method": "configured"}\n')
+    (tmp_path / "README.md").write_text("")
+    (package / "tools.py").write_text(textwrap.dedent('''
+        def handed_on():
+            pass
+
+        def configured():
+            pass
+
+        def spelled():
+            pass
+
+        def _apply(fn):
+            return fn
+
+        METHODS = {"spelled": _apply(handed_on)}
+        '''))
+    assert unreached_public_names(tmp_path) == ["spelled"]
+    assert unreached_private_functions(tmp_path) == []
+
+
 def unreached_private_functions(root: Path) -> list[str]:
     """The private module-level functions of ``src/gaplab`` that no code
     of ``src/gaplab`` reads (``read_names``)."""
