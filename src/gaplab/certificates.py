@@ -30,6 +30,7 @@ which its FFT reads it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -408,7 +409,10 @@ def _orbit_segments(space: ActionSpace, x0: int, steps: np.ndarray,
     those of B_n."""
     if n_max < 1:
         raise PreconditionError(f"the horizon n_max must be >= 1, got {n_max}")
-    x0 = int(x0)
+    try:
+        x0 = operator.index(x0)
+    except TypeError:
+        raise PreconditionError(f"base cell x0 must be an integer, got {x0!r}") from None
     if not 0 <= x0 < space.n_cells:
         raise PreconditionError(
             f"base cell x0 = {x0} is outside the {space.n_cells} cells of the space"

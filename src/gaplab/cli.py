@@ -491,10 +491,11 @@ def run_nets(cfg: dict) -> RunResult:
     return res
 
 
-def _box(dim: int, radius: int):
-    import itertools
-
-    return [t for t in itertools.product(range(-radius, radius + 1), repeat=dim)]
+def _box(dim: int, radius: int) -> np.ndarray:
+    """The cells of the cube [-radius, radius]^dim as an (m, dim) int64
+    array, in lexicographic order."""
+    side = 2 * radius + 1
+    return np.indices((side,) * dim, dtype=np.int64).reshape(dim, -1).T - radius
 
 
 def run_margulis_demo(cfg: dict) -> RunResult:

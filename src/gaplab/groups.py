@@ -9,6 +9,9 @@ Four kinds of groups are supported, all unimodular:
 
 Elements are plain tuples of ints: lattice/grid coordinates, torus
 residues in [0, N), or reduced words over the alphabet {+-1, ..., +-k}.
+The finite set functions ``product_set``, ``inverse_set`` and
+``power_set`` return (m, d) int64 cell arrays on the abelian kinds, one
+row per element in sort order, and lists of words on the free group.
 """
 
 from __future__ import annotations
@@ -314,11 +317,6 @@ def _coordinates(group: GroupDescriptor, xs, what: str) -> np.ndarray:
     return cells % group.size if group.kind == TORUS_GRID else cells
 
 
-def _tuples(cells: np.ndarray) -> list[Element]:
-    """The rows of an (n, d) array as tuples of Python ints."""
-    return list(zip(*cells.T.tolist()))
-
-
 def _factor_keys(group: GroupDescriptor, xs, ys, what: str):
     """A box that holds every sum x + y (the bounding box of the sums, or
     the torus), and keys of xs and ys whose ``box.add`` is the key of each
@@ -404,8 +402,10 @@ def product_set(
     xs: list[Element] | tuple[Element, ...],
     ys: list[Element] | tuple[Element, ...],
     cap: int = 10_000_000,
-) -> list[Element]:
-    """The product set {x*y}, deduplicated, in deterministic order.
+) -> np.ndarray | list[Element]:
+    """The product set {x*y}, deduplicated, in deterministic order: an
+    (m, d) int64 cell array on the abelian kinds, a list of words on the
+    free group.
 
     On the abelian kinds the sums are keyed in one box (reduced mod N on
     the torus); coordinates that are not integers, or sums that leave
@@ -416,7 +416,7 @@ def product_set(
         box, xk, yk = _factor_keys(group, xs, ys, "product set")
         keys = _distinct(box.add(xk, yk))
         _check_cap(len(keys), cap, "product set")
-        return _tuples(box.cells(keys))
+        return box.cells(keys)
     out = set()
     for x in xs:
         for y in ys:
@@ -428,19 +428,31 @@ def product_set(
     return sorted(out, key=group.sort_key)
 
 
-def inverse_set(group: GroupDescriptor, xs) -> list[Element]:
-    return sorted({group.inverse(x) for x in xs}, key=group.sort_key)
+def inverse_set(group: GroupDescriptor, xs) -> np.ndarray | list[Element]:
+    """The inverses {x^{-1}}, deduplicated, in deterministic order: an
+    (m, d) int64 cell array on the abelian kinds, a list of words on the
+    free group.  An inverse that leaves int64 raises
+    ``DescriptorMismatchError``."""
+    if not group.is_abelian:
+        return sorted({group.inverse(x) for x in xs}, key=group.sort_key)
+    cells = _coordinates(group, xs, "inverse set")
+    if group.kind == TORUS_GRID:
+        return np.unique(-cells % group.size, axis=0)
+    if (cells == _INT64_MIN).any():
+        raise DescriptorMismatchError(f"inverse set leaves int64 at coordinate {-_INT64_MIN}")
+    return np.unique(-cells, axis=0)  # rows in lexicographic order
 
 
 def power_set(
     group: GroupDescriptor, base, n: int, cap: int = 10_000_000
-) -> list[Element]:
-    """The n-fold product set base^n (base^0 = {e})."""
+) -> np.ndarray | list[Element]:
+    """The n-fold product set base^n (base^0 = {e}), as ``product_set``
+    returns it."""
     if n < 0:
         raise ValueError("power must be >= 0")
     if group.is_abelian:
         box, _, keys = _power_keys(group, base, n, cap, "product set")
-        return _tuples(box.cells(keys[n]))
+        return box.cells(keys[n])
     return _powers(group, base, n, cap, "product set")[n]
 
 

@@ -21,6 +21,7 @@ from .groups import (
     KeyBox,
     _check_cap,
     _factor_keys,
+    _reduce_word,
     _unique_keys,
 )
 
@@ -144,7 +145,11 @@ def convolve(
     Exact direct summation over all pairs (h, k), h-major in atom order.
     On the abelian kinds ``_convolve_arrays`` forms the pair sums at once
     in numpy, with each weight, and the order of the atoms (first formed
-    first), that of the pair loop the free group still runs.
+    first), that of the pair loop the free group still runs.  On the free
+    group each atom is reduced once, and a pair of reduced words cancels
+    only where they meet; free reduction is confluent, so each product is
+    ``compose(h, k)``.  As in ``GroupMeasure``, a non-finite weight raises
+    and weights that underflow to 0 are dropped.
     """
     if a.group != b.group:
         raise DescriptorMismatchError(
@@ -153,22 +158,39 @@ def convolve(
     g = a.group
     if g.is_abelian:
         cells, weights = _convolve_arrays(g, *_arrays(a), *_arrays(b), cap)
-        out = object.__new__(GroupMeasure)  # checked atoms: no __post_init__
-        object.__setattr__(out, "group", g)
-        object.__setattr__(out, "atoms", dict(zip(map(tuple, cells.tolist()),
-                                                   weights.tolist())))
-        return out
+        return _measure(g, dict(zip(map(tuple, cells.tolist()), weights.tolist())))
     out: dict[Element, float] = {}
-    compose = g.compose
+    # each atom is reduced once, and only where it forms a pair
+    right = [(_reduce_word(k), wb) for k, wb in b.atoms.items()] if a.atoms else []
     for h, wa in a.atoms.items():
-        for k, wb in b.atoms.items():
-            key = compose(h, k)
+        h = _reduce_word(h) if right else h
+        end = len(h)
+        for k, wb in right:
+            i, reach = 0, min(end, len(k))
+            while i < reach and h[end - 1 - i] == -k[i]:
+                i += 1
+            key = h[:end - i] + k[i:]
             out[key] = out.get(key, 0.0) + wa * wb
         if len(out) > cap:
             raise ResourceLimitError(
                 f"convolution exceeded the support cap of {cap} elements"
             )
-    return GroupMeasure(g, out)
+    if not math.isfinite(sum(out.values())):  # the weights are >= 0
+        for key, w in out.items():
+            if not math.isfinite(w):
+                raise PreconditionError(f"non-finite weight {w} at atom {key}")
+    if 0.0 in out.values():
+        out = {key: w for key, w in out.items() if w > 0}
+    return _measure(g, out)
+
+
+def _measure(group: GroupDescriptor, atoms: dict) -> GroupMeasure:
+    """A ``GroupMeasure`` of atoms that are already canonical, with finite
+    positive weights: no pass through ``__post_init__``."""
+    out = object.__new__(GroupMeasure)
+    object.__setattr__(out, "group", group)
+    object.__setattr__(out, "atoms", atoms)
+    return out
 
 
 def _arrays(a: GroupMeasure):
@@ -180,7 +202,8 @@ def _arrays(a: GroupMeasure):
 def _convolve_arrays(group: GroupDescriptor, cells_a, w_a, cells_b, w_b, cap: int):
     """Abelian ``convolve`` on (cells, weights) arrays, in first-formed order."""
     box, keys_a, keys_b = _factor_keys(group, cells_a, cells_b, "convolution")
-    keys, weights = _convolve_keys(box, keys_a, w_a, keys_b, w_b, cap)
+    with np.errstate(over="ignore"):  # an overflow is reported by atom
+        keys, weights = _convolve_keys(box, keys_a, w_a, keys_b, w_b, cap)
     return box.cells(keys), weights
 
 
@@ -194,10 +217,10 @@ def _convolve_keys(box: KeyBox, keys_a, w_a, keys_b, w_b, cap: int):
     product is a translate: its sums are distinct and in the other side's
     order, and each weight is one product.  As in ``GroupMeasure``, the
     first non-finite weight raises, naming its cell, and weights that
-    underflow to 0 are dropped.
+    underflow to 0 are dropped.  The caller holds ``np.errstate(over="ignore")``
+    around it, so that a product that overflows is reported here, by atom.
     """
-    with np.errstate(over="ignore"):  # an overflow is reported below, by atom
-        products = np.multiply.outer(w_a, w_b).ravel()
+    products = np.multiply.outer(w_a, w_b).ravel()
     if min(len(keys_a), len(keys_b)) == 1:
         keys, weights = box.add(keys_a, keys_b), products
         _check_cap(len(keys), cap, "convolution")
@@ -212,9 +235,11 @@ def _convolve_keys(box: KeyBox, keys_a, w_a, keys_b, w_b, cap: int):
 
 
 def involute(a: GroupMeasure) -> GroupMeasure:
-    """The adjoint measure g -> a(g^{-1}); total mass is preserved exactly."""
+    """The adjoint measure g -> a(g^{-1}); total mass is preserved exactly.
+    Inversion is a bijection of the canonical atoms that keeps each
+    weight, so the atoms need no further check."""
     inv = a.group.inverse
-    return GroupMeasure(a.group, {inv(g): w for g, w in a.atoms.items()})
+    return _measure(a.group, {inv(g): w for g, w in a.atoms.items()})
 
 
 def symmetrize(a: GroupMeasure, cap: int = DEFAULT_SUPPORT_CAP) -> GroupMeasure:

@@ -23,7 +23,6 @@ from .groups import (
     _coordinates,
     _distinct,
     _powers,
-    _tuples,
     inverse_set,
     product_set,
 )
@@ -35,15 +34,19 @@ def _canonical_set(group: GroupDescriptor, xs) -> list[Element]:
     return sorted({group.canonical(x) for x in xs}, key=group.sort_key)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetInstance:
-    """A separated net together with the data it was built from."""
+    """A separated net together with the data it was built from.
+
+    Each set is in sort order: an (m, d) int64 cell array on the abelian
+    kinds, a tuple of words on the free group.
+    """
 
     group: GroupDescriptor
-    A: tuple
-    net: tuple
-    span: tuple  # the set the net lives in
-    diffs: tuple  # A A^{-1}, the set each net point blocks around itself
+    A: np.ndarray | tuple
+    net: np.ndarray | tuple
+    span: np.ndarray | tuple  # the set the net lives in
+    diffs: np.ndarray | tuple  # A A^{-1}, the set each net point blocks around itself
     span_a_cells: int  # |span A|, counted where the net is built
 
 
@@ -123,10 +126,10 @@ def _abelian_net(group: GroupDescriptor, span, A) -> NetInstance:
     net = _greedy(box, span_keys, span_keys + zero, ahead)
     return NetInstance(
         group=group,
-        A=tuple(_tuples(box.cells(a_keys) - w)),
-        net=tuple(_tuples(span[net])),
-        span=tuple(_tuples(span)),
-        diffs=tuple(_tuples(box.cells(diff_keys) - w)),
+        A=box.cells(a_keys) - w,
+        net=span[net],
+        span=span,
+        diffs=box.cells(diff_keys) - w,
         span_a_cells=len(_distinct(box.add(span_keys, a_keys))),
     )
 

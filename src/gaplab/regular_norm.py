@@ -11,7 +11,6 @@ chain) cross-validate it.  ``regular_norm`` picks one of them by name.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -35,8 +34,6 @@ from .measures import (
     convolve,
     involute,
 )
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -71,9 +68,11 @@ def berg_christensen_estimate(
     Forms eta = mu * mu^ and reports (eta^{*n}(F))^{1/(2n)} for
     n = 1..n_max; the final term is the returned value.  Each term is a
     certified lower bound (up to discretization) and the sequence is
-    expected to be nondecreasing for the positive-type eta; a decrease
-    beyond 1e-10 is logged as a warning rather than raised, since no
-    quantitative monotonicity statement backs the general case.
+    expected to be nondecreasing for the positive-type eta.  A decrease
+    beyond 1e-10 is reported rather than raised, since no quantitative
+    monotonicity statement backs the general case: the estimate's ``note``
+    names every n at which the sequence decreased and the two terms of
+    the first decrease, and is empty when there is none.
 
     Only eta^{*m} for m <= ceil(n_max/2) is built: each term comes from
     eta^{*n}(F) = sum_g eta^{*ceil(n/2)}(g) (1_F * (eta^{*floor(n/2)})^)(g),
@@ -103,23 +102,22 @@ def berg_christensen_estimate(
     # high = eta^{*ceil(n/2)}; reach = 1_F * (eta^{*floor(n/2)})^
     high, reach = eta, indicator
     seq: list[tuple[int, float]] = []
+    drops = []  # (n, term n-1, term n) where the sequence decreases
     prev = -math.inf
     try:
-        for n in range(1, n_max + 1):
-            if n % 2 == 0:
-                reach = conv(indicator, inv(high))
-            elif n > 1:
-                high = conv(high, eta)
-            mass = pairing(high, reach)
-            raw = mass ** (1.0 / (2 * n))
-            if raw < prev - 1e-10:
-                log.warning(
-                    "convolution-power sequence decreased at n=%d (%.12g -> %.12g); "
-                    "monotonicity is only heuristic for this input",
-                    n, prev, raw,
-                )
-            prev = raw
-            seq.append((n, raw))
+        # a weight that overflows is reported by atom in the convolution
+        with np.errstate(over="ignore"):
+            for n in range(1, n_max + 1):
+                if n % 2 == 0:
+                    reach = conv(indicator, inv(high))
+                elif n > 1:
+                    high = conv(high, eta)
+                mass = pairing(high, reach)
+                raw = mass ** (1.0 / (2 * n))
+                if raw < prev - 1e-10:
+                    drops.append((n, prev, raw))
+                prev = raw
+                seq.append((n, raw))
     except ResourceLimitError as err:
         hint = ""
         if group.kind == FREE:
@@ -129,7 +127,14 @@ def berg_christensen_estimate(
                 " uniform-generator walk takes the free-radial path instead)"
             )
         raise ResourceLimitError(str(err) + hint) from err
-    return NormEstimate(value=seq[-1][1], method="berg-christensen", sequence=seq)
+    note = ""
+    if drops:
+        _, before, after = drops[0]
+        note = (f"convolution-power sequence decreased at n = "
+                f"{', '.join(str(d[0]) for d in drops)} (first {before:.12g} -> "
+                f"{after:.12g}); monotonicity is only heuristic for this input")
+    return NormEstimate(value=seq[-1][1], method="berg-christensen", sequence=seq,
+                        note=note)
 
 
 def _walk_steps(mu: GroupMeasure, F: list, n_max: int, cap: int):
@@ -184,8 +189,7 @@ def _walk_steps(mu: GroupMeasure, F: list, n_max: int, cap: int):
             order = np.argsort(reach_keys)
             at = order[np.searchsorted(reach_keys, keys, sorter=order).clip(max=len(order) - 1)]
             found = np.where(reach_keys[at] == keys, reach_weights[at], 0.0)
-        with np.errstate(over="ignore"):
-            return sum((weights * found).tolist())
+        return sum((weights * found).tolist())
 
     return ((box.keys(eta_cells), eta_weights), (box.keys(f_cells), f_weights),
             conv, inv, pairing)

@@ -10,6 +10,8 @@ deduplicated the abelian pair sums before they were keyed in a box.
 ``convolution_power`` and ``mass_on_set`` give eta^{*n}(F) at full depth,
 ``net_is_separated`` and ``net_is_maximal`` re-check a net exhaustively,
 and ``sampled_fourier_sup`` is sup |mu-hat| over sampled frequencies.
+``rows`` reads an (m, d) int64 cell array as tuples, and ``elements`` a
+set given as such an array or as a list of words.
 ``physical`` and ``scaled`` give an element's physical coordinates and a
 measure times a factor.
 """
@@ -114,12 +116,26 @@ def mass_on_set(a: GroupMeasure, cells) -> float:
     return float(sum(w for g, w in a.atoms.items() if g in wanted))
 
 
+def rows(cells: np.ndarray) -> list[tuple]:
+    """The rows of an (m, d) int64 cell array as tuples of ints, in order;
+    anything else fails."""
+    assert isinstance(cells, np.ndarray), type(cells)
+    assert cells.dtype == np.int64 and cells.ndim == 2, (cells.dtype, cells.shape)
+    return list(map(tuple, cells.tolist()))
+
+
+def elements(xs) -> list[tuple]:
+    """A set as a list of tuples: the rows of a cell array, or the words."""
+    return rows(xs) if isinstance(xs, np.ndarray) else list(xs)
+
+
 def net_is_separated(inst) -> bool:
     """No two A-translates of net points meet."""
     group = inst.group
     seen: set = set()
-    for point in inst.net:
-        translate = {group.compose(point, a) for a in inst.A}
+    A = elements(inst.A)
+    for point in elements(inst.net):
+        translate = {group.compose(point, a) for a in A}
         if translate & seen:
             return False
         seen |= translate
@@ -130,12 +146,13 @@ def net_is_maximal(inst) -> bool:
     """No point of the span can be added."""
     group = inst.group
     covered: set = set()
-    for point in inst.net:
-        covered.update(group.compose(point, a) for a in inst.A)
-    for point in inst.span:
-        if point in inst.net:
+    A, net = elements(inst.A), elements(inst.net)
+    for point in net:
+        covered.update(group.compose(point, a) for a in A)
+    for point in elements(inst.span):
+        if point in net:
             continue
-        translate = {group.compose(point, a) for a in inst.A}
+        translate = {group.compose(point, a) for a in A}
         if not (translate & covered):
             return False
     return True

@@ -857,6 +857,18 @@ class TestRunCertificate:
             assert row.rayleigh >= row.chain_bound - certificates.CHAIN_TOL
 
 
+    @pytest.mark.parametrize("x0", [2.7, np.float64(3.0)], ids=["float", "np.float64"])
+    def test_base_cell_must_be_an_integer(self, x0):
+        mu = GroupMeasure.uniform_on(Z, [(-1,), (1,)])
+        with pytest.raises(PreconditionError, match="x0 must be an integer, got"):
+            run_certificate(cycle_space(64), mu, x0=x0, n_max=3)
+
+    def test_numpy_integer_base_cell(self):
+        space, mu = cycle_space(64), GroupMeasure.uniform_on(Z, [(-1,), (1,)])
+        assert (run_certificate(space, mu, x0=np.int64(2), n_max=3)
+                == run_certificate(space, mu, x0=2, n_max=3))
+
+
 class TestWalkTransforms:
     def test_only_the_numerator_is_transformed(self, monkeypatch):
         # per cycle length, one transform of eta and one of phi per n; the

@@ -52,6 +52,7 @@ def test_cli_loads_only_what_its_tables_need():
     assert loaded_after("""
         import gaplab.cli
         assert "concurrent.futures" not in sys.modules  # loaded for --jobs > 1
+        assert "logging" not in sys.modules  # nothing logs
         """) == CLI_MODULES
 
 

@@ -6,7 +6,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from dict_oracles import convolution_power, mass_on_set, unique_rows
+from dict_oracles import (
+    convolution_power,
+    dict_convolve,
+    dict_involute,
+    mass_on_set,
+    rows,
+    unique_rows,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +33,7 @@ from gaplab import (
 Z = GroupDescriptor(kind="lattice", dimension=1)
 Z2 = GroupDescriptor(kind="lattice", dimension=2)
 F2 = GroupDescriptor(kind="free", dimension=2)
+F3 = GroupDescriptor(kind="free", dimension=3)
 
 
 def naive_reduce(word):
@@ -209,6 +217,75 @@ PAIR_GROUPS = [
 ]
 
 
+def random_words(group, rng, n_atoms, reduced):
+    """A measure of random words of length 0..5 built directly, so that an
+    unreduced word stays an atom as it was given."""
+    letters = [s * i for i in range(1, group.dimension + 1) for s in (1, -1)]
+    atoms = {}
+    for _ in range(n_atoms):
+        word = tuple(int(rng.choice(letters)) for _ in range(int(rng.integers(0, 6))))
+        if reduced:
+            word = naive_reduce(word)
+        atoms[word] = atoms.get(word, 0.0) + float(rng.uniform(1e-3, 3.0))
+    return GroupMeasure(group, atoms)
+
+
+def bits(atoms):
+    """A weight map as (element, weight bits) pairs in atom order."""
+    return [(g, w.hex()) for g, w in atoms.items()]
+
+
+class TestFreeConvolveOracle:
+    """On the free group ``convolve`` and ``involute`` give the pair loop
+    through ``compose`` and the inverse map exactly: the same atoms, in the
+    same order, with bit-identical weights."""
+
+    @pytest.mark.parametrize("group", [F2, F3], ids=["F2", "F3"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_dict_oracles(self, group, seed):
+        rng = np.random.default_rng(seed)
+        for reduced in (True, False):
+            a, b = (random_words(group, rng, int(rng.integers(1, 12)), reduced)
+                    for _ in range(2))
+            assert bits(convolve(a, b).atoms) == bits(dict_convolve(group, a.atoms, b.atoms))
+            assert bits(involute(a).atoms) == bits(dict_involute(group, a.atoms))
+            assert bits(symmetrize(a).atoms) == bits(
+                dict_convolve(group, a.atoms, dict_involute(group, a.atoms)))
+
+    def test_unreduced_words_cancel_across_the_junction(self):
+        a = GroupMeasure(F2, {(1, 2, -2, -1, 1): 0.5, (2, 1, -1): 0.5})
+        b = GroupMeasure(F2, {(-1, 2, -2): 0.25, (1, -1, -2, 1): 0.75})
+        got = convolve(a, b)
+        assert bits(got.atoms) == bits(dict_convolve(F2, a.atoms, b.atoms))
+        assert list(got.atoms) == [(), (1, -2, 1), (2, -1), (1,)]
+
+    def test_non_finite_product_raises(self):
+        a = GroupMeasure(F2, {(1,): 1e200, (2, -1): 1.0})
+        b = GroupMeasure(F2, {(-1, 2): 1e200})
+        with pytest.raises(PreconditionError) as want:
+            dict_convolve(F2, a.atoms, b.atoms)
+        with pytest.raises(PreconditionError) as got:
+            convolve(a, b)
+        assert str(got.value) == str(want.value) == "non-finite weight inf at atom (2,)"
+
+    def test_underflowed_weight_dropped(self):
+        a = GroupMeasure(F3, {(3,): 1e-200, (): 0.5})
+        b = GroupMeasure(F3, {(-3,): 1e-200, (1,): 0.5})
+        got = convolve(a, b)
+        assert bits(got.atoms) == bits(dict_convolve(F3, a.atoms, b.atoms))
+        # the identity is formed only as 1e-200 * 1e-200, which underflows to 0
+        assert list(got.atoms) == [(3, 1), (-3,), (1,)]
+
+    def test_zero_letter_raises_only_when_a_pair_is_formed(self):
+        bad = GroupMeasure(F2, {(1, 0): 1.0})
+        with pytest.raises(ValueError, match="letters must be nonzero"):
+            convolve(bad, GroupMeasure.point_mass(F2, (1,)))
+        with pytest.raises(ValueError, match="letters must be nonzero"):
+            convolve(GroupMeasure.point_mass(F2, (1,)), bad)
+        assert len(convolve(bad, GroupMeasure(F2, {}))) == 0
+        assert len(convolve(GroupMeasure(F2, {}), bad)) == 0
+
+
 def brute_sum(group, h, k):
     """Coordinate sum, reduced mod N on the torus; independent of compose."""
     if group.kind == "torus-grid":
@@ -260,10 +337,9 @@ class TestAbelianPairSums:
     def test_product_set_matches_pair_loop(self, case):
         group, xs, ys = case
         xs, ys = [g for g, _ in xs], [g for g, _ in ys]
-        got = product_set(group, xs, ys)
+        got = rows(product_set(group, xs, ys))
         assert got == brute_product_set(group, xs, ys)
         assert got == sorted(got, key=group.sort_key)
-        assert all(type(c) is int for g in got for c in g)
 
     def test_torus_wraps_around(self):
         t2 = GroupDescriptor(kind="torus-grid", dimension=2, size=4)
@@ -272,12 +348,12 @@ class TestAbelianPairSums:
         got = convolve(a, b)
         assert list(got.atoms.items()) == [
             ((0, 1), 0.125), ((2, 2), 0.375), ((3, 0), 0.125), ((1, 1), 0.375)]
-        assert product_set(t2, list(a.atoms), list(b.atoms)) == [
+        assert rows(product_set(t2, list(a.atoms), list(b.atoms))) == [
             (0, 1), (1, 1), (2, 2), (3, 0)]
 
     def test_empty_factor(self):
-        assert product_set(Z2, [], [(1, 2)]) == []
-        assert product_set(Z2, [(1, 2)], []) == []
+        assert rows(product_set(Z2, [], [(1, 2)])) == []
+        assert rows(product_set(Z2, [(1, 2)], [])) == []
         empty = GroupMeasure(Z, {})
         assert len(convolve(empty, GroupMeasure.point_mass(Z, (1,)))) == 0
         assert len(convolve(GroupMeasure.point_mass(Z, (1,)), empty)) == 0
@@ -409,7 +485,7 @@ class TestBoxKeys:
             assert got[0].dtype == np.int64
             for g, w in zip(got, want):
                 np.testing.assert_array_equal(g, w)
-        assert product_set(group, xs, ys) == sorted(map(tuple, want[0].tolist()))
+        assert rows(product_set(group, xs, ys)) == sorted(map(tuple, want[0].tolist()))
 
     @pytest.mark.parametrize("branch", BRANCHES)
     @pytest.mark.parametrize("group, xs, ys", [
@@ -468,11 +544,11 @@ class TestInt64Range:
             product_set(torus, [(1, 1)], [(2, 2)])
         # far from 0, a narrow set keys in a narrow box
         far = [(10**15 + i, -10**15, 10**15 + j) for i, j in ((0, 0), (1, 2), (2, 1))]
-        assert product_set(z3, far, [(0, 0, 0), (0, 1, 0)]) == sorted(
+        assert rows(product_set(z3, far, [(0, 0, 0), (0, 1, 0)])) == sorted(
             {brute_sum(z3, x, y) for x in far for y in [(0, 0, 0), (0, 1, 0)]})
         # the largest sums that fit still add exactly
-        assert product_set(Z, [(2**62,)], [(2**62 - 1,)]) == [(2**63 - 1,)]
-        assert product_set(Z, [(-2**62,)], [(-2**62,)]) == [(-2**63,)]
+        assert rows(product_set(Z, [(2**62,)], [(2**62 - 1,)])) == [(2**63 - 1,)]
+        assert rows(product_set(Z, [(-2**62,)], [(-2**62,)])) == [(-2**63,)]
 
 
 class TestCanonicalTorus:

@@ -5,11 +5,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from dict_oracles import net_is_maximal, net_is_separated, translate_greedy_net
+from dict_oracles import elements, net_is_maximal, net_is_separated, rows, translate_greedy_net
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaplab import (
+    DescriptorMismatchError,
     GroupDescriptor,
     PreconditionError,
     ResourceLimitError,
@@ -37,36 +38,38 @@ class TestGreedyNet:
     def test_singleton_A_keeps_everything(self):
         span = interval(-3, 3)
         inst = greedy_maximal_net(Z, span, A=[(0,)])
-        assert list(inst.net) == span
+        assert rows(inst.net) == span
 
     def test_hand_simulated_z_example(self):
         # B = [-1,1], B^5 = [-5,5], A = {0,1}: the greedy pass from -5
         # accepts every second point
         span = power_set(Z, interval(-1, 1), 5)
-        assert span == interval(-5, 5)
+        assert rows(span) == interval(-5, 5)
         inst = greedy_maximal_net(Z, span, A=[(0,), (1,)])
-        assert list(inst.net) == [(-5,), (-3,), (-1,), (1,), (3,), (5,)]
+        assert rows(inst.net) == [(-5,), (-3,), (-1,), (1,), (3,), (5,)]
         assert net_is_separated(inst)
         assert net_is_maximal(inst)
 
     def test_empty_span(self):
         inst = greedy_maximal_net(Z, [], A=[(0,)])
-        assert inst.net == ()
+        assert rows(inst.net) == []
 
     def test_array_inputs(self):
         # span and A as (m, d) integer arrays, as the ratio study passes
         # its powers, give the instance of the same lists
         span, A = power_set(Z2, box(1), 2), [(0, 0), (1, 0), (0, 1)]
-        want = greedy_maximal_net(Z2, span, A)
-        got = greedy_maximal_net(Z2, np.array(span[::-1]), np.array(A))
-        assert got == want
+        want = greedy_maximal_net(Z2, rows(span), A)
+        got = greedy_maximal_net(Z2, span[::-1], np.array(A))
+        for name in ("A", "net", "span", "diffs"):
+            assert rows(getattr(got, name)) == rows(getattr(want, name)), name
+        assert got.span_a_cells == want.span_a_cells
 
     def test_span_at_the_int64_edge(self):
         # span + A A^{-1} is keyed by offsets in the box, so its sums may
         # leave int64, where a box of the sums themselves would not fit
         top = 2**63 - 1
         inst = greedy_maximal_net(Z, [(top,), (top - 2,)], A=[(0,), (1,)])
-        assert inst.net == ((top - 2,), (top,))
+        assert rows(inst.net) == [(top - 2,), (top,)]
         assert verify_net_bounds(inst).mu_spanA == 4
 
     def test_requires_identity_in_A(self):
@@ -96,6 +99,15 @@ NET_GROUPS = [
 ]
 
 
+def instance_sets(group):
+    """A span and a set A that holds the identity, as lists of tuples."""
+    if group.kind == "free":
+        return group.ball(2), group.ball(1)
+    span = [tuple(c) for c in itertools.product(range(-3, 4), repeat=group.dimension)]
+    A = [group.identity(), (1,) * group.dimension, (2,) + (0,) * (group.dimension - 1)]
+    return span, A
+
+
 @st.composite
 def net_case(draw):
     """A group, a span and a set A containing the identity."""
@@ -121,32 +133,31 @@ class TestGreedyNetOracle:
         group, span, A = case
         inst = greedy_maximal_net(group, span, A)
         canonical = [group.canonical(x) for x in span], [group.canonical(a) for a in A]
-        assert inst.net == translate_greedy_net(group, *canonical)
+        assert isinstance(inst.net, np.ndarray) == group.is_abelian
+        assert elements(inst.net) == list(translate_greedy_net(group, *canonical))
         assert net_is_separated(inst)
         assert net_is_maximal(inst)
-        assert inst.diffs == tuple(product_set(group, inst.A, inverse_set(group, inst.A)))
+        assert elements(inst.diffs) == elements(
+            product_set(group, inst.A, inverse_set(group, inst.A)))
         assert inst.span_a_cells == len(product_set(group, inst.span, inst.A))
         for pairs in (1, 3 * len(inst.diffs)):  # one span row, and three, per block
             with mock.patch.object(nets, "_NET_PAIRS", pairs):
-                assert greedy_maximal_net(group, span, A).net == inst.net
+                assert elements(greedy_maximal_net(group, span, A).net) == elements(inst.net)
 
     @pytest.mark.parametrize("group", NET_GROUPS, ids=lambda g: f"{g.kind}-{g.dimension}")
     def test_instance_carries_a_a_inverse(self, group):
-        if group.kind == "free":
-            span, A = group.ball(2), group.ball(1)
-        else:
-            span = [tuple(c) for c in itertools.product(range(-3, 4), repeat=group.dimension)]
-            A = [group.identity(), (1,) * group.dimension, (2,) + (0,) * (group.dimension - 1)]
+        span, A = instance_sets(group)
         inst = greedy_maximal_net(group, span, A)
-        assert inst.diffs == tuple(product_set(group, inst.A, inverse_set(group, inst.A)))
+        assert elements(inst.diffs) == elements(
+            product_set(group, inst.A, inverse_set(group, inst.A)))
 
     def test_torus_points_equal_mod_n_are_one_point(self):
         z17 = GroupDescriptor(kind="torus-grid", dimension=1, size=17)
         inst = greedy_maximal_net(z17, [(0,), (17,), (1,)], [(0,)])
-        assert inst.net == ((0,), (1,))
-        assert inst.span == ((0,), (1,))
+        assert rows(inst.net) == [(0,), (1,)]
+        assert rows(inst.span) == [(0,), (1,)]
         inst = greedy_maximal_net(z17, [(5,), (-12,)], [(17,), (1,)])
-        assert (inst.A, inst.net) == (((0,), (1,)), ((5,),))
+        assert (rows(inst.A), rows(inst.net)) == ([(0,), (1,)], [(5,)])
 
     def test_free_group_ball(self):
         f2 = GroupDescriptor(kind="free", dimension=2)
@@ -157,6 +168,65 @@ class TestGreedyNetOracle:
         assert net_is_separated(inst)
         assert net_is_maximal(inst)
         assert verify_net_bounds(inst).all_ok
+
+
+@pytest.mark.parametrize("group", NET_GROUPS, ids=lambda g: f"{g.kind}-{g.dimension}")
+class TestSetArrays:
+    """On the abelian kinds the set functions and ``NetInstance`` hold
+    (m, d) int64 cell arrays whose rows are the sorted tuple sets; the free
+    group keeps words."""
+
+    def sorted_set(self, group, elements):
+        return sorted(set(elements), key=group.sort_key)
+
+    def test_net_instance_rows(self, group):
+        span, A = instance_sets(group)
+        inst = greedy_maximal_net(group, span, A)
+        span = self.sorted_set(group, map(group.canonical, span))
+        A = self.sorted_set(group, map(group.canonical, A))
+        want = {
+            "A": A,
+            "net": list(translate_greedy_net(group, span, A)),
+            "span": span,
+            "diffs": self.sorted_set(
+                group, (group.compose(a, group.inverse(b)) for a in A for b in A)),
+        }
+        for name, rows_want in want.items():
+            got = getattr(inst, name)
+            assert isinstance(got, np.ndarray) == group.is_abelian, name
+            assert elements(got) == rows_want, name
+
+    def test_set_function_rows(self, group):
+        xs, ys = (list(map(group.canonical, s)) for s in instance_sets(group))
+        compose = group.compose
+        want = {
+            "product": self.sorted_set(group, (compose(x, y) for x in xs for y in ys)),
+            "inverse": self.sorted_set(group, map(group.inverse, xs)),
+            "power 0": [group.identity()],
+            "power 2": self.sorted_set(group, (compose(a, b) for a in ys for b in ys)),
+        }
+        got = {
+            "product": product_set(group, xs, ys),
+            "inverse": inverse_set(group, xs),
+            "power 0": power_set(group, ys, 0),
+            "power 2": power_set(group, ys, 2),
+        }
+        for name, rows_want in want.items():
+            assert isinstance(got[name], np.ndarray) == group.is_abelian, name
+            assert elements(got[name]) == rows_want, name
+
+
+class TestInverseSet:
+    def test_array_input(self):
+        cells = np.array([[3, -1], [0, 2], [3, -1]])
+        assert rows(inverse_set(Z2, cells)) == [(-3, 1), (0, -2)]
+        assert rows(inverse_set(Z2, [])) == []
+
+    def test_inverse_beyond_int64(self):
+        assert rows(inverse_set(Z, [(2**63 - 1,)])) == [(-2**63 + 1,)]
+        with pytest.raises(DescriptorMismatchError,
+                           match=f"inverse set leaves int64 at coordinate {2**63}"):
+            inverse_set(Z, [(0,), (-2**63,)])
 
 
 class TestNetBounds:
@@ -262,14 +332,14 @@ class TestPowers:
         group, base, n = case
         want = [[group.identity()]]
         for _ in range(n):
-            want.append(product_set(group, want[-1], base))
+            want.append(rows(product_set(group, want[-1], base)))
         got = groups._powers(group, base, n, 10**6, "test")
-        assert [[tuple(c) for c in p.tolist()] for p in got] == want
-        assert power_set(group, base, n) == want[n]
+        assert [rows(p) for p in got] == want
+        assert rows(power_set(group, base, n)) == want[n]
 
     def test_empty_base_and_cap(self):
         assert [len(p) for p in groups._powers(Z2, [], 3, 10, "test")] == [1, 0, 0, 0]
-        assert power_set(Z2, [], 0) == [(0, 0)]
-        assert power_set(Z, [(0,), (1,)], 3, cap=4) == interval(0, 3)
+        assert rows(power_set(Z2, [], 0)) == [(0, 0)]
+        assert rows(power_set(Z, [(0,), (1,)], 3, cap=4)) == interval(0, 3)
         with pytest.raises(ResourceLimitError, match="product set exceeded the support cap of 3"):
             power_set(Z, [(0,), (1,)], 3, cap=3)

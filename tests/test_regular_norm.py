@@ -67,6 +67,19 @@ class TestBergChristensen:
         raws = [v for _, v in est.sequence]
         assert all(b >= a - 1e-10 for a, b in zip(raws, raws[1:]))
 
+    def test_decrease_is_named_in_the_note(self):
+        # a drifting walk seen through F = {-1, 0, 1}: the terms fall from n = 2
+        mu = GroupMeasure(Z, {(1,): 0.9, (0,): 0.1})
+        est = berg_christensen_estimate(mu, F=[(-1,), (0,), (1,)], n_max=8)
+        raws = [v for _, v in est.sequence]
+        assert all(b < a - 1e-10 for a, b in zip(raws, raws[1:]))
+        assert est.note == (
+            "convolution-power sequence decreased at n = 2, 3, 4, 5, 6, 7, 8 "
+            f"(first {raws[0]:.12g} -> {raws[1]:.12g}); "
+            "monotonicity is only heuristic for this input")
+        flat = berg_christensen_estimate(GroupMeasure.simple_random_walk(Z), n_max=8)
+        assert flat.note == ""
+
     def test_value_below_total_mass(self):
         rng = np.random.default_rng(0)
         for _ in range(5):
