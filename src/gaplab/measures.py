@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DescriptorMismatchError, PreconditionError, ResourceLimitError
 from .groups import (
+    FREE,
     TORUS_GRID,
     Element,
     GroupDescriptor,
@@ -31,13 +32,15 @@ DEFAULT_SUPPORT_CAP = 10_000_000
 
 @dataclass(frozen=True)
 class GroupMeasure:
-    """A finite positive measure with finite support on a group."""
+    """A finite positive measure with finite support on a group.  Its atoms
+    are canonical: torus cells reduced mod N, free-group words reduced."""
 
     group: GroupDescriptor
     atoms: dict[Element, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        canonical = self.group.canonical if self.group.kind == TORUS_GRID else tuple
+        canonical = {TORUS_GRID: self.group.canonical,
+                     FREE: _reduce_word}.get(self.group.kind, tuple)
         clean = {}
         for g, w in self.atoms.items():
             if not math.isfinite(w):
@@ -46,7 +49,7 @@ class GroupMeasure:
                 raise PreconditionError(f"negative weight {w} at atom {g}")
             if w > 0:
                 g = canonical(g)
-                if g in clean:  # atoms on one torus cell mod N merge, in atom order
+                if g in clean:  # atoms on one element merge, in atom order
                     w = clean[g] + float(w)
                     if not math.isfinite(w):
                         raise PreconditionError(f"non-finite weight {w} at atom {g}")
@@ -146,10 +149,10 @@ def convolve(
     On the abelian kinds ``_convolve_arrays`` forms the pair sums at once
     in numpy, with each weight, and the order of the atoms (first formed
     first), that of the pair loop the free group still runs.  On the free
-    group each atom is reduced once, and a pair of reduced words cancels
-    only where they meet; free reduction is confluent, so each product is
-    ``compose(h, k)``.  As in ``GroupMeasure``, a non-finite weight raises
-    and weights that underflow to 0 are dropped.
+    group every atom is a reduced word, so a pair cancels only where the
+    words meet, and each product is ``compose(h, k)``.  As in
+    ``GroupMeasure``, a non-finite weight raises and weights that underflow
+    to 0 are dropped.
     """
     if a.group != b.group:
         raise DescriptorMismatchError(
@@ -160,12 +163,9 @@ def convolve(
         cells, weights = _convolve_arrays(g, *_arrays(a), *_arrays(b), cap)
         return _measure(g, dict(zip(map(tuple, cells.tolist()), weights.tolist())))
     out: dict[Element, float] = {}
-    # each atom is reduced once, and only where it forms a pair
-    right = [(_reduce_word(k), wb) for k, wb in b.atoms.items()] if a.atoms else []
     for h, wa in a.atoms.items():
-        h = _reduce_word(h) if right else h
         end = len(h)
-        for k, wb in right:
+        for k, wb in b.atoms.items():
             i, reach = 0, min(end, len(k))
             while i < reach and h[end - 1 - i] == -k[i]:
                 i += 1

@@ -76,7 +76,10 @@ def berg_christensen_estimate(
 
     Only eta^{*m} for m <= ceil(n_max/2) is built: each term comes from
     eta^{*n}(F) = sum_g eta^{*ceil(n/2)}(g) (1_F * (eta^{*floor(n/2)})^)(g),
-    so ``cap`` bounds the support of eta^{*ceil(n_max/2)}.
+    so ``cap`` bounds the support of eta^{*ceil(n_max/2)}.  When F is {e},
+    1_F * (eta^{*floor(n/2)})^ is (eta^{*floor(n/2)})^ itself, with the same
+    atoms in the same order and the same weights, so no convolution by the
+    point mass at e is formed: the walk convolves only for eta and at odd n.
 
     For the uniform measure on free-group generators with F = {e} the
     radial oracle replaces convolution powers (no exponential support
@@ -99,6 +102,7 @@ def berg_christensen_estimate(
         return _radial_estimate(mu, n_max)
 
     eta, indicator, conv, inv, pairing = _walk_steps(mu, F, n_max, cap)
+    at_e = set(F) == {group.identity()}  # then 1_F * x is x
     # high = eta^{*ceil(n/2)}; reach = 1_F * (eta^{*floor(n/2)})^
     high, reach = eta, indicator
     seq: list[tuple[int, float]] = []
@@ -109,7 +113,7 @@ def berg_christensen_estimate(
         with np.errstate(over="ignore"):
             for n in range(1, n_max + 1):
                 if n % 2 == 0:
-                    reach = conv(indicator, inv(high))
+                    reach = inv(high) if at_e else conv(indicator, inv(high))
                 elif n > 1:
                     high = conv(high, eta)
                 mass = pairing(high, reach)

@@ -13,7 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from gaplab import certificates, cli, koopman
+from gaplab import certificates, cli, koopman, nets
 from gaplab.cli import (
     _fmt,
     build_group,
@@ -799,6 +799,41 @@ class TestNetsExperiment:
         text = (out_dir / "nets_record.csv").read_text()
         assert '\n"assert:net ratios within [c1, c2]",true\n' in text
         assert "\nratio_c1," in text  # fields without commas stay bare
+
+
+def nets_rows_building_every_draw(count, seed):
+    """The sequence rows of ``run_nets`` with a net built for every draw,
+    and the set of distinct draws (dim, a_rad, b_rad, n)."""
+    rng = np.random.default_rng(seed)
+    out, draws = [], set()
+    for i in range(count):
+        dim = int(rng.integers(1, 3))
+        a_rad, b_rad = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        n = int(rng.integers(1, 6 // dim + 2))
+        draws.add((dim, a_rad, b_rad, n))
+        group = cli.GroupDescriptor(kind="lattice", dimension=dim)
+        span = cli.power_set(group, cli._box(dim, b_rad), n)
+        report = nets.verify_net_bounds(
+            nets.greedy_maximal_net(group, span, cli._box(dim, a_rad)))
+        out.append([i, dim, n, report.net_size,
+                    _fmt(report.packing_ok), _fmt(report.covering_ok)])
+    return out, draws
+
+
+class TestNetsOncePerDraw:
+    @pytest.mark.parametrize("count,seed,distinct", [(40, 1, 31), (100, 20250809, 39)])
+    def test_one_net_per_distinct_draw(self, count, seed, distinct):
+        cfg = {"experiment": "nets",
+               "params": {"count": count, "seed": seed, "ratio_n_max": 10}}
+        with mock.patch.object(nets, "greedy_maximal_net",
+                               wraps=nets.greedy_maximal_net) as spy:
+            res = cli.run_nets(cfg)
+        rows, draws = nets_rows_building_every_draw(count, seed)
+        assert len(draws) == distinct
+        assert res.sequence_rows == rows
+        # the ratio study nets B^1..B^10 once each with A1 = A2
+        assert spy.call_count == distinct + 10
+        assert res.passed
 
 
 class TestCertificateExperiment:

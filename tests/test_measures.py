@@ -218,8 +218,8 @@ PAIR_GROUPS = [
 
 
 def random_words(group, rng, n_atoms, reduced):
-    """A measure of random words of length 0..5 built directly, so that an
-    unreduced word stays an atom as it was given."""
+    """A measure of random words of length 0..5 built directly; unreduced
+    words are reduced, and merged in atom order, by ``GroupMeasure``."""
     letters = [s * i for i in range(1, group.dimension + 1) for s in (1, -1)]
     atoms = {}
     for _ in range(n_atoms):
@@ -276,14 +276,23 @@ class TestFreeConvolveOracle:
         # the identity is formed only as 1e-200 * 1e-200, which underflows to 0
         assert list(got.atoms) == [(3, 1), (-3,), (1,)]
 
-    def test_zero_letter_raises_only_when_a_pair_is_formed(self):
-        bad = GroupMeasure(F2, {(1, 0): 1.0})
+    def test_zero_letter_raises_at_construction(self):
         with pytest.raises(ValueError, match="letters must be nonzero"):
-            convolve(bad, GroupMeasure.point_mass(F2, (1,)))
+            GroupMeasure(F2, {(1, 0): 1.0})
         with pytest.raises(ValueError, match="letters must be nonzero"):
-            convolve(GroupMeasure.point_mass(F2, (1,)), bad)
-        assert len(convolve(bad, GroupMeasure(F2, {}))) == 0
-        assert len(convolve(GroupMeasure(F2, {}), bad)) == 0
+            GroupMeasure(F2, {(2,): 0.5, (0,): 0.5})
+        # an atom of weight 0 is dropped before its word is read
+        assert GroupMeasure(F2, {(1, 0): 0.0, (1,): 1.0}).atoms == {(1,): 1.0}
+
+    def test_unreduced_atoms_merge_at_construction(self):
+        mu = GroupMeasure(F2, {(1, -1): 0.5, (): 0.5})
+        assert list(mu.atoms.items()) == [((), 1.0)]
+        assert mu.support() == [()]
+        e = GroupMeasure.point_mass(F2, ())
+        assert bits(convolve(mu, e).atoms) == bits(mu.atoms)
+        # merged in atom order, at the position of the first word of each element
+        mu = GroupMeasure(F2, {(2, 1, -1): 0.25, (1,): 0.5, (-2, 2, 2): 0.125})
+        assert list(mu.atoms.items()) == [((2,), 0.375), ((1,), 0.5)]
 
 
 def brute_sum(group, h, k):

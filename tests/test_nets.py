@@ -273,6 +273,29 @@ class TestNetBounds:
         assert report.mu_A == pytest.approx(2 / 4)
         assert report.all_ok
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 13, 40])
+    def test_exact_packing_on_a_non_dyadic_grid(self, n):
+        # [-n, n] with A = {0, 1}: n + 1 points tile span A = [-n, n + 1]
+        grid = GroupDescriptor(kind="real-grid", dimension=1, resolution=3)
+        inst = greedy_maximal_net(grid, interval(-n, n), A=[(0,), (1,)])
+        report = verify_net_bounds(inst)
+        assert report.net_size * len(inst.A) == inst.span_a_cells == 2 * n + 2
+        assert report.packing_ok and report.covering_ok
+        volume = grid.cell_volume
+        assert (report.mu_A, report.mu_spanA) == (2 * volume, (2 * n + 2) * volume)
+        assert (report.mu_span, report.mu_AAinv) == ((2 * n + 1) * volume, 3 * volume)
+
+    def test_packing_is_compared_in_counts(self):
+        # three translates of a row of five tile span A exactly, but in
+        # floats 3 mu(A) exceeds mu(span A) by one rounding on a cell of 1/9
+        grid = GroupDescriptor(kind="real-grid", dimension=2, resolution=3)
+        inst = greedy_maximal_net(grid, [(0, 0), (5, 0), (10, 0)],
+                                  A=[(k, 0) for k in range(5)])
+        report = verify_net_bounds(inst)
+        assert report.net_size * len(inst.A) == inst.span_a_cells == 15
+        assert report.net_size * report.mu_A > report.mu_spanA
+        assert report.packing_ok and report.all_ok
+
 
 class TestRatioStudy:
     def test_trivial_base(self):
@@ -298,9 +321,48 @@ class TestRatioStudy:
         )
         assert study.within_bounds
 
+    @pytest.mark.parametrize("group,A1,A2,B,n_max,built", [
+        (Z, [(0,), (1,)], [(1,), (0,), (1,)], interval(-1, 1), 10, 10),
+        (Z, [(0,), (1,)], [(0,), (-1,), (1,)], interval(-1, 1), 10, 16),
+        (Z2, box(1), box(1)[::-1], box(1), 7, 7),
+        (Z2, box(1), [(0, 0), (1, 0), (0, 1)], box(1), 7, 10),
+        (GroupDescriptor(kind="torus-grid", dimension=1, size=11),
+         [(0,), (12,)], [(1,), (0,)], [(10,), (0,), (1,)], 6, 6),
+    ], ids=["z-same", "z-different", "z2-same", "z2-different", "torus-same-mod-n"])
+    def test_each_net_built_once(self, group, A1, A2, B, n_max, built):
+        n_range = range(3, n_max + 1)
+        with mock.patch.object(nets, "greedy_maximal_net",
+                               wraps=greedy_maximal_net) as spy:
+            study = net_ratio_study(group, A1=A1, A2=A2, B=B, n_range=n_range)
+        assert spy.call_count == built
+        assert study == ratio_study_building_every_net(group, A1, A2, B, n_range)
+
     def test_needs_n_at_least_three(self):
         with pytest.raises(PreconditionError):
             net_ratio_study(Z, A1=[(0,)], A2=[(0,)], B=[(0,)], n_range=[2, 3])
+
+
+def ratio_study_building_every_net(group, A1, A2, B, n_range):
+    """``net_ratio_study`` field by field, with both nets built at every n."""
+    volume = group.cell_volume
+    powers = groups._powers(group, B, max(n_range), 10**6, "test")
+    k1 = k2 = k3 = 0.0
+    ratios = {}
+    for n in n_range:
+        n1 = greedy_maximal_net(group, powers[n], A1)
+        n2 = greedy_maximal_net(group, powers[n - 2], A2)
+        mu_bn, mu_bn2 = len(n1.span) * volume, len(n2.span) * volume
+        k1 = max(k1, n1.span_a_cells * volume / mu_bn)
+        k2 = max(k2, n2.span_a_cells * volume / mu_bn)
+        k3 = max(k3, mu_bn / mu_bn2)
+        ratios[n] = len(n2.net) / len(n1.net)
+    mu_a1, mu_a2 = len(n1.A) * volume, len(n2.A) * volume
+    mu_a1a1, mu_a2a2 = len(n1.diffs) * volume, len(n2.diffs) * volume
+    c1 = mu_a1 / (k3 * k1 * mu_a2a2)
+    c2 = k2 * mu_a1a1 / mu_a2
+    within = all(c1 - 1e-12 <= r <= c2 + 1e-12 for r in ratios.values())
+    return nets.NetRatioStudy(ratios=ratios, c1=c1, c2=c2, k1=k1, k2=k2, k3=k3,
+                              within_bounds=within)
 
 
 POWER_GROUPS = [

@@ -20,7 +20,7 @@ from dict_oracles import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaplab import groups
+from gaplab import groups, measures
 from gaplab import (
     DescriptorMismatchError,
     GroupDescriptor,
@@ -316,6 +316,41 @@ class TestWalkRoutes:
             with mock.patch.object(norms, "_DENSE_RANGE", route):
                 assert pairing(eta, eta) == sum((weights * weights).tolist())
                 assert pairing(eta, (keys[:1], weights[:1])) == weights[0] ** 2
+
+
+class TestWalkAtIdentity:
+    """With F = {e} the walk forms 1_F * (eta^{*l})^ as (eta^{*l})^ itself:
+    the sequence is the dict walk's bit for bit, and a convolution runs only
+    for eta and at odd n."""
+
+    TORUS = GroupDescriptor(kind="torus-grid", dimension=2, size=9)
+
+    @pytest.mark.parametrize("mu,n_max", [
+        (GroupMeasure.simple_random_walk(Z), 40),
+        (GroupMeasure.from_atoms(Z, [((1,), 0.3), ((-2,), 0.45), ((3,), 0.25)]), 21),
+        (GroupMeasure.from_atoms(Z2, [((1, 0), 0.3), ((0, 2), 0.45),
+                                      ((-1, -1), 0.25)]), 12),
+        (GroupMeasure.from_atoms(TORUS, [((1, 0), 0.3), ((0, 2), 0.5), ((8, 8), 0.2)]), 13),
+        (GroupMeasure.from_atoms(F2, F2_NONUNIFORM), 5),
+    ], ids=["z-walk", "z-nonsymmetric", "z2-nonsymmetric", "torus2", "free-nonuniform"])
+    @pytest.mark.parametrize("extra", [False, True], ids=["e", "e-and-g"])
+    def test_matches_dict_walk_and_skips_even_steps(self, mu, n_max, extra):
+        group = mu.group
+        F = [group.identity()]
+        if extra:  # a second cell keeps the convolution by 1_F at even n
+            F.append(next(iter(mu.atoms)))
+        with mock.patch.object(norms, "convolve", wraps=convolve) as free, \
+                mock.patch.object(norms, "_convolve_keys",
+                                  wraps=norms._convolve_keys) as walk, \
+                mock.patch.object(measures, "_convolve_keys",
+                                  wraps=measures._convolve_keys) as first:
+            est = berg_christensen_estimate(mu, F=F, n_max=n_max)
+        assert est.sequence == dict_berg_christensen_sequence(mu, F, n_max)
+        calls = free.call_count + walk.call_count + first.call_count
+        # eta, then high * eta at each odd n > 1, and 1_F * high^ at each even n
+        assert calls == (n_max + 1) // 2 + (n_max // 2 if extra else 0)
+        if group.is_abelian:
+            assert (free.call_count, first.call_count) == (0, 1)
 
 
 class TestWalkInputs:
