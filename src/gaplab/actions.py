@@ -19,9 +19,12 @@ every power of it in the coordinates of its cycles.  Four kinds:
                             measure-exact under the product marginal),
 * ``finite-permutation`` -- an explicit permutation and its powers.
 
-The first two are one ``GridTranslationSpace`` on (Z/N)^d, d = 1 or 2,
-which also holds the translation geometry: cell balls and
-displacements.  The other two supply sigma only.
+The first two are one ``GridTranslationSpace`` on (Z/N)^d, d = 1 or 2.
+A space answers its own geometry: ``grid_shape`` (the grid sides, None
+without translation geometry), ``cell_ball`` and
+``separation_radius``, and a grid also its ``translations``.  The other
+two kinds supply sigma only, and their answers are None, single cells
+and radius 0.  Code outside this module asks a space, never its class.
 
 All action maps are bijections, so the cell weights are preserved exactly.
 """
@@ -29,6 +32,7 @@ All action maps are bijections, so the cell weights are preserved exactly.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from fractions import Fraction
 from functools import cached_property
@@ -240,6 +244,10 @@ class ActionSpace:
 
     # -- geometry ------------------------------------------------------------
 
+    #: the sides of the cell grid that the action translates, row-major;
+    #: None on a space without translation geometry
+    grid_shape: tuple[int, ...] | None = None
+
     def cell_ball(self, center: int, radius: int) -> np.ndarray:
         """Cells within grid distance ``radius`` of the center cell."""
         if radius == 0:
@@ -247,6 +255,11 @@ class ActionSpace:
         raise GridResolutionError(
             f"{self.kind} has no cell geometry beyond single cells"
         )
+
+    def separation_radius(self, separators: np.ndarray) -> int:
+        """Largest ball radius whose translates by the separator step
+        counts stay disjoint: single cells, on a space without geometry."""
+        return 0
 
 
 class GridTranslationSpace(ActionSpace):
@@ -260,35 +273,45 @@ class GridTranslationSpace(ActionSpace):
 
     def __init__(self, group: GroupDescriptor, n: int, step,
                  slope_target: float | None = None):
-        self.n = n
-        self.step = tuple(int(s) % n for s in step)
+        self.grid_shape = (n,) * len(step)
+        self.step = tuple(int(s) % side for s, side in zip(step, self.grid_shape))
         if not any(self.step):
             raise ConstructionError("translation step is trivial on this grid")
-        self.grid_shape = (n,) * len(self.step)
-        _check_cells(n ** len(self.step), " x ".join([str(n)] * len(self.step)))
+        _check_cells(math.prod(self.grid_shape), " x ".join(map(str, self.grid_shape)))
         self.slope_target = slope_target
         sigma = np.zeros((), dtype=np.int64)
-        for s in self.step:
-            sigma = sigma[..., None] * n + (np.arange(n, dtype=np.int64) + s) % n
+        for s, side in zip(self.step, self.grid_shape):
+            sigma = sigma[..., None] * side + (np.arange(side, dtype=np.int64) + s) % side
         kind = "circle-rotation" if len(self.step) == 1 else "torus-translation"
         super().__init__(group, kind, sigma.ravel())
+
+    def translations(self, steps) -> np.ndarray:
+        """The translation vector c * step, reduced mod the grid sides, of
+        each step count c: shape (len(steps), d)."""
+        return np.multiply.outer(np.asarray(steps, dtype=np.int64), self.step) % self.grid_shape
 
     def cell_ball(self, center, radius):
         if radius < 0:
             raise PreconditionError("radius must be >= 0")
         offs = np.arange(-radius, radius + 1, dtype=np.int64)
         cells = dist = np.zeros((), dtype=np.int64)
-        for c in np.unravel_index(int(center), self.grid_shape):
-            cells = cells[..., None] * self.n + (c + offs) % self.n
+        for c, side in zip(np.unravel_index(int(center), self.grid_shape), self.grid_shape):
+            cells = cells[..., None] * side + (c + offs) % side
             dist = dist[..., None] + offs * offs
         cells = np.sort(cells[dist <= radius * radius])
         # a ball wider than the grid meets itself
         return cells[_run_starts(cells)]
 
-    def min_displacement(self, steps) -> np.ndarray:
-        """Least torus distance by which each step count moves every cell."""
-        shift = np.multiply.outer(np.asarray(steps, dtype=np.int64), self.step) % self.n
-        return np.sqrt(np.square(np.minimum(shift, self.n - shift)).sum(axis=-1))
+    def separation_radius(self, separators):
+        """Below half the least torus distance by which a separator moves
+        every cell (none moves by 0: it would fix the base cell, which the
+        certificate walk rules out), or half the least side with none."""
+        if len(separators) == 0:
+            return min(self.grid_shape) // 2
+        shift = self.translations(separators)
+        shift = np.minimum(shift, np.subtract(self.grid_shape, shift))
+        dmin = np.sqrt(np.square(shift).sum(axis=-1)).min()
+        return max(math.ceil(dmin / 2) - 1, 0)
 
 
 def build_action(kind: str, group: GroupDescriptor | None = None, **params) -> ActionSpace:
@@ -302,35 +325,40 @@ def build_action(kind: str, group: GroupDescriptor | None = None, **params) -> A
     * bernoulli-window:  alphabet (default 2), window_radius
     * finite-permutation: permutation, weights (default equal)
 
-    The values are taken as given: ``cli.ACTIONS`` declares their types
-    and least values, which the CLI checks.  A ``torus-grid`` group of
-    size M drives sigma^c only when every cycle length of sigma divides M.
+    The integer fields are taken through ``operator.index``, so a float,
+    even a whole one, raises ``ConstructionError`` naming its field;
+    numpy integers pass.  ``cli.ACTIONS`` declares the types and least
+    values, which the CLI checks.  A ``torus-grid`` group of size M
+    drives sigma^c only when every cycle length of sigma divides M.
     """
     group = group or GroupDescriptor(kind="lattice", dimension=1)
     if group.dimension != 1 or group.kind == "free":
         raise ConstructionError("actions are driven by 1-d lattice or grid groups")
     if kind == "circle-rotation":
-        space = GridTranslationSpace(group, params["N"], (params.get("cells_per_step", 1),))
+        step = _integer(params.get("cells_per_step", 1), "cells_per_step")
+        space = GridTranslationSpace(group, _integer(params["N"], "N"), (step,))
     elif kind == "torus-translation":
         slope_target = params.get("slope_hint")
         if "step" in params:
             if "max_denominator" in params:
                 raise ConstructionError("max_denominator picks the convergent of "
                                         "slope_hint; it cannot come with step")
-            step = tuple(params["step"])
+            step = tuple(_integer(s, "step") for s in params["step"])
         elif slope_target is None:
             raise ConstructionError("torus-translation needs step=(q,p) or slope_hint")
         else:
-            p, q = continued_fraction_convergent(
-                slope_target, params.get("max_denominator", 128))
+            cap = _integer(params.get("max_denominator", 128), "max_denominator")
+            p, q = continued_fraction_convergent(slope_target, cap)
             step = (q, p)
         if len(step) != 2:
             raise ConstructionError(
                 f"translation step {step!r} must be a pair of integer cell counts"
             )
-        space = GridTranslationSpace(group, params["N"], step, slope_target=slope_target)
+        space = GridTranslationSpace(group, _integer(params["N"], "N"), step,
+                                     slope_target=slope_target)
     elif kind == "bernoulli-window":
-        alphabet, width = params.get("alphabet", 2), 2 * params["window_radius"] + 1
+        alphabet = _integer(params.get("alphabet", 2), "alphabet")
+        width = 2 * _integer(params["window_radius"], "window_radius") + 1
         # a window of 64 letters or more has at least 2^64 cells, beyond any
         # memory, and the capped power stays cheap for any width
         _check_cells(alphabet ** min(width, 64), f"{alphabet}^{width}")
@@ -338,7 +366,13 @@ def build_action(kind: str, group: GroupDescriptor | None = None, **params) -> A
     elif kind == "finite-permutation":
         cells = len(params["permutation"])
         _check_cells(cells, str(cells))
-        perm = np.asarray(params["permutation"], dtype=np.int64)
+        perm = np.asarray(params["permutation"])
+        if not perm.size:
+            raise ConstructionError("permutation must list at least one cell")
+        if perm.dtype.kind not in "iu":
+            raise ConstructionError(
+                f"permutation must list integer cells, got dtype {perm.dtype}")
+        perm = perm.astype(np.int64)
         if not np.array_equal(np.sort(perm), np.arange(perm.size)):
             raise ConstructionError("permutation must be a bijection on 0..n-1")
         space = ActionSpace(group, kind, perm, params.get("weights"))
@@ -357,6 +391,14 @@ def build_action(kind: str, group: GroupDescriptor | None = None, **params) -> A
             f"all divide {group.size}"
         )
     return space
+
+
+def _integer(value, field: str) -> int:
+    """An integer field as a Python int, through ``operator.index``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConstructionError(f"{field} must be an integer, got {value!r}") from None
 
 
 def _window_rotation(alphabet: int, width: int) -> np.ndarray:

@@ -29,13 +29,12 @@ which its FFT reads it.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import ActionSpace, GridTranslationSpace
+from .actions import ActionSpace
 from .errors import DescriptorMismatchError, GridResolutionError, PreconditionError
 from .groups import GroupDescriptor, _powers
 from .measures import (
@@ -436,7 +435,7 @@ def _orbit_segments(space: ActionSpace, x0: int, steps: np.ndarray,
     segments, radius = [], None
     for n in range(1, n_max + 1):
         separators = np.setdiff1d(powers[2 * n - 2], steps, assume_unique=True)
-        r_cap = _separation_radius(space, separators)
+        r_cap = space.separation_radius(separators)
         # S^{2n} only grows with n, so the admissible radius cannot grow
         if radius is not None:
             r_cap = min(r_cap, radius)
@@ -451,23 +450,6 @@ def _orbit_segments(space: ActionSpace, x0: int, steps: np.ndarray,
         radius, ball, swept = accepted
         segments.append((_arc_segments(space, powers[n], ball), swept))
     return segments
-
-
-def _separation_radius(space: ActionSpace, separators: np.ndarray) -> int:
-    """Largest ball radius whose separator translates stay disjoint: below
-    half the least separator displacement on a translation grid, single
-    cells elsewhere.
-
-    No separator displaces by zero: it would fix the base cell, and the
-    separators lie in S^{2 n_max}, which the caller has checked for atoms
-    that do.
-    """
-    if not isinstance(space, GridTranslationSpace):
-        return 0
-    if len(separators) == 0:
-        return min(space.grid_shape) // 2
-    dmin = space.min_displacement(separators).min()
-    return max(int(math.ceil(dmin / 2.0)) - 1, 0)
 
 
 def _largest_mass_admissible_radius(

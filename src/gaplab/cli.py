@@ -334,7 +334,6 @@ def _put_spectrum(res: RunResult, disc: DiscrepancyResult) -> str:
 
 
 def run_koopman_norm(cfg: dict) -> RunResult:
-    from .actions import GridTranslationSpace
     from .koopman import character_line_scan, character_norm, discrepancy
 
     res = RunResult("koopman-norm")
@@ -352,10 +351,10 @@ def run_koopman_norm(cfg: dict) -> RunResult:
         res.note(disc.trivial_note)
     res.check("discrepancy <= total mass + tol",
               disc.value <= mu.total_mass + tol)
-    if isinstance(space, GridTranslationSpace):
-        # a cutoff of half the grid side spans the grid dual
+    if space.grid_shape is not None:
+        # recorded, not passed: the grid dual's frequencies reach half a side
         cutoff = max(space.grid_shape) // 2
-        char = character_norm(space, mu, cutoff)
+        char = character_norm(space, mu)
         res.put("character_norm", char)
         res.put("freq_cutoff", cutoff)
         res.note(f"character oracle = {_fmt(char)} at cutoff {cutoff}")
@@ -510,7 +509,7 @@ def run_margulis_demo(cfg: dict) -> RunResult:
     group = GroupDescriptor(kind="real-grid", dimension=1, resolution=n)
     mu = GroupMeasure.uniform_interval(group, 0.0, 1.0, closed=False)
     space = build_action("circle-rotation", group=group, N=n, cells_per_step=1)
-    char = character_norm(space, mu, n // 2)
+    char = character_norm(space, mu)
     report = verify_lower_bound(space, mu, tol=p["tol"])
     delta, lam = report.delta, report.regular_norm
     res.put("N", n)

@@ -6,9 +6,10 @@ functions.  Every action here is c -> sigma^c for one cell permutation
 sigma, and the cell weights are constant on the cycles of sigma, so the
 averaging operator is a direct sum of circulants, one per cycle, and the
 discrepancy is read off their eigenvalues exactly (circulant
-diagonalization; P. J. Davis, *Circulant Matrices*, 1979).  For
-translation actions the character oracle diagonalizes the whole cell
-grid instead and serves as an independent check.
+diagonalization; P. J. Davis, *Circulant Matrices*, 1979).  For a
+space with a ``grid_shape`` (a translation action) the character oracle
+diagonalizes the whole cell grid instead, over every frequency of its
+dual, and serves as an independent check.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .actions import ActionSpace, GridTranslationSpace
+from .actions import ActionSpace
 from .errors import DescriptorMismatchError, PreconditionError, UnsupportedKindError
 from .measures import GroupMeasure
 from .regular_norm import amenable_norm
@@ -85,44 +86,32 @@ def discrepancy(space: ActionSpace, mu: GroupMeasure) -> DiscrepancyResult:
     return DiscrepancyResult(float(mags[k]), 1, (length, k + 1))
 
 
-def character_norm(space: ActionSpace, mu: GroupMeasure, freq_cutoff: int) -> float:
+def character_norm(space: ActionSpace, mu: GroupMeasure) -> float:
     """Exact diagonalization bound for translation actions.
 
     The eigenvalue of the averaging operator at the character m of the
     cell grid is mu-hat evaluated along the translation vectors; the
-    returned value is the max of |eigenvalue| over nonzero characters
-    with sup-norm at most ``freq_cutoff``.  With ``freq_cutoff`` spanning
-    the grid dual this equals the discrepancy of the discretized action
-    exactly.  The value is clamped at the total mass, which bounds every
-    |mu-hat| exactly.
+    returned value is the max of |eigenvalue| over every nonzero
+    character of the grid, which equals the discrepancy of the
+    discretized action exactly.  The value is clamped at the total mass,
+    which bounds every |mu-hat| exactly.
     """
-    if not isinstance(space, GridTranslationSpace):
+    if space.grid_shape is None:
         raise UnsupportedKindError(
             f"character oracle needs a translation action, got {space.kind}"
         )
     if mu.group != space.group:
         raise DescriptorMismatchError("measure and action space group mismatch")
-    shape = space.grid_shape
     support = mu.support()
-    # the translation vector of c is c * step mod N; np.add.at adds the
-    # weights one by one in support order, so atoms that land on one cell
-    # always sum in the same order
-    vectors = np.multiply.outer(space.steps(support), space.step) % space.n
-    mass_grid = np.zeros(shape)
+    # np.add.at adds the weights one by one in support order, so atoms
+    # that land on one cell always sum in the same order
+    vectors = space.translations(space.steps(support))
+    mass_grid = np.zeros(space.grid_shape)
     np.add.at(mass_grid, tuple(vectors.T), [mu.atoms[g] for g in support])
-    spectrum = np.fft.fftn(mass_grid)
-    mags = np.abs(spectrum)
-    # the mask of each axis broadcast along the others, with no grid of
-    # frequencies
-    keep = np.ones(shape, dtype=bool)
-    for axis, m in enumerate(shape):
-        near = np.abs(np.fft.fftfreq(m, d=1.0 / m).astype(np.int64)) <= freq_cutoff
-        keep &= near.reshape((m,) + (1,) * (len(shape) - 1 - axis))
-    keep.flat[0] = False  # exclude the trivial character
-    if not keep.any():
-        raise PreconditionError("freq_cutoff excludes every nonzero character")
+    # the first entry is the trivial character
+    mags = np.abs(np.fft.fftn(mass_grid)).ravel()[1:]
     # |mu^(chi)| <= mu(G) exactly; the FFT can round a hair above it
-    return min(float(mags.max(where=keep, initial=0.0)), mu.total_mass)
+    return min(float(mags.max()), mu.total_mass)
 
 
 def character_line_scan(

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import DescriptorMismatchError, PreconditionError, ResourceLimitError
 from .groups import (
     FREE,
-    TORUS_GRID,
     Element,
     GroupDescriptor,
     KeyBox,
@@ -33,14 +32,17 @@ DEFAULT_SUPPORT_CAP = 10_000_000
 @dataclass(frozen=True)
 class GroupMeasure:
     """A finite positive measure with finite support on a group.  Its atoms
-    are canonical: torus cells reduced mod N, free-group words reduced."""
+    are canonical elements of the group: torus cells reduced mod N,
+    free-group words reduced, each checked by ``group.element``."""
 
     group: GroupDescriptor
     atoms: dict[Element, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        canonical = {TORUS_GRID: self.group.canonical,
-                     FREE: _reduce_word}.get(self.group.kind, tuple)
+        # free-group words are reduced first; ``element`` then reduces torus
+        # cells mod N and checks every atom against the group
+        reduce = _reduce_word if self.group.kind == FREE else tuple
+        element = self.group.element
         clean = {}
         for g, w in self.atoms.items():
             if not math.isfinite(w):
@@ -48,7 +50,7 @@ class GroupMeasure:
             if w < 0:
                 raise PreconditionError(f"negative weight {w} at atom {g}")
             if w > 0:
-                g = canonical(g)
+                g = element(reduce(g))
                 if g in clean:  # atoms on one element merge, in atom order
                     w = clean[g] + float(w)
                     if not math.isfinite(w):

@@ -304,6 +304,34 @@ def test_permutation_must_be_a_bijection():
             build_action("finite-permutation", group=Z, permutation=perm)
 
 
+@pytest.mark.parametrize("kind,kw,field", [
+    ("torus-translation", dict(N=16.5, step=(3, 5)), "N"),
+    ("torus-translation", dict(N=16, step=(3.7, 5)), "step"),
+    ("torus-translation", dict(N=16, slope_hint=0.6, max_denominator=8.5),
+     "max_denominator"),
+    ("circle-rotation", dict(N=16, cells_per_step=2.5), "cells_per_step"),
+    ("bernoulli-window", dict(window_radius=1.5), "window_radius"),
+    ("bernoulli-window", dict(alphabet=2.5, window_radius=1), "alphabet"),
+    ("finite-permutation", dict(permutation=[1.7, 0.2, 2.9]), "permutation"),
+])
+def test_integer_fields_refuse_other_numbers(kind, kw, field):
+    with pytest.raises(ConstructionError, match=f"^{field} must "):
+        build_action(kind, group=Z, **kw)
+
+
+def test_integer_fields_take_numpy_integers():
+    space = build_action("torus-translation", group=Z, N=np.int64(16),
+                         step=(np.int32(-3), np.uint8(21)))
+    assert space.grid_shape == (16, 16)
+    assert space.step == (13, 5)
+    assert all(type(s) is int for s in space.grid_shape + space.step)
+    space = build_action("finite-permutation", group=Z,
+                         permutation=np.array([1, 0, 2], dtype=np.uint8))
+    assert space.cycle_lengths() == {1: 1, 2: 1}
+    with pytest.raises(ConstructionError, match="at least one cell"):
+        build_action("finite-permutation", group=Z, permutation=[])
+
+
 def sigma_of(space):
     return space.act_indices(1, np.arange(space.n_cells)).tolist()
 

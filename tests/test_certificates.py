@@ -486,6 +486,9 @@ class TestCellBall:
 
 
 class TestMinDisplacement:
+    """The translation of each step count and the least distance it moves
+    every cell, against a search over the lifts of c * step."""
+
     @staticmethod
     def least_distance(vector, n):
         """Least length of vector - n m over integer vectors m, by search."""
@@ -504,11 +507,52 @@ class TestMinDisplacement:
     def test_against_least_torus_distance(self, n, step):
         space = GridTranslationSpace(Z, n, step)
         counts = np.arange(-3 * n, 3 * n + 1)
-        got = space.min_displacement(counts)
-        assert got.shape == counts.shape
-        for c, d in zip(counts.tolist(), got.tolist()):
-            assert d == self.least_distance([c * s for s in step], n), c
-        assert got[counts % n == 0].max() == 0.0
+        shift = space.translations(counts)
+        assert shift.shape == (counts.size, len(step))
+        assert ((0 <= shift) & (shift < n)).all()
+        moved = []
+        for c, vector in zip(counts.tolist(), shift.tolist()):
+            assert all((v - c * s) % n == 0 for v, s in zip(vector, step)), c
+            moved.append(self.least_distance([c * s for s in step], n))
+            assert self.least_distance(vector, n) == moved[-1], c
+        # the separators displace every cell: each is a step count that
+        # fixes none
+        moved = np.array(moved)
+        separators = counts[moved > 0]
+        radius = space.separation_radius(separators)
+        assert radius == max(math.ceil(moved[moved > 0].min() / 2) - 1, 0)
+        ball = set(space.cell_ball(0, radius).tolist())
+        for c in separators[:n].tolist():
+            assert ball.isdisjoint(space.act_indices(c, np.array(sorted(ball)))), c
+        assert space.separation_radius(counts[:0]) == n // 2
+
+    def test_no_geometry_separates_single_cells(self):
+        space = build_action("bernoulli-window", group=Z, alphabet=2,
+                             window_radius=1)
+        assert space.grid_shape is None
+        assert space.separation_radius(np.array([1, 2])) == 0
+
+    # step components below 0 and at least N
+    @pytest.mark.parametrize("n,step", [(16, (-3, 21)), (16, (35,)), (9, (-10, 22))])
+    def test_steps_beyond_the_grid(self, n, step):
+        space = GridTranslationSpace(Z, n, step)
+        assert space.grid_shape == (n,) * len(step)
+        assert space.step == tuple(s % n for s in step)
+        cells = np.arange(space.n_cells)
+        coords = np.stack(np.unravel_index(cells, space.grid_shape), axis=-1)
+        for c in (1, -1, 5):
+            moved = np.stack(np.unravel_index(space.act_indices(c, cells),
+                                              space.grid_shape), axis=-1)
+            want = self.least_distance([c * s for s in step], n)
+            for x, y in zip(coords.tolist(), moved.tolist()):
+                assert all((b - a - c * s) % n == 0 for a, b, s in zip(x, y, step))
+                assert self.least_distance([b - a for a, b in zip(x, y)], n) == want
+        center = space.n_cells // 2 + 1
+        for radius in range(n + 1):
+            want = [cell for cell, x in zip(cells.tolist(), coords.tolist())
+                    if self.least_distance([a - b for a, b in zip(
+                        x, coords[center].tolist())], n) <= radius]
+            assert space.cell_ball(center, radius).tolist() == want, radius
 
 
 def two_gallop_search(space, thickening, x0, r_cap, downward):
@@ -588,7 +632,7 @@ class TestOrbitNeighborhoodSequence:
         for n in range(1, n_max + 1):
             separators = [g for g in power_set(space.group, S, 2 * n - 2)
                           if g not in S]
-            r_cap = certificates._separation_radius(space, space.steps(separators))
+            r_cap = space.separation_radius(space.steps(separators))
             thickening = space.steps(power_set(space.group, S, 2 * n))
             masses = [space.weights[arc_mask(space, thickening,
                                              space.cell_ball(x0, r))].sum()
@@ -648,7 +692,7 @@ class TestOrbitNeighborhoodSequence:
         scanned = []
         for n in range(1, n_max + 1):
             separators = np.setdiff1d(powers[2 * n - 2], powers[1])
-            r_cap = certificates._separation_radius(space, separators)
+            r_cap = space.separation_radius(separators)
             radius = 0
             while radius < r_cap and space.weights[arc_mask(
                     space, powers[2 * n], space.cell_ball(x0, radius + 1))].sum() < 0.5:

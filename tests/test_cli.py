@@ -457,6 +457,9 @@ CONFIG_FAULTS = [
      "measure: total mass must be positive"),
     ({**SWEEP, "grid": {"params.n_max": [3], "params.method": []}},
      "grid.params.method: needs at least one value"),
+    # an empty permutation has no cell to carry the weight
+    ({**KOOPMAN, "action": {"kind": "finite-permutation", "permutation": []}},
+     "action: permutation must list at least one cell"),
 ]
 
 

@@ -260,7 +260,7 @@ class TestDiscrepancy:
         n, p = 987, 610
         space = build_action("circle-rotation", group=Z, N=n, cells_per_step=p)
         mu = GroupMeasure.simple_random_walk(Z)
-        char = character_norm(space, mu, n // 2)
+        char = character_norm(space, mu)
         # oracle: eigenvalues are cos(2 pi m p / n), enumerated directly
         m = np.arange(1, n)
         expect = float(np.abs(np.cos(2 * np.pi * m * p / n)).max())
@@ -305,11 +305,11 @@ class TestCharacterNorm:
                              step=(29, 41), slope_hint=SQRT2)
         mu = GroupMeasure.uniform_interval(grid, -1.0, 1.0)
         assert mu.total_mass == 1.0
-        assert character_norm(space, mu, 128) == 1.0
+        assert character_norm(space, mu) == 1.0
 
     def test_identity_measure(self):
         space = build_action("circle-rotation", group=Z, N=16, cells_per_step=3)
-        assert character_norm(space, GroupMeasure.point_mass(Z, (0,)), 1) == (
+        assert character_norm(space, GroupMeasure.point_mass(Z, (0,))) == (
             pytest.approx(1.0, abs=1e-12)
         )
 
@@ -318,13 +318,13 @@ class TestCharacterNorm:
         grid = time_grid(n)
         mu = GroupMeasure.uniform_interval(grid, 0.0, 1.0, closed=False)
         space = build_action("circle-rotation", group=grid, N=n, cells_per_step=1)
-        assert character_norm(space, mu, n // 2) <= 1e-10
+        assert character_norm(space, mu) <= 1e-10
 
     def test_unsupported_kind(self):
         space = build_action("bernoulli-window", group=Z, alphabet=2,
                             window_radius=1)
         with pytest.raises(UnsupportedKindError):
-            character_norm(space, GroupMeasure.simple_random_walk(Z), 4)
+            character_norm(space, GroupMeasure.simple_random_walk(Z))
 
     def test_agreement_with_discrepancy_on_full_dual(self):
         space = build_action("torus-translation", group=time_grid(2),
@@ -332,7 +332,7 @@ class TestCharacterNorm:
         mu = GroupMeasure.from_atoms(
             time_grid(2), [((1,), 0.4), ((-1,), 0.4), ((0,), 0.2)]
         )
-        char = character_norm(space, mu, 16)
+        char = character_norm(space, mu)
         disc = discrepancy(space, mu).value
         assert disc == pytest.approx(char, abs=1e-6)
 
@@ -455,7 +455,7 @@ class TestCycleTypeAlone:
                              step=(29, 41), slope_hint=SQRT2)
         mu = GroupMeasure.uniform_interval(grid, -1.0, 1.0)
         discrepancy(space, mu)
-        character_norm(space, mu, 32)
+        character_norm(space, mu)
         character_line_scan(mu, space.slope_target, 100)
         assert not coordinates_built(space)
 

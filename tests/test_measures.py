@@ -98,6 +98,19 @@ class TestOutsideElements:
         with pytest.raises(DescriptorMismatchError, match=message):
             GroupMeasure.point_mass(group, g)
 
+    def test_direct_construction_checks_every_atom(self):
+        with pytest.raises(DescriptorMismatchError, match="got 3"):
+            GroupMeasure(F2, {(3,): 0.5, (1,): 0.5})
+        with pytest.raises(DescriptorMismatchError, match="integer coordinates"):
+            GroupMeasure(Z, {(1.5,): 1.0})
+        # refused where it is built, not by a reshape inside convolve
+        with pytest.raises(DescriptorMismatchError, match="takes elements of length 1"):
+            GroupMeasure(Z, {(1, 2): 1.0})
+        # a word is reduced before it is checked, a torus cell reduced mod N
+        assert GroupMeasure(F2, {(2, 1, -1): 1.0}).atoms == {(2,): 1.0}
+        torus = GroupDescriptor(kind="torus-grid", dimension=1, size=8)
+        assert GroupMeasure(torus, {(np.int64(-1),): 1.0}).atoms == {(7,): 1.0}
+
     def test_members_accepted(self):
         torus = GroupDescriptor(kind="torus-grid", dimension=1, size=16)
         assert GroupMeasure.point_mass(torus, [17]).atoms == {(1,): 1.0}

@@ -236,3 +236,49 @@ def unreached_private_functions(root: Path) -> list[str]:
 def test_every_private_function_is_reached():
     """A private helper that only tests call belongs in tests/, not in src."""
     assert unreached_private_functions(ROOT) == []
+
+
+def space_type_checks(root: Path) -> list[str]:
+    """The ``isinstance`` calls of ``src/gaplab`` outside ``actions.py``
+    whose class argument names a class defined in ``actions.py``, as
+    ``module:line``: a space answers its own geometry instead."""
+    package = root / "src" / "gaplab"
+    classes = {node.name for node in ast.parse((package / "actions.py").read_text()).body
+               if isinstance(node, ast.ClassDef)}
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "actions.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2):
+                continue
+            kinds = node.args[1]
+            for kind in kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]:
+                name = kind.attr if isinstance(kind, ast.Attribute) else getattr(kind, "id", None)
+                if name in classes:
+                    found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_no_type_check_on_a_space_outside_actions():
+    """Code outside ``actions.py`` asks a space, not its class."""
+    assert space_type_checks(ROOT) == []
+
+
+def test_a_type_check_on_a_space_is_found(tmp_path):
+    """A bare name, a module attribute and a tuple entry are found; a
+    class of another module is not."""
+    package = tmp_path / "src" / "gaplab"
+    package.mkdir(parents=True)
+    (package / "actions.py").write_text("class Space:\n    pass\n\n\nclass Grid(Space):\n"
+                                        "    pass\n")
+    (package / "user.py").write_text(textwrap.dedent('''
+        from . import actions
+        from .actions import Grid, Space
+
+        def f(x):
+            return (isinstance(x, Grid), isinstance(x, actions.Space),
+                    isinstance(x, (int, Space)), isinstance(x, dict))
+        '''))
+    assert space_type_checks(tmp_path) == ["user:6", "user:6", "user:7"]
