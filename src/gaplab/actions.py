@@ -394,11 +394,14 @@ def build_action(kind: str, group: GroupDescriptor | None = None, **params) -> A
 
 
 def _integer(value, field: str) -> int:
-    """An integer field as a Python int, through ``operator.index``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConstructionError(f"{field} must be an integer, got {value!r}") from None
+    """An integer field as a Python int, through ``operator.index``; a
+    ``bool`` is not taken for 0 or 1."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConstructionError(f"{field} must be an integer, got {value!r}")
 
 
 def _window_rotation(alphabet: int, width: int) -> np.ndarray:

@@ -392,6 +392,16 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return keys[_run_starts(keys)]
 
 
+def _contains(ordered: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per value, whether the nondecreasing array ``ordered`` holds it, by
+    one binary search (``np.isin`` and ``np.setdiff1d`` hash or sort both
+    sides first: 2 to 3 times slower on short step arrays, numpy 2.4)."""
+    if not len(ordered):
+        return np.zeros(np.shape(values), dtype=bool)
+    at = np.searchsorted(ordered, values)
+    return ordered[np.minimum(at, len(ordered) - 1)] == values
+
+
 def _check_cap(size: int, cap: int, what: str) -> None:
     if size > cap:
         raise ResourceLimitError(f"{what} exceeded the support cap of {cap} elements")

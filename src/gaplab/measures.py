@@ -16,6 +16,7 @@ import numpy as np
 from .errors import DescriptorMismatchError, PreconditionError, ResourceLimitError
 from .groups import (
     FREE,
+    TORUS_GRID,
     Element,
     GroupDescriptor,
     KeyBox,
@@ -43,36 +44,28 @@ class GroupMeasure:
         # cells mod N and checks every atom against the group
         reduce = _reduce_word if self.group.kind == FREE else tuple
         element = self.group.element
-        clean = {}
-        for g, w in self.atoms.items():
-            if not math.isfinite(w):
-                raise PreconditionError(f"non-finite weight {w} at atom {g}")
-            if w < 0:
-                raise PreconditionError(f"negative weight {w} at atom {g}")
-            if w > 0:
-                g = element(reduce(g))
-                if g in clean:  # atoms on one element merge, in atom order
-                    w = clean[g] + float(w)
-                    if not math.isfinite(w):
-                        raise PreconditionError(f"non-finite weight {w} at atom {g}")
-                clean[g] = float(w)
-        object.__setattr__(self, "atoms", clean)
+        object.__setattr__(self, "atoms",
+                           _checked_atoms(self.atoms, lambda g: element(reduce(g))))
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def point_mass(cls, group: GroupDescriptor, g: Element, mass: float = 1.0):
-        return cls(group, {group.element(g): mass})
+        return cls.from_atoms(group, [(g, mass)])
 
     @classmethod
     def from_atoms(cls, group: GroupDescriptor, pairs):
         """The measure with the given (element, weight) pairs, weights on
-        one element added; each element is checked by ``group.element``."""
+        one element added.  Each element is checked once, by
+        ``group.element``, which rejects an unreduced word where the
+        constructor would reduce it; the merged weights are then checked
+        as the constructor checks them."""
+        element = group.element
         atoms: dict[Element, float] = {}
         for g, w in pairs:
-            g = group.element(g)
+            g = element(g)
             atoms[g] = atoms.get(g, 0.0) + float(w)
-        return cls(group, atoms)
+        return _measure(group, _checked_atoms(atoms))
 
     @classmethod
     def uniform_on(cls, group: GroupDescriptor, elements, total: float = 1.0):
@@ -137,6 +130,29 @@ class GroupMeasure:
 
     def __len__(self) -> int:
         return len(self.atoms)
+
+
+def _checked_atoms(atoms: dict, canonical=None) -> dict:
+    """The atoms with finite nonnegative weights as floats, zero weights
+    dropped; a non-finite or negative weight raises, naming its atom.
+    ``canonical`` maps each kept atom to its element, and atoms on one
+    element merge, in atom order; without it the atoms are already
+    distinct canonical elements."""
+    clean = {}
+    for g, w in atoms.items():
+        if not math.isfinite(w):
+            raise PreconditionError(f"non-finite weight {w} at atom {g}")
+        if w < 0:
+            raise PreconditionError(f"negative weight {w} at atom {g}")
+        if w > 0:
+            if canonical is not None:
+                g = canonical(g)
+            if g in clean:
+                w = clean[g] + float(w)
+                if not math.isfinite(w):
+                    raise PreconditionError(f"non-finite weight {w} at atom {g}")
+            clean[g] = float(w)
+    return clean
 
 
 # -- operations -----------------------------------------------------------
@@ -234,6 +250,33 @@ def _convolve_keys(box: KeyBox, keys_a, w_a, keys_b, w_b, cap: int):
         raise PreconditionError(f"non-finite weight {weights[bad][0]} at atom {tuple(g)}")
     keep = weights > 0
     return keys[keep], weights[keep]
+
+
+def _walk_box(group: GroupDescriptor, eta_cells, f_cells, high: int, low: int,
+              what: str) -> KeyBox:
+    """One key box for every measure of a walk by eta: the torus, or the
+    cells within max(high e, |F| + low e) of 0 on each axis, e the reach
+    of eta and |F| that of the cells ``f_cells`` on that axis, so that
+    eta^{*high} and 1_F * (eta^{*low})^ fit.  Its size grows with the
+    depth times the spread of eta, not with where eta lies.  In the box,
+    key(x) + key(y) - key(0) is the key of x + y."""
+    if group.kind == TORUS_GRID:
+        return KeyBox.torus(group, what)
+    # in Python ints: a reach times the depth may leave int64
+    far = [max(-lo, hi) for lo, hi in zip(eta_cells.min(axis=0, initial=0).tolist(),
+                                          eta_cells.max(axis=0, initial=0).tolist())]
+    f_far = [max(-lo, hi) for lo, hi in zip(f_cells.min(axis=0, initial=0).tolist(),
+                                            f_cells.max(axis=0, initial=0).tolist())]
+    radius = [max(high * e, f + low * e) for e, f in zip(far, f_far)]
+    return KeyBox(group, [-r for r in radius], radius, what)
+
+
+def _fold_sum(values) -> float:
+    """The sum of ``values`` added one by one from the left, 0.0 for none.
+    ``sum()`` of floats compensates since Python 3.12 and ``np.sum`` adds
+    pairwise; both move the last digit of a sum whose order is fixed."""
+    values = np.asarray(values, dtype=float)
+    return float(np.add.accumulate(values)[-1]) if values.size else 0.0
 
 
 def involute(a: GroupMeasure) -> GroupMeasure:

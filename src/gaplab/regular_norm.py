@@ -20,9 +20,7 @@ from .errors import PreconditionError, ResourceLimitError, UnsupportedKindError
 from .groups import (
     _DENSE_RANGE,
     FREE,
-    TORUS_GRID,
     GroupDescriptor,
-    KeyBox,
     _coordinates,
 )
 from .measures import (
@@ -31,6 +29,8 @@ from .measures import (
     _arrays,
     _convolve_arrays,
     _convolve_keys,
+    _fold_sum,
+    _walk_box,
     convolve,
     involute,
 )
@@ -146,25 +146,30 @@ def _walk_steps(mu: GroupMeasure, F: list, n_max: int, cap: int):
     kind: eta = mu * mu^ and 1_F as ``GroupMeasure``s for the free group, as
     (keys, weights) arrays in one ``KeyBox`` for the abelian kinds, where
     ``_convolve_keys`` keeps each power in first-formed order.
-    ``pairing(high, reach)`` is sum_g high(g) reach(g), added one by one in
-    the atom order of ``high``: ``np.sum`` adds pairwise, and moves the last
-    digit.  On the abelian kinds it reads reach at the keys of high from one
-    float array over the box, allocated on first use, while the box holds at
-    most ``_DENSE_RANGE`` cells per pair of the step high * eta (the pairing
-    writes reach's weights and zeroes them after the gather); in a wider box
-    it finds each key of high among reach's by binary search."""
+    ``pairing(high, reach)`` is sum_g high(g) reach(g) on both branches: the
+    products high(g) reach(g), in the atom order of ``high``, are added one
+    by one from the left by ``_fold_sum``, so that ((p_1 + p_2) + p_3) + ...
+    has the same digits on every Python.  On the abelian kinds it reads
+    reach at the keys of high from one float array over the box, allocated
+    on first use, while the box holds at most ``_DENSE_RANGE`` cells per
+    pair of the step high * eta (the pairing writes reach's weights and
+    zeroes them after the gather); in a wider box it finds each key of high
+    among reach's by binary search.  The box is ``measures._walk_box``,
+    which the certificate walk shares."""
     group = mu.group
     indicator = GroupMeasure(group, dict.fromkeys(F, 1.0))
     if not group.is_abelian:
         return (convolve(mu, involute(mu), cap=cap), indicator,
                 lambda a, b: convolve(a, b, cap=cap), involute,
-                lambda h, r: sum(w * r.atoms.get(g, 0.0) for g, w in h.atoms.items()))
+                lambda h, r: _fold_sum([w * r.atoms.get(g, 0.0)
+                                        for g, w in h.atoms.items()]))
 
     cells, weights = _arrays(mu)
     eta_cells, eta_weights = _convolve_arrays(group, cells, weights, -cells, weights, cap)
     f_cells, f_weights = _arrays(indicator)
     f_cells = _coordinates(group, f_cells, "convolution")
-    box = _walk_box(group, eta_cells, f_cells, n_max)
+    box = _walk_box(group, eta_cells, f_cells, (n_max + 1) // 2, n_max // 2,
+                    "Berg-Christensen walk")
     box_cells = math.prod(box.widths.tolist())
     zero = box.keys(np.zeros(group.dimension, dtype=np.int64))
     lookup = None  # the float array over the box, once allocated
@@ -182,7 +187,7 @@ def _walk_steps(mu: GroupMeasure, F: list, n_max: int, cap: int):
         nonlocal lookup
         (keys, weights), (reach_keys, reach_weights) = high, reach
         if not len(reach_keys):  # then high is empty too
-            return 0
+            return 0.0
         if box_cells <= _DENSE_RANGE * len(keys) * len(eta_cells):
             if lookup is None:
                 lookup = np.zeros(box_cells)
@@ -193,29 +198,10 @@ def _walk_steps(mu: GroupMeasure, F: list, n_max: int, cap: int):
             order = np.argsort(reach_keys)
             at = order[np.searchsorted(reach_keys, keys, sorter=order).clip(max=len(order) - 1)]
             found = np.where(reach_keys[at] == keys, reach_weights[at], 0.0)
-        return sum((weights * found).tolist())
+        return _fold_sum(weights * found)
 
     return ((box.keys(eta_cells), eta_weights), (box.keys(f_cells), f_weights),
             conv, inv, pairing)
-
-
-def _walk_box(group: GroupDescriptor, eta_cells, f_cells, n_max: int) -> KeyBox:
-    """One key box for every measure of the walk: the torus, or the cells
-    within max(h e, |F| + l e) of 0 on each axis, e the reach of eta on that
-    axis, so that eta^{*h} (h = ceil(n_max/2)) and 1_F * (eta^{*l})^
-    (l = floor(n_max/2)) fit.  Its size grows with n_max times the spread of
-    mu, not with where mu lies."""
-    what = "Berg-Christensen walk"
-    if group.kind == TORUS_GRID:
-        return KeyBox.torus(group, what)
-    high, low = (n_max + 1) // 2, n_max // 2
-    # in Python ints: a reach times n_max may leave int64
-    far = [max(-lo, hi) for lo, hi in zip(eta_cells.min(axis=0, initial=0).tolist(),
-                                          eta_cells.max(axis=0, initial=0).tolist())]
-    f_far = [max(-lo, hi) for lo, hi in zip(f_cells.min(axis=0).tolist(),
-                                            f_cells.max(axis=0).tolist())]
-    radius = [max(high * e, f + low * e) for e, f in zip(far, f_far)]
-    return KeyBox(group, [-r for r in radius], radius, what)
 
 
 def _is_uniform_generator_walk(mu: GroupMeasure) -> bool:

@@ -319,6 +319,17 @@ def test_integer_fields_refuse_other_numbers(kind, kw, field):
         build_action(kind, group=Z, **kw)
 
 
+@pytest.mark.parametrize("kind,kw,field", [
+    ("circle-rotation", dict(N=16, cells_per_step=True), "cells_per_step"),
+    ("circle-rotation", dict(N=True), "N"),
+    ("torus-translation", dict(N=16, step=(True, 3)), "step"),
+])
+def test_integer_fields_refuse_bools(kind, kw, field):
+    # operator.index(True) is 1, so a bool would pass for an integer
+    with pytest.raises(ConstructionError, match=f"^{field} must be an integer, got True$"):
+        build_action(kind, group=Z, **kw)
+
+
 def test_integer_fields_take_numpy_integers():
     space = build_action("torus-translation", group=Z, N=np.int64(16),
                          step=(np.int32(-3), np.uint8(21)))

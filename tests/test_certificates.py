@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from gaplab import certificates, cli
+from gaplab import certificates, cli, measures
 from gaplab import (
     DescriptorMismatchError,
     GridResolutionError,
@@ -451,6 +451,46 @@ class TestCarriedSegments:
         swept = walk_sets(space, mu, S, sets, S)
         assert len(sweeps) == n_max
         assert carried == swept
+
+
+class TestCarriedPower:
+    """eta^{*n} is carried as keys of one box, fixed for the walk, that
+    holds eta^{*n_max}; its mass on F is the left fold of the weights of
+    the dict walk's eta^{*n} on F, in atom order."""
+
+    @pytest.mark.parametrize("kind,kw,x0,n_max", [
+        ("torus-translation", dict(N=64, step=(5, 8)), 100, 5),
+        ("circle-rotation", dict(N=1000, cells_per_step=7), 3, 6),
+    ])
+    def test_one_box_and_the_dict_walks_mass(self, monkeypatch, kind, kw, x0, n_max):
+        grid = time_grid(4)
+        space = build_action(kind, group=grid, **kw)
+        mu = GroupMeasure.from_atoms(grid, [((-2,), 0.3), ((1,), 0.45), ((3,), 0.25)])
+        eta, S = symmetrize(mu), support_steps(space, mu)
+        segments = certificates._orbit_segments(space, x0, S, n_max)
+        boxes = []
+        walk_box = certificates._walk_box
+
+        def spy(*args):
+            boxes.append(walk_box(*args))
+            return boxes[-1]
+
+        def refuse(*args):
+            raise AssertionError("the walk keys no convolution of its own")
+
+        monkeypatch.setattr(certificates, "_walk_box", spy)
+        monkeypatch.setattr(measures, "_factor_keys", refuse)
+        report = certificates._walk(space, S, segments, 0.02, eta, space.weights[0])
+        monkeypatch.undo()
+        assert len(boxes) == 1
+        far = n_max * int(np.abs(S).max())
+        assert boxes[0].lo.tolist() == [-far] and boxes[0].widths.tolist() == [2 * far + 1]
+        for n, row in enumerate(report.rows, 1):
+            f_mass = 0.0
+            for (c,), w in convolution_power(eta, n).atoms.items():
+                if c in S:
+                    f_mass += w
+            assert row.chain_bound == 0.5 * f_mass * row.ratio
 
 
 def torus_distance(a, b, n):

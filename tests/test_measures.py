@@ -17,7 +17,7 @@ from dict_oracles import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaplab import groups
+from gaplab import groups, measures
 from gaplab import (
     DescriptorMismatchError,
     GroupDescriptor,
@@ -117,6 +117,20 @@ class TestOutsideElements:
         assert GroupMeasure.point_mass(Z2, np.array([2, -3])).atoms == {(2, -3): 1.0}
         word = GroupMeasure.from_atoms(F2, [((1, -2, 1), 0.25), ((), 0.75)])
         assert word.atoms == {(1, -2, 1): 0.25, (): 0.75}
+
+    @pytest.mark.parametrize("group,pairs,atoms", [
+        (Z, [((1,), 0.25), ((-1,), 0.25), ((1,), 0.5)], {(1,): 0.75, (-1,): 0.25}),
+        (F2, [((1, -2), 0.5), ((), 0.25), ((1, -2), 0.25)], {(1, -2): 0.75, (): 0.25}),
+    ], ids=["lattice", "free"])
+    def test_from_atoms_checks_each_element_once(self, group, pairs, atoms):
+        with mock.patch.object(GroupDescriptor, "element", autospec=True,
+                               side_effect=GroupDescriptor.element) as spy:
+            mu = GroupMeasure.from_atoms(group, pairs)
+        assert spy.call_count == len(pairs)
+        assert mu.atoms == atoms
+        # the one check still refuses a word the constructor would reduce
+        with pytest.raises(DescriptorMismatchError, match="not reduced"):
+            GroupMeasure.from_atoms(F2, [((2, 1, -1), 1.0)])
 
     @pytest.mark.parametrize("group", [Z, F2], ids=["lattice", "free"])
     def test_convolution_checks_no_element(self, group):
@@ -490,6 +504,54 @@ def oracle_pair_sums(group, xs, ys):
         sums[i] += w
     order = np.argsort(first)
     return distinct[order], np.array(sums)[order]
+
+
+class TestContains:
+    """``groups._contains`` against ``np.isin``: one binary search of the
+    values in a nondecreasing array."""
+
+    ORDERED = np.array([-4, 0, 0, 3, 9], dtype=np.int64)
+
+    def test_empty_set_holds_nothing(self):
+        empty = np.array([], dtype=np.int64)
+        assert groups._contains(empty, np.array([0, 5])).tolist() == [False, False]
+        assert groups._contains(empty, empty).shape == (0,)
+
+    def test_below_above_between_and_on_the_entries(self):
+        values = np.array([-9, -4, -1, 0, 2, 3, 9, 10, 0, -9], dtype=np.int64)
+        got = groups._contains(self.ORDERED, values)
+        assert got.tolist() == [False, True, False, True, False, True, True,
+                                False, True, False]
+
+    @given(st.lists(st.integers(-50, 50), max_size=30),
+           st.lists(st.integers(-60, 60), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_isin(self, entries, values):
+        ordered = np.sort(np.array(entries, dtype=np.int64))
+        values = np.array(values, dtype=np.int64)
+        got = groups._contains(ordered, values)
+        assert got.dtype == bool
+        assert np.array_equal(got, np.isin(values, ordered))
+
+
+class TestFoldSum:
+    """``measures._fold_sum`` adds from the left on every Python: pairwise
+    summation and the compensated ``sum()`` of Python 3.12 give another
+    last digit for these values."""
+
+    def test_order_decides_the_digits(self):
+        values = [1.0] + [1e-16] * 10
+        folded = 1.0
+        for v in values[1:]:
+            folded += v  # each 1e-16 is below half an ulp of 1.0
+        assert folded == 1.0
+        assert measures._fold_sum(values) == 1.0
+        assert measures._fold_sum(np.array(values)) == 1.0
+        assert measures._fold_sum(values[::-1]) == 1.000000000000001
+
+    def test_empty_is_zero(self):
+        assert measures._fold_sum([]) == 0.0
+        assert type(measures._fold_sum(np.array([]))) is float
 
 
 class TestBoxKeys:

@@ -318,6 +318,29 @@ class TestWalkRoutes:
                 assert pairing(eta, (keys[:1], weights[:1])) == weights[0] ** 2
 
 
+class TestPairingOrder:
+    """The pairing adds its products one by one from the left on both
+    branches: 1.0 followed by ten products 1e-16 pairs to exactly 1.0,
+    where a pairwise or a compensated sum moves the last digit."""
+
+    WEIGHTS = [1.0] + [1e-16] * 10
+
+    def test_abelian_branch(self):
+        *_, pairing = norms._walk_steps(GroupMeasure.simple_random_walk(Z), [(0,)], 12, 100)
+        keys = np.arange(len(self.WEIGHTS))  # within the box of radius 12
+        high = (keys, np.array(self.WEIGHTS))
+        for route in ROUTES.values():
+            with mock.patch.object(norms, "_DENSE_RANGE", route):
+                assert pairing(high, (keys, np.ones(len(keys)))) == 1.0
+                assert pairing((keys[:0], high[1][:0]), (keys[:0], high[1][:0])) == 0.0
+
+    def test_free_branch(self):
+        *_, pairing = norms._walk_steps(GroupMeasure.simple_random_walk(F2), [()], 4, 100)
+        words = groups._free_ball(2, 2)[:len(self.WEIGHTS)]
+        high = GroupMeasure(F2, dict(zip(words, self.WEIGHTS)))
+        assert pairing(high, GroupMeasure(F2, dict.fromkeys(words, 1.0))) == 1.0
+
+
 class TestWalkAtIdentity:
     """With F = {e} the walk forms 1_F * (eta^{*l})^ as (eta^{*l})^ itself:
     the sequence is the dict walk's bit for bit, and a convolution runs only
