@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 import operator
-import os
 from fractions import Fraction
 from functools import cached_property
 
@@ -46,7 +45,7 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .groups import TORUS_GRID, GroupDescriptor, _run_starts
+from .groups import TORUS_GRID, GroupDescriptor, _memory_bytes, _run_starts
 
 
 #: bytes per cell while an action is built: 8 for sigma, and 3.25 words
@@ -57,13 +56,12 @@ CELL_BYTES = 8 + 26
 
 def _check_cells(cells: int, count: str) -> None:
     """Refuse an action of ``cells`` cells (written ``count``) whose build
-    needs more than the machine's physical memory, before any cell-sized
-    array exists."""
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if cells * CELL_BYTES > memory:
+    needs more than ``groups._memory_bytes``, before any cell-sized array
+    exists."""
+    if cells * CELL_BYTES > _memory_bytes():
         raise ResourceLimitError(
             f"{count} cells need {CELL_BYTES} bytes each to build, more than "
-            f"the {memory} bytes of physical memory"
+            f"the {_memory_bytes()} bytes this process may use"
         )
 
 

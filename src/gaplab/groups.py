@@ -12,12 +12,24 @@ residues in [0, N), or reduced words over the alphabet {+-1, ..., +-k}.
 The finite set functions ``product_set``, ``inverse_set`` and
 ``power_set`` return (m, d) int64 cell arrays on the abelian kinds, one
 row per element in sort order, and lists of words on the free group.
+
+Inside, every kind computes on one int64 key per element: a ``KeyBox``
+keys the cells of an abelian kind by their offset in a box, a
+``words.WordBox`` keys a word of F_k by its letters,
+b = (2k - 1).bit_length() bits each, most significant first, under a
+sentinel bit.  On both, key order is ``sort_key`` order, and a product
+of two sets, or of two measures, is formed as one array of pair keys,
+whose size is checked against the memory the process may use before it
+is allocated.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import os
+import resource
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,13 +84,6 @@ class GroupDescriptor:
         if self.kind == FREE:
             return ()
         return (0,) * self.dimension
-
-    def compose(self, a: Element, b: Element) -> Element:
-        if self.kind == FREE:
-            return _reduce_word(a + b)
-        if self.kind == TORUS_GRID:
-            return tuple((x + y) % self.size for x, y in zip(a, b))
-        return tuple(x + y for x, y in zip(a, b))
 
     def canonical(self, a) -> Element:
         """The element as a tuple, torus coordinates reduced to [0, N)."""
@@ -161,7 +166,8 @@ class GroupDescriptor:
         if radius < 0:
             return []
         if self.kind == FREE:
-            return _free_ball(self.dimension, int(radius))
+            letters = [(i,) for i in range(-self.dimension, self.dimension + 1) if i]
+            return power_set(self, [(), *letters], int(radius))
         if self.kind == LATTICE:
             return _euclid_ball(self.dimension, radius, 1)
         if self.kind == REAL_GRID:
@@ -204,22 +210,6 @@ def _reduce_word(word: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _free_ball(rank: int, radius: int) -> list[Element]:
-    letters = [i for i in range(-rank, rank + 1) if i != 0]
-    words: list[Element] = [()]
-    frontier: list[Element] = [()]
-    for _ in range(radius):
-        nxt = []
-        for w in frontier:
-            for letter in letters:
-                if w and w[-1] == -letter:
-                    continue
-                nxt.append(w + (letter,))
-        words.extend(nxt)
-        frontier = nxt
-    return sorted(words, key=lambda w: (len(w), w))
-
-
 def _euclid_ball(dim: int, radius: float, scale: int) -> list[Element]:
     reach = int(math.floor(radius * scale + 1e-12))
     cells = []
@@ -251,6 +241,10 @@ class KeyBox:
     On ``torus-grid`` the box is the whole torus (lo = 0), and ``add``
     reduces mod N axis by axis.  Bounds, or a cell count, that
     leave int64 raise ``DescriptorMismatchError`` naming ``what``.
+
+    Every key lies in range(``size``).  ``zero`` is the key of 0: in a box
+    that holds 0, ``add(key(x), key(y) - zero)`` is the key of x + y, and
+    ``inverse`` maps key(x) to key(-x) where both lie in the box.
     """
 
     def __init__(self, group: GroupDescriptor, lo, hi, what: str):
@@ -270,6 +264,8 @@ class KeyBox:
         self.lo = np.array(lo, dtype=np.int64)
         self.widths = np.array(widths, dtype=np.int64)
         self.strides = np.array(strides, dtype=np.int64)
+        self.size = math.prod(widths)
+        self.zero = -sum(c * s for c, s in zip(lo, strides))
 
     @classmethod
     def torus(cls, group: GroupDescriptor, what: str) -> "KeyBox":
@@ -280,6 +276,16 @@ class KeyBox:
 
     def cells(self, keys: np.ndarray) -> np.ndarray:
         return keys[:, None] // self.strides % self.widths + self.lo
+
+    def elements(self, keys: np.ndarray) -> list[Element]:
+        """The cells of the keys as tuples of ints."""
+        return list(map(tuple, self.cells(keys).tolist()))
+
+    def inverse(self, keys: np.ndarray) -> np.ndarray:
+        """The keys of -x for the keys of x, in a box that holds 0 and both."""
+        if self.modulus:
+            return self.keys(-self.cells(keys) % self.modulus)
+        return 2 * self.zero - keys
 
     def add(self, xk: np.ndarray, yk: np.ndarray) -> np.ndarray:
         """The keys xk[i] + yk[j], x-major; on the torus the residues add
@@ -294,6 +300,14 @@ class KeyBox:
             s[s < 0] += n
             keys += s * stride
         return keys.ravel()
+
+
+def _word_box(group: GroupDescriptor, what: str):
+    """The ``words.WordBox`` of a free group, loaded on first use, so that
+    a run on the abelian kinds loads no word code."""
+    from .words import WordBox
+
+    return WordBox(group, what)
 
 
 def _coordinates(group: GroupDescriptor, xs, what: str) -> np.ndarray:
@@ -320,7 +334,10 @@ def _coordinates(group: GroupDescriptor, xs, what: str) -> np.ndarray:
 def _factor_keys(group: GroupDescriptor, xs, ys, what: str):
     """A box that holds every sum x + y (the bounding box of the sums, or
     the torus), and keys of xs and ys whose ``box.add`` is the key of each
-    sum."""
+    sum; on the free group the ``WordBox`` and the keys of the words."""
+    if group.kind == FREE:
+        box = _word_box(group, what)
+        return box, box.keys(xs), box.keys(ys)
     x, y = _coordinates(group, xs, what), _coordinates(group, ys, what)
     if group.kind == TORUS_GRID:
         box = KeyBox.torus(group, what)
@@ -363,17 +380,19 @@ def _unique_keys(keys: np.ndarray, weights: np.ndarray, cap: int, what: str):
         first = table[offsets] == positions
         distinct = keys[first]
         _check_cap(len(distinct), cap, what)
-        return distinct, np.bincount(offsets, weights)[offsets[first]]
+        return distinct, np.bincount(offsets, weights)[distinct - lo]
     perm = np.argsort(keys)
     ordered = keys[perm]
     starts = _run_starts(ordered)
-    index = np.empty_like(perm)
-    index[perm] = starts.cumsum() - 1
     at = np.flatnonzero(starts)
     _check_cap(len(at), cap, what)
+    distinct = ordered[at]
+    index = ordered  # the rank of each key among the distinct ones, in its buffer
+    index[perm] = np.cumsum(starts)
+    index -= 1
     # the sort is not stable: the first position is the least in each run
     order = np.argsort(np.minimum.reduceat(perm, at))
-    return ordered[at][order], np.bincount(index, weights)[order]
+    return distinct[order], np.bincount(index, weights)[order]
 
 
 def _run_starts(ordered: np.ndarray) -> np.ndarray:
@@ -407,6 +426,31 @@ def _check_cap(size: int, cap: int, what: str) -> None:
         raise ResourceLimitError(f"{what} exceeded the support cap of {cap} elements")
 
 
+#: bytes per pair while a product of two measures is formed and deduplicated:
+#: the pair keys and weights, the sort's permutation, sorted keys and ranks,
+#: and the words' cancellation arrays (the budget that tests/test_measures.py
+#: pins; traced peaks of 46 to 72 bytes per pair, numpy 2.4)
+PAIR_BYTES = 80
+
+
+@functools.cache
+def _memory_bytes() -> int:
+    """The bytes this process may allocate: the machine's physical memory,
+    or the soft ``RLIMIT_AS`` where that is lower; read once per process."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    return memory if soft == resource.RLIM_INFINITY else min(memory, soft)
+
+
+def _check_pairs(pairs: int, what: str) -> None:
+    """Refuse a product of ``pairs`` pairs whose arrays need more than
+    ``_memory_bytes``, before any pair-sized array exists."""
+    if pairs * PAIR_BYTES > _memory_bytes():
+        raise ResourceLimitError(
+            f"{what} would form {pairs} pairs of {PAIR_BYTES} bytes each, more than "
+            f"the {_memory_bytes()} bytes this process may use")
+
+
 def product_set(
     group: GroupDescriptor,
     xs: list[Element] | tuple[Element, ...],
@@ -417,40 +461,32 @@ def product_set(
     (m, d) int64 cell array on the abelian kinds, a list of words on the
     free group.
 
-    On the abelian kinds the sums are keyed in one box (reduced mod N on
-    the torus); coordinates that are not integers, or sums that leave
-    int64, raise ``DescriptorMismatchError``.  More than ``cap`` elements
-    raise ``ResourceLimitError``.
+    The products are keyed in one box, that of ``_factor_keys`` (reduced
+    mod N on the torus).  Coordinates that are not integers, sums that
+    leave int64, or words that are not reduced or outgrow the letter limit
+    raise ``DescriptorMismatchError``.  More pairs than memory holds, or
+    more than ``cap`` elements, raise ``ResourceLimitError``.
     """
-    if group.is_abelian:
-        box, xk, yk = _factor_keys(group, xs, ys, "product set")
-        keys = _distinct(box.add(xk, yk))
-        _check_cap(len(keys), cap, "product set")
-        return box.cells(keys)
-    out = set()
-    for x in xs:
-        for y in ys:
-            out.add(group.compose(x, y))
-            if len(out) > cap:
-                raise ResourceLimitError(
-                    f"product set exceeded the support cap of {cap} elements"
-                )
-    return sorted(out, key=group.sort_key)
+    return _product(group, xs, ys, cap, "product set")
+
+
+def _product(group: GroupDescriptor, xs, ys, cap: int, what: str):
+    """``product_set``, naming ``what`` in its errors."""
+    box, xk, yk = _factor_keys(group, xs, ys, what)
+    _check_pairs(len(xk) * len(yk), what)
+    keys = _distinct(box.add(xk, yk))
+    _check_cap(len(keys), cap, what)
+    return box.cells(keys)
 
 
 def inverse_set(group: GroupDescriptor, xs) -> np.ndarray | list[Element]:
-    """The inverses {x^{-1}}, deduplicated, in deterministic order: an
-    (m, d) int64 cell array on the abelian kinds, a list of words on the
-    free group.  An inverse that leaves int64 raises
+    """The inverses {x^{-1}}, deduplicated, in deterministic order, as
+    ``product_set`` returns them.  An inverse that leaves int64 raises
     ``DescriptorMismatchError``."""
-    if not group.is_abelian:
-        return sorted({group.inverse(x) for x in xs}, key=group.sort_key)
-    cells = _coordinates(group, xs, "inverse set")
-    if group.kind == TORUS_GRID:
-        return np.unique(-cells % group.size, axis=0)
-    if (cells == _INT64_MIN).any():
-        raise DescriptorMismatchError(f"inverse set leaves int64 at coordinate {-_INT64_MIN}")
-    return np.unique(-cells, axis=0)  # rows in lexicographic order
+    if isinstance(xs, np.ndarray):
+        xs = xs.tolist()
+    return _product(group, [group.inverse(x) for x in xs], [group.identity()], len(xs),
+                    "inverse set")
 
 
 def power_set(
@@ -460,45 +496,44 @@ def power_set(
     returns it."""
     if n < 0:
         raise ValueError("power must be >= 0")
-    if group.is_abelian:
-        box, _, keys = _power_keys(group, base, n, cap, "product set")
-        return box.cells(keys[n])
-    return _powers(group, base, n, cap, "product set")[n]
+    box, _, keys = _power_keys(group, base, n, cap, "product set")
+    return box.cells(keys[n])
 
 
 def _powers(group: GroupDescriptor, base, n: int, cap: int, what: str) -> list:
-    """B^0..B^n for B = base, each in ``sort_key`` order: lists of words on
-    the free group, by ``product_set``; (m, d) int64 cell arrays on the
-    abelian kinds, from ``_power_keys``."""
-    if not group.is_abelian:
-        powers = [[group.identity()]]
-        for _ in range(n):
-            powers.append(product_set(group, powers[-1], base, cap))
-        return powers
+    """B^0..B^n for B = base, each in ``sort_key`` order, as ``product_set``
+    returns them, from ``_power_keys``."""
     box, lo, keys = _power_keys(group, base, n, cap, what)
+    if group.kind == FREE:
+        return [box.cells(k) for k in keys]
     return [box.cells(k) - (n - i) * lo for i, k in enumerate(keys)]
 
 
 def _power_keys(group: GroupDescriptor, base, n: int, cap: int, what: str):
-    """B^0..B^n of an abelian kind as increasing key arrays of one box,
-    that of B^n: the box, the least corner lo of B (0 on the torus) and
-    the keys.
+    """B^0..B^n as increasing key arrays of one box: the box, the least
+    corner lo of B (0 on the torus, None on the free group) and the keys.
 
-    B^k is keyed as B^k + (n - k) lo, so that the keys of B^k and of
-    B - lo add to those of B^{k+1}, and the cells of B^k are
-    ``box.cells(keys[k]) - (n - k) lo``.  More than ``cap`` cells in a
-    power raise ``ResourceLimitError``, a B^n whose box leaves int64
-    ``DescriptorMismatchError``.
+    On the free group the box is the ``WordBox``.  On an abelian kind it is
+    that of B^n, and B^k is keyed as B^k + (n - k) lo, so that the keys of
+    B^k and of B - lo add to those of B^{k+1}, and the cells of B^k are
+    ``box.cells(keys[k]) - (n - k) lo``.  More pairs than memory holds, or
+    more than ``cap`` elements in a power, raise ``ResourceLimitError``, a
+    B^n that leaves int64 ``DescriptorMismatchError``.
     """
-    b = _coordinates(group, base, what)
-    lo, hi = _bounds(group, b)
-    if group.kind == TORUS_GRID:
-        box = KeyBox.torus(group, what)
-    else:  # in Python ints: n times a corner may leave int64
-        box = KeyBox(group, [n * c for c in lo.tolist()], [n * c for c in hi.tolist()], what)
-    step = (b - lo) @ box.strides
-    keys = [np.zeros(1, dtype=np.int64)]
-    for _ in range(n):
+    if group.kind == FREE:
+        box, lo = _word_box(group, what), None
+        keys, step = [box.keys([group.identity()])], box.keys(base)
+    else:
+        b = _coordinates(group, base, what)
+        lo, hi = _bounds(group, b)
+        if group.kind == TORUS_GRID:
+            box = KeyBox.torus(group, what)
+        else:  # in Python ints: n times a corner may leave int64
+            box = KeyBox(group, [n * c for c in lo.tolist()], [n * c for c in hi.tolist()],
+                         what)
+        keys, step = [np.zeros(1, dtype=np.int64)], (b - lo) @ box.strides
+    for k in range(1, n + 1):
+        _check_pairs(len(keys[-1]) * len(step), f"{what} B^{k}")
         keys.append(_distinct(box.add(keys[-1], step)))
         _check_cap(len(keys[-1]), cap, what)
     return box, lo, keys

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DescriptorMismatchError, PreconditionError, ResourceLimitError
+from .errors import DescriptorMismatchError, PreconditionError
 from .groups import (
     FREE,
     TORUS_GRID,
@@ -21,9 +21,12 @@ from .groups import (
     GroupDescriptor,
     KeyBox,
     _check_cap,
+    _check_pairs,
+    _coordinates,
     _factor_keys,
     _reduce_word,
     _unique_keys,
+    _word_box,
 )
 
 #: default cap on the support size produced by convolutions
@@ -124,10 +127,6 @@ class GroupMeasure:
     def support(self) -> list[Element]:
         return sorted(self.atoms, key=self.group.sort_key)
 
-    def items(self):
-        for g in self.support():
-            yield g, self.atoms[g]
-
     def __len__(self) -> int:
         return len(self.atoms)
 
@@ -163,43 +162,22 @@ def convolve(
 ) -> GroupMeasure:
     """Convolution: mass of g is the sum of a(h)*b(k) over h*k = g.
 
-    Exact direct summation over all pairs (h, k), h-major in atom order.
-    On the abelian kinds ``_convolve_arrays`` forms the pair sums at once
-    in numpy, with each weight, and the order of the atoms (first formed
-    first), that of the pair loop the free group still runs.  On the free
-    group every atom is a reduced word, so a pair cancels only where the
-    words meet, and each product is ``compose(h, k)``.  As in
-    ``GroupMeasure``, a non-finite weight raises and weights that underflow
-    to 0 are dropped.
+    Exact direct summation over all pairs (h, k), h-major in atom order,
+    on every kind by ``_convolve_arrays``: the products are formed at once
+    as keys of one box, a ``KeyBox`` on the abelian kinds and a ``WordBox``
+    on the free group, with each weight, and the order of the atoms
+    (first formed first), those of the pair loop one element at a time.  As
+    in ``GroupMeasure``, a non-finite weight raises and weights that
+    underflow to 0 are dropped.
     """
     if a.group != b.group:
         raise DescriptorMismatchError(
             f"cannot convolve measures on {a.group.kind} and {b.group.kind} groups"
         )
     g = a.group
-    if g.is_abelian:
-        cells, weights = _convolve_arrays(g, *_arrays(a), *_arrays(b), cap)
-        return _measure(g, dict(zip(map(tuple, cells.tolist()), weights.tolist())))
-    out: dict[Element, float] = {}
-    for h, wa in a.atoms.items():
-        end = len(h)
-        for k, wb in b.atoms.items():
-            i, reach = 0, min(end, len(k))
-            while i < reach and h[end - 1 - i] == -k[i]:
-                i += 1
-            key = h[:end - i] + k[i:]
-            out[key] = out.get(key, 0.0) + wa * wb
-        if len(out) > cap:
-            raise ResourceLimitError(
-                f"convolution exceeded the support cap of {cap} elements"
-            )
-    if not math.isfinite(sum(out.values())):  # the weights are >= 0
-        for key, w in out.items():
-            if not math.isfinite(w):
-                raise PreconditionError(f"non-finite weight {w} at atom {key}")
-    if 0.0 in out.values():
-        out = {key: w for key, w in out.items() if w > 0}
-    return _measure(g, out)
+    elements, weights = _convolve_arrays(g, list(a.atoms), _weights(a),
+                                         list(b.atoms), _weights(b), cap)
+    return _measure(g, dict(zip(elements, weights.tolist())))
 
 
 def _measure(group: GroupDescriptor, atoms: dict) -> GroupMeasure:
@@ -211,62 +189,80 @@ def _measure(group: GroupDescriptor, atoms: dict) -> GroupMeasure:
     return out
 
 
+def _weights(a: GroupMeasure) -> np.ndarray:
+    """The weights of a measure as an array, in atom order."""
+    return np.fromiter(a.atoms.values(), float, len(a))
+
+
 def _arrays(a: GroupMeasure):
-    """The atoms of a measure as a (cells, weights) pair of arrays, in atom order."""
+    """The atoms of an abelian measure as a (cells, weights) pair of
+    arrays, in atom order."""
     cells = np.asarray(list(a.atoms)).reshape(len(a), a.group.dimension)
-    return cells, np.fromiter(a.atoms.values(), float, len(a))
+    return cells, _weights(a)
 
 
-def _convolve_arrays(group: GroupDescriptor, cells_a, w_a, cells_b, w_b, cap: int):
-    """Abelian ``convolve`` on (cells, weights) arrays, in first-formed order."""
-    box, keys_a, keys_b = _factor_keys(group, cells_a, cells_b, "convolution")
+def _convolve_arrays(group: GroupDescriptor, xs, w_a, ys, w_b, cap: int):
+    """``convolve`` on elements and weight arrays: the elements of the
+    product as tuples, in first-formed order, and their weights."""
+    box, keys_a, keys_b = _factor_keys(group, xs, ys, "convolution")
     with np.errstate(over="ignore"):  # an overflow is reported by atom
         keys, weights = _convolve_keys(box, keys_a, w_a, keys_b, w_b, cap)
-    return box.cells(keys), weights
+    return box.elements(keys), weights
 
 
-def _convolve_keys(box: KeyBox, keys_a, w_a, keys_b, w_b, cap: int):
-    """Abelian ``convolve`` on (keys, weights) arrays whose ``box.add`` keys
-    the sums, in first-formed order; the keys on each side are distinct.
+def _convolve_keys(box, keys_a, w_a, keys_b, w_b, cap: int):
+    """``convolve`` on (keys, weights) arrays whose ``box.add`` keys the
+    products, in first-formed order; the keys on each side are distinct.
 
     The pairs are taken x-major, and ``_unique_keys`` hands back the
-    distinct sums in first-formed order with their products added in pair
-    order, as the pair loop does.  When one side is a single atom the
-    product is a translate: its sums are distinct and in the other side's
-    order, and each weight is one product.  As in ``GroupMeasure``, the
-    first non-finite weight raises, naming its cell, and weights that
-    underflow to 0 are dropped.  The caller holds ``np.errstate(over="ignore")``
-    around it, so that a product that overflows is reported here, by atom.
+    distinct products in first-formed order with their weights added in
+    pair order, as the pair loop does.  When one side is a single atom
+    the product is a translate: its keys are distinct and in the other
+    side's order, and each weight is one product.  More pairs than memory
+    holds raise ``ResourceLimitError`` before any is formed.  As in
+    ``GroupMeasure``, the first non-finite weight raises, naming its
+    element, and weights that underflow to 0 are dropped.  The caller
+    holds ``np.errstate(over="ignore")`` around it, so that a product that
+    overflows is reported here, by atom.
     """
+    _check_pairs(len(keys_a) * len(keys_b), "convolution")
     products = np.multiply.outer(w_a, w_b).ravel()
     if min(len(keys_a), len(keys_b)) == 1:
         keys, weights = box.add(keys_a, keys_b), products
         _check_cap(len(keys), cap, "convolution")
     else:
         keys, weights = _unique_keys(box.add(keys_a, keys_b), products, cap, "convolution")
-    bad = ~np.isfinite(weights)
-    if bad.any():
-        g = box.cells(keys[bad][:1])[0].tolist()
-        raise PreconditionError(f"non-finite weight {weights[bad][0]} at atom {tuple(g)}")
+    # sums of products of finite weights >= 0 are never NaN: one reduction
+    # each finds an overflow and an underflow
+    if not weights.max(initial=0.0) < np.inf:
+        bad = ~np.isfinite(weights)
+        g = box.elements(keys[bad][:1])[0]
+        raise PreconditionError(f"non-finite weight {weights[bad][0]} at atom {g}")
+    if weights.min(initial=1.0) > 0:
+        return keys, weights
     keep = weights > 0
     return keys[keep], weights[keep]
 
 
-def _walk_box(group: GroupDescriptor, eta_cells, f_cells, high: int, low: int,
-              what: str) -> KeyBox:
-    """One key box for every measure of a walk by eta: the torus, or the
-    cells within max(high e, |F| + low e) of 0 on each axis, e the reach
-    of eta and |F| that of the cells ``f_cells`` on that axis, so that
-    eta^{*high} and 1_F * (eta^{*low})^ fit.  Its size grows with the
-    depth times the spread of eta, not with where eta lies.  In the box,
-    key(x) + key(y) - key(0) is the key of x + y."""
+def _walk_box(group: GroupDescriptor, eta, f, high: int, low: int,
+              what: str):
+    """One key box for every measure of a walk by eta: on the free group
+    the ``WordBox``; on the torus the whole torus; otherwise the cells
+    within max(high e, |F| + low e) of 0 on each axis, e the reach of the
+    cells ``eta`` and |F| that of the cells ``f`` on that axis, so that
+    eta^{*high} and 1_F * (eta^{*low})^ fit.  Its size grows with the depth
+    times the spread of eta, not with where eta lies.  In the box,
+    ``add(key(x), key(y) - box.zero)`` is the key of x * y."""
+    if group.kind == FREE:
+        return _word_box(group, what)
     if group.kind == TORUS_GRID:
         return KeyBox.torus(group, what)
+    eta, f = _coordinates(group, eta, what), _coordinates(group, f, what)
     # in Python ints: a reach times the depth may leave int64
-    far = [max(-lo, hi) for lo, hi in zip(eta_cells.min(axis=0, initial=0).tolist(),
-                                          eta_cells.max(axis=0, initial=0).tolist())]
-    f_far = [max(-lo, hi) for lo, hi in zip(f_cells.min(axis=0, initial=0).tolist(),
-                                            f_cells.max(axis=0, initial=0).tolist())]
+    far = [max(-lo, hi) for lo, hi in zip(eta.min(axis=0, initial=0).tolist(),
+                                          eta.max(axis=0, initial=0).tolist())]
+    f_far = [max(-lo, hi) for lo, hi in zip(f.min(axis=0, initial=0).tolist(),
+                                            f.max(axis=0, initial=0).tolist())]
     radius = [max(high * e, f + low * e) for e, f in zip(far, f_far)]
     return KeyBox(group, [-r for r in radius], radius, what)
 

@@ -23,15 +23,9 @@ from .groups import (
     _coordinates,
     _distinct,
     _powers,
-    inverse_set,
-    product_set,
+    _word_box,
 )
 from .measures import DEFAULT_SUPPORT_CAP
-
-
-def _canonical_set(group: GroupDescriptor, xs) -> list[Element]:
-    """The distinct elements of xs (torus coordinates mod N) in sort order."""
-    return sorted(_as_set(group, xs), key=group.sort_key)
 
 
 def _as_set(group: GroupDescriptor, xs) -> set[Element]:
@@ -67,24 +61,32 @@ def greedy_maximal_net(group: GroupDescriptor, span, A) -> NetInstance:
     """
     if group.is_abelian:
         return _abelian_net(group, span, A)
-    A = _canonical_set(group, A)
+    return _free_net(group, span, A)
+
+
+def _free_net(group: GroupDescriptor, span, A) -> NetInstance:
+    """``greedy_maximal_net`` on the free group: the span, A and A A^{-1}
+    as sorted word keys, which sort as the words do; each accepted point
+    blocks the keys of its products with A A^{-1}."""
+    box = _word_box(group, "net")
+    a_keys, span_keys = _distinct(box.keys(A)), _distinct(box.keys(span))
+    A = box.cells(a_keys)
     if group.identity() not in A:
         raise PreconditionError("A must contain the identity")
-    span = _canonical_set(group, span)
-    diffs = product_set(group, A, inverse_set(group, A))
-    blocked: set[Element] = set()
+    diff_keys = _distinct(box.add(a_keys, box.inverse(a_keys)))
+    blocked: set[int] = set()
     net = []
-    for point in span:
+    for point in span_keys.tolist():
         if point not in blocked:
             net.append(point)
-            blocked.update(product_set(group, [point], diffs))
+            blocked.update(box.add(np.array([point]), diff_keys).tolist())
     return NetInstance(
         group=group,
         A=tuple(A),
-        net=tuple(net),
-        span=tuple(span),
-        diffs=tuple(diffs),
-        span_a_cells=len(product_set(group, span, A)),
+        net=tuple(box.cells(np.array(net, dtype=np.int64))),
+        span=tuple(box.cells(span_keys)),
+        diffs=tuple(box.cells(diff_keys)),
+        span_a_cells=len(_distinct(box.add(span_keys, a_keys))),
     )
 
 

@@ -17,22 +17,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError, ResourceLimitError, UnsupportedKindError
-from .groups import (
-    _DENSE_RANGE,
-    FREE,
-    GroupDescriptor,
-    _coordinates,
-)
+from .groups import _DENSE_RANGE, FREE, GroupDescriptor
 from .measures import (
     DEFAULT_SUPPORT_CAP,
     GroupMeasure,
-    _arrays,
     _convolve_arrays,
     _convolve_keys,
     _fold_sum,
     _walk_box,
-    convolve,
-    involute,
+    _weights,
 )
 
 
@@ -123,9 +116,11 @@ def berg_christensen_estimate(
                 prev = raw
                 seq.append((n, raw))
     except ResourceLimitError as err:
-        hint = ""
+        # the power being formed at n: eta^{*h} at odd n, 1_F * (eta^{*l})^ at even n
+        hint = (f" at n = {n}, forming "
+                + (f"eta^{{*{(n + 1) // 2}}}" if n % 2 else f"1_F * (eta^{{*{n // 2}}})^"))
         if group.kind == FREE:
-            hint = (
+            hint += (
                 f" (the cap bounds the support of eta^{{*{(n_max + 1) // 2}}};"
                 " free-group support grows exponentially; with F = {e} the"
                 " uniform-generator walk takes the free-radial path instead)"
@@ -142,55 +137,45 @@ def berg_christensen_estimate(
 
 
 def _walk_steps(mu: GroupMeasure, F: list, n_max: int, cap: int):
-    """``(eta, indicator, convolve, involute, pairing)`` of the walk on one
-    kind: eta = mu * mu^ and 1_F as ``GroupMeasure``s for the free group, as
-    (keys, weights) arrays in one ``KeyBox`` for the abelian kinds, where
+    """``(eta, indicator, convolve, involute, pairing)`` of the walk: eta =
+    mu * mu^ and 1_F as (keys, weights) arrays in the one box of
+    ``measures._walk_box``, which the certificate walk shares: a ``KeyBox``
+    on the abelian kinds, the ``WordBox`` on the free group.
     ``_convolve_keys`` keeps each power in first-formed order.
-    ``pairing(high, reach)`` is sum_g high(g) reach(g) on both branches: the
-    products high(g) reach(g), in the atom order of ``high``, are added one
-    by one from the left by ``_fold_sum``, so that ((p_1 + p_2) + p_3) + ...
-    has the same digits on every Python.  On the abelian kinds it reads
-    reach at the keys of high from one float array over the box, allocated
-    on first use, while the box holds at most ``_DENSE_RANGE`` cells per
-    pair of the step high * eta (the pairing writes reach's weights and
-    zeroes them after the gather); in a wider box it finds each key of high
-    among reach's by binary search.  The box is ``measures._walk_box``,
-    which the certificate walk shares."""
+    ``pairing(high, reach)`` is sum_g high(g) reach(g): the products
+    high(g) reach(g), in the atom order of ``high``, are added one by one
+    from the left by ``_fold_sum``, so that ((p_1 + p_2) + p_3) + ... has
+    the same digits on every Python.  It reads reach at the keys of high
+    from one float array over the box, allocated on first use, while the
+    box holds at most ``_DENSE_RANGE`` keys per pair of the step high * eta
+    (the pairing writes reach's weights and zeroes them after the gather);
+    in a wider box, the ``WordBox`` always, it finds each key of high among
+    reach's by binary search."""
     group = mu.group
     indicator = GroupMeasure(group, dict.fromkeys(F, 1.0))
-    if not group.is_abelian:
-        return (convolve(mu, involute(mu), cap=cap), indicator,
-                lambda a, b: convolve(a, b, cap=cap), involute,
-                lambda h, r: _fold_sum([w * r.atoms.get(g, 0.0)
-                                        for g, w in h.atoms.items()]))
-
-    cells, weights = _arrays(mu)
-    eta_cells, eta_weights = _convolve_arrays(group, cells, weights, -cells, weights, cap)
-    f_cells, f_weights = _arrays(indicator)
-    f_cells = _coordinates(group, f_cells, "convolution")
-    box = _walk_box(group, eta_cells, f_cells, (n_max + 1) // 2, n_max // 2,
-                    "Berg-Christensen walk")
-    box_cells = math.prod(box.widths.tolist())
-    zero = box.keys(np.zeros(group.dimension, dtype=np.int64))
+    atoms, weights = list(mu.atoms), _weights(mu)
+    eta, eta_weights = _convolve_arrays(group, atoms, weights,
+                                        [group.inverse(g) for g in atoms], weights, cap)
+    f = list(indicator.atoms)
+    box = _walk_box(group, eta, f, (n_max + 1) // 2, n_max // 2, "Berg-Christensen walk")
+    eta_keys = box.keys(eta)
     lookup = None  # the float array over the box, once allocated
 
     def conv(a, b):
-        # key(x) + key(y) is the key of x + y - lo, and key(y) - key(0) that of y + lo
-        return _convolve_keys(box, a[0], a[1], b[0] - zero, b[1], cap)
+        # add(key(x), key(y) - zero) is the key of x * y
+        return _convolve_keys(box, a[0], a[1], b[0] - box.zero, b[1], cap)
 
     def inv(a):
-        if box.modulus:
-            return box.keys(-box.cells(a[0]) % box.modulus), a[1]
-        return 2 * zero - a[0], a[1]  # the box is symmetric about 0
+        return box.inverse(a[0]), a[1]
 
     def pairing(high, reach):
         nonlocal lookup
         (keys, weights), (reach_keys, reach_weights) = high, reach
         if not len(reach_keys):  # then high is empty too
             return 0.0
-        if box_cells <= _DENSE_RANGE * len(keys) * len(eta_cells):
+        if box.size <= _DENSE_RANGE * len(keys) * len(eta_keys):
             if lookup is None:
-                lookup = np.zeros(box_cells)
+                lookup = np.zeros(box.size)
             lookup[reach_keys] = reach_weights
             found = lookup[keys]
             lookup[reach_keys] = 0.0
@@ -200,8 +185,7 @@ def _walk_steps(mu: GroupMeasure, F: list, n_max: int, cap: int):
             found = np.where(reach_keys[at] == keys, reach_weights[at], 0.0)
         return _fold_sum(weights * found)
 
-    return ((box.keys(eta_cells), eta_weights), (box.keys(f_cells), f_weights),
-            conv, inv, pairing)
+    return ((eta_keys, eta_weights), (box.keys(f), _weights(indicator)), conv, inv, pairing)
 
 
 def _is_uniform_generator_walk(mu: GroupMeasure) -> bool:

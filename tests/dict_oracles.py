@@ -1,9 +1,10 @@
 """Reference implementations, kept as test oracles.
 
+``compose`` is the product of two elements, one at a time.
 ``dict_berg_christensen_sequence`` is the convolution-power walk on
-``{element: weight}`` maps, as gaplab ran it on every kind before the
-abelian kinds moved to integer arrays; its convolution is the plain pair
-loop through ``GroupDescriptor.compose``.  ``translate_greedy_net`` is the
+``{element: weight}`` maps, as gaplab ran it on every kind before every
+kind moved to int64 keys; its convolution is the plain pair loop through
+``compose``.  ``translate_greedy_net`` is the
 greedy net that tests each candidate's whole A-translate against the
 accepted ones.  ``unique_rows`` is the lexicographic row sort that
 deduplicated the abelian pair sums before they were keyed in a box.
@@ -25,6 +26,22 @@ import numpy as np
 from gaplab import GroupMeasure, PreconditionError, UnsupportedKindError, convolve
 
 
+def compose(group, a, b) -> tuple:
+    """The product a b: words concatenated and reduced where they meet,
+    cells added, mod N on the torus."""
+    if group.kind == "free":
+        out = list(a)
+        for letter in b:
+            if out and out[-1] == -letter:
+                out.pop()
+            else:
+                out.append(letter)
+        return tuple(out)
+    if group.kind == "torus-grid":
+        return tuple((x + y) % group.size for x, y in zip(a, b))
+    return tuple(x + y for x, y in zip(a, b))
+
+
 def _clean(atoms: dict) -> dict:
     """What ``GroupMeasure`` keeps of a weight map: finite, positive weights."""
     for g, w in atoms.items():
@@ -38,7 +55,7 @@ def dict_convolve(group, a: dict, b: dict) -> dict:
     out: dict = {}
     for h, wa in a.items():
         for k, wb in b.items():
-            g = group.compose(h, k)
+            g = compose(group, h, k)
             out[g] = out.get(g, 0.0) + wa * wb
     return _clean(out)
 
@@ -82,7 +99,7 @@ def translate_greedy_net(group, span, A) -> tuple:
     covered: set = set()
     net = []
     for point in span:
-        translate = [group.compose(point, a) for a in A]
+        translate = [compose(group, point, a) for a in A]
         if any(t in covered for t in translate):
             continue
         net.append(point)
@@ -135,7 +152,7 @@ def net_is_separated(inst) -> bool:
     seen: set = set()
     A = elements(inst.A)
     for point in elements(inst.net):
-        translate = {group.compose(point, a) for a in A}
+        translate = {compose(group, point, a) for a in A}
         if translate & seen:
             return False
         seen |= translate
@@ -148,11 +165,11 @@ def net_is_maximal(inst) -> bool:
     covered: set = set()
     A, net = elements(inst.A), elements(inst.net)
     for point in net:
-        covered.update(group.compose(point, a) for a in A)
+        covered.update(compose(group, point, a) for a in A)
     for point in elements(inst.span):
         if point in net:
             continue
-        translate = {group.compose(point, a) for a in A}
+        translate = {compose(group, point, a) for a in A}
         if not (translate & covered):
             return False
     return True

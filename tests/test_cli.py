@@ -4,7 +4,11 @@ import csv
 import importlib.util
 import json
 import math
+import os
+import resource
+import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -646,6 +650,32 @@ class TestRegularNormExperiment:
         assert code == 1
         err = capsys.readouterr().err
         assert err == f"error: convolution leaves int64 at coordinate {2**63}\n"
+
+    def test_deep_free_walk_is_refused_by_its_pair_count(self, tmp_path):
+        """The F2 walk to n_max 20 would form 93,267,889 pairs at n = 15:
+        under a 3 GB address-space limit the CLI refuses them, before they
+        exist, with status 1 and no traceback, within 30 s."""
+        cfg = {
+            "experiment": "regular-norm",
+            "group": {"kind": "free", "dimension": 2},
+            "measure": {"kind": "atoms",
+                        "atoms": [[1, 0.3], [-1, 0.2], [2, 0.3], [-2, 0.2]]},
+            "params": {"method": "berg-christensen", "n_max": 20},
+        }
+        path = write_config(tmp_path, cfg)
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        soft = 3 << 30 if hard == resource.RLIM_INFINITY else min(3 << 30, hard)
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        start = time.perf_counter()
+        run = subprocess.run(
+            [sys.executable, "-m", "gaplab", "--config", path, "--out", str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (soft, hard)))
+        assert time.perf_counter() - start < 30
+        assert run.returncode == 1, run.stderr
+        assert run.stderr.startswith("error: convolution would form 93267889 pairs of 80 bytes")
+        assert "at n = 15, forming eta^{*8}" in run.stderr
+        assert "Traceback" not in run.stderr and run.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("method,recorded", [
         ("auto", "amenable-mass"),

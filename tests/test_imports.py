@@ -75,6 +75,9 @@ def test_regular_norm_is_the_function_whatever_loads_first():
 @pytest.mark.parametrize("cfg,added", [
     ({"experiment": "regular-norm", "group": {"kind": "lattice"},
       "measure": {"kind": "srw"}, "params": {"n_max": 5}}, []),
+    ({"experiment": "regular-norm", "group": {"kind": "free", "dimension": 2},
+      "measure": {"kind": "atoms", "atoms": [[1, 0.6], [-2, 0.4]]},
+      "params": {"n_max": 5}}, ["gaplab.words"]),
     ({"experiment": "nets", "params": {"count": 3, "ratio_n_max": 4}},
      ["gaplab.nets"]),
     ({"experiment": "certificate",
@@ -83,7 +86,7 @@ def test_regular_norm_is_the_function_whatever_loads_first():
       "action": {"kind": "torus-translation", "N": 128, "step": [29, 41]},
       "params": {"n_max": 6, "cross_check_discrepancy": False}},
      ["gaplab.actions", "gaplab.certificates"]),
-], ids=["regular-norm", "nets", "certificate"])
+], ids=["regular-norm", "free-regular-norm", "nets", "certificate"])
 def test_run_adds_only_the_modules_it_uses(tmp_path, cfg, added):
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     loaded = loaded_after("""

@@ -184,7 +184,7 @@ class TestCycleSpectrum:
             np.linalg.norm(dense_zero_mean(space, mu), 2), abs=1e-10)
         length, k = res.witness
         eigenvalue = sum(w * np.exp(-2j * np.pi * g[0] * k / length)
-                         for g, w in mu.items())
+                         for g, w in mu.atoms.items())
         assert abs(eigenvalue) == pytest.approx(res.value, abs=1e-12)
 
     @pytest.mark.parametrize("kind,kwargs,cycles", SMALL_SPACES)

@@ -1,15 +1,19 @@
 """Group descriptor and measure algebra tests."""
 
+import importlib
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 from dict_oracles import (
+    compose,
     convolution_power,
     dict_convolve,
     dict_involute,
+    elements,
     mass_on_set,
     rows,
     unique_rows,
@@ -26,6 +30,8 @@ from gaplab import (
     ResourceLimitError,
     convolve,
     involute,
+    inverse_set,
+    power_set,
     product_set,
     symmetrize,
 )
@@ -139,6 +145,12 @@ class TestOutsideElements:
             assert len(convolve(mu, symmetrize(mu))) > 0
 
 
+def product(group, a, b):
+    """The product a b, by ``product_set`` on the two singletons."""
+    (g,) = elements(product_set(group, [a], [b]))
+    return g
+
+
 class TestGroupLaws:
     def test_identity_and_inverse_laws_on_samples(self):
         rng = np.random.default_rng(0)
@@ -146,31 +158,30 @@ class TestGroupLaws:
             mu = random_measure(group, rng, n_atoms=6)
             e = group.identity()
             for g in mu.support():
-                assert group.compose(g, e) == g
-                assert group.compose(e, g) == g
-                assert group.compose(g, group.inverse(g)) == e
+                assert product(group, g, e) == g
+                assert product(group, e, g) == g
+                assert product(group, g, group.inverse(g)) == e
 
     def test_associativity_on_sampled_triples(self):
         rng = np.random.default_rng(1)
         for group in (Z2, F2):
             elems = random_measure(group, rng, n_atoms=9).support()
             for a, b, c in itertools.islice(itertools.product(elems, repeat=3), 200):
-                assert group.compose(group.compose(a, b), c) == group.compose(
-                    a, group.compose(b, c)
-                )
+                assert product(group, product(group, a, b), c) == product(
+                    group, a, product(group, b, c))
 
     def test_haar_weight_translation_invariant_on_grids(self):
         grid = GroupDescriptor(kind="real-grid", dimension=1, resolution=8)
         cells = [(c,) for c in range(-4, 5)]
         shift = (3,)
-        shifted = [grid.compose(shift, c) for c in cells]
+        shifted = [product(grid, shift, c) for c in cells]
         weight = lambda cell_set: len(cell_set) * grid.cell_volume
         assert weight(shifted) == weight(cells)
         assert grid.cell_volume > 0
 
     def test_torus_wraps(self):
         t = GroupDescriptor(kind="torus-grid", dimension=2, size=8)
-        assert t.compose((7, 3), (2, 6)) == (1, 1)
+        assert product(t, (7, 3), (2, 6)) == (1, 1)
         assert t.inverse((3, 0)) == (5, 0)
 
 
@@ -320,6 +331,139 @@ class TestFreeConvolveOracle:
         # merged in atom order, at the position of the first word of each element
         mu = GroupMeasure(F2, {(2, 1, -1): 0.25, (1,): 0.5, (-2, 2, 2): 0.125})
         assert list(mu.atoms.items()) == [((2,), 0.375), ((1,), 0.5)]
+
+
+# -- free-group words as int64 keys ---------------------------------------------
+
+
+@st.composite
+def word_case(draw):
+    """F2 or F3 and two atom lists of reduced words of up to 8 letters; the
+    second also holds the inverses of some words of the first, so that
+    some pairs cancel completely."""
+    group = draw(st.sampled_from([F2, F3]))
+    letter = st.integers(1, group.dimension).flatmap(lambda i: st.sampled_from([i, -i]))
+    word = st.lists(letter, max_size=8).map(naive_reduce)
+    atom = st.tuples(word, st.floats(1e-3, 10.0))
+    xs = draw(st.lists(atom, min_size=1, max_size=10))
+    ys = draw(st.lists(atom, max_size=10))
+    ys += [(group.inverse(w), v) for w, v in draw(st.lists(st.sampled_from(xs), max_size=4))]
+    return group, xs, ys or [((), 1.0)]
+
+
+def alternating(n: int) -> tuple:
+    """The reduced word 1 2 1 2 ... of n letters."""
+    return (1, 2) * (n // 2) + (1,) * (n % 2)
+
+
+class TestWordKeys:
+    """On the free group the keyed products give the pair loop's atoms, in
+    its order and with its weight bits, and the sets of words in
+    ``sort_key`` order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(word_case())
+    def test_convolve_matches_pair_loop(self, case):
+        group, xs, ys = case
+        a, b = GroupMeasure.from_atoms(group, xs), GroupMeasure.from_atoms(group, ys)
+        assert bits(convolve(a, b).atoms) == bits(dict_convolve(group, a.atoms, b.atoms))
+
+    @settings(max_examples=150, deadline=None)
+    @given(word_case())
+    def test_set_functions_match_sets_of_words(self, case):
+        group, xs, ys = case
+        xs, ys = [w for w, _ in xs], [w for w, _ in ys]
+
+        def ordered(words):
+            return sorted(set(words), key=group.sort_key)
+
+        assert product_set(group, xs, ys) == ordered(
+            compose(group, x, y) for x in xs for y in ys)
+        assert inverse_set(group, xs) == ordered(map(group.inverse, xs))
+        power = [()]
+        for n in range(3):
+            assert power_set(group, ys, n) == power
+            power = ordered(compose(group, p, y) for p in power for y in ys)
+
+    @pytest.mark.parametrize("group, limit", [(F2, 31), (F3, 20),
+                                              (GroupDescriptor(kind="free", dimension=4), 20)],
+                             ids=["F2", "F3", "F4"])
+    def test_letter_limit(self, group, limit):
+        longest, half = alternating(limit), alternating(limit // 2 + 1)
+        assert product_set(group, [longest], [()]) == [longest]
+        # the concatenation would not fit, the reduced product does
+        assert product_set(group, [half], [group.inverse(half)]) == [()]
+        named = f"needs a word of {limit + 1} letters; int64 keys hold words of at most {limit}"
+        with pytest.raises(DescriptorMismatchError, match="product set " + named):
+            product_set(group, [longest + (2,)], [()])
+        with pytest.raises(DescriptorMismatchError, match="product set " + named):
+            product_set(group, [longest], [(2,)])
+        with pytest.raises(DescriptorMismatchError, match="convolution " + named):
+            convolve(GroupMeasure.point_mass(group, longest),
+                     GroupMeasure.point_mass(group, (2,)))
+
+    def test_outside_words_raise_at_the_set_functions(self):
+        for word, fault in (((1, 3), "got -?3"), ((2, -2), "not reduced"),
+                            ((1.5,), "integer coordinates")):
+            with pytest.raises(DescriptorMismatchError, match=fault):
+                product_set(F2, [word], [()])
+            with pytest.raises(DescriptorMismatchError, match=fault):
+                inverse_set(F2, [(), word])
+
+
+class TestPairBound:
+    """A product refuses, before any pair exists, pairs whose arrays would
+    exceed the memory the process may use."""
+
+    def test_pair_memory_budget(self):
+        """The traced peak of a product, its keys and weights, stays within
+        ``PAIR_BYTES`` per pair: words many by few, few by many and one by
+        many, and cells through the table and through the sort."""
+        norms = importlib.import_module("gaplab.regular_norm")
+        assert groups.PAIR_BYTES == 80
+        mu = GroupMeasure.from_atoms(F2, [((1,), 0.3), ((-1,), 0.2), ((2,), 0.3), ((-2,), 0.2)])
+        eta, one, conv, inv, _ = norms._walk_steps(mu, [()], 10, 10**8)
+        high = eta
+        for _ in range(3):
+            high = conv(high, eta)  # eta^{*4}: 9,841 words
+        cases = [(conv, high, eta), (conv, eta, high), (conv, one, inv(high))]
+        lattice = GroupMeasure.simple_random_walk(Z2)
+        eta, _, conv, _, _ = norms._walk_steps(lattice, [(0, 0)], 400, 10**8)
+        high = eta
+        for _ in range(100):
+            high = conv(high, eta)
+        cases += [(conv, high, eta)]
+        for dense in (4, 0):
+            with mock.patch.object(groups, "_DENSE_RANGE", dense):
+                for conv, a, b in cases:
+                    tracemalloc.start()
+                    try:
+                        with np.errstate(over="ignore"):
+                            conv(a, b)
+                        peak = tracemalloc.get_traced_memory()[1]
+                    finally:
+                        tracemalloc.stop()
+                    assert peak <= groups.PAIR_BYTES * len(a[0]) * len(b[0])
+
+    def test_refused_before_the_pairs_exist(self):
+        mu = GroupMeasure.uniform_on(F2, F2.ball(3))  # 53 words
+        memory = groups.PAIR_BYTES * 53 * 53 - 1
+        with mock.patch.object(groups, "_memory_bytes", return_value=memory):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ResourceLimitError,
+                                   match=f"convolution would form 2809 pairs of 80 bytes "
+                                         f"each, more than the {memory} bytes"):
+                    convolve(mu, mu)
+                with pytest.raises(ResourceLimitError, match="product set would form 2809"):
+                    product_set(F2, list(mu.atoms), list(mu.atoms))
+                with pytest.raises(ResourceLimitError, match=r"product set B\^2 would form 2809"):
+                    power_set(F2, list(mu.atoms), 2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 2809 * 8
+        assert len(convolve(mu, mu)) == len(product_set(F2, list(mu.atoms), list(mu.atoms)))
 
 
 def brute_sum(group, h, k):

@@ -224,7 +224,7 @@ def walk_case(draw):
 
 
 class TestArrayWalkOracle:
-    """The array walk of the abelian kinds equals the dict walk bit for bit."""
+    """The keyed walk of every kind equals the dict walk bit for bit."""
 
     @settings(max_examples=150, deadline=None)
     @given(walk_case())
@@ -249,8 +249,13 @@ class TestArrayWalkOracle:
          [(0,), (10**9,), (-1,)], 9),
         (GroupMeasure.from_atoms(Z2, [((0, 0), 0.5), ((1, 10**6), 0.5)]),
          [(0, 0), (1, 10**6)], 8),
+        (GroupMeasure.from_atoms(F2, F2_NONUNIFORM), [()], 8),
+        (GroupMeasure.from_atoms(GroupDescriptor(kind="free", dimension=3),
+                                 [((1, -2), 0.3), ((3,), 0.5), ((), 0.2)]),
+         [(), (2, -1), (3,)], 7),
     ], ids=["z-walk", "z-nonsymmetric", "z2-nonsymmetric", "interval-q8",
-            "torus-nonsymmetric", "free-nonuniform", "z-sparse", "z2-sparse"])
+            "torus-nonsymmetric", "free-nonuniform", "z-sparse", "z2-sparse",
+            "free-depth-8", "free3-nonsymmetric"])
     def test_matches_dict_walk_on_fixed_cases(self, mu, F, n_max):
         est = berg_christensen_estimate(mu, F=F, n_max=n_max)
         assert est.sequence == dict_berg_christensen_sequence(mu, F, n_max)
@@ -336,9 +341,11 @@ class TestPairingOrder:
 
     def test_free_branch(self):
         *_, pairing = norms._walk_steps(GroupMeasure.simple_random_walk(F2), [()], 4, 100)
-        words = groups._free_ball(2, 2)[:len(self.WEIGHTS)]
-        high = GroupMeasure(F2, dict(zip(words, self.WEIGHTS)))
-        assert pairing(high, GroupMeasure(F2, dict.fromkeys(words, 1.0))) == 1.0
+        keys = groups._word_box(F2, "test").keys(F2.ball(2)[:len(self.WEIGHTS)])
+        high = (keys, np.array(self.WEIGHTS))
+        # reach's keys in another order: the pairing searches them
+        assert pairing(high, (keys[::-1], np.ones(len(keys)))) == 1.0
+        assert pairing((keys[:0], high[1][:0]), (keys[:0], high[1][:0])) == 0.0
 
 
 class TestWalkAtIdentity:
@@ -362,7 +369,7 @@ class TestWalkAtIdentity:
         F = [group.identity()]
         if extra:  # a second cell keeps the convolution by 1_F at even n
             F.append(next(iter(mu.atoms)))
-        with mock.patch.object(norms, "convolve", wraps=convolve) as free, \
+        with mock.patch.object(measures, "convolve", wraps=convolve) as free, \
                 mock.patch.object(norms, "_convolve_keys",
                                   wraps=norms._convolve_keys) as walk, \
                 mock.patch.object(measures, "_convolve_keys",

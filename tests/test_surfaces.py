@@ -282,3 +282,66 @@ def test_a_type_check_on_a_space_is_found(tmp_path):
                     isinstance(x, (int, Space)), isinstance(x, dict))
         '''))
     assert space_type_checks(tmp_path) == ["user:6", "user:6", "user:7"]
+
+
+def _atom_loop(node) -> bool:
+    """A ``for`` statement or comprehension clause over an ``atoms`` attribute."""
+    return isinstance(node, (ast.For, ast.comprehension)) and any(
+        isinstance(n, ast.Attribute) and n.attr == "atoms" for n in ast.walk(node.iter))
+
+
+def pair_loops(root: Path) -> list[str]:
+    """The pair loops of ``measures.py`` and ``regular_norm.py``, as
+    ``module:line``: a loop over measure atoms that holds another one, in
+    a statement or a comprehension; and the reads of ``is_abelian`` or
+    ``kind`` in ``regular_norm._walk_steps``, where one walk serves every
+    kind."""
+    found = []
+    for module in ("measures", "regular_norm"):
+        tree = ast.parse((root / "src" / "gaplab" / f"{module}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.For) and _atom_loop(node):
+                loops = [n for stmt in node.body for n in ast.walk(stmt) if _atom_loop(n)]
+            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+                loops = [n for n in ast.walk(node) if _atom_loop(n)][1:]
+            else:
+                loops = []
+            if loops:
+                found.append(f"{module}:{node.lineno}")
+            if (isinstance(node, ast.FunctionDef) and node.name == "_walk_steps"
+                    and module == "regular_norm"):
+                found += [f"{module}:{n.lineno}" for n in ast.walk(node)
+                          if isinstance(n, ast.Attribute) and n.attr in ("is_abelian", "kind")]
+    return sorted(set(found), key=lambda at: (at.split(":")[0], int(at.split(":")[1])))
+
+
+def test_one_convolution_path_for_every_kind():
+    """Convolution runs no pair loop over atoms, and the Berg-Christensen
+    walk takes no branch by group kind."""
+    assert pair_loops(ROOT) == []
+
+
+def test_a_pair_loop_is_found(tmp_path):
+    """A nested loop and a two-clause comprehension over atoms are found,
+    and so is a kind test in ``_walk_steps``; one loop over atoms is not."""
+    package = tmp_path / "src" / "gaplab"
+    package.mkdir(parents=True)
+    (package / "measures.py").write_text(textwrap.dedent('''
+        def convolve(a, b):
+            out = {}
+            for h, wa in a.atoms.items():
+                for k, wb in b.atoms.items():
+                    out[h + k] = wa * wb
+            return {g: w for g, w in a.atoms.items()}
+
+
+        def pairs(a, b):
+            return [h + k for h in a.atoms for k in b.atoms]
+        '''))
+    (package / "regular_norm.py").write_text(textwrap.dedent('''
+        def _walk_steps(mu):
+            if mu.group.is_abelian:
+                return 1
+            return [w for w in mu.atoms.values()]
+        '''))
+    assert pair_loops(tmp_path) == ["measures:4", "measures:11", "regular_norm:3"]
