@@ -48,10 +48,11 @@ from .errors import (
 from .groups import TORUS_GRID, GroupDescriptor, _memory_bytes, _run_starts
 
 
-#: bytes per cell while an action is built: 8 for sigma, and 3.25 words
-#: for the cycle table's keys, two work arrays and one bool array (the
-#: budget that tests/test_actions.py pins)
-CELL_BYTES = 8 + 26
+#: bytes per cell that an action needs: the cycle table's build holds
+#: three words per cell, sigma's buffer one of them, and the first read of
+#: its coordinates at most 3.5 words, the keys included (the budgets that
+#: tests/test_actions.py pins)
+CELL_BYTES = 28
 
 
 def _check_cells(cells: int, count: str) -> None:
@@ -71,6 +72,23 @@ def continued_fraction_convergent(alpha: float, max_denominator: int) -> tuple[i
     return frac.numerator, frac.denominator
 
 
+#: cells per block of ``_lowered``
+_BLOCK = 1 << 14
+
+
+def _lowered(old: np.ndarray, new: np.ndarray) -> bool:
+    """Whether a round of the doubling lowered a key: ``old`` takes the
+    differences old - new, block by block up to the first that is not all
+    0, so a round that lowers keys seldom reads them all, and after the
+    last round ``old`` is all 0."""
+    for start in range(0, old.size, _BLOCK):
+        part = old[start:start + _BLOCK]
+        np.subtract(part, new[start:start + _BLOCK], out=part)
+        if part.max():
+            return True
+    return False
+
+
 class CycleTable:
     """The cycles of a cell permutation sigma as coordinates.
 
@@ -86,40 +104,47 @@ class CycleTable:
     """
 
     def __init__(self, sigma: np.ndarray):
-        sigma = np.asarray(sigma, dtype=np.int64)
+        """Build the cycle type of sigma, an int64 array that the table
+        takes: its buffer is a work array of the build and is written
+        over."""
         n = sigma.size
         # pointer doubling: after t rounds key[i] packs (m, d) for the least
         # cell m among sigma^j(i), 0 <= j < 2^t, with sigma^d(i) = m; one
         # minimum merges two windows and keeps the nearer occurrence.  While
         # a cycle is longer than 2^t, the cell 2^t steps short of its least
         # cell gains that cell, so a round that lowers no key ends the loop
-        # with every window covering its cycle.  Two work arrays take turns:
-        # one takes the merged keys and then sigma's next power, the array
-        # of the previous power takes the next merged keys.  Every index is
-        # a cell, so the gathers clip, which writes ``out`` directly
+        # with every window covering its cycle.  Three arrays take turns,
+        # sigma's the first power: the spare one takes the merged keys, the
+        # old keys' array their differences to the new ones (``_lowered``)
+        # and then sigma's next power.  Every index is a cell, so the
+        # gathers clip, which writes ``out`` directly
         self._shift = (2 * n).bit_length()
-        key = np.arange(n, dtype=np.int64)
-        key <<= self._shift
-        ahead, merged = sigma, np.empty_like(key)
-        lowered = np.empty(n, dtype=bool)
+        key = np.arange(0, n << self._shift, 1 << self._shift, dtype=np.int64)
+        ahead, spare = sigma, np.empty_like(key)
         span = 1
         while True:
-            np.take(key, ahead, out=merged, mode="clip")
-            merged += span
-            if not np.less(merged, key, out=lowered).any():
+            np.take(key, ahead, out=spare, mode="clip")
+            spare += span
+            np.minimum(key, spare, out=spare)
+            key, spare = spare, key
+            if not _lowered(spare, key):
                 break
-            np.minimum(key, merged, out=key)
-            np.take(ahead, ahead, out=merged, mode="clip")
-            ahead, merged = merged, (np.empty_like(key) if ahead is sigma else ahead)
+            np.take(ahead, ahead, out=spare, mode="clip")
+            ahead, spare = spare, ahead
             span *= 2
+        # a cycle's length is the number of cells that share its least cell
+        # m.  The m go to a work array that is freed after the count, the
+        # counts to the zero differences; sigma's buffer, which the caller
+        # still holds, is never the one freed (it takes the counts, zeroed)
+        if ahead is sigma:
+            ahead, spare = spare, ahead
+            spare.fill(0)
+        np.right_shift(key, self._shift, out=ahead)
+        np.add.at(spare, ahead, 1)
         del ahead
-        # the heads are the least cells (d = 0), found in the spare work
-        # array; the successor of a head is L - 1 steps short of it
-        mask = (1 << self._shift) - 1
-        np.bitwise_and(key, mask, out=merged)
-        self._heads = np.flatnonzero(np.equal(merged, 0, out=lowered))
-        del merged, lowered
-        self._sizes = (key[sigma[self._heads]] & mask) + 1
+        self._heads = np.flatnonzero(spare)  # the least cells, in order
+        self._sizes = spare[self._heads]
+        del spare
         # cell 0 is least in its cycle, so that cycle is the first head's
         self.first_length = int(self._sizes[0])
         self.lengths, self.counts = np.unique(self._sizes, return_counts=True)
@@ -175,7 +200,12 @@ class CycleTable:
 
 class ActionSpace:
     """Finite cell list, probability weights, and the action c -> sigma^c
-    of one cell permutation sigma, applied through its cycles."""
+    of one cell permutation sigma, applied through its cycles.
+
+    sigma is an int64 array that the space takes: the cycle table's build
+    writes over its buffer, so the caller hands in an array it does not
+    read again.  Explicit weights must be invariant under sigma.
+    """
 
     def __init__(self, group: GroupDescriptor, kind: str, sigma: np.ndarray,
                  weights: np.ndarray | None = None):
@@ -191,6 +221,8 @@ class ActionSpace:
             raise ConstructionError("cell weights must sum to 1 within 1e-12")
         if (self.weights <= 0).any():
             raise ConstructionError("cell weights must be strictly positive")
+        if weights is not None and not np.array_equal(self.weights[sigma], self.weights):
+            raise ConstructionError("cell weights are not preserved by the permutation")
         self.cycles = CycleTable(sigma)
 
     # -- the group action --------------------------------------------------
@@ -364,20 +396,20 @@ def build_action(kind: str, group: GroupDescriptor | None = None, **params) -> A
     elif kind == "finite-permutation":
         cells = len(params["permutation"])
         _check_cells(cells, str(cells))
-        perm = np.asarray(params["permutation"])
+        perm = np.array(params["permutation"])  # a copy: the space takes it
         if not perm.size:
             raise ConstructionError("permutation must list at least one cell")
         if perm.dtype.kind not in "iu":
             raise ConstructionError(
                 f"permutation must list integer cells, got dtype {perm.dtype}")
-        perm = perm.astype(np.int64)
-        if not np.array_equal(np.sort(perm), np.arange(perm.size)):
+        perm = perm.astype(np.int64, copy=False)
+        # n cells in range, all of them hit, are a bijection
+        hit = np.zeros(perm.size, dtype=bool)
+        if perm.min() >= 0 and perm.max() < perm.size:
+            hit[perm] = True
+        if not hit.all():
             raise ConstructionError("permutation must be a bijection on 0..n-1")
         space = ActionSpace(group, kind, perm, params.get("weights"))
-        if not np.array_equal(space.weights[perm], space.weights):
-            raise ConstructionError(
-                "cell weights are not preserved by the permutation"
-            )
     else:
         raise ConstructionError(f"unknown action kind {kind!r}")
     # Z/M acts through c -> sigma^c only if sigma^M is the identity; the

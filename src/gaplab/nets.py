@@ -10,6 +10,7 @@ so a reported failure means an implementation bug, never bad luck.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -241,7 +242,8 @@ def net_ratio_study(
         return built[a, k]
 
     k1 = k2 = k3 = 0.0
-    ratios = {}
+    exact_k1 = exact_k2 = exact_k3 = Fraction(0)
+    ratios, exact_ratios = {}, []
     for n in n_range:
         n1, n2 = net(1, n), net(second, n - 2)
         mu_bn, mu_bn2 = len(n1.span) * volume, len(n2.span) * volume
@@ -249,6 +251,11 @@ def net_ratio_study(
         k2 = max(k2, n2.span_a_cells * volume / mu_bn)
         k3 = max(k3, mu_bn / mu_bn2)
         ratios[n] = len(n2.net) / len(n1.net)
+        # the same terms as ratios of cell counts, the volume cancelled
+        exact_k1 = max(exact_k1, Fraction(n1.span_a_cells, len(n1.span)))
+        exact_k2 = max(exact_k2, Fraction(n2.span_a_cells, len(n1.span)))
+        exact_k3 = max(exact_k3, Fraction(len(n1.span), len(n2.span)))
+        exact_ratios.append(Fraction(len(n2.net), len(n1.net)))
 
     mu_a1 = len(n1.A) * volume
     mu_a2 = len(n2.A) * volume
@@ -256,7 +263,10 @@ def net_ratio_study(
     mu_a2a2 = len(n2.diffs) * volume
     c1 = mu_a1 / (k3 * k1 * mu_a2a2)
     c2 = k2 * mu_a1a1 / mu_a2
-    within = all(c1 - 1e-12 <= r <= c2 + 1e-12 for r in ratios.values())
+    # the window is checked exactly; c1, c2 and the ratios report it
+    low = Fraction(len(n1.A), len(n2.diffs)) / (exact_k3 * exact_k1)
+    high = exact_k2 * Fraction(len(n1.diffs), len(n2.A))
+    within = all(low <= r <= high for r in exact_ratios)
     return NetRatioStudy(
         ratios=ratios, c1=c1, c2=c2, k1=k1, k2=k2, k3=k3, within_bounds=within
     )

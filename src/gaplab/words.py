@@ -95,25 +95,38 @@ class WordBox:
 
     def add(self, xk: np.ndarray, yk: np.ndarray) -> np.ndarray:
         """The keys of the products x y, x-major.  Each pair is first keyed
-        as the concatenation of its words.  Where x and y^{-1} end in the
-        same letter, the letters that cancel are their common suffix: up to
-        the letter of the lowest bit in which their keys differ, and at
-        most the shorter word.  Those pairs are keyed again."""
+        as the concatenation of its words.  Where x ends in the inverse of
+        y's first letter, the letters that cancel are the common prefix of
+        x^{-1} and y, that is the common suffix of x and y^{-1}, and at most
+        the shorter word; those pairs are keyed again.  Only the side with
+        fewer words is inverted: x^{-1} and y are compared with their first
+        letters aligned, up to the highest bit in which they differ, or x
+        and y^{-1} with their last letters aligned, up to the lowest."""
         b = self.bits
         lx, ly = self.lengths(xk), self.lengths(yk)
         low = yk - self.starts[ly]  # the letters of y, without its sentinel
         keys = np.left_shift.outer(xk, ly * b)
         keys += low
         keys = keys.reshape(-1)
-        inv = self.inverse(yk)
-        # e's sentinel reads as a last code too, but e cancels nothing
-        hits = np.flatnonzero(np.equal.outer(xk & self.mask, inv & self.mask))
+        # x's last code against the code that cancels y's first; e reads as
+        # a word with a last code (its sentinel) and a first code (0), but
+        # the cut is at most the shorter word, so e cancels nothing
+        first = low >> np.maximum(ly - 1, 0) * b
+        hits = np.flatnonzero(np.equal.outer(xk & self.mask, 2 * self.rank - 1 - first))
+        del first
         x, y = np.divmod(hits, len(yk))
-        differ = xk[x] ^ inv[y]
-        lowest = np.where(differ, differ & -differ, self.starts[-1])
-        cut = np.minimum(np.searchsorted(self.starts, lowest, side="right") - 1,
-                         np.minimum(lx[x], ly[y]))
-        kept = ly[y] - cut
+        lx_hit, ly_hit = lx[x], ly[y]
+        if len(xk) < len(yk):
+            lead_x = (self.inverse(xk) - self.starts[lx]) << (self.letters - lx) * b
+            lead_y = low << (self.letters - ly) * b
+            differ = lead_x[x] ^ lead_y[y]
+            common = self.letters - np.searchsorted(self.starts, differ, side="right")
+        else:
+            differ = xk[x] ^ self.inverse(yk)[y]
+            lowest = np.where(differ, differ & -differ, self.starts[-1])
+            common = np.searchsorted(self.starts, lowest, side="right") - 1
+        cut = np.minimum(common, np.minimum(lx_hit, ly_hit))
+        kept = ly_hit - cut
         keys[hits] = (xk[x] >> cut * b << kept * b) + (low[y] & self.starts[kept] - 1)
         if lx.max(initial=0) + ly.max(initial=0) > self.letters:
             length = np.add.outer(lx, ly)

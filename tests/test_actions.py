@@ -17,7 +17,13 @@ from gaplab import (
     ResourceLimitError,
     build_action,
 )
-from gaplab.actions import CELL_BYTES, ActionSpace, CycleTable, _window_rotation
+from gaplab.actions import (
+    _BLOCK,
+    CELL_BYTES,
+    ActionSpace,
+    CycleTable,
+    _window_rotation,
+)
 from gaplab.certificates import (
     _arc_segments,
     _pair_correlations,
@@ -234,6 +240,18 @@ def test_cycle_table_special_permutations(sigma):
     assert_cycle_table_is_walk(sigma)
 
 
+def test_cycle_table_beyond_one_block():
+    """Permutations of more cells than one block of the lowering test: one
+    whose keys are lowered only in the second block after the first
+    round, and a random one."""
+    assert _BLOCK < 70_000
+    tail = np.random.default_rng(8).permutation(np.arange(_BLOCK, _BLOCK + 1000))
+    sigma = np.arange(_BLOCK + 1000)
+    sigma[tail] = np.roll(tail, -1)
+    assert_cycle_table_is_walk(sigma.tolist())
+    assert_cycle_table_is_walk(np.random.default_rng(9).permutation(70_000).tolist())
+
+
 @pytest.mark.parametrize("alphabet,width", [
     (2, 1), (2, 2), (2, 5), (3, 1), (3, 3), (4, 4), (5, 2),
 ])
@@ -244,8 +262,10 @@ def test_window_rotation_is_digit_rotation(alphabet, width):
 
 
 def torus_sigma(n, q, p):
-    cell = np.arange(n * n, dtype=np.int64)
-    return ((cell // n + q) % n) * n + (cell % n + p) % n
+    """The torus translation by (q, p) on n x n cells, one array of n^2
+    cells built (the other arrays have n cells)."""
+    row = (np.arange(n, dtype=np.int64) + q) % n * n
+    return (row[:, None] + (np.arange(n, dtype=np.int64) + p) % n).ravel()
 
 
 def traced_peak(build):
@@ -258,23 +278,33 @@ def traced_peak(build):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("sigma", [
-    _window_rotation(4, 9),
-    torus_sigma(512, 3, 7),
-    np.random.default_rng(5).permutation(10**5),
+@pytest.mark.parametrize("make_sigma,cells", [
+    (lambda: _window_rotation(4, 9), 4**9),
+    (lambda: torus_sigma(512, 3, 7), 512**2),
+    (lambda: np.random.default_rng(5).permutation(10**5), 10**5),
 ], ids=["window-4^9", "torus-512", "permutation-1e5"])
-def test_cycle_table_memory_budget(sigma):
-    """The build holds the keys, two work arrays and one bool array: 3.25
-    words per cell at most (the budget ``CELL_BYTES`` charges beside
-    sigma), the default weights add no array, and the coordinates reuse
-    the keys' buffer."""
-    word = 8 * sigma.size
-    assert CELL_BYTES == 8 + 3.25 * 8
-    assert traced_peak(lambda: CycleTable(sigma)) <= 3.25 * word
-    assert traced_peak(lambda: ActionSpace(Z, "test", sigma)) <= 3.25 * word
-    table = CycleTable(sigma)
-    assert traced_peak(lambda: table.slot) <= 3.5 * word
-    assert np.array_equal(table.order[table.slot], np.arange(sigma.size))
+def test_cycle_table_memory_budget(make_sigma, cells):
+    """The build, sigma made inside it, holds three words per cell: the
+    keys, sigma's buffer and one work array, and no cell-sized bool; the
+    default weights add no array.  The first read of the coordinates turns
+    the keys' buffer into ``slot`` and holds 3.5 words with the keys.
+    ``CELL_BYTES`` charges the larger of the two."""
+    word = 8 * cells
+    build, first_read = 3.13, 3.5
+    assert CELL_BYTES == 8 * max(build, first_read)
+    assert traced_peak(lambda: CycleTable(make_sigma())) <= build * word
+    assert traced_peak(lambda: ActionSpace(Z, "test", make_sigma())) <= build * word
+    table = CycleTable(make_sigma())
+    assert traced_peak(lambda: table.slot) + word <= first_read * word
+    assert np.array_equal(table.order[table.slot], np.arange(cells))
+
+
+def test_finite_permutation_leaves_the_callers_array_unchanged():
+    perm = np.random.default_rng(2).permutation(1000)
+    kept = perm.copy()
+    space = build_action("finite-permutation", group=Z, permutation=perm)
+    assert np.array_equal(perm, kept)
+    assert np.array_equal(space.act_indices(1, np.arange(1000)), kept)
 
 
 def test_default_weights_are_one_read_only_value():
@@ -299,9 +329,22 @@ def test_oversized_action_is_refused_before_it_is_built(kind, kw, count):
 
 
 def test_permutation_must_be_a_bijection():
-    for perm in ([0, 0, 1], [1, 2, 3], [0, -1]):
+    for perm in ([0, 0, 1], [1, 2, 3], [0, -1], [2, 2, 2], [3, 0, 1]):
         with pytest.raises(ConstructionError, match="must be a bijection on 0..n-1"):
             build_action("finite-permutation", group=Z, permutation=perm)
+
+
+def test_weights_must_be_invariant():
+    # the first weights differ on every cell of the 3-cycle, the second
+    # agree on the fixed cell and on two cells of the 3-cycle
+    for weights in ([0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.3, 0.2]):
+        with pytest.raises(ConstructionError,
+                           match="^cell weights are not preserved by the permutation$"):
+            build_action("finite-permutation", group=Z, permutation=[1, 2, 0, 3],
+                         weights=weights)
+    space = build_action("finite-permutation", group=Z, permutation=[1, 0, 2, 3],
+                         weights=[0.25, 0.25, 0.3, 0.2])
+    assert space.cycle_lengths() == {1: 2, 2: 1}
 
 
 @pytest.mark.parametrize("kind,kw,field", [

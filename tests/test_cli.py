@@ -464,6 +464,10 @@ CONFIG_FAULTS = [
     # an empty permutation has no cell to carry the weight
     ({**KOOPMAN, "action": {"kind": "finite-permutation", "permutation": []}},
      "action: permutation must list at least one cell"),
+    # weights that differ along a cycle of the permutation
+    ({**KOOPMAN, "action": {"kind": "finite-permutation", "permutation": [1, 2, 0, 3],
+                            "weights": [0.1, 0.2, 0.3, 0.4]}},
+     "action: cell weights are not preserved by the permutation"),
 ]
 
 
@@ -491,7 +495,7 @@ def test_oversized_action_exit_two_before_allocating(tmp_path, capsys, action, c
         tracemalloc.stop()
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith(f"config error: action: {count} cells need 34 bytes each")
+    assert err.startswith(f"config error: action: {count} cells need 28 bytes each")
     assert "Traceback" not in err
     assert not out_dir.exists()
     assert peak < 10**7

@@ -368,6 +368,21 @@ class TestWordKeys:
         a, b = GroupMeasure.from_atoms(group, xs), GroupMeasure.from_atoms(group, ys)
         assert bits(convolve(a, b).atoms) == bits(dict_convolve(group, a.atoms, b.atoms))
 
+    def test_walk_steps_match_pair_loop(self):
+        """The products of the Berg-Christensen walk at eta^{*4} (9,841
+        words) with F = {e, (1,), (2, -1)}: the large side on the left, where
+        y is inverted, and on the right, where x is."""
+        mu = GroupMeasure.from_atoms(F2, [((1,), 0.3), ((-1,), 0.2), ((2,), 0.3),
+                                          ((-2,), 0.2)])
+        eta = symmetrize(mu)
+        high = eta
+        for _ in range(3):
+            high = convolve(high, eta)
+        assert len(high) == 9841
+        one = GroupMeasure(F2, dict.fromkeys([(), (1,), (2, -1)], 1.0))
+        for a, b in ((high, eta), (eta, high), (one, involute(high))):
+            assert bits(convolve(a, b).atoms) == bits(dict_convolve(F2, a.atoms, b.atoms))
+
     @settings(max_examples=150, deadline=None)
     @given(word_case())
     def test_set_functions_match_sets_of_words(self, case):

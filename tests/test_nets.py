@@ -1,6 +1,7 @@
 """Separated-net construction and the volume-counting inequalities."""
 
 import itertools
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -347,16 +348,39 @@ class TestRatioStudy:
         with pytest.raises(PreconditionError):
             net_ratio_study(Z, A1=[(0,)], A2=[(0,)], B=[(0,)], n_range=[2, 3])
 
+    @pytest.mark.parametrize("group,A1,A2,B,n_max", [
+        (Z, [(0,)], [(0,)], [(0,)], 6),
+        (Z, [(0,), (1,)], [(0,), (-1,), (1,)], interval(-1, 1), 10),
+        (Z2, box(1), [(0, 0), (1, 0), (0, 1)], box(1), 7),
+        (GroupDescriptor(kind="real-grid", dimension=1, resolution=3),
+         [(0,), (1,)], [(0,), (2,)], [(-1,), (0,), (1,)], 9),
+        (GroupDescriptor(kind="torus-grid", dimension=1, size=11),
+         [(0,), (12,)], [(1,), (0,)], [(10,), (0,), (1,)], 6),
+    ], ids=["trivial", "z", "z2", "real-grid-thirds", "torus"])
+    def test_window_is_checked_exactly(self, group, A1, A2, B, n_max):
+        """The window recomputed in Fractions of cell counts holds every
+        ratio, as the study says, and the reported floats are its values;
+        on the trivial base r = c1 = c2 = 1 exactly, with no slack."""
+        n_range = range(3, n_max + 1)
+        study = net_ratio_study(group, A1=A1, A2=A2, B=B, n_range=n_range)
+        low, high, exact = exact_window(net_pairs(group, A1, A2, B, n_range))
+        assert study.within_bounds == all(low <= r <= high for r in exact.values())
+        assert study.within_bounds
+        assert study.ratios == {n: float(r) for n, r in exact.items()}
+        assert study.c1 == pytest.approx(float(low), rel=1e-14)
+        assert study.c2 == pytest.approx(float(high), rel=1e-14)
+        if B == [(0,)]:
+            assert low == high == 1 and set(exact.values()) == {1}
+
 
 def ratio_study_building_every_net(group, A1, A2, B, n_range):
-    """``net_ratio_study`` field by field, with both nets built at every n."""
+    """``net_ratio_study`` field by field, with both nets built at every n;
+    the window is checked in the Fractions of ``exact_window``."""
     volume = group.cell_volume
-    powers = groups._powers(group, B, max(n_range), 10**6, "test")
+    pairs = net_pairs(group, A1, A2, B, n_range)
     k1 = k2 = k3 = 0.0
     ratios = {}
-    for n in n_range:
-        n1 = greedy_maximal_net(group, powers[n], A1)
-        n2 = greedy_maximal_net(group, powers[n - 2], A2)
+    for n, (n1, n2) in pairs.items():
         mu_bn, mu_bn2 = len(n1.span) * volume, len(n2.span) * volume
         k1 = max(k1, n1.span_a_cells * volume / mu_bn)
         k2 = max(k2, n2.span_a_cells * volume / mu_bn)
@@ -366,9 +390,30 @@ def ratio_study_building_every_net(group, A1, A2, B, n_range):
     mu_a1a1, mu_a2a2 = len(n1.diffs) * volume, len(n2.diffs) * volume
     c1 = mu_a1 / (k3 * k1 * mu_a2a2)
     c2 = k2 * mu_a1a1 / mu_a2
-    within = all(c1 - 1e-12 <= r <= c2 + 1e-12 for r in ratios.values())
+    low, high, exact = exact_window(pairs)
+    within = all(low <= r <= high for r in exact.values())
     return nets.NetRatioStudy(ratios=ratios, c1=c1, c2=c2, k1=k1, k2=k2, k3=k3,
                               within_bounds=within)
+
+
+def net_pairs(group, A1, A2, B, n_range):
+    """{n: (maximal A1-net of B^n, maximal A2-net of B^(n-2))}."""
+    powers = groups._powers(group, B, max(n_range), 10**6, "test")
+    return {n: (greedy_maximal_net(group, powers[n], A1),
+                greedy_maximal_net(group, powers[n - 2], A2)) for n in n_range}
+
+
+def exact_window(pairs):
+    """The window [c1, c2] and the ratios |N2| / |N1| of ``net_pairs`` as
+    Fractions of cell counts: every Haar volume is a count times the one
+    cell volume, which cancels in each ratio."""
+    k1 = max(Fraction(n1.span_a_cells, len(n1.span)) for n1, _ in pairs.values())
+    k2 = max(Fraction(n2.span_a_cells, len(n1.span)) for n1, n2 in pairs.values())
+    k3 = max(Fraction(len(n1.span), len(n2.span)) for n1, n2 in pairs.values())
+    n1, n2 = pairs[max(pairs)]
+    low = Fraction(len(n1.A), k3 * k1 * len(n2.diffs))
+    high = k2 * Fraction(len(n1.diffs), len(n2.A))
+    return low, high, {n: Fraction(len(n2.net), len(n1.net)) for n, (n1, n2) in pairs.items()}
 
 
 POWER_GROUPS = [
