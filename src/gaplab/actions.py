@@ -121,9 +121,10 @@ class CycleTable:
         self._shift = (2 * n).bit_length()
         key = np.arange(0, n << self._shift, 1 << self._shift, dtype=np.int64)
         ahead, spare = sigma, np.empty_like(key)
+        # the first round's gathered keys key[sigma] are sigma << shift
+        np.left_shift(sigma, self._shift, out=spare)
         span = 1
         while True:
-            np.take(key, ahead, out=spare, mode="clip")
             spare += span
             np.minimum(key, spare, out=spare)
             key, spare = spare, key
@@ -132,6 +133,7 @@ class CycleTable:
             np.take(ahead, ahead, out=spare, mode="clip")
             ahead, spare = spare, ahead
             span *= 2
+            np.take(key, ahead, out=spare, mode="clip")
         # a cycle's length is the number of cells that share its least cell
         # m.  The m go to a work array that is freed after the count, the
         # counts to the zero differences; sigma's buffer, which the caller
@@ -213,16 +215,17 @@ class ActionSpace:
         self.kind = kind
         self.n_cells = int(sigma.size)
         if weights is None:  # one read-only value, not a cell-sized array
-            weights = np.broadcast_to(1.0 / self.n_cells, (self.n_cells,))
-        self.weights = np.asarray(weights, dtype=float)
-        if self.weights.shape != (self.n_cells,):
-            raise ConstructionError("cell weights must give one weight per cell")
-        if abs(self.weights.sum() - 1.0) > 1e-12:
-            raise ConstructionError("cell weights must sum to 1 within 1e-12")
-        if (self.weights <= 0).any():
-            raise ConstructionError("cell weights must be strictly positive")
-        if weights is not None and not np.array_equal(self.weights[sigma], self.weights):
-            raise ConstructionError("cell weights are not preserved by the permutation")
+            self.weights = np.broadcast_to(1.0 / self.n_cells, (self.n_cells,))
+        else:
+            self.weights = weights = np.asarray(weights, dtype=float)
+            if weights.shape != (self.n_cells,):
+                raise ConstructionError("cell weights must give one weight per cell")
+            if abs(weights.sum() - 1.0) > 1e-12:
+                raise ConstructionError("cell weights must sum to 1 within 1e-12")
+            if (weights <= 0).any():
+                raise ConstructionError("cell weights must be strictly positive")
+            if not np.array_equal(weights[sigma], weights):
+                raise ConstructionError("cell weights are not preserved by the permutation")
         self.cycles = CycleTable(sigma)
 
     # -- the group action --------------------------------------------------

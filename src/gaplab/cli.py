@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import functools
 import json
 import sys
 import types
@@ -641,7 +642,10 @@ def _write_csv(path: Path, rows) -> None:
 # -- entry point -------------------------------------------------------------------
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line, built on first use and shared by every ``main``
+    call: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="gaplab",
         description="discrepancy lower-bound laboratory: reproducible experiments",
@@ -652,6 +656,11 @@ def main(argv=None) -> int:
                         help="parallel children for sweeps (at least 1)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")

@@ -79,6 +79,9 @@ def discrepancy(space: ActionSpace, mu: GroupMeasure) -> DiscrepancyResult:
     steps = space.steps(mu.atoms)
     weights = np.array(list(mu.atoms.values()), dtype=float)
     folded = np.bincount(steps % length, weights=weights, minlength=length)
+    # the full transform, not the half spectrum: the moduli at k and L - k
+    # agree only up to rounding, and the value and witness reported are
+    # the full transform's
     mags = np.abs(np.fft.fft(folded))[1:]
     if not mags.size:
         return DiscrepancyResult(0.0, 1, None)
@@ -108,8 +111,10 @@ def character_norm(space: ActionSpace, mu: GroupMeasure) -> float:
     vectors = space.translations(space.steps(support))
     mass_grid = np.zeros(space.grid_shape)
     np.add.at(mass_grid, tuple(vectors.T), [mu.atoms[g] for g in support])
-    # the first entry is the trivial character
-    mags = np.abs(np.fft.fftn(mass_grid)).ravel()[1:]
+    # the grid is real, so the character -m has the conjugate value of m,
+    # and the half spectrum of the real transform along the last axis
+    # holds every modulus; its first entry is the trivial character
+    mags = np.abs(np.fft.rfftn(mass_grid).ravel()[1:])
     # |mu^(chi)| <= mu(G) exactly; the FFT can round a hair above it
     return min(float(mags.max()), mu.total_mass)
 

@@ -208,6 +208,13 @@ def walked_cycle_table(sigma):
     return order, slot, lengths, counts
 
 
+def consecutive_cycles(lengths):
+    """A permutation whose cycles of the given lengths run over consecutive
+    cells, in the order given."""
+    starts = np.cumsum([0, *lengths[:-1]]).tolist()
+    return [s + (j + 1) % n for s, n in zip(starts, lengths) for j in range(n)]
+
+
 def assert_cycle_table_is_walk(sigma):
     """The cycle type before and after the coordinates are built, with
     either coordinate read first."""
@@ -235,9 +242,33 @@ def test_cycle_table_matches_walk(sigma):
     [5, 6, 7, 4, 0, 2, 3, 1],  # one 8-cycle: 0 5 2 7 1 6 3 4
     [i ^ 1 for i in range(16)],  # all 2-cycles
     [1, 0, 2, 4, 5, 3, 7, 8, 9, 10, 6],  # lengths 2, 1, 3 and 5
-], ids=["n1", "identity", "long-cycle", "shuffled-cycle", "two-cycles", "mixed"])
+    # the first merge reads sigma << shift, not a gather: the identity
+    # ends the loop there, and a cycle of length 2^t is covered by the
+    # window of round t
+    list(range(1000)),
+    [0, 2, 1, 3, 5, 4, 6, 9, 8, 7, 10],  # an involution with fixed points
+    consecutive_cycles([1, 2, 4, 8, 16]),
+    consecutive_cycles([16, 8, 4, 2, 1]),
+], ids=["n1", "identity", "long-cycle", "shuffled-cycle", "two-cycles", "mixed",
+        "identity-1000", "involution", "powers-of-two", "powers-of-two-down"])
 def test_cycle_table_special_permutations(sigma):
     assert_cycle_table_is_walk(sigma)
+
+
+def test_identity_builds_without_a_gather(monkeypatch):
+    """The first round gathers nothing; each later round gathers sigma's
+    next power and the keys at it."""
+    take, calls = np.take, []
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].size)
+        return take(*args, **kwargs)
+
+    monkeypatch.setattr(np, "take", spy)
+    CycleTable(np.arange(1000, dtype=np.int64))
+    assert calls == []
+    CycleTable(np.array([1, 0, 2], dtype=np.int64))  # lowered once: one round more
+    assert calls == [3, 3]
 
 
 def test_cycle_table_beyond_one_block():
@@ -345,6 +376,57 @@ def test_weights_must_be_invariant():
     space = build_action("finite-permutation", group=Z, permutation=[1, 0, 2, 3],
                          weights=[0.25, 0.25, 0.3, 0.2])
     assert space.cycle_lengths() == {1: 2, 2: 1}
+
+
+@pytest.mark.parametrize("weights,message", [
+    ([0.5, 0.5, 0.5], "must give one weight per cell"),
+    ([0.25, 0.25, 0.25, 0.3], "must sum to 1 within 1e-12"),
+    ([0.5, 0.5, 0.0, 0.0], "must be strictly positive"),
+    ([0.5, 0.5, 0.1, -0.1], "must be strictly positive"),
+])
+def test_explicit_weights_are_checked(weights, message):
+    with pytest.raises(ConstructionError, match=f"^cell weights {message}$"):
+        build_action("finite-permutation", group=Z, permutation=[1, 0, 2, 3],
+                     weights=weights)
+
+
+class ReadRecorder(np.ndarray):
+    """An array that records every index and every ufunc it meets: a
+    gather, a comparison or a sum of it leaves an entry."""
+
+    reads: list = []
+
+    def __getitem__(self, index):
+        ReadRecorder.reads.append(index)
+        return super().__getitem__(index)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        ReadRecorder.reads.append(f"{ufunc.__name__}.{method}")
+        inputs = [x.view(np.ndarray) if isinstance(x, ReadRecorder) else x
+                  for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_action("bernoulli-window", group=Z, alphabet=4, window_radius=2),
+    lambda: build_action("torus-translation", group=Z, N=64, step=(3, 5)),
+    lambda: build_action("finite-permutation", group=Z, permutation=[2, 0, 1, 3]),
+    lambda: ActionSpace(Z, "test", np.arange(1, 101, dtype=np.int64) % 100),
+], ids=["window", "torus", "permutation", "direct"])
+def test_default_weights_are_not_checked(monkeypatch, build):
+    """The default weights are correct by construction: the build reads
+    them not once, so it forms no gather, compare or sum over the cells."""
+    broadcast, equal_calls = np.broadcast_to, []
+    monkeypatch.setattr(ReadRecorder, "reads", [])
+    monkeypatch.setattr(np, "broadcast_to",
+                        lambda *a, **kw: broadcast(*a, **kw).view(ReadRecorder))
+    monkeypatch.setattr(np, "array_equal", lambda *a, **kw: equal_calls.append(a))
+    space = build()
+    assert isinstance(space.weights, ReadRecorder)
+    assert ReadRecorder.reads == []
+    assert equal_calls == []
+    assert not space.weights.flags.writeable
+    assert space.weights.strides == (0,)
 
 
 @pytest.mark.parametrize("kind,kw,field", [

@@ -815,6 +815,30 @@ class TestSweep:
         assert (out_dir / "sweep_record.csv").exists()
 
 
+class TestSharedParser:
+    """Every ``main`` call parses with one parser, which a call leaves as
+    it found it."""
+
+    def test_parser_is_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_rejected_jobs_twice(self, tmp_path, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as stop:
+                run_cli(tmp_path, SWEEP, "--jobs", "0")
+            assert stop.value.code == 2
+            assert "argument --jobs: must be >= 1, got 0" in capsys.readouterr().err
+
+    def test_seed_does_not_reach_the_next_call(self, tmp_path):
+        cfg = {"experiment": "nets", "params": {"count": 2, "ratio_n_max": 4}}
+        seeds = []
+        for extra in (["--seed", "5"], []):
+            code, out_dir = run_cli(tmp_path, cfg, *extra)
+            assert code == 0
+            seeds.append(read_record(out_dir, "nets_")["seed"])
+        assert seeds == ["5", "20250809"]
+
+
 class TestNetsExperiment:
     def test_small_battery(self, tmp_path):
         cfg = {

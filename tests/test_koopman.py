@@ -314,11 +314,14 @@ class TestCharacterNorm:
         )
 
     def test_orbit_covering_measure_kills_characters(self):
+        # criterion 1: the interval puts 1/n on every cell, and the real
+        # transform of a constant grid is exactly 0 off bin 0
         n = 1024
         grid = time_grid(n)
         mu = GroupMeasure.uniform_interval(grid, 0.0, 1.0, closed=False)
         space = build_action("circle-rotation", group=grid, N=n, cells_per_step=1)
-        assert character_norm(space, mu) <= 1e-10
+        assert np.all(TestCharacterNorm.mass_grid(space, mu) == 1 / n)
+        assert character_norm(space, mu) == 0.0
 
     def test_unsupported_kind(self):
         space = build_action("bernoulli-window", group=Z, alphabet=2,
@@ -335,6 +338,63 @@ class TestCharacterNorm:
         char = character_norm(space, mu)
         disc = discrepancy(space, mu).value
         assert disc == pytest.approx(char, abs=1e-6)
+
+    # sides odd, even and prime; the second atom of each measure sits on
+    # the cell of the first, N steps further on
+    HALF_SPECTRUM_CASES = [
+        ("circle-rotation", dict(N=2, cells_per_step=1), [2, 1]),
+        ("circle-rotation", dict(N=9, cells_per_step=2), [0, 4, -7]),
+        ("circle-rotation", dict(N=12, cells_per_step=5), [1, -1, 6, 17]),
+        ("circle-rotation", dict(N=13, cells_per_step=8), [2, -3, 5]),
+        ("circle-rotation", dict(N=64, cells_per_step=27), [1, -2, 9, 40]),
+        ("torus-translation", dict(N=5, step=(1, 2)), [1, -1, 3]),
+        ("torus-translation", dict(N=8, step=(3, 5)), [0, 2, -5, 11]),
+        ("torus-translation", dict(N=9, step=(0, 4)), [1, 7]),
+        ("torus-translation", dict(N=17, step=(5, 13)), [-4, 1, 2, 30]),
+    ]
+
+    @staticmethod
+    def half_spectrum_measure(kw, coords):
+        """Atoms at the coordinates with unequal weights, and one more at
+        the first coordinate plus N, on the same cell."""
+        weights = np.arange(1, len(coords) + 2, dtype=float) ** 1.5
+        weights /= 1.25 * weights.sum()
+        coords = [*coords, coords[0] + kw["N"]]
+        return GroupMeasure.from_atoms(
+            Z, [((c,), float(w)) for c, w in zip(coords, weights)])
+
+    @staticmethod
+    def mass_grid(space, mu):
+        support = mu.support()
+        grid = np.zeros(space.grid_shape)
+        np.add.at(grid, tuple(space.translations(space.steps(support)).T),
+                  [mu.atoms[g] for g in support])
+        return grid
+
+    @pytest.mark.parametrize("kind,kw,coords", HALF_SPECTRUM_CASES)
+    def test_half_spectrum_is_the_direct_character_sum(self, kind, kw, coords):
+        """max over m != 0 of |sum_j w_j exp(-2 pi i <m, v_j> / N)|, the
+        exponentials written out over the whole grid dual."""
+        space = build_action(kind, group=Z, **kw)
+        mu = self.half_spectrum_measure(kw, coords)
+        support = mu.support()
+        vectors = space.translations(space.steps(support))
+        weights = np.array([mu.atoms[g] for g in support])
+        dual = np.indices(space.grid_shape).reshape(len(space.grid_shape), -1).T[1:]
+        phases = np.exp(-2j * np.pi * (dual @ vectors.T) / kw["N"])
+        expect = min(float(np.abs(phases @ weights).max()), mu.total_mass)
+        assert expect < mu.total_mass or kind == "torus-translation"
+        assert character_norm(space, mu) == pytest.approx(expect, abs=1e-12)
+
+    @pytest.mark.parametrize("kind,kw,coords", HALF_SPECTRUM_CASES)
+    def test_half_spectrum_matches_the_full_transform(self, kind, kw, coords):
+        """The largest nonzero modulus of the complex transform of the
+        whole grid, clamped at the mass."""
+        space = build_action(kind, group=Z, **kw)
+        mu = self.half_spectrum_measure(kw, coords)
+        full = np.abs(np.fft.fftn(self.mass_grid(space, mu))).ravel()[1:]
+        expect = min(float(full.max()), mu.total_mass)
+        assert character_norm(space, mu) == pytest.approx(expect, rel=1e-15)
 
     @staticmethod
     def looped_line_scan(mu, slope, freq_cutoff):
