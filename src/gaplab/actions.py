@@ -207,6 +207,8 @@ class ActionSpace:
     sigma is an int64 array that the space takes: the cycle table's build
     writes over its buffer, so the caller hands in an array it does not
     read again.  Explicit weights must be invariant under sigma.
+    ``cell_weight`` is the weight every cell carries, None where explicit
+    weights differ.
     """
 
     def __init__(self, group: GroupDescriptor, kind: str, sigma: np.ndarray,
@@ -215,7 +217,8 @@ class ActionSpace:
         self.kind = kind
         self.n_cells = int(sigma.size)
         if weights is None:  # one read-only value, not a cell-sized array
-            self.weights = np.broadcast_to(1.0 / self.n_cells, (self.n_cells,))
+            self.cell_weight = 1.0 / self.n_cells
+            self.weights = np.broadcast_to(self.cell_weight, (self.n_cells,))
         else:
             self.weights = weights = np.asarray(weights, dtype=float)
             if weights.shape != (self.n_cells,):
@@ -226,6 +229,7 @@ class ActionSpace:
                 raise ConstructionError("cell weights must be strictly positive")
             if not np.array_equal(weights[sigma], weights):
                 raise ConstructionError("cell weights are not preserved by the permutation")
+            self.cell_weight = float(weights[0]) if (weights == weights[0]).all() else None
         self.cycles = CycleTable(sigma)
 
     # -- the group action --------------------------------------------------
@@ -245,12 +249,6 @@ class ActionSpace:
                 f"{self.kind} acts by integer steps; got coordinates {steps[:3].tolist()}"
             )
         return steps.astype(np.int64)
-
-    def act_indices(self, steps: int, idx: np.ndarray) -> np.ndarray:
-        """Forward action of sigma^steps on cell indices."""
-        slot = self.cycles.slot[idx]
-        first, length = self.cycles.locate(slot)
-        return self.cycles.order[first + (slot - first + steps) % length]
 
     def cycle_lengths(self) -> dict[int, int]:
         """Cycle type of sigma: {cycle length L: number of cycles}."""

@@ -24,7 +24,9 @@ the radius search and reads everything off them: the masses are the
 cell weight times a segment count, the F-overlaps are integer sums over
 pairs of segments, the companion is the first cells outside the mask of
 S^n B_n, and the test vector phi is written in slot order, the order in
-which its FFT reads it.
+which its FFT reads it.  Every comparison with mass 1/2 compares counts:
+a set has mass below 1/2 iff it holds fewer than half the cells, where a
+product of the rounded cell weight and a count could land on either side.
 """
 
 from __future__ import annotations
@@ -40,11 +42,10 @@ from .groups import GroupDescriptor, _contains, _distinct, _powers
 from .measures import (
     DEFAULT_SUPPORT_CAP,
     GroupMeasure,
-    _arrays,
     _convolve_keys,
-    _fold_sum,
+    _pairing,
+    _symmetrized,
     _walk_box,
-    symmetrize,
 )
 
 CHAIN_TOL = 1e-10
@@ -82,13 +83,11 @@ class CertificateReport:
 def _cell_weight(space: ActionSpace) -> float:
     """The weight of every cell; raises unless all cells weigh exactly the
     same, the one case in which counting cells matches their mass."""
-    weights = space.weights
-    weight = weights[0]
-    if weights.min() != weight or weights.max() != weight:
+    if space.cell_weight is None:
         raise PreconditionError(
             "certificates need an equal-weight cell grid: companion sets "
             "match masses by counting cells")
-    return weight
+    return space.cell_weight
 
 
 def _step_powers(group: GroupDescriptor, S: np.ndarray, k: int) -> list[np.ndarray]:
@@ -163,6 +162,11 @@ def _segment_slots(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.repeat(lo - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
 
 
+def _count(lo: np.ndarray, hi: np.ndarray) -> int:
+    """The number of cells of the disjoint slot segments [lo, hi)."""
+    return int((hi - lo).sum())
+
+
 def _segment_mask(space: ActionSpace, lo: np.ndarray, hi: np.ndarray,
                   out: np.ndarray) -> np.ndarray:
     """The cells of the slot segments [lo, hi) as a mask, written into
@@ -170,18 +174,6 @@ def _segment_mask(space: ActionSpace, lo: np.ndarray, hi: np.ndarray,
     out.fill(False)
     out[space.cycles.order[_segment_slots(lo, hi)]] = True
     return out
-
-
-def _segments_mass(space: ActionSpace, lo: np.ndarray, hi: np.ndarray) -> float:
-    """Mass of the disjoint slot segments [lo, hi); the weights are
-    constant on cycles, so each segment weighs its first cell times its
-    size."""
-    return float((space.weights[space.cycles.order[lo]] * (hi - lo)).sum())
-
-
-def _union_mass(space: ActionSpace, steps, idx: np.ndarray) -> float:
-    """Mass of the union of sigma^c cells over the step counts c."""
-    return _segments_mass(space, *_arc_segments(space, steps, idx))
 
 
 def _pair_correlations(space: ActionSpace, steps, lo: np.ndarray,
@@ -298,24 +290,28 @@ def _rayleigh_numerator(space: ActionSpace, phi: np.ndarray,
 # -- the walk -------------------------------------------------------------------
 
 
-def _row(n: int, nu_b: float, nu_snb: float, overlap: float, numerator: float,
-         f_mass: float) -> CertificateRow:
-    """Row n from the masses of B_n and S^n B_n, the least F-overlap
+def _row(n: int, weight: float, size: int, thickened: int, n_cells: int,
+         overlap: float, numerator: float, f_mass: float) -> CertificateRow:
+    """Row n on a grid of ``n_cells`` cells that all weigh ``weight``,
+    from the cell counts of B_n and S^n B_n, the least F-overlap
     inf_{g in F} nu(gB_n & B_n), <pi(eta^{*n}) phi_n, phi_n> and
     eta^{*n}(F).
 
-    The overlap ratio is clamped to [0, 1]; it serves condition (3) and
-    the chain bound alike.
+    Conditions (1) and (2) compare the exact counts: S^n B_n has mass
+    below 1/2 iff it holds fewer than half the cells.  The overlap ratio
+    is clamped to [0, 1]; it serves condition (3) and the chain bound
+    alike.
     """
+    nu_b = float(weight * size)
     ratio = min(max(overlap / nu_b, 0.0), 1.0)
     rayleigh = numerator / (2.0 * nu_b)
     chain_bound = 0.5 * f_mass * ratio
     return CertificateRow(
         n=n,
         nu_B=nu_b,
-        nu_SnB=nu_snb,
-        cond1=nu_b > 0,
-        cond2=nu_snb < 0.5,
+        nu_SnB=float(weight * thickened),
+        cond1=size > 0,
+        cond2=2 * thickened < n_cells,
         ratio=ratio,
         ratio_root=ratio ** (1.0 / n),
         rayleigh=rayleigh,
@@ -326,7 +322,7 @@ def _row(n: int, nu_b: float, nu_snb: float, overlap: float, numerator: float,
 
 
 def _walk(space: ActionSpace, F: np.ndarray, segments: list, slack: float,
-          eta: GroupMeasure, weight: float) -> CertificateReport:
+          eta: tuple[np.ndarray, np.ndarray], weight: float) -> CertificateReport:
     """One pass over n = 1..len(segments) carrying eta^{*n} forward, on a
     grid whose cells all weigh ``weight``, for the sorted step array F.
 
@@ -336,41 +332,40 @@ def _walk(space: ActionSpace, F: np.ndarray, segments: list, slack: float,
     segment sizes, the F-overlaps are sums over pairs of B_n's segments,
     the companion is the first |B_n| cells outside the mask of S^n B_n,
     and phi is written in slot order, the order the Rayleigh numerator
-    transforms it in.  eta^{*n} is carried as (keys, weights) arrays of
-    one key box that holds eta^{*n_max}, in first-formed order, and
-    eta^{*n}(F) adds its weights on F one by one from the left, in that
-    order: ((w_1 + w_2) + w_3) + ..., by ``_fold_sum``.
+    transforms it in.  eta = mu * mu^ comes as the (cells, weights) of
+    ``measures._symmetrized``; eta^{*n} is carried as (keys, weights)
+    arrays of one key box that holds eta^{*n_max} and F, in first-formed
+    order, and eta^{*n}(F) is read by ``measures._pairing``, as
+    Berg-Christensen reads it.
     """
-    eta_cells, eta_weights = _arrays(eta)
+    eta_cells, eta_weights = eta
     eta_hat = _measure_spectra(space, eta_cells[:, 0], eta_weights)
-    box = _walk_box(space.group, eta_cells, eta_cells[:0], len(segments), 0,
+    box = _walk_box(space.group, eta_cells, F[:, None], len(segments), 0,
                     "certificate walk")
     # eta^{*0} is the point mass at 0; key(x) + key(y) - key(0) keys x + y
     keys = box.keys(np.zeros((1, space.group.dimension), dtype=np.int64))
     weights = np.ones(1)
     step = box.keys(eta_cells) - keys
-    f_keys = box.keys(F[:, None])  # increasing, as F is
+    indicator = (box.keys(F[:, None]), np.ones(len(F)))
     # one mask of S^n B_n and one phi, rewritten at every n
     covered = np.empty(space.n_cells, dtype=bool)
     phi = np.empty(space.n_cells, dtype=np.int8)
     rows = []
     for n, ((lo, hi), thickened) in enumerate(segments, 1):
-        size = int((hi - lo).sum())
+        size = _count(lo, hi)
         overlaps = _pair_correlations(space, F, lo, hi, weight)
         with np.errstate(over="ignore"):  # an overflow is reported by atom
             keys, weights = _convolve_keys(box, keys, weights, step, eta_weights,
                                            DEFAULT_SUPPORT_CAP)
-        f_mass = _fold_sum(weights[_contains(f_keys, keys)])
         companion = _companion_set(size, _segment_mask(space, *thickened, covered))
         phi.fill(0)
         phi[_segment_slots(lo, hi)] = 1
         phi[space.cycles.slot[companion]] = -1
         spectra = {length: values ** n for length, values in eta_hat.items()}
-        rows.append(_row(n, float(weight * size),
-                         float(weight * (thickened[1] - thickened[0]).sum()),
+        rows.append(_row(n, weight, size, _count(*thickened), space.n_cells,
                          float(overlaps.min()),
                          _rayleigh_numerator(space, phi, spectra, weight),
-                         f_mass))
+                         _pairing(box, (keys, weights), indicator, len(step))))
     max_root = max(r.ratio_root for r in rows)
     return CertificateReport(
         rows=tuple(rows),
@@ -414,11 +409,11 @@ def _orbit_segments(space: ActionSpace, x0: int, steps: np.ndarray,
     V_n is the largest cell ball around x0 such that (a) gV_n and V_n are
     disjoint for every g in S^{2n-2} outside S (the thickened-stabilizer
     exemption under the free-orbit surrogate), and (b) the orbit
-    thickening S^{2n} V_n keeps mass below 1/2.  Condition (b) plays the
-    role of the small open superset: with it, S^n B_n = S^{2n} V_n stays
-    below mass 1/2 by construction.  The radius search keeps the segments
-    of S^{2n} V_n from its accepted probe, and one arc sweep of V_n gives
-    those of B_n."""
+    thickening S^{2n} V_n holds fewer than half the cells, so it has mass
+    below 1/2.  Condition (b) plays the role of the small open superset:
+    with it, S^n B_n = S^{2n} V_n stays below mass 1/2 by construction.
+    The radius search keeps the segments of S^{2n} V_n from its accepted
+    probe, and one arc sweep of V_n gives those of B_n."""
     if n_max < 1:
         raise PreconditionError(f"the horizon n_max must be >= 1, got {n_max}")
     try:
@@ -438,11 +433,11 @@ def _orbit_segments(space: ActionSpace, x0: int, steps: np.ndarray,
             f"free-orbit surrogate fails at the base cell: atom {(int(fixing[0]),)} "
             f"of S^{2 * n_max} fixes it; refine the grid or shorten the horizon"
         )
-    orbit_mass = _union_mass(space, thickest, np.array([x0]))
-    if orbit_mass >= 0.5:
+    orbit = _count(*_arc_segments(space, thickest, np.array([x0])))
+    if 2 * orbit >= space.n_cells:
         raise GridResolutionError(
             f"the S^{2 * n_max}-orbit of the base cell has mass "
-            f"{orbit_mass:.6g} >= 1/2; refine the grid"
+            f"{space.cell_weight * orbit:.6g} >= 1/2; refine the grid"
         )
 
     segments, radius = [], None
@@ -470,10 +465,10 @@ def _largest_mass_admissible_radius(
     space: ActionSpace, thickening: np.ndarray, x0: int, r_cap: int, start: int
 ) -> tuple[int, np.ndarray, tuple[np.ndarray, np.ndarray]] | None:
     """The largest radius r <= r_cap whose ball around x0 keeps its
-    thickening below mass 1/2, with that ball and the slot segments of its
-    thickening, or None if even r = 0 does not.
+    thickening below half the cells, with that ball and the slot segments
+    of its thickening, or None if even r = 0 does not.
 
-    The mass only grows with r, so one loop keeps the largest admissible
+    The count only grows with r, so one loop keeps the largest admissible
     probe ``good`` and the least inadmissible one ``bad``.  It probes
     ``start`` first and gallops from there, by steps that double, until
     the radius is bracketed, then bisects.  ``start`` is 0 at n = 1 and
@@ -486,7 +481,7 @@ def _largest_mass_admissible_radius(
     while bad - good > 1:
         ball = space.cell_ball(x0, radius)
         swept = _arc_segments(space, thickening, ball)
-        if _segments_mass(space, *swept) < 0.5:
+        if 2 * _count(*swept) < space.n_cells:
             good, accepted, radius = radius, (radius, ball, swept), radius + step
         else:
             bad, radius = radius, radius - step
@@ -533,8 +528,8 @@ def run_certificate(
         raise DescriptorMismatchError("measure and action space live on "
                                       "different groups")
     weight = _cell_weight(space)
-    eta = symmetrize(mu)
+    eta = _symmetrized(mu)
     # eta is symmetric and holds the identity, so S is too
-    S = _distinct(space.steps(eta.atoms))
+    S = _distinct(space.steps(eta[0]))
     segments = _orbit_segments(space, x0, S, n_max)
     return _walk(space, S, segments, slack, eta, weight)

@@ -363,9 +363,9 @@ def _unique_keys(keys: np.ndarray, weights: np.ndarray, cap: int, what: str):
     through a table over that range: ``np.minimum.at`` writes the first
     position of each key, and the positions that find themselves there are
     the distinct keys, already in first-formed order.  Wider keys are
-    sorted, and the distinct ones reordered by their least position.  Both
-    give the same arrays.  More than ``cap`` distinct keys raise
-    ``ResourceLimitError``.
+    sorted, and the distinct ones reordered by their least position; that
+    route writes over ``keys``.  Both give the same arrays.  More than
+    ``cap`` distinct keys raise ``ResourceLimitError``.
     """
     n = len(keys)
     if not n:
@@ -387,11 +387,16 @@ def _unique_keys(keys: np.ndarray, weights: np.ndarray, cap: int, what: str):
     at = np.flatnonzero(starts)
     _check_cap(len(at), cap, what)
     distinct = ordered[at]
-    index = ordered  # the rank of each key among the distinct ones, in its buffer
-    index[perm] = np.cumsum(starts)
-    index -= 1
+    # the rank of each key among the distinct ones, in the buffer of keys,
+    # which nothing reads again
+    ranks = np.cumsum(starts, out=ordered)
+    ranks -= 1
+    index = keys
+    index[perm] = ranks
+    del ordered, ranks, starts
     # the sort is not stable: the first position is the least in each run
     order = np.argsort(np.minimum.reduceat(perm, at))
+    del perm, at
     return distinct[order], np.bincount(index, weights)[order]
 
 

@@ -211,7 +211,9 @@ def check_hypotheses(space: ActionSpace, mu: GroupMeasure) -> list[str]:
     specialization of the bound holds without it).
     """
     violations = []
-    wmax = float(space.weights.max())
+    wmax = space.cell_weight
+    if wmax is None:
+        wmax = float(space.weights.max())
     if wmax >= ATOM_THRESHOLD:
         violations.append(
             f"atomless surrogate fails: a cell carries mass {wmax:.6g} "

@@ -15,12 +15,12 @@ import numpy as np
 
 from .errors import DescriptorMismatchError, PreconditionError
 from .groups import (
+    _DENSE_RANGE,
     FREE,
     TORUS_GRID,
     Element,
     GroupDescriptor,
     KeyBox,
-    _check_cap,
     _check_pairs,
     _coordinates,
     _factor_keys,
@@ -163,7 +163,7 @@ def convolve(
     """Convolution: mass of g is the sum of a(h)*b(k) over h*k = g.
 
     Exact direct summation over all pairs (h, k), h-major in atom order,
-    on every kind by ``_convolve_arrays``: the products are formed at once
+    on every kind by ``_convolve_keys``: the products are formed at once
     as keys of one box, a ``KeyBox`` on the abelian kinds and a ``WordBox``
     on the free group, with each weight, and the order of the atoms
     (first formed first), those of the pair loop one element at a time.  As
@@ -174,10 +174,10 @@ def convolve(
         raise DescriptorMismatchError(
             f"cannot convolve measures on {a.group.kind} and {b.group.kind} groups"
         )
-    g = a.group
-    elements, weights = _convolve_arrays(g, list(a.atoms), _weights(a),
-                                         list(b.atoms), _weights(b), cap)
-    return _measure(g, dict(zip(elements, weights.tolist())))
+    box, keys_a, keys_b = _factor_keys(a.group, list(a.atoms), list(b.atoms), "convolution")
+    with np.errstate(over="ignore"):  # an overflow is reported by atom
+        keys, weights = _convolve_keys(box, keys_a, _weights(a), keys_b, _weights(b), cap)
+    return _measure(a.group, dict(zip(box.elements(keys), weights.tolist())))
 
 
 def _measure(group: GroupDescriptor, atoms: dict) -> GroupMeasure:
@@ -194,20 +194,16 @@ def _weights(a: GroupMeasure) -> np.ndarray:
     return np.fromiter(a.atoms.values(), float, len(a))
 
 
-def _arrays(a: GroupMeasure):
-    """The atoms of an abelian measure as a (cells, weights) pair of
-    arrays, in atom order."""
-    cells = np.asarray(list(a.atoms)).reshape(len(a), a.group.dimension)
-    return cells, _weights(a)
-
-
-def _convolve_arrays(group: GroupDescriptor, xs, w_a, ys, w_b, cap: int):
-    """``convolve`` on elements and weight arrays: the elements of the
-    product as tuples, in first-formed order, and their weights."""
-    box, keys_a, keys_b = _factor_keys(group, xs, ys, "convolution")
+def _symmetrized(mu: GroupMeasure, cap: int = DEFAULT_SUPPORT_CAP):
+    """eta = mu * mu^, the measure both lower estimates walk, as the
+    cells of its atoms, an (m, d) int64 array (a list of words on the free
+    group), and their weights, in ``convolve``'s first-formed order."""
+    atoms, weights = list(mu.atoms), _weights(mu)
+    box, keys, inverse_keys = _factor_keys(mu.group, atoms,
+                                           [mu.group.inverse(g) for g in atoms], "convolution")
     with np.errstate(over="ignore"):  # an overflow is reported by atom
-        keys, weights = _convolve_keys(box, keys_a, w_a, keys_b, w_b, cap)
-    return box.elements(keys), weights
+        keys, weights = _convolve_keys(box, keys, weights, inverse_keys, weights, cap)
+    return box.cells(keys), weights
 
 
 def _convolve_keys(box, keys_a, w_a, keys_b, w_b, cap: int):
@@ -216,22 +212,16 @@ def _convolve_keys(box, keys_a, w_a, keys_b, w_b, cap: int):
 
     The pairs are taken x-major, and ``_unique_keys`` hands back the
     distinct products in first-formed order with their weights added in
-    pair order, as the pair loop does.  When one side is a single atom
-    the product is a translate: its keys are distinct and in the other
-    side's order, and each weight is one product.  More pairs than memory
-    holds raise ``ResourceLimitError`` before any is formed.  As in
-    ``GroupMeasure``, the first non-finite weight raises, naming its
-    element, and weights that underflow to 0 are dropped.  The caller
-    holds ``np.errstate(over="ignore")`` around it, so that a product that
+    pair order, as the pair loop does.  More pairs than memory holds raise
+    ``ResourceLimitError`` before any is formed.  As in ``GroupMeasure``,
+    the first non-finite weight raises, naming its element, and weights
+    that underflow to 0 are dropped.  The caller holds
+    ``np.errstate(over="ignore")`` around it, so that a product that
     overflows is reported here, by atom.
     """
     _check_pairs(len(keys_a) * len(keys_b), "convolution")
     products = np.multiply.outer(w_a, w_b).ravel()
-    if min(len(keys_a), len(keys_b)) == 1:
-        keys, weights = box.add(keys_a, keys_b), products
-        _check_cap(len(keys), cap, "convolution")
-    else:
-        keys, weights = _unique_keys(box.add(keys_a, keys_b), products, cap, "convolution")
+    keys, weights = _unique_keys(box.add(keys_a, keys_b), products, cap, "convolution")
     # sums of products of finite weights >= 0 are never NaN: one reduction
     # each finds an overflow and an underflow
     if not weights.max(initial=0.0) < np.inf:
@@ -273,6 +263,31 @@ def _fold_sum(values) -> float:
     pairwise; both move the last digit of a sum whose order is fixed."""
     values = np.asarray(values, dtype=float)
     return float(np.add.accumulate(values)[-1]) if values.size else 0.0
+
+
+def _pairing(box, high, reach, step: int) -> float:
+    """sum_g high(g) reach(g) for two (keys, weights) pairs of ``box``,
+    whose keys are distinct on each side: the products, in the key order
+    of ``high``, added one by one from the left by ``_fold_sum``, so that
+    ((p_1 + p_2) + p_3) + ... has the same digits on every Python.
+
+    It reads reach at the keys of high from a float table over the box
+    while the box holds at most ``_DENSE_RANGE`` cells per pair of the
+    walk's next step, |high| times the ``step`` atoms of eta; in a wider
+    box, the ``WordBox`` always, it finds each key of high among reach's
+    by binary search.  A key absent from reach reads 0."""
+    (keys, weights), (reach_keys, reach_weights) = high, reach
+    if not len(reach_keys):
+        return 0.0
+    if box.size <= _DENSE_RANGE * len(keys) * step:
+        table = np.zeros(box.size)
+        table[reach_keys] = reach_weights
+        found = table[keys]
+    else:
+        order = np.argsort(reach_keys)
+        at = order[np.searchsorted(reach_keys, keys, sorter=order).clip(max=len(order) - 1)]
+        found = np.where(reach_keys[at] == keys, reach_weights[at], 0.0)
+    return _fold_sum(weights * found)
 
 
 def involute(a: GroupMeasure) -> GroupMeasure:

@@ -67,24 +67,20 @@ def greedy_maximal_net(group: GroupDescriptor, span, A) -> NetInstance:
 
 def _free_net(group: GroupDescriptor, span, A) -> NetInstance:
     """``greedy_maximal_net`` on the free group: the span, A and A A^{-1}
-    as sorted word keys, which sort as the words do; each accepted point
-    blocks the keys of its products with A A^{-1}."""
+    as sorted word keys, which sort as the words do, and the net of
+    ``_greedy`` in the ``WordBox``, where the keys of the span are the
+    points and the products p d are keyed in the same frame."""
     box = _word_box(group, "net")
     a_keys, span_keys = _distinct(box.keys(A)), _distinct(box.keys(span))
     A = box.cells(a_keys)
     if group.identity() not in A:
         raise PreconditionError("A must contain the identity")
     diff_keys = _distinct(box.add(a_keys, box.inverse(a_keys)))
-    blocked: set[int] = set()
-    net = []
-    for point in span_keys.tolist():
-        if point not in blocked:
-            net.append(point)
-            blocked.update(box.add(np.array([point]), diff_keys).tolist())
+    net = _greedy(box, span_keys, span_keys, diff_keys)
     return NetInstance(
         group=group,
         A=tuple(A),
-        net=tuple(box.cells(np.array(net, dtype=np.int64))),
+        net=tuple(box.cells(span_keys[net])),
         span=tuple(box.cells(span_keys)),
         diffs=tuple(box.cells(diff_keys)),
         span_a_cells=len(_distinct(box.add(span_keys, a_keys))),
@@ -142,13 +138,13 @@ def _abelian_net(group: GroupDescriptor, span, A) -> NetInstance:
     )
 
 
-def _greedy(box: KeyBox, span_keys, points, diff_keys) -> list[int]:
-    """The span rows the greedy net accepts, in order.  ``box.add(span_keys,
-    diff_keys)`` keys the sums of S and the differences a point blocks, in
-    the frame of ``points``, the increasing keys of S; the sums are keyed
-    about ``_NET_PAIRS`` at a time, located among the points by binary
-    search, and each accepted point marks the points of its row in a
-    boolean array over the span."""
+def _greedy(box, span_keys, points, diff_keys) -> list[int]:
+    """The span rows the greedy net accepts, in order, in a ``KeyBox`` or
+    the ``WordBox``.  ``box.add(span_keys, diff_keys)`` keys the sums of S
+    and the differences a point blocks, in the frame of ``points``, the
+    increasing keys of S; the sums are keyed about ``_NET_PAIRS`` at a
+    time, located among the points by binary search, and each accepted
+    point marks the points of its row in a boolean array over the span."""
     blocked = np.zeros(len(points) + 1, dtype=bool)  # the last slot: sums off the span
     rows = max(1, _NET_PAIRS // len(diff_keys))
     net = []

@@ -17,15 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError, ResourceLimitError, UnsupportedKindError
-from .groups import _DENSE_RANGE, FREE, GroupDescriptor
+from .groups import FREE, GroupDescriptor
 from .measures import (
     DEFAULT_SUPPORT_CAP,
     GroupMeasure,
-    _convolve_arrays,
     _convolve_keys,
-    _fold_sum,
+    _pairing,
+    _symmetrized,
     _walk_box,
-    _weights,
 )
 
 
@@ -94,10 +93,16 @@ def berg_christensen_estimate(
     if F == [group.identity()] and _is_uniform_generator_walk(mu):
         return _radial_estimate(mu, n_max)
 
-    eta, indicator, conv, inv, pairing = _walk_steps(mu, F, n_max, cap)
-    at_e = set(F) == {group.identity()}  # then 1_F * x is x
-    # high = eta^{*ceil(n/2)}; reach = 1_F * (eta^{*floor(n/2)})^
-    high, reach = eta, indicator
+    # 1_F, its distinct elements checked as the atoms of a measure are
+    f = list(GroupMeasure(group, dict.fromkeys(F, 1.0)).atoms)
+    eta, eta_weights = _symmetrized(mu, cap)
+    box = _walk_box(group, eta, f, (n_max + 1) // 2, n_max // 2, "Berg-Christensen walk")
+    # high = eta^{*ceil(n/2)}; reach = 1_F * (eta^{*floor(n/2)})^, as (keys,
+    # weights) of the box, in which add(key(x), key(y) - zero) keys x * y
+    high = (box.keys(eta), eta_weights)
+    reach = indicator = (box.keys(f), np.ones(len(f)))
+    step = high[0] - box.zero
+    at_e = f == [group.identity()]  # then 1_F * x is x
     seq: list[tuple[int, float]] = []
     drops = []  # (n, term n-1, term n) where the sequence decreases
     prev = -math.inf
@@ -106,10 +111,13 @@ def berg_christensen_estimate(
         with np.errstate(over="ignore"):
             for n in range(1, n_max + 1):
                 if n % 2 == 0:
-                    reach = inv(high) if at_e else conv(indicator, inv(high))
+                    reach = (box.inverse(high[0]), high[1])
+                    if not at_e:
+                        reach = _convolve_keys(box, *indicator, reach[0] - box.zero,
+                                               reach[1], cap)
                 elif n > 1:
-                    high = conv(high, eta)
-                mass = pairing(high, reach)
+                    high = _convolve_keys(box, *high, step, eta_weights, cap)
+                mass = _pairing(box, high, reach, len(step))
                 raw = mass ** (1.0 / (2 * n))
                 if raw < prev - 1e-10:
                     drops.append((n, prev, raw))
@@ -134,58 +142,6 @@ def berg_christensen_estimate(
                 f"{after:.12g}); monotonicity is only heuristic for this input")
     return NormEstimate(value=seq[-1][1], method="berg-christensen", sequence=seq,
                         note=note)
-
-
-def _walk_steps(mu: GroupMeasure, F: list, n_max: int, cap: int):
-    """``(eta, indicator, convolve, involute, pairing)`` of the walk: eta =
-    mu * mu^ and 1_F as (keys, weights) arrays in the one box of
-    ``measures._walk_box``, which the certificate walk shares: a ``KeyBox``
-    on the abelian kinds, the ``WordBox`` on the free group.
-    ``_convolve_keys`` keeps each power in first-formed order.
-    ``pairing(high, reach)`` is sum_g high(g) reach(g): the products
-    high(g) reach(g), in the atom order of ``high``, are added one by one
-    from the left by ``_fold_sum``, so that ((p_1 + p_2) + p_3) + ... has
-    the same digits on every Python.  It reads reach at the keys of high
-    from one float array over the box, allocated on first use, while the
-    box holds at most ``_DENSE_RANGE`` keys per pair of the step high * eta
-    (the pairing writes reach's weights and zeroes them after the gather);
-    in a wider box, the ``WordBox`` always, it finds each key of high among
-    reach's by binary search."""
-    group = mu.group
-    indicator = GroupMeasure(group, dict.fromkeys(F, 1.0))
-    atoms, weights = list(mu.atoms), _weights(mu)
-    eta, eta_weights = _convolve_arrays(group, atoms, weights,
-                                        [group.inverse(g) for g in atoms], weights, cap)
-    f = list(indicator.atoms)
-    box = _walk_box(group, eta, f, (n_max + 1) // 2, n_max // 2, "Berg-Christensen walk")
-    eta_keys = box.keys(eta)
-    lookup = None  # the float array over the box, once allocated
-
-    def conv(a, b):
-        # add(key(x), key(y) - zero) is the key of x * y
-        return _convolve_keys(box, a[0], a[1], b[0] - box.zero, b[1], cap)
-
-    def inv(a):
-        return box.inverse(a[0]), a[1]
-
-    def pairing(high, reach):
-        nonlocal lookup
-        (keys, weights), (reach_keys, reach_weights) = high, reach
-        if not len(reach_keys):  # then high is empty too
-            return 0.0
-        if box.size <= _DENSE_RANGE * len(keys) * len(eta_keys):
-            if lookup is None:
-                lookup = np.zeros(box.size)
-            lookup[reach_keys] = reach_weights
-            found = lookup[keys]
-            lookup[reach_keys] = 0.0
-        else:
-            order = np.argsort(reach_keys)
-            at = order[np.searchsorted(reach_keys, keys, sorter=order).clip(max=len(order) - 1)]
-            found = np.where(reach_keys[at] == keys, reach_weights[at], 0.0)
-        return _fold_sum(weights * found)
-
-    return ((eta_keys, eta_weights), (box.keys(f), _weights(indicator)), conv, inv, pairing)
 
 
 def _is_uniform_generator_walk(mu: GroupMeasure) -> bool:

@@ -14,6 +14,14 @@ import numpy as np
 from gaplab import DescriptorMismatchError, GaplabError
 
 
+def act_indices(space, steps: int, idx: np.ndarray) -> np.ndarray:
+    """Forward action of sigma^steps on the cell indices idx of ``space``,
+    through its cycle table."""
+    slot = space.cycles.slot[idx]
+    first, length = space.cycles.locate(slot)
+    return space.cycles.order[first + (slot - first + steps) % length]
+
+
 class ConvergenceError(GaplabError):
     """An iterative solver did not reach its tolerance within its budget."""
 
@@ -114,7 +122,7 @@ class KoopmanAveragingOperator:
         cells = np.arange(space.n_cells)
         support = measure.support()
         self._perms = [
-            (space.act_indices(-c, cells), measure.atoms[g])
+            (act_indices(space, -c, cells), measure.atoms[g])
             for g, c in zip(support, space.steps(support).tolist())
         ]
 

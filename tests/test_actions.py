@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from operator_helpers import act_indices
 
 from gaplab import (
     ConstructionError,
     DescriptorMismatchError,
     GroupDescriptor,
+    GroupMeasure,
+    PreconditionError,
     ResourceLimitError,
     build_action,
 )
@@ -26,11 +29,13 @@ from gaplab.actions import (
 )
 from gaplab.certificates import (
     _arc_segments,
+    _cell_weight,
+    _count,
     _pair_correlations,
     _segment_mask,
     _slot_segments,
-    _union_mass,
 )
+from gaplab.koopman import check_hypotheses
 
 Z = GroupDescriptor(kind="lattice", dimension=1)
 
@@ -115,13 +120,13 @@ SPACES = [
 def test_act_indices_is_sigma_iterated(kind, kw):
     space = build_action(kind, group=Z, **kw)
     sigma = reference_sigma(kind, kw)
-    assert space.act_indices(1, np.arange(space.n_cells)).tolist() == sigma
+    assert act_indices(space, 1, np.arange(space.n_cells)).tolist() == sigma
     longest = max(space.cycle_lengths())
     idx = np.arange(space.n_cells)
     for c in range(-2 * longest, 2 * longest + 1):
-        assert space.act_indices(c, idx).tolist() == power(sigma, c), c
+        assert act_indices(space, c, idx).tolist() == power(sigma, c), c
     picked = idx[::3][::-1]
-    assert space.act_indices(5, picked).tolist() == [
+    assert act_indices(space, 5, picked).tolist() == [
         power(sigma, 5)[i] for i in picked]
 
 
@@ -162,7 +167,7 @@ def test_cycle_table_of_uneven_permutation():
     assert rows == [[12], [15], [2, 5, 10], [13, 16, 14], [4, 8, 6, 11],
                     [0, 3, 7, 1, 9]]
     for row in rows:
-        assert space.act_indices(1, np.array(row)).tolist() == row[1:] + row[:1]
+        assert act_indices(space, 1, np.array(row)).tolist() == row[1:] + row[:1]
 
 
 def test_large_cycle_type():
@@ -180,8 +185,8 @@ def test_large_cycle_type():
     image = idx
     for _ in range(5):
         image = perm[image]
-    assert np.array_equal(space.act_indices(5, idx), image)
-    assert np.array_equal(space.act_indices(-5, image), idx)
+    assert np.array_equal(act_indices(space, 5, idx), image)
+    assert np.array_equal(act_indices(space, -5, image), idx)
 
 
 def walked_cycle_table(sigma):
@@ -335,7 +340,7 @@ def test_finite_permutation_leaves_the_callers_array_unchanged():
     kept = perm.copy()
     space = build_action("finite-permutation", group=Z, permutation=perm)
     assert np.array_equal(perm, kept)
-    assert np.array_equal(space.act_indices(1, np.arange(1000)), kept)
+    assert np.array_equal(act_indices(space, 1, np.arange(1000)), kept)
 
 
 def test_default_weights_are_one_read_only_value():
@@ -415,7 +420,9 @@ class ReadRecorder(np.ndarray):
 ], ids=["window", "torus", "permutation", "direct"])
 def test_default_weights_are_not_checked(monkeypatch, build):
     """The default weights are correct by construction: the build reads
-    them not once, so it forms no gather, compare or sum over the cells."""
+    them not once, so it forms no gather, compare or sum over the cells.
+    Nor do the atom check of ``check_hypotheses`` and the certificate's
+    weight check: they read the cell weight the build recorded."""
     broadcast, equal_calls = np.broadcast_to, []
     monkeypatch.setattr(ReadRecorder, "reads", [])
     monkeypatch.setattr(np, "broadcast_to",
@@ -427,6 +434,26 @@ def test_default_weights_are_not_checked(monkeypatch, build):
     assert equal_calls == []
     assert not space.weights.flags.writeable
     assert space.weights.strides == (0,)
+    assert space.cell_weight == _cell_weight(space) == 1 / space.n_cells
+    # a cell of mass 1/n >= 0.05 is an atom
+    violations = check_hypotheses(space, GroupMeasure.point_mass(Z, (0,)))
+    assert bool(violations) == (space.n_cells <= 20)
+    assert ReadRecorder.reads == []
+
+
+def test_explicit_weights_record_a_common_weight():
+    """Equal explicit weights record their weight; unequal ones record
+    none, so the atom check takes their maximum and certificates refuse."""
+    equal = build_action("finite-permutation", group=Z, permutation=[1, 0, 2, 3],
+                         weights=[0.25] * 4)
+    assert equal.cell_weight == _cell_weight(equal) == 0.25
+    unequal = build_action("finite-permutation", group=Z, permutation=[1, 0, 2, 3],
+                           weights=[0.25, 0.25, 0.3, 0.2])
+    assert unequal.cell_weight is None
+    assert check_hypotheses(unequal, GroupMeasure.point_mass(Z, (0,))) == [
+        "atomless surrogate fails: a cell carries mass 0.3 >= threshold 0.05"]
+    with pytest.raises(PreconditionError, match="equal-weight cell grid"):
+        _cell_weight(unequal)
 
 
 @pytest.mark.parametrize("kind,kw,field", [
@@ -469,7 +496,7 @@ def test_integer_fields_take_numpy_integers():
 
 
 def sigma_of(space):
-    return space.act_indices(1, np.arange(space.n_cells)).tolist()
+    return act_indices(space, 1, np.arange(space.n_cells)).tolist()
 
 
 def gathered_union(space, steps, idx):
@@ -582,8 +609,7 @@ def test_arc_union_matches_gathers(space, steps, picks):
     got = arc_mask(space, steps, idx)
     assert got.dtype == bool and got.shape == (space.n_cells,)
     assert np.flatnonzero(got).tolist() == want
-    assert _union_mass(space, steps, idx) == pytest.approx(
-        space.weights[want].sum(), abs=1e-15)
+    assert _count(*_arc_segments(space, steps, idx)) == len(want)
 
 
 @pytest.mark.parametrize("space", [
@@ -616,4 +642,4 @@ def test_arcs_on_one_cycle(steps, want):
     space = build_action("circle-rotation", group=Z, N=15, cells_per_step=1)
     idx = np.array([5])
     assert np.flatnonzero(arc_mask(space, steps, idx)).tolist() == sorted(want)
-    assert _union_mass(space, steps, idx) == pytest.approx(len(want) / 15)
+    assert _count(*_arc_segments(space, steps, idx)) == len(want)

@@ -22,7 +22,7 @@ from gaplab import (
     symmetrize,
 )
 from dict_oracles import convolution_power
-from operator_helpers import KoopmanAveragingOperator
+from operator_helpers import KoopmanAveragingOperator, act_indices
 
 Z = GroupDescriptor(kind="lattice", dimension=1)
 SQRT2 = math.sqrt(2.0)
@@ -56,7 +56,7 @@ def gathered_thickening(space, S, b, n):
     """S^n B, by moving the cells b with every step count of S^n in turn."""
     cells = set()
     for (c,) in power_set(space.group, [(s,) for s in S.tolist()], n):
-        cells.update(space.act_indices(c, b).tolist())
+        cells.update(act_indices(space, c, b).tolist())
     return np.array(sorted(cells), dtype=np.int64)
 
 
@@ -81,7 +81,7 @@ def walk_sets(space, mu, F, sets, S):
     segments = [(certificates._slot_segments(space, b),
                  certificates._arc_segments(space, s_n, b))
                 for b, s_n in zip(sets, powers[1:])]
-    return certificates._walk(space, F, segments, 0.02, symmetrize(mu),
+    return certificates._walk(space, F, segments, 0.02, measures._symmetrized(mu),
                               certificates._cell_weight(space))
 
 
@@ -165,6 +165,34 @@ class TestGrowthConditions:
         assert not report.cond2_all
         assert [row.nu_SnB for row in report.rows] == [9 / 16, 10 / 16]
         assert all(not row.cond2 for row in report.rows)
+
+    def test_half_the_cells_fails_condition_two(self):
+        # S B = B: 24 of 50 cells are below half of them, 25 are not
+        space = cycle_space(50)
+        for thick, cond2 in ((24, True), (25, False)):
+            report = walk_sets(space, GroupMeasure.point_mass(Z, (0,)), F=[0],
+                               sets=(np.arange(thick),), S=[0])
+            assert report.rows[0].cond2 == cond2 == report.cond2_all
+
+    def test_counts_decide_on_98_cells(self, tmp_path):
+        # fl(1/98) * 49 rounds below 1/2: a mass comparison took 49 of the
+        # 98 cells as S^2 V_1 and printed nu_SnB 0.5 next to a passing
+        # condition (2); counts take 47
+        assert (1 / 98) * 49 < 0.5
+        space = build_action("circle-rotation", group=Z, N=98)
+        mu = GroupMeasure.simple_random_walk(Z)
+        S = support_steps(space, mu)
+        [(_, thickened)] = certificates._orbit_segments(space, 49, S, 1)
+        assert certificates._count(*thickened) == 47
+        cfg = {"experiment": "certificate", "group": {"kind": "lattice", "dimension": 1},
+               "measure": {"kind": "srw"}, "action": {"kind": "circle-rotation", "N": 98},
+               "params": {"n_max": 1, "x0": 49}, "output": {"prefix": "n98_"}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        cli.main(["--config", str(path), "--out", str(tmp_path / "out")])
+        head, row = (tmp_path / "out" / "n98_sequence.csv").read_text().splitlines()
+        assert float(dict(zip(head.split(","), row.split(",")))["nu_SnB"]) == round(47 / 98, 12)
+        assert "cond2_all,true" in (tmp_path / "out" / "n98_record.csv").read_text()
 
     def test_identity_F_gives_ratio_one(self):
         # with F = {e} the overlap ratio is identically 1 and all three
@@ -444,7 +472,7 @@ class TestCarriedSegments:
             return arc_segments(*args)
 
         monkeypatch.setattr(certificates, "_arc_segments", spy)
-        carried = certificates._walk(space, S, segments, 0.02, symmetrize(mu),
+        carried = certificates._walk(space, S, segments, 0.02, measures._symmetrized(mu),
                                      space.weights[0])
         assert sweeps == []
         # listed cells carry no segments: the walk sweeps S^n B_n
@@ -467,6 +495,7 @@ class TestCarriedPower:
         space = build_action(kind, group=grid, **kw)
         mu = GroupMeasure.from_atoms(grid, [((-2,), 0.3), ((1,), 0.45), ((3,), 0.25)])
         eta, S = symmetrize(mu), support_steps(space, mu)
+        walked = measures._symmetrized(mu)
         segments = certificates._orbit_segments(space, x0, S, n_max)
         boxes = []
         walk_box = certificates._walk_box
@@ -480,7 +509,7 @@ class TestCarriedPower:
 
         monkeypatch.setattr(certificates, "_walk_box", spy)
         monkeypatch.setattr(measures, "_factor_keys", refuse)
-        report = certificates._walk(space, S, segments, 0.02, eta, space.weights[0])
+        report = certificates._walk(space, S, segments, 0.02, walked, space.weights[0])
         monkeypatch.undo()
         assert len(boxes) == 1
         far = n_max * int(np.abs(S).max())
@@ -563,7 +592,7 @@ class TestMinDisplacement:
         assert radius == max(math.ceil(moved[moved > 0].min() / 2) - 1, 0)
         ball = set(space.cell_ball(0, radius).tolist())
         for c in separators[:n].tolist():
-            assert ball.isdisjoint(space.act_indices(c, np.array(sorted(ball)))), c
+            assert ball.isdisjoint(act_indices(space, c, np.array(sorted(ball)))), c
         assert space.separation_radius(counts[:0]) == n // 2
 
     def test_no_geometry_separates_single_cells(self):
@@ -581,7 +610,7 @@ class TestMinDisplacement:
         cells = np.arange(space.n_cells)
         coords = np.stack(np.unravel_index(cells, space.grid_shape), axis=-1)
         for c in (1, -1, 5):
-            moved = np.stack(np.unravel_index(space.act_indices(c, cells),
+            moved = np.stack(np.unravel_index(act_indices(space, c, cells),
                                               space.grid_shape), axis=-1)
             want = self.least_distance([c * s for s in step], n)
             for x, y in zip(coords.tolist(), moved.tolist()):
@@ -604,7 +633,7 @@ def two_gallop_search(space, thickening, x0, r_cap, downward):
         nonlocal accepted
         swept = certificates._arc_segments(space, thickening,
                                            space.cell_ball(x0, radius))
-        if certificates._segments_mass(space, *swept) >= 0.5:
+        if 2 * certificates._count(*swept) >= space.n_cells:
             return False
         accepted = radius, swept
         return True
@@ -674,11 +703,10 @@ class TestOrbitNeighborhoodSequence:
                           if g not in S]
             r_cap = space.separation_radius(space.steps(separators))
             thickening = space.steps(power_set(space.group, S, 2 * n))
-            masses = [space.weights[arc_mask(space, thickening,
-                                             space.cell_ball(x0, r))].sum()
+            counts = [arc_mask(space, thickening, space.cell_ball(x0, r)).sum()
                       for r in range(r_cap + 1)]
-            assert masses == sorted(masses)
-            radius = max(r for r, m in enumerate(masses) if m < 0.5)
+            assert counts == sorted(counts)
+            radius = max(r for r, m in enumerate(counts) if 2 * m < space.n_cells)
             assert picked[n - 1] == radius, n
             # the search hands over the thickening of the ball it picked
             assert np.array_equal(
@@ -702,13 +730,13 @@ class TestOrbitNeighborhoodSequence:
         S = sorted(symmetrize(GroupMeasure.uniform_interval(grid, -1.0, 1.0)).atoms)
         x0, n_max = 7001, 6
         probes, picked, balls = [], [], []
-        segments_mass = certificates._segments_mass
+        segment_count = certificates._count
         search = certificates._largest_mass_admissible_radius
         cell_ball = space.cell_ball
 
         def count(*args):
             probes.append(args)
-            return segments_mass(*args)
+            return segment_count(*args)
 
         def ball(*args):
             balls.append(args)
@@ -719,7 +747,7 @@ class TestOrbitNeighborhoodSequence:
             picked.append(accepted[0])
             return accepted
 
-        monkeypatch.setattr(certificates, "_segments_mass", count)
+        monkeypatch.setattr(certificates, "_count", count)
         monkeypatch.setattr(certificates, "_largest_mass_admissible_radius", spy)
         monkeypatch.setattr(space, "cell_ball", ball)
         certificates._orbit_segments(space, x0, space.steps(S), n_max)
@@ -734,8 +762,8 @@ class TestOrbitNeighborhoodSequence:
             separators = np.setdiff1d(powers[2 * n - 2], powers[1])
             r_cap = space.separation_radius(separators)
             radius = 0
-            while radius < r_cap and space.weights[arc_mask(
-                    space, powers[2 * n], space.cell_ball(x0, radius + 1))].sum() < 0.5:
+            while radius < r_cap and 2 * arc_mask(
+                    space, powers[2 * n], space.cell_ball(x0, radius + 1)).sum() < space.n_cells:
                 radius += 1
             scanned.append(radius)
         assert picked == scanned
@@ -746,16 +774,18 @@ class TestOrbitNeighborhoodSequence:
         threshold, probes = 0, []
 
         class Radii:
+            n_cells = 2  # admissible: a thickening of no cell
+
             def cell_ball(self, x0, radius):
                 return radius
 
-        def probe(space, lo, hi):
+        def probe(lo, hi):
             probes.append(lo)
-            return 0.0 if lo <= threshold else 1.0
+            return 0 if lo <= threshold else 1
 
         monkeypatch.setattr(certificates, "_arc_segments",
                             lambda space, steps, ball: (ball, ball))
-        monkeypatch.setattr(certificates, "_segments_mass", probe)
+        monkeypatch.setattr(certificates, "_count", probe)
         space = Radii()
         for r_cap in range(301):
             for downward, threshold in itertools.product((False, True),

@@ -1,6 +1,5 @@
 """Group descriptor and measure algebra tests."""
 
-import importlib
 import itertools
 import math
 import tracemalloc
@@ -434,27 +433,36 @@ class TestPairBound:
         """The traced peak of a product, its keys and weights, stays within
         ``PAIR_BYTES`` per pair: words many by few, few by many and one by
         many, and cells through the table and through the sort."""
-        norms = importlib.import_module("gaplab.regular_norm")
         assert groups.PAIR_BYTES == 80
+
+        def walk(mu, F, n_max):
+            """eta and 1_F as (keys, weights) in the Berg-Christensen walk's box."""
+            eta, weights = measures._symmetrized(mu)
+            box = measures._walk_box(mu.group, eta, F, (n_max + 1) // 2, n_max // 2, "test")
+            return box, (box.keys(eta), weights), (box.keys(F), np.ones(len(F)))
+
+        def product(box, a, b):
+            # add(key(x), key(y) - zero) is the key of x * y
+            return measures._convolve_keys(box, *a, b[0] - box.zero, b[1], 10**8)
+
         mu = GroupMeasure.from_atoms(F2, [((1,), 0.3), ((-1,), 0.2), ((2,), 0.3), ((-2,), 0.2)])
-        eta, one, conv, inv, _ = norms._walk_steps(mu, [()], 10, 10**8)
+        box, eta, one = walk(mu, [()], 10)
         high = eta
         for _ in range(3):
-            high = conv(high, eta)  # eta^{*4}: 9,841 words
-        cases = [(conv, high, eta), (conv, eta, high), (conv, one, inv(high))]
-        lattice = GroupMeasure.simple_random_walk(Z2)
-        eta, _, conv, _, _ = norms._walk_steps(lattice, [(0, 0)], 400, 10**8)
+            high = product(box, high, eta)  # eta^{*4}: 9,841 words
+        cases = [(box, high, eta), (box, eta, high), (box, one, (box.inverse(high[0]), high[1]))]
+        box, eta, _ = walk(GroupMeasure.simple_random_walk(Z2), [(0, 0)], 400)
         high = eta
         for _ in range(100):
-            high = conv(high, eta)
-        cases += [(conv, high, eta)]
+            high = product(box, high, eta)
+        cases += [(box, high, eta)]
         for dense in (4, 0):
             with mock.patch.object(groups, "_DENSE_RANGE", dense):
-                for conv, a, b in cases:
+                for box, a, b in cases:
                     tracemalloc.start()
                     try:
                         with np.errstate(over="ignore"):
-                            conv(a, b)
+                            product(box, a, b)
                         peak = tracemalloc.get_traced_memory()[1]
                     finally:
                         tracemalloc.stop()

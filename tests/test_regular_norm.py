@@ -286,7 +286,7 @@ class TestWalkRoutes:
     ], ids=["z-walk", "z2-nonsymmetric", "interval-q8", "torus2", "z-sparse"])
     def test_matches_dict_walk(self, mu, F, n_max, dedupe, pairing):
         with mock.patch.object(groups, "_DENSE_RANGE", ROUTES[dedupe]), \
-                mock.patch.object(norms, "_DENSE_RANGE", ROUTES[pairing]), \
+                mock.patch.object(measures, "_DENSE_RANGE", ROUTES[pairing]), \
                 mock.patch.object(np, "full", wraps=np.full) as table, \
                 mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as search:
             est = berg_christensen_estimate(mu, F=F, n_max=n_max)
@@ -297,7 +297,7 @@ class TestWalkRoutes:
     def test_lookup_array_is_bounded_by_the_step(self):
         # Z2 at n_max 24 keys a 49^2 box (eta reaches 2 per axis, h = 12);
         # the pairing searches while 4 |high| |eta| is below that, then
-        # allocates one float array over the box
+        # reads through a float table over the box, one per pairing
         mu = GroupMeasure.simple_random_walk(Z2)
         eta = symmetrize(mu)
         searched = [n for n in range(1, 25)
@@ -308,19 +308,28 @@ class TestWalkRoutes:
             est = berg_christensen_estimate(mu, F=[(0, 0)], n_max=24)
         assert est.sequence == dict_berg_christensen_sequence(mu, [(0, 0)], 24)
         floats = [c.args for c in zeros.call_args_list if "dtype" not in c.kwargs]
-        assert floats == [(49**2,)]
+        assert floats == [(49**2,)] * (24 - len(searched))
         assert search.call_count == len(searched)
 
-
-    def test_pairing_clears_what_it_wrote(self):
-        # a reach without a key of high must read 0 there on the next pairing
-        eta, *_, pairing = norms._walk_steps(GroupMeasure.simple_random_walk(Z),
-                                             [(0,)], 4, 100)
+    def test_a_key_absent_from_reach_reads_0(self):
+        # after a pairing that read all of eta, a reach without a key of
+        # high reads 0 there
+        box, eta = walk_box(GroupMeasure.simple_random_walk(Z), [(0,)], 4)
         keys, weights = eta
         for route in ROUTES.values():
-            with mock.patch.object(norms, "_DENSE_RANGE", route):
-                assert pairing(eta, eta) == sum((weights * weights).tolist())
-                assert pairing(eta, (keys[:1], weights[:1])) == weights[0] ** 2
+            with mock.patch.object(measures, "_DENSE_RANGE", route):
+                assert measures._pairing(box, eta, eta, len(keys)) == sum(
+                    (weights * weights).tolist())
+                assert measures._pairing(box, eta, (keys[:1], weights[:1]),
+                                         len(keys)) == weights[0] ** 2
+
+
+def walk_box(mu, F, n_max):
+    """The key box of the Berg-Christensen walk and eta = mu * mu^ as
+    (keys, weights) in it."""
+    eta, weights = measures._symmetrized(mu)
+    box = measures._walk_box(mu.group, eta, F, (n_max + 1) // 2, n_max // 2, "test")
+    return box, (box.keys(eta), weights)
 
 
 class TestPairingOrder:
@@ -331,21 +340,25 @@ class TestPairingOrder:
     WEIGHTS = [1.0] + [1e-16] * 10
 
     def test_abelian_branch(self):
-        *_, pairing = norms._walk_steps(GroupMeasure.simple_random_walk(Z), [(0,)], 12, 100)
+        box, eta = walk_box(GroupMeasure.simple_random_walk(Z), [(0,)], 12)
         keys = np.arange(len(self.WEIGHTS))  # within the box of radius 12
         high = (keys, np.array(self.WEIGHTS))
         for route in ROUTES.values():
-            with mock.patch.object(norms, "_DENSE_RANGE", route):
-                assert pairing(high, (keys, np.ones(len(keys)))) == 1.0
-                assert pairing((keys[:0], high[1][:0]), (keys[:0], high[1][:0])) == 0.0
+            with mock.patch.object(measures, "_DENSE_RANGE", route):
+                assert measures._pairing(box, high, (keys, np.ones(len(keys))),
+                                         len(eta[0])) == 1.0
+                assert measures._pairing(box, (keys[:0], high[1][:0]),
+                                         (keys[:0], high[1][:0]), len(eta[0])) == 0.0
 
     def test_free_branch(self):
-        *_, pairing = norms._walk_steps(GroupMeasure.simple_random_walk(F2), [()], 4, 100)
-        keys = groups._word_box(F2, "test").keys(F2.ball(2)[:len(self.WEIGHTS)])
+        box, eta = walk_box(GroupMeasure.simple_random_walk(F2), [()], 4)
+        keys = box.keys(F2.ball(2)[:len(self.WEIGHTS)])
         high = (keys, np.array(self.WEIGHTS))
         # reach's keys in another order: the pairing searches them
-        assert pairing(high, (keys[::-1], np.ones(len(keys)))) == 1.0
-        assert pairing((keys[:0], high[1][:0]), (keys[:0], high[1][:0])) == 0.0
+        assert measures._pairing(box, high, (keys[::-1], np.ones(len(keys))),
+                                 len(eta[0])) == 1.0
+        assert measures._pairing(box, (keys[:0], high[1][:0]), (keys[:0], high[1][:0]),
+                                 len(eta[0])) == 0.0
 
 
 class TestWalkAtIdentity:

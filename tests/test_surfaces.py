@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from dict_oracles import physical, sampled_fourier_sup
+from operator_helpers import act_indices
 
 from gaplab import GroupDescriptor, GroupMeasure, amenable_norm, build_action
 from gaplab.cli import main
@@ -27,7 +28,7 @@ class TestMeasurePreservation:
         space = build_action(kind, group=Z, **kwargs)
         idx = np.arange(space.n_cells)
         for c in (-2, 1, 3):
-            image = space.act_indices(c, idx)
+            image = act_indices(space, c, idx)
             pushed = np.zeros_like(space.weights)
             np.add.at(pushed, image, space.weights)
             assert np.array_equal(pushed, space.weights)
@@ -290,17 +291,33 @@ def _atom_loop(node) -> bool:
         isinstance(n, ast.Attribute) and n.attr == "atoms" for n in ast.walk(node.iter))
 
 
+#: the code of the walk both lower estimates run, by module
+WALK = {"measures": ("_symmetrized", "_pairing"),
+        "regular_norm": ("berg_christensen_estimate",),
+        "certificates": ("_walk",)}
+
+
+def _outside_handlers(node):
+    """The nodes under ``node`` that no ``except`` clause holds."""
+    yield node
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, ast.ExceptHandler):
+            yield from _outside_handlers(child)
+
+
 def pair_loops(root: Path) -> list[str]:
     """The pair loops of ``measures.py`` and ``regular_norm.py``, as
     ``module:line``: a loop over measure atoms that holds another one, in
     a statement or a comprehension; and the reads of ``is_abelian`` or
-    ``kind`` in ``regular_norm._walk_steps``, where one walk serves every
-    kind."""
+    ``kind`` in the functions of ``WALK``, outside their error handlers,
+    where one walk serves every kind."""
     found = []
-    for module in ("measures", "regular_norm"):
+    for module, walk in WALK.items():
         tree = ast.parse((root / "src" / "gaplab" / f"{module}.py").read_text())
         for node in ast.walk(tree):
-            if isinstance(node, ast.For) and _atom_loop(node):
+            if module == "certificates":
+                loops = []
+            elif isinstance(node, ast.For) and _atom_loop(node):
                 loops = [n for stmt in node.body for n in ast.walk(stmt) if _atom_loop(n)]
             elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
                 loops = [n for n in ast.walk(node) if _atom_loop(n)][1:]
@@ -308,22 +325,22 @@ def pair_loops(root: Path) -> list[str]:
                 loops = []
             if loops:
                 found.append(f"{module}:{node.lineno}")
-            if (isinstance(node, ast.FunctionDef) and node.name == "_walk_steps"
-                    and module == "regular_norm"):
-                found += [f"{module}:{n.lineno}" for n in ast.walk(node)
+            if isinstance(node, ast.FunctionDef) and node.name in walk:
+                found += [f"{module}:{n.lineno}" for n in _outside_handlers(node)
                           if isinstance(n, ast.Attribute) and n.attr in ("is_abelian", "kind")]
     return sorted(set(found), key=lambda at: (at.split(":")[0], int(at.split(":")[1])))
 
 
 def test_one_convolution_path_for_every_kind():
-    """Convolution runs no pair loop over atoms, and the Berg-Christensen
-    walk takes no branch by group kind."""
+    """Convolution runs no pair loop over atoms, and the walk of both lower
+    estimates takes no branch by group kind."""
     assert pair_loops(ROOT) == []
 
 
 def test_a_pair_loop_is_found(tmp_path):
     """A nested loop and a two-clause comprehension over atoms are found,
-    and so is a kind test in ``_walk_steps``; one loop over atoms is not."""
+    and so is a kind test in a function of the walk, but not one in its
+    error handler; one loop over atoms is not."""
     package = tmp_path / "src" / "gaplab"
     package.mkdir(parents=True)
     (package / "measures.py").write_text(textwrap.dedent('''
@@ -337,11 +354,23 @@ def test_a_pair_loop_is_found(tmp_path):
 
         def pairs(a, b):
             return [h + k for h in a.atoms for k in b.atoms]
+
+
+        def _pairing(box, high, reach, step):
+            return box.kind
         '''))
     (package / "regular_norm.py").write_text(textwrap.dedent('''
-        def _walk_steps(mu):
-            if mu.group.is_abelian:
-                return 1
+        def berg_christensen_estimate(mu):
+            try:
+                if mu.group.is_abelian:
+                    return 1
+            except ValueError:
+                return mu.group.kind
             return [w for w in mu.atoms.values()]
         '''))
-    assert pair_loops(tmp_path) == ["measures:4", "measures:11", "regular_norm:3"]
+    (package / "certificates.py").write_text(textwrap.dedent('''
+        def _walk(space, eta):
+            return space.group.kind
+        '''))
+    assert pair_loops(tmp_path) == ["certificates:3", "measures:4", "measures:11",
+                                    "measures:15", "regular_norm:4"]
