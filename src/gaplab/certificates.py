@@ -15,8 +15,11 @@ spaces degenerates to counting cells, with deterministic lexicographic
 fill.  ``run_certificate`` therefore runs only on such grids, and checks
 that before it builds anything.
 
-Every action is one-parameter, so S, F and the powers S^k are sorted
-int64 arrays of steps, and S^k is built only by ``_step_powers``.
+Every action is one-parameter, so S and F are sorted int64 arrays of
+steps, and each power S^k is carried as runs of consecutive steps: sorted,
+disjoint, non-adjacent [first, last] pairs, formed only by
+``_step_powers``.  Only ``separation_radius`` reads steps of a power one
+by one.
 
 Sets are read as disjoint segments of slots in the cycle table, and each
 is swept once.  The walk takes the segments of B_n and of S^n B_n from
@@ -38,7 +41,15 @@ import numpy as np
 
 from .actions import ActionSpace
 from .errors import DescriptorMismatchError, GridResolutionError, PreconditionError
-from .groups import GroupDescriptor, _contains, _distinct, _powers
+from .groups import (
+    _INT64_MAX,
+    _INT64_MIN,
+    TORUS_GRID,
+    GroupDescriptor,
+    _check_pairs,
+    _contains,
+    _distinct,
+)
 from .measures import (
     DEFAULT_SUPPORT_CAP,
     GroupMeasure,
@@ -90,31 +101,96 @@ def _cell_weight(space: ActionSpace) -> float:
     return space.cell_weight
 
 
-def _step_powers(group: GroupDescriptor, S: np.ndarray, k: int) -> list[np.ndarray]:
-    """S^0..S^k of a step array S, each sorted: the steps add as the
-    elements compose (mod N on ``torus-grid``)."""
-    return [p.ravel() for p in _powers(group, S[:, None], k, DEFAULT_SUPPORT_CAP,
-                                       "step power")]
+def _step_runs(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The runs of consecutive steps of a sorted array of distinct steps,
+    as the arrays (first, last) of their first and last steps."""
+    head, tail = _runs(np.diff(steps) > 1)
+    return steps[head], steps[tail]
 
 
-def _arc_segments(space: ActionSpace, steps,
-                  idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The union of sigma^c cells over the step counts c, as disjoint
-    half-open slot segments [lo, hi) of the cycle table, sorted by lo.
+def _merged_runs(first: np.ndarray,
+                 last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The union of the runs [first, last] as sorted, disjoint,
+    non-adjacent runs: one sort of the starts and a running maximum of
+    the ends (the 1-d case of Klee's measure problem)."""
+    order = np.argsort(first, kind="stable")
+    first = first[order]
+    reach = np.maximum.accumulate(last[order])
+    head, tail = _runs(first[1:] > reach[:-1] + 1)
+    return first[head], reach[tail]
 
-    The cells first merge into the segments of ``_slot_segments``.  On a
-    cycle of length L a run of consecutive steps [a, b] carries the
+
+def _step_powers(group: GroupDescriptor, S: np.ndarray,
+                 k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """S^0..S^k of a sorted array S of distinct steps, each as the runs
+    (first, last) of its consecutive steps, sorted, disjoint and
+    non-adjacent: the steps add as the elements compose.
+
+    S^j is the Minkowski sum of the runs of S^{j-1} and of S: the run
+    sums [a + c, b + d], merged by ``_merged_runs``.  On ``torus-grid``
+    each power is reduced mod N into [0, N): a run of N or more steps
+    covers the group, and a run that wraps splits in two.  Elsewhere the
+    least and the greatest step of S^k must lie in int64, or
+    ``DescriptorMismatchError`` names the one that does not.
+    """
+    modulus = group.size if group.kind == TORUS_GRID else 0
+    if not modulus:
+        for c in (k * int(S[0]), k * int(S[-1])):
+            if not _INT64_MIN <= c <= _INT64_MAX:
+                raise DescriptorMismatchError(f"step power leaves int64 at coordinate {c}")
+    base = _step_runs(S)
+    if modulus:
+        base = _wrapped_runs(*base, modulus)
+    powers = [(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)), base]
+    for j in range(2, k + 1):
+        first, last = powers[-1]
+        _check_pairs(len(first) * len(base[0]), f"step power S^{j}")
+        sums = _merged_runs(np.add.outer(first, base[0]).ravel(),
+                            np.add.outer(last, base[1]).ravel())
+        powers.append(_wrapped_runs(*sums, modulus) if modulus else sums)
+    return powers[:k + 1]
+
+
+def _wrapped_runs(first: np.ndarray, last: np.ndarray,
+                  modulus: int) -> tuple[np.ndarray, np.ndarray]:
+    """The runs [first, last] of Z reduced mod ``modulus`` into runs of
+    [0, modulus), as ``_merged_runs`` gives them."""
+    if (last - first >= modulus - 1).any():
+        return np.zeros(1, dtype=np.int64), np.full(1, modulus - 1, dtype=np.int64)
+    lo = first % modulus
+    hi = lo + (last - first)
+    wraps = hi >= modulus
+    return _merged_runs(
+        np.concatenate([lo, np.zeros(np.count_nonzero(wraps), dtype=np.int64)]),
+        np.concatenate([np.minimum(hi, modulus - 1), hi[wraps] - modulus]))
+
+
+def _run_steps(runs: tuple[np.ndarray, np.ndarray], what: str) -> np.ndarray:
+    """The steps of the runs (first, last), in order, checked against
+    memory before they exist."""
+    first, last = runs
+    _check_pairs(int((last - first).sum()) + len(first), what)
+    return _segment_slots(first, last + 1)
+
+
+def _arc_segments(space: ActionSpace, runs: tuple[np.ndarray, np.ndarray],
+                  segments: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The union of sigma^c cells over the steps c of the runs
+    (first, last), of the cells of the slot segments [lo, hi), as disjoint
+    half-open slot segments of the cycle table, sorted by lo.
+
+    The runs are sorted and disjoint, as ``_step_powers`` gives them; the
+    segments are those of ``_slot_segments`` (or of an earlier sweep).
+    On a cycle of length L a run of consecutive steps [a, b] carries the
     segment of offsets [o, p) onto the arc [o + a, p + b) mod L, at most L
     wide; an arc that wraps splits in two.  One sort of the arcs by start
-    and a running maximum of their ends merge them (the 1-d case of
-    Klee's measure problem), in integers only.  Arcs that merely touch
-    stay apart, so no segment leaves its cycle.
+    and a running maximum of their ends merge them, in integers only.
+    Arcs that merely touch stay apart, so no segment leaves its cycle.
     """
-    steps = _distinct(np.asarray(steps, dtype=np.int64))
-    seg_lo, seg_hi = _slot_segments(space, np.asarray(idx, dtype=np.int64))
-    head, tail = _runs(np.diff(steps) > 1)
-    run_lo = steps[head]
-    run_width = steps[tail] + 1 - run_lo
+    run_lo, run_hi = runs
+    seg_lo, seg_hi = segments
+    _check_pairs(len(seg_lo) * len(run_lo), "arc sweep")
+    run_width = run_hi + 1 - run_lo
     first, length = space.cycles.locate(seg_lo)
     first, length = first[:, None], length[:, None]
     start = (seg_lo[:, None] - first + run_lo) % length
@@ -357,10 +433,12 @@ def _walk(space: ActionSpace, F: np.ndarray, segments: list, slack: float,
         with np.errstate(over="ignore"):  # an overflow is reported by atom
             keys, weights = _convolve_keys(box, keys, weights, step, eta_weights,
                                            DEFAULT_SUPPORT_CAP)
-        companion = _companion_set(size, _segment_mask(space, *thickened, covered))
         phi.fill(0)
         phi[_segment_slots(lo, hi)] = 1
-        phi[space.cycles.slot[companion]] = -1
+        # the companion is a slice of the free cells of a prefix of the
+        # mask, up to |S^n B_n| longer: it is dropped once phi holds it
+        phi[space.cycles.slot[_companion_set(
+            size, _segment_mask(space, *thickened, covered))]] = -1
         spectra = {length: values ** n for length, values in eta_hat.items()}
         rows.append(_row(n, weight, size, _count(*thickened), space.n_cells,
                          float(overlaps.min()),
@@ -397,7 +475,7 @@ def _companion_set(size: int, forbidden: np.ndarray) -> np.ndarray:
             f"room only when nu(S^n B_n) < 1/2; need {size} cells, "
             f"have {len(free)})"
         )
-    return free[:size].astype(np.int64)
+    return free[:size]
 
 
 def _orbit_segments(space: ActionSpace, x0: int, steps: np.ndarray,
@@ -412,7 +490,9 @@ def _orbit_segments(space: ActionSpace, x0: int, steps: np.ndarray,
     thickening S^{2n} V_n holds fewer than half the cells, so it has mass
     below 1/2.  Condition (b) plays the role of the small open superset:
     with it, S^n B_n = S^{2n} V_n stays below mass 1/2 by construction.
-    The radius search keeps the segments of S^{2n} V_n from its accepted
+    Each ball is swept into slot segments once, at its first probe: the
+    radius search shares them across n, with the base cell as the ball of
+    radius 0.  It keeps the segments of S^{2n} V_n from its accepted
     probe, and one arc sweep of V_n gives those of B_n."""
     if n_max < 1:
         raise PreconditionError(f"the horizon n_max must be >= 1, got {n_max}")
@@ -425,15 +505,20 @@ def _orbit_segments(space: ActionSpace, x0: int, steps: np.ndarray,
             f"base cell x0 = {x0} is outside the {space.n_cells} cells of the space"
         )
     powers = _step_powers(space.group, steps, 2 * n_max)
-    thickest = powers[2 * n_max]
-    # the identity, the step 0, fixes every cell and is exempt
-    fixing = thickest[(thickest != 0) & (thickest % space.period(x0) == 0)]
+    first, last = thickest = powers[2 * n_max]
+    # the least nonzero multiple of the period in each run; the identity,
+    # the step 0, fixes every cell and is exempt
+    period = space.period(x0)
+    fixing = -(-first // period) * period
+    fixing[fixing == 0] = period
+    fixing = fixing[fixing <= last]
     if fixing.size:
         raise GridResolutionError(
             f"free-orbit surrogate fails at the base cell: atom {(int(fixing[0]),)} "
             f"of S^{2 * n_max} fixes it; refine the grid or shorten the horizon"
         )
-    orbit = _count(*_arc_segments(space, thickest, np.array([x0])))
+    balls = {0: _slot_segments(space, np.array([x0]))}
+    orbit = _count(*_arc_segments(space, thickest, balls[0]))
     if 2 * orbit >= space.n_cells:
         raise GridResolutionError(
             f"the S^{2 * n_max}-orbit of the base cell has mass "
@@ -442,14 +527,14 @@ def _orbit_segments(space: ActionSpace, x0: int, steps: np.ndarray,
 
     segments, radius = [], None
     for n in range(1, n_max + 1):
-        inner = powers[2 * n - 2]
+        inner = _run_steps(powers[2 * n - 2], f"separators in S^{2 * n - 2}")
         separators = inner[~_contains(steps, inner)]
         r_cap = space.separation_radius(separators)
         # S^{2n} only grows with n, so the admissible radius cannot grow
         if radius is not None:
             r_cap = min(r_cap, radius)
         accepted = _largest_mass_admissible_radius(
-            space, powers[2 * n], x0, r_cap, 0 if radius is None else r_cap
+            space, powers[2 * n], x0, r_cap, 0 if radius is None else r_cap, balls
         )
         if accepted is None:
             raise GridResolutionError(
@@ -462,24 +547,31 @@ def _orbit_segments(space: ActionSpace, x0: int, steps: np.ndarray,
 
 
 def _largest_mass_admissible_radius(
-    space: ActionSpace, thickening: np.ndarray, x0: int, r_cap: int, start: int
-) -> tuple[int, np.ndarray, tuple[np.ndarray, np.ndarray]] | None:
+    space: ActionSpace, thickening: tuple[np.ndarray, np.ndarray], x0: int,
+    r_cap: int, start: int, balls: dict
+) -> tuple[int, tuple, tuple[np.ndarray, np.ndarray]] | None:
     """The largest radius r <= r_cap whose ball around x0 keeps its
-    thickening below half the cells, with that ball and the slot segments
-    of its thickening, or None if even r = 0 does not.
+    thickening, by the step runs ``thickening``, below half the cells,
+    with the slot segments of that ball and of its thickening, or None if
+    even r = 0 does not.
 
-    The count only grows with r, so one loop keeps the largest admissible
-    probe ``good`` and the least inadmissible one ``bad``.  It probes
-    ``start`` first and gallops from there, by steps that double, until
-    the radius is bracketed, then bisects.  ``start`` is 0 at n = 1 and
-    r_cap after that, where r_cap is the previous radius or the
-    separation cap below it, which the answer usually equals or nearly
-    equals.  Admissible probes only rise, so the last one is the answer.
+    ``balls`` maps a radius to the slot segments of its ball; a probe
+    sweeps a ball that is not there yet and adds it, so each radius is
+    swept once per ``_orbit_segments`` call.  The count only grows with
+    r, so one loop keeps the largest admissible probe ``good`` and the
+    least inadmissible one ``bad``.  It probes ``start`` first and
+    gallops from there, by steps that double, until the radius is
+    bracketed, then bisects.  ``start`` is 0 at n = 1 and r_cap after
+    that, where r_cap is the previous radius or the separation cap below
+    it, which the answer usually equals or nearly equals.  Admissible
+    probes only rise, so the last one is the answer.
     """
     good, bad, accepted = -1, r_cap + 1, None
     radius, step = start, 1
     while bad - good > 1:
-        ball = space.cell_ball(x0, radius)
+        ball = balls.get(radius)
+        if ball is None:
+            ball = balls[radius] = _slot_segments(space, space.cell_ball(x0, radius))
         swept = _arc_segments(space, thickening, ball)
         if 2 * _count(*swept) < space.n_cells:
             good, accepted, radius = radius, (radius, ball, swept), radius + step

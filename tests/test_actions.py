@@ -19,6 +19,7 @@ from gaplab import (
     PreconditionError,
     ResourceLimitError,
     build_action,
+    power_set,
 )
 from gaplab.actions import (
     _BLOCK,
@@ -34,16 +35,26 @@ from gaplab.certificates import (
     _pair_correlations,
     _segment_mask,
     _slot_segments,
+    _step_powers,
+    _step_runs,
 )
 from gaplab.koopman import check_hypotheses
 
 Z = GroupDescriptor(kind="lattice", dimension=1)
 
 
+def arc_segments(space, steps, idx):
+    """The arc segments of the union of sigma^c cells over the step counts
+    c, from the runs of the distinct steps and the slot segments of the
+    cells."""
+    runs = _step_runs(np.unique(np.asarray(steps, dtype=np.int64)))
+    return _arc_segments(space, runs, _slot_segments(space, np.asarray(idx)))
+
+
 def arc_mask(space, steps, idx):
     """The union of sigma^c cells over the step counts c, as a mask over
     the cells, from its arc segments."""
-    return _segment_mask(space, *_arc_segments(space, steps, idx),
+    return _segment_mask(space, *arc_segments(space, steps, idx),
                          np.empty(space.n_cells, dtype=bool))
 
 
@@ -609,7 +620,26 @@ def test_arc_union_matches_gathers(space, steps, picks):
     got = arc_mask(space, steps, idx)
     assert got.dtype == bool and got.shape == (space.n_cells,)
     assert np.flatnonzero(got).tolist() == want
-    assert _count(*_arc_segments(space, steps, idx)) == len(want)
+    assert _count(*arc_segments(space, steps, idx)) == len(want)
+
+
+@pytest.mark.parametrize("space", [
+    build_action(kind, group=Z, **kw) for kind, kw in ARC_SPACES
+], ids=[kind for kind, _ in ARC_SPACES])
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(steps=st.lists(st.integers(-9, 9), min_size=1, max_size=5),
+       k=st.integers(0, 3), picks=cell_picks)
+def test_power_arcs_match_gathers(space, steps, k, picks):
+    # the arcs of the step runs of S^k, against the gathers of the steps of
+    # the element oracle power_set
+    S = np.unique(np.array(steps, dtype=np.int64))
+    idx = np.array([i % space.n_cells for i in picks], dtype=np.int64)
+    power = power_set(Z, [(s,) for s in S.tolist()], k).ravel().tolist()
+    want = gathered_union(space, power, idx)
+    segments = _arc_segments(space, _step_powers(Z, S, k)[k], _slot_segments(space, idx))
+    assert np.flatnonzero(_segment_mask(space, *segments, np.empty(
+        space.n_cells, dtype=bool))).tolist() == want
+    assert _count(*segments) == len(want)
 
 
 @pytest.mark.parametrize("space", [
@@ -622,7 +652,7 @@ def test_overlap_sweep_matches_gathers(space, steps, picks, dilation):
     idx = np.unique(np.array([i % space.n_cells for i in picks], dtype=np.int64))
     for cells, segments in (
         (idx, _slot_segments(space, idx)),
-        (gathered_union(space, dilation, idx), _arc_segments(space, dilation, idx)),
+        (gathered_union(space, dilation, idx), arc_segments(space, dilation, idx)),
     ):
         ind = indicator(space, cells)
         got = _pair_correlations(space, steps, *segments, space.weights[0])
@@ -642,4 +672,4 @@ def test_arcs_on_one_cycle(steps, want):
     space = build_action("circle-rotation", group=Z, N=15, cells_per_step=1)
     idx = np.array([5])
     assert np.flatnonzero(arc_mask(space, steps, idx)).tolist() == sorted(want)
-    assert _count(*_arc_segments(space, steps, idx)) == len(want)
+    assert _count(*arc_segments(space, steps, idx)) == len(want)

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gaplab import certificates, cli, measures
 from gaplab import (
@@ -44,12 +46,19 @@ def cell_mask(space, cells):
     return mask
 
 
-def arc_mask(space, steps, idx):
-    """The union of sigma^c cells over the step counts c, as a mask over
-    the cells, from its arc segments."""
+def arc_mask(space, runs, idx):
+    """The union of sigma^c cells over the steps c of the step runs
+    ``runs``, as a mask over the cells, from its arc segments."""
     return certificates._segment_mask(
-        space, *certificates._arc_segments(space, steps, idx),
+        space, *certificates._arc_segments(
+            space, runs, certificates._slot_segments(space, idx)),
         np.empty(space.n_cells, dtype=bool))
+
+
+def run_steps(runs):
+    """The steps of the runs (first, last), one by one."""
+    return np.array([c for a, b in zip(*runs) for c in range(int(a), int(b) + 1)],
+                    dtype=np.int64)
 
 
 def gathered_thickening(space, S, b, n):
@@ -75,12 +84,14 @@ def orbit_cells(space, x0, S, n_max):
 def walk_sets(space, mu, F, sets, S):
     """The walk for eta = mu * mu^ over the cell sets B_1..B_len(sets),
     given as index arrays, and the step sets F and S: each B_n is swept
-    into its slot segments and those of S^n B_n."""
+    into its slot segments, and those into the segments of S^n B_n by the
+    step runs of S^n."""
     F, S = np.unique(F), np.unique(S)
     powers = certificates._step_powers(space.group, S, len(sets))
-    segments = [(certificates._slot_segments(space, b),
-                 certificates._arc_segments(space, s_n, b))
-                for b, s_n in zip(sets, powers[1:])]
+    segments = []
+    for b, s_n in zip(sets, powers[1:]):
+        core = certificates._slot_segments(space, b)
+        segments.append((core, certificates._arc_segments(space, s_n, core)))
     return certificates._walk(space, F, segments, 0.02, measures._symmetrized(mu),
                               certificates._cell_weight(space))
 
@@ -441,7 +452,7 @@ class TestThickeningFromBalls:
             # the F-overlaps of B_n = S^n V_n from the arcs of V_n
             arcs = segments[n - 1]
             assert all(map(np.array_equal, arcs, certificates._arc_segments(
-                space, powers[n], ball)))
+                space, powers[n], certificates._slot_segments(space, ball))))
             runs = certificates._slot_segments(space, b)
             weight = space.weights[0]
             assert np.array_equal(
@@ -525,6 +536,109 @@ class TestCarriedPower:
 def torus_distance(a, b, n):
     d = abs(a - b) % n
     return min(d, n - d)
+
+
+# step sets with gaps, negative and duplicate steps and runs of
+# consecutive steps, the identity among them or alone
+step_sets = st.tuples(
+    st.lists(st.tuples(st.integers(-9, 9), st.integers(1, 9)), max_size=2),
+    st.lists(st.integers(-12, 12), min_size=1, max_size=4),
+).map(lambda parts: [s for lo, width in parts[0] for s in range(lo, lo + width)]
+      + parts[1])
+STEP_GROUPS = [Z, time_grid(3),
+               GroupDescriptor(kind="torus-grid", dimension=1, size=7),
+               GroupDescriptor(kind="torus-grid", dimension=1, size=30)]
+
+
+class TestStepRuns:
+    """The run arithmetic of S^k against the element oracle power_set."""
+
+    @pytest.mark.parametrize("group", STEP_GROUPS,
+                             ids=["lattice", "real-grid", "torus-7", "torus-30"])
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(steps=step_sets, k=st.integers(0, 4))
+    @example(steps=[0], k=3)
+    @example(steps=[-3, -2, -1, 0, 1, 2, 3, 4], k=1)  # a run of 8 > 7 steps
+    @example(steps=[-5, 0, 9], k=4)
+    def test_powers_match_power_set(self, group, steps, k):
+        S = np.unique(np.array(steps, dtype=np.int64))
+        powers = certificates._step_powers(group, S, k)
+        assert len(powers) == k + 1
+        for j, (first, last) in enumerate(powers):
+            assert first.dtype == last.dtype == np.int64
+            # sorted, disjoint and non-adjacent runs
+            assert (first <= last).all()
+            assert (first[1:] > last[:-1] + 1).all()
+            want = power_set(group, [(s,) for s in S.tolist()], j)
+            assert run_steps((first, last)).tolist() == want.ravel().tolist(), j
+
+    def test_torus_runs_cover_the_group(self):
+        # S^2 = {-2..2} is one run of 5 >= N = 4 steps: it covers Z/4
+        group = GroupDescriptor(kind="torus-grid", dimension=1, size=4)
+        powers = certificates._step_powers(group, np.array([-1, 0, 1]), 2)
+        assert [(a.tolist(), b.tolist()) for a, b in powers] == [
+            ([0], [0]), ([0, 3], [1, 3]), ([0], [3])]
+
+    def test_step_runs_of_sorted_steps(self):
+        first, last = certificates._step_runs(np.array([-7, -3, -2, -1, 0, 4, 5, 9]))
+        assert first.tolist() == [-7, -3, 4, 9]
+        assert last.tolist() == [-7, 0, 5, 9]
+
+    def test_power_outside_int64_raises(self):
+        big = 2 ** 62 + 1
+        with pytest.raises(DescriptorMismatchError,
+                           match=f"step power leaves int64 at coordinate {-2 * big}"):
+            certificates._step_powers(Z, np.array([-big, 0, big]), 2)
+        assert run_steps(certificates._step_powers(Z, np.array([-big, 0]), 1)[1]).tolist() == [
+            -big, 0]
+
+    def test_runs_are_checked_against_memory(self, monkeypatch):
+        # the run sums of S^2 and the separators of S^2 are checked
+        # before they exist
+        checked = []
+        monkeypatch.setattr(certificates, "_check_pairs",
+                            lambda pairs, what: checked.append((pairs, what)))
+        certificates._step_powers(Z, np.array([-4, 0, 1, 2, 7]), 3)
+        assert checked == [(9, "step power S^2"), (15, "step power S^3")]
+        checked.clear()
+        steps = certificates._run_steps((np.array([-3, 5]), np.array([1, 5])), "separators")
+        assert steps.tolist() == [-3, -2, -1, 0, 1, 5]
+        assert checked == [(6, "separators")]
+
+
+class TestTorusGridCertificate:
+    """A circle rotation driven by Z/M, which every cycle length divides,
+    against the same rotation driven by Z."""
+
+    T = GroupDescriptor(kind="torus-grid", dimension=1, size=256)
+    ATOMS = [((1,), 0.3), ((-3,), 0.45), ((2,), 0.25)]
+
+    @pytest.mark.parametrize("n,cells_per_step,n_max", [
+        (256, 3, 4), (256, 1, 6), (256, 4, 3)])
+    def test_rows_match_the_lattice(self, n, cells_per_step, n_max):
+        reports = []
+        for group in (Z, self.T):
+            space = build_action("circle-rotation", group=group, N=n,
+                                 cells_per_step=cells_per_step)
+            mu = GroupMeasure.from_atoms(
+                group, [((c % group.size if group.size else c,), w)
+                        for (c,), w in self.ATOMS])
+            for x0 in (0, 77):
+                reports.append(run_certificate(space, mu, x0=x0, n_max=n_max))
+        assert reports[:2] == reports[2:]
+        assert len(reports[0].rows) == n_max and reports[0].cond2_all
+
+    def test_horizon_reaching_the_period_raises(self):
+        # on the 16-cycle driven by Z/256, S^16 = {0..16, 240..255} holds
+        # the residue 16, a multiple of the period, and S^14 does not
+        space = build_action("circle-rotation", group=self.T, N=16, cells_per_step=3)
+        S = np.array([0, 1, 255])
+        with pytest.raises(GridResolutionError, match=(
+                r"^free-orbit surrogate fails at the base cell: atom \(16,\) of "
+                r"S\^16 fixes it; refine the grid or shorten the horizon$")):
+            certificates._orbit_segments(space, 3, S, 8)
+        with pytest.raises(GridResolutionError, match=r"S\^14-orbit of the base cell"):
+            certificates._orbit_segments(space, 3, S, 7)
 
 
 class TestCellBall:
@@ -631,8 +745,9 @@ def two_gallop_search(space, thickening, x0, r_cap, downward):
 
     def admissible(radius):
         nonlocal accepted
-        swept = certificates._arc_segments(space, thickening,
-                                           space.cell_ball(x0, radius))
+        swept = certificates._arc_segments(
+            space, thickening,
+            certificates._slot_segments(space, space.cell_ball(x0, radius)))
         if 2 * certificates._count(*swept) >= space.n_cells:
             return False
         accepted = radius, swept
@@ -702,7 +817,8 @@ class TestOrbitNeighborhoodSequence:
             separators = [g for g in power_set(space.group, S, 2 * n - 2)
                           if g not in S]
             r_cap = space.separation_radius(space.steps(separators))
-            thickening = space.steps(power_set(space.group, S, 2 * n))
+            thickening = certificates._step_runs(
+                space.steps(power_set(space.group, S, 2 * n)))
             counts = [arc_mask(space, thickening, space.cell_ball(x0, r)).sum()
                       for r in range(r_cap + 1)]
             assert counts == sorted(counts)
@@ -715,7 +831,7 @@ class TestOrbitNeighborhoodSequence:
                 arc_mask(space, thickening, space.cell_ball(x0, radius)))
             bound_active |= n > 1 and picked[n - 2] < r_cap
             want = arc_mask(
-                space, space.steps(power_set(space.group, S, n)),
+                space, certificates._step_runs(space.steps(power_set(space.group, S, n))),
                 space.cell_ball(x0, radius))
             assert sets[n - 1].tolist() == np.flatnonzero(want).tolist()
         assert bound_active
@@ -752,14 +868,17 @@ class TestOrbitNeighborhoodSequence:
         monkeypatch.setattr(space, "cell_ball", ball)
         certificates._orbit_segments(space, x0, space.steps(S), n_max)
         # one call checks the orbit of the base cell, the rest are probes
-        assert len(probes) - 1 <= 20
-        # one ball per probe: the accepted ball is not built again for B_n
-        assert len(balls) == len(probes) - 1 == 16
+        assert len(probes) - 1 == 16
+        # one ball per probed radius, none for radius 0 (the base cell,
+        # swept for the orbit check): a radius probed again at a later n,
+        # or accepted for B_n, is not built again
+        radii = [radius for _, radius in balls]
+        assert len(radii) == len(set(radii)) == 10 and 0 not in radii
         monkeypatch.undo()
         powers = certificates._step_powers(space.group, space.steps(S), 2 * n_max)
         scanned = []
         for n in range(1, n_max + 1):
-            separators = np.setdiff1d(powers[2 * n - 2], powers[1])
+            separators = np.setdiff1d(run_steps(powers[2 * n - 2]), run_steps(powers[1]))
             r_cap = space.separation_radius(separators)
             radius = 0
             while radius < r_cap and 2 * arc_mask(
@@ -784,7 +903,8 @@ class TestOrbitNeighborhoodSequence:
             return 0 if lo <= threshold else 1
 
         monkeypatch.setattr(certificates, "_arc_segments",
-                            lambda space, steps, ball: (ball, ball))
+                            lambda space, runs, ball: (ball, ball))
+        monkeypatch.setattr(certificates, "_slot_segments", lambda space, idx: idx)
         monkeypatch.setattr(certificates, "_count", probe)
         space = Radii()
         for r_cap in range(301):
@@ -796,7 +916,7 @@ class TestOrbitNeighborhoodSequence:
                 want_probes = probes[:]
                 probes.clear()
                 got = certificates._largest_mass_admissible_radius(
-                    space, None, 0, r_cap, start)
+                    space, None, 0, r_cap, start, {})
                 assert probes == want_probes, (r_cap, start, threshold)
                 # the stub ball of radius r is r itself
                 assert got == (None if want is None else (want[0], *want)), (
