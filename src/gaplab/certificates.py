@@ -16,20 +16,24 @@ fill.  ``run_certificate`` therefore runs only on such grids, and checks
 that before it builds anything.
 
 Every action is one-parameter, so S and F are sorted int64 arrays of
-steps, and each power S^k is carried as runs of consecutive steps: sorted,
-disjoint, non-adjacent [first, last] pairs, formed only by
-``_step_powers``.  Only ``separation_radius`` reads steps of a power one
-by one.
+steps.  Step sets and cell sets are both ``Intervals``, sorted disjoint
+half-open integer intervals [lo, hi): each power S^k as the runs of its
+consecutive steps, formed only by ``_step_powers``, and each cell set as
+segments of slots in the cycle table.  One sweep, ``_sweep``, forms
+every dilation, the intervals moved by every step of a run list: S^j as
+S^{j-1} swept by S on the line, or on the one circle Z/N of
+``torus-grid``, and S B as the segments of B swept by S on their cycles.
+Only ``separation_radius`` reads steps of a power one by one.
 
-Sets are read as disjoint segments of slots in the cycle table, and each
-is swept once.  The walk takes the segments of B_n and of S^n B_n from
-the radius search and reads everything off them: the masses are the
-cell weight times a segment count, the F-overlaps are integer sums over
-pairs of segments, the companion is the first cells outside the mask of
-S^n B_n, and the test vector phi is written in slot order, the order in
-which its FFT reads it.  Every comparison with mass 1/2 compares counts:
-a set has mass below 1/2 iff it holds fewer than half the cells, where a
-product of the rounded cell weight and a count could land on either side.
+Each cell set is swept once.  The walk takes the segments of B_n and of
+S^n B_n from the radius search and reads everything off them: the masses
+are the cell weight times a segment count, the F-overlaps are integer
+sums over pairs of segments, the companion is the first cells outside the
+mask of S^n B_n, and the test vector phi is written in slot order, the
+order in which its FFT reads it.  Every comparison with mass 1/2
+compares counts: a set has mass below 1/2 iff it holds fewer than half
+the cells, where a product of the rounded cell weight and a count could
+land on either side.
 """
 
 from __future__ import annotations
@@ -60,6 +64,10 @@ from .measures import (
 )
 
 CHAIN_TOL = 1e-10
+
+#: sorted, disjoint half-open intervals [lo, hi) of integers, as the int64
+#: arrays (lo, hi): runs of consecutive steps, or segments of slots
+Intervals = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -101,116 +109,82 @@ def _cell_weight(space: ActionSpace) -> float:
     return space.cell_weight
 
 
-def _step_runs(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The runs of consecutive steps of a sorted array of distinct steps,
-    as the arrays (first, last) of their first and last steps."""
-    head, tail = _runs(np.diff(steps) > 1)
-    return steps[head], steps[tail]
+def _sweep(intervals: Intervals, runs: Intervals,
+           circles: tuple[np.ndarray, np.ndarray] | None, what: str,
+           apart: bool = False) -> Intervals:
+    """The union of the intervals ``intervals`` moved by every step of the
+    step runs ``runs``, as sorted, disjoint intervals [lo, hi).
+
+    ``circles`` is None for the line, or the arrays (first, length) of the
+    circle [first, first + length) of each interval.  A run [a, b) carries
+    [lo, hi) onto [lo + a, hi + b - 1), which on a circle of length L is
+    the arc at most L wide from lo + a, taken mod L from the circle's
+    first point; an arc that wraps splits in two.  The pairs of intervals
+    and runs are checked against memory as ``what`` before they exist.
+    The moved intervals, all nonempty, merge in integers only, from one
+    sort of their starts and one of their ends (the 1-d case of Klee's
+    measure problem): the j smallest ends close a piece of the union iff
+    the (j+1)-th smallest start lies past them.  Touching intervals
+    merge, unless ``apart``: the touching arcs of a cycle table stay
+    apart, so that no segment leaves its cycle.
+    """
+    (lo, hi), (a, b) = intervals, runs
+    _check_pairs(len(lo) * len(a), what)
+    if circles is None:
+        lo, hi = np.add.outer(lo, a), np.add.outer(hi - 1, b)
+    else:
+        first, length = circles[0][:, None], circles[1][:, None]
+        # an offset and a step reduced mod L add up to less than 2L
+        start = (lo[:, None] - first + a % length) % length
+        end = start + np.minimum((hi - lo - 1)[:, None] + (b - a), length)
+        wraps = end > length
+        lo = np.concatenate([(first + start).ravel(),
+                             np.broadcast_to(first, wraps.shape)[wraps]])
+        hi = np.concatenate([(first + np.minimum(end, length)).ravel(),
+                             (first + end - length)[wraps]])
+    lo, hi = np.sort(lo, axis=None), np.sort(hi, axis=None)
+    head, tail = _runs((np.greater_equal if apart else np.greater)(lo[1:], hi[:-1]))
+    return lo[head], hi[tail]
 
 
-def _merged_runs(first: np.ndarray,
-                 last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The union of the runs [first, last] as sorted, disjoint,
-    non-adjacent runs: one sort of the starts and a running maximum of
-    the ends (the 1-d case of Klee's measure problem)."""
-    order = np.argsort(first, kind="stable")
-    first = first[order]
-    reach = np.maximum.accumulate(last[order])
-    head, tail = _runs(first[1:] > reach[:-1] + 1)
-    return first[head], reach[tail]
-
-
-def _step_powers(group: GroupDescriptor, S: np.ndarray,
-                 k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def _step_powers(group: GroupDescriptor, S: np.ndarray, k: int) -> list[Intervals]:
     """S^0..S^k of a sorted array S of distinct steps, each as the runs
-    (first, last) of its consecutive steps, sorted, disjoint and
-    non-adjacent: the steps add as the elements compose.
+    [lo, hi) of its consecutive steps, sorted, disjoint and non-adjacent:
+    the steps add as the elements compose.
 
-    S^j is the Minkowski sum of the runs of S^{j-1} and of S: the run
-    sums [a + c, b + d], merged by ``_merged_runs``.  On ``torus-grid``
-    each power is reduced mod N into [0, N): a run of N or more steps
-    covers the group, and a run that wraps splits in two.  Elsewhere the
-    least and the greatest step of S^k must lie in int64, or
+    S^0 is the run [0, 1) of the identity, and S^j is S^{j-1} swept by
+    the steps of S, by the runs of S^1 from j = 2 on.  On ``torus-grid``
+    the sweep runs on the one circle Z/N: a run of N or more steps covers
+    the group, and a run that wraps splits in two.  Elsewhere it runs on
+    the line, and the least and the greatest step of S^k must lie in
+    int64, with the end of the last run, one past the greatest, or
     ``DescriptorMismatchError`` names the one that does not.
     """
-    modulus = group.size if group.kind == TORUS_GRID else 0
-    if not modulus:
+    circle = ((np.zeros(1, dtype=np.int64), np.full(1, group.size))
+              if group.kind == TORUS_GRID else None)
+    if circle is None:
         for c in (k * int(S[0]), k * int(S[-1])):
-            if not _INT64_MIN <= c <= _INT64_MAX:
+            if not _INT64_MIN <= c < _INT64_MAX:
                 raise DescriptorMismatchError(f"step power leaves int64 at coordinate {c}")
-    base = _step_runs(S)
-    if modulus:
-        base = _wrapped_runs(*base, modulus)
-    powers = [(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)), base]
-    for j in range(2, k + 1):
-        first, last = powers[-1]
-        _check_pairs(len(first) * len(base[0]), f"step power S^{j}")
-        sums = _merged_runs(np.add.outer(first, base[0]).ravel(),
-                            np.add.outer(last, base[1]).ravel())
-        powers.append(_wrapped_runs(*sums, modulus) if modulus else sums)
-    return powers[:k + 1]
+    powers = [(np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))]
+    runs = S, S + 1
+    for j in range(1, k + 1):
+        powers.append(_sweep(powers[-1], runs, circle, f"step power S^{j}"))
+        runs = powers[1]
+    return powers
 
 
-def _wrapped_runs(first: np.ndarray, last: np.ndarray,
-                  modulus: int) -> tuple[np.ndarray, np.ndarray]:
-    """The runs [first, last] of Z reduced mod ``modulus`` into runs of
-    [0, modulus), as ``_merged_runs`` gives them."""
-    if (last - first >= modulus - 1).any():
-        return np.zeros(1, dtype=np.int64), np.full(1, modulus - 1, dtype=np.int64)
-    lo = first % modulus
-    hi = lo + (last - first)
-    wraps = hi >= modulus
-    return _merged_runs(
-        np.concatenate([lo, np.zeros(np.count_nonzero(wraps), dtype=np.int64)]),
-        np.concatenate([np.minimum(hi, modulus - 1), hi[wraps] - modulus]))
+def _arc_segments(space: ActionSpace, runs: Intervals, segments: Intervals) -> Intervals:
+    """The union of sigma^c cells over the steps c of the runs [a, b), of
+    the cells of the slot segments [lo, hi), as disjoint slot segments of
+    the cycle table, sorted by lo: one sweep on the cycles of the
+    segments, which keeps touching arcs apart.  The runs are those of
+    ``_step_powers``, the segments those of ``_slot_segments`` or of an
+    earlier sweep."""
+    return _sweep(segments, runs, space.cycles.locate(segments[0]), "arc sweep", True)
 
 
-def _run_steps(runs: tuple[np.ndarray, np.ndarray], what: str) -> np.ndarray:
-    """The steps of the runs (first, last), in order, checked against
-    memory before they exist."""
-    first, last = runs
-    _check_pairs(int((last - first).sum()) + len(first), what)
-    return _segment_slots(first, last + 1)
-
-
-def _arc_segments(space: ActionSpace, runs: tuple[np.ndarray, np.ndarray],
-                  segments: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The union of sigma^c cells over the steps c of the runs
-    (first, last), of the cells of the slot segments [lo, hi), as disjoint
-    half-open slot segments of the cycle table, sorted by lo.
-
-    The runs are sorted and disjoint, as ``_step_powers`` gives them; the
-    segments are those of ``_slot_segments`` (or of an earlier sweep).
-    On a cycle of length L a run of consecutive steps [a, b] carries the
-    segment of offsets [o, p) onto the arc [o + a, p + b) mod L, at most L
-    wide; an arc that wraps splits in two.  One sort of the arcs by start
-    and a running maximum of their ends merge them, in integers only.
-    Arcs that merely touch stay apart, so no segment leaves its cycle.
-    """
-    run_lo, run_hi = runs
-    seg_lo, seg_hi = segments
-    _check_pairs(len(seg_lo) * len(run_lo), "arc sweep")
-    run_width = run_hi + 1 - run_lo
-    first, length = space.cycles.locate(seg_lo)
-    first, length = first[:, None], length[:, None]
-    start = (seg_lo[:, None] - first + run_lo) % length
-    end = start + np.minimum((seg_hi - seg_lo - 1)[:, None] + run_width, length)
-    wraps = end > length
-    lo = np.concatenate([(first + start).ravel(),
-                         np.broadcast_to(first, wraps.shape)[wraps]])
-    hi = np.concatenate([(first + np.minimum(end, length)).ravel(),
-                         (first + end - length)[wraps]])
-    # one sort of the arcs packed as (start, width); a width is at most L
-    shift = space.n_cells.bit_length()
-    arcs = np.sort((lo << shift) | (hi - lo))
-    lo = arcs >> shift
-    reach = np.maximum.accumulate(lo + (arcs & ((1 << shift) - 1)))
-    head, tail = _runs(lo[1:] >= reach[:-1])
-    return lo[head], reach[tail]
-
-
-def _slot_segments(space: ActionSpace,
-                   idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _slot_segments(space: ActionSpace, idx: np.ndarray) -> Intervals:
     """Cells as slot segments [lo, hi), sorted by lo: the runs of
     consecutive slots, split where a cycle starts.  The segments of
     distinct cells are disjoint; a repeated cell starts a segment that
@@ -505,13 +479,13 @@ def _orbit_segments(space: ActionSpace, x0: int, steps: np.ndarray,
             f"base cell x0 = {x0} is outside the {space.n_cells} cells of the space"
         )
     powers = _step_powers(space.group, steps, 2 * n_max)
-    first, last = thickest = powers[2 * n_max]
-    # the least nonzero multiple of the period in each run; the identity,
-    # the step 0, fixes every cell and is exempt
+    lo, hi = thickest = powers[2 * n_max]
+    # the least nonzero multiple of the period from the start of each run;
+    # the identity, the step 0, fixes every cell and is exempt
     period = space.period(x0)
-    fixing = -(-first // period) * period
+    fixing = -(-lo // period) * period
     fixing[fixing == 0] = period
-    fixing = fixing[fixing <= last]
+    fixing = fixing[fixing < hi]
     if fixing.size:
         raise GridResolutionError(
             f"free-orbit surrogate fails at the base cell: atom {(int(fixing[0]),)} "
@@ -527,7 +501,9 @@ def _orbit_segments(space: ActionSpace, x0: int, steps: np.ndarray,
 
     segments, radius = [], None
     for n in range(1, n_max + 1):
-        inner = _run_steps(powers[2 * n - 2], f"separators in S^{2 * n - 2}")
+        lo, hi = powers[2 * n - 2]
+        _check_pairs(int((hi - lo).sum()), f"separators in S^{2 * n - 2}")
+        inner = _segment_slots(lo, hi)
         separators = inner[~_contains(steps, inner)]
         r_cap = space.separation_radius(separators)
         # S^{2n} only grows with n, so the admissible radius cannot grow
@@ -547,9 +523,8 @@ def _orbit_segments(space: ActionSpace, x0: int, steps: np.ndarray,
 
 
 def _largest_mass_admissible_radius(
-    space: ActionSpace, thickening: tuple[np.ndarray, np.ndarray], x0: int,
-    r_cap: int, start: int, balls: dict
-) -> tuple[int, tuple, tuple[np.ndarray, np.ndarray]] | None:
+    space: ActionSpace, thickening: Intervals, x0: int, r_cap: int, start: int, balls: dict
+) -> tuple[int, Intervals, Intervals] | None:
     """The largest radius r <= r_cap whose ball around x0 keeps its
     thickening, by the step runs ``thickening``, below half the cells,
     with the slot segments of that ball and of its thickening, or None if

@@ -114,6 +114,10 @@ class GroupDescriptor:
             raise DescriptorMismatchError(
                 f"the {self.dimension}-dimensional {self.kind} takes elements of "
                 f"length {self.dimension}, got {list(a)}")
+        elif not all(_INT64_MIN <= x <= _INT64_MAX for x in a):
+            # every set and walk computes on int64 keys
+            raise DescriptorMismatchError(
+                f"the {self.kind} takes int64 coordinates, got {list(a)}")
         return a
 
     def inverse(self, a: Element) -> Element:
@@ -162,25 +166,35 @@ class GroupDescriptor:
         return a
 
     def ball(self, radius: float) -> list[Element]:
-        """All elements of norm <= radius, in deterministic order."""
+        """All elements of norm <= radius, in deterministic order.  On the
+        abelian kinds the listing scans the box around the ball, whose cells
+        are counted first and refused beyond ``DEFAULT_SUPPORT_CAP`` or the
+        memory at ``ATOM_BYTES`` a cell; a ball under the cap whose box is
+        over it is refused too."""
         if radius < 0:
             return []
         if self.kind == FREE:
             letters = [(i,) for i in range(-self.dimension, self.dimension + 1) if i]
             return power_set(self, [(), *letters], int(radius))
-        if self.kind == LATTICE:
-            return _euclid_ball(self.dimension, radius, 1)
-        if self.kind == REAL_GRID:
-            return _euclid_ball(self.dimension, radius, self.resolution)
-        # torus: residues whose representative lies in the ball
-        reach = min(radius, 0.5)
-        coords = [
-            r % self.size
-            for r in range(-self.size // 2, self.size // 2 + 1)
-            if abs(r) / self.size <= reach
-        ]
+        if self.kind == TORUS_GRID:
+            # residues whose representative r, |r| <= reach, lies in the ball
+            n = self.size
+            reach = min(int(min(radius, 0.5) * n) + 1, n // 2)
+            while reach and reach / n > min(radius, 0.5):
+                reach -= 1
+            side = min(2 * reach + 1, n)
+        else:
+            reach = int(math.floor(radius * self.scale + 1e-12))
+            side = 2 * reach + 1
+        what = f"the box around the ball of radius {radius}"
+        _check_cap(side ** self.dimension, DEFAULT_SUPPORT_CAP,
+                   f"{what} of {side ** self.dimension} cells")
+        _check_pairs(side ** self.dimension, what, ATOM_BYTES, "cells")
+        if self.kind != TORUS_GRID:
+            return _euclid_ball(self.dimension, radius, self.scale, reach)
         cells = []
-        for tup in itertools.product(sorted(set(coords)), repeat=self.dimension):
+        for tup in itertools.product(sorted({r % n for r in range(-reach, reach + 1)}),
+                                     repeat=self.dimension):
             if math.sqrt(sum((_torus_rep(x, self.size) / self.size) ** 2 for x in tup)) <= radius:
                 cells.append(tup)
         return sorted(cells)
@@ -210,8 +224,7 @@ def _reduce_word(word: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _euclid_ball(dim: int, radius: float, scale: int) -> list[Element]:
-    reach = int(math.floor(radius * scale + 1e-12))
+def _euclid_ball(dim: int, radius: float, scale: int, reach: int) -> list[Element]:
     cells = []
     for tup in itertools.product(range(-reach, reach + 1), repeat=dim):
         if math.sqrt(sum((x / scale) ** 2 for x in tup)) <= radius + 1e-12:
@@ -447,12 +460,22 @@ def _memory_bytes() -> int:
     return memory if soft == resource.RLIM_INFINITY else min(memory, soft)
 
 
-def _check_pairs(pairs: int, what: str) -> None:
-    """Refuse a product of ``pairs`` pairs whose arrays need more than
+#: default cap on the support size of a measure, listed or convolved
+DEFAULT_SUPPORT_CAP = 10_000_000
+#: bytes per counted cell while a measure's support is listed: the tuples,
+#: the lists and the dict of atoms (traced peaks of 193 to 305 bytes per
+#: cell, Python 3.11)
+ATOM_BYTES = 320
+
+
+def _check_pairs(pairs: int, what: str, item_bytes: int = PAIR_BYTES,
+                 items: str = "pairs") -> None:
+    """Refuse a product of ``pairs`` pairs, or a listing of ``pairs``
+    ``items`` of ``item_bytes`` each, whose arrays need more than
     ``_memory_bytes``, before any pair-sized array exists."""
-    if pairs * PAIR_BYTES > _memory_bytes():
+    if pairs * item_bytes > _memory_bytes():
         raise ResourceLimitError(
-            f"{what} would form {pairs} pairs of {PAIR_BYTES} bytes each, more than "
+            f"{what} would form {pairs} {items} of {item_bytes} bytes each, more than "
             f"the {_memory_bytes()} bytes this process may use")
 
 

@@ -16,11 +16,14 @@ import numpy as np
 from .errors import DescriptorMismatchError, PreconditionError
 from .groups import (
     _DENSE_RANGE,
+    ATOM_BYTES,
+    DEFAULT_SUPPORT_CAP,
     FREE,
     TORUS_GRID,
     Element,
     GroupDescriptor,
     KeyBox,
+    _check_cap,
     _check_pairs,
     _coordinates,
     _factor_keys,
@@ -28,10 +31,6 @@ from .groups import (
     _unique_keys,
     _word_box,
 )
-
-#: default cap on the support size produced by convolutions
-DEFAULT_SUPPORT_CAP = 10_000_000
-
 
 @dataclass(frozen=True)
 class GroupMeasure:
@@ -87,6 +86,8 @@ class GroupMeasure:
 
         With ``closed=False`` the right endpoint cell is excluded, which is
         the grid-exact discretization of the uniform density on [lo, hi).
+        The cells are counted, N at most on the torus, and refused beyond
+        ``DEFAULT_SUPPORT_CAP`` or the memory before they are listed.
         """
         if group.dimension != 1 or group.kind == "free":
             raise PreconditionError("uniform_interval needs a 1-d grid-like group")
@@ -95,6 +96,11 @@ class GroupMeasure:
         b = math.floor(hi * q + 1e-9)
         if not closed:
             b -= 1
+        if group.kind == "torus-grid" and b - a >= group.size:
+            a, b = 0, group.size - 1  # every residue
+        what = f"the interval [{lo}, {hi}]"
+        _check_cap(b - a + 1, DEFAULT_SUPPORT_CAP, f"{what} of {b - a + 1} cells")
+        _check_pairs(b - a + 1, what, ATOM_BYTES, "cells")
         cells = [(c,) for c in range(a, b + 1)]
         if group.kind == "torus-grid":
             cells = sorted({(c % group.size,) for (c,) in cells})

@@ -36,7 +36,6 @@ from gaplab.certificates import (
     _segment_mask,
     _slot_segments,
     _step_powers,
-    _step_runs,
 )
 from gaplab.koopman import check_hypotheses
 
@@ -45,9 +44,9 @@ Z = GroupDescriptor(kind="lattice", dimension=1)
 
 def arc_segments(space, steps, idx):
     """The arc segments of the union of sigma^c cells over the step counts
-    c, from the runs of the distinct steps and the slot segments of the
-    cells."""
-    runs = _step_runs(np.unique(np.asarray(steps, dtype=np.int64)))
+    c, from the half-open runs of the distinct steps (those of S^1) and
+    the slot segments of the cells."""
+    runs = _step_powers(Z, np.unique(np.asarray(steps, dtype=np.int64)), 1)[1]
     return _arc_segments(space, runs, _slot_segments(space, np.asarray(idx)))
 
 
@@ -620,7 +619,22 @@ def test_arc_union_matches_gathers(space, steps, picks):
     got = arc_mask(space, steps, idx)
     assert got.dtype == bool and got.shape == (space.n_cells,)
     assert np.flatnonzero(got).tolist() == want
-    assert _count(*arc_segments(space, steps, idx)) == len(want)
+    lo, hi = arc_segments(space, steps, idx)
+    assert _count(lo, hi) == len(want)
+    # sorted, disjoint and nonempty; none crosses the start of a cycle, so
+    # arcs that touch across two neighbouring cycles stay apart
+    assert (lo < hi).all() and (lo[1:] >= hi[:-1]).all()
+    first, length = space.cycles.locate(lo)
+    assert (hi <= first + length).all()
+
+
+def test_touching_arcs_of_two_cycles_stay_apart():
+    # two 3-cycles fill the slots [0, 3) and [3, 6); every cell moved by the
+    # run [0, 2) gives one segment per cycle, not one across both
+    space = build_action("finite-permutation", group=Z, permutation=[1, 2, 0, 4, 5, 3])
+    lo, hi = _arc_segments(space, (np.array([0]), np.array([2])),
+                           _slot_segments(space, np.arange(6)))
+    assert (lo.tolist(), hi.tolist()) == ([0, 3], [3, 6])
 
 
 @pytest.mark.parametrize("space", [

@@ -56,9 +56,22 @@ def arc_mask(space, runs, idx):
 
 
 def run_steps(runs):
-    """The steps of the runs (first, last), one by one."""
-    return np.array([c for a, b in zip(*runs) for c in range(int(a), int(b) + 1)],
+    """The steps of the half-open runs (lo, hi), one by one."""
+    return np.array([c for a, b in zip(*runs) for c in range(int(a), int(b))],
                     dtype=np.int64)
+
+
+def step_runs(steps):
+    """The half-open runs (lo, hi) of consecutive steps of a step array,
+    by a scan of its distinct steps."""
+    runs = []
+    for c in sorted(set(np.asarray(steps).ravel().tolist())):
+        if runs and runs[-1][1] == c:
+            runs[-1][1] = c + 1
+        else:
+            runs.append([c, c + 1])
+    lo, hi = zip(*runs)
+    return np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
 
 
 def gathered_thickening(space, S, b, n):
@@ -560,29 +573,30 @@ class TestStepRuns:
     @example(steps=[0], k=3)
     @example(steps=[-3, -2, -1, 0, 1, 2, 3, 4], k=1)  # a run of 8 > 7 steps
     @example(steps=[-5, 0, 9], k=4)
+    @example(steps=list(range(-4, 5)), k=4)  # a run of 33 > 30 steps
     def test_powers_match_power_set(self, group, steps, k):
         S = np.unique(np.array(steps, dtype=np.int64))
         powers = certificates._step_powers(group, S, k)
         assert len(powers) == k + 1
-        for j, (first, last) in enumerate(powers):
-            assert first.dtype == last.dtype == np.int64
-            # sorted, disjoint and non-adjacent runs
-            assert (first <= last).all()
-            assert (first[1:] > last[:-1] + 1).all()
+        for j, (lo, hi) in enumerate(powers):
+            assert lo.dtype == hi.dtype == np.int64
+            # sorted, disjoint and non-adjacent half-open runs
+            assert (lo < hi).all()
+            assert (lo[1:] > hi[:-1]).all()
             want = power_set(group, [(s,) for s in S.tolist()], j)
-            assert run_steps((first, last)).tolist() == want.ravel().tolist(), j
+            assert run_steps((lo, hi)).tolist() == want.ravel().tolist(), j
 
     def test_torus_runs_cover_the_group(self):
         # S^2 = {-2..2} is one run of 5 >= N = 4 steps: it covers Z/4
         group = GroupDescriptor(kind="torus-grid", dimension=1, size=4)
         powers = certificates._step_powers(group, np.array([-1, 0, 1]), 2)
         assert [(a.tolist(), b.tolist()) for a, b in powers] == [
-            ([0], [0]), ([0, 3], [1, 3]), ([0], [3])]
+            ([0], [1]), ([0, 3], [2, 4]), ([0], [4])]
 
     def test_step_runs_of_sorted_steps(self):
-        first, last = certificates._step_runs(np.array([-7, -3, -2, -1, 0, 4, 5, 9]))
-        assert first.tolist() == [-7, -3, 4, 9]
-        assert last.tolist() == [-7, 0, 5, 9]
+        lo, hi = certificates._step_powers(Z, np.array([-7, -3, -2, -1, 0, 4, 5, 9]), 1)[1]
+        assert lo.tolist() == [-7, -3, 4, 9]
+        assert hi.tolist() == [-6, 1, 6, 10]
 
     def test_power_outside_int64_raises(self):
         big = 2 ** 62 + 1
@@ -591,19 +605,26 @@ class TestStepRuns:
             certificates._step_powers(Z, np.array([-big, 0, big]), 2)
         assert run_steps(certificates._step_powers(Z, np.array([-big, 0]), 1)[1]).tolist() == [
             -big, 0]
+        # the end of a run one past the greatest step lies in int64 too
+        top = 2 ** 63 - 1
+        with pytest.raises(DescriptorMismatchError,
+                           match=f"step power leaves int64 at coordinate {top}"):
+            certificates._step_powers(Z, np.array([0, top]), 1)
 
     def test_runs_are_checked_against_memory(self, monkeypatch):
-        # the run sums of S^2 and the separators of S^2 are checked
-        # before they exist
+        # the run sums of each power and the separators in S^{2n-2} are
+        # checked before they exist
         checked = []
         monkeypatch.setattr(certificates, "_check_pairs",
                             lambda pairs, what: checked.append((pairs, what)))
         certificates._step_powers(Z, np.array([-4, 0, 1, 2, 7]), 3)
-        assert checked == [(9, "step power S^2"), (15, "step power S^3")]
+        assert checked == [(5, "step power S^1"), (9, "step power S^2"),
+                           (15, "step power S^3")]
         checked.clear()
-        steps = certificates._run_steps((np.array([-3, 5]), np.array([1, 5])), "separators")
-        assert steps.tolist() == [-3, -2, -1, 0, 1, 5]
-        assert checked == [(6, "separators")]
+        certificates._orbit_segments(cycle_space(64), 0, np.array([-3, -2, -1, 0, 1, 2, 3]), 2)
+        # S^0 = {0} and S^2 = {-6..6}, listed step by step
+        assert [check for check in checked if check[1].startswith("separators")] == [
+            (1, "separators in S^0"), (13, "separators in S^2")]
 
 
 class TestTorusGridCertificate:
@@ -817,8 +838,7 @@ class TestOrbitNeighborhoodSequence:
             separators = [g for g in power_set(space.group, S, 2 * n - 2)
                           if g not in S]
             r_cap = space.separation_radius(space.steps(separators))
-            thickening = certificates._step_runs(
-                space.steps(power_set(space.group, S, 2 * n)))
+            thickening = step_runs(space.steps(power_set(space.group, S, 2 * n)))
             counts = [arc_mask(space, thickening, space.cell_ball(x0, r)).sum()
                       for r in range(r_cap + 1)]
             assert counts == sorted(counts)
@@ -830,9 +850,8 @@ class TestOrbitNeighborhoodSequence:
                                            np.empty(space.n_cells, dtype=bool)),
                 arc_mask(space, thickening, space.cell_ball(x0, radius)))
             bound_active |= n > 1 and picked[n - 2] < r_cap
-            want = arc_mask(
-                space, certificates._step_runs(space.steps(power_set(space.group, S, n))),
-                space.cell_ball(x0, radius))
+            want = arc_mask(space, step_runs(space.steps(power_set(space.group, S, n))),
+                            space.cell_ball(x0, radius))
             assert sets[n - 1].tolist() == np.flatnonzero(want).tolist()
         assert bound_active
 

@@ -471,8 +471,32 @@ CONFIG_FAULTS = [
 ]
 
 
-@pytest.mark.parametrize("cfg,message", CONFIG_FAULTS,
-                         ids=[message.split(":")[0] for _, message in CONFIG_FAULTS])
+# measures refused where they are built, before any set or walk
+RANGE_FAULTS = [
+    # coordinates beyond int64 on the lattice kinds, where every set and
+    # walk keys cells in int64; a torus reduces any integer mod N
+    ({**KOOPMAN, "measure": {"kind": "atoms", "atoms": [[10**22, 1.0]]}},
+     f"measure.atoms[0].element: the lattice takes int64 coordinates, got [{10**22}]"),
+    ({**TestParams.REGULAR, "measure": {"kind": "atoms", "atoms": [[1, 0.5], [10**22, 0.5]]}},
+     f"measure.atoms[1].element: the lattice takes int64 coordinates, got [{10**22}]"),
+    ({**VERIFY, "measure": {"kind": "point", "element": [-2**63 - 1]}},
+     f"measure.element: the real-grid takes int64 coordinates, got [{-2**63 - 1}]"),
+    # supports counted before they are listed
+    ({**TestParams.REGULAR, "measure": {"kind": "uniform-interval", "lo": -1e7, "hi": 1e7}},
+     "measure: the interval [-10000000.0, 10000000.0] of 20000001 cells exceeded the "
+     "support cap of 10000000 elements"),
+    ({**TestParams.REGULAR, "group": {"kind": "lattice", "dimension": 2},
+      "measure": {"kind": "uniform-ball", "radius": 1e4}},
+     "measure: the box around the ball of radius 10000.0 of 400040001 cells exceeded"),
+    ({**TestParams.REGULAR, "group": {"kind": "torus-grid", "dimension": 2, "size": 10**5},
+      "measure": {"kind": "uniform-ball", "radius": 0.5}},
+     "measure: the box around the ball of radius 0.5 of 10000000000 cells exceeded"),
+]
+
+
+@pytest.mark.parametrize("cfg,message", CONFIG_FAULTS + RANGE_FAULTS,
+                         ids=[message.split(":")[0] for _, message in CONFIG_FAULTS]
+                         + [f"range-{message.split(':')[0]}" for _, message in RANGE_FAULTS])
 def test_config_fault_exit_two_naming_its_path(tmp_path, capsys, cfg, message):
     code, out_dir = run_cli(tmp_path, cfg)
     err = capsys.readouterr().err
@@ -679,6 +703,27 @@ class TestRegularNormExperiment:
         assert run.returncode == 1, run.stderr
         assert run.stderr.startswith("error: convolution would form 93267889 pairs of 80 bytes")
         assert "at n = 15, forming eta^{*8}" in run.stderr
+        assert "Traceback" not in run.stderr and run.stderr.count("\n") == 1
+
+    def test_wide_interval_is_refused_by_its_cell_count(self, tmp_path):
+        """A uniform interval of 2 * 10^7 + 1 cells on Z is counted before
+        its cells are listed: under the 3 GB address-space limit of the
+        deep free walk the CLI exits 2 with one line naming the measure,
+        where it used to list 2 * 10^7 tuples."""
+        cfg = {**TestParams.REGULAR,
+               "measure": {"kind": "uniform-interval", "lo": -1e7, "hi": 1e7}}
+        path = write_config(tmp_path, cfg)
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        soft = 3 << 30 if hard == resource.RLIM_INFINITY else min(3 << 30, hard)
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        run = subprocess.run(
+            [sys.executable, "-m", "gaplab", "--config", path, "--out", str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (soft, hard)))
+        assert run.returncode == 2, run.stderr
+        assert run.stderr.startswith("config error: measure: the interval "
+                                     "[-10000000.0, 10000000.0] of 20000001 cells "
+                                     "exceeded the support cap of 10000000 elements")
         assert "Traceback" not in run.stderr and run.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("method,recorded", [

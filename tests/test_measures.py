@@ -94,9 +94,14 @@ class TestOutsideElements:
          "integer coordinates"),
         (F2, (1.0,), "integer coordinates"),
         (Z, (np.float32(2.0),), "integer coordinates"),
+        (Z, (2**63,), f"the lattice takes int64 coordinates, got \\[{2**63}\\]"),
+        (Z2, (0, -2**63 - 1), "the lattice takes int64 coordinates"),
+        (GroupDescriptor(kind="real-grid", dimension=1, resolution=4), (10**22,),
+         "the real-grid takes int64 coordinates"),
     ], ids=["Z2-short", "Z-long", "torus-short", "F2-zero", "F2-three",
             "F2-minus-three", "F2-unreduced", "Z-half", "Z2-float",
-            "torus-float", "F2-float-letter", "Z-float32"])
+            "torus-float", "F2-float-letter", "Z-float32", "Z-beyond-int64",
+            "Z2-below-int64", "real-grid-beyond-int64"])
     def test_foreign_element_rejected(self, group, g, message):
         with pytest.raises(DescriptorMismatchError, match=message):
             GroupMeasure.from_atoms(group, [(group.identity(), 0.5), (g, 0.5)])
@@ -119,6 +124,10 @@ class TestOutsideElements:
     def test_members_accepted(self):
         torus = GroupDescriptor(kind="torus-grid", dimension=1, size=16)
         assert GroupMeasure.point_mass(torus, [17]).atoms == {(1,): 1.0}
+        # a torus reduces any integer mod N; int64 holds both ends
+        assert GroupMeasure.point_mass(torus, [10**22 + 3]).atoms == {(3,): 1.0}
+        assert GroupMeasure.point_mass(Z2, (2**63 - 1, -2**63)).atoms == {
+            (2**63 - 1, -2**63): 1.0}
         assert GroupMeasure.point_mass(Z2, np.array([2, -3])).atoms == {(2, -3): 1.0}
         word = GroupMeasure.from_atoms(F2, [((1, -2, 1), 0.25), ((), 0.75)])
         assert word.atoms == {(1, -2, 1): 0.25, (): 0.75}
@@ -765,6 +774,87 @@ class TestBoxKeys:
             keyed_pair_sums(Z, [(0,), (1,)], [(0,), (1,)], 3)
             with pytest.raises(ResourceLimitError, match="test exceeded the support cap of 2"):
                 keyed_pair_sums(Z, [(0,), (1,)], [(0,), (1,)], 2)
+
+
+def torus_ball_by_scan(group, radius):
+    """The torus ball as a scan of every representative in [-N/2, N/2]."""
+    n = group.size
+    coords = sorted({r % n for r in range(-n // 2, n // 2 + 1)
+                     if abs(r) / n <= min(radius, 0.5)})
+    return sorted(cell for cell in itertools.product(coords, repeat=group.dimension)
+                  if math.sqrt(sum((groups._torus_rep(x, n) / n) ** 2 for x in cell))
+                  <= radius)
+
+
+class TestListedSupports:
+    """Intervals and balls count their cells before they list them."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 17, 64])
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_torus_ball_matches_a_scan(self, n, dimension):
+        group = GroupDescriptor(kind="torus-grid", dimension=dimension, size=n)
+        for radius in (0.0, 0.05, 0.1, 0.2, 0.25, 0.3, 0.45, 0.5, 0.6, 0.71, 2.0):
+            assert group.ball(radius) == torus_ball_by_scan(group, radius), radius
+
+    @pytest.mark.parametrize("group,radius,cells", [
+        (Z, 1e7, 2 * 10**7 + 1),
+        (Z2, 4000.0, 8001**2),
+        (GroupDescriptor(kind="real-grid", dimension=1, resolution=1000), 1e4, 2 * 10**7 + 1),
+        (GroupDescriptor(kind="torus-grid", dimension=1, size=10**12), 0.5, 10**12),
+        (GroupDescriptor(kind="torus-grid", dimension=3, size=1000), 0.25, 501**3),
+    ], ids=["Z", "Z2", "real-grid", "torus", "torus-3d"])
+    def test_ball_beyond_the_cap_is_refused_unlisted(self, group, radius, cells):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError,
+                               match=f"box around the ball of radius {radius} of {cells} "
+                                     "cells exceeded the support cap of 10000000"):
+                group.ball(radius)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
+
+    def test_interval_beyond_the_cap_is_refused_unlisted(self):
+        with pytest.raises(ResourceLimitError,
+                           match=r"interval \[-10000000.0, 10000000.0\] of 20000001 cells "
+                                 "exceeded the support cap of 10000000"):
+            GroupMeasure.uniform_interval(Z, -1e7, 1e7)
+        grid = GroupDescriptor(kind="real-grid", dimension=1, resolution=10**6)
+        with pytest.raises(ResourceLimitError, match="of 20000001 cells exceeded"):
+            GroupMeasure.uniform_interval(grid, -10, 10)
+
+    def test_torus_interval_lists_each_residue_once(self):
+        # an interval wider than the torus covers it, without listing its
+        # 2 * 64 * 10^9 + 1 cells first
+        torus = GroupDescriptor(kind="torus-grid", dimension=1, size=64)
+        whole = GroupMeasure.uniform_on(torus, [(c,) for c in range(64)])
+        for lo, hi in ((-1e9, 1e9), (0.0, 1.0), (-0.5, 0.5), (0.25, 1.25)):
+            assert GroupMeasure.uniform_interval(torus, lo, hi) == whole, (lo, hi)
+        part = GroupMeasure.uniform_interval(torus, 0.9, 1.1)
+        assert sorted(part.atoms) == sorted((c % 64,) for c in range(58, 71))
+
+    def test_memory_bounds_the_listing(self, monkeypatch):
+        monkeypatch.setattr(groups, "_memory_bytes", lambda: 1000 * groups.ATOM_BYTES)
+        assert len(GroupMeasure.uniform_interval(Z, 1, 1000)) == 1000
+        with pytest.raises(ResourceLimitError,
+                           match=rf"interval \[0, 1000\] would form 1001 cells of "
+                                 rf"{groups.ATOM_BYTES} bytes each, more than the "
+                                 rf"{1000 * groups.ATOM_BYTES} bytes this process may use"):
+            GroupMeasure.uniform_interval(Z, 0, 1000)
+        with pytest.raises(ResourceLimitError,
+                           match="box around the ball of radius 500.0 would form 1001 cells"):
+            Z.ball(500.0)
+
+    def test_the_box_around_a_ball_meets_the_cap(self, monkeypatch):
+        # the ball of radius 3 on Z^2 has 29 cells in a box of 7^2 = 49: it
+        # is listed under a cap of 49 and refused under 48, by its box
+        monkeypatch.setattr(groups, "DEFAULT_SUPPORT_CAP", 49)
+        assert len(Z2.ball(3.0)) == 29
+        monkeypatch.setattr(groups, "DEFAULT_SUPPORT_CAP", 48)
+        with pytest.raises(ResourceLimitError, match="radius 3.0 of 49 cells exceeded "
+                                                     "the support cap of 48"):
+            Z2.ball(3.0)
 
 
 class TestInt64Range:

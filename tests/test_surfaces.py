@@ -374,3 +374,58 @@ def test_a_pair_loop_is_found(tmp_path):
         '''))
     assert pair_loops(tmp_path) == ["certificates:3", "measures:4", "measures:11",
                                     "measures:15", "regular_norm:4"]
+
+
+def interval_unions(root: Path) -> list[str]:
+    """The functions of ``src/gaplab``, as ``module.function``, that read
+    runs off sorted integers: by a running maximum
+    (``np.maximum.accumulate``, as a union of intervals sorted by start
+    does) or by the run masks of ``certificates._runs``."""
+    found = set()
+    for path in sorted((root / "src" / "gaplab").glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                call = node.func if isinstance(node, ast.Call) else None
+                if (isinstance(call, ast.Name) and call.id == "_runs"
+                        or isinstance(call, ast.Attribute) and call.attr == "accumulate"
+                        and isinstance(call.value, ast.Attribute)
+                        and call.value.attr == "maximum"):
+                    found.add(f"{path.stem}.{func.name}")
+    return sorted(found)
+
+
+def test_one_union_for_every_dilation():
+    """Every union of intervals, of steps or of slots, is the one sweep of
+    ``certificates``; ``_slot_segments`` reads the runs of a cell set's
+    slots, which merge nothing."""
+    assert interval_unions(ROOT) == ["certificates._slot_segments", "certificates._sweep"]
+
+
+def test_a_second_union_is_found(tmp_path):
+    """A running maximum or a run mask outside the sweep is found, in any
+    module; a maximum that accumulates nothing is not."""
+    package = tmp_path / "src" / "gaplab"
+    package.mkdir(parents=True)
+    (package / "certificates.py").write_text(textwrap.dedent('''
+        import numpy as np
+
+        def _sweep(lo, hi):
+            return _runs(np.sort(lo)[1:] > np.sort(hi)[:-1])
+
+        def _merged_runs(first, last):
+            order = np.argsort(first)
+            return np.maximum.accumulate(last[order])
+        '''))
+    (package / "nets.py").write_text(textwrap.dedent('''
+        import numpy
+
+        def spans(lo, hi):
+            return numpy.maximum.accumulate(hi), numpy.maximum(lo, hi)
+
+        def widest(hi):
+            return max(hi)
+        '''))
+    assert interval_unions(tmp_path) == ["certificates._merged_runs", "certificates._sweep",
+                                         "nets.spans"]
