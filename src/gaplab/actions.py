@@ -72,19 +72,19 @@ def continued_fraction_convergent(alpha: float, max_denominator: int) -> tuple[i
     return frac.numerator, frac.denominator
 
 
-#: cells per block of ``_lowered``
+#: cells per block of ``_reaches``
 _BLOCK = 1 << 14
 
 
-def _lowered(old: np.ndarray, new: np.ndarray) -> bool:
-    """Whether a round of the doubling lowered a key: ``old`` takes the
-    differences old - new, block by block up to the first that is not all
-    0, so a round that lowers keys seldom reads them all, and after the
-    last round ``old`` is all 0."""
-    for start in range(0, old.size, _BLOCK):
-        part = old[start:start + _BLOCK]
-        np.subtract(part, new[start:start + _BLOCK], out=part)
-        if part.max():
+def _reaches(key: np.ndarray, distance: int, out: np.ndarray) -> bool:
+    """Whether some key packs ``distance`` = 2^t - 1, the largest distance
+    a window of 2^t cells holds: the keys' low t bits, their distances, go
+    to the first block of ``out``, block by block up to the first block
+    that holds it."""
+    for start in range(0, key.size, _BLOCK):
+        part = np.bitwise_and(key[start:start + _BLOCK], distance,
+                              out=out[:min(_BLOCK, key.size - start)])
+        if part.max() == distance:
             return True
     return False
 
@@ -95,10 +95,11 @@ class CycleTable:
     ``lengths`` and ``counts`` give the cycle type, block by block in
     increasing L, and ``first_length`` is the length of the cycle of
     cell 0, the least cell of its cycle; the constructor builds only
-    these.  ``order`` lists the cells cycle by cycle: the cycles of one
-    length L fill one block of slots in the order of their least cells,
-    and each cycle starts at its least cell and follows sigma, so sigma^c
-    moves a cell at slot s of the cycle with first slot f to slot
+    these, from one histogram of the distances to the least cells.
+    ``order`` lists the cells cycle by cycle: the cycles of one length L
+    fill one block of slots in the order of their least cells, and each
+    cycle starts at its least cell and follows sigma, so sigma^c moves a
+    cell at slot s of the cycle with first slot f to slot
     f + (s - f + c) mod L.  ``slot`` is the inverse of ``order``.  Both
     are built together on first use.
     """
@@ -108,16 +109,21 @@ class CycleTable:
         takes: its buffer is a work array of the build and is written
         over."""
         n = sigma.size
+        after_zero = int(sigma[0])
         # pointer doubling: after t rounds key[i] packs (m, d) for the least
-        # cell m among sigma^j(i), 0 <= j < 2^t, with sigma^d(i) = m; one
-        # minimum merges two windows and keeps the nearer occurrence.  While
-        # a cycle is longer than 2^t, the cell 2^t steps short of its least
-        # cell gains that cell, so a round that lowers no key ends the loop
-        # with every window covering its cycle.  Three arrays take turns,
-        # sigma's the first power: the spare one takes the merged keys, the
-        # old keys' array their differences to the new ones (``_lowered``)
-        # and then sigma's next power.  Every index is a cell, so the
-        # gathers clip, which writes ``out`` directly
+        # cell m among sigma^j(i), 0 <= j < W = 2^t, with sigma^d(i) = m; one
+        # minimum merges two windows and keeps the nearer occurrence.  A
+        # cycle of length L >= W holds the distance W - 1 (at the cell W - 1
+        # steps short of its least cell) and a shorter one, which its
+        # windows cover, never does, so the loop ends on the first merge
+        # that leaves no key at W - 1.  Three arrays take turns: sigma's
+        # power, the keys gathered at it and the old keys, whose array
+        # takes the test's distances.  From the second round on the keys
+        # stay in sigma's buffer, so the build frees both arrays it made:
+        # a table holding one of them leaves the others to coalesce with
+        # it when it goes, and the heap then shrinks below what the next
+        # build needs, which faults its pages back in.  Every index is a
+        # cell, so the gathers clip, which writes ``out`` directly
         self._shift = (2 * n).bit_length()
         key = np.arange(0, n << self._shift, 1 << self._shift, dtype=np.int64)
         ahead, spare = sigma, np.empty_like(key)
@@ -126,30 +132,37 @@ class CycleTable:
         span = 1
         while True:
             spare += span
-            np.minimum(key, spare, out=spare)
-            key, spare = spare, key
-            if not _lowered(spare, key):
+            if key is sigma:
+                np.minimum(key, spare, out=key)
+            else:
+                np.minimum(key, spare, out=spare)
+                key, spare = spare, key
+            span *= 2
+            # sigma(0)'s key is (0, L - 1) once cell 0's cycle is covered,
+            # so it is below W - 1 only if that cycle is shorter than W
+            if key[after_zero] < span - 1 and not _reaches(key, span - 1, spare):
                 break
             np.take(ahead, ahead, out=spare, mode="clip")
             ahead, spare = spare, ahead
-            span *= 2
             np.take(key, ahead, out=spare, mode="clip")
-        # a cycle's length is the number of cells that share its least cell
-        # m.  The m go to a work array that is freed after the count, the
-        # counts to the zero differences; sigma's buffer, which the caller
-        # still holds, is never the one freed (it takes the counts, zeroed)
+        # a cycle of length L holds each distance 0..L-1 once, so with h[d]
+        # cells at distance d there are h[L-1] - h[L] cycles of length L.
+        # The distances go to a work array, sigma's if the keys are not in
+        # it, and the other is freed before the histogram, which has a bin
+        # per distance; the counts then go to the distances' buffer
         if ahead is sigma:
             ahead, spare = spare, ahead
-            spare.fill(0)
-        np.right_shift(key, self._shift, out=ahead)
-        np.add.at(spare, ahead, 1)
         del ahead
-        self._heads = np.flatnonzero(spare)  # the least cells, in order
-        self._sizes = spare[self._heads]
-        del spare
-        # cell 0 is least in its cycle, so that cycle is the first head's
-        self.first_length = int(self._sizes[0])
-        self.lengths, self.counts = np.unique(self._sizes, return_counts=True)
+        np.bitwise_and(key, (1 << self._shift) - 1, out=spare)
+        hist = np.bincount(spare)
+        count = spare[:hist.size]
+        np.subtract(hist[:-1], hist[1:], out=count[:-1])
+        count[-1] = hist[-1]
+        del hist
+        self.lengths = np.nonzero(count)[0] + 1
+        self.counts = count[self.lengths - 1]
+        del spare, count
+        self.first_length = int(key[after_zero]) + 1
         self._ends = np.cumsum(self.lengths * self.counts)
         self._key = key
 
@@ -167,14 +180,30 @@ class CycleTable:
         """Build ``slot`` and ``order`` from the packed keys, whose buffer
         becomes ``slot``: a cell d steps short of its least cell m sits
         L - d slots after m, that is d slots before the end of m's cycle."""
-        by_size = np.argsort(self._sizes, kind="stable")
-        heads, size = self._heads[by_size], self._sizes[by_size]
         slot, shift = self._key, self._shift
-        del self._key, self._heads, self._sizes
+        del self._key
         order = slot & ((1 << shift) - 1)  # d, until the slots are known
         slot >>= shift
-        end = np.empty(slot.size, dtype=np.int64)  # read at heads only
-        end[heads] = np.cumsum(size)
+        heads = np.flatnonzero(order == 0)  # the least cells, in order
+        if self.lengths.size == 1:
+            # the k-th least cell ends its cycle's slots at L (k + 1)
+            size = int(self.lengths[0])
+            end = np.empty(slot.size, dtype=np.int64)  # read at heads only
+            end[heads] = np.arange(size, slot.size + 1, size)
+        else:
+            # the cells per least cell, then, in the same buffer, the end of
+            # each cycle's slots: the least cells sorted by length packed
+            # above them as m is in the keys (a length is below n too),
+            # least cell first within one length
+            end = np.bincount(slot, minlength=slot.size)
+            size = end[heads]
+            size <<= shift
+            heads |= size
+            del size
+            heads.sort()
+            size = heads >> shift
+            heads &= (1 << shift) - 1
+            end[heads] = np.cumsum(size)
         # out may alias the indices: the gather reads index i before it
         # writes element i
         np.take(end, slot, out=slot, mode="clip")

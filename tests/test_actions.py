@@ -200,8 +200,9 @@ def test_large_cycle_type():
 
 
 def walked_cycle_table(sigma):
-    """(order, slot, lengths, counts) by walking each cycle from its least
-    cell; cycles sorted by length, least cell first within one length."""
+    """(order, slot, lengths, counts, length of cell 0's cycle) by walking
+    each cycle from its least cell; cycles sorted by length, least cell
+    first within one length."""
     seen = [False] * len(sigma)
     cycles = []
     for start in range(len(sigma)):  # so every cycle starts at its least cell
@@ -220,7 +221,8 @@ def walked_cycle_table(sigma):
         slot[cell] = s
     lengths = sorted({len(cycle) for cycle in cycles})
     counts = [sum(len(cycle) == n for cycle in cycles) for n in lengths]
-    return order, slot, lengths, counts
+    first_length = next(len(cycle) for cycle in cycles if cycle[0] == 0)
+    return order, slot, lengths, counts, first_length
 
 
 def consecutive_cycles(lengths):
@@ -231,16 +233,17 @@ def consecutive_cycles(lengths):
 
 
 def assert_cycle_table_is_walk(sigma):
-    """The cycle type before and after the coordinates are built, with
-    either coordinate read first."""
+    """The cycle type and the length of cell 0's cycle before and after
+    the coordinates are built, with either coordinate read first."""
     want = walked_cycle_table(sigma)
     for first in ("slot", "order"):
         table = CycleTable(np.array(sigma, dtype=np.int64))
-        assert (table.lengths.tolist(), table.counts.tolist()) == want[2:]
+        cycle_type = (table.lengths.tolist(), table.counts.tolist(), table.first_length)
+        assert cycle_type == want[2:]
         assert not {"slot", "order"} & table.__dict__.keys()
         getattr(table, first)
         got = (table.order.tolist(), table.slot.tolist(), table.lengths.tolist(),
-               table.counts.tolist())
+               table.counts.tolist(), table.first_length)
         assert got == want
 
 
@@ -264,15 +267,28 @@ def test_cycle_table_matches_walk(sigma):
     [0, 2, 1, 3, 5, 4, 6, 9, 8, 7, 10],  # an involution with fixed points
     consecutive_cycles([1, 2, 4, 8, 16]),
     consecutive_cycles([16, 8, 4, 2, 1]),
+    # one cycle on each side of a power of two: the loop ends on the merge
+    # whose windows cover it, one round after it for a power of two
+    *(consecutive_cycles([length]) for length in (7, 8, 9, 1023, 1024, 1025)),
+    # the longest cycle not a power of two, and cell 0's cycle shorter than
+    # it: sigma(0)'s key settles the rounds only while that cycle is open
+    consecutive_cycles([3, 11, 1, 6, 11, 2]),
+    consecutive_cycles([4, 9, 1, 9]),
 ], ids=["n1", "identity", "long-cycle", "shuffled-cycle", "two-cycles", "mixed",
-        "identity-1000", "involution", "powers-of-two", "powers-of-two-down"])
+        "identity-1000", "involution", "powers-of-two", "powers-of-two-down",
+        "cycle-7", "cycle-8", "cycle-9", "cycle-1023", "cycle-1024", "cycle-1025",
+        "mixed-longest-11",
+        "first-4-longest-9"])
 def test_cycle_table_special_permutations(sigma):
     assert_cycle_table_is_walk(sigma)
 
 
 def test_identity_builds_without_a_gather(monkeypatch):
     """The first round gathers nothing; each later round gathers sigma's
-    next power and the keys at it."""
+    next power and the keys at it, and the loop ends on the merge that
+    completes the windows: the 9-cycle stops at windows of 16 cells (6
+    gathers; a test for unchanged keys took a round more, 8), the 8-cycle
+    at 16 too, since the windows of 8 still hold the distance 7."""
     take, calls = np.take, []
 
     def spy(*args, **kwargs):
@@ -282,14 +298,19 @@ def test_identity_builds_without_a_gather(monkeypatch):
     monkeypatch.setattr(np, "take", spy)
     CycleTable(np.arange(1000, dtype=np.int64))
     assert calls == []
-    CycleTable(np.array([1, 0, 2], dtype=np.int64))  # lowered once: one round more
+    CycleTable(np.array([1, 0, 2], dtype=np.int64))  # distance 1 at W = 2: one round more
     assert calls == [3, 3]
+    for length in (9, 8):
+        calls.clear()
+        CycleTable(np.array(consecutive_cycles([length]), dtype=np.int64))
+        assert calls == [length] * 6
 
 
 def test_cycle_table_beyond_one_block():
-    """Permutations of more cells than one block of the lowering test: one
-    whose keys are lowered only in the second block after the first
-    round, and a random one."""
+    """Permutations of more cells than one block of the distance test:
+    one whose windows are still short after the first round only in the
+    second block (cell 0 is fixed, so sigma(0)'s key settles nothing),
+    and a random one."""
     assert _BLOCK < 70_000
     tail = np.random.default_rng(8).permutation(np.arange(_BLOCK, _BLOCK + 1000))
     sigma = np.arange(_BLOCK + 1000)

@@ -429,3 +429,60 @@ def test_a_second_union_is_found(tmp_path):
         '''))
     assert interval_unions(tmp_path) == ["certificates._merged_runs", "certificates._sweep",
                                          "nets.spans"]
+
+
+#: the passes over every cell that only the cycle coordinates need: the
+#: cycle type is read off one histogram of the distances
+HEAD_PASSES = {"add.at", "unique", "flatnonzero"}
+
+
+def cycle_type_head_passes(root: Path) -> list[str]:
+    """The calls of ``np.add.at``, ``np.unique`` and ``np.flatnonzero``
+    (or through ``numpy``) in ``CycleTable.__init__`` of
+    ``src/gaplab/actions.py``."""
+    tree = ast.parse((root / "src" / "gaplab" / "actions.py").read_text())
+    found = set()
+    for cls in ast.walk(tree):
+        if not (isinstance(cls, ast.ClassDef) and cls.name == "CycleTable"):
+            continue
+        for func in cls.body:
+            if not (isinstance(func, ast.FunctionDef) and func.name == "__init__"):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call):
+                    module, _, name = ast.unparse(node.func).partition(".")
+                    if module in ("np", "numpy") and name in HEAD_PASSES:
+                        found.add(name)
+    return sorted(found)
+
+
+def test_cycle_type_builds_no_heads():
+    """The constructor reads the cycle type off the distances and leaves
+    the least cells to the first read of the coordinates."""
+    assert cycle_type_head_passes(ROOT) == []
+
+
+def test_a_head_pass_in_the_build_is_found(tmp_path):
+    """A count or search over the least cells in ``CycleTable.__init__``
+    is found under either numpy name; the same calls in the coordinates'
+    build or in another class's constructor are not."""
+    package = tmp_path / "src" / "gaplab"
+    package.mkdir(parents=True)
+    (package / "actions.py").write_text(textwrap.dedent('''
+        import numpy
+        import numpy as np
+
+        class CycleTable:
+            def __init__(self, sigma):
+                counts = np.zeros(sigma.size, dtype=np.int64)
+                np.add.at(counts, sigma, 1)
+                self.lengths = numpy.unique(counts[np.flatnonzero(counts)])
+
+            def _coordinates(self):
+                return np.flatnonzero(self.lengths), np.unique(self.lengths)
+
+        class Other:
+            def __init__(self, cells):
+                self.heads = np.flatnonzero(cells)
+        '''))
+    assert cycle_type_head_passes(tmp_path) == ["add.at", "flatnonzero", "unique"]
