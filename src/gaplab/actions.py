@@ -96,12 +96,13 @@ class CycleTable:
     increasing L, and ``first_length`` is the length of the cycle of
     cell 0, the least cell of its cycle; the constructor builds only
     these, from one histogram of the distances to the least cells.
-    ``order`` lists the cells cycle by cycle: the cycles of one length L
-    fill one block of slots in the order of their least cells, and each
+    ``slot`` lays the cells out cycle by cycle: the cycles of one length
+    L fill one block of slots in the order of their least cells, and each
     cycle starts at its least cell and follows sigma, so sigma^c moves a
     cell at slot s of the cycle with first slot f to slot
-    f + (s - f + c) mod L.  ``slot`` is the inverse of ``order``.  Both
-    are built together on first use.
+    f + (s - f + c) mod L.  It is built on first use, in the keys'
+    buffer, and is the one cell-sized array the table then holds: code
+    that needs cells in slot order reads them through it.
     """
 
     def __init__(self, sigma: np.ndarray):
@@ -168,23 +169,14 @@ class CycleTable:
 
     @cached_property
     def slot(self) -> np.ndarray:
-        """Slot of each cell in ``order``."""
-        return self._coordinates()[0]
-
-    @cached_property
-    def order(self) -> np.ndarray:
-        """The cells in slot order."""
-        return self._coordinates()[1]
-
-    def _coordinates(self) -> tuple[np.ndarray, np.ndarray]:
-        """Build ``slot`` and ``order`` from the packed keys, whose buffer
-        becomes ``slot``: a cell d steps short of its least cell m sits
-        L - d slots after m, that is d slots before the end of m's cycle."""
+        """Slot of each cell, built from the packed keys, whose buffer
+        becomes it: a cell d steps short of its least cell m sits L - d
+        slots after m, that is d slots before the end of m's cycle."""
         slot, shift = self._key, self._shift
         del self._key
-        order = slot & ((1 << shift) - 1)  # d, until the slots are known
+        distance = slot & ((1 << shift) - 1)
         slot >>= shift
-        heads = np.flatnonzero(order == 0)  # the least cells, in order
+        heads = np.flatnonzero(distance == 0)  # the least cells, in order
         if self.lengths.size == 1:
             # the k-th least cell ends its cycle's slots at L (k + 1)
             size = int(self.lengths[0])
@@ -208,16 +200,13 @@ class CycleTable:
         # writes element i
         np.take(end, slot, out=slot, mode="clip")
         del end
-        slot -= order
+        slot -= distance
         slot[heads] -= size
-        order[slot] = np.arange(slot.size, dtype=np.int64)
-        self.__dict__.update(slot=slot, order=order)
-        return slot, order
+        return slot
 
     def rows(self, values: np.ndarray):
         """Per cycle length L, ``values``, one per slot, as an array of
-        shape (cycles, L), one cycle per row in sigma order: ``order`` gives
-        the cells."""
+        shape (cycles, L), one cycle per row in sigma order."""
         for length, count, end in zip(self.lengths, self.counts, self._ends):
             yield int(length), values[end - length * count:end].reshape(count, length)
 
@@ -252,6 +241,8 @@ class ActionSpace:
             self.weights = weights = np.asarray(weights, dtype=float)
             if weights.shape != (self.n_cells,):
                 raise ConstructionError("cell weights must give one weight per cell")
+            if not np.isfinite(weights).all():  # NaN passes both checks below
+                raise ConstructionError("cell weights must be finite")
             if abs(weights.sum() - 1.0) > 1e-12:
                 raise ConstructionError("cell weights must sum to 1 within 1e-12")
             if (weights <= 0).any():

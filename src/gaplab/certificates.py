@@ -28,12 +28,13 @@ Only ``separation_radius`` reads steps of a power one by one.
 Each cell set is swept once.  The walk takes the segments of B_n and of
 S^n B_n from the radius search and reads everything off them: the masses
 are the cell weight times a segment count, the F-overlaps are integer
-sums over pairs of segments, the companion is the first cells outside the
-mask of S^n B_n, and the test vector phi is written in slot order, the
-order in which its FFT reads it.  Every comparison with mass 1/2
-compares counts: a set has mass below 1/2 iff it holds fewer than half
-the cells, where a product of the rounded cell weight and a count could
-land on either side.
+sums over pairs of segments, and the test vector phi is written in slot
+order, the order in which its FFT reads it.  phi first marks the slots of
+S^n B_n, and the companion is the first cells in index order whose slots
+it leaves unmarked, read through the cycle table's ``slot``: no cell mask
+is formed.  Every comparison with mass 1/2 compares counts: a set has
+mass below 1/2 iff it holds fewer than half the cells, where a product of
+the rounded cell weight and a count could land on either side.
 """
 
 from __future__ import annotations
@@ -217,15 +218,6 @@ def _count(lo: np.ndarray, hi: np.ndarray) -> int:
     return int((hi - lo).sum())
 
 
-def _segment_mask(space: ActionSpace, lo: np.ndarray, hi: np.ndarray,
-                  out: np.ndarray) -> np.ndarray:
-    """The cells of the slot segments [lo, hi) as a mask, written into
-    the cell-sized bool array ``out``."""
-    out.fill(False)
-    out[space.cycles.order[_segment_slots(lo, hi)]] = True
-    return out
-
-
 def _pair_correlations(space: ActionSpace, steps, lo: np.ndarray,
                        hi: np.ndarray, weight: float) -> np.ndarray:
     """nu(gB & B) for the element g of each step count, as an array aligned
@@ -380,13 +372,14 @@ def _walk(space: ActionSpace, F: np.ndarray, segments: list, slack: float,
     S^n B_n, each a (lo, hi) pair sorted by lo, none leaving its cycle.
     Each n reads everything off them: the masses are ``weight`` times the
     segment sizes, the F-overlaps are sums over pairs of B_n's segments,
-    the companion is the first |B_n| cells outside the mask of S^n B_n,
     and phi is written in slot order, the order the Rayleigh numerator
-    transforms it in.  eta = mu * mu^ comes as the (cells, weights) of
-    ``measures._symmetrized``; eta^{*n} is carried as (keys, weights)
-    arrays of one key box that holds eta^{*n_max} and F, in first-formed
-    order, and eta^{*n}(F) is read by ``measures._pairing``, as
-    Berg-Christensen reads it.
+    transforms it in.  phi is the walk's one cell-sized array: it first
+    marks the slots of S^n B_n, and the companion is the first |B_n|
+    cells whose slots it leaves unmarked.  eta = mu * mu^ comes as the
+    (cells, weights) of ``measures._symmetrized``; eta^{*n} is carried as
+    (keys, weights) arrays of one key box that holds eta^{*n_max} and F,
+    in first-formed order, and eta^{*n}(F) is read by
+    ``measures._pairing``, as Berg-Christensen reads it.
     """
     eta_cells, eta_weights = eta
     eta_hat = _measure_spectra(space, eta_cells[:, 0], eta_weights)
@@ -397,24 +390,25 @@ def _walk(space: ActionSpace, F: np.ndarray, segments: list, slack: float,
     weights = np.ones(1)
     step = box.keys(eta_cells) - keys
     indicator = (box.keys(F[:, None]), np.ones(len(F)))
-    # one mask of S^n B_n and one phi, rewritten at every n
-    covered = np.empty(space.n_cells, dtype=bool)
+    # one phi, rewritten at every n
     phi = np.empty(space.n_cells, dtype=np.int8)
     rows = []
     for n, ((lo, hi), thickened) in enumerate(segments, 1):
-        size = _count(lo, hi)
+        size, thick_size = _count(lo, hi), _count(*thickened)
         overlaps = _pair_correlations(space, F, lo, hi, weight)
         with np.errstate(over="ignore"):  # an overflow is reported by atom
             keys, weights = _convolve_keys(box, keys, weights, step, eta_weights,
                                            DEFAULT_SUPPORT_CAP)
+        # phi marks S^n B_n, outside which the companion is read, keeps
+        # the companion alone, and takes B_n, which S^n B_n holds; no slot
+        # list outlives its line
         phi.fill(0)
+        phi[_segment_slots(*thickened)] = 1
+        phi[_companion_set(space, size, phi, thick_size)] = -1
+        np.minimum(phi, 0, out=phi)
         phi[_segment_slots(lo, hi)] = 1
-        # the companion is a slice of the free cells of a prefix of the
-        # mask, up to |S^n B_n| longer: it is dropped once phi holds it
-        phi[space.cycles.slot[_companion_set(
-            size, _segment_mask(space, *thickened, covered))]] = -1
         spectra = {length: values ** n for length, values in eta_hat.items()}
-        rows.append(_row(n, weight, size, _count(*thickened), space.n_cells,
+        rows.append(_row(n, weight, size, thick_size, space.n_cells,
                          float(overlaps.min()),
                          _rayleigh_numerator(space, phi, spectra, weight),
                          _pairing(box, (keys, weights), indicator, len(step))))
@@ -433,16 +427,19 @@ def _walk(space: ActionSpace, F: np.ndarray, segments: list, slack: float,
 # -- the certificate operations ----------------------------------------------
 
 
-def _companion_set(size: int, forbidden: np.ndarray) -> np.ndarray:
-    """A set of ``size`` cells disjoint from the cells of the cell-sized
-    bool mask ``forbidden``, on a grid whose cells all weigh the same, so
-    that it matches the mass of any set of ``size`` cells.
+def _companion_set(space: ActionSpace, size: int, marks: np.ndarray,
+                   forbidden: int) -> np.ndarray:
+    """The slots of a set of ``size`` cells disjoint from the ``forbidden``
+    cells whose slots are nonzero in ``marks``, a cell-sized array in slot
+    order, on a grid whose cells all weigh the same, so that it matches
+    the mass of any set of ``size`` cells.
 
     Equal-weight cells make exact mass matching a counting problem; the
     fill is greedy in cell order, so certificates are reproducible: the
-    first ``size`` cells outside the mask, which lie among the first
-    ``size`` + (number of masked cells) cells."""
-    free = np.flatnonzero(~forbidden[:size + np.count_nonzero(forbidden)])
+    first ``size`` unmarked cells, which lie among the first
+    ``size`` + ``forbidden`` cells, read through ``slot``."""
+    head = space.cycles.slot[:size + forbidden]
+    free = head[marks[head] == 0]
     if len(free) < size:
         raise PreconditionError(
             "not enough mass outside the forbidden set (condition (2) gives "

@@ -14,12 +14,33 @@ import numpy as np
 from gaplab import DescriptorMismatchError, GaplabError
 
 
+def slot_cells(space) -> np.ndarray:
+    """The cells of ``space`` in slot order: the inverse of its cycle
+    table's ``slot``, by one scatter."""
+    slot = space.cycles.slot
+    cells = np.empty_like(slot)
+    cells[slot] = np.arange(slot.size)
+    return cells
+
+
+def segment_mask(space, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The cells of the slot segments [lo, hi) of ``space`` as a mask over
+    its cells: a slot is in a segment iff more segments start than end at
+    or before it."""
+    depth = np.zeros(space.n_cells + 1, dtype=np.int64)
+    np.add.at(depth, lo, 1)
+    np.add.at(depth, hi, -1)
+    mask = np.zeros(space.n_cells, dtype=bool)
+    mask[slot_cells(space)[np.cumsum(depth[:-1]) > 0]] = True
+    return mask
+
+
 def act_indices(space, steps: int, idx: np.ndarray) -> np.ndarray:
     """Forward action of sigma^steps on the cell indices idx of ``space``,
     through its cycle table."""
     slot = space.cycles.slot[idx]
     first, length = space.cycles.locate(slot)
-    return space.cycles.order[first + (slot - first + steps) % length]
+    return slot_cells(space)[first + (slot - first + steps) % length]
 
 
 class ConvergenceError(GaplabError):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from operator_helpers import act_indices
+from operator_helpers import act_indices, segment_mask, slot_cells
 
 from gaplab import (
     ConstructionError,
@@ -33,7 +33,6 @@ from gaplab.certificates import (
     _cell_weight,
     _count,
     _pair_correlations,
-    _segment_mask,
     _slot_segments,
     _step_powers,
 )
@@ -53,8 +52,7 @@ def arc_segments(space, steps, idx):
 def arc_mask(space, steps, idx):
     """The union of sigma^c cells over the step counts c, as a mask over
     the cells, from its arc segments."""
-    return _segment_mask(space, *arc_segments(space, steps, idx),
-                         np.empty(space.n_cells, dtype=bool))
+    return segment_mask(space, *arc_segments(space, steps, idx))
 
 
 def reference_sigma(kind, kw):
@@ -172,8 +170,8 @@ def test_cycle_table_of_uneven_permutation():
     space = uneven_space()
     assert space.cycle_lengths() == {1: 2, 3: 2, 4: 1, 5: 1}
     table = space.cycles
-    assert np.array_equal(table.order[table.slot], np.arange(17))
-    rows = [row.tolist() for _, cells in table.rows(table.order) for row in cells]
+    assert sorted(table.slot.tolist()) == list(range(17))
+    rows = [row.tolist() for _, cells in table.rows(slot_cells(space)) for row in cells]
     assert rows == [[12], [15], [2, 5, 10], [13, 16, 14], [4, 8, 6, 11],
                     [0, 3, 7, 1, 9]]
     for row in rows:
@@ -200,9 +198,9 @@ def test_large_cycle_type():
 
 
 def walked_cycle_table(sigma):
-    """(order, slot, lengths, counts, length of cell 0's cycle) by walking
-    each cycle from its least cell; cycles sorted by length, least cell
-    first within one length."""
+    """(slot, lengths, counts, length of cell 0's cycle) by walking each
+    cycle from its least cell; cycles sorted by length, least cell first
+    within one length."""
     seen = [False] * len(sigma)
     cycles = []
     for start in range(len(sigma)):  # so every cycle starts at its least cell
@@ -222,7 +220,7 @@ def walked_cycle_table(sigma):
     lengths = sorted({len(cycle) for cycle in cycles})
     counts = [sum(len(cycle) == n for cycle in cycles) for n in lengths]
     first_length = next(len(cycle) for cycle in cycles if cycle[0] == 0)
-    return order, slot, lengths, counts, first_length
+    return slot, lengths, counts, first_length
 
 
 def consecutive_cycles(lengths):
@@ -234,17 +232,17 @@ def consecutive_cycles(lengths):
 
 def assert_cycle_table_is_walk(sigma):
     """The cycle type and the length of cell 0's cycle before and after
-    the coordinates are built, with either coordinate read first."""
+    ``slot`` is built, and ``slot`` itself, against the walked cycles; the
+    keys go once ``slot`` holds their buffer."""
     want = walked_cycle_table(sigma)
-    for first in ("slot", "order"):
-        table = CycleTable(np.array(sigma, dtype=np.int64))
-        cycle_type = (table.lengths.tolist(), table.counts.tolist(), table.first_length)
-        assert cycle_type == want[2:]
-        assert not {"slot", "order"} & table.__dict__.keys()
-        getattr(table, first)
-        got = (table.order.tolist(), table.slot.tolist(), table.lengths.tolist(),
-               table.counts.tolist(), table.first_length)
-        assert got == want
+    table = CycleTable(np.array(sigma, dtype=np.int64))
+    cycle_type = (table.lengths.tolist(), table.counts.tolist(), table.first_length)
+    assert cycle_type == want[1:]
+    assert "slot" not in table.__dict__
+    got = (table.slot.tolist(), table.lengths.tolist(), table.counts.tolist(),
+           table.first_length)
+    assert got == want
+    assert "_key" not in table.__dict__
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -335,14 +333,20 @@ def torus_sigma(n, q, p):
     return (row[:, None] + (np.arange(n, dtype=np.int64) + p) % n).ravel()
 
 
-def traced_peak(build):
-    """Peak bytes that numpy and Python allocate while ``build`` runs."""
+def traced_memory(build):
+    """(bytes still held, peak bytes) of what numpy and Python allocate
+    while ``build`` runs, its result dropped."""
     tracemalloc.start()
     try:
         build()
-        return tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+
+
+def traced_peak(build):
+    """Peak bytes that numpy and Python allocate while ``build`` runs."""
+    return traced_memory(build)[1]
 
 
 @pytest.mark.parametrize("make_sigma,cells", [
@@ -354,7 +358,8 @@ def test_cycle_table_memory_budget(make_sigma, cells):
     """The build, sigma made inside it, holds three words per cell: the
     keys, sigma's buffer and one work array, and no cell-sized bool; the
     default weights add no array.  The first read of the coordinates turns
-    the keys' buffer into ``slot`` and holds 3.5 words with the keys.
+    the keys' buffer into ``slot`` and holds 3.5 words with the keys;
+    after it the table holds no cell-sized array but ``slot``.
     ``CELL_BYTES`` charges the larger of the two."""
     word = 8 * cells
     build, first_read = 3.13, 3.5
@@ -362,8 +367,10 @@ def test_cycle_table_memory_budget(make_sigma, cells):
     assert traced_peak(lambda: CycleTable(make_sigma())) <= build * word
     assert traced_peak(lambda: ActionSpace(Z, "test", make_sigma())) <= build * word
     table = CycleTable(make_sigma())
-    assert traced_peak(lambda: table.slot) + word <= first_read * word
-    assert np.array_equal(table.order[table.slot], np.arange(cells))
+    held, peak = traced_memory(lambda: table.slot)
+    assert peak + word <= first_read * word
+    assert held < 0.01 * word
+    assert (np.bincount(table.slot, minlength=cells) == 1).all()
 
 
 def test_finite_permutation_leaves_the_callers_array_unchanged():
@@ -419,6 +426,11 @@ def test_weights_must_be_invariant():
     ([0.25, 0.25, 0.25, 0.3], "must sum to 1 within 1e-12"),
     ([0.5, 0.5, 0.0, 0.0], "must be strictly positive"),
     ([0.5, 0.5, 0.1, -0.1], "must be strictly positive"),
+    # a NaN fails every comparison, so it passed the sum and sign checks
+    # and was reported as not preserved by the permutation
+    ([np.nan, np.nan, 0.5, 0.5], "must be finite"),
+    ([0.5, 0.5, np.nan, 0.5], "must be finite"),
+    ([np.inf, 0.5, 0.25, 0.25], "must be finite"),
 ])
 def test_explicit_weights_are_checked(weights, message):
     with pytest.raises(ConstructionError, match=f"^cell weights {message}$"):
@@ -672,8 +684,7 @@ def test_power_arcs_match_gathers(space, steps, k, picks):
     power = power_set(Z, [(s,) for s in S.tolist()], k).ravel().tolist()
     want = gathered_union(space, power, idx)
     segments = _arc_segments(space, _step_powers(Z, S, k)[k], _slot_segments(space, idx))
-    assert np.flatnonzero(_segment_mask(space, *segments, np.empty(
-        space.n_cells, dtype=bool))).tolist() == want
+    assert np.flatnonzero(segment_mask(space, *segments)).tolist() == want
     assert _count(*segments) == len(want)
 
 

@@ -24,7 +24,7 @@ from gaplab import (
     symmetrize,
 )
 from dict_oracles import convolution_power
-from operator_helpers import KoopmanAveragingOperator, act_indices
+from operator_helpers import KoopmanAveragingOperator, act_indices, segment_mask, slot_cells
 
 Z = GroupDescriptor(kind="lattice", dimension=1)
 SQRT2 = math.sqrt(2.0)
@@ -39,20 +39,33 @@ def cycle_space(size):
                         permutation=[(i + 1) % size for i in range(size)])
 
 
-def cell_mask(space, cells):
-    """The mask over the cells of ``space`` that holds ``cells``."""
-    mask = np.zeros(space.n_cells, dtype=bool)
-    mask[cells] = True
-    return mask
+def shuffled_cycles(lengths, seed):
+    """A finite permutation whose cycles of the given lengths run over
+    shuffled cells, so that its slot order is not index order."""
+    labels = np.random.default_rng(seed).permutation(sum(lengths))
+    perm = np.empty(sum(lengths), dtype=np.int64)
+    for cycle in np.split(labels, np.cumsum(lengths)[:-1]):
+        perm[cycle] = np.roll(cycle, -1)
+    return build_action("finite-permutation", group=Z, permutation=perm.tolist())
+
+
+def companion_cells(space, size, forbidden):
+    """The walk's companion of ``size`` cells outside the cells
+    ``forbidden``: their slots marked in a slot-ordered array, the slots it
+    returns taken back to cells through the inverse of ``slot``."""
+    forbidden = np.unique(np.asarray(forbidden, dtype=np.int64))
+    marks = np.zeros(space.n_cells, dtype=np.int8)
+    marks[space.cycles.slot[forbidden]] = 1
+    slots = certificates._companion_set(space, size, marks, forbidden.size)
+    assert slots.dtype == np.int64
+    return slot_cells(space)[slots]
 
 
 def arc_mask(space, runs, idx):
     """The union of sigma^c cells over the steps c of the step runs
     ``runs``, as a mask over the cells, from its arc segments."""
-    return certificates._segment_mask(
-        space, *certificates._arc_segments(
-            space, runs, certificates._slot_segments(space, idx)),
-        np.empty(space.n_cells, dtype=bool))
+    return segment_mask(space, *certificates._arc_segments(
+        space, runs, certificates._slot_segments(space, idx)))
 
 
 def run_steps(runs):
@@ -90,7 +103,7 @@ def support_steps(space, mu):
 def orbit_cells(space, x0, S, n_max):
     """The cells of B_1..B_{n_max} around x0 for the sorted step array S,
     each sorted, from the slot segments ``_orbit_segments`` gives."""
-    return [np.sort(space.cycles.order[certificates._segment_slots(*core)])
+    return [np.flatnonzero(segment_mask(space, *core))
             for core, _ in certificates._orbit_segments(space, x0, S, n_max)]
 
 
@@ -230,18 +243,26 @@ class TestGrowthConditions:
         assert report.max_ratio_root == 1.0
 
 
+#: spaces whose slot order is not index order, as (id, builder)
+COMPANION_SPACES = [
+    ("shuffled-permutation", lambda: shuffled_cycles([600, 400, 250, 250], 39)),
+    ("circle-98", lambda: build_action("circle-rotation", group=Z, N=98,
+                                       cells_per_step=10)),
+    ("torus-64", lambda: build_action("torus-translation", group=time_grid(2),
+                                      N=64, step=(29, 41))),
+]
+
+
 class TestCompanionSet:
     def test_single_cell(self):
         space = cycle_space(8)
-        b = np.array([3])
-        out = certificates._companion_set(len(b), cell_mask(space, b))
+        out = companion_cells(space, 1, [3])
         assert out.tolist() == [0]  # deterministic first free cell
 
     def test_counting(self):
         space = cycle_space(1024)
-        b = np.arange(10)
         forbidden = np.arange(410)  # mass 0.4
-        out = certificates._companion_set(len(b), cell_mask(space, forbidden))
+        out = companion_cells(space, 10, forbidden)
         assert len(out) == 10
         assert set(out) & set(forbidden) == set()
         assert out.tolist() == list(range(410, 420))
@@ -253,10 +274,9 @@ class TestCompanionSet:
         S = support_steps(space, mu)
         b = orbit_cells(space, 0, S, 5)[4]
         _, thickened = zip(*certificates._orbit_segments(space, 0, S, 5))
-        # the walk's companion: the first cells outside the mask of S^5 B_5
-        mask = certificates._segment_mask(space, *thickened[4],
-                                          np.empty(space.n_cells, dtype=bool))
-        companion = certificates._companion_set(len(b), mask)
+        # the walk's companion: the first cells outside S^5 B_5
+        covered = np.flatnonzero(segment_mask(space, *thickened[4]))
+        companion = companion_cells(space, len(b), covered)
         assert set(companion.tolist()).isdisjoint(
             gathered_thickening(space, S, b, 5).tolist())
         assert len(companion) == len(b)
@@ -264,26 +284,52 @@ class TestCompanionSet:
     def test_insufficient_room(self):
         space = cycle_space(16)
         with pytest.raises(PreconditionError, match="condition"):
-            certificates._companion_set(10, cell_mask(space, np.arange(10)))
+            companion_cells(space, 10, np.arange(10))
 
-    def test_first_free_cells_of_random_masks(self):
-        # the companion is read from a prefix of the mask; the free cells of
-        # the whole mask are the reference, and past the room the message
-        # counts every free cell
-        rng = np.random.default_rng(24)
-        for _ in range(100):
-            n = int(rng.integers(1, 300))
-            mask = rng.random(n) < rng.random()
-            free = np.flatnonzero(~mask)
+    @pytest.mark.parametrize("make_space", [make for _, make in COMPANION_SPACES],
+                             ids=[name for name, _ in COMPANION_SPACES])
+    def test_first_free_cells_in_index_order(self, make_space):
+        # every size up to the room against a scan of the cells in index
+        # order, on spaces whose slots run in another order; past the room
+        # the message counts every free cell
+        space = make_space()
+        n = space.n_cells
+        assert not np.array_equal(space.cycles.slot, np.arange(n))
+        cells = slot_cells(space)
+        rng = np.random.default_rng(39)
+        for density in (0.0, 0.1, 0.5, 0.9, 1.0):
+            forbidden = np.flatnonzero(rng.random(n) < density)
+            excluded = set(forbidden.tolist())
+            free = np.array([c for c in range(n) if c not in excluded], dtype=np.int64)
             room = len(free)
-            for size in sorted({0, min(1, room), room // 2, room}):
-                got = certificates._companion_set(size, mask)
-                assert got.dtype == np.int64
-                assert got.tolist() == free[:size].tolist()
+            marks = np.zeros(n, dtype=np.int8)
+            marks[space.cycles.slot[forbidden]] = 1
+            for size in range(room + 1):
+                got = certificates._companion_set(space, size, marks, len(forbidden))
+                assert np.array_equal(cells[got], free[:size]), (density, size)
             for size in (room + 1, n + 1):
                 with pytest.raises(PreconditionError,
                                    match=rf"need {size} cells, have {room}\)"):
-                    certificates._companion_set(size, mask)
+                    certificates._companion_set(space, size, marks, len(forbidden))
+
+    def test_first_free_cells_of_random_masks(self):
+        # the companion is read from a prefix of the cells; the free cells
+        # of all of them are the reference
+        rng = np.random.default_rng(24)
+        for _ in range(100):
+            n = int(rng.integers(1, 300))
+            space = build_action("finite-permutation", group=Z,
+                                 permutation=rng.permutation(n).tolist())
+            forbidden = np.flatnonzero(rng.random(n) < rng.random())
+            free = np.setdiff1d(np.arange(n), forbidden)
+            room = len(free)
+            for size in sorted({0, min(1, room), room // 2, room}):
+                assert companion_cells(space, size, forbidden).tolist() == \
+                    free[:size].tolist()
+            for size in (room + 1, n + 1):
+                with pytest.raises(PreconditionError,
+                                   match=rf"need {size} cells, have {room}\)"):
+                    companion_cells(space, size, forbidden)
 
 
 class TestRayleighChain:
@@ -340,8 +386,8 @@ class TestRayleighOracle:
         companions = []
         for n, (row, b) in enumerate(zip(walk_sets(space, mu, F, sets, S).rows,
                                          sets), 1):
-            companions.append(certificates._companion_set(
-                len(b), cell_mask(space, gathered_thickening(space, S, b, n))))
+            companions.append(companion_cells(
+                space, len(b), gathered_thickening(space, S, b, n)))
             want = self.dense_quotient(space, eta, b, companions[-1], n)
             assert row.rayleigh == pytest.approx(want, abs=1e-12), n
         return companions
@@ -457,8 +503,7 @@ class TestThickeningFromBalls:
         powers = certificates._step_powers(space.group, S, n_max)
         for n, b in enumerate(sets, 1):
             ball = space.cell_ball(3, radii[n - 1])
-            from_ball = certificates._segment_mask(
-                space, *thickened[n - 1], np.empty(space.n_cells, dtype=bool))
+            from_ball = segment_mask(space, *thickened[n - 1])
             from_set = arc_mask(space, powers[n], b)
             assert from_ball.tolist() == from_set.tolist()
             assert len(ball) < len(b)
@@ -846,8 +891,7 @@ class TestOrbitNeighborhoodSequence:
             assert picked[n - 1] == radius, n
             # the search hands over the thickening of the ball it picked
             assert np.array_equal(
-                certificates._segment_mask(space, *swept[n - 1],
-                                           np.empty(space.n_cells, dtype=bool)),
+                segment_mask(space, *swept[n - 1]),
                 arc_mask(space, thickening, space.cell_ball(x0, radius)))
             bound_active |= n > 1 and picked[n - 2] < r_cap
             want = arc_mask(space, step_runs(space.steps(power_set(space.group, S, n))),
@@ -1101,7 +1145,7 @@ class TestRunCertificate:
         mu = GroupMeasure.uniform_interval(time_grid(2), -1.0, 1.0)
         report = run_certificate(space, mu, x0=0, n_max=8)
         # the walk moves cells, so it builds the cycle coordinates
-        assert {"slot", "order"} <= space.cycles.__dict__.keys()
+        assert {"slot", "order", "_key"} & space.cycles.__dict__.keys() == {"slot"}
         assert report.cond1_all and report.cond2_all
         assert report.norm_lower_bound > 0.5
         assert report.chain_holds

@@ -486,3 +486,92 @@ def test_a_head_pass_in_the_build_is_found(tmp_path):
                 self.heads = np.flatnonzero(cells)
         '''))
     assert cycle_type_head_passes(tmp_path) == ["add.at", "flatnonzero", "unique"]
+
+
+#: the numpy constructors of a new array of a given size
+ALLOCATIONS = {"empty", "zeros", "ones", "full", "arange"}
+
+
+def order_reads(root: Path) -> list[str]:
+    """The functions of ``src/gaplab``, as ``module.function``, that read
+    an attribute named ``order``: the cells in slot order, which the cycle
+    table does not keep."""
+    found = set()
+    for path in sorted((root / "src" / "gaplab").glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, ast.FunctionDef) and any(
+                    isinstance(node, ast.Attribute) and node.attr == "order"
+                    and isinstance(node.ctx, ast.Load) for node in ast.walk(func)):
+                found.add(f"{path.stem}.{func.name}")
+    return sorted(found)
+
+
+def walk_cell_arrays(root: Path) -> list[str]:
+    """The calls in ``certificates._walk`` that make a new array of
+    ``space.n_cells`` entries, as source."""
+    tree = ast.parse((root / "src" / "gaplab" / "certificates.py").read_text())
+    found = []
+    for func in ast.walk(tree):
+        if not (isinstance(func, ast.FunctionDef) and func.name == "_walk"):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and node.args:
+                module, _, name = ast.unparse(node.func).partition(".")
+                if (module in ("np", "numpy") and name in ALLOCATIONS
+                        and ast.unparse(node.args[0]) in ("space.n_cells",
+                                                          "(space.n_cells,)")):
+                    found.append(ast.unparse(node))
+    return found
+
+
+def test_cells_are_read_through_slot():
+    """The table keeps ``slot`` alone, so no code reads cells in slot
+    order off an ``order``, and the certificate walk keeps one cell-sized
+    array, phi, which also marks S^n B_n for the companion."""
+    assert order_reads(ROOT) == []
+    assert walk_cell_arrays(ROOT) == [
+        "np.empty(space.n_cells, dtype=np.int8)"]
+
+
+def test_an_order_read_and_a_second_walk_array_are_found(tmp_path):
+    """A read of ``.order`` is found in any function of any module; a
+    keyword, a store or a ``getattr`` by that name is not.  Every allocation of
+    ``space.n_cells`` entries in ``_walk`` is found, under either numpy
+    name, and none of another size or in another function."""
+    package = tmp_path / "src" / "gaplab"
+    package.mkdir(parents=True)
+    (package / "certificates.py").write_text(textwrap.dedent('''
+        import numpy
+        import numpy as np
+
+        def _segment_mask(space, slots, out):
+            out[space.cycles.order[slots]] = True
+            return out
+
+        def _walk(space, segments):
+            covered = numpy.zeros((space.n_cells,), dtype=bool)
+            phi = np.empty(space.n_cells, dtype=np.int8)
+            steps = np.zeros(len(segments))
+            return covered, phi, steps
+
+        def _row(space):
+            return np.ones(space.n_cells)
+        '''))
+    (package / "actions.py").write_text(textwrap.dedent('''
+        import numpy as np
+
+        class CycleTable:
+            def rows(self, values):
+                return np.sort(values, order=None)
+
+            def _coordinates(self):
+                self.order = np.argsort(self.slot)
+                return getattr(self, "order")
+
+        def cells(table):
+            return table.order
+        '''))
+    assert order_reads(tmp_path) == ["actions.cells", "certificates._segment_mask"]
+    assert walk_cell_arrays(tmp_path) == [
+        "numpy.zeros((space.n_cells,), dtype=bool)",
+        "np.empty(space.n_cells, dtype=np.int8)"]
