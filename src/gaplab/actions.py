@@ -254,21 +254,17 @@ class ActionSpace:
 
     # -- the group action --------------------------------------------------
 
-    def steps(self, elements) -> np.ndarray:
-        """Grid coordinates of one-parameter group elements, as int64 step
-        counts: the element with coordinate c acts as sigma^c."""
-        elements = list(elements)
-        for g in elements:
-            if len(g) != 1:
-                raise DescriptorMismatchError(
-                    f"{self.kind} is a one-parameter action; got element {g}"
-                )
-        steps = np.array([g[0] for g in elements])
-        if steps.size and steps.dtype.kind not in "iu":
+    def steps(self, cells: np.ndarray) -> np.ndarray:
+        """The int64 step counts of one-parameter group elements, given as
+        the (m, 1) array of their grid coordinates, the cells of a measure:
+        the element with coordinate c acts as sigma^c."""
+        if cells.ndim != 2 or cells.shape[1] != 1:
             raise DescriptorMismatchError(
-                f"{self.kind} acts by integer steps; got coordinates {steps[:3].tolist()}"
-            )
-        return steps.astype(np.int64)
+                f"{self.kind} is a one-parameter action; got cells of shape {cells.shape}")
+        if cells.dtype.kind not in "iu":
+            raise DescriptorMismatchError(
+                f"{self.kind} acts by integer steps; got coordinates {cells[:3, 0].tolist()}")
+        return cells[:, 0].astype(np.int64)
 
     def cycle_lengths(self) -> dict[int, int]:
         """Cycle type of sigma: {cycle length L: number of cycles}."""

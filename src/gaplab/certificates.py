@@ -60,8 +60,8 @@ from .measures import (
     GroupMeasure,
     _convolve_keys,
     _pairing,
-    _symmetrized,
     _walk_box,
+    symmetrize,
 )
 
 CHAIN_TOL = 1e-10
@@ -364,7 +364,7 @@ def _row(n: int, weight: float, size: int, thickened: int, n_cells: int,
 
 
 def _walk(space: ActionSpace, F: np.ndarray, segments: list, slack: float,
-          eta: tuple[np.ndarray, np.ndarray], weight: float) -> CertificateReport:
+          eta: GroupMeasure, weight: float) -> CertificateReport:
     """One pass over n = 1..len(segments) carrying eta^{*n} forward, on a
     grid whose cells all weigh ``weight``, for the sorted step array F.
 
@@ -375,20 +375,18 @@ def _walk(space: ActionSpace, F: np.ndarray, segments: list, slack: float,
     and phi is written in slot order, the order the Rayleigh numerator
     transforms it in.  phi is the walk's one cell-sized array: it first
     marks the slots of S^n B_n, and the companion is the first |B_n|
-    cells whose slots it leaves unmarked.  eta = mu * mu^ comes as the
-    (cells, weights) of ``measures._symmetrized``; eta^{*n} is carried as
-    (keys, weights) arrays of one key box that holds eta^{*n_max} and F,
-    in first-formed order, and eta^{*n}(F) is read by
-    ``measures._pairing``, as Berg-Christensen reads it.
+    cells whose slots it leaves unmarked.  eta = mu * mu^ is a measure;
+    eta^{*n} is carried as (keys, weights) arrays of one key box that
+    holds eta^{*n_max} and F, in first-formed order, and eta^{*n}(F) is
+    read by ``measures._pairing``, as Berg-Christensen reads it.
     """
-    eta_cells, eta_weights = eta
-    eta_hat = _measure_spectra(space, eta_cells[:, 0], eta_weights)
-    box = _walk_box(space.group, eta_cells, F[:, None], len(segments), 0,
+    eta_hat = _measure_spectra(space, eta.cells[:, 0], eta.weights)
+    box = _walk_box(space.group, eta.cells, F[:, None], len(segments), 0,
                     "certificate walk")
     # eta^{*0} is the point mass at 0; key(x) + key(y) - key(0) keys x + y
     keys = box.keys(np.zeros((1, space.group.dimension), dtype=np.int64))
     weights = np.ones(1)
-    step = box.keys(eta_cells) - keys
+    step = box.keys(eta.cells) - keys
     indicator = (box.keys(F[:, None]), np.ones(len(F)))
     # one phi, rewritten at every n
     phi = np.empty(space.n_cells, dtype=np.int8)
@@ -397,7 +395,7 @@ def _walk(space: ActionSpace, F: np.ndarray, segments: list, slack: float,
         size, thick_size = _count(lo, hi), _count(*thickened)
         overlaps = _pair_correlations(space, F, lo, hi, weight)
         with np.errstate(over="ignore"):  # an overflow is reported by atom
-            keys, weights = _convolve_keys(box, keys, weights, step, eta_weights,
+            keys, weights = _convolve_keys(box, keys, weights, step, eta.weights,
                                            DEFAULT_SUPPORT_CAP)
         # phi marks S^n B_n, outside which the companion is read, keeps
         # the companion alone, and takes B_n, which S^n B_n holds; no slot
@@ -592,8 +590,8 @@ def run_certificate(
         raise DescriptorMismatchError("measure and action space live on "
                                       "different groups")
     weight = _cell_weight(space)
-    eta = _symmetrized(mu)
+    eta = symmetrize(mu)
     # eta is symmetric and holds the identity, so S is too
-    S = _distinct(space.steps(eta[0]))
+    S = _distinct(space.steps(eta.cells))
     segments = _orbit_segments(space, x0, S, n_max)
     return _walk(space, S, segments, slack, eta, weight)

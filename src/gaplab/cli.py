@@ -96,7 +96,7 @@ MEASURES = {
 }
 
 #: one atom of an ``atoms`` measure, also written [coordinates..., weight]
-ATOM = {"element": (list[int], ..., None), "weight": (float, ..., None)}
+ATOM = {"element": (list[int], ..., None), "weight": (float, ..., 0)}
 
 #: the fields of each action kind, read by ``build_action``
 ACTIONS = {

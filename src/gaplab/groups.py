@@ -212,18 +212,6 @@ def _torus_rep(x: int, n: int) -> int:
     return r - n if r >= (n + 1) // 2 else r
 
 
-def _reduce_word(word: tuple[int, ...]) -> tuple[int, ...]:
-    out: list[int] = []
-    for letter in word:
-        if letter == 0:
-            raise ValueError("free-group letters must be nonzero")
-        if out and out[-1] == -letter:
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
-
-
 def _euclid_ball(dim: int, radius: float, scale: int, reach: int) -> list[Element]:
     cells = []
     for tup in itertools.product(range(-reach, reach + 1), repeat=dim):
@@ -462,9 +450,9 @@ def _memory_bytes() -> int:
 
 #: default cap on the support size of a measure, listed or convolved
 DEFAULT_SUPPORT_CAP = 10_000_000
-#: bytes per counted cell while a measure's support is listed: the tuples,
-#: the lists and the dict of atoms (traced peaks of 193 to 305 bytes per
-#: cell, Python 3.11)
+#: bytes per counted cell while a ball is listed: the tuples, the lists
+#: and the dict of ``from_atoms`` (traced peaks of 193 to 305 bytes per
+#: cell, Python 3.11); an interval, two arrays, is charged ``PAIR_BYTES``
 ATOM_BYTES = 320
 
 

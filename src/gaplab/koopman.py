@@ -21,6 +21,7 @@ import numpy as np
 
 from .actions import ActionSpace
 from .errors import DescriptorMismatchError, PreconditionError, UnsupportedKindError
+from .groups import TORUS_GRID
 from .measures import GroupMeasure
 from .regular_norm import amenable_norm
 
@@ -76,9 +77,8 @@ def discrepancy(space: ActionSpace, mu: GroupMeasure) -> DiscrepancyResult:
     if n_cycles >= 2:
         return DiscrepancyResult(mu.total_mass, n_cycles, (min(cycles), 0))
     (length,) = cycles
-    steps = space.steps(mu.atoms)
-    weights = np.array(list(mu.atoms.values()), dtype=float)
-    folded = np.bincount(steps % length, weights=weights, minlength=length)
+    folded = np.bincount(space.steps(mu.cells) % length, weights=mu.weights,
+                         minlength=length)
     # the full transform, not the half spectrum: the moduli at k and L - k
     # agree only up to rounding, and the value and witness reported are
     # the full transform's
@@ -105,12 +105,13 @@ def character_norm(space: ActionSpace, mu: GroupMeasure) -> float:
         )
     if mu.group != space.group:
         raise DescriptorMismatchError("measure and action space group mismatch")
-    support = mu.support()
-    # np.add.at adds the weights one by one in support order, so atoms
-    # that land on one cell always sum in the same order
-    vectors = space.translations(space.steps(support))
+    # np.add.at adds the weights one by one in support (step) order, so
+    # atoms that land on one cell always sum in the same order
+    steps = space.steps(mu.cells)
+    order = np.argsort(steps)
+    vectors = space.translations(steps[order])
     mass_grid = np.zeros(space.grid_shape)
-    np.add.at(mass_grid, tuple(vectors.T), [mu.atoms[g] for g in support])
+    np.add.at(mass_grid, tuple(vectors.T), mu.weights[order])
     # the grid is real, so the character -m has the conjugate value of m,
     # and the half spectrum of the real transform along the last axis
     # holds every modulus; its first entry is the trivial character
@@ -138,11 +139,11 @@ def character_line_scan(
     distinct gap between neighbouring coordinates (one on an interval),
     whatever their span.
     """
-    if mu.group.dimension != 1:
+    if mu.group.dimension != 1 or not mu.group.is_abelian:
         raise PreconditionError("line scan needs a 1-d time measure")
-    scale = mu.group.scale
-    coords = np.array([mu.group.coordinates(g)[0] for g in mu.atoms])
-    weights = np.array(list(mu.atoms.values()))
+    scale, coords = mu.group.scale, mu.cells[:, 0]
+    if mu.group.kind == TORUS_GRID:  # the representatives in [-N/2, N/2)
+        coords = np.where(coords >= (scale + 1) // 2, coords - scale, coords)
     spacings = np.diff(np.unique(coords / scale))
     nyquist = 0.5 / spacings.min() if spacings.size else math.inf
 
@@ -164,7 +165,7 @@ def character_line_scan(
     # power multiplies its modulus error by g (1e-11 at g = 10^6)
     order = np.argsort(coords, kind="stable")
     gaps = np.diff(coords[order]).tolist()
-    weights = weights[order]
+    weights = mu.weights[order]
     powers = {g: np.exp(-2j * np.pi * (g / scale) * theta) for g in set(gaps)}
     acc = np.full(theta.size, weights[-1], dtype=complex)
     for g, w in zip(reversed(gaps), weights[-2::-1]):
@@ -220,14 +221,14 @@ def check_hypotheses(space: ActionSpace, mu: GroupMeasure) -> list[str]:
             f">= threshold {ATOM_THRESHOLD}"
         )
     if mu.group.is_grid:
-        support = mu.support()
-        steps = space.steps(support)
+        # in support order, the order the offenders are named in
+        steps = np.sort(space.steps(mu.cells))
         # the identity is the step 0, which fixes every cell
         fixing = (steps != 0) & space.has_fixed_cell(steps)
         if fixing.any():
-            offenders = [g for g, bad in zip(support, fixing) if bad]
+            offenders = [(c,) for c in steps[fixing][:3].tolist()]
             violations.append(
-                f"free-orbit surrogate fails: support atoms {offenders[:3]} fix cells"
+                f"free-orbit surrogate fails: support atoms {offenders} fix cells"
             )
         mass = space.base_orbit_mass(steps)
         if mass > 0.5 - 1e-12:

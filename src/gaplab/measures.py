@@ -1,22 +1,25 @@
 """Finite positive measures on computational groups.
 
-A measure is stored as a finite map ``element -> mass``; on grid kinds
-the mass of a cell is the mass of the continuous measure on that cell.
-All operations are pure: they return new measures and never mutate their
-inputs.
+A measure is two arrays in one order: ``cells``, its atoms, and
+``weights``, their masses.  On the abelian kinds ``cells`` is an (m, d)
+int64 cell array, torus cells reduced mod N; on the free group it holds
+the ``words.WordBox`` keys of reduced words.  On grid kinds the mass of a
+cell is the mass of the continuous measure on that cell.  All operations
+are pure: they return new measures and never mutate their inputs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DescriptorMismatchError, PreconditionError
 from .groups import (
     _DENSE_RANGE,
-    ATOM_BYTES,
+    _INT64_MIN,
     DEFAULT_SUPPORT_CAP,
     FREE,
     TORUS_GRID,
@@ -27,27 +30,41 @@ from .groups import (
     _check_pairs,
     _coordinates,
     _factor_keys,
-    _reduce_word,
     _unique_keys,
     _word_box,
 )
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupMeasure:
-    """A finite positive measure with finite support on a group.  Its atoms
-    are canonical elements of the group: torus cells reduced mod N,
-    free-group words reduced, each checked by ``group.element``."""
+    """A finite positive measure with finite support on a group: distinct
+    atoms ``cells`` and their ``weights``, in one order.
+
+    The constructor takes arrays that are already canonical and checks
+    them in one pass: int64 cells of the group's shape, torus cells
+    reduced mod N, and float64 weights, finite and positive.
+    ``from_atoms`` is the boundary that checks elements and merges the
+    atoms on one cell.  ``==`` is identity, as on arrays it is ambiguous.
+    """
 
     group: GroupDescriptor
-    atoms: dict[Element, float] = field(default_factory=dict)
+    cells: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self):
-        # free-group words are reduced first; ``element`` then reduces torus
-        # cells mod N and checks every atom against the group
-        reduce = _reduce_word if self.group.kind == FREE else tuple
-        element = self.group.element
-        object.__setattr__(self, "atoms",
-                           _checked_atoms(self.atoms, lambda g: element(reduce(g))))
+        cells, weights = np.asarray(self.cells), np.asarray(self.weights, dtype=float)
+        shape = (len(weights),) + ((self.group.dimension,) if self.group.is_abelian else ())
+        if cells.dtype != np.int64 or cells.shape != shape:
+            raise DescriptorMismatchError(
+                f"a measure on the {self.group.kind} takes int64 cells of shape {shape}, "
+                f"got {cells.dtype} cells of shape {cells.shape}")
+        positive = (weights > 0) & (weights < math.inf)  # NaN fails both
+        if not positive.all():
+            raise PreconditionError(f"weights must be finite and positive, "
+                                    f"got {weights[~positive][0]}")
+        if self.group.kind == TORUS_GRID:
+            cells = cells % self.group.size
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "weights", weights)
 
     # -- constructors ----------------------------------------------------
 
@@ -57,17 +74,27 @@ class GroupMeasure:
 
     @classmethod
     def from_atoms(cls, group: GroupDescriptor, pairs):
-        """The measure with the given (element, weight) pairs, weights on
-        one element added.  Each element is checked once, by
-        ``group.element``, which rejects an unreduced word where the
-        constructor would reduce it; the merged weights are then checked
-        as the constructor checks them."""
+        """The measure with the given (element, weight) pairs: the one
+        boundary that checks elements.  Each element is checked once, by
+        ``group.element``, which refuses an unreduced word and reduces a
+        torus cell mod N, and each weight, finite and nonnegative, before
+        it is added to those already on its element, in pair order.  The
+        atoms keep the order of their first pair; those of weight 0 are
+        dropped."""
         element = group.element
         atoms: dict[Element, float] = {}
         for g, w in pairs:
             g = element(g)
-            atoms[g] = atoms.get(g, 0.0) + float(w)
-        return _measure(group, _checked_atoms(atoms))
+            w = atoms.get(g, 0.0) + _checked_weight(w, g)
+            if w == math.inf:
+                raise PreconditionError(f"non-finite weight {w} at atom {g}")
+            atoms[g] = w
+        atoms = {g: w for g, w in atoms.items() if w > 0}
+        if group.kind == FREE:
+            cells = _word_box(group, "a measure").keys(atoms)
+        else:
+            cells = np.array(list(atoms), dtype=np.int64).reshape(len(atoms), group.dimension)
+        return cls(group, cells, np.fromiter(atoms.values(), float, len(atoms)))
 
     @classmethod
     def uniform_on(cls, group: GroupDescriptor, elements, total: float = 1.0):
@@ -87,7 +114,8 @@ class GroupMeasure:
         With ``closed=False`` the right endpoint cell is excluded, which is
         the grid-exact discretization of the uniform density on [lo, hi).
         The cells are counted, N at most on the torus, and refused beyond
-        ``DEFAULT_SUPPORT_CAP`` or the memory before they are listed.
+        ``DEFAULT_SUPPORT_CAP`` or the memory before they are formed, as
+        one int64 array in increasing order.
         """
         if group.dimension != 1 or group.kind == "free":
             raise PreconditionError("uniform_interval needs a 1-d grid-like group")
@@ -100,11 +128,19 @@ class GroupMeasure:
             a, b = 0, group.size - 1  # every residue
         what = f"the interval [{lo}, {hi}]"
         _check_cap(b - a + 1, DEFAULT_SUPPORT_CAP, f"{what} of {b - a + 1} cells")
-        _check_pairs(b - a + 1, what, ATOM_BYTES, "cells")
-        cells = [(c,) for c in range(a, b + 1)]
-        if group.kind == "torus-grid":
-            cells = sorted({(c % group.size,) for (c,) in cells})
-        return cls.uniform_on(group, cells, total=total)
+        _check_pairs(b - a + 1, what, items="cells")
+        if b < a:
+            raise PreconditionError("uniform measure needs a nonempty support")
+        if group.kind == "torus-grid":  # the residues of a..b, each once, in order
+            n, s, m = group.size, a % group.size, b - a + 1
+            cells = np.r_[0:max(s + m - n, 0), s:min(s + m, n)]
+        else:  # the ends, checked as ``from_atoms`` checks them
+            group.element((a,)), group.element((b,))
+            cells = np.arange(a, b + 1, dtype=np.int64)
+        w = _checked_weight(total / len(cells), (int(cells[0]),))
+        if not w:  # a total of 0 leaves no atom
+            cells = cells[:0]
+        return cls(group, cells[:, None], np.full(len(cells), w))
 
     @classmethod
     def simple_random_walk(cls, group: GroupDescriptor, step: int = 1):
@@ -128,36 +164,34 @@ class GroupMeasure:
 
     @property
     def total_mass(self) -> float:
-        return float(sum(self.atoms.values()))
+        return _fold_sum(self.weights)
+
+    @functools.cached_property
+    def atoms(self) -> dict[Element, float]:
+        """The measure as a map element -> mass, in atom order: a view for
+        reports and tests, formed once."""
+        if self.group.kind == FREE:
+            elements = _word_box(self.group, "a measure").cells(self.cells)
+        else:
+            elements = map(tuple, self.cells.tolist())
+        return dict(zip(elements, self.weights.tolist()))
 
     def support(self) -> list[Element]:
         return sorted(self.atoms, key=self.group.sort_key)
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return len(self.weights)
 
 
-def _checked_atoms(atoms: dict, canonical=None) -> dict:
-    """The atoms with finite nonnegative weights as floats, zero weights
-    dropped; a non-finite or negative weight raises, naming its atom.
-    ``canonical`` maps each kept atom to its element, and atoms on one
-    element merge, in atom order; without it the atoms are already
-    distinct canonical elements."""
-    clean = {}
-    for g, w in atoms.items():
-        if not math.isfinite(w):
-            raise PreconditionError(f"non-finite weight {w} at atom {g}")
-        if w < 0:
-            raise PreconditionError(f"negative weight {w} at atom {g}")
-        if w > 0:
-            if canonical is not None:
-                g = canonical(g)
-            if g in clean:
-                w = clean[g] + float(w)
-                if not math.isfinite(w):
-                    raise PreconditionError(f"non-finite weight {w} at atom {g}")
-            clean[g] = float(w)
-    return clean
+def _checked_weight(w, g) -> float:
+    """The weight ``w`` of the atom ``g`` as a float, which must be finite
+    and nonnegative; the error names the atom."""
+    w = float(w)
+    if not math.isfinite(w):
+        raise PreconditionError(f"non-finite weight {w} at atom {g}")
+    if w < 0:
+        raise PreconditionError(f"negative weight {w} at atom {g}")
+    return w
 
 
 # -- operations -----------------------------------------------------------
@@ -172,44 +206,17 @@ def convolve(
     on every kind by ``_convolve_keys``: the products are formed at once
     as keys of one box, a ``KeyBox`` on the abelian kinds and a ``WordBox``
     on the free group, with each weight, and the order of the atoms
-    (first formed first), those of the pair loop one element at a time.  As
-    in ``GroupMeasure``, a non-finite weight raises and weights that
-    underflow to 0 are dropped.
+    (first formed first), those of the pair loop one element at a time.  A
+    non-finite weight raises and weights that underflow to 0 are dropped.
     """
     if a.group != b.group:
         raise DescriptorMismatchError(
             f"cannot convolve measures on {a.group.kind} and {b.group.kind} groups"
         )
-    box, keys_a, keys_b = _factor_keys(a.group, list(a.atoms), list(b.atoms), "convolution")
+    box, keys_a, keys_b = _factor_keys(a.group, a.cells, b.cells, "convolution")
     with np.errstate(over="ignore"):  # an overflow is reported by atom
-        keys, weights = _convolve_keys(box, keys_a, _weights(a), keys_b, _weights(b), cap)
-    return _measure(a.group, dict(zip(box.elements(keys), weights.tolist())))
-
-
-def _measure(group: GroupDescriptor, atoms: dict) -> GroupMeasure:
-    """A ``GroupMeasure`` of atoms that are already canonical, with finite
-    positive weights: no pass through ``__post_init__``."""
-    out = object.__new__(GroupMeasure)
-    object.__setattr__(out, "group", group)
-    object.__setattr__(out, "atoms", atoms)
-    return out
-
-
-def _weights(a: GroupMeasure) -> np.ndarray:
-    """The weights of a measure as an array, in atom order."""
-    return np.fromiter(a.atoms.values(), float, len(a))
-
-
-def _symmetrized(mu: GroupMeasure, cap: int = DEFAULT_SUPPORT_CAP):
-    """eta = mu * mu^, the measure both lower estimates walk, as the
-    cells of its atoms, an (m, d) int64 array (a list of words on the free
-    group), and their weights, in ``convolve``'s first-formed order."""
-    atoms, weights = list(mu.atoms), _weights(mu)
-    box, keys, inverse_keys = _factor_keys(mu.group, atoms,
-                                           [mu.group.inverse(g) for g in atoms], "convolution")
-    with np.errstate(over="ignore"):  # an overflow is reported by atom
-        keys, weights = _convolve_keys(box, keys, weights, inverse_keys, weights, cap)
-    return box.cells(keys), weights
+        keys, weights = _convolve_keys(box, keys_a, a.weights, keys_b, b.weights, cap)
+    return GroupMeasure(a.group, keys if a.group.kind == FREE else box.cells(keys), weights)
 
 
 def _convolve_keys(box, keys_a, w_a, keys_b, w_b, cap: int):
@@ -297,14 +304,17 @@ def _pairing(box, high, reach, step: int) -> float:
 
 
 def involute(a: GroupMeasure) -> GroupMeasure:
-    """The adjoint measure g -> a(g^{-1}); total mass is preserved exactly.
-    Inversion is a bijection of the canonical atoms that keeps each
-    weight, so the atoms need no further check."""
-    inv = a.group.inverse
-    return _measure(a.group, {inv(g): w for g, w in a.atoms.items()})
+    """The adjoint measure g -> a(g^{-1}), with the weights of ``a``;
+    total mass is preserved exactly.  A cell whose inverse leaves int64
+    raises ``DescriptorMismatchError``."""
+    if a.group.kind == FREE:
+        return GroupMeasure(a.group, _word_box(a.group, "involute").inverse(a.cells),
+                            a.weights)
+    if (a.cells == _INT64_MIN).any():
+        raise DescriptorMismatchError(f"involute leaves int64 at coordinate {-_INT64_MIN}")
+    return GroupMeasure(a.group, -a.cells, a.weights)
 
 
 def symmetrize(a: GroupMeasure, cap: int = DEFAULT_SUPPORT_CAP) -> GroupMeasure:
     """The positive-type measure a * a^.  Always symmetric."""
     return convolve(a, involute(a), cap=cap)
-

@@ -17,14 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError, ResourceLimitError, UnsupportedKindError
-from .groups import FREE, GroupDescriptor
+from .groups import FREE, GroupDescriptor, _word_box
 from .measures import (
     DEFAULT_SUPPORT_CAP,
     GroupMeasure,
     _convolve_keys,
     _pairing,
-    _symmetrized,
     _walk_box,
+    symmetrize,
 )
 
 
@@ -93,16 +93,17 @@ def berg_christensen_estimate(
     if F == [group.identity()] and _is_uniform_generator_walk(mu):
         return _radial_estimate(mu, n_max)
 
-    # 1_F, its distinct elements checked as the atoms of a measure are
-    f = list(GroupMeasure(group, dict.fromkeys(F, 1.0)).atoms)
-    eta, eta_weights = _symmetrized(mu, cap)
-    box = _walk_box(group, eta, f, (n_max + 1) // 2, n_max // 2, "Berg-Christensen walk")
+    # the cells of 1_F, its distinct elements checked as those of a measure
+    f = GroupMeasure.from_atoms(group, ((x, 1.0) for x in F)).cells
+    eta = symmetrize(mu, cap)
+    box = _walk_box(group, eta.cells, f, (n_max + 1) // 2, n_max // 2,
+                    "Berg-Christensen walk")
     # high = eta^{*ceil(n/2)}; reach = 1_F * (eta^{*floor(n/2)})^, as (keys,
     # weights) of the box, in which add(key(x), key(y) - zero) keys x * y
-    high = (box.keys(eta), eta_weights)
+    high = (box.keys(eta.cells), eta.weights)
     reach = indicator = (box.keys(f), np.ones(len(f)))
     step = high[0] - box.zero
-    at_e = f == [group.identity()]  # then 1_F * x is x
+    at_e = len(f) == 1  # F = {e}: then 1_F * x is x
     seq: list[tuple[int, float]] = []
     drops = []  # (n, term n-1, term n) where the sequence decreases
     prev = -math.inf
@@ -116,7 +117,7 @@ def berg_christensen_estimate(
                         reach = _convolve_keys(box, *indicator, reach[0] - box.zero,
                                                reach[1], cap)
                 elif n > 1:
-                    high = _convolve_keys(box, *high, step, eta_weights, cap)
+                    high = _convolve_keys(box, *high, step, eta.weights, cap)
                 mass = _pairing(box, high, reach, len(step))
                 raw = mass ** (1.0 / (2 * n))
                 if raw < prev - 1e-10:
@@ -145,15 +146,17 @@ def berg_christensen_estimate(
 
 
 def _is_uniform_generator_walk(mu: GroupMeasure) -> bool:
+    """Whether mu is uniform on the letters of F_k, k >= 2, and their
+    inverses, to 1e-15 of its largest weight."""
     group = mu.group
     if group.kind != FREE or group.dimension < 2:
         return False
     k = group.dimension
-    gens = {(i,) for i in range(1, k + 1)} | {(-i,) for i in range(1, k + 1)}
-    if set(mu.atoms) != gens:
-        return False
-    weights = list(mu.atoms.values())
-    return max(weights) - min(weights) <= 1e-15
+    # in key order, the order of the letters
+    gens = _word_box(group, "the generator test").keys(
+        [(i,) for i in range(-k, k + 1) if i])
+    return (np.array_equal(np.sort(mu.cells), gens)
+            and np.ptp(mu.weights) <= 1e-15 * mu.weights.max())
 
 
 def _radial_estimate(mu: GroupMeasure, n_max: int) -> NormEstimate:
@@ -221,7 +224,7 @@ def amenable_norm(mu: GroupMeasure) -> NormEstimate:
         raise UnsupportedKindError(
             f"amenable-mass oracle does not apply to group kind {group.kind}"
         )
-    if not mu.atoms:
+    if not len(mu):
         raise PreconditionError("measure is zero")
     return NormEstimate(value=mu.total_mass, method="amenable-mass")
 

@@ -1,7 +1,7 @@
 """Free-group words as int64 keys.
 
 ``WordBox`` keys the reduced words of F_k for the set functions of
-``groups``, ``measures.convolve`` and the Berg-Christensen walk, as a
+``groups``, the measures of ``measures`` and the Berg-Christensen walk, as a
 ``groups.KeyBox`` keys the cells of an abelian kind.  ``groups._word_box``
 loads this module on first use.
 """
@@ -56,7 +56,10 @@ class WordBox:
         """The keys of words; a word with a letter beyond +-1..+-k, one
         that is not reduced, or one longer than the limit raises
         ``DescriptorMismatchError``, by ``group.element`` where it names
-        the fault."""
+        the fault.  A 1-d array holds keys already, the cells of a
+        measure, and is returned as it is."""
+        if isinstance(words, np.ndarray) and words.ndim == 1:
+            return words
         top = 2 * self.rank - 1
         keys = []
         for word in words:

@@ -67,7 +67,7 @@ def physical(group, g) -> tuple[float, ...]:
 
 
 def scaled(mu: GroupMeasure, factor: float) -> GroupMeasure:
-    return GroupMeasure(mu.group, {g: w * factor for g, w in mu.atoms.items()})
+    return GroupMeasure.from_atoms(mu.group, ((g, w * factor) for g, w in mu.atoms.items()))
 
 
 def dict_involute(group, a: dict) -> dict:

@@ -141,10 +141,11 @@ class KoopmanAveragingOperator:
         # (pi(g) phi)[i] = phi[P[i]] with P[i] the index of g^{-1} cell_i,
         # and g^{-1} is the step -c
         cells = np.arange(space.n_cells)
-        support = measure.support()
+        steps = space.steps(measure.cells)
+        order = np.argsort(steps)  # support order
         self._perms = [
-            (act_indices(space, -c, cells), measure.atoms[g])
-            for g, c in zip(support, space.steps(support).tolist())
+            (act_indices(space, -c, cells), w)
+            for c, w in zip(steps[order].tolist(), measure.weights[order].tolist())
         ]
 
     def apply_l2(self, phi: np.ndarray) -> np.ndarray:

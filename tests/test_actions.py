@@ -140,13 +140,16 @@ def test_act_indices_is_sigma_iterated(kind, kw):
 
 def test_steps_of_elements():
     space = build_action("circle-rotation", group=Z, N=8)
-    steps = space.steps([(3,), (-2,), (0,)])
+    steps = space.steps(np.array([[3], [-2], [0]]))
     assert steps.dtype == np.int64 and steps.tolist() == [3, -2, 0]
-    assert space.steps([]).dtype == np.int64
+    assert space.steps(GroupMeasure.simple_random_walk(Z).cells).tolist() == [1, -1]
+    assert space.steps(np.empty((0, 1), dtype=np.int64)).dtype == np.int64
     with pytest.raises(DescriptorMismatchError, match="one-parameter action"):
-        space.steps([(1,), (2, 3)])
+        space.steps(np.array([[1, 2], [2, 3]]))
+    with pytest.raises(DescriptorMismatchError, match="one-parameter action"):
+        space.steps(np.array([1, 2]))
     with pytest.raises(DescriptorMismatchError, match="integer steps"):
-        space.steps([(1,), (1.5,)])
+        space.steps(np.array([[1], [1.5]]))
 
 
 @pytest.mark.parametrize("kind,kw", SPACES)

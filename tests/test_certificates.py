@@ -97,7 +97,7 @@ def gathered_thickening(space, S, b, n):
 
 def support_steps(space, mu):
     """The sorted steps of supp(mu * mu^), the S and F of the walk."""
-    return np.unique(space.steps(symmetrize(mu).atoms))
+    return np.unique(space.steps(symmetrize(mu).cells))
 
 
 def orbit_cells(space, x0, S, n_max):
@@ -118,7 +118,7 @@ def walk_sets(space, mu, F, sets, S):
     for b, s_n in zip(sets, powers[1:]):
         core = certificates._slot_segments(space, b)
         segments.append((core, certificates._arc_segments(space, s_n, core)))
-    return certificates._walk(space, F, segments, 0.02, measures._symmetrized(mu),
+    return certificates._walk(space, F, segments, 0.02, symmetrize(mu),
                               certificates._cell_weight(space))
 
 
@@ -164,12 +164,12 @@ class TestSequenceValidation:
         # the steps of the walk come from space.steps, which refuses what
         # the group refuses: a second coordinate or a non-integer one
         space = cycle_space(8)
-        assert space.steps([(1,), (0,), (-1,)]).tolist() == [1, 0, -1]
+        assert space.steps(np.array([[1], [0], [-1]])).tolist() == [1, 0, -1]
         for bad, match in (((0, 1), "one-parameter"), ((1.5,), "integer steps")):
             with pytest.raises(DescriptorMismatchError):
                 Z.element(bad)
             with pytest.raises(DescriptorMismatchError, match=match):
-                space.steps([(0,), bad])
+                space.steps(np.array([bad, bad]))
 
     def test_rejects_empty_sets(self):
         # every B_n holds the base cell, so condition (1) holds by
@@ -541,7 +541,7 @@ class TestCarriedSegments:
             return arc_segments(*args)
 
         monkeypatch.setattr(certificates, "_arc_segments", spy)
-        carried = certificates._walk(space, S, segments, 0.02, measures._symmetrized(mu),
+        carried = certificates._walk(space, S, segments, 0.02, symmetrize(mu),
                                      space.weights[0])
         assert sweeps == []
         # listed cells carry no segments: the walk sweeps S^n B_n
@@ -564,7 +564,6 @@ class TestCarriedPower:
         space = build_action(kind, group=grid, **kw)
         mu = GroupMeasure.from_atoms(grid, [((-2,), 0.3), ((1,), 0.45), ((3,), 0.25)])
         eta, S = symmetrize(mu), support_steps(space, mu)
-        walked = measures._symmetrized(mu)
         segments = certificates._orbit_segments(space, x0, S, n_max)
         boxes = []
         walk_box = certificates._walk_box
@@ -578,7 +577,7 @@ class TestCarriedPower:
 
         monkeypatch.setattr(certificates, "_walk_box", spy)
         monkeypatch.setattr(measures, "_factor_keys", refuse)
-        report = certificates._walk(space, S, segments, 0.02, walked, space.weights[0])
+        report = certificates._walk(space, S, segments, 0.02, eta, space.weights[0])
         monkeypatch.undo()
         assert len(boxes) == 1
         far = n_max * int(np.abs(S).max())
@@ -865,7 +864,7 @@ class TestOrbitNeighborhoodSequence:
         # radius up to r_cap alone must pick the same one
         space = build_action(kind, group=time_grid(q), **kw)
         eta = symmetrize(GroupMeasure.uniform_interval(time_grid(q), -1.0, 1.0))
-        S = sorted(eta.atoms)
+        S = np.sort(eta.cells, axis=0)
         x0 = 3
         picked = []
         search = certificates._largest_mass_admissible_radius
@@ -880,9 +879,9 @@ class TestOrbitNeighborhoodSequence:
         picked = [radius for radius, *_ in picked]
         bound_active = False
         for n in range(1, n_max + 1):
-            separators = [g for g in power_set(space.group, S, 2 * n - 2)
-                          if g not in S]
-            r_cap = space.separation_radius(space.steps(separators))
+            separators = np.setdiff1d(space.steps(power_set(space.group, S, 2 * n - 2)),
+                                      space.steps(S))
+            r_cap = space.separation_radius(separators)
             thickening = step_runs(space.steps(power_set(space.group, S, 2 * n)))
             counts = [arc_mask(space, thickening, space.cell_ball(x0, r)).sum()
                       for r in range(r_cap + 1)]
@@ -906,7 +905,7 @@ class TestOrbitNeighborhoodSequence:
         grid = time_grid(8)
         space = build_action("torus-translation", group=grid, N=256,
                             step=(29, 41), slope_hint=SQRT2)
-        S = sorted(symmetrize(GroupMeasure.uniform_interval(grid, -1.0, 1.0)).atoms)
+        S = np.sort(symmetrize(GroupMeasure.uniform_interval(grid, -1.0, 1.0)).cells, axis=0)
         x0, n_max = 7001, 6
         probes, picked, balls = [], [], []
         segment_count = certificates._count
@@ -996,7 +995,7 @@ class TestOrbitNeighborhoodSequence:
 
     def test_step_array_gives_the_tuple_sets(self):
         space = cycle_space(64)
-        from_tuples = np.unique(space.steps(((1,), (0,), (-1,))))
+        from_tuples = np.unique(space.steps(np.array([[1], [0], [-1]])))
         assert from_tuples.tolist() == [-1, 0, 1]
         for got, want in zip(orbit_cells(space, 0, from_tuples, 3),
                              orbit_cells(space, 0, np.array([-1, 0, 1]), 3)):

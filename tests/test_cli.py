@@ -638,6 +638,18 @@ class TestKoopmanNorm:
         assert capsys.readouterr().err == (
             "config error: measure.atoms[0].weight: expected float, got nan\n")
 
+    def test_negative_weight_exit_two_though_a_later_atom_cancels_it(self, tmp_path, capsys):
+        cfg = {
+            "experiment": "regular-norm",
+            "group": {"kind": "lattice", "dimension": 1},
+            "measure": {"kind": "atoms", "atoms": [[1, -0.5], [1, 1.0], [-1, 0.5]]},
+        }
+        code, out_dir = run_cli(tmp_path, cfg)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: measure.atoms[0].weight: must be >= 0, got -0.5\n")
+        assert not out_dir.exists()
+
 
 class TestRegularNormExperiment:
     def test_berg_sequence_written(self, tmp_path):

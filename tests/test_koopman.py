@@ -368,7 +368,7 @@ class TestCharacterNorm:
     def mass_grid(space, mu):
         support = mu.support()
         grid = np.zeros(space.grid_shape)
-        np.add.at(grid, tuple(space.translations(space.steps(support)).T),
+        np.add.at(grid, tuple(space.translations(space.steps(np.array(support))).T),
                   [mu.atoms[g] for g in support])
         return grid
 
@@ -379,7 +379,7 @@ class TestCharacterNorm:
         space = build_action(kind, group=Z, **kw)
         mu = self.half_spectrum_measure(kw, coords)
         support = mu.support()
-        vectors = space.translations(space.steps(support))
+        vectors = space.translations(space.steps(np.array(support)))
         weights = np.array([mu.atoms[g] for g in support])
         dual = np.indices(space.grid_shape).reshape(len(space.grid_shape), -1).T[1:]
         phases = np.exp(-2j * np.pi * (dual @ vectors.T) / kw["N"])

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 import tracemalloc
 from unittest import mock
 
@@ -65,7 +66,7 @@ def random_measure(group, rng, n_atoms=4, reach=3):
         else:
             g = tuple(int(c) for c in rng.integers(-reach, reach + 1, group.dimension))
         atoms[g] = atoms.get(g, 0.0) + float(rng.uniform(0.1, 2.0))
-    return GroupMeasure(group, atoms)
+    return GroupMeasure.from_atoms(group, atoms.items())
 
 
 class TestWeights:
@@ -73,6 +74,16 @@ class TestWeights:
     def test_non_finite_weight_rejected(self, bad):
         with pytest.raises(PreconditionError, match="non-finite"):
             GroupMeasure.from_atoms(Z, [((1,), bad), ((2,), 0.5)])
+
+    def test_negative_weight_rejected_before_it_merges(self):
+        # the merged weight on (1,) would be 0.5
+        for group in (Z, F2):
+            with pytest.raises(PreconditionError,
+                               match=r"negative weight -0.5 at atom \(1,\)"):
+                GroupMeasure.from_atoms(group, [((1,), -0.5), ((1,), 1.0), ((-1,), 0.5)])
+        # zero weights are dropped after they merge, at their first position
+        mu = GroupMeasure.from_atoms(Z, [((2,), 0.0), ((1,), 0.5), ((2,), 0.25), ((3,), 0.0)])
+        assert list(mu.atoms.items()) == [((2,), 0.25), ((1,), 0.5)]
 
 
 class TestOutsideElements:
@@ -109,17 +120,26 @@ class TestOutsideElements:
             GroupMeasure.point_mass(group, g)
 
     def test_direct_construction_checks_every_atom(self):
-        with pytest.raises(DescriptorMismatchError, match="got 3"):
-            GroupMeasure(F2, {(3,): 0.5, (1,): 0.5})
-        with pytest.raises(DescriptorMismatchError, match="integer coordinates"):
-            GroupMeasure(Z, {(1.5,): 1.0})
-        # refused where it is built, not by a reshape inside convolve
-        with pytest.raises(DescriptorMismatchError, match="takes elements of length 1"):
-            GroupMeasure(Z, {(1, 2): 1.0})
-        # a word is reduced before it is checked, a torus cell reduced mod N
-        assert GroupMeasure(F2, {(2, 1, -1): 1.0}).atoms == {(2,): 1.0}
+        # int64 cells of the group's shape, one row per weight, words as
+        # keys; refused where they are built, not by a reshape inside convolve
+        for group, cells, got in ((Z, [[1.5]], "float64 cells of shape (1, 1)"),
+                                  (Z, [[1, 2]], "int64 cells of shape (1, 2)"),
+                                  (Z, [1], "int64 cells of shape (1,)"),
+                                  (Z, [[1], [2]], "int64 cells of shape (2, 1)"),
+                                  (F2, [[5]], "int64 cells of shape (1, 1)")):
+            want = "(1,)" if group.kind == "free" else "(1, 1)"
+            with pytest.raises(DescriptorMismatchError) as err:
+                GroupMeasure(group, np.array(cells), np.ones(1))
+            assert str(err.value) == (f"a measure on the {group.kind} takes int64 cells "
+                                      f"of shape {want}, got {got}")
+        for bad in (0.0, -0.5, math.nan, math.inf):
+            with pytest.raises(PreconditionError,
+                               match=f"weights must be finite and positive, got {bad}"):
+                GroupMeasure(Z, np.array([[0], [1]]), np.array([1.0, bad]))
+        # a torus cell is reduced mod N
         torus = GroupDescriptor(kind="torus-grid", dimension=1, size=8)
-        assert GroupMeasure(torus, {(np.int64(-1),): 1.0}).atoms == {(7,): 1.0}
+        mu = GroupMeasure(torus, np.array([[-1], [9]]), np.array([0.25, 0.75]))
+        assert rows(mu.cells) == [(7,), (1,)] and mu.weights.tolist() == [0.25, 0.75]
 
     def test_members_accepted(self):
         torus = GroupDescriptor(kind="torus-grid", dimension=1, size=16)
@@ -263,17 +283,15 @@ PAIR_GROUPS = [
 ]
 
 
-def random_words(group, rng, n_atoms, reduced):
-    """A measure of random words of length 0..5 built directly; unreduced
-    words are reduced, and merged in atom order, by ``GroupMeasure``."""
+def random_words(group, rng, n_atoms):
+    """A measure of random words of up to 5 letters, reduced, those that
+    reduce to one element merged in atom order."""
     letters = [s * i for i in range(1, group.dimension + 1) for s in (1, -1)]
-    atoms = {}
+    pairs = []
     for _ in range(n_atoms):
         word = tuple(int(rng.choice(letters)) for _ in range(int(rng.integers(0, 6))))
-        if reduced:
-            word = naive_reduce(word)
-        atoms[word] = atoms.get(word, 0.0) + float(rng.uniform(1e-3, 3.0))
-    return GroupMeasure(group, atoms)
+        pairs.append((naive_reduce(word), float(rng.uniform(1e-3, 3.0))))
+    return GroupMeasure.from_atoms(group, pairs)
 
 
 def bits(atoms):
@@ -290,24 +308,23 @@ class TestFreeConvolveOracle:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_dict_oracles(self, group, seed):
         rng = np.random.default_rng(seed)
-        for reduced in (True, False):
-            a, b = (random_words(group, rng, int(rng.integers(1, 12)), reduced)
-                    for _ in range(2))
+        for _ in range(2):
+            a, b = (random_words(group, rng, int(rng.integers(1, 12))) for _ in range(2))
             assert bits(convolve(a, b).atoms) == bits(dict_convolve(group, a.atoms, b.atoms))
             assert bits(involute(a).atoms) == bits(dict_involute(group, a.atoms))
             assert bits(symmetrize(a).atoms) == bits(
                 dict_convolve(group, a.atoms, dict_involute(group, a.atoms)))
 
-    def test_unreduced_words_cancel_across_the_junction(self):
-        a = GroupMeasure(F2, {(1, 2, -2, -1, 1): 0.5, (2, 1, -1): 0.5})
-        b = GroupMeasure(F2, {(-1, 2, -2): 0.25, (1, -1, -2, 1): 0.75})
+    def test_words_cancel_across_the_junction(self):
+        a = GroupMeasure.from_atoms(F2, [((1,), 0.5), ((2,), 0.5)])
+        b = GroupMeasure.from_atoms(F2, [((-1,), 0.25), ((-2, 1), 0.75)])
         got = convolve(a, b)
         assert bits(got.atoms) == bits(dict_convolve(F2, a.atoms, b.atoms))
         assert list(got.atoms) == [(), (1, -2, 1), (2, -1), (1,)]
 
     def test_non_finite_product_raises(self):
-        a = GroupMeasure(F2, {(1,): 1e200, (2, -1): 1.0})
-        b = GroupMeasure(F2, {(-1, 2): 1e200})
+        a = GroupMeasure.from_atoms(F2, [((1,), 1e200), ((2, -1), 1.0)])
+        b = GroupMeasure.point_mass(F2, (-1, 2), 1e200)
         with pytest.raises(PreconditionError) as want:
             dict_convolve(F2, a.atoms, b.atoms)
         with pytest.raises(PreconditionError) as got:
@@ -315,30 +332,12 @@ class TestFreeConvolveOracle:
         assert str(got.value) == str(want.value) == "non-finite weight inf at atom (2,)"
 
     def test_underflowed_weight_dropped(self):
-        a = GroupMeasure(F3, {(3,): 1e-200, (): 0.5})
-        b = GroupMeasure(F3, {(-3,): 1e-200, (1,): 0.5})
+        a = GroupMeasure.from_atoms(F3, [((3,), 1e-200), ((), 0.5)])
+        b = GroupMeasure.from_atoms(F3, [((-3,), 1e-200), ((1,), 0.5)])
         got = convolve(a, b)
         assert bits(got.atoms) == bits(dict_convolve(F3, a.atoms, b.atoms))
         # the identity is formed only as 1e-200 * 1e-200, which underflows to 0
         assert list(got.atoms) == [(3, 1), (-3,), (1,)]
-
-    def test_zero_letter_raises_at_construction(self):
-        with pytest.raises(ValueError, match="letters must be nonzero"):
-            GroupMeasure(F2, {(1, 0): 1.0})
-        with pytest.raises(ValueError, match="letters must be nonzero"):
-            GroupMeasure(F2, {(2,): 0.5, (0,): 0.5})
-        # an atom of weight 0 is dropped before its word is read
-        assert GroupMeasure(F2, {(1, 0): 0.0, (1,): 1.0}).atoms == {(1,): 1.0}
-
-    def test_unreduced_atoms_merge_at_construction(self):
-        mu = GroupMeasure(F2, {(1, -1): 0.5, (): 0.5})
-        assert list(mu.atoms.items()) == [((), 1.0)]
-        assert mu.support() == [()]
-        e = GroupMeasure.point_mass(F2, ())
-        assert bits(convolve(mu, e).atoms) == bits(mu.atoms)
-        # merged in atom order, at the position of the first word of each element
-        mu = GroupMeasure(F2, {(2, 1, -1): 0.25, (1,): 0.5, (-2, 2, 2): 0.125})
-        assert list(mu.atoms.items()) == [((2,), 0.375), ((1,), 0.5)]
 
 
 # -- free-group words as int64 keys ---------------------------------------------
@@ -387,7 +386,7 @@ class TestWordKeys:
         for _ in range(3):
             high = convolve(high, eta)
         assert len(high) == 9841
-        one = GroupMeasure(F2, dict.fromkeys([(), (1,), (2, -1)], 1.0))
+        one = GroupMeasure.from_atoms(F2, [((), 1.0), ((1,), 1.0), ((2, -1), 1.0)])
         for a, b in ((high, eta), (eta, high), (one, involute(high))):
             assert bits(convolve(a, b).atoms) == bits(dict_convolve(F2, a.atoms, b.atoms))
 
@@ -446,9 +445,10 @@ class TestPairBound:
 
         def walk(mu, F, n_max):
             """eta and 1_F as (keys, weights) in the Berg-Christensen walk's box."""
-            eta, weights = measures._symmetrized(mu)
-            box = measures._walk_box(mu.group, eta, F, (n_max + 1) // 2, n_max // 2, "test")
-            return box, (box.keys(eta), weights), (box.keys(F), np.ones(len(F)))
+            eta = symmetrize(mu)
+            box = measures._walk_box(mu.group, eta.cells, F, (n_max + 1) // 2, n_max // 2,
+                                     "test")
+            return box, (box.keys(eta.cells), eta.weights), (box.keys(F), np.ones(len(F)))
 
         def product(box, a, b):
             # add(key(x), key(y) - zero) is the key of x * y
@@ -566,7 +566,7 @@ class TestAbelianPairSums:
     def test_empty_factor(self):
         assert rows(product_set(Z2, [], [(1, 2)])) == []
         assert rows(product_set(Z2, [(1, 2)], [])) == []
-        empty = GroupMeasure(Z, {})
+        empty = GroupMeasure.from_atoms(Z, [])
         assert len(convolve(empty, GroupMeasure.point_mass(Z, (1,)))) == 0
         assert len(convolve(GroupMeasure.point_mass(Z, (1,)), empty)) == 0
 
@@ -830,21 +830,48 @@ class TestListedSupports:
         torus = GroupDescriptor(kind="torus-grid", dimension=1, size=64)
         whole = GroupMeasure.uniform_on(torus, [(c,) for c in range(64)])
         for lo, hi in ((-1e9, 1e9), (0.0, 1.0), (-0.5, 0.5), (0.25, 1.25)):
-            assert GroupMeasure.uniform_interval(torus, lo, hi) == whole, (lo, hi)
+            interval = GroupMeasure.uniform_interval(torus, lo, hi)
+            assert rows(interval.cells) == rows(whole.cells), (lo, hi)
+            assert interval.weights.tolist() == whole.weights.tolist(), (lo, hi)
         part = GroupMeasure.uniform_interval(torus, 0.9, 1.1)
         assert sorted(part.atoms) == sorted((c % 64,) for c in range(58, 71))
 
+    @pytest.mark.parametrize("group,hi", [
+        (GroupDescriptor(kind="real-grid", dimension=1, resolution=512), 1000),
+        (GroupDescriptor(kind="torus-grid", dimension=1, size=2**21), 0.49),
+    ], ids=["real-grid", "torus"])
+    def test_interval_is_two_arrays_within_its_charge(self, group, hi):
+        """About 10^6 cells: 16 bytes a cell held, the int64 cell and the
+        float64 weight, and a traced peak within the ``PAIR_BYTES`` an
+        interval is charged a cell (19 to 25 bytes, numpy 2.4)."""
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            mu = GroupMeasure.uniform_interval(group, -hi, hi)
+            elapsed = time.perf_counter() - start
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(mu) > 10**6 and elapsed < 1.0
+        assert held <= 17 * len(mu) and peak <= groups.PAIR_BYTES * len(mu)
+        assert np.all(np.diff(mu.cells[:, 0]) > 0)
+
     def test_memory_bounds_the_listing(self, monkeypatch):
-        monkeypatch.setattr(groups, "_memory_bytes", lambda: 1000 * groups.ATOM_BYTES)
+        # an interval forms arrays, at PAIR_BYTES a cell; a ball lists
+        # tuples, at ATOM_BYTES a cell
+        monkeypatch.setattr(groups, "_memory_bytes", lambda: 1000 * groups.PAIR_BYTES)
         assert len(GroupMeasure.uniform_interval(Z, 1, 1000)) == 1000
         with pytest.raises(ResourceLimitError,
                            match=rf"interval \[0, 1000\] would form 1001 cells of "
-                                 rf"{groups.ATOM_BYTES} bytes each, more than the "
-                                 rf"{1000 * groups.ATOM_BYTES} bytes this process may use"):
+                                 rf"{groups.PAIR_BYTES} bytes each, more than the "
+                                 rf"{1000 * groups.PAIR_BYTES} bytes this process may use"):
             GroupMeasure.uniform_interval(Z, 0, 1000)
+        monkeypatch.setattr(groups, "_memory_bytes", lambda: 1001 * groups.ATOM_BYTES)
+        assert len(Z.ball(500.0)) == 1001
         with pytest.raises(ResourceLimitError,
-                           match="box around the ball of radius 500.0 would form 1001 cells"):
-            Z.ball(500.0)
+                           match=rf"box around the ball of radius 501.0 would form 1003 cells "
+                                 rf"of {groups.ATOM_BYTES} bytes each"):
+            Z.ball(501.0)
 
     def test_the_box_around_a_ball_meets_the_cap(self, monkeypatch):
         # the ball of radius 3 on Z^2 has 29 cells in a box of 7^2 = 49: it
@@ -869,6 +896,11 @@ class TestInt64Range:
         big = GroupMeasure.from_atoms(Z, [((2**62,), 0.5), ((1,), 0.5)])
         with pytest.raises(DescriptorMismatchError, match="convolution leaves int64"):
             convolve(big, big)
+        # -(-2^63) does not wrap to -2^63
+        least = GroupMeasure.from_atoms(Z2, [((0, 1), 0.5), ((3, -2**63), 0.5)])
+        with pytest.raises(DescriptorMismatchError,
+                           match=f"involute leaves int64 at coordinate {2**63}"):
+            involute(least)
 
     def test_coordinate_beyond_int64(self):
         for xs in ([(2**63,)], [(2**64,)], [(-1,), (2**63,)]):
@@ -901,15 +933,13 @@ class TestCanonicalTorus:
         mu = GroupMeasure.from_atoms(
             self.Z17, [((0,), 0.5), ((3,), 0.25), ((17,), 0.125)])
         assert list(mu.atoms.items()) == [((0,), 0.625), ((3,), 0.25)]
-        direct = GroupMeasure(self.Z17, {(20,): 0.25, (-14,): 0.5, (1,): 1.0})
+        direct = GroupMeasure.from_atoms(self.Z17, [((20,), 0.25), ((-14,), 0.5), ((1,), 1.0)])
         assert list(direct.atoms.items()) == [((3,), 0.75), ((1,), 1.0)]
         assert mu.atoms[self.Z17.canonical((-17,))] == 0.625
         assert GroupMeasure.point_mass(self.Z17, (18,)).atoms == {(1,): 1.0}
 
     def test_merged_weight_that_overflows_raises(self):
         with pytest.raises(PreconditionError, match=r"non-finite weight inf at atom \(0,\)"):
-            GroupMeasure(self.Z17, {(0,): 1e308, (17,): 1e308})
-        with pytest.raises(PreconditionError, match="non-finite weight inf"):
             GroupMeasure.from_atoms(self.Z17, [((0,), 1e308), ((17,), 1e308)])
 
     def test_zero_and_seventeen_are_one_atom(self):

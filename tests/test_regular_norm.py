@@ -67,9 +67,24 @@ class TestBergChristensen:
         raws = [v for _, v in est.sequence]
         assert all(b >= a - 1e-10 for a, b in zip(raws, raws[1:]))
 
+    def test_a_scaled_free_measure_scales_its_sequence(self):
+        # weights 0.4 and 0.1 differ by far less than 1e-15 at the scale
+        # 1e-17, but not relative to the largest: the walk is not uniform
+        pairs = [((1,), 0.4), ((-1,), 0.4), ((2,), 0.1), ((-2,), 0.1)]
+        unit = berg_christensen_estimate(GroupMeasure.from_atoms(F2, pairs), n_max=6)
+        small = berg_christensen_estimate(
+            GroupMeasure.from_atoms(F2, [(g, w * 1e-17) for g, w in pairs]), n_max=6)
+        assert unit.method == small.method == "berg-christensen"
+        assert [n for n, _ in small.sequence] == list(range(1, 7))
+        for (_, got), (_, want) in zip(small.sequence, unit.sequence):
+            assert got == pytest.approx(want * 1e-17, rel=1e-12)
+        # uniform weights at any scale take the radial oracle
+        srw = GroupMeasure.from_atoms(F2, [(g, 0.25e-17) for g, _ in pairs])
+        assert berg_christensen_estimate(srw, n_max=6).method == "free-radial"
+
     def test_decrease_is_named_in_the_note(self):
         # a drifting walk seen through F = {-1, 0, 1}: the terms fall from n = 2
-        mu = GroupMeasure(Z, {(1,): 0.9, (0,): 0.1})
+        mu = GroupMeasure.from_atoms(Z, [((1,), 0.9), ((0,), 0.1)])
         est = berg_christensen_estimate(mu, F=[(-1,), (0,), (1,)], n_max=8)
         raws = [v for _, v in est.sequence]
         assert all(b < a - 1e-10 for a, b in zip(raws, raws[1:]))
@@ -87,7 +102,7 @@ class TestBergChristensen:
                 (int(k),): float(rng.uniform(0.05, 1.0))
                 for k in rng.integers(-4, 5, size=3)
             }
-            mu = GroupMeasure(Z, atoms)
+            mu = GroupMeasure.from_atoms(Z, atoms.items())
             est = berg_christensen_estimate(mu, F=[(0,)], n_max=12)
             assert est.value <= mu.total_mass + 1e-10
 
@@ -327,9 +342,9 @@ class TestWalkRoutes:
 def walk_box(mu, F, n_max):
     """The key box of the Berg-Christensen walk and eta = mu * mu^ as
     (keys, weights) in it."""
-    eta, weights = measures._symmetrized(mu)
-    box = measures._walk_box(mu.group, eta, F, (n_max + 1) // 2, n_max // 2, "test")
-    return box, (box.keys(eta), weights)
+    eta = symmetrize(mu)
+    box = measures._walk_box(mu.group, eta.cells, F, (n_max + 1) // 2, n_max // 2, "test")
+    return box, (box.keys(eta.cells), eta.weights)
 
 
 class TestPairingOrder:
@@ -389,11 +404,11 @@ class TestWalkAtIdentity:
                                   wraps=measures._convolve_keys) as first:
             est = berg_christensen_estimate(mu, F=F, n_max=n_max)
         assert est.sequence == dict_berg_christensen_sequence(mu, F, n_max)
-        calls = free.call_count + walk.call_count + first.call_count
+        calls = walk.call_count + first.call_count
         # eta, then high * eta at each odd n > 1, and 1_F * high^ at each even n
         assert calls == (n_max + 1) // 2 + (n_max // 2 if extra else 0)
-        if group.is_abelian:
-            assert (free.call_count, first.call_count) == (0, 1)
+        # eta is the one measure the walk forms by ``convolve``
+        assert (free.call_count, first.call_count) == (1, 1)
 
 
 class TestWalkInputs:

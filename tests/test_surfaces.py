@@ -285,14 +285,30 @@ def test_a_type_check_on_a_space_is_found(tmp_path):
     assert space_type_checks(tmp_path) == ["user:6", "user:6", "user:7"]
 
 
-def _atom_loop(node) -> bool:
-    """A ``for`` statement or comprehension clause over an ``atoms`` attribute."""
-    return isinstance(node, (ast.For, ast.comprehension)) and any(
-        isinstance(n, ast.Attribute) and n.attr == "atoms" for n in ast.walk(node.iter))
+#: the functions of ``measures.py`` that form and read the dict view of a
+#: measure, the one place its atoms are read
+ATOM_VIEW = ("atoms", "support")
+
+
+def atom_reads(root: Path) -> list[str]:
+    """The reads of an ``atoms`` attribute in ``src/gaplab``, as
+    ``module:line``, outside the dict view in ``measures.py``: every other
+    function reads the arrays of a measure."""
+    found = []
+    for path in sorted((root / "src" / "gaplab").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        view = set()
+        for node in ast.walk(tree):
+            if (path.stem == "measures" and isinstance(node, ast.FunctionDef)
+                    and node.name in ATOM_VIEW):
+                view.update(map(id, ast.walk(node)))
+        found += [f"{path.stem}:{n.lineno}" for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and n.attr == "atoms" and id(n) not in view]
+    return sorted(found)
 
 
 #: the code of the walk both lower estimates run, by module
-WALK = {"measures": ("_symmetrized", "_pairing"),
+WALK = {"measures": ("_pairing",),
         "regular_norm": ("berg_christensen_estimate",),
         "certificates": ("_walk",)}
 
@@ -305,59 +321,53 @@ def _outside_handlers(node):
             yield from _outside_handlers(child)
 
 
-def pair_loops(root: Path) -> list[str]:
-    """The pair loops of ``measures.py`` and ``regular_norm.py``, as
-    ``module:line``: a loop over measure atoms that holds another one, in
-    a statement or a comprehension; and the reads of ``is_abelian`` or
-    ``kind`` in the functions of ``WALK``, outside their error handlers,
-    where one walk serves every kind."""
+def kind_reads(root: Path) -> list[str]:
+    """The reads of ``is_abelian`` or ``kind`` in the functions of
+    ``WALK``, as ``module:line``, outside their error handlers, where one
+    walk serves every kind."""
     found = []
     for module, walk in WALK.items():
         tree = ast.parse((root / "src" / "gaplab" / f"{module}.py").read_text())
         for node in ast.walk(tree):
-            if module == "certificates":
-                loops = []
-            elif isinstance(node, ast.For) and _atom_loop(node):
-                loops = [n for stmt in node.body for n in ast.walk(stmt) if _atom_loop(n)]
-            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
-                loops = [n for n in ast.walk(node) if _atom_loop(n)][1:]
-            else:
-                loops = []
-            if loops:
-                found.append(f"{module}:{node.lineno}")
             if isinstance(node, ast.FunctionDef) and node.name in walk:
                 found += [f"{module}:{n.lineno}" for n in _outside_handlers(node)
                           if isinstance(n, ast.Attribute) and n.attr in ("is_abelian", "kind")]
-    return sorted(set(found), key=lambda at: (at.split(":")[0], int(at.split(":")[1])))
+    return sorted(found)
 
 
 def test_one_convolution_path_for_every_kind():
-    """Convolution runs no pair loop over atoms, and the walk of both lower
-    estimates takes no branch by group kind."""
-    assert pair_loops(ROOT) == []
+    """No function reads a measure as a dict of atoms outside its dict
+    view, and the walk of both lower estimates takes no branch by group
+    kind."""
+    assert atom_reads(ROOT) == []
+    assert kind_reads(ROOT) == []
 
 
-def test_a_pair_loop_is_found(tmp_path):
-    """A nested loop and a two-clause comprehension over atoms are found,
-    and so is a kind test in a function of the walk, but not one in its
-    error handler; one loop over atoms is not."""
+def test_an_atom_read_and_a_kind_read_are_found(tmp_path):
+    """A read of ``atoms`` is found in any module, and in any function of
+    ``measures.py`` but those of the dict view; a kind test is found in a
+    function of the walk, but not in its error handler."""
     package = tmp_path / "src" / "gaplab"
     package.mkdir(parents=True)
     (package / "measures.py").write_text(textwrap.dedent('''
+        class GroupMeasure:
+            def atoms(self):
+                return dict(zip(self.cells, self.weights))
+
+            def support(self):
+                return sorted(self.atoms)
+
+
         def convolve(a, b):
-            out = {}
-            for h, wa in a.atoms.items():
-                for k, wb in b.atoms.items():
-                    out[h + k] = wa * wb
-            return {g: w for g, w in a.atoms.items()}
-
-
-        def pairs(a, b):
             return [h + k for h in a.atoms for k in b.atoms]
 
 
         def _pairing(box, high, reach, step):
             return box.kind
+        '''))
+    (package / "koopman.py").write_text(textwrap.dedent('''
+        def discrepancy(space, mu):
+            return space.steps(list(mu.atoms))
         '''))
     (package / "regular_norm.py").write_text(textwrap.dedent('''
         def berg_christensen_estimate(mu):
@@ -366,14 +376,13 @@ def test_a_pair_loop_is_found(tmp_path):
                     return 1
             except ValueError:
                 return mu.group.kind
-            return [w for w in mu.atoms.values()]
         '''))
     (package / "certificates.py").write_text(textwrap.dedent('''
         def _walk(space, eta):
             return space.group.kind
         '''))
-    assert pair_loops(tmp_path) == ["certificates:3", "measures:4", "measures:11",
-                                    "measures:15", "regular_norm:4"]
+    assert atom_reads(tmp_path) == ["koopman:3", "measures:11", "measures:11"]
+    assert kind_reads(tmp_path) == ["certificates:3", "measures:15", "regular_norm:4"]
 
 
 def interval_unions(root: Path) -> list[str]:
