@@ -207,10 +207,16 @@ def _runs(breaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return head, tail
 
 
-def _segment_slots(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The slots of the segments [lo, hi), segment by segment."""
-    sizes = hi - lo
-    return np.repeat(lo - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+def _mark(phi: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """phi, an int8 array in slot order, rewritten as 1 on the disjoint
+    nonempty slot segments [lo, hi) and 0 elsewhere: a toggle at each start
+    and each end, then one running xor in place, on phi read as bool (about
+    twice as fast as a running int8 sum, numpy 2.4)."""
+    phi.fill(0)
+    phi[lo] = 1
+    phi[hi[hi < len(phi)]] ^= 1
+    np.logical_xor.accumulate(phi.view(bool), out=phi.view(bool))
+    return phi
 
 
 def _count(lo: np.ndarray, hi: np.ndarray) -> int:
@@ -397,14 +403,11 @@ def _walk(space: ActionSpace, F: np.ndarray, segments: list, slack: float,
         with np.errstate(over="ignore"):  # an overflow is reported by atom
             keys, weights = _convolve_keys(box, keys, weights, step, eta.weights,
                                            DEFAULT_SUPPORT_CAP)
-        # phi marks S^n B_n, outside which the companion is read, keeps
-        # the companion alone, and takes B_n, which S^n B_n holds; no slot
-        # list outlives its line
-        phi.fill(0)
-        phi[_segment_slots(*thickened)] = 1
-        phi[_companion_set(space, size, phi, thick_size)] = -1
-        np.minimum(phi, 0, out=phi)
-        phi[_segment_slots(lo, hi)] = 1
+        # phi marks S^n B_n, outside which the companion is read, then B_n,
+        # and takes the companion as -1; its slots go before the numerator
+        companion = _companion_set(space, size, _mark(phi, *thickened), thick_size)
+        _mark(phi, lo, hi)[companion] = -1
+        del companion
         spectra = {length: values ** n for length, values in eta_hat.items()}
         rows.append(_row(n, weight, size, thick_size, space.n_cells,
                          float(overlaps.min()),
@@ -497,8 +500,10 @@ def _orbit_segments(space: ActionSpace, x0: int, steps: np.ndarray,
     segments, radius = [], None
     for n in range(1, n_max + 1):
         lo, hi = powers[2 * n - 2]
-        _check_pairs(int((hi - lo).sum()), f"separators in S^{2 * n - 2}")
-        inner = _segment_slots(lo, hi)
+        sizes = hi - lo
+        _check_pairs(int(sizes.sum()), f"separators in S^{2 * n - 2}")
+        # the steps of S^{2n-2}, run by run
+        inner = np.repeat(lo - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
         separators = inner[~_contains(steps, inner)]
         r_cap = space.separation_radius(separators)
         # S^{2n} only grows with n, so the admissible radius cannot grow

@@ -92,7 +92,7 @@ MEASURES = {
     "srw": {"step": (int, None, None)},
     "uniform-interval": {"lo": (float, ..., None), "hi": (float, ..., None),
                          "total": (float, None, None), "closed": (bool, None, None)},
-    "uniform-ball": {"radius": (float, ..., None)},
+    "uniform-ball": {"radius": (float, ..., 0)},
 }
 
 #: one atom of an ``atoms`` measure, also written [coordinates..., weight]
@@ -226,7 +226,7 @@ def build_measure(group: GroupDescriptor, cfg: dict, path: str = "measure") -> G
         elif kind == "uniform-interval":
             mu = GroupMeasure.uniform_interval(group, **fields)
         else:
-            mu = GroupMeasure.uniform_on(group, group.ball(fields["radius"]))
+            mu = GroupMeasure.uniform_ball(group, **fields)
     except (GaplabError, ValueError) as err:
         raise ConfigError(path, str(err))
     if mu.total_mass <= 0:

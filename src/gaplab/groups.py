@@ -47,8 +47,6 @@ _KINDS = (LATTICE, FREE, REAL_GRID, TORUS_GRID)
 
 #: kinds whose elements are grid cells with a genuine Haar density
 GRID_KINDS = (REAL_GRID, TORUS_GRID)
-#: kinds that are discrete groups in the usual sense
-DISCRETE_KINDS = (LATTICE, FREE)
 #: kinds on which the regular-representation norm oracles for amenable
 #: groups apply (all abelian here)
 ABELIAN_KINDS = (LATTICE, REAL_GRID, TORUS_GRID)
@@ -147,32 +145,23 @@ class GroupDescriptor:
         return self.kind in GRID_KINDS
 
     @property
-    def is_discrete(self) -> bool:
-        return self.kind in DISCRETE_KINDS
-
-    @property
     def is_abelian(self) -> bool:
         return self.kind in ABELIAN_KINDS
 
     # -- geometry -------------------------------------------------------
 
-    def coordinates(self, a: Element) -> Element:
-        """Integer coordinates of an element in cells: torus residues as
-        their representatives in [-N/2, N/2), words as their length."""
-        if self.kind == TORUS_GRID:
-            return tuple(_torus_rep(x, self.size) for x in a)
-        if self.kind == FREE:
-            return (len(a),)
-        return a
-
-    def ball(self, radius: float) -> list[Element]:
-        """All elements of norm <= radius, in deterministic order.  On the
-        abelian kinds the listing scans the box around the ball, whose cells
-        are counted first and refused beyond ``DEFAULT_SUPPORT_CAP`` or the
-        memory at ``ATOM_BYTES`` a cell; a ball under the cap whose box is
-        over it is refused too."""
+    def ball(self, radius: float) -> np.ndarray | list[Element]:
+        """All elements of norm <= radius, in ``sort_key`` order: an (m, d)
+        int64 cell array on the abelian kinds, a list of words on ``free``.
+        On the abelian kinds the box around the ball is counted first and
+        refused beyond ``DEFAULT_SUPPORT_CAP`` or the memory at ``PAIR_BYTES``
+        a cell (so a ball under the cap whose box is over it is refused),
+        and then tested at once: per cell the squares of its coordinates
+        over the scale (torus residues by their representatives in
+        [-N/2, N/2)), added axis by axis, have a root <= radius + 1e-12
+        (<= radius on the torus)."""
         if radius < 0:
-            return []
+            return [] if self.kind == FREE else np.empty((0, self.dimension), dtype=np.int64)
         if self.kind == FREE:
             letters = [(i,) for i in range(-self.dimension, self.dimension + 1) if i]
             return power_set(self, [(), *letters], int(radius))
@@ -182,42 +171,33 @@ class GroupDescriptor:
             reach = min(int(min(radius, 0.5) * n) + 1, n // 2)
             while reach and reach / n > min(radius, 0.5):
                 reach -= 1
-            side = min(2 * reach + 1, n)
+            side, bound = min(2 * reach + 1, n), radius
         else:
-            reach = int(math.floor(radius * self.scale + 1e-12))
-            side = 2 * reach + 1
-        what = f"the box around the ball of radius {radius}"
-        _check_cap(side ** self.dimension, DEFAULT_SUPPORT_CAP,
-                   f"{what} of {side ** self.dimension} cells")
-        _check_pairs(side ** self.dimension, what, ATOM_BYTES, "cells")
-        if self.kind != TORUS_GRID:
-            return _euclid_ball(self.dimension, radius, self.scale, reach)
-        cells = []
-        for tup in itertools.product(sorted({r % n for r in range(-reach, reach + 1)}),
-                                     repeat=self.dimension):
-            if math.sqrt(sum((_torus_rep(x, self.size) / self.size) ** 2 for x in tup)) <= radius:
-                cells.append(tup)
-        return sorted(cells)
+            # the box of the cells within radius + 1e-12 on one axis
+            reach = int(math.floor((radius + 1e-12) * self.scale))
+            side, bound = 2 * reach + 1, radius + 1e-12
+        box, what = side ** self.dimension, f"the box around the ball of radius {radius}"
+        _check_cap(box, DEFAULT_SUPPORT_CAP, f"{what} of {box} cells")
+        _check_pairs(box, what, "cells")
+        values = coords = np.arange(-reach, reach + 1)
+        if self.kind == TORUS_GRID:
+            values = _distinct(values % n)
+            coords = np.where(values >= (n + 1) // 2, values - n, values)
+        # ``x ** 2`` of a float is C ``pow``, as ``np.float_power`` is;
+        # ``np.square`` rounds about one square in 2,000 the other way
+        squares = np.float_power(coords / self.scale, 2)
+        # the sums over the box in C order, kept flat: no axis per dimension
+        total = functools.reduce(lambda t, s: np.add.outer(t, s).ravel(),
+                                 [squares] * self.dimension)
+        inside = np.flatnonzero(np.sqrt(total, out=total) <= bound)
+        digits = len(values) ** np.arange(self.dimension - 1, -1, -1)
+        return values[inside[:, None] // digits % len(values)]
 
     def sort_key(self, a: Element):
         """Deterministic ordering key: lexicographic, words by length first."""
         if self.kind == FREE:
             return (len(a), a)
         return a
-
-
-def _torus_rep(x: int, n: int) -> int:
-    """Representative of x mod n in [-n/2, n/2)."""
-    r = x % n
-    return r - n if r >= (n + 1) // 2 else r
-
-
-def _euclid_ball(dim: int, radius: float, scale: int, reach: int) -> list[Element]:
-    cells = []
-    for tup in itertools.product(range(-reach, reach + 1), repeat=dim):
-        if math.sqrt(sum((x / scale) ** 2 for x in tup)) <= radius + 1e-12:
-            cells.append(tup)
-    return sorted(cells)
 
 
 # -- finite set arithmetic ---------------------------------------------
@@ -313,10 +293,12 @@ def _word_box(group: GroupDescriptor, what: str):
 
 def _coordinates(group: GroupDescriptor, xs, what: str) -> np.ndarray:
     """The cells of a finite set as an (n, d) int64 array, reduced mod N on
-    ``torus-grid``; coordinates that are not integers, or leave int64, raise
-    ``DescriptorMismatchError``."""
+    ``torus-grid``; elements of another length than d, or coordinates that
+    are not integers or leave int64, raise ``DescriptorMismatchError``."""
     if isinstance(xs, np.ndarray):
         cells = xs
+    elif any(len(x) != group.dimension for x in xs):
+        raise DescriptorMismatchError(f"{what} takes cells of {group.dimension} coordinates")
     else:  # a flat list converts faster than a list of tuples
         cells = np.array(list(itertools.chain.from_iterable(xs)))
     if cells.size and (cells.dtype.kind not in "iu"
@@ -434,8 +416,9 @@ def _check_cap(size: int, cap: int, what: str) -> None:
 
 #: bytes per pair while a product of two measures is formed and deduplicated:
 #: the pair keys and weights, the sort's permutation, sorted keys and ranks,
-#: and the words' cancellation arrays (the budget that tests/test_measures.py
-#: pins; traced peaks of 46 to 72 bytes per pair, numpy 2.4)
+#: and the words' cancellation arrays (traced peaks of 46 to 72 bytes per
+#: pair, numpy 2.4); also per listed cell of an interval or of the box around
+#: a ball (19 to 25 and 33 to 35 bytes; tests/test_measures.py pins both)
 PAIR_BYTES = 80
 
 
@@ -450,20 +433,14 @@ def _memory_bytes() -> int:
 
 #: default cap on the support size of a measure, listed or convolved
 DEFAULT_SUPPORT_CAP = 10_000_000
-#: bytes per counted cell while a ball is listed: the tuples, the lists
-#: and the dict of ``from_atoms`` (traced peaks of 193 to 305 bytes per
-#: cell, Python 3.11); an interval, two arrays, is charged ``PAIR_BYTES``
-ATOM_BYTES = 320
 
 
-def _check_pairs(pairs: int, what: str, item_bytes: int = PAIR_BYTES,
-                 items: str = "pairs") -> None:
-    """Refuse a product of ``pairs`` pairs, or a listing of ``pairs``
-    ``items`` of ``item_bytes`` each, whose arrays need more than
-    ``_memory_bytes``, before any pair-sized array exists."""
-    if pairs * item_bytes > _memory_bytes():
+def _check_pairs(pairs: int, what: str, items: str = "pairs") -> None:
+    """Refuse ``pairs`` pairs, or ``items``, at ``PAIR_BYTES`` each beyond
+    ``_memory_bytes``, before any such array exists."""
+    if pairs * PAIR_BYTES > _memory_bytes():
         raise ResourceLimitError(
-            f"{what} would form {pairs} {items} of {item_bytes} bytes each, more than "
+            f"{what} would form {pairs} {items} of {PAIR_BYTES} bytes each, more than "
             f"the {_memory_bytes()} bytes this process may use")
 
 
@@ -497,12 +474,22 @@ def _product(group: GroupDescriptor, xs, ys, cap: int, what: str):
 
 def inverse_set(group: GroupDescriptor, xs) -> np.ndarray | list[Element]:
     """The inverses {x^{-1}}, deduplicated, in deterministic order, as
-    ``product_set`` returns them.  An inverse that leaves int64 raises
-    ``DescriptorMismatchError``."""
-    if isinstance(xs, np.ndarray):
-        xs = xs.tolist()
-    return _product(group, [group.inverse(x) for x in xs], [group.identity()], len(xs),
-                    "inverse set")
+    ``product_set`` returns them, from the negated cells or the inverted
+    ``WordBox`` keys; an inverse beyond int64 raises ``DescriptorMismatchError``."""
+    what = "inverse set"
+    cells = (_word_box(group, what).keys(xs) if group.kind == FREE
+             else _coordinates(group, xs, what))
+    return _product(group, _inverse(group, cells, what), [group.identity()], len(xs), what)
+
+
+def _inverse(group: GroupDescriptor, cells: np.ndarray, what: str) -> np.ndarray:
+    """The cells of x^{-1} for the cells x, as a measure holds them: the
+    inverted ``WordBox`` keys, or -x, mod N on the torus; -(-2^63) raises."""
+    if group.kind == FREE:
+        return _word_box(group, what).inverse(cells)
+    if (cells == _INT64_MIN).any():
+        raise DescriptorMismatchError(f"{what} leaves int64 at coordinate {-_INT64_MIN}")
+    return -cells % group.size if group.kind == TORUS_GRID else -cells
 
 
 def power_set(

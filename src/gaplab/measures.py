@@ -19,7 +19,6 @@ import numpy as np
 from .errors import DescriptorMismatchError, PreconditionError
 from .groups import (
     _DENSE_RANGE,
-    _INT64_MIN,
     DEFAULT_SUPPORT_CAP,
     FREE,
     TORUS_GRID,
@@ -30,6 +29,7 @@ from .groups import (
     _check_pairs,
     _coordinates,
     _factor_keys,
+    _inverse,
     _unique_keys,
     _word_box,
 )
@@ -143,22 +143,27 @@ class GroupMeasure:
         return cls(group, cells[:, None], np.full(len(cells), w))
 
     @classmethod
+    def uniform_ball(cls, group: GroupDescriptor, radius: float):
+        """Uniform probability on ``group.ball(radius)``, whose cells, words
+        by their keys, are the measure's as they stand."""
+        ball = group.ball(radius)
+        if not len(ball):
+            raise PreconditionError("uniform measure needs a nonempty support")
+        if group.kind == FREE:
+            ball = _word_box(group, "a ball").keys(ball)
+        return cls(group, ball, np.full(len(ball), 1.0 / len(ball)))
+
+    @classmethod
     def simple_random_walk(cls, group: GroupDescriptor, step: int = 1):
         """Uniform measure on the +-step generators of a lattice-like group,
         or on the letters and their inverses of a free group (step 1 only)."""
+        k = group.dimension
         if group.kind == "free":
             if step != 1:
                 raise PreconditionError(f"the free-group walk has step 1, got step {step}")
-            letters = [(i,) for i in range(1, group.dimension + 1)]
-            gens = letters + [group.inverse(w) for w in letters]
-            return cls.uniform_on(group, gens)
-        gens = []
-        for axis in range(group.dimension):
-            e = [0] * group.dimension
-            e[axis] = step
-            gens.append(tuple(e))
-            gens.append(group.inverse(tuple(e)))
-        return cls.uniform_on(group, gens)
+            return cls.uniform_on(group, [(s * i,) for s in (1, -1) for i in range(1, k + 1)])
+        return cls.uniform_on(group, [tuple(sign * step * (i == axis) for i in range(k))
+                                      for axis in range(k) for sign in (1, -1)])
 
     # -- queries ----------------------------------------------------------
 
@@ -307,12 +312,7 @@ def involute(a: GroupMeasure) -> GroupMeasure:
     """The adjoint measure g -> a(g^{-1}), with the weights of ``a``;
     total mass is preserved exactly.  A cell whose inverse leaves int64
     raises ``DescriptorMismatchError``."""
-    if a.group.kind == FREE:
-        return GroupMeasure(a.group, _word_box(a.group, "involute").inverse(a.cells),
-                            a.weights)
-    if (a.cells == _INT64_MIN).any():
-        raise DescriptorMismatchError(f"involute leaves int64 at coordinate {-_INT64_MIN}")
-    return GroupMeasure(a.group, -a.cells, a.weights)
+    return GroupMeasure(a.group, _inverse(a.group, a.cells, "involute"), a.weights)
 
 
 def symmetrize(a: GroupMeasure, cap: int = DEFAULT_SUPPORT_CAP) -> GroupMeasure:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError, ResourceLimitError, UnsupportedKindError
-from .groups import FREE, GroupDescriptor, _word_box
+from .groups import FREE, GroupDescriptor, _coordinates, _unique_keys, _word_box
 from .measures import (
     DEFAULT_SUPPORT_CAP,
     GroupMeasure,
@@ -41,12 +41,10 @@ class NormEstimate:
 # -- convolution-power estimate ------------------------------------------
 
 
-def default_neighborhood(group: GroupDescriptor) -> list:
+def default_neighborhood(group: GroupDescriptor):
     """Smallest convenient identity neighborhood: {e} on discrete kinds,
-    the unit grid ball on grid kinds."""
-    if group.is_discrete:
-        return [group.identity()]
-    return group.ball(1.0)
+    the unit grid ball, the cell array of ``ball``, on grid kinds."""
+    return group.ball(1.0) if group.is_grid else [group.identity()]
 
 
 def berg_christensen_estimate(
@@ -82,28 +80,21 @@ def berg_christensen_estimate(
     if n_max < 2:
         raise PreconditionError("n_max must be >= 2")
     group = mu.group
-    if F is None:
-        F = default_neighborhood(group)
-    F = [group.canonical(x) for x in F]
-    if not F:
-        raise PreconditionError("F must be a nonempty neighborhood of the identity")
-    if group.identity() not in F:
-        raise PreconditionError("F must contain the identity cell")
-
-    if F == [group.identity()] and _is_uniform_generator_walk(mu):
+    f = _neighborhood_cells(group, default_neighborhood(group) if F is None else F)
+    if len(f) == 1 and _is_uniform_generator_walk(mu):
         return _radial_estimate(mu, n_max)
 
-    # the cells of 1_F, its distinct elements checked as those of a measure
-    f = GroupMeasure.from_atoms(group, ((x, 1.0) for x in F)).cells
     eta = symmetrize(mu, cap)
     box = _walk_box(group, eta.cells, f, (n_max + 1) // 2, n_max // 2,
                     "Berg-Christensen walk")
     # high = eta^{*ceil(n/2)}; reach = 1_F * (eta^{*floor(n/2)})^, as (keys,
     # weights) of the box, in which add(key(x), key(y) - zero) keys x * y
     high = (box.keys(eta.cells), eta.weights)
-    reach = indicator = (box.keys(f), np.ones(len(f)))
+    # 1_F on the distinct cells of F, in the order of their first occurrence
+    keys = _unique_keys(box.keys(f), np.ones(len(f)), cap, "the neighborhood F")[0]
+    reach = indicator = (keys, np.ones(len(keys)))
     step = high[0] - box.zero
-    at_e = len(f) == 1  # F = {e}: then 1_F * x is x
+    at_e = len(keys) == 1  # F = {e}: then 1_F * x is x
     seq: list[tuple[int, float]] = []
     drops = []  # (n, term n-1, term n) where the sequence decreases
     prev = -math.inf
@@ -145,16 +136,28 @@ def berg_christensen_estimate(
                         note=note)
 
 
+def _neighborhood_cells(group: GroupDescriptor, F) -> np.ndarray:
+    """The cells of F as a measure holds them (words by their keys), in
+    the given order; F must hold e."""
+    what = "the neighborhood F"
+    cells = (_word_box(group, what).keys if group.kind == FREE
+             else lambda xs: _coordinates(group, xs, what))
+    f, e = cells(F), cells([group.identity()])
+    if not len(f):
+        raise PreconditionError("F must be a nonempty neighborhood of the identity")
+    if not (f == e).reshape(len(f), -1).all(axis=1).any():  # no row of f is e
+        raise PreconditionError("F must contain the identity cell")
+    return f
+
+
 def _is_uniform_generator_walk(mu: GroupMeasure) -> bool:
     """Whether mu is uniform on the letters of F_k, k >= 2, and their
     inverses, to 1e-15 of its largest weight."""
     group = mu.group
     if group.kind != FREE or group.dimension < 2:
         return False
-    k = group.dimension
-    # in key order, the order of the letters
-    gens = _word_box(group, "the generator test").keys(
-        [(i,) for i in range(-k, k + 1) if i])
+    k = group.dimension  # the letters and their inverses, in key order
+    gens = _word_box(group, "the generator test").keys([(i,) for i in range(-k, k + 1) if i])
     return (np.array_equal(np.sort(mu.cells), gens)
             and np.ptp(mu.weights) <= 1e-15 * mu.weights.max())
 

@@ -60,10 +60,21 @@ def dict_convolve(group, a: dict, b: dict) -> dict:
     return _clean(out)
 
 
+def torus_rep(x: int, n: int) -> int:
+    """Representative of x mod n in [-n/2, n/2)."""
+    r = x % n
+    return r - n if r >= (n + 1) // 2 else r
+
+
 def physical(group, g) -> tuple[float, ...]:
     """Physical coordinates of an element: its cell coordinates over the
-    scale (the word length for free groups)."""
-    return tuple(c / group.scale for c in group.coordinates(g))
+    scale, torus residues by their representatives in [-N/2, N/2) (the
+    word length for free groups)."""
+    if group.kind == "free":
+        return (float(len(g)),)
+    if group.kind == "torus-grid":
+        g = [torus_rep(x, group.size) for x in g]
+    return tuple(c / group.scale for c in g)
 
 
 def scaled(mu: GroupMeasure, factor: float) -> GroupMeasure:

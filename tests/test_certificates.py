@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -330,6 +331,46 @@ class TestCompanionSet:
                 with pytest.raises(PreconditionError,
                                    match=rf"need {size} cells, have {room}\)"):
                     companion_cells(space, size, forbidden)
+
+
+class TestSegmentMarks:
+    """The walk writes a set of slot segments into phi's own buffer."""
+
+    def test_marks_are_the_segments(self):
+        # disjoint segments, some touching, the last at the end or not;
+        # phi holds leftovers of an earlier n
+        rng = np.random.default_rng(42)
+        for n in (1, 2, 3, 10, 257):
+            for _ in range(50):
+                k = int(rng.integers(1, n // 2 + 2))
+                cuts = np.unique(rng.integers(0, n + 1, size=2 * k))
+                lo, hi = cuts[:-1], cuts[1:]
+                keep = rng.random(len(lo)) < 0.6
+                lo, hi = lo[keep], hi[keep]
+                if not len(lo):
+                    continue
+                want = np.zeros(n, dtype=np.int8)
+                for a, b in zip(lo.tolist(), hi.tolist()):
+                    want[a:b] = 1
+                phi = rng.integers(-1, 2, size=n).astype(np.int8)
+                assert certificates._mark(phi, lo, hi) is phi
+                assert phi.tolist() == want.tolist(), (n, lo, hi)
+
+    def test_marks_list_no_slot(self):
+        # 2,000 segments over half of 2^20 cells: no slot list, which
+        # would take 4 MB, is formed
+        n = 1 << 20
+        lo = np.arange(0, n, n // 2000)[:2000]
+        hi = lo + n // 4000
+        phi = np.empty(n, dtype=np.int8)
+        tracemalloc.start()
+        try:
+            certificates._mark(phi, lo, hi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert int(phi.sum()) == certificates._count(lo, hi)
 
 
 class TestRayleighChain:

@@ -459,6 +459,8 @@ CONFIG_FAULTS = [
      "measure: total mass must be positive"),
     ({**VERIFY, "measure": {"kind": "uniform-interval", "lo": -1, "hi": 1, "total": 0}},
      "measure: total mass must be positive"),
+    ({**TestParams.REGULAR, "measure": {"kind": "uniform-ball", "radius": -1}},
+     "measure.radius: must be >= 0, got -1"),
     ({**SWEEP, "grid": {"params.n_max": [3], "params.method": []}},
      "grid.params.method: needs at least one value"),
     # an empty permutation has no cell to carry the weight

@@ -16,12 +16,14 @@ from dict_oracles import (
     elements,
     mass_on_set,
     rows,
+    torus_rep,
     unique_rows,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaplab import groups, measures
+from gaplab.cli import build_measure
 from gaplab import (
     DescriptorMismatchError,
     GroupDescriptor,
@@ -782,8 +784,28 @@ def torus_ball_by_scan(group, radius):
     coords = sorted({r % n for r in range(-n // 2, n // 2 + 1)
                      if abs(r) / n <= min(radius, 0.5)})
     return sorted(cell for cell in itertools.product(coords, repeat=group.dimension)
-                  if math.sqrt(sum((groups._torus_rep(x, n) / n) ** 2 for x in cell))
+                  if math.sqrt(sum((torus_rep(x, n) / n) ** 2 for x in cell))
                   <= radius)
+
+
+def euclidean_ball_by_scan(group, radius):
+    """The ball of a lattice or real grid as a scan of a box one cell wider
+    than the ball on each side, cell by cell: the cells within radius +
+    1e-12, in lexicographic order."""
+    reach = math.ceil(radius * group.scale) + 1
+    return [cell for cell in itertools.product(range(-reach, reach + 1), repeat=group.dimension)
+            if math.sqrt(sum((x / group.scale) ** 2 for x in cell)) <= radius + 1e-12]
+
+
+def boundary_radii(group):
+    """Radii at which 1e-12 decides: the norms of a few cells, and those
+    norms less 1e-12 and 2e-12 and plus 1e-12."""
+    radii = []
+    for cell in ((1,), (2,), (3, 4), (1, 1, 1), (2, 3, 6)):
+        if len(cell) <= group.dimension:
+            norm = math.sqrt(sum((x / group.scale) ** 2 for x in cell))
+            radii += [norm, norm - 1e-12, norm - 2e-12, norm + 1e-12]
+    return radii
 
 
 class TestListedSupports:
@@ -794,7 +816,39 @@ class TestListedSupports:
     def test_torus_ball_matches_a_scan(self, n, dimension):
         group = GroupDescriptor(kind="torus-grid", dimension=dimension, size=n)
         for radius in (0.0, 0.05, 0.1, 0.2, 0.25, 0.3, 0.45, 0.5, 0.6, 0.71, 2.0):
-            assert group.ball(radius) == torus_ball_by_scan(group, radius), radius
+            assert rows(group.ball(radius)) == torus_ball_by_scan(group, radius), radius
+
+    @pytest.mark.parametrize("group", [
+        GroupDescriptor(kind="lattice", dimension=1),
+        GroupDescriptor(kind="lattice", dimension=2),
+        GroupDescriptor(kind="lattice", dimension=3),
+        GroupDescriptor(kind="real-grid", dimension=1, resolution=4),
+        GroupDescriptor(kind="real-grid", dimension=2, resolution=4),
+        GroupDescriptor(kind="real-grid", dimension=2, resolution=7),
+        GroupDescriptor(kind="real-grid", dimension=3, resolution=3),
+    ], ids=lambda g: f"{g.kind}-{g.dimension}-{g.resolution}")
+    def test_euclidean_ball_matches_a_scan(self, group):
+        for radius in (0.0, 0.3, 0.5, 1.0, 1.5, 2.0, *boundary_radii(group)):
+            assert rows(group.ball(radius)) == euclidean_ball_by_scan(group, radius), radius
+
+    def test_ball_boundary_is_one_rounding_wide(self):
+        # |(3, 4)| = 5/4 at q = 4: 5/4 - 1e-12 + 1e-12 rounds to 5/4, and
+        # 5/4 - 2e-12 + 1e-12 falls short of it
+        g = GroupDescriptor(kind="real-grid", dimension=2, resolution=4)
+        assert (3, 4) in rows(g.ball(5 / 4 - 1e-12))
+        assert (3, 4) not in rows(g.ball(5 / 4 - 2e-12))
+
+    def test_ball_of_more_axes_than_an_array_has(self):
+        # numpy arrays have at most 64 axes; a ball within one cell of 0
+        # has one cell in any dimension
+        for group in (GroupDescriptor(kind="lattice", dimension=70),
+                      GroupDescriptor(kind="torus-grid", dimension=66, size=1)):
+            assert rows(group.ball(0.5)) == [(0,) * group.dimension]
+
+    def test_negative_radius_is_an_empty_ball(self):
+        for group in (Z, Z2, GroupDescriptor(kind="torus-grid", dimension=2, size=8)):
+            assert rows(group.ball(-1)) == []
+        assert F2.ball(-1) == []
 
     @pytest.mark.parametrize("group,radius,cells", [
         (Z, 1e7, 2 * 10**7 + 1),
@@ -856,21 +910,41 @@ class TestListedSupports:
         assert held <= 17 * len(mu) and peak <= groups.PAIR_BYTES * len(mu)
         assert np.all(np.diff(mu.cells[:, 0]) > 0)
 
+    @pytest.mark.parametrize("group,radius", [
+        (GroupDescriptor(kind="real-grid", dimension=1, resolution=512), 1000.0),
+        (GroupDescriptor(kind="real-grid", dimension=2, resolution=512), 1.0),
+    ], ids=["real-grid", "real-grid-2d"])
+    def test_ball_is_two_arrays_within_its_charge(self, group, radius):
+        """About 10^6 cells, built as the CLI builds them: cells and
+        weights held, and a traced peak within the ``PAIR_BYTES`` a ball is
+        charged per cell of its box."""
+        box = (2 * int(radius * group.scale) + 1) ** group.dimension
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            mu = build_measure(group, {"kind": "uniform-ball", "radius": radius})
+            elapsed = time.perf_counter() - start
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(mu) > 8 * 10**5 and elapsed < 1.0
+        assert held <= (8 * group.dimension + 9) * len(mu)
+        assert peak <= groups.PAIR_BYTES * box
+        assert np.all(np.diff(mu.cells[:, 0]) >= 0) and np.all(mu.weights == 1 / len(mu))
+
     def test_memory_bounds_the_listing(self, monkeypatch):
-        # an interval forms arrays, at PAIR_BYTES a cell; a ball lists
-        # tuples, at ATOM_BYTES a cell
-        monkeypatch.setattr(groups, "_memory_bytes", lambda: 1000 * groups.PAIR_BYTES)
-        assert len(GroupMeasure.uniform_interval(Z, 1, 1000)) == 1000
+        # an interval, or the box around a ball, is charged PAIR_BYTES a cell
+        monkeypatch.setattr(groups, "_memory_bytes", lambda: 1001 * groups.PAIR_BYTES)
+        assert len(GroupMeasure.uniform_interval(Z, 1, 1001)) == 1001
         with pytest.raises(ResourceLimitError,
-                           match=rf"interval \[0, 1000\] would form 1001 cells of "
+                           match=rf"interval \[0, 1001\] would form 1002 cells of "
                                  rf"{groups.PAIR_BYTES} bytes each, more than the "
-                                 rf"{1000 * groups.PAIR_BYTES} bytes this process may use"):
-            GroupMeasure.uniform_interval(Z, 0, 1000)
-        monkeypatch.setattr(groups, "_memory_bytes", lambda: 1001 * groups.ATOM_BYTES)
+                                 rf"{1001 * groups.PAIR_BYTES} bytes this process may use"):
+            GroupMeasure.uniform_interval(Z, 0, 1001)
         assert len(Z.ball(500.0)) == 1001
         with pytest.raises(ResourceLimitError,
                            match=rf"box around the ball of radius 501.0 would form 1003 cells "
-                                 rf"of {groups.ATOM_BYTES} bytes each"):
+                                 rf"of {groups.PAIR_BYTES} bytes each"):
             Z.ball(501.0)
 
     def test_the_box_around_a_ball_meets_the_cap(self, monkeypatch):
@@ -882,6 +956,26 @@ class TestListedSupports:
         with pytest.raises(ResourceLimitError, match="radius 3.0 of 49 cells exceeded "
                                                      "the support cap of 48"):
             Z2.ball(3.0)
+
+
+class TestCellLength:
+    """A list of cells whose elements have another length than d raises,
+    though its coordinates would fill rows of d."""
+
+    def test_ragged_cells_raise(self):
+        from gaplab import berg_christensen_estimate
+
+        calls = [
+            ("product set", 1, lambda: product_set(Z, [(0, 0), ()], [(0,)])),
+            ("inverse set", 1, lambda: inverse_set(Z, [(1, 2), ()])),
+            ("product set", 2, lambda: power_set(Z2, [(0, 0, 1), (1,)], 2)),
+            ("the neighborhood F", 1, lambda: berg_christensen_estimate(
+                GroupMeasure.simple_random_walk(Z), F=[(0,), (0, 0), ()], n_max=4)),
+        ]
+        for what, d, call in calls:
+            with pytest.raises(DescriptorMismatchError,
+                               match=f"^{what} takes cells of {d} coordinates$"):
+                call()
 
 
 class TestInt64Range:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from dict_oracles import physical, sampled_fourier_sup
+from dict_oracles import physical, rows, sampled_fourier_sup
 from operator_helpers import act_indices
 
 from gaplab import GroupDescriptor, GroupMeasure, amenable_norm, build_action
@@ -37,8 +37,7 @@ class TestMeasurePreservation:
 class TestGroupGeometry:
     def test_torus_group_ball(self):
         t = GroupDescriptor(kind="torus-grid", dimension=1, size=16)
-        ball = t.ball(2 / 16)
-        assert ball == [(0,), (1,), (2,), (14,), (15,)]
+        assert rows(t.ball(2 / 16)) == [(0,), (1,), (2,), (14,), (15,)]
 
     def test_free_ball_ordering(self):
         f2 = GroupDescriptor(kind="free", dimension=2)
@@ -50,9 +49,10 @@ class TestGroupGeometry:
     def test_real_grid_norm(self):
         g = GroupDescriptor(kind="real-grid", dimension=2, resolution=4)
         assert physical(g, (3, 4)) == (0.75, 1.0)
-        # the ball is the Euclidean norm of the value: |(3, 4)| = 5/4
-        assert (3, 4) in g.ball(5 / 4)
-        assert (3, 4) not in g.ball(5 / 4 - 1e-9)
+        # the ball is the Euclidean norm of the value: |(3, 4)| = 5/4; on
+        # the array itself ``in`` would test coordinates one by one
+        assert (3, 4) in rows(g.ball(5 / 4))
+        assert (3, 4) not in rows(g.ball(5 / 4 - 1e-9))
 
 
 class TestFourierTorusGroup:
@@ -584,3 +584,59 @@ def test_an_order_read_and_a_second_walk_array_are_found(tmp_path):
     assert walk_cell_arrays(tmp_path) == [
         "numpy.zeros((space.n_cells,), dtype=bool)",
         "np.empty(space.n_cells, dtype=np.int8)"]
+
+
+def box_listings(root: Path) -> list[str]:
+    """The functions of ``src/gaplab``, as ``module.function``, that call
+    ``itertools.product``, under that name or a name imported from
+    ``itertools``: a listing of the cells of a box one tuple at a time,
+    where a ball is one cell array."""
+    found = set()
+    for path in sorted((root / "src" / "gaplab").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {"itertools.product"} | {
+            alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "itertools"
+            for alias in node.names if alias.name == "product"}
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and any(
+                    isinstance(node, ast.Call) and ast.unparse(node.func) in names
+                    for node in ast.walk(func)):
+                found.add(f"{path.stem}.{func.name}")
+    return sorted(found)
+
+
+def test_no_box_is_listed_by_tuples():
+    """Every kind's cells are formed as arrays: no function takes the
+    cartesian product of coordinate ranges in Python."""
+    assert box_listings(ROOT) == []
+
+
+def test_a_tuple_listing_is_found(tmp_path):
+    """A call of ``itertools.product``, or of ``product`` imported from
+    ``itertools`` under any name, is found in a method or a function; other
+    ``itertools`` calls and a local function named ``product`` are not."""
+    package = tmp_path / "src" / "gaplab"
+    package.mkdir(parents=True)
+    (package / "groups.py").write_text(textwrap.dedent('''
+        import itertools
+        from itertools import product as cartesian
+
+        class GroupDescriptor:
+            def ball(self, reach):
+                return list(itertools.product(range(-reach, reach + 1), repeat=2))
+
+        def _box(reach):
+            return list(cartesian(range(reach), range(reach)))
+
+        def _coordinates(xs):
+            return list(itertools.chain.from_iterable(xs))
+        '''))
+    (package / "measures.py").write_text(textwrap.dedent('''
+        def product(a, b):
+            return a * b
+
+        def convolve(a, b):
+            return product(a, b)
+        '''))
+    assert box_listings(tmp_path) == ["groups._box", "groups.ball"]
